@@ -17,11 +17,14 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 use receivers_core::methods::add_bar;
+use receivers_core::AlgebraicMethod;
 use receivers_objectbase::examples::{beer_schema, BeerSchema};
-use receivers_objectbase::{Instance, Oid, Receiver};
+use receivers_objectbase::{InPlaceOutcome, Instance, Oid, Receiver};
 use receivers_relalg::database::Database;
 use receivers_relalg::view::DatabaseView;
-use receivers_wal::{encode_snapshot, DirStorage, DurableStore, FaultStorage, WalConfig};
+use receivers_wal::{
+    encode_snapshot, DirStorage, DurableSink, DurableStore, FaultStorage, WalConfig, WalStorage,
+};
 
 /// A beer instance with `scale` objects per class and edge counts linear
 /// in `scale` (the same workload as the `view_maintenance` bench).
@@ -50,6 +53,23 @@ fn dense_instance(scale: u32) -> (BeerSchema, Instance) {
         }
     }
     (s, i)
+}
+
+/// Apply `order` durably: the viewed driver with a [`DurableSink`] around
+/// the view, then the sink's storage-error check.
+fn durable_run<S: WalStorage>(
+    m: &AlgebraicMethod,
+    working: &mut Instance,
+    view: &mut DatabaseView,
+    order: &[Receiver],
+    store: &mut DurableStore<S>,
+) -> InPlaceOutcome {
+    let mut sink = DurableSink::new(store, view);
+    let out = m.apply_sequence_viewed(working, &mut sink, order);
+    if let Some(e) = sink.take_error() {
+        panic!("durable apply: {e}");
+    }
+    out
 }
 
 /// The standard 64-receiver add_bar order over a `scale` instance.
@@ -85,8 +105,7 @@ fn commits(c: &mut Criterion) {
             &durable,
         )
         .expect("create");
-        m.apply_sequence_durable(&mut durable, &mut durable_view, &order, &mut store)
-            .expect("durable apply");
+        durable_run(&m, &mut durable, &mut durable_view, &order, &mut store);
         assert_eq!(plain, durable);
 
         group.bench_with_input(BenchmarkId::new("viewed", scale), &order, |b, order| {
@@ -107,10 +126,7 @@ fn commits(c: &mut Criterion) {
                     &working,
                 )
                 .expect("create");
-                black_box(
-                    m.apply_sequence_durable(&mut working, &mut view, order, &mut store)
-                        .expect("durable apply"),
-                )
+                black_box(durable_run(&m, &mut working, &mut view, order, &mut store))
             })
         });
     }
@@ -140,8 +156,7 @@ fn fsyncs(c: &mut Criterion) {
                 let mut view = DatabaseView::new(&working);
                 let mut store = DurableStore::create(storage, Arc::clone(&s.schema), cfg, &working)
                     .expect("create");
-                m.apply_sequence_durable(&mut working, &mut view, order, &mut store)
-                    .expect("durable apply");
+                durable_run(&m, &mut working, &mut view, order, &mut store);
                 store.sync().expect("final sync");
                 let _ = std::fs::remove_dir_all(&dir);
             })
@@ -170,8 +185,7 @@ fn recoveries(c: &mut Criterion) {
             &working,
         )
         .expect("create");
-        m.apply_sequence_durable(&mut working, &mut view, &order, &mut store)
-            .expect("durable apply");
+        durable_run(&m, &mut working, &mut view, &order, &mut store);
         let wreckage = store.into_storage().reopen();
 
         group.bench_with_input(

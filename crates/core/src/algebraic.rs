@@ -23,9 +23,8 @@ use receivers_obs as obs;
 use receivers_relalg::database::Database;
 use receivers_relalg::eval::{eval, Bindings};
 use receivers_relalg::typecheck::{update_params, ParamSchemas};
-use receivers_relalg::view::DatabaseView;
+use receivers_relalg::view::{DatabaseView, ViewObserver};
 use receivers_relalg::{infer_schema, is_positive, Expr};
-use receivers_wal::{DurableSink, DurableStore, WalResult, WalStorage};
 
 use crate::error::{CoreError, Result};
 
@@ -179,12 +178,18 @@ impl AlgebraicMethod {
     /// view — so a non-[`Applied`](InPlaceOutcome::Applied) outcome leaves
     /// both exactly as passed in (the sequence-level rollback contract).
     ///
+    /// `view` is any [`ViewObserver`]: a bare [`DatabaseView`], or a
+    /// `receivers_wal::DurableSink` around one, which logs every
+    /// receiver's commit as one WAL record and a rollback as one
+    /// compensation record — then check the sink's `take_error` after the
+    /// call.
+    ///
     /// Per receiver the cost is `O(probe + changed edges)`; the `O(N + E)`
     /// view construction is paid once by the caller, not once per receiver.
     pub fn apply_sequence_viewed(
         &self,
         instance: &mut Instance,
-        view: &mut DatabaseView,
+        view: &mut dyn ViewObserver,
         order: &[Receiver],
     ) -> InPlaceOutcome {
         let _seq_span = obs::span("core.sequence");
@@ -220,82 +225,6 @@ impl AlgebraicMethod {
             C_RECEIVERS_APPLIED.incr();
         }
         InPlaceOutcome::Applied
-    }
-
-    /// [`Self::apply_sequence_viewed`] with durability: every receiver's
-    /// committed transaction is appended to `store`'s write-ahead log as
-    /// one record (through a [`DurableSink`] wired around the view), a
-    /// sequence-level rollback is appended as one compensation record,
-    /// and the store checkpoints from the maintained view whenever its
-    /// [`snapshot_every`](receivers_wal::WalConfig::snapshot_every)
-    /// threshold is crossed — no `O(N + E)` rebuild on the hot path.
-    ///
-    /// The method outcome is unchanged from the in-memory driver; `Err`
-    /// is reserved for storage failures. On `Err` the in-memory instance
-    /// and view are *ahead* of the durable state (some edits never
-    /// reached the log): the caller must stop the run and recover via
-    /// [`DurableStore::open`], which restores the last durable prefix.
-    pub fn apply_sequence_durable<S: WalStorage>(
-        &self,
-        instance: &mut Instance,
-        view: &mut DatabaseView,
-        order: &[Receiver],
-        store: &mut DurableStore<S>,
-    ) -> WalResult<InPlaceOutcome> {
-        let _seq_span = obs::span("core.sequence");
-        let mut seq_log: Vec<DeltaOp> = Vec::new();
-        let rollback_durable = |why: String,
-                                instance: &mut Instance,
-                                view: &mut DatabaseView,
-                                store: &mut DurableStore<S>,
-                                seq_log: &[DeltaOp]| {
-            C_ROLLBACKS.incr();
-            let mut sink = DurableSink::new(store, view);
-            undo_ops(instance, &mut sink, seq_log);
-            if let Some(err) = sink.take_error() {
-                return Err(err);
-            }
-            // A rollback ends the sequence: make its compensation
-            // record durable regardless of the group-commit phase.
-            store.sync()?;
-            Ok(InPlaceOutcome::Undefined(why))
-        };
-        for t in order {
-            let _apply_span = obs::span("core.apply");
-            if let Err(e) = t.validate(&self.signature, instance) {
-                return rollback_durable(e.to_string(), instance, view, store, &seq_log);
-            }
-            let results = match self.evaluate_on(view.database(), t) {
-                Ok(r) => r,
-                Err(e) => {
-                    return rollback_durable(e.to_string(), instance, view, store, &seq_log);
-                }
-            };
-            let recv = t.receiving_object();
-            {
-                let mut sink = DurableSink::new(store, view);
-                let mut txn = InstanceTxn::begin_observed(instance, &mut sink);
-                for (prop, values) in results {
-                    let old: Vec<Oid> = txn.instance().successors(recv, prop).collect();
-                    for v in old {
-                        txn.remove_edge(&Edge::new(recv, prop, v));
-                    }
-                    for v in values {
-                        txn.add_edge(Edge::new(recv, prop, v))
-                            .expect("typed evaluation only yields objects of I");
-                    }
-                }
-                txn.commit_into(&mut seq_log);
-                if let Some(err) = sink.take_error() {
-                    return Err(err);
-                }
-            }
-            C_RECEIVERS_APPLIED.incr();
-            if store.should_checkpoint() {
-                store.checkpoint_db(view.database())?;
-            }
-        }
-        Ok(InPlaceOutcome::Applied)
     }
 }
 

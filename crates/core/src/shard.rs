@@ -74,7 +74,6 @@ use receivers_relalg::database::Database;
 use receivers_relalg::view::DatabaseView;
 use receivers_relalg::RelName;
 use receivers_rt as rt;
-use receivers_wal::{DurableStore, WalResult, WalStorage};
 
 use crate::algebraic::AlgebraicMethod;
 use crate::coloring_bridge::{method_footprint, MethodFootprint};
@@ -414,22 +413,6 @@ pub fn apply_planned(
     plan: &ShardPlan,
     cfg: &ShardConfig,
 ) -> InPlaceOutcome {
-    apply_planned_logged(method, instance, view, order, plan, cfg).0
-}
-
-/// [`apply_planned`], additionally returning the wave's concatenated
-/// delta log (in `commit_into` order) so a durable driver can append it
-/// to a write-ahead log. The log is empty unless the outcome is
-/// [`Applied`](InPlaceOutcome::Applied) — a failed wave is fully rolled
-/// back in memory before anything could have been persisted.
-fn apply_planned_logged(
-    method: &AlgebraicMethod,
-    instance: &mut Instance,
-    view: &mut DatabaseView,
-    order: &[Receiver],
-    plan: &ShardPlan,
-    cfg: &ShardConfig,
-) -> (InPlaceOutcome, Vec<DeltaOp>) {
     assert_eq!(
         plan.assignments.len(),
         order.len(),
@@ -457,44 +440,11 @@ fn apply_planned_logged(
             Err(msg) => {
                 C_ROLLBACKS.incr();
                 undo_ops(instance, view, &seq_log);
-                return (InPlaceOutcome::Undefined(msg), Vec::new());
+                return InPlaceOutcome::Undefined(msg);
             }
         }
     }
-    (InPlaceOutcome::Applied, seq_log)
-}
-
-/// [`apply_sharded`] with durability: the whole wave's delta log is
-/// appended to `store` as **one** WAL record once the wave has fully
-/// applied, and the store checkpoints from the maintained view when its
-/// threshold is crossed. A failed wave rolls back in memory *before*
-/// anything reaches the log, so — unlike the per-receiver durable
-/// sequence driver — no compensation record is ever needed here: the WAL
-/// only ever sees applied waves. `Err` is reserved for storage failures;
-/// on `Err` the in-memory state is ahead of the durable state and the
-/// caller must recover via [`DurableStore::open`].
-pub fn apply_sharded_durable<S: WalStorage>(
-    method: &AlgebraicMethod,
-    instance: &mut Instance,
-    view: &mut DatabaseView,
-    order: &[Receiver],
-    cfg: &ShardConfig,
-    store: &mut DurableStore<S>,
-) -> WalResult<InPlaceOutcome> {
-    let shards = cfg.shards.unwrap_or_else(rt::num_threads);
-    let plan = if cfg.upgrade {
-        ShardPlan::with_certificate_upgraded(&certify(method), order, shards)
-    } else {
-        ShardPlan::new(method, order, shards)
-    };
-    let (outcome, seq_log) = apply_planned_logged(method, instance, view, order, &plan, cfg);
-    if matches!(outcome, InPlaceOutcome::Applied) {
-        store.commit(&seq_log)?;
-        if store.should_checkpoint() {
-            store.checkpoint_db(view.database())?;
-        }
-    }
-    Ok(outcome)
+    InPlaceOutcome::Applied
 }
 
 /// The ordered coordinator path: one receiver through the exact
@@ -889,49 +839,13 @@ impl<'m> ShardedExecutor<'m> {
         self.apply_logged(instance, order).0
     }
 
-    /// [`ShardedExecutor::apply`] with durability: the wave's delta log
-    /// is appended to `store` as one WAL record once fully applied (a
-    /// failed wave rolls back in memory before anything is persisted, so
-    /// the WAL only ever sees applied waves), and the store checkpoints
-    /// when its threshold is crossed. Uncertified methods degrade to the
-    /// per-receiver durable sequence driver over a freshly built view.
-    /// On `Err` the in-memory state is ahead of the durable state; the
-    /// caller must recover via [`DurableStore::open`].
-    pub fn apply_durable<S: WalStorage>(
-        &mut self,
-        instance: &mut Instance,
-        order: &[Receiver],
-        store: &mut DurableStore<S>,
-    ) -> WalResult<InPlaceOutcome> {
-        if order.is_empty() {
-            return Ok(InPlaceOutcome::Applied);
-        }
-        if !self.certificate.shard_safe() {
-            let mut view = DatabaseView::new(instance);
-            return self
-                .method
-                .apply_sequence_durable(instance, &mut view, order, store);
-        }
-        let (outcome, seq_log) = self.apply_logged(instance, order);
-        if matches!(outcome, InPlaceOutcome::Applied) {
-            store.commit(&seq_log)?;
-            if store.should_checkpoint() {
-                // The executor maintains no full view, so the checkpoint
-                // pays one O(N + E) conversion — amortized over
-                // `snapshot_every` waves.
-                store.checkpoint(instance)?;
-            }
-        }
-        Ok(outcome)
-    }
-
-    /// The certified wave body shared by [`ShardedExecutor::apply`] and
-    /// [`ShardedExecutor::apply_durable`]; returns the wave's delta log
-    /// alongside the outcome (empty unless `Applied`). Public so program
-    /// executors (the `sql::plan` sharded driver) can replay the log into
-    /// their own maintained views; the caller must hold a shard-safe
-    /// certificate — this body runs certified receivers on worker loops
-    /// without the `apply` fallback check.
+    /// The certified wave body behind [`ShardedExecutor::apply`]; returns
+    /// the wave's delta log alongside the outcome (empty unless
+    /// `Applied`). Public so program executors (the `sql::plan` sharded
+    /// driver) can replay the log into their own maintained views; the
+    /// caller must hold a shard-safe certificate — this body runs
+    /// certified receivers on worker loops without the `apply` fallback
+    /// check.
     pub fn apply_logged(
         &mut self,
         instance: &mut Instance,

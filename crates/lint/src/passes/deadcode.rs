@@ -5,12 +5,12 @@
 use std::collections::BTreeSet;
 
 use receivers_obs as obs;
+use receivers_sql::footprint::{footprint, Footprint, Write};
 use receivers_sql::sat::{Disjointness, GuardRef, Implication, Solver};
 use receivers_sql::SpannedStatement;
 
 use crate::diag::{codes, Diagnostic};
 use crate::pass::{LintContext, ProgramPass};
-use crate::passes::footprint::{footprint, Footprint, Write};
 
 obs::counter!(C_DISJOINT_OVERWRITES, "lint.sat.disjoint_overwrites");
 obs::counter!(C_IMPLIED_OVERWRITES, "lint.sat.implied_overwrites");

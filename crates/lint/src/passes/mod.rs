@@ -11,7 +11,6 @@ pub mod catalog;
 pub mod deadcode;
 pub mod decide;
 pub mod effects;
-pub mod footprint;
 pub mod method;
 pub mod resolve;
 pub mod sat;

@@ -186,6 +186,23 @@ impl DatabaseView {
     }
 }
 
+/// A [`DeltaObserver`] that keeps a maintained [`Database`] readable
+/// between bursts — a [`DatabaseView`] itself, or an observer wrapping one
+/// (the durability layer's WAL sink). Drivers that evaluate against the
+/// database they are maintaining take this instead of a bare view, so one
+/// driver body serves every observer.
+pub trait ViewObserver: DeltaObserver {
+    /// The maintained database, consolidated through the last
+    /// [`DeltaObserver::batch_end`].
+    fn database(&self) -> &Database;
+}
+
+impl ViewObserver for DatabaseView {
+    fn database(&self) -> &Database {
+        DatabaseView::database(self)
+    }
+}
+
 impl DeltaObserver for DatabaseView {
     fn applied(&mut self, op: &DeltaOp) {
         self.pending.push(*op);

@@ -50,9 +50,9 @@ use receivers_objectbase::{
 use receivers_obs as obs;
 use receivers_relalg::database::Database;
 use receivers_relalg::eval::{eval as eval_expr, Bindings};
-use receivers_relalg::view::DatabaseView;
+use receivers_relalg::view::{DatabaseView, ViewObserver};
 use receivers_relalg::Expr;
-use receivers_wal::{DurableSink, DurableStore, WalStorage};
+use receivers_wal::{DurableSink, DurableStore, WalError, WalStats, WalStorage};
 
 use crate::ast::{ColumnRef, Condition, CursorBody, Projection, Select, SqlStatement};
 use crate::catalog::{Catalog, TableInfo};
@@ -1338,14 +1338,28 @@ impl<'p> ExecCache<'p> {
     }
 }
 
-/// Row counts one executed stage moves, collected unconditionally (two
-/// integer adds) and read only by the profiled drivers.
+/// What one executed stage did, collected unconditionally (integer adds
+/// and a static note) and read only by the profiled drivers.
 #[derive(Default)]
 struct StageMeter {
     /// Rows the stage's selector produced (receivers visited).
     rows_in: u64,
     /// Rows the stage actually wrote (deletes fired, assignments made).
     rows_out: u64,
+    /// Where the sharded driver placed the stage, when it decided.
+    placement: Option<&'static str>,
+    /// How a profiled shard wave split its receivers across lanes.
+    wave: Option<WaveStats>,
+}
+
+/// Where a profiled stage started: clocks, selector-cache counters and
+/// WAL accounting, diffed against their values once the stage is done.
+struct StageMark {
+    start_ns: u64,
+    t0: std::time::Instant,
+    hits: u64,
+    misses: u64,
+    wal: Option<WalStats>,
 }
 
 /// Short label for a stage kind, shared by EXPLAIN and the profilers.
@@ -1376,41 +1390,157 @@ pub(crate) fn stage_node(idx: usize, stage: &Stage) -> obs::ProfileNode {
     n
 }
 
-/// Stamp measured timings/rows onto a stage node and push it under the
-/// profile root.
-#[allow(clippy::too_many_arguments)]
-fn push_stage_profile<'a>(
-    prof: &'a mut obs::ProfileNode,
+/// Stamp one executed stage's measurements onto its node — wall time,
+/// rows, selector-cache deltas, the sharded placement and lanes, the
+/// durable `wal` child — and push it under the profile root.
+fn push_stage_profile(
+    prof: &mut obs::ProfileNode,
     idx: usize,
     stage: &Stage,
-    start_ns: u64,
-    t0: std::time::Instant,
-    meter: &StageMeter,
-    cache_hits: u64,
-    cache_misses: u64,
-) -> &'a mut obs::ProfileNode {
+    mark: StageMark,
+    meter: StageMeter,
+    cache: &ExecCache<'_>,
+    wal: Option<WalStats>,
+) {
     let mut node = stage_node(idx, stage);
-    node.start_ns = start_ns;
-    node.wall_ns = t0.elapsed().as_nanos() as u64;
+    node.start_ns = mark.start_ns;
+    node.wall_ns = mark.t0.elapsed().as_nanos() as u64;
     node.rows_in = meter.rows_in;
     node.rows_out = meter.rows_out;
-    node.set_metric("selector_cache_hits", cache_hits);
-    node.set_metric("selector_cache_misses", cache_misses);
+    node.set_metric("selector_cache_hits", cache.hits - mark.hits);
+    node.set_metric("selector_cache_misses", cache.misses - mark.misses);
+    if let Some(note) = meter.placement {
+        node.add_note(note);
+    }
+    if let Some(w) = meter.wave {
+        node.set_metric("local_receivers", w.local_receivers);
+        node.set_metric("coordinated_receivers", w.coordinated_receivers);
+        node.set_metric("segments", w.segments);
+        for lane in w.lanes.iter().filter(|l| l.receivers > 0 || l.batches > 0) {
+            let mut ln = obs::ProfileNode::new(format!("shard {}", lane.shard), "shard-lane");
+            ln.start_ns = mark.start_ns;
+            ln.wall_ns = lane.busy_ns;
+            ln.rows_in = lane.receivers;
+            ln.rows_out = lane.receivers;
+            ln.set_metric("receivers", lane.receivers);
+            ln.set_metric("batches", lane.batches);
+            ln.set_metric("queue_wait_ns", lane.wait_ns);
+            node.children.push(ln);
+        }
+    }
+    if let (Some(w0), Some(w)) = (mark.wal, wal) {
+        let mut wal = obs::ProfileNode::new("wal", "wal-append");
+        wal.start_ns = mark.start_ns;
+        wal.wall_ns = w.sync_ns - w0.sync_ns;
+        wal.set_metric("records", w.records - w0.records);
+        wal.set_metric("bytes", w.bytes - w0.bytes);
+        wal.set_metric("syncs", w.syncs - w0.syncs);
+        wal.set_metric("sync_ns", w.sync_ns - w0.sync_ns);
+        if w.checkpoints > w0.checkpoints {
+            wal.set_metric("checkpoints", w.checkpoints - w0.checkpoints);
+        }
+        node.children.push(wal);
+    }
     prof.children.push(node);
-    prof.children.last_mut().expect("just pushed")
 }
 
-/// Finish a profiled driver run: stamp the root's timing and, when the
-/// flight recorder is on, retain the whole rendered profile in the ring.
-fn finish_profile(root: &mut obs::ProfileNode, start_ns: u64, t0: std::time::Instant) {
-    root.start_ns = start_ns;
-    root.wall_ns = t0.elapsed().as_nanos() as u64;
-    if obs::flight_enabled() {
-        obs::flight::flight_record(
-            "profile",
-            format!("{} ({:.3} ms)", root.name, root.wall_ns as f64 / 1e6),
-            Some(obs::render_profile_json(root)),
-        );
+/// The observer side of the one stage loop: stages write through it and
+/// evaluate against its database. A durable sink additionally parks
+/// storage errors and keeps WAL accounting; a bare view has neither.
+trait StageObserver: ViewObserver {
+    /// The storage error the last stage hit, if any.
+    fn take_error(&mut self) -> Option<WalError> {
+        None
+    }
+    /// Cumulative WAL accounting, when the observer logs.
+    fn wal_stats(&self) -> Option<WalStats> {
+        None
+    }
+}
+
+impl StageObserver for DatabaseView {}
+
+impl<S: WalStorage> StageObserver for DurableSink<'_, S> {
+    fn take_error(&mut self) -> Option<WalError> {
+        DurableSink::take_error(self)
+    }
+    fn wal_stats(&self) -> Option<WalStats> {
+        Some(self.store().stats())
+    }
+}
+
+/// The sharded session's placement rule — all its driver adds to the
+/// shared stage loop: a certified algebraic cursor stage runs on its
+/// persistent [`ShardedExecutor`], with the wave's delta log replayed
+/// into the session view; every other stage takes the shared path.
+struct ShardLanes<'s, 'p> {
+    cfg: &'s ShardConfig,
+    execs: &'s mut [Option<ShardedExecutor<'p>>],
+}
+
+impl<'p> ShardLanes<'_, 'p> {
+    /// Run stage `idx` on its executor, or return `None` to send it down
+    /// the shared path.
+    fn run(
+        &mut self,
+        plan: &'p ProgramPlan,
+        idx: usize,
+        instance: &mut Instance,
+        view: &mut dyn DeltaObserver,
+        meter: &mut StageMeter,
+        profiled: bool,
+    ) -> Option<InPlaceOutcome> {
+        let stage = &plan.stages[idx];
+        let method = match stage.kind {
+            StageKind::CursorUpdate => stage.algebraic.as_ref()?,
+            _ => return None,
+        };
+        if self.execs[idx].is_none() {
+            let (certificate, _proofs) = plan
+                .shard_certificate(idx)
+                .expect("algebraic stages certify");
+            if certificate.shard_safe() {
+                self.execs[idx] = Some(ShardedExecutor::with_certificate(
+                    method,
+                    certificate,
+                    self.cfg,
+                ));
+            }
+        }
+        let Some(exec) = self.execs[idx].as_mut() else {
+            meter.placement = Some("certificate not shard-safe — ordered coordinator path");
+            return None;
+        };
+        meter.placement = Some("certified shard-safe — per-shard worker loops");
+        let order = cursor_order(stage, instance);
+        meter.rows_in += order.len() as u64;
+        meter.rows_out += order.len() as u64;
+        let (outcome, log) = if profiled {
+            let (outcome, log, wave) = exec.apply_logged_stats(instance, &order);
+            meter.wave = Some(wave);
+            (outcome, log)
+        } else {
+            exec.apply_logged(instance, &order)
+        };
+        // Replay the wave's delta log into the session view (empty unless
+        // the wave applied).
+        for op in &log {
+            view.applied(op);
+        }
+        view.batch_end();
+        Some(outcome)
+    }
+
+    /// Stage `idx` applied: every other executor's replicas are stale now,
+    /// and its own too unless it ran the stage.
+    fn invalidate_after(&mut self, idx: usize, ran_here: bool) {
+        for (k, exec) in self.execs.iter_mut().enumerate() {
+            if let Some(exec) = exec {
+                if !(ran_here && k == idx) {
+                    exec.invalidate();
+                }
+            }
+        }
     }
 }
 
@@ -1551,15 +1681,15 @@ impl ProgramPlan {
         Ok(InPlaceOutcome::Applied)
     }
 
-    /// Run one stage against `instance` with `view` maintained — the
-    /// shared body of the viewed driver and the coordinator side of the
-    /// sharded one.
+    /// Run one stage on the shared in-place path against `instance`, with
+    /// `view` maintained — the one place [`StageKind`] is matched for
+    /// execution.
     fn run_stage_viewed(
         &self,
         cache: &mut ExecCache<'_>,
         stage: &Stage,
         instance: &mut Instance,
-        view: &mut DatabaseView,
+        view: &mut dyn ViewObserver,
         meter: &mut StageMeter,
     ) -> Result<InPlaceOutcome> {
         match stage.kind {
@@ -1607,6 +1737,96 @@ impl ProgramPlan {
         }
     }
 
+    /// The one stage loop behind every driver. It owns netted-stage
+    /// skipping, spans and counters, profile marks, the storage-error
+    /// check after each stage, outcome handling and selector-cache
+    /// invalidation; the drivers differ only in the observer they pass
+    /// (a view, or a [`DurableSink`] around one) and, for the sharded
+    /// session, in the [`ShardLanes`] placement rule.
+    ///
+    /// On a non-[`Applied`](InPlaceOutcome::Applied) stage outcome the
+    /// program stops: the failing stage has rolled itself back, earlier
+    /// stages remain applied — the same contract as running the
+    /// statements one at a time.
+    fn run_stages<'p>(
+        &'p self,
+        instance: &mut Instance,
+        sink: &mut dyn StageObserver,
+        mut lanes: Option<&mut ShardLanes<'_, 'p>>,
+        mut prof: Option<&mut obs::ProfileNode>,
+    ) -> Result<InPlaceOutcome> {
+        let _span = obs::span("sql.plan.execute");
+        C_EXECUTIONS.incr();
+        let mut cache = ExecCache::new(self);
+        for (idx, stage) in self.stages.iter().enumerate() {
+            if stage.netted {
+                C_STAGES_SKIPPED.incr();
+                if let Some(p) = prof.as_deref_mut() {
+                    p.children.push(stage_node(idx, stage));
+                }
+                continue;
+            }
+            let _s = obs::span("sql.plan.stage");
+            C_STAGES_EXECUTED.incr();
+            let mark = prof.is_some().then(|| StageMark {
+                start_ns: obs::now_ns(),
+                t0: std::time::Instant::now(),
+                hits: cache.hits,
+                misses: cache.misses,
+                wal: sink.wal_stats(),
+            });
+            let mut meter = StageMeter::default();
+            let placed = lanes
+                .as_deref_mut()
+                .and_then(|l| l.run(self, idx, instance, &mut *sink, &mut meter, prof.is_some()));
+            let ran_on_lanes = placed.is_some();
+            let outcome = match placed {
+                Some(outcome) => outcome,
+                None => self.run_stage_viewed(&mut cache, stage, instance, sink, &mut meter)?,
+            };
+            if let Some(e) = sink.take_error() {
+                return Err(e.into());
+            }
+            if let (Some(p), Some(mark)) = (prof.as_deref_mut(), mark) {
+                push_stage_profile(p, idx, stage, mark, meter, &cache, sink.wal_stats());
+            }
+            if !outcome.is_applied() {
+                return Ok(outcome);
+            }
+            if let Some(l) = lanes.as_deref_mut() {
+                l.invalidate_after(idx, ran_on_lanes);
+            }
+            cache.invalidate_after(&stage.footprint);
+        }
+        Ok(InPlaceOutcome::Applied)
+    }
+
+    /// Run `execute` with **EXPLAIN ANALYZE** attached: a profile root
+    /// for `driver`, timed around the run and, when the flight recorder
+    /// is on, retained rendered in its ring.
+    fn profiled(
+        &self,
+        driver: &str,
+        execute: impl FnOnce(Option<&mut obs::ProfileNode>) -> Result<InPlaceOutcome>,
+    ) -> Result<(InPlaceOutcome, obs::ProfileNode)> {
+        let mut root = obs::ProfileNode::new(format!("program ({driver})"), "program");
+        root.set_metric("stages", self.stages.len() as u64);
+        root.set_metric("dag_nodes", self.graph.len() as u64);
+        let start_ns = obs::now_ns();
+        let t0 = std::time::Instant::now();
+        let outcome = execute(Some(&mut root))?;
+        root.start_ns = start_ns;
+        root.wall_ns = t0.elapsed().as_nanos() as u64;
+        if obs::flight_enabled() {
+            obs::flight::flight_record(
+                "profile",
+                format!("{} ({:.3} ms)", root.name, root.wall_ns as f64 / 1e6),
+                Some(obs::render_profile_json(&root)),
+            );
+        }
+        Ok((outcome, root))
+    }
+
     /// Execute the compiled program through the **sequential viewed
     /// driver**: every stage in statement order against `instance`, with
     /// `view` incrementally maintained. Netted stages are skipped. On a
@@ -1619,7 +1839,7 @@ impl ProgramPlan {
         instance: &mut Instance,
         view: &mut DatabaseView,
     ) -> Result<InPlaceOutcome> {
-        self.execute_viewed_impl(instance, view, None)
+        self.run_stages(instance, view, None, None)
     }
 
     /// [`ProgramPlan::execute_viewed`] with **EXPLAIN ANALYZE** attached:
@@ -1633,70 +1853,16 @@ impl ProgramPlan {
         instance: &mut Instance,
         view: &mut DatabaseView,
     ) -> Result<(InPlaceOutcome, obs::ProfileNode)> {
-        let mut root = self.profile_root("viewed");
-        let start_ns = obs::now_ns();
-        let t0 = std::time::Instant::now();
-        let outcome = self.execute_viewed_impl(instance, view, Some(&mut root))?;
-        finish_profile(&mut root, start_ns, t0);
-        Ok((outcome, root))
-    }
-
-    fn execute_viewed_impl(
-        &self,
-        instance: &mut Instance,
-        view: &mut DatabaseView,
-        mut prof: Option<&mut obs::ProfileNode>,
-    ) -> Result<InPlaceOutcome> {
-        let _span = obs::span("sql.plan.execute");
-        C_EXECUTIONS.incr();
-        let mut cache = ExecCache::new(self);
-        for (idx, stage) in self.stages.iter().enumerate() {
-            if stage.netted {
-                C_STAGES_SKIPPED.incr();
-                if let Some(p) = prof.as_deref_mut() {
-                    p.children.push(stage_node(idx, stage));
-                }
-                continue;
-            }
-            let _s = obs::span("sql.plan.stage");
-            C_STAGES_EXECUTED.incr();
-            let mark = prof.is_some().then(|| {
-                (
-                    obs::now_ns(),
-                    std::time::Instant::now(),
-                    cache.hits,
-                    cache.misses,
-                )
-            });
-            let mut meter = StageMeter::default();
-            let outcome = self.run_stage_viewed(&mut cache, stage, instance, view, &mut meter)?;
-            if let (Some(p), Some((start_ns, t0, h0, m0))) = (prof.as_deref_mut(), mark) {
-                push_stage_profile(
-                    p,
-                    idx,
-                    stage,
-                    start_ns,
-                    t0,
-                    &meter,
-                    cache.hits - h0,
-                    cache.misses - m0,
-                );
-            }
-            if !outcome.is_applied() {
-                return Ok(outcome);
-            }
-            cache.invalidate_after(&stage.footprint);
-        }
-        Ok(InPlaceOutcome::Applied)
+        self.profiled("viewed", |prof| self.run_stages(instance, view, None, prof))
     }
 
     /// Execute the compiled program through the **durable driver**: the
-    /// same pipeline as [`ProgramPlan::execute_viewed`], with every
-    /// committed batch appended to `store`'s write-ahead log (one record
-    /// per vectorized batch, one per receiver on cursor loops — the same
-    /// granularity the legacy drivers log at) and checkpoints taken when
-    /// the store's threshold is crossed. On a storage error the in-memory
-    /// state is ahead of the durable state; recover via
+    /// viewed driver's stage loop with one [`DurableSink`] around `view`
+    /// for the whole program, so every committed batch is appended to
+    /// `store`'s write-ahead log (one record per vectorized batch, one per
+    /// receiver on cursor loops) and the sink checkpoints at the commit
+    /// that crosses the store's threshold. On a storage error the
+    /// in-memory state is ahead of the durable state; recover via
     /// [`DurableStore::open`].
     pub fn execute_durable<S: WalStorage>(
         &self,
@@ -1704,159 +1870,24 @@ impl ProgramPlan {
         view: &mut DatabaseView,
         store: &mut DurableStore<S>,
     ) -> Result<InPlaceOutcome> {
-        self.execute_durable_impl(instance, view, store, None)
+        self.run_stages(instance, &mut DurableSink::new(store, view), None, None)
     }
 
     /// [`ProgramPlan::execute_durable`] with **EXPLAIN ANALYZE**
     /// attached: per-stage wall time, rows, selector-cache counters, and
     /// a nested `wal` child pricing the stage's log appends (records,
-    /// bytes, syncs, sync latency) off [`DurableStore::stats`].
+    /// bytes, syncs, sync latency, checkpoints) off the sink's
+    /// [`DurableStore::stats`].
     pub fn execute_durable_profiled<S: WalStorage>(
         &self,
         instance: &mut Instance,
         view: &mut DatabaseView,
         store: &mut DurableStore<S>,
     ) -> Result<(InPlaceOutcome, obs::ProfileNode)> {
-        let mut root = self.profile_root("durable");
-        let start_ns = obs::now_ns();
-        let t0 = std::time::Instant::now();
-        let outcome = self.execute_durable_impl(instance, view, store, Some(&mut root))?;
-        finish_profile(&mut root, start_ns, t0);
-        Ok((outcome, root))
-    }
-
-    fn execute_durable_impl<S: WalStorage>(
-        &self,
-        instance: &mut Instance,
-        view: &mut DatabaseView,
-        store: &mut DurableStore<S>,
-        mut prof: Option<&mut obs::ProfileNode>,
-    ) -> Result<InPlaceOutcome> {
-        let _span = obs::span("sql.plan.execute");
-        C_EXECUTIONS.incr();
-        let mut cache = ExecCache::new(self);
-        for (idx, stage) in self.stages.iter().enumerate() {
-            if stage.netted {
-                C_STAGES_SKIPPED.incr();
-                if let Some(p) = prof.as_deref_mut() {
-                    p.children.push(stage_node(idx, stage));
-                }
-                continue;
-            }
-            let _s = obs::span("sql.plan.stage");
-            C_STAGES_EXECUTED.incr();
-            let mark = prof.is_some().then(|| {
-                (
-                    obs::now_ns(),
-                    std::time::Instant::now(),
-                    cache.hits,
-                    cache.misses,
-                    store.stats(),
-                )
-            });
-            let mut meter = StageMeter::default();
-            let mut checkpoint_here = true;
-            let outcome = match stage.kind {
-                StageKind::SetDelete => {
-                    let rows = cache.rows(stage.rows, instance)?;
-                    C_VECTORIZED_ROWS.add(rows.len() as u64);
-                    meter.rows_in += rows.len() as u64;
-                    meter.rows_out += rows.len() as u64;
-                    let mut sink = DurableSink::new(store, view);
-                    apply_delete_batch(instance, &mut sink, &rows);
-                    if let Some(e) = sink.take_error() {
-                        return Err(e.into());
-                    }
-                    InPlaceOutcome::Applied
-                }
-                StageKind::SetUpdate => {
-                    let values = stage.values.expect("set updates have a values node");
-                    let assigns = cache.values(values, instance)?;
-                    C_VECTORIZED_ROWS.add(assigns.len() as u64);
-                    meter.rows_in += assigns.len() as u64;
-                    meter.rows_out += assigns.len() as u64;
-                    let prop = self.stage_prop(stage)?;
-                    let mut sink = DurableSink::new(store, view);
-                    apply_assignment_batch(instance, &mut sink, prop, &assigns);
-                    if let Some(e) = sink.take_error() {
-                        return Err(e.into());
-                    }
-                    InPlaceOutcome::Applied
-                }
-                StageKind::ImprovedUpdate => {
-                    let (receiving, pairs) =
-                        self.improved_pairs(&mut cache, stage, instance, view.database())?;
-                    meter.rows_in += receiving.len() as u64;
-                    meter.rows_out += pairs.len() as u64;
-                    let prop = self.stage_prop(stage)?;
-                    let mut sink = DurableSink::new(store, view);
-                    apply_replacement_batch(instance, &mut sink, prop, &receiving, &pairs);
-                    if let Some(e) = sink.take_error() {
-                        return Err(e.into());
-                    }
-                    InPlaceOutcome::Applied
-                }
-                StageKind::CursorDelete => {
-                    let mut sink = DurableSink::new(store, view);
-                    let outcome = self.run_cursor_delete(stage, instance, &mut sink, &mut meter)?;
-                    if let Some(e) = sink.take_error() {
-                        return Err(e.into());
-                    }
-                    outcome
-                }
-                StageKind::CursorUpdate => match &stage.algebraic {
-                    Some(m) => {
-                        checkpoint_here = false; // the driver checkpoints itself
-                        let order = cursor_order(stage, instance);
-                        meter.rows_in += order.len() as u64;
-                        meter.rows_out += order.len() as u64;
-                        m.apply_sequence_durable(instance, view, &order, store)?
-                    }
-                    None => {
-                        let mut sink = DurableSink::new(store, view);
-                        let outcome = self.run_cursor_update_interpreted(
-                            stage, instance, &mut sink, &mut meter,
-                        )?;
-                        if let Some(e) = sink.take_error() {
-                            return Err(e.into());
-                        }
-                        outcome
-                    }
-                },
-            };
-            if outcome.is_applied() && checkpoint_here && store.should_checkpoint() {
-                store.checkpoint_db(view.database())?;
-            }
-            if let (Some(p), Some((start_ns, t0, h0, m0, w0))) = (prof.as_deref_mut(), mark) {
-                let node = push_stage_profile(
-                    p,
-                    idx,
-                    stage,
-                    start_ns,
-                    t0,
-                    &meter,
-                    cache.hits - h0,
-                    cache.misses - m0,
-                );
-                let w = store.stats();
-                let mut wal = obs::ProfileNode::new("wal", "wal-append");
-                wal.start_ns = start_ns;
-                wal.wall_ns = w.sync_ns - w0.sync_ns;
-                wal.set_metric("records", w.records - w0.records);
-                wal.set_metric("bytes", w.bytes - w0.bytes);
-                wal.set_metric("syncs", w.syncs - w0.syncs);
-                wal.set_metric("sync_ns", w.sync_ns - w0.sync_ns);
-                if w.checkpoints > w0.checkpoints {
-                    wal.set_metric("checkpoints", w.checkpoints - w0.checkpoints);
-                }
-                node.children.push(wal);
-            }
-            if !outcome.is_applied() {
-                return Ok(outcome);
-            }
-            cache.invalidate_after(&stage.footprint);
-        }
-        Ok(InPlaceOutcome::Applied)
+        let mut sink = DurableSink::new(store, view);
+        self.profiled("durable", |prof| {
+            self.run_stages(instance, &mut sink, None, prof)
+        })
     }
 
     /// The shard certificate of an algebraic stage: the coloring-footprint
@@ -1913,14 +1944,6 @@ impl ProgramPlan {
     ) -> Result<(InPlaceOutcome, obs::ProfileNode)> {
         self.shard_session(cfg.clone()).execute_profiled(instance)
     }
-
-    /// The root node every profiled driver hangs its stages off.
-    fn profile_root(&self, driver: &str) -> obs::ProfileNode {
-        let mut root = obs::ProfileNode::new(format!("program ({driver})"), "program");
-        root.set_metric("stages", self.stages.len() as u64);
-        root.set_metric("dag_nodes", self.graph.len() as u64);
-        root
-    }
 }
 
 /// A persistent sharded session over a [`ProgramPlan`]: one
@@ -1957,157 +1980,28 @@ impl ShardSession<'_> {
         &mut self,
         instance: &mut Instance,
     ) -> Result<(InPlaceOutcome, obs::ProfileNode)> {
-        let mut root = self.plan.profile_root("sharded");
-        let start_ns = obs::now_ns();
-        let t0 = std::time::Instant::now();
-        let outcome = self.execute_impl(instance, Some(&mut root))?;
-        finish_profile(&mut root, start_ns, t0);
-        Ok((outcome, root))
+        let plan = self.plan;
+        plan.profiled("sharded", |prof| self.execute_impl(instance, prof))
     }
 
     fn execute_impl(
         &mut self,
         instance: &mut Instance,
-        mut prof: Option<&mut obs::ProfileNode>,
+        prof: Option<&mut obs::ProfileNode>,
     ) -> Result<InPlaceOutcome> {
-        let _span = obs::span("sql.plan.execute");
-        C_EXECUTIONS.incr();
         let mut view = self
             .view
             .take()
             .unwrap_or_else(|| DatabaseView::new(instance));
-        let mut cache = ExecCache::new(self.plan);
-        for (idx, stage) in self.plan.stages.iter().enumerate() {
-            if stage.netted {
-                C_STAGES_SKIPPED.incr();
-                if let Some(p) = prof.as_deref_mut() {
-                    p.children.push(stage_node(idx, stage));
-                }
-                continue;
-            }
-            let _s = obs::span("sql.plan.stage");
-            C_STAGES_EXECUTED.incr();
-            let mark = prof.is_some().then(|| {
-                (
-                    obs::now_ns(),
-                    std::time::Instant::now(),
-                    cache.hits,
-                    cache.misses,
-                )
-            });
-            let mut meter = StageMeter::default();
-            let mut wave: Option<WaveStats> = None;
-            let mut lane_note: Option<&'static str> = None;
-            let mut used_exec = false;
-            let algebraic = match stage.kind {
-                StageKind::CursorUpdate => stage.algebraic.as_ref(),
-                _ => None,
-            };
-            let outcome = if let Some(m) = algebraic {
-                if self.execs[idx].is_none() {
-                    let (certificate, _proofs) = self
-                        .plan
-                        .shard_certificate(idx)
-                        .expect("algebraic stages certify");
-                    if certificate.shard_safe() {
-                        self.execs[idx] =
-                            Some(ShardedExecutor::with_certificate(m, certificate, &self.cfg));
-                    }
-                }
-                match self.execs[idx].as_mut() {
-                    Some(exec) => {
-                        used_exec = true;
-                        let order = cursor_order(stage, instance);
-                        meter.rows_in += order.len() as u64;
-                        meter.rows_out += order.len() as u64;
-                        lane_note = Some("certified shard-safe — per-shard worker loops");
-                        let (outcome, log) = if prof.is_some() {
-                            let (outcome, log, stats) = exec.apply_logged_stats(instance, &order);
-                            wave = Some(stats);
-                            (outcome, log)
-                        } else {
-                            exec.apply_logged(instance, &order)
-                        };
-                        // Replay the wave's delta log into the session
-                        // view (empty unless the wave applied).
-                        for op in &log {
-                            view.applied(op);
-                        }
-                        view.batch_end();
-                        outcome
-                    }
-                    // Uncertified: the ordered coordinator path.
-                    None => {
-                        let order = cursor_order(stage, instance);
-                        meter.rows_in += order.len() as u64;
-                        meter.rows_out += order.len() as u64;
-                        lane_note = Some("certificate not shard-safe — ordered coordinator path");
-                        m.apply_sequence_viewed(instance, &mut view, &order)
-                    }
-                }
-            } else {
-                match self
-                    .plan
-                    .run_stage_viewed(&mut cache, stage, instance, &mut view, &mut meter)
-                {
-                    Ok(o) => o,
-                    Err(e) => {
-                        self.view = Some(view);
-                        return Err(e);
-                    }
-                }
-            };
-            if let (Some(p), Some((start_ns, t0, h0, m0))) = (prof.as_deref_mut(), mark) {
-                let node = push_stage_profile(
-                    p,
-                    idx,
-                    stage,
-                    start_ns,
-                    t0,
-                    &meter,
-                    cache.hits - h0,
-                    cache.misses - m0,
-                );
-                if let Some(note) = lane_note {
-                    node.add_note(note);
-                }
-                if let Some(w) = &wave {
-                    node.set_metric("local_receivers", w.local_receivers);
-                    node.set_metric("coordinated_receivers", w.coordinated_receivers);
-                    node.set_metric("segments", w.segments);
-                    for lane in &w.lanes {
-                        if lane.receivers == 0 && lane.batches == 0 {
-                            continue;
-                        }
-                        let mut ln =
-                            obs::ProfileNode::new(format!("shard {}", lane.shard), "shard-lane");
-                        ln.start_ns = start_ns;
-                        ln.wall_ns = lane.busy_ns;
-                        ln.rows_in = lane.receivers;
-                        ln.rows_out = lane.receivers;
-                        ln.set_metric("receivers", lane.receivers);
-                        ln.set_metric("batches", lane.batches);
-                        ln.set_metric("queue_wait_ns", lane.wait_ns);
-                        node.children.push(ln);
-                    }
-                }
-            }
-            if !outcome.is_applied() {
-                self.view = Some(view);
-                return Ok(outcome);
-            }
-            // Every *other* executor's replicas are stale now.
-            for (k, e) in self.execs.iter_mut().enumerate() {
-                if let Some(e) = e {
-                    if !(used_exec && k == idx) {
-                        e.invalidate();
-                    }
-                }
-            }
-            cache.invalidate_after(&stage.footprint);
-        }
+        let mut lanes = ShardLanes {
+            cfg: &self.cfg,
+            execs: &mut self.execs,
+        };
+        let outcome = self
+            .plan
+            .run_stages(instance, &mut view, Some(&mut lanes), prof);
         self.view = Some(view);
-        Ok(InPlaceOutcome::Applied)
+        outcome
     }
 }
 

@@ -13,7 +13,9 @@
 //! manifest, then deletes the previous epoch's files — so a crash at any
 //! point leaves exactly one decodable epoch behind (the swing is the
 //! commit point; stale files from a half-finished checkpoint are ignored
-//! and cleaned up by the next successful one). Recovery is
+//! and cleaned up by the next successful one). Automatic checkpoints have
+//! one rule and one owner, [`DurableSink`]: checkpoint at the commit that
+//! crosses [`WalConfig::snapshot_every`]. Recovery is
 //! manifest → snapshot → replay the WAL tail through
 //! [`redo_ops`] into the instance alone, then rebuild the
 //! [`DatabaseView`] once, truncating at the first torn or corrupt
@@ -23,7 +25,7 @@ use std::sync::Arc;
 
 use receivers_objectbase::{redo_ops, DeltaObserver, DeltaOp, Instance, NullObserver, Schema};
 use receivers_obs as obs;
-use receivers_relalg::{Database, DatabaseView};
+use receivers_relalg::{Database, DatabaseView, ViewObserver};
 
 use crate::error::{WalError, WalResult};
 use crate::record::{decode_log, encode_record, invert_op};
@@ -55,8 +57,9 @@ pub struct WalConfig {
     /// crash — recovery then restores the last synced prefix).
     pub group_commit: usize,
     /// Take a compacting checkpoint every `snapshot_every` committed
-    /// records; 0 disables automatic checkpoints (callers may still
-    /// checkpoint manually).
+    /// records — [`DurableSink`] takes it at the end of the commit that
+    /// crosses the threshold; 0 disables automatic checkpoints (callers
+    /// may still checkpoint manually).
     pub snapshot_every: u64,
 }
 
@@ -307,8 +310,9 @@ impl<S: WalStorage> DurableStore<S> {
         Ok(())
     }
 
-    /// Has the automatic-checkpoint threshold been crossed?
-    pub fn should_checkpoint(&self) -> bool {
+    /// Has the automatic-checkpoint threshold been crossed? Only
+    /// [`DurableSink`] asks: the one place automatic checkpoints are taken.
+    fn should_checkpoint(&self) -> bool {
         self.cfg.snapshot_every > 0 && self.records_since_checkpoint >= self.cfg.snapshot_every
     }
 
@@ -391,9 +395,10 @@ impl<S: WalStorage> DurableStore<S> {
     }
 }
 
-/// Observer adapter wiring a transaction's delta stream into a
-/// [`DurableStore`] *and* an inner observer (typically the maintained
-/// [`DatabaseView`]) at once.
+/// Durability as an observer: wires a transaction's delta stream into a
+/// [`DurableStore`] *and* the maintained [`DatabaseView`] at once, so any
+/// driver that takes a [`ViewObserver`] runs durably when handed a sink
+/// instead of the bare view.
 ///
 /// Logging happens at commit boundaries, never per op:
 /// - a committed batch ([`DeltaObserver::batch_committed`]) becomes one
@@ -403,60 +408,75 @@ impl<S: WalStorage> DurableStore<S> {
 /// - ops undone *after* their commit (a sequence-level rollback through
 ///   [`receivers_objectbase::undo_ops`]) are recorded inverted, and
 ///   [`DeltaObserver::batch_end`] flushes them as one compensation
-///   record — so forward replay of the whole log always reproduces the
-///   final state, rollbacks included.
+///   record, synced at once whatever the group-commit phase — so forward
+///   replay of the whole log always reproduces the final state,
+///   rollbacks included.
+///
+/// The sink is also the one place automatic checkpoints are taken: at
+/// every [`DeltaObserver::batch_end`], once the view has flushed, it
+/// checkpoints from the view's database as soon as the store has logged
+/// [`WalConfig::snapshot_every`] records since the last checkpoint —
+/// that is, at the commit that crosses the threshold.
 ///
 /// Storage failures are captured, not panicked: the first error parks in
-/// the sink ([`Self::take_error`]) and later commits are skipped, because
-/// an observer callback has no error channel of its own.
+/// the sink ([`Self::take_error`]) and later commits and checkpoints are
+/// skipped, because an observer callback has no error channel of its own.
 pub struct DurableSink<'a, S: WalStorage> {
     store: &'a mut DurableStore<S>,
-    inner: &'a mut dyn DeltaObserver,
+    view: &'a mut DatabaseView,
     open_batch: Vec<DeltaOp>,
     compensation: Vec<DeltaOp>,
     error: Option<WalError>,
 }
 
 impl<'a, S: WalStorage> DurableSink<'a, S> {
-    /// Wire `store` and `inner` together for one or more transactions.
-    pub fn new(store: &'a mut DurableStore<S>, inner: &'a mut dyn DeltaObserver) -> Self {
+    /// Wire `store` and `view` together for one or more transactions.
+    pub fn new(store: &'a mut DurableStore<S>, view: &'a mut DatabaseView) -> Self {
         Self {
             store,
-            inner,
+            view,
             open_batch: Vec::new(),
             compensation: Vec::new(),
             error: None,
         }
     }
 
-    /// The first storage error hit while logging, if any. A driver must
-    /// check this after the transactions it wired through the sink: on
-    /// `Some`, durability is behind the in-memory state and the run must
-    /// stop (recovery will restore the last durable prefix).
+    /// The first storage error hit while logging or checkpointing, if
+    /// any. A driver must check this after the transactions it wired
+    /// through the sink: on `Some`, durability is behind the in-memory
+    /// state and the run must stop (recovery will restore the last
+    /// durable prefix).
     pub fn take_error(&mut self) -> Option<WalError> {
         self.error.take()
+    }
+
+    /// The wrapped store, for inspection (a profiler diffs its
+    /// [`DurableStore::stats`] around a stage).
+    pub fn store(&self) -> &DurableStore<S> {
+        self.store
     }
 
     fn log(&mut self, ops: &[DeltaOp], compensation: bool) {
         if self.error.is_some() || ops.is_empty() {
             return;
         }
-        if let Err(e) = self.store.commit(ops) {
-            self.error = Some(e);
-        } else if compensation {
+        let mut res = self.store.commit(ops).map(drop);
+        if compensation && res.is_ok() {
             C_COMPENSATION_RECORDS.incr();
+            res = self.store.sync();
         }
+        self.error = res.err();
     }
 }
 
 impl<S: WalStorage> DeltaObserver for DurableSink<'_, S> {
     fn applied(&mut self, op: &DeltaOp) {
-        self.inner.applied(op);
+        self.view.applied(op);
         self.open_batch.push(*op);
     }
 
     fn undone(&mut self, op: &DeltaOp) {
-        self.inner.undone(op);
+        self.view.undone(op);
         if self.open_batch.last() == Some(op) {
             // Rollback of a not-yet-committed op: cancels in place.
             self.open_batch.pop();
@@ -467,7 +487,7 @@ impl<S: WalStorage> DeltaObserver for DurableSink<'_, S> {
     }
 
     fn batch_committed(&mut self, ops: &[DeltaOp]) {
-        self.inner.batch_committed(ops);
+        self.view.batch_committed(ops);
         self.open_batch.clear();
         self.log(ops, false);
     }
@@ -478,7 +498,17 @@ impl<S: WalStorage> DeltaObserver for DurableSink<'_, S> {
             self.log(&comp, true);
         }
         self.open_batch.clear();
-        self.inner.batch_end();
+        self.view.batch_end();
+        // The view now reflects every logged record: checkpoint from it.
+        if self.error.is_none() && self.store.should_checkpoint() {
+            self.error = self.store.checkpoint_db(self.view.database()).err();
+        }
+    }
+}
+
+impl<S: WalStorage> ViewObserver for DurableSink<'_, S> {
+    fn database(&self) -> &Database {
+        self.view.database()
     }
 }
 
@@ -732,6 +762,132 @@ mod tests {
             ri, initial,
             "replaying the full log reproduces the rollback"
         );
+        assert!(rview.matches_rebuild(&ri));
+    }
+
+    /// The sink takes the automatic checkpoint itself, at the end of the
+    /// commit that crosses `snapshot_every`, from the view as it stands
+    /// at that moment.
+    #[test]
+    fn sink_checkpoints_at_the_commit_that_crosses_the_threshold() {
+        let s = beer_schema();
+        let (mut i, o) = figure2(&s);
+        let cfg = WalConfig {
+            group_commit: 1,
+            snapshot_every: 2,
+        };
+        let mut store =
+            DurableStore::create(FaultStorage::new(), Arc::clone(&s.schema), cfg, &i).unwrap();
+        let mut view = DatabaseView::new(&i);
+        let mut sink = DurableSink::new(&mut store, &mut view);
+        let mut txn = InstanceTxn::begin_observed(&mut i, &mut sink);
+        txn.remove_edge(&Edge::new(o.d1, s.frequents, o.bar1));
+        txn.commit();
+        assert_eq!(sink.store().epoch(), 1, "one record is below the threshold");
+        let mut txn = InstanceTxn::begin_observed(&mut i, &mut sink);
+        txn.add_edge(Edge::new(o.d1, s.frequents, o.bar3)).unwrap();
+        txn.commit();
+        assert_eq!(sink.take_error(), None);
+        assert_eq!(sink.store().epoch(), 2, "the second commit crosses it");
+        assert_eq!(sink.store().stats().checkpoints, 1);
+        let at_checkpoint = sink.database().clone();
+        // A later commit must not leak into the snapshot already taken.
+        let mut txn = InstanceTxn::begin_observed(&mut i, &mut sink);
+        txn.remove_edge(&Edge::new(o.d1, s.frequents, o.bar2));
+        txn.commit();
+        assert_eq!(sink.take_error(), None);
+        assert_eq!(sink.store().epoch(), 2, "one record past the checkpoint");
+
+        let manifest_bytes = store.storage().read(MANIFEST_FILE).unwrap().unwrap();
+        let manifest = Manifest::decode(&manifest_bytes).unwrap();
+        assert_eq!((manifest.epoch, manifest.last_seq), (2, 2));
+        let snap = store
+            .storage()
+            .read(&manifest.snapshot_file())
+            .unwrap()
+            .unwrap();
+        let (decoded, header) = decode_snapshot(&snap, &s.schema).unwrap();
+        assert_eq!(header.last_seq, 2);
+        assert_eq!(Database::from_instance(&decoded), at_checkpoint);
+        assert_ne!(at_checkpoint, *view.database());
+    }
+
+    /// With group commit holding ordinary records back, a compensation
+    /// record is still synced the moment the sink logs it.
+    #[test]
+    fn compensation_is_synced_under_group_commit() {
+        let s = beer_schema();
+        let (mut i, o) = figure2(&s);
+        let initial = i.clone();
+        let cfg = WalConfig {
+            group_commit: 8,
+            snapshot_every: 0,
+        };
+        let mut store =
+            DurableStore::create(FaultStorage::new(), Arc::clone(&s.schema), cfg, &i).unwrap();
+        let mut view = DatabaseView::new(&i);
+        let mut seq_log = Vec::new();
+        let mut sink = DurableSink::new(&mut store, &mut view);
+        let mut txn = InstanceTxn::begin_observed(&mut i, &mut sink);
+        txn.remove_edge(&Edge::new(o.d1, s.frequents, o.bar1));
+        txn.commit_into(&mut seq_log);
+        let mut txn = InstanceTxn::begin_observed(&mut i, &mut sink);
+        txn.add_edge(Edge::new(o.d1, s.frequents, o.bar3)).unwrap();
+        txn.commit_into(&mut seq_log);
+        let wal = sink.store().wal_file();
+        assert_eq!(
+            sink.store().storage().synced_len(&wal),
+            0,
+            "commits held back"
+        );
+        undo_ops(&mut i, &mut sink, &seq_log);
+        assert_eq!(sink.take_error(), None);
+        let storage = sink.store().storage();
+        assert!(storage.len(&wal) > 0);
+        assert_eq!(storage.synced_len(&wal), storage.len(&wal));
+
+        let storage = store.into_storage().reopen_dropping_unsynced();
+        let (_, ri, _, report) = DurableStore::open(storage, Arc::clone(&s.schema), cfg).unwrap();
+        assert_eq!(report.last_seq, 3, "2 commits + 1 compensation record");
+        assert_eq!(ri, initial);
+    }
+
+    /// A checkpoint that fails on storage parks its error in the sink like
+    /// a failed append does; the record that crossed the threshold stays
+    /// logged.
+    #[test]
+    fn checkpoint_storage_error_surfaces_through_take_error() {
+        let s = beer_schema();
+        let (i0, o) = figure2(&s);
+        let one_record = |storage: FaultStorage, snapshot_every: u64| {
+            let cfg = WalConfig {
+                group_commit: 1,
+                snapshot_every,
+            };
+            let mut i = i0.clone();
+            let mut store = DurableStore::create(storage, Arc::clone(&s.schema), cfg, &i).unwrap();
+            let mut view = DatabaseView::new(&i);
+            let mut sink = DurableSink::new(&mut store, &mut view);
+            let mut txn = InstanceTxn::begin_observed(&mut i, &mut sink);
+            txn.remove_edge(&Edge::new(o.d1, s.frequents, o.bar1));
+            txn.commit();
+            let err = sink.take_error();
+            (store, i, err)
+        };
+        // The cost of creating the store and logging the record, without
+        // a checkpoint: a budget of exactly that tears the snapshot write.
+        let (golden, _, err) = one_record(FaultStorage::new(), 0);
+        assert_eq!(err, None);
+        let budget = golden.storage().total_cost();
+
+        let (store, i, err) = one_record(FaultStorage::with_budget(budget), 1);
+        assert_eq!(err, Some(WalError::Crashed));
+        assert_eq!(store.epoch(), 1, "the checkpoint never swung the manifest");
+        let cfg = WalConfig::default();
+        let (_, ri, rview, report) =
+            DurableStore::open(store.into_storage().reopen(), Arc::clone(&s.schema), cfg).unwrap();
+        assert_eq!(report.last_seq, 1);
+        assert_eq!(ri, i);
         assert!(rview.matches_rebuild(&ri));
     }
 

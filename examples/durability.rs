@@ -16,7 +16,7 @@ use receivers::core::methods::{add_bar, delete_bar};
 use receivers::objectbase::examples::{beer_schema, figure2};
 use receivers::objectbase::Receiver;
 use receivers::relalg::view::DatabaseView;
-use receivers::wal::{DirStorage, DurableStore, WalConfig};
+use receivers::wal::{DirStorage, DurableSink, DurableStore, WalConfig};
 
 fn main() {
     let (obs_cli, rest) = match receivers::obs::cli::ObsCli::parse(std::env::args().skip(1)) {
@@ -55,7 +55,8 @@ fn main() {
     let (initial, o) = figure2(&s);
 
     // A store over real files: epoch-1 snapshot of Figure 2, then every
-    // committed transaction goes through the WAL before it is applied.
+    // committed transaction goes through the WAL — a `DurableSink` around
+    // the maintained view turns the in-memory driver into a durable one.
     let cfg = WalConfig {
         group_commit: 2,
         snapshot_every: 0,
@@ -73,8 +74,9 @@ fn main() {
     // unfrequented.
     let m = add_bar(&s);
     let order = vec![Receiver::new(vec![o.d1, o.bar3])];
-    m.apply_sequence_durable(&mut working, &mut view, &order, &mut store)
-        .expect("durable add_bar");
+    let mut sink = DurableSink::new(&mut store, &mut view);
+    m.apply_sequence_viewed(&mut working, &mut sink, &order);
+    assert_eq!(sink.take_error(), None, "durable add_bar");
     println!(
         "after add_bar(d1, bar3): {} bars frequented, last_seq {}",
         working.successors(o.d1, s.frequents).count(),
@@ -83,9 +85,7 @@ fn main() {
 
     // A compacting checkpoint: new-epoch snapshot, manifest swing, old
     // epoch files removed. Recovery after this point replays nothing.
-    store
-        .checkpoint_db(view.database())
-        .expect("compacting checkpoint");
+    store.checkpoint(&working).expect("compacting checkpoint");
     println!(
         "checkpointed: epoch {}, wal file {}",
         store.epoch(),
@@ -96,8 +96,9 @@ fn main() {
     // lives only in the new epoch's WAL tail.
     let d = delete_bar(&s);
     let order = vec![Receiver::new(vec![o.d1, o.bar1])];
-    d.apply_sequence_durable(&mut working, &mut view, &order, &mut store)
-        .expect("durable delete_bar");
+    let mut sink = DurableSink::new(&mut store, &mut view);
+    d.apply_sequence_viewed(&mut working, &mut sink, &order);
+    assert_eq!(sink.take_error(), None, "durable delete_bar");
     store.sync().expect("force the tail durable");
     println!(
         "after delete_bar(d1, bar1): {} bars frequented, last_seq {}",

@@ -17,7 +17,11 @@
 //!   path applied twice;
 //! * [`ProgramPlan::execute_durable`] over a [`FaultStorage`]-backed
 //!   [`DurableStore`], and the recovery ([`DurableStore::open`]) of the
-//!   logged run — both bit-identical to the legacy result.
+//!   logged run — both bit-identical to the legacy result;
+//! * the durable driver again over storage torn at a seeded byte: it may
+//!   only fail with the crash, its WAL must be a byte prefix of the
+//!   unbudgeted run's, and the wreckage must recover to a consistent
+//!   view.
 //!
 //! The planner passes are exercised *as optimizations must be*: netted
 //! stages are skipped, shared selectors are hash-consed and reused, and
@@ -34,6 +38,7 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -48,9 +53,9 @@ use receivers::relalg::view::DatabaseView;
 use receivers::sql::catalog::employee_catalog;
 use receivers::sql::scenarios::{section7_instance, UPDATE_A};
 use receivers::sql::{
-    compile, compile_program, parse, Catalog, CompiledStatement, SqlStatement, StageKind,
+    compile, compile_program, parse, Catalog, CompiledStatement, SqlError, SqlStatement, StageKind,
 };
-use receivers::wal::{DurableStore, FaultStorage, WalConfig};
+use receivers::wal::{DurableStore, FaultStorage, WalConfig, WalError, WalStorage};
 
 /// Default number of random programs per run; override with
 /// `RECEIVERS_DIFF_PROGRAMS`. The `#[ignore]`d long-run variant uses 5000.
@@ -61,6 +66,9 @@ const DEFAULT_PROGRAMS: u64 = 500;
 /// `shard_differential` 0x5AA2_D000, `sat_properties` 0x54A7_0000,
 /// `wal_recovery` 0xC4A5_4D00).
 const SWEEP_BASE: u64 = 0x91A7_0000;
+
+/// Durable runs the crash arm actually tore (the rest fit their budget).
+static CRASHED_RUNS: AtomicU64 = AtomicU64::new(0);
 
 fn hash_of<T: Hash>(x: &T) -> u64 {
     let mut h = DefaultHasher::new();
@@ -406,6 +414,7 @@ fn run_program(seed: u64) {
         &i0,
     )
     .unwrap_or_else(|e| panic!("store creation failed (seed {seed}): {e}"));
+    let create_cost = store.storage().total_cost();
     let mut dview = DatabaseView::new(&durable);
     let out = plan
         .execute_durable(&mut durable, &mut dview, &mut store)
@@ -416,6 +425,12 @@ fn run_program(seed: u64) {
         dview.matches_rebuild(&durable),
         "durable maintained view diverged (seed {seed})"
     );
+    let golden_wal = store.wal_file();
+    let golden_bytes = store
+        .storage()
+        .read(&golden_wal)
+        .expect("fault storage reads")
+        .unwrap_or_default();
     let (_store, recovered, rview, _report) = DurableStore::open(
         store.into_storage().reopen(),
         Arc::clone(&es.schema),
@@ -426,6 +441,58 @@ fn run_program(seed: u64) {
     assert!(
         rview.matches_rebuild(&recovered),
         "recovered view diverged from rebuild (seed {seed})"
+    );
+
+    // Crash arm: the same durable run over storage torn at a seeded byte
+    // past the store's creation. The only failure allowed is the crash;
+    // nothing may be logged after it, so the torn WAL is a byte prefix of
+    // the golden run's (same config, no checkpoints); and recovery of the
+    // wreckage must succeed with a consistent view.
+    let budget = create_cost + rng.random_range(0..=golden_bytes.len() as u64);
+    let mut crashed = i0.clone();
+    let mut store = DurableStore::create(
+        FaultStorage::with_budget(budget),
+        Arc::clone(&es.schema),
+        WalConfig::default(),
+        &i0,
+    )
+    .unwrap_or_else(|e| panic!("budgets start past the create cost (seed {seed}): {e}"));
+    let mut cview = DatabaseView::new(&crashed);
+    let run = plan.execute_durable(&mut crashed, &mut cview, &mut store);
+    assert_eq!(
+        run.is_err(),
+        store.storage().crashed(),
+        "a torn write must surface as the driver's error, and only then \
+         (seed {seed}, budget {budget})"
+    );
+    if let Err(e) = run {
+        assert_eq!(
+            e,
+            SqlError::from(WalError::Crashed),
+            "only the armed crash may fail the durable driver (seed {seed}, budget {budget})"
+        );
+        CRASHED_RUNS.fetch_add(1, Ordering::Relaxed);
+    }
+    let torn = store
+        .storage()
+        .read(&golden_wal)
+        .expect("fault storage reads")
+        .unwrap_or_default();
+    assert!(
+        golden_bytes.starts_with(&torn),
+        "the crashed WAL must be a prefix of the golden WAL — nothing logged after \
+         the error (seed {seed}, budget {budget})"
+    );
+    let (_store, recovered, rview, _report) = DurableStore::open(
+        store.into_storage().reopen(),
+        Arc::clone(&es.schema),
+        WalConfig::default(),
+    )
+    .unwrap_or_else(|e| panic!("crash recovery failed (seed {seed}, budget {budget}): {e}"));
+    recovered.check_index_consistent();
+    assert!(
+        rview.matches_rebuild(&recovered),
+        "crash-recovered view diverged from rebuild (seed {seed}, budget {budget})"
     );
 }
 
@@ -497,6 +564,10 @@ fn sweep(programs: u64) {
     assert!(
         counter("sql.plan.vectorized_rows") > 0,
         "the sweep must run vectorized batches"
+    );
+    assert!(
+        CRASHED_RUNS.load(Ordering::Relaxed) > 0,
+        "the crash arm must tear some durable runs"
     );
 }
 

@@ -3,9 +3,12 @@
 //! Each trial draws one random (schema, instance, method, receiver-order)
 //! triple from a seed — the same generator family as
 //! `tests/view_differential.rs` — and first runs it to completion through
-//! the durable driver ([`apply_sequence_durable`]) over an unbudgeted
-//! [`FaultStorage`], recording the byte-cost mark and the committed
-//! instance at every WAL record boundary. It then replays the identical
+//! the durable driver (the viewed driver [`apply_sequence_viewed`] with a
+//! [`DurableSink`] around its view) over an unbudgeted [`FaultStorage`],
+//! recording the byte-cost mark and the committed instance at every WAL
+//! record boundary. The no-crash result is checked against a reference
+//! independent of that driver: a fresh relational encoding per receiver,
+//! edits applied directly to the instance. It then replays the identical
 //! workload against budgeted storages that tear the write stream at every
 //! record boundary and at seeded mid-record points, powers the wreckage
 //! back on under one of three reopen modes (keep all bytes, drop the
@@ -34,19 +37,18 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use receivers::core::algebraic::{AlgebraicMethod, Statement};
-use receivers::core::shard::{ShardConfig, ShardedExecutor};
 use receivers::objectbase::gen::{
     random_instance, random_receivers, random_schema, InstanceParams, SchemaParams,
 };
 use receivers::objectbase::{
-    ClassId, InPlaceOutcome, Instance, Oid, PropId, Receiver, Schema, Signature, UpdateMethod,
+    ClassId, Edge, InPlaceOutcome, Instance, Oid, PropId, Receiver, Schema, Signature, UpdateMethod,
 };
 use receivers::obs;
 use receivers::relalg::gen::{random_expr, ExprParams};
 use receivers::relalg::typecheck::{infer_schema, update_params, ParamSchemas};
 use receivers::relalg::view::DatabaseView;
 use receivers::relalg::Expr;
-use receivers::wal::{DurableStore, FaultStorage, WalConfig, WalError, WalStorage};
+use receivers::wal::{DurableSink, DurableStore, FaultStorage, WalConfig, WalError, WalStorage};
 
 /// Default number of random triples per run; override with
 /// `RECEIVERS_DIFF_TRIPLES`. The `#[ignore]`d long-run variant uses 5000.
@@ -175,6 +177,21 @@ fn statement_expr(
     }
 }
 
+/// The durable driver under test: [`AlgebraicMethod::apply_sequence_viewed`]
+/// with a [`DurableSink`] around `view`; `Err` is the storage error the
+/// sink parked.
+fn durable_sequence(
+    method: &AlgebraicMethod,
+    instance: &mut Instance,
+    view: &mut DatabaseView,
+    order: &[Receiver],
+    store: &mut DurableStore<FaultStorage>,
+) -> Result<InPlaceOutcome, WalError> {
+    let mut sink = DurableSink::new(store, view);
+    let out = method.apply_sequence_viewed(instance, &mut sink, order);
+    sink.take_error().map_or(Ok(out), Err)
+}
+
 /// One WAL record boundary of the golden run: cumulative storage cost at
 /// the boundary, the committed sequence number reached there, the highest
 /// sequence number known *synced* there, and the index of the next
@@ -237,7 +254,7 @@ fn crash_and_recover(
         panic!("budgets start past the create cost (seed {seed}, budget {budget}): {e}")
     });
     let mut view = DatabaseView::new(&working);
-    if let Err(e) = method.apply_sequence_durable(&mut working, &mut view, order, &mut store) {
+    if let Err(e) = durable_sequence(method, &mut working, &mut view, order, &mut store) {
         assert!(
             matches!(e, WalError::Crashed),
             "only the armed crash may fail the run (seed {seed}, budget {budget}): {e}"
@@ -346,11 +363,16 @@ fn crash_and_recover(
         .find(|m| m.seq == report.last_seq)
         .map_or(0, |m| m.resume_at);
     let mut resumed = ri;
-    let out = method
-        .apply_sequence_durable(&mut resumed, &mut rview, &order[resume_at..], &mut reopened)
-        .unwrap_or_else(|e| {
-            panic!("resumed run must not fail (seed {seed}, budget {budget}, {mn}): {e}")
-        });
+    let out = durable_sequence(
+        method,
+        &mut resumed,
+        &mut rview,
+        &order[resume_at..],
+        &mut reopened,
+    )
+    .unwrap_or_else(|e| {
+        panic!("resumed run must not fail (seed {seed}, budget {budget}, {mn}): {e}")
+    });
     assert_eq!(
         out,
         InPlaceOutcome::Applied,
@@ -415,15 +437,27 @@ fn run_triple(seed: u64) {
         snapshot_every: [0, 2, 3][((seed / 3) % 3) as usize],
     };
 
-    // Reference: the in-memory production driver.
+    // Independent reference: the pre-view semantics — a fresh relational
+    // encoding per receiver, edits applied directly to the instance — so
+    // the check does not rest on the viewed driver the durable run uses.
     let mut reference = instance.clone();
-    let mut reference_view = DatabaseView::new(&reference);
-    let outcome = method.apply_sequence_viewed(&mut reference, &mut reference_view, &order);
-    assert_eq!(
-        outcome,
-        InPlaceOutcome::Applied,
-        "algebraic methods terminate (seed {seed})"
-    );
+    for t in &order {
+        t.validate(method.signature(), &reference)
+            .unwrap_or_else(|e| panic!("algebraic methods terminate (seed {seed}): {e}"));
+        let results = method
+            .evaluate(&reference, t)
+            .unwrap_or_else(|e| panic!("reference evaluation (seed {seed}): {e}"));
+        let recv = t.receiving_object();
+        for (prop, values) in results {
+            let old: Vec<Oid> = reference.successors(recv, prop).collect();
+            for v in old {
+                reference.remove_edge(&Edge::new(recv, prop, v));
+            }
+            for v in values {
+                reference.add_edge(Edge::new(recv, prop, v)).expect("typed");
+            }
+        }
+    }
 
     // Golden durable run over unbudgeted fault storage, one driver call
     // per receiver so every WAL record boundary gets a byte-cost mark and
@@ -442,11 +476,16 @@ fn run_triple(seed: u64) {
     }];
     let mut states: Vec<(u64, Instance)> = vec![(0, golden.clone())];
     for (ti, t) in order.iter().enumerate() {
-        let out = method
-            .apply_sequence_durable(&mut golden, &mut view, std::slice::from_ref(t), &mut store)
-            .unwrap_or_else(|e| {
-                panic!("unbudgeted durable apply must not fail (seed {seed}, receiver {ti}): {e}")
-            });
+        let out = durable_sequence(
+            &method,
+            &mut golden,
+            &mut view,
+            std::slice::from_ref(t),
+            &mut store,
+        )
+        .unwrap_or_else(|e| {
+            panic!("unbudgeted durable apply must not fail (seed {seed}, receiver {ti}): {e}")
+        });
         assert_eq!(out, InPlaceOutcome::Applied, "receiver {ti} (seed {seed})");
         let seq = store.last_seq();
         if seq > states[states.len() - 1].0 {
@@ -468,7 +507,7 @@ fn run_triple(seed: u64) {
     }
     assert_eq!(
         golden, reference,
-        "durable and in-memory drivers diverged (seed {seed})"
+        "durable driver diverged from the rebuild-per-receiver reference (seed {seed})"
     );
     assert_eq!(hash_of(&golden), hash_of(&reference), "hash (seed {seed})");
     assert!(
@@ -522,85 +561,6 @@ fn run_triple(seed: u64) {
         crash_and_recover(
             seed, &schema, &instance, &method, &order, cfg, &marks, &states, budget, mode, &mut rng,
         );
-    }
-
-    // The sharded durable driver reaches the same final state, its
-    // recovery restores it, and a crash mid-run lands on a committed
-    // state (per-wave on the shard-safe path, per-receiver on the
-    // coordinator fallback — both are prefixes the golden run committed).
-    if seed.is_multiple_of(2) {
-        let scfg = ShardConfig {
-            shards: Some(1 + (seed % 3) as usize),
-            ..ShardConfig::default()
-        };
-        let mut exec = ShardedExecutor::new(&method, &scfg);
-        let mut si = instance.clone();
-        let mut sstore = DurableStore::create(FaultStorage::new(), Arc::clone(&schema), cfg, &si)
-            .expect("sharded create succeeds");
-        let create_cost = sstore.storage().total_cost();
-        let out = exec
-            .apply_durable(&mut si, &order, &mut sstore)
-            .unwrap_or_else(|e| {
-                panic!("unbudgeted sharded apply must not fail (seed {seed}): {e}")
-            });
-        assert_eq!(
-            out,
-            InPlaceOutcome::Applied,
-            "sharded outcome (seed {seed})"
-        );
-        assert_eq!(
-            si, reference,
-            "sharded durable driver diverged (seed {seed})"
-        );
-        let total = sstore.storage().total_cost();
-        let (_, ri, rview, _) =
-            DurableStore::open(sstore.into_storage().reopen(), Arc::clone(&schema), cfg)
-                .unwrap_or_else(|e| panic!("sharded recovery must succeed (seed {seed}): {e}"));
-        assert_eq!(
-            ri, reference,
-            "sharded recovery restores the run (seed {seed})"
-        );
-        assert!(
-            rview.matches_rebuild(&ri),
-            "sharded-recovery view (seed {seed})"
-        );
-
-        if total > create_cost {
-            let budget = create_cost + 1 + rng.random_range(0..(total - create_cost));
-            let mut ci = instance.clone();
-            let mut cstore = DurableStore::create(
-                FaultStorage::with_budget(budget),
-                Arc::clone(&schema),
-                cfg,
-                &ci,
-            )
-            .expect("budget past the create cost");
-            let mut cexec = ShardedExecutor::new(&method, &scfg);
-            if let Err(e) = cexec.apply_durable(&mut ci, &order, &mut cstore) {
-                assert!(
-                    matches!(e, WalError::Crashed),
-                    "only the armed crash may fail the sharded run (seed {seed}): {e}"
-                );
-            }
-            let (_, ri, rview, _) = DurableStore::open(
-                cstore.into_storage().reopen(),
-                Arc::clone(&schema),
-                cfg,
-            )
-            .unwrap_or_else(|e| {
-                panic!("sharded crash recovery must succeed (seed {seed}, budget {budget}): {e}")
-            });
-            assert!(
-                states.iter().any(|(_, st)| *st == ri),
-                "sharded crash recovery must land on a committed state \
-                 (seed {seed}, budget {budget})"
-            );
-            ri.check_index_consistent();
-            assert!(
-                rview.matches_rebuild(&ri),
-                "sharded crash-recovery view (seed {seed}, budget {budget})"
-            );
-        }
     }
 }
 
@@ -679,7 +639,7 @@ fn recovery_restores_a_committed_state_long_run() {
 }
 
 /// The durable sequence-rollback contract: a receiver that fails
-/// validation mid-sequence makes [`apply_sequence_durable`] undo the
+/// validation mid-sequence makes the durable driver undo the
 /// committed prefix *and* append the inverse operations as a compensation
 /// record — so the WAL replays forward to the rolled-back state and
 /// recovery agrees with the in-memory outcome bit for bit.
@@ -726,9 +686,8 @@ fn mid_sequence_failure_is_compensated_and_recovery_agrees() {
     let mut store = DurableStore::create(FaultStorage::new(), Arc::clone(&s.schema), cfg, &working)
         .expect("create");
     let mut view = DatabaseView::new(&working);
-    let outcome = m
-        .apply_sequence_durable(&mut working, &mut view, &order, &mut store)
-        .expect("no crash armed");
+    let outcome =
+        durable_sequence(&m, &mut working, &mut view, &order, &mut store).expect("no crash armed");
     assert!(
         matches!(outcome, InPlaceOutcome::Undefined(_)),
         "ghost receiver must make the sequence undefined, got {outcome:?}"
@@ -755,60 +714,6 @@ fn mid_sequence_failure_is_compensated_and_recovery_agrees() {
     assert!(report.torn.is_none(), "nothing torn: {:?}", report.torn);
     assert_eq!(report.last_seq, committed, "recovery replays the whole log");
     assert_eq!(ri, i, "recovery replays the compensation record too");
-    assert_eq!(hash_of(&ri), hash_of(&i), "recovered hash");
-    ri.check_index_consistent();
-    assert!(rview.matches_rebuild(&ri), "recovered view matches rebuild");
-}
-
-/// The sharded durable driver on the same ghost order: whichever path the
-/// certificate picks (per-wave commit or the coordinator fallback with
-/// compensation), recovery must restore the untouched pre-sequence state.
-#[test]
-fn sharded_ghost_wave_recovers_to_the_pre_sequence_state() {
-    use receivers::core::methods::add_bar;
-    use receivers::objectbase::examples::beer_schema;
-
-    let s = beer_schema();
-    let i = random_instance(
-        &s.schema,
-        InstanceParams {
-            objects_per_class: 40,
-            edge_density: 0.15,
-        },
-        0xBAD5EED,
-    );
-    let m = add_bar(&s);
-    let ghost = Oid::new(s.bar, 40_000);
-    let order = vec![
-        Receiver::new(vec![Oid::new(s.drinker, 3), Oid::new(s.bar, 1)]),
-        Receiver::new(vec![Oid::new(s.drinker, 11), Oid::new(s.bar, 4)]),
-        Receiver::new(vec![Oid::new(s.drinker, 20), ghost]),
-        Receiver::new(vec![Oid::new(s.drinker, 30), Oid::new(s.bar, 9)]),
-    ];
-
-    let cfg = WalConfig::default();
-    let scfg = ShardConfig {
-        shards: Some(2),
-        ..ShardConfig::default()
-    };
-    let mut exec = ShardedExecutor::new(&m, &scfg);
-    let mut working = i.clone();
-    let mut store = DurableStore::create(FaultStorage::new(), Arc::clone(&s.schema), cfg, &working)
-        .expect("create");
-    let outcome = exec
-        .apply_durable(&mut working, &order, &mut store)
-        .expect("no crash armed");
-    assert!(
-        matches!(outcome, InPlaceOutcome::Undefined(_)),
-        "ghost receiver must make the wave undefined, got {outcome:?}"
-    );
-    assert_eq!(working, i, "instance restored to pre-sequence state");
-    working.check_index_consistent();
-
-    let storage = store.into_storage().reopen();
-    let (_, ri, rview, _) =
-        DurableStore::open(storage, Arc::clone(&s.schema), cfg).expect("recovery");
-    assert_eq!(ri, i, "recovery restores the pre-sequence state");
     assert_eq!(hash_of(&ri), hash_of(&i), "recovered hash");
     ri.check_index_consistent();
     assert!(rview.matches_rebuild(&ri), "recovered view matches rebuild");
