@@ -1,4 +1,9 @@
 //! Expression evaluation against a [`Database`] and parameter bindings.
+//!
+//! Operators evaluate structurally, except that each tree of products,
+//! equality joins and equality selections is evaluated as one join graph
+//! — its leaves joined smallest first through sorted probes — so that no
+//! product is built where a predicate connects its sides (see [`eval`]).
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -9,7 +14,7 @@ use crate::database::Database;
 use crate::error::{RelAlgError, Result};
 use crate::expr::Expr;
 use crate::relation::Relation;
-use crate::schema::RelSchema;
+use crate::schema::{Attr, RelSchema};
 
 /// Bindings for parameter relations.
 ///
@@ -87,12 +92,18 @@ impl Bindings {
 
 /// Evaluate `expr` on `db` under `bindings`.
 ///
-/// Equality selections sitting above products, natural joins, or theta
-/// joins are **pushed into the join** and executed as hash-join keys (or
-/// as early per-side filters), avoiding materialization of Cartesian
-/// products — the difference between milliseconds and seconds on the
-/// `par(·)`-generated plans (bench `sql/update`). Non-equality selections
-/// and all other operators evaluate structurally.
+/// Every maximal tree of products, natural joins, equality theta joins
+/// and equality selections — with the renamings over it — is evaluated
+/// as one **join graph**: its leaves are evaluated on their own, each
+/// equality between two attributes of one leaf filters that leaf, and the
+/// leaves are then joined greedily, smallest first, each step a sorted
+/// probe keyed by the shared attributes and the equalities crossing it
+/// (see `JoinGraph`). No Cartesian product is built where a predicate
+/// connects its sides, however deep in the tree the predicate sits — the
+/// difference between linear and quadratic work on the left-deep chains
+/// the SQL compiler and `par(·)` produce. Non-equality selections and
+/// joins and all other operators evaluate structurally, and the result
+/// and any error equal the structural evaluation's.
 pub fn eval(expr: &Expr, db: &Database, bindings: &Bindings) -> Result<Relation> {
     eval_cow(expr, db, bindings).map(Cow::into_owned)
 }
@@ -110,6 +121,19 @@ fn eval_cow<'a>(
     bindings: &'a Bindings,
 ) -> Result<Cow<'a, Relation>> {
     match expr {
+        Expr::Product(..)
+        | Expr::NatJoin(..)
+        | Expr::SelectEq(..)
+        | Expr::ThetaJoin { eq: true, .. } => {
+            eval_join_graph(expr, None, db, bindings).map(Cow::Owned)
+        }
+        Expr::Rename(e, ..) if is_join_tree(e) => {
+            eval_join_graph(expr, None, db, bindings).map(Cow::Owned)
+        }
+        // The projection is fused into the join graph's final one.
+        Expr::Project(e, attrs) if is_join_tree(e) => {
+            eval_join_graph(e, Some(attrs), db, bindings).map(Cow::Owned)
+        }
         Expr::Base(rel) => db.relation(*rel).map(Cow::Borrowed),
         Expr::Param(p) => bindings
             .get(p)
@@ -125,8 +149,18 @@ fn eval_cow<'a>(
             let rrel = eval_cow(r, db, bindings)?;
             Ok(Cow::Owned(lrel.difference(&rrel)?))
         }
-        Expr::Product(_, _) | Expr::NatJoin(_, _) | Expr::ThetaJoin { .. } | Expr::SelectEq(..) => {
-            eval_join_chain(expr, Vec::new(), db, bindings).map(Cow::Owned)
+        Expr::ThetaJoin {
+            left,
+            right,
+            on_left,
+            on_right,
+            eq: false,
+        } => {
+            let lrel = eval_cow(left, db, bindings)?;
+            let rrel = eval_cow(right, db, bindings)?;
+            Ok(Cow::Owned(
+                lrel.theta_join(&rrel, on_left, on_right, false)?,
+            ))
         }
         Expr::SelectNe(e, a, b) => Ok(Cow::Owned(eval_cow(e, db, bindings)?.select_ne(a, b)?)),
         Expr::Project(e, attrs) => Ok(Cow::Owned(eval_cow(e, db, bindings)?.project(attrs)?)),
@@ -134,84 +168,228 @@ fn eval_cow<'a>(
     }
 }
 
-/// Evaluate a chain of equality selections over a join, pushing each
-/// selection to the side that can evaluate it (or into the join key when
-/// it spans both sides).
-fn eval_join_chain(
+/// Whether `expr` is the root of a join tree: a product, natural join,
+/// equality theta join or equality selection, possibly under renamings.
+fn is_join_tree(expr: &Expr) -> bool {
+    match expr {
+        Expr::Product(..) | Expr::NatJoin(..) | Expr::SelectEq(..) => true,
+        Expr::ThetaJoin { eq, .. } => *eq,
+        Expr::Rename(e, ..) => is_join_tree(e),
+        _ => false,
+    }
+}
+
+/// Evaluate the join tree `expr`, projected onto `keep` when given (a
+/// projection directly above the tree, fused into the final one).
+fn eval_join_graph(
     expr: &Expr,
-    mut eqs: Vec<(String, String)>,
+    keep: Option<&[Attr]>,
     db: &Database,
     bindings: &Bindings,
 ) -> Result<Relation> {
-    match expr {
-        Expr::SelectEq(e, a, b) => {
-            eqs.push((a.clone(), b.clone()));
-            eval_join_chain(e, eqs, db, bindings)
+    let mut graph = JoinGraph {
+        leaves: Vec::new(),
+        eqs: Vec::new(),
+    };
+    let scheme = graph.flatten(expr, db, bindings)?;
+    let out = match keep {
+        Some(attrs) => scheme.project(attrs)?,
+        None => scheme,
+    };
+    graph.join(out)
+}
+
+/// A join tree flattened into its leaf relations and the equalities
+/// between their attributes.
+///
+/// Leaves that share an attribute name are joined on it. That is sound
+/// because flattening computes every node's scheme in the tree's own
+/// shape, as the structural evaluation would: a product or equality theta
+/// join whose sides share a name fails there, so two leaves can share a
+/// name only when the lowest node above both is a natural join — which
+/// equates them on it. Renamings are pushed to every leaf under them that
+/// carries the attribute, and to the equalities recorded under them.
+struct JoinGraph<'a> {
+    /// Leaf relations, in tree order, under their final attribute names.
+    leaves: Vec<Cow<'a, Relation>>,
+    /// Equalities `(A, B)` from equality selections and theta joins.
+    eqs: Vec<(Attr, Attr)>,
+}
+
+impl<'a> JoinGraph<'a> {
+    /// Collect the leaves and equalities of `expr`, returning its scheme.
+    /// Children are flattened left to right before their parent's scheme
+    /// is checked, so the first error is the structural evaluation's.
+    fn flatten(
+        &mut self,
+        expr: &Expr,
+        db: &'a Database,
+        bindings: &'a Bindings,
+    ) -> Result<RelSchema> {
+        match expr {
+            Expr::Product(l, r) => {
+                let ls = self.flatten(l, db, bindings)?;
+                let rs = self.flatten(r, db, bindings)?;
+                ls.product(&rs)
+            }
+            Expr::NatJoin(l, r) => {
+                let ls = self.flatten(l, db, bindings)?;
+                let rs = self.flatten(r, db, bindings)?;
+                ls.natural_join(&rs)
+            }
+            Expr::ThetaJoin {
+                left,
+                right,
+                on_left,
+                on_right,
+                eq: true,
+            } => {
+                let ls = self.flatten(left, db, bindings)?;
+                let rs = self.flatten(right, db, bindings)?;
+                let scheme = ls.product(&rs)?;
+                self.equate(&scheme, on_left, on_right)?;
+                Ok(scheme)
+            }
+            Expr::SelectEq(e, a, b) => {
+                let scheme = self.flatten(e, db, bindings)?;
+                self.equate(&scheme, a, b)?;
+                Ok(scheme)
+            }
+            Expr::Rename(e, from, to) => {
+                let (first_leaf, first_eq) = (self.leaves.len(), self.eqs.len());
+                let scheme = self.flatten(e, db, bindings)?.rename(from, to)?;
+                for leaf in &mut self.leaves[first_leaf..] {
+                    if leaf.schema().contains(from) {
+                        leaf.to_mut().rename_in_place(from, to)?;
+                    }
+                }
+                for (a, b) in &mut self.eqs[first_eq..] {
+                    for attr in [a, b] {
+                        if *attr == *from {
+                            attr.clone_from(to);
+                        }
+                    }
+                }
+                Ok(scheme)
+            }
+            leaf => {
+                let rel = eval_cow(leaf, db, bindings)?;
+                let scheme = rel.schema().clone();
+                self.leaves.push(rel);
+                Ok(scheme)
+            }
         }
-        Expr::Product(l, r) | Expr::NatJoin(l, r) => {
-            let natural = matches!(expr, Expr::NatJoin(_, _));
-            let mut lrel = eval_cow(l, db, bindings)?;
-            let mut rrel = eval_cow(r, db, bindings)?;
-            let mut cross: Vec<(String, String)> = Vec::new();
-            // Selections whose attributes cannot be located on either
-            // side (impossible for type-correct input, where the join's
-            // output scheme is the union of the sides' schemes — kept as
-            // a safe fallback) are applied after the join.
-            let mut leftover: Vec<(String, String)> = Vec::new();
-            for (a, b) in eqs {
-                let (a_left, a_right) = (lrel.schema().contains(&a), rrel.schema().contains(&a));
-                let (b_left, b_right) = (lrel.schema().contains(&b), rrel.schema().contains(&b));
-                if a_left && b_left {
-                    lrel = Cow::Owned(lrel.select_eq(&a, &b)?);
-                } else if a_right && b_right {
-                    rrel = Cow::Owned(rrel.select_eq(&a, &b)?);
-                } else if a_left && b_right {
-                    cross.push((a, b));
-                } else if a_right && b_left {
-                    cross.push((b, a));
-                } else {
-                    leftover.push((a, b));
+    }
+
+    /// Record `σ_{a=b}` over a node of scheme `scheme`, failing as
+    /// [`Relation::select_eq`] would.
+    fn equate(&mut self, scheme: &RelSchema, a: &Attr, b: &Attr) -> Result<()> {
+        if scheme.domain(a)? != scheme.domain(b)? {
+            return Err(RelAlgError::DomainMismatch {
+                left: a.clone(),
+                right: b.clone(),
+            });
+        }
+        if a != b {
+            self.eqs.push((a.clone(), b.clone()));
+        }
+        Ok(())
+    }
+
+    /// Join the leaves and project onto `out` (a scheme over their
+    /// attributes).
+    ///
+    /// Nullary leaves are `{()}` or `{}`: the first drop out, the second
+    /// empty the result. A leaf repeated with the same scheme is dropped
+    /// (`R ⋈ R = R`; `par(·)` repeats `π_self(rec)` once per base
+    /// relation). Each equality within one leaf filters that leaf. Then,
+    /// starting from the smallest leaf, each step joins the smallest leaf
+    /// connected to the rows so far — by a shared attribute or an equality
+    /// — keyed by both; a leaf connected to nothing is joined as a product
+    /// only when no connected one is left.
+    fn join(self, out: RelSchema) -> Result<Relation> {
+        let mut leaves: Vec<Cow<'a, Relation>> = Vec::with_capacity(self.leaves.len());
+        for leaf in self.leaves {
+            if leaf.schema().arity() == 0 {
+                if leaf.is_empty() {
+                    return Ok(Relation::empty(out));
+                }
+            } else if !leaves.contains(&leaf) {
+                leaves.push(leaf);
+            }
+        }
+        let mut pending = Vec::with_capacity(self.eqs.len());
+        for (a, b) in self.eqs {
+            let mut local = false;
+            for leaf in &mut leaves {
+                if leaf.schema().contains(&a) && leaf.schema().contains(&b) {
+                    *leaf = Cow::Owned(leaf.select_eq(&a, &b)?);
+                    local = true;
                 }
             }
-            let joined = if natural {
-                lrel.natural_join_on(&rrel, &cross)?
-            } else {
-                lrel.product_on(&rrel, &cross)?
-            };
-            apply_eqs(joined, &leftover)
-        }
-        Expr::ThetaJoin {
-            left,
-            right,
-            on_left,
-            on_right,
-            eq,
-        } => {
-            if *eq {
-                eqs.push((on_left.clone(), on_right.clone()));
-                let product = Expr::Product(left.clone(), right.clone());
-                eval_join_chain(&product, eqs, db, bindings)
-            } else {
-                let lrel = eval_cow(left, db, bindings)?;
-                let rrel = eval_cow(right, db, bindings)?;
-                let joined = lrel.theta_join(&rrel, on_left, on_right, false)?;
-                apply_eqs(joined, &eqs)
+            if !local {
+                pending.push((a, b));
             }
         }
-        other => {
-            let rel = eval_cow(other, db, bindings)?.into_owned();
-            apply_eqs(rel, &eqs)
+        let Some(first) = smallest(&leaves, |_| true) else {
+            return Ok(Relation::nullary_true());
+        };
+        let mut acc = leaves.remove(first).into_owned();
+        while !acc.is_empty() && !leaves.is_empty() {
+            let connected = |leaf: &Relation| {
+                leaf.schema().attrs().any(|a| acc.schema().contains(a))
+                    || pending
+                        .iter()
+                        .any(|eq| crossing(acc.schema(), leaf.schema(), eq).is_some())
+            };
+            let next = smallest(&leaves, connected)
+                .or_else(|| smallest(&leaves, |_| true))
+                .expect("leaves remain");
+            let leaf = leaves.remove(next);
+            let mut keys = Vec::new();
+            pending.retain(|eq| match crossing(acc.schema(), leaf.schema(), eq) {
+                Some((a, b)) => {
+                    keys.push((a.clone(), b.clone()));
+                    false
+                }
+                None => true,
+            });
+            acc = acc.natural_join_on(&leaf, &keys)?;
         }
+        if acc.is_empty() {
+            return Ok(Relation::empty(out));
+        }
+        debug_assert!(pending.is_empty(), "every equality crosses some step");
+        if acc.schema() == &out {
+            return Ok(acc);
+        }
+        let attrs: Vec<Attr> = out.attrs().cloned().collect();
+        acc.project(&attrs)
     }
 }
 
-fn apply_eqs(mut rel: Relation, eqs: &[(String, String)]) -> Result<Relation> {
-    for (a, b) in eqs {
-        rel = rel.select_eq(a, b)?;
+/// The join key `(A, B)` — `A` in `acc`, `B` in `leaf` — that the
+/// equality `eq` contributes when it crosses from `acc` to `leaf`.
+fn crossing<'e>(
+    acc: &RelSchema,
+    leaf: &RelSchema,
+    (a, b): &'e (Attr, Attr),
+) -> Option<(&'e Attr, &'e Attr)> {
+    if acc.contains(a) && leaf.contains(b) {
+        Some((a, b))
+    } else if acc.contains(b) && leaf.contains(a) {
+        Some((b, a))
+    } else {
+        None
     }
-    Ok(rel)
 }
 
+/// Index of the smallest leaf satisfying `pred`, the first on ties.
+fn smallest(leaves: &[Cow<'_, Relation>], pred: impl Fn(&Relation) -> bool) -> Option<usize> {
+    (0..leaves.len())
+        .filter(|&i| pred(&leaves[i]))
+        .min_by_key(|&i| leaves[i].len())
+}
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -386,6 +386,13 @@ impl Relation {
         })
     }
 
+    /// Renaming `ρ_{A→B}` of an owned relation: only the scheme changes,
+    /// so the rows are not copied.
+    pub(crate) fn rename_in_place(&mut self, from: &str, to: &str) -> Result<()> {
+        self.schema = self.schema.rename(from, to)?;
+        Ok(())
+    }
+
     /// Natural join on all common attributes.
     pub fn natural_join(&self, other: &Self) -> Result<Self> {
         self.natural_join_on(other, &[])
@@ -409,16 +416,9 @@ impl Relation {
     /// Equi-join keeping **all** columns of both sides: equivalent to
     /// `σ_{a₁=b₁ ∧ …}(self × other)` where each `aᵢ` addresses this
     /// relation and each `bᵢ` the other, but evaluated as a sorted probe
-    /// instead of materializing the product. The evaluator's join planner
-    /// lowers chains of equality selections over products onto this.
-    ///
-    /// When the join key is exactly the leading-column prefix of `other`'s
-    /// scheme, `other`'s canonical row order doubles as the index: all
-    /// matches for a key form one contiguous run found by binary search,
-    /// with no build cost at all. For arbitrary key positions a `u32`
-    /// permutation of `other`'s rows is sorted by the key columns once and
-    /// probed the same way — both paths emit rows in canonical order, so
-    /// the output buffer is adopted without a final sort.
+    /// instead of materializing the product: `other`'s rows are probed by
+    /// key (see `Probe`), and the output is born in canonical order, so its
+    /// buffer is adopted without a final sort.
     pub fn product_on(&self, other: &Self, pairs: &[(Attr, Attr)]) -> Result<Self> {
         if pairs.is_empty() {
             return self.product(other);
@@ -426,28 +426,16 @@ impl Relation {
         let schema = self.schema.product(other.schema())?;
         let (left_pos, right_pos) = self.join_positions(other, pairs)?;
         let arity = schema.arity();
+        let probe = Probe::new(&other.tuples, &right_pos);
         let mut rows = Vec::new();
         let mut key = Vec::with_capacity(left_pos.len());
-        let leading_prefix = right_pos.iter().enumerate().all(|(k, &j)| j == k);
-        if leading_prefix {
-            for t1 in self.tuples.iter() {
-                key.clear();
-                key.extend(left_pos.iter().map(|&i| t1[i]));
-                for t2 in other.tuples.range_iter(other.tuples.prefix_bounds(&key)) {
-                    rows.extend_from_slice(t1);
-                    rows.extend_from_slice(t2);
-                }
-            }
-        } else {
-            let perm = key_perm(&other.tuples, &right_pos);
-            for t1 in self.tuples.iter() {
-                key.clear();
-                key.extend(left_pos.iter().map(|&i| t1[i]));
-                for &p in &perm[perm_bounds(&other.tuples, &perm, &right_pos, &key)] {
-                    rows.extend_from_slice(t1);
-                    rows.extend_from_slice(other.tuples.get(p as usize));
-                }
-            }
+        for t1 in self.tuples.iter() {
+            key.clear();
+            key.extend(left_pos.iter().map(|&i| t1[i]));
+            probe.for_each_match(&other.tuples, &right_pos, &key, |t2| {
+                rows.extend_from_slice(t1);
+                rows.extend_from_slice(t2);
+            });
         }
         Ok(Self {
             schema,
@@ -458,6 +446,8 @@ impl Relation {
     /// Natural join with additional equality constraints between left and
     /// right attributes, all evaluated as one sorted probe. The extra
     /// pairs' columns are both kept (unlike the merged common attributes).
+    /// The evaluator's join graph ([`mod@crate::eval`]) runs every join step
+    /// through this.
     pub fn natural_join_on(&self, other: &Self, extra: &[(Attr, Attr)]) -> Result<Self> {
         let common = self.schema.common_attrs(other.schema())?;
         let schema = self.schema.natural_join(other.schema())?;
@@ -482,17 +472,16 @@ impl Relation {
                 tuples: nullary_set(!self.is_empty() && !other.is_empty()),
             });
         }
-        let perm = key_perm(&other.tuples, &right_pos);
+        let probe = Probe::new(&other.tuples, &right_pos);
         let mut rows = Vec::new();
         let mut key = Vec::with_capacity(left_pos.len());
         for t1 in self.tuples.iter() {
             key.clear();
             key.extend(left_pos.iter().map(|&i| t1[i]));
-            for &p in &perm[perm_bounds(&other.tuples, &perm, &right_pos, &key)] {
-                let t2 = other.tuples.get(p as usize);
+            probe.for_each_match(&other.tuples, &right_pos, &key, |t2| {
                 rows.extend_from_slice(t1);
                 rows.extend(keep_pos.iter().map(|&i| t2[i]));
-            }
+            });
         }
         // Dropping the merged common columns can break canonical order and
         // introduce duplicates; `from_rows` detects the already-sorted
@@ -539,6 +528,49 @@ fn nullary_set(present: bool) -> TupleSet {
         t.insert(&[]);
     }
     t
+}
+
+/// How a join finds the rows of one side whose key columns equal a key.
+///
+/// When the key columns are exactly the leading-column prefix of the
+/// scheme, the canonical row order doubles as the index: all matches for a
+/// key form one contiguous run found by binary search, with no build cost
+/// at all. For arbitrary key positions a `u32` permutation of the rows is
+/// sorted by the key columns once and probed the same way. Both paths
+/// yield a key's matches in canonical order.
+enum Probe {
+    /// The key is the leading prefix: probe the rows themselves.
+    Prefix,
+    /// The rows' indices sorted by the key columns ([`key_perm`]).
+    Perm(Vec<u32>),
+}
+
+impl Probe {
+    fn new(ts: &TupleSet, key_pos: &[usize]) -> Self {
+        if key_pos.iter().enumerate().all(|(k, &j)| j == k) {
+            Probe::Prefix
+        } else {
+            Probe::Perm(key_perm(ts, key_pos))
+        }
+    }
+
+    /// Call `f` on every row of `ts` whose `key_pos` columns equal `key`.
+    fn for_each_match<'t>(
+        &self,
+        ts: &'t TupleSet,
+        key_pos: &[usize],
+        key: &[Oid],
+        mut f: impl FnMut(&'t [Oid]),
+    ) {
+        match self {
+            Probe::Prefix => ts.range_iter(ts.prefix_bounds(key)).for_each(f),
+            Probe::Perm(perm) => {
+                for &p in &perm[perm_bounds(ts, perm, key_pos, key)] {
+                    f(ts.get(p as usize));
+                }
+            }
+        }
+    }
 }
 
 /// A permutation of `ts`'s tuple indices sorted by the projection onto

@@ -24,7 +24,9 @@ use receivers_core::algebraic::{AlgebraicMethod, Statement as AlgStatement};
 use receivers_objectbase::{
     Edge, Instance, MethodOutcome, Oid, Receiver, ReceiverSet, Signature, UpdateMethod,
 };
-use receivers_relalg::{Attr, Expr};
+use receivers_relalg::par::par;
+use receivers_relalg::typecheck::update_params;
+use receivers_relalg::{infer_schema, Attr, Expr};
 
 use receivers_obs as obs;
 
@@ -320,6 +322,21 @@ impl SetUpdate {
         Ok(out)
     }
 
+    /// The value subquery as one parallel expression `par(E)` over `rec`
+    /// (scheme `self`, the rows to update). By Lemma 6.7 its single
+    /// evaluation yields exactly the pairs `(row, value)` with `value` in
+    /// the row's [`SetUpdate::assignments`] values — a set update is
+    /// two-phase, so no order-independence decision is needed. Fails,
+    /// with the reason, when the subquery is outside the fragment
+    /// [`select_to_expr`] compiles.
+    pub(crate) fn values_query(&self) -> Result<Expr> {
+        let (expr, _attr) = select_to_expr(&self.select, &self.catalog, &self.table, "t")?;
+        // `par(·)` keeps a well-typed expression well-typed over `rec`.
+        let sig = Signature::new(vec![self.table.class])?;
+        infer_schema(&expr, &self.catalog.schema, &update_params(&sig))?;
+        Ok(par(&expr)?)
+    }
+
     /// Phase 1 + phase 2.
     pub fn apply(&self, instance: &Instance) -> Result<Instance> {
         let assignments = self.assignments(instance)?;
@@ -510,7 +527,11 @@ struct SelectCompiler<'a> {
     outer: &'a TableInfo,
     outer_var: &'a str,
     /// Collected FROM aliases (flattened across EXISTS nesting).
-    aliases: Vec<(String, TableInfo)>,
+    aliases: Vec<(String, &'a TableInfo)>,
+    /// Indices into `aliases` of the `FROM` tables in scope at the
+    /// reference being resolved: the enclosing selects' and the current
+    /// one's, outermost first — the scopes `crate::eval` binds.
+    visible: Vec<usize>,
     /// Non-identity column references to materialize as property joins.
     used: BTreeSet<Resolved>,
     /// Equality constraints between resolved attributes.
@@ -518,8 +539,8 @@ struct SelectCompiler<'a> {
     fresh: usize,
 }
 
-impl SelectCompiler<'_> {
-    fn add_alias(&mut self, name: &str, table: TableInfo) -> Result<()> {
+impl<'a> SelectCompiler<'a> {
+    fn add_alias(&mut self, name: &str, table: &'a TableInfo) -> Result<()> {
         if name == "self" || name == self.outer_var || self.aliases.iter().any(|(a, _)| a == name) {
             return Err(SqlError::Unsupported(format!(
                 "duplicate or reserved alias `{name}`"
@@ -529,15 +550,15 @@ impl SelectCompiler<'_> {
         Ok(())
     }
 
-    /// Resolve a column reference. Unqualified references prefer the
-    /// cursor tuple (the paper's convention), then the FROM tables.
+    /// Resolve a column reference against the visible scopes. Unqualified
+    /// references prefer the cursor tuple (the paper's convention), then
+    /// the visible FROM tables.
     fn resolve(&mut self, colref: &ColumnRef) -> Result<Resolved> {
+        let visible = || self.visible.iter().map(|&i| &self.aliases[i]);
         let (scope_attr, table): (Attr, &TableInfo) = match &colref.qualifier {
             Some(q) if q == self.outer_var => ("self".to_owned(), self.outer),
             Some(q) => {
-                let (a, t) = self
-                    .aliases
-                    .iter()
+                let (a, t) = visible()
                     .find(|(a, _)| a == q)
                     .ok_or_else(|| SqlError::UnknownAlias(q.clone()))?;
                 (a.clone(), t)
@@ -546,9 +567,7 @@ impl SelectCompiler<'_> {
                 if self.outer.has_column(&colref.column) {
                     ("self".to_owned(), self.outer)
                 } else {
-                    let matches: Vec<&(String, TableInfo)> = self
-                        .aliases
-                        .iter()
+                    let matches: Vec<&(String, &TableInfo)> = visible()
                         .filter(|(_, t)| t.has_column(&colref.column))
                         .collect();
                     match matches.as_slice() {
@@ -603,7 +622,6 @@ impl SelectCompiler<'_> {
             Condition::InTable(c, table) => {
                 let rc = self.resolve(c)?;
                 let (info, _prop) = self.catalog.single_column(table)?;
-                let info = info.clone();
                 let col_name = info.columns.keys().next().expect("one column").clone();
                 self.fresh += 1;
                 let alias = format!("__{table}{}", self.fresh);
@@ -630,19 +648,23 @@ impl SelectCompiler<'_> {
     }
 
     /// Gather a (sub)select; returns the resolved projection (`None` for
-    /// `SELECT *`).
+    /// `SELECT *`). Its `FROM` tables are visible only inside it.
     fn gather_select(&mut self, select: &Select) -> Result<Option<Resolved>> {
+        let outer_scopes = self.visible.len();
         for item in &select.from {
-            let info = self.catalog.lookup(&item.table)?.clone();
+            let info = self.catalog.lookup(&item.table)?;
             self.add_alias(item.name(), info)?;
+            self.visible.push(self.aliases.len() - 1);
         }
         if let Some(w) = &select.where_clause {
             self.gather_condition(w)?;
         }
-        match &select.projection {
-            Projection::Star => Ok(None),
-            Projection::Column(c) => Ok(Some(self.resolve(c)?)),
-        }
+        let projection = match &select.projection {
+            Projection::Star => None,
+            Projection::Column(c) => Some(self.resolve(c)?),
+        };
+        self.visible.truncate(outer_scopes);
+        Ok(projection)
     }
 
     /// Assemble the final expression.
@@ -701,6 +723,7 @@ pub fn select_to_expr(
         outer,
         outer_var,
         aliases: Vec::new(),
+        visible: Vec::new(),
         used: BTreeSet::new(),
         eqs: Vec::new(),
         fresh: 0,
@@ -863,6 +886,28 @@ mod tests {
             out.successors(data.employees[0], es.salary).next(),
             Some(data.amounts[2])
         );
+    }
+
+    /// Name resolution sees only the `FROM` tables in scope, as
+    /// `sql::eval` binds them: neither an `in table` test nor a nested
+    /// `exists` makes its table visible outside it.
+    #[test]
+    fn select_compiler_resolves_only_visible_tables() {
+        let (_es, catalog) = employee_catalog();
+        let employee = catalog.lookup("Employee").unwrap();
+        for text in [
+            "update Employee set Salary = (select Amount from NewSal where Old in table Fire)",
+            "update Employee set Salary = (select E2.Salary from NewSal \
+             where exists (select * from Employee E2 where E2.Salary = Old))",
+        ] {
+            let SqlStatement::Update { select, .. } = parse(text).unwrap() else {
+                panic!("{text} is a set update")
+            };
+            assert!(
+                select_to_expr(&select, &catalog, employee, "t").is_err(),
+                "{text}"
+            );
+        }
     }
 
     /// Theorem 5.12 discriminates (B) from (C), exactly as Section 7

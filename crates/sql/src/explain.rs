@@ -171,4 +171,31 @@ mod tests {
         assert!(obs::render_profile_human(&tree).contains("stage 1"));
         assert!(obs::render_profile_chrome(&tree).contains("traceEvents"));
     }
+
+    /// Each set-update stage names how its values are computed: one
+    /// `par(E)` evaluation, or row by row with the reason the subquery has
+    /// no algebraic form. Other stages name no values path.
+    #[test]
+    fn explain_names_the_values_path() {
+        const NEGATIVE: &str = "update Employee set Salary = \
+             (select New from NewSal where Old = Salary and Old not in table Fire)";
+        let (_, catalog) = employee_catalog();
+        let stmts = [UPDATE_A, NEGATIVE, CURSOR_UPDATE_B].map(|t| parse(t).unwrap());
+        let tree = compile_program(&stmts, &catalog).unwrap().explain();
+        let values = |k: usize| -> Vec<&String> {
+            tree.children[k]
+                .notes
+                .iter()
+                .filter(|n| n.starts_with("values:"))
+                .collect()
+        };
+        assert_eq!(values(0), ["values: one par(E) evaluation"]);
+        assert!(
+            matches!(values(1).as_slice(), [n] if n.starts_with("values: row by row — ")
+                && n.contains("negative atom")),
+            "{:?}",
+            values(1)
+        );
+        assert!(values(2).is_empty());
+    }
 }

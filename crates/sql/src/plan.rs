@@ -45,13 +45,13 @@ use receivers_core::algebraic::{
 use receivers_core::shard::{certify, ShardConfig, ShardedExecutor, WaveStats};
 use receivers_core::AlgebraicMethod;
 use receivers_objectbase::{
-    ClassId, DeltaObserver, InPlaceOutcome, Instance, Oid, PropId, Receiver, ReceiverSet,
+    ClassId, DeltaObserver, InPlaceOutcome, Instance, Oid, PropId, Receiver,
 };
 use receivers_obs as obs;
 use receivers_relalg::database::Database;
 use receivers_relalg::eval::{eval as eval_expr, Bindings};
 use receivers_relalg::view::{DatabaseView, ViewObserver};
-use receivers_relalg::Expr;
+use receivers_relalg::{Expr, RelSchema, Relation};
 use receivers_wal::{DurableSink, DurableStore, WalError, WalStats, WalStorage};
 
 use crate::ast::{ColumnRef, Condition, CursorBody, Projection, Select, SqlStatement};
@@ -359,14 +359,24 @@ impl std::fmt::Display for RewriteSelect<'_> {
 // Reading footprints off the DAG.
 // ---------------------------------------------------------------------
 
+/// One name-resolution scope: a binding name and its table.
+type Scope<'s> = (&'s str, &'s TableInfo);
+
+/// The scope a statement's own row is bound in: its variable (`t` for set
+/// statements) over the target table, when that resolves.
+fn row_scope<'s>(var: &'s str, outer: Option<&'s TableInfo>) -> Vec<Scope<'s>> {
+    outer.map(|t| (var, t)).into_iter().collect()
+}
+
 /// The read/table collector behind [`crate::footprint::footprint`] —
-/// mirrors the name resolution of [`crate::compile`] (unqualified columns
-/// prefer the loop/target table, then the visible `FROM` tables) but is
+/// mirrors the name resolution of [`crate::eval`] over the scopes it is
+/// given, outermost (the statement's row, from [`row_scope`]) first: a
+/// qualified column names the innermost scope bound under its qualifier,
+/// an unqualified one the outermost scope whose table has it. It is
 /// *tolerant*: unresolvable references are skipped, because the lint
 /// layer's name-resolution pass already reports them with spans.
 pub(crate) struct ReadCollector<'a> {
     catalog: &'a Catalog,
-    outer: Option<&'a TableInfo>,
     /// Properties read so far.
     pub reads: BTreeSet<PropId>,
     /// Table names referenced so far.
@@ -374,16 +384,18 @@ pub(crate) struct ReadCollector<'a> {
 }
 
 impl<'a> ReadCollector<'a> {
-    pub(crate) fn new(catalog: &'a Catalog, outer: Option<&'a TableInfo>) -> Self {
+    pub(crate) fn new(catalog: &'a Catalog) -> Self {
         Self {
             catalog,
-            outer,
             reads: BTreeSet::new(),
             tables: BTreeSet::new(),
         }
     }
 
-    pub(crate) fn condition(&mut self, cond: &Condition, scopes: &[(String, TableInfo)]) {
+    pub(crate) fn condition<'s>(&mut self, cond: &'s Condition, scopes: &[Scope<'s>])
+    where
+        'a: 's,
+    {
         match cond {
             Condition::Eq(a, b) | Condition::NotEq(a, b) => {
                 self.column(&a.qualifier, &a.column, scopes);
@@ -404,12 +416,15 @@ impl<'a> ReadCollector<'a> {
         }
     }
 
-    pub(crate) fn select(&mut self, select: &Select, outer_scopes: &[(String, TableInfo)]) {
+    pub(crate) fn select<'s>(&mut self, select: &'s Select, outer_scopes: &[Scope<'s>])
+    where
+        'a: 's,
+    {
         let mut scopes = outer_scopes.to_vec();
         for item in &select.from {
             self.tables.insert(item.table.clone());
             if let Ok(info) = self.catalog.lookup(&item.table) {
-                scopes.push((item.name().to_owned(), info.clone()));
+                scopes.push((item.name(), info));
             }
         }
         if let Some(w) = &select.where_clause {
@@ -420,16 +435,13 @@ impl<'a> ReadCollector<'a> {
         }
     }
 
-    fn column(&mut self, qualifier: &Option<String>, column: &str, scopes: &[(String, TableInfo)]) {
+    fn column(&mut self, qualifier: &Option<String>, column: &str, scopes: &[Scope<'_>]) {
         let table: Option<&TableInfo> = match qualifier {
-            Some(q) => scopes.iter().find(|(a, _)| a == q).map(|(_, t)| t),
-            None => match self.outer {
-                Some(t) if t.has_column(column) => Some(t),
-                _ => scopes
-                    .iter()
-                    .find(|(_, t)| t.has_column(column))
-                    .map(|(_, t)| t),
-            },
+            Some(q) => scopes.iter().rev().find(|(a, _)| *a == q).map(|&(_, t)| t),
+            None => scopes
+                .iter()
+                .find(|(_, t)| t.has_column(column))
+                .map(|&(_, t)| t),
         };
         if let Some(prop) = table.and_then(|t| t.column_prop(column)) {
             self.reads.insert(prop);
@@ -447,10 +459,10 @@ pub fn footprint_of(graph: &PlanGraph, root: NodeId, catalog: &Catalog) -> Footp
         PlanNode::Assign { table, .. } | PlanNode::Delete { table, .. } => table.clone(),
         _ => String::new(),
     };
-    let outer = catalog.lookup(&target).ok().cloned();
-    let mut rc = ReadCollector::new(catalog, outer.as_ref());
+    let mut rc = ReadCollector::new(catalog);
     struct FpVisitor<'a, 'b> {
         rc: &'b mut ReadCollector<'a>,
+        outer: Option<&'a TableInfo>,
         fp: &'b mut Footprint,
     }
     impl PlanVisitor for FpVisitor<'_, '_> {
@@ -459,12 +471,12 @@ pub fn footprint_of(graph: &PlanGraph, root: NodeId, catalog: &Catalog) -> Footp
                 PlanNode::Scan { table, .. } => {
                     self.fp.tables.insert(table.clone());
                 }
-                PlanNode::Guard { cond, .. } => {
-                    self.rc.condition(cond, &[]);
+                PlanNode::Guard { var, cond, .. } => {
+                    self.rc.condition(cond, &row_scope(var, self.outer));
                     self.fp.guard = Some(cond.clone());
                 }
-                PlanNode::Values { select, .. } => {
-                    self.rc.select(select, &[]);
+                PlanNode::Values { var, select, .. } => {
+                    self.rc.select(select, &row_scope(var, self.outer));
                 }
                 // The improve pass's one-shot `par(E)` node: its reads
                 // are the algebraic query's base property relations —
@@ -505,6 +517,7 @@ pub fn footprint_of(graph: &PlanGraph, root: NodeId, catalog: &Catalog) -> Footp
         root,
         &mut FpVisitor {
             rc: &mut rc,
+            outer: catalog.lookup(&target).ok(),
             fp: &mut fp,
         },
     );
@@ -513,15 +526,17 @@ pub fn footprint_of(graph: &PlanGraph, root: NodeId, catalog: &Catalog) -> Footp
     fp
 }
 
-/// Properties read by a single condition against `outer` — the guard-only
-/// read set the netting pass compares intermediate writes against.
+/// Properties read by a single condition with the row bound as `var` over
+/// `outer` — the guard-only read set the netting pass compares
+/// intermediate writes against.
 fn condition_reads(
     cond: &Condition,
     catalog: &Catalog,
+    var: &str,
     outer: Option<&TableInfo>,
 ) -> BTreeSet<PropId> {
-    let mut rc = ReadCollector::new(catalog, outer);
-    rc.condition(cond, &[]);
+    let mut rc = ReadCollector::new(catalog);
+    rc.condition(cond, &row_scope(var, outer));
     rc.reads
 }
 
@@ -738,6 +753,10 @@ pub struct Stage {
     guard_key: Option<String>,
     algebraic: Option<AlgebraicMethod>,
     improved: Option<ImprovedUpdate>,
+    /// A set update's value subquery lowered once to `par(E)`
+    /// ([`crate::compile::SetUpdate::values_query`]), or why its values
+    /// stay row by row.
+    values_query: Option<Result<Expr>>,
     shared_selector: bool,
     netted: bool,
     netted_by: Option<usize>,
@@ -911,12 +930,16 @@ pub fn compile_program(program: &[SqlStatement], catalog: &Catalog) -> Result<Pr
             }
         };
 
+        let values_query = match &compiled {
+            CompiledStatement::SetUpdate(su) => Some(su.values_query()),
+            _ => None,
+        };
         let footprint = footprint_of(&b.graph, lowered.root, catalog);
-        let outer = catalog.lookup(stmt_table(stmt)).ok().cloned();
+        let outer = catalog.lookup(stmt_table(stmt)).ok();
         let guard_reads = footprint
             .guard
             .as_ref()
-            .map(|g| condition_reads(g, catalog, outer.as_ref()))
+            .map(|g| condition_reads(g, catalog, &lowered.var, outer))
             .unwrap_or_default();
         stages.push(Stage {
             kind,
@@ -932,6 +955,7 @@ pub fn compile_program(program: &[SqlStatement], catalog: &Catalog) -> Result<Pr
             guard_key: lowered.guard_key,
             algebraic,
             improved,
+            values_query,
             shared_selector: lowered.shared,
             netted: false,
             netted_by: None,
@@ -966,16 +990,16 @@ fn compute_node_reads(graph: &PlanGraph, catalog: &Catalog) -> Vec<BTreeSet<Prop
     for id in 0..graph.len() {
         let set = match &graph.nodes[id] {
             PlanNode::Scan { .. } => BTreeSet::new(),
-            PlanNode::Guard { input, cond, .. } => {
+            PlanNode::Guard { input, var, cond } => {
                 let outer = scan_table_info(graph, *input, catalog);
                 let mut s = reads[input.0].clone();
-                s.append(&mut condition_reads(cond, catalog, outer));
+                s.append(&mut condition_reads(cond, catalog, var, outer));
                 s
             }
-            PlanNode::Values { rows, select, .. } => {
+            PlanNode::Values { rows, var, select } => {
                 let outer = scan_table_info(graph, *rows, catalog);
-                let mut rc = ReadCollector::new(catalog, outer);
-                rc.select(select, &[]);
+                let mut rc = ReadCollector::new(catalog);
+                rc.select(select, &row_scope(var, outer));
                 let mut s = reads[rows.0].clone();
                 s.append(&mut rc.reads);
                 s
@@ -1289,8 +1313,18 @@ impl<'p> ExecCache<'p> {
         }
     }
 
-    /// The `(row, values)` assignments a values node produces.
-    fn values(&mut self, id: NodeId, instance: &Instance) -> Result<Vec<(Oid, Vec<Oid>)>> {
+    /// The `(row, values)` assignments a values node produces: from one
+    /// evaluation of `query`, the node's `par(E)`, against `db` when there
+    /// is one, otherwise by evaluating the subquery row by row. A row
+    /// `par(E)` pairs with nothing gets no values, as the row-by-row
+    /// subquery gives it.
+    fn values(
+        &mut self,
+        id: NodeId,
+        query: Option<&Expr>,
+        instance: &Instance,
+        db: &Database,
+    ) -> Result<Vec<(Oid, Vec<Oid>)>> {
         if let Some(cached) = self.values.get(&id) {
             C_SELECTOR_REUSES.incr();
             self.hits += 1;
@@ -1305,16 +1339,25 @@ impl<'p> ExecCache<'p> {
         let info = scan_table_info(&self.plan.graph, *rows, &self.plan.catalog)
             .ok_or_else(|| SqlError::Unsupported("unresolved scan in plan".to_owned()))?;
         let mut out = Vec::with_capacity(base.len());
-        for &t in &base {
-            let scopes: Scopes<'_> = vec![Binding {
-                alias: var.clone(),
-                table: info,
-                tuple: t,
-            }];
-            out.push((
-                t,
-                eval_select(select, &scopes, &self.plan.catalog, instance)?,
-            ));
+        if let Some(query) = query {
+            let pairs = par_pairs(query, info.class, &base, db)?;
+            for &t in &base {
+                let from = pairs.partition_point(|&(row, _)| row < t);
+                let to = from + pairs[from..].partition_point(|&(row, _)| row == t);
+                out.push((t, pairs[from..to].iter().map(|&(_, v)| v).collect()));
+            }
+        } else {
+            for &t in &base {
+                let scopes: Scopes<'_> = vec![Binding {
+                    alias: var.clone(),
+                    table: info,
+                    tuple: t,
+                }];
+                out.push((
+                    t,
+                    eval_select(select, &scopes, &self.plan.catalog, instance)?,
+                ));
+            }
         }
         self.values.insert(id, out.clone());
         Ok(out)
@@ -1386,6 +1429,11 @@ pub(crate) fn stage_node(idx: usize, stage: &Stage) -> obs::ProfileNode {
     }
     if stage.shared_selector {
         n.add_note("selector shared with an earlier stage (cse)");
+    }
+    match &stage.values_query {
+        Some(Ok(_)) => n.add_note("values: one par(E) evaluation"),
+        Some(Err(why)) => n.add_note(format!("values: row by row — {why}")),
+        None => {}
     }
     n
 }
@@ -1558,6 +1606,24 @@ fn cursor_order(stage: &Stage, instance: &Instance) -> Vec<Receiver> {
 /// `(receiver, value)` assignment pairs.
 type ImprovedPairs = (BTreeSet<Oid>, Vec<(Oid, Oid)>);
 
+/// One evaluation of a `par(E)` query against `db`, with `rec` bound to
+/// `rows` (scheme `self` over `class`): every `(row, value)` assignment
+/// pair, sorted. The scheme is `(self, value)`; the degenerate `a := self`
+/// statement leaves a unary result (see `receivers_core::parallel`).
+fn par_pairs(query: &Expr, class: ClassId, rows: &[Oid], db: &Database) -> Result<Vec<(Oid, Oid)>> {
+    let rec = Relation::from_tuples(
+        RelSchema::unary("self", class),
+        rows.iter().map(std::slice::from_ref),
+    )?;
+    let mut bindings = Bindings::new();
+    bindings.bind("rec", rec);
+    let rel = eval_expr(query, db, &bindings)?;
+    Ok(match rel.schema().arity() {
+        1 => rel.tuples().map(|t| (t[0], t[0])).collect(),
+        _ => rel.tuples().map(|t| (t[0], t[1])).collect(),
+    })
+}
+
 impl ProgramPlan {
     /// The resolved target property of an update stage.
     fn stage_prop(&self, stage: &Stage) -> Result<PropId> {
@@ -1586,15 +1652,8 @@ impl ProgramPlan {
         };
         let rows = cache.rows(stage.scan, instance)?;
         C_VECTORIZED_ROWS.add(rows.len() as u64);
-        let receivers: ReceiverSet = rows.iter().map(|&t| Receiver::new(vec![t])).collect();
-        let bindings = Bindings::for_receiver_set(imp.method.signature_ref(), &receivers)?;
-        let rel = eval_expr(query, db, &bindings)?;
-        // Scheme is (self, value); the degenerate `a := self` statement
-        // leaves a unary result (see `receivers_core::parallel`).
-        let pairs: Vec<(Oid, Oid)> = match rel.schema().arity() {
-            1 => rel.tuples().map(|t| (t[0], t[0])).collect(),
-            _ => rel.tuples().map(|t| (t[0], t[1])).collect(),
-        };
+        let class = imp.method.signature_ref().receiving_class();
+        let pairs = par_pairs(query, class, &rows, db)?;
         Ok((rows.into_iter().collect(), pairs))
     }
 
@@ -1703,7 +1762,8 @@ impl ProgramPlan {
             }
             StageKind::SetUpdate => {
                 let values = stage.values.expect("set updates have a values node");
-                let assigns = cache.values(values, instance)?;
+                let query = stage.values_query.as_ref().and_then(|q| q.as_ref().ok());
+                let assigns = cache.values(values, query, instance, view.database())?;
                 C_VECTORIZED_ROWS.add(assigns.len() as u64);
                 meter.rows_in += assigns.len() as u64;
                 meter.rows_out += assigns.len() as u64;
@@ -2052,6 +2112,28 @@ mod tests {
         assert!(view.matches_rebuild(&i));
         let want = set_update(UPDATE_A, &catalog).apply(&i0).unwrap();
         assert_eq!(i, want, "improved (B) must have statement (A)'s effect");
+    }
+
+    /// A set update's values come from one `par(E)` evaluation; a row the
+    /// query pairs with nothing loses the property, as it does when the
+    /// subquery is evaluated row by row.
+    #[test]
+    fn set_update_row_without_par_values_loses_the_property() {
+        const MANAGED: &str = "update Employee set Manager = \
+             (select E1.EmpId from Employee E1 where E1.Manager = EmpId)";
+        let (es, catalog) = employee_catalog();
+        let plan = compile_program(&program(&[MANAGED]), &catalog).unwrap();
+        assert!(matches!(plan.stages()[0].values_query, Some(Ok(_))));
+
+        let (i0, data) = section7_instance(&es);
+        let e3 = data.employees[2];
+        assert_eq!(i0.successors(e3, es.manager).count(), 1);
+        let mut i = i0.clone();
+        let mut view = DatabaseView::new(&i);
+        assert!(plan.execute_viewed(&mut i, &mut view).unwrap().is_applied());
+        assert!(view.matches_rebuild(&i));
+        assert_eq!(i.successors(e3, es.manager).count(), 0, "e3 manages no one");
+        assert_eq!(i, set_update(MANAGED, &catalog).apply(&i0).unwrap());
     }
 
     /// Two statements with the identical guard hash-cons onto one selector

@@ -51,7 +51,7 @@ use receivers::objectbase::{Instance, Oid};
 use receivers::obs;
 use receivers::relalg::view::DatabaseView;
 use receivers::sql::catalog::employee_catalog;
-use receivers::sql::scenarios::{section7_instance, UPDATE_A};
+use receivers::sql::scenarios::{section7_instance, UPDATE_A, UPDATE_C_SET};
 use receivers::sql::{
     compile, compile_program, parse, Catalog, CompiledStatement, SqlError, SqlStatement, StageKind,
 };
@@ -69,6 +69,11 @@ const SWEEP_BASE: u64 = 0x91A7_0000;
 
 /// Durable runs the crash arm actually tore (the rest fit their budget).
 static CRASHED_RUNS: AtomicU64 = AtomicU64::new(0);
+
+/// Set-update stages whose values came from one `par(E)` evaluation, and
+/// those evaluated row by row, as EXPLAIN names them.
+static PAR_VALUES: AtomicU64 = AtomicU64::new(0);
+static ROW_VALUES: AtomicU64 = AtomicU64::new(0);
 
 fn hash_of<T: Hash>(x: &T) -> u64 {
     let mut h = DefaultHasher::new();
@@ -113,13 +118,17 @@ const GUARDS: &[&str] = &[
     "Salary not in table Fire",
     "Manager = EmpId",
     "exists (select * from NewSal where Old = Salary)",
+    // Qualified by the row variable, which footprints must resolve.
+    "t.Salary in table Fire",
 ];
 
 /// One random statement. The pool spans every [`StageKind`]: set deletes,
 /// guarded and unguarded set updates on both properties, the improvable
 /// cursor update (B), the order-dependent cursor update (C) — whose
 /// cursor-order semantics is still deterministic, hence differentially
-/// testable — and guarded cursor deletes.
+/// testable — and guarded cursor deletes. Set updates take both values
+/// paths: one `par(E)` evaluation (the set form of (C) among them) and,
+/// for a subquery with a negative atom, row by row.
 fn random_statement(rng: &mut StdRng) -> String {
     let guard = GUARDS[rng.random_range(0..GUARDS.len())];
     let guarded = rng.random_bool(0.5);
@@ -128,7 +137,7 @@ fn random_statement(rng: &mut StdRng) -> String {
     } else {
         String::new()
     };
-    match rng.random_range(0..7u32) {
+    match rng.random_range(0..9u32) {
         0 => format!("delete from Employee where {guard}"),
         1 => format!(
             "update Employee set Salary = (select New from NewSal where Old = Salary){suffix}"
@@ -148,6 +157,11 @@ fn random_statement(rng: &mut StdRng) -> String {
         5 => "for each t in Employee do update t set Salary = \
               (select New from Employee E1, NewSal where E1.EmpId = Manager and Old = E1.Salary)"
             .to_owned(),
+        6 => format!("{UPDATE_C_SET}{suffix}"),
+        7 => format!(
+            "update Employee set Salary = \
+             (select New from NewSal where Old = Salary and Old not in table Fire){suffix}"
+        ),
         _ => format!("for each t in Employee do if {guard} delete t from Employee"),
     }
 }
@@ -279,6 +293,15 @@ fn run_program(seed: u64) {
     let plan = compile_program(&stmts, &catalog)
         .unwrap_or_else(|e| panic!("pool program must compile (seed {seed}): {e}"));
     let oracle = legacy_apply(&stmts, &catalog, &i0, seed);
+    for stage in plan.explain().children {
+        for note in &stage.notes {
+            if note.starts_with("values: one par(E)") {
+                PAR_VALUES.fetch_add(1, Ordering::Relaxed);
+            } else if note.starts_with("values: row by row") {
+                ROW_VALUES.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
 
     // Sequential viewed driver.
     let mut seq = i0.clone();
@@ -568,6 +591,10 @@ fn sweep(programs: u64) {
     assert!(
         CRASHED_RUNS.load(Ordering::Relaxed) > 0,
         "the crash arm must tear some durable runs"
+    );
+    assert!(
+        PAR_VALUES.load(Ordering::Relaxed) > 0 && ROW_VALUES.load(Ordering::Relaxed) > 0,
+        "set updates must take both values paths"
     );
 }
 
