@@ -279,9 +279,9 @@ impl WitnessMethod {
             let prop = self.schema.property(p);
             if !ek.contains(Color::D) && ek.contains(Color::U) {
                 // Test for e-labeled edges incident to the victim.
-                if i.edges_labeled(p)
-                    .any(|e| e.src == victim || e.dst == victim)
-                {
+                let incident = (prop.src == x && i.successors(victim, p).next().is_some())
+                    || (prop.dst == x && i.predecessors(victim, p).next().is_some());
+                if incident {
                     return false;
                 }
             } else if !ek.contains(Color::D) && !ek.contains(Color::U) {

@@ -16,7 +16,7 @@
 //! ([`tests::criterion_is_only_sufficient`]).
 
 use receivers_objectbase::{
-    Edge, Instance, MethodOutcome, PropId, Receiver, Signature, UpdateMethod,
+    Edge, Instance, MethodOutcome, Oid, PropId, Receiver, Signature, UpdateMethod,
 };
 
 use crate::error::{CoreError, Result};
@@ -160,12 +160,9 @@ impl UpdateMethod for GenericUpdate {
                     out.remove_edge(&Edge::new(objs[src], prop, objs[dst]));
                 }
                 GenericOp::ClearEdges { prop, src } => {
-                    let victims: Vec<Edge> = out
-                        .edges_labeled(prop)
-                        .filter(|e| e.src == objs[src])
-                        .collect();
-                    for e in victims {
-                        out.remove_edge(&e);
+                    let victims: Vec<Oid> = out.successors(objs[src], prop).collect();
+                    for v in victims {
+                        out.remove_edge(&Edge::new(objs[src], prop, v));
                     }
                 }
             }

@@ -253,34 +253,138 @@ pub fn undo_ops(instance: &mut Instance, observer: &mut dyn DeltaObserver, ops: 
     debug_assert!(partial.is_instance(), "undo_ops restored a non-instance");
 }
 
+/// Why a logged op cannot be replayed onto an instance.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RedoFault {
+    /// The op names a class or property the schema does not have.
+    UnknownLabel,
+    /// The edge's endpoint classes do not match its property.
+    IllTyped,
+    /// The op adds a present item or removes an absent one.
+    Ineffective,
+    /// The added edge has an endpoint that is not a node of the instance.
+    DanglingEndpoint,
+    /// The removed node still has incident edges.
+    NodeHasEdges,
+}
+
+impl std::fmt::Display for RedoFault {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            RedoFault::UnknownLabel => "redo of an op with an unknown class or property",
+            RedoFault::IllTyped => "redo of ill-typed op",
+            RedoFault::Ineffective => "redo of ineffective op",
+            RedoFault::DanglingEndpoint => "redo of edge with a missing endpoint",
+            RedoFault::NodeHasEdges => "redo of node removal that leaves dangling edges",
+        })
+    }
+}
+
+/// A logged op that [`try_redo_ops`] refused, with its position in the log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RedoError {
+    /// Index of the refused op in the replayed slice.
+    pub index: usize,
+    /// The refused op.
+    pub op: DeltaOp,
+    /// Why it does not apply.
+    pub fault: RedoFault,
+}
+
+impl std::fmt::Display for RedoError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} {:?} (op #{})", self.fault, self.op, self.index)
+    }
+}
+
+impl std::error::Error for RedoError {}
+
+/// Check that `op` applies to `partial` as an effective edit that keeps it
+/// an instance, then apply it.
+fn redo_op(partial: &mut PartialInstance, op: DeltaOp) -> std::result::Result<(), RedoFault> {
+    let schema = partial.schema();
+    let known_class = |o: Oid| (o.class.0 as usize) < schema.class_count();
+    match op {
+        DeltaOp::AddedNode(o) | DeltaOp::RemovedNode(o) if !known_class(o) => {
+            return Err(RedoFault::UnknownLabel)
+        }
+        DeltaOp::AddedEdge(e) | DeltaOp::RemovedEdge(e) => {
+            if (e.prop.0 as usize) >= schema.property_count() {
+                return Err(RedoFault::UnknownLabel);
+            }
+            let prop = schema.property(e.prop);
+            if prop.src != e.src.class || prop.dst != e.dst.class {
+                return Err(RedoFault::IllTyped);
+            }
+        }
+        _ => {}
+    }
+    let effective = match op {
+        DeltaOp::AddedNode(o) => partial.insert_node(o),
+        DeltaOp::RemovedNode(o) => {
+            if !partial.contains_node(o) {
+                return Err(RedoFault::Ineffective);
+            }
+            if partial.edges_incident(o).next().is_some() {
+                return Err(RedoFault::NodeHasEdges);
+            }
+            partial.remove_node(o)
+        }
+        DeltaOp::AddedEdge(e) => {
+            if !partial.contains_node(e.src) || !partial.contains_node(e.dst) {
+                return Err(RedoFault::DanglingEndpoint);
+            }
+            partial.insert_edge(e).expect("typing checked above")
+        }
+        DeltaOp::RemovedEdge(e) => partial.remove_edge(&e),
+    };
+    if effective {
+        Ok(())
+    } else {
+        Err(RedoFault::Ineffective)
+    }
+}
+
 /// Replay an externally produced delta log *forwards*, notifying
-/// `observer` of each op — the commit half of a sharded application: each
-/// worker records the ops its receivers would have logged under an
+/// `observer` of each op — the commit half of a sharded application
+/// (each worker records the ops its receivers would have logged under an
 /// observed transaction, and the merge replays every shard's log into the
-/// real instance in `commit_into` order.
+/// real instance in `commit_into` order) and the redo half of WAL
+/// recovery.
 ///
 /// Unlike a transaction commit this does **not** fire
 /// [`DeltaObserver::batch_end`]: the caller batches — typically once per
 /// shard — so a maintained view consolidates each shard's log as one
-/// netted burst. Every op must be *effective* (add an absent item, remove
-/// a present one), which holds whenever the log was derived against a
-/// faithful replica of the region of the instance it touches; replaying an
-/// ineffective op would desynchronize instance and observer, so it panics.
-pub fn redo_ops(instance: &mut Instance, observer: &mut dyn DeltaObserver, ops: &[DeltaOp]) {
+/// netted burst.
+///
+/// Every op is checked before it is applied: its labels must exist and
+/// type-check, it must be *effective* (add an absent item, remove a
+/// present one), an added edge's endpoints must be nodes, and a removed
+/// node must have no edges left — so the instance stays an instance. The
+/// first op that fails the check is returned as a [`RedoError`]; the ops
+/// before it have been applied and observed, the rest have not.
+pub fn try_redo_ops(
+    instance: &mut Instance,
+    observer: &mut dyn DeltaObserver,
+    ops: &[DeltaOp],
+) -> std::result::Result<(), RedoError> {
     let partial = instance.partial_mut();
-    for op in ops {
-        let effective = match *op {
-            DeltaOp::AddedNode(o) => partial.insert_node(o),
-            DeltaOp::RemovedNode(o) => partial.remove_node(o),
-            DeltaOp::AddedEdge(e) => partial
-                .insert_edge(e)
-                .expect("edge was typed when originally logged"),
-            DeltaOp::RemovedEdge(e) => partial.remove_edge(&e),
-        };
-        assert!(effective, "redo of ineffective op {op:?}");
-        observer.applied(op);
+    for (index, &op) in ops.iter().enumerate() {
+        redo_op(partial, op).map_err(|fault| RedoError { index, op, fault })?;
+        observer.applied(&op);
     }
     debug_assert!(partial.is_instance(), "redo_ops produced a non-instance");
+    Ok(())
+}
+
+/// [`try_redo_ops`] for logs known to apply — every op derived against a
+/// faithful replica of the region of the instance it touches, as the
+/// sharded merge guarantees. Replaying an op that does not apply would
+/// desynchronize instance and observer, so it panics.
+pub fn redo_ops(instance: &mut Instance, observer: &mut dyn DeltaObserver, ops: &[DeltaOp]) {
+    if let Err(e) = try_redo_ops(instance, observer, ops) {
+        panic!("{e}");
+    }
 }
 
 #[cfg(test)]
@@ -374,6 +478,62 @@ mod tests {
         let (mut i, o) = figure2(&s);
         let present = DeltaOp::AddedEdge(Edge::new(o.d1, s.frequents, o.bar1));
         redo_ops(&mut i, &mut crate::view::NullObserver, &[present]);
+    }
+
+    /// Every op that would not apply as an effective, typed edit keeping
+    /// the instance an instance is refused with its fault and position;
+    /// the ops before it stay applied.
+    #[test]
+    fn try_redo_ops_refuses_ops_that_do_not_apply() {
+        let s = beer_schema();
+        let (i, o) = figure2(&s);
+        let absent_bar = Oid::new(s.bar, 99);
+        let cases = [
+            (
+                DeltaOp::AddedEdge(Edge::new(o.d1, s.frequents, o.bar1)),
+                RedoFault::Ineffective,
+            ),
+            (
+                DeltaOp::RemovedEdge(Edge::new(o.d1, s.frequents, absent_bar)),
+                RedoFault::Ineffective,
+            ),
+            (DeltaOp::AddedNode(o.bar1), RedoFault::Ineffective),
+            (DeltaOp::RemovedNode(absent_bar), RedoFault::Ineffective),
+            (
+                DeltaOp::AddedNode(Oid::new(ClassId(99), 0)),
+                RedoFault::UnknownLabel,
+            ),
+            (
+                DeltaOp::AddedEdge(Edge::new(o.d1, PropId(99), o.bar3)),
+                RedoFault::UnknownLabel,
+            ),
+            (
+                DeltaOp::AddedEdge(Edge::new(o.bar3, s.frequents, o.d1)),
+                RedoFault::IllTyped,
+            ),
+            (
+                DeltaOp::AddedEdge(Edge::new(o.d1, s.frequents, absent_bar)),
+                RedoFault::DanglingEndpoint,
+            ),
+            (DeltaOp::RemovedNode(o.bar1), RedoFault::NodeHasEdges),
+        ];
+        let first = DeltaOp::AddedEdge(Edge::new(o.d1, s.frequents, o.bar3));
+        for (op, fault) in cases {
+            let mut j = i.clone();
+            let err = try_redo_ops(&mut j, &mut crate::view::NullObserver, &[first, op])
+                .expect_err("refused");
+            assert_eq!(
+                err,
+                RedoError {
+                    index: 1,
+                    op,
+                    fault
+                }
+            );
+            assert!(j.contains_edge(&Edge::new(o.d1, s.frequents, o.bar3)));
+            assert!(j.as_partial().is_instance());
+            j.check_index_consistent();
+        }
     }
 
     #[test]

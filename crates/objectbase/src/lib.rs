@@ -50,7 +50,7 @@ pub mod receiver;
 pub mod schema;
 pub mod view;
 
-pub use delta::{redo_ops, undo_ops, DeltaOp, InstanceTxn};
+pub use delta::{redo_ops, try_redo_ops, undo_ops, DeltaOp, InstanceTxn, RedoError, RedoFault};
 pub use error::{ObjectBaseError, Result};
 pub use index::EdgeIndex;
 pub use instance::Instance;

@@ -80,14 +80,16 @@ impl PartialInstance {
     }
 
     /// Edges labeled `p`, in the canonical order of a label-filtered scan.
-    /// `O(log E + result)` via the per-property index.
+    /// `O(E)`: a filtered scan of the forward index. Callers that want one
+    /// object's edges should use [`PartialInstance::successors`] or
+    /// [`PartialInstance::predecessors`] instead.
     pub fn edges_labeled(&self, p: PropId) -> impl Iterator<Item = Edge> + '_ {
         self.edges.labeled(p)
     }
 
     /// The `(src, dst)` pairs of edges labeled `p`, ordered by `(src, dst)`.
-    /// `O(log E + result)` via the per-property index, with no `Edge`
-    /// re-construction — the shape relational views consume directly.
+    /// `O(E)`, like [`PartialInstance::edges_labeled`], with no `Edge`
+    /// re-construction.
     pub fn edges_labeled_pairs(&self, p: PropId) -> impl Iterator<Item = (Oid, Oid)> + '_ {
         self.edges.labeled_pairs(p)
     }
@@ -277,12 +279,12 @@ impl PartialInstance {
     /// Restriction `J|X` (Definition 4.5): remove all items whose label is
     /// not in `allowed`.
     pub fn restrict(&self, allowed: &BTreeSet<SchemaItem>) -> Self {
-        // Whole properties are kept or dropped, so filter by the
-        // per-property index instead of scanning every edge.
-        let props: Vec<PropId> = self
-            .edges
+        // Whole properties are kept or dropped: decide each once, then
+        // filter one canonical pass (inserts in canonical order are pushes).
+        let keep: Vec<bool> = self
+            .schema
             .properties()
-            .filter(|p| allowed.contains(&SchemaItem::Prop(*p)))
+            .map(|p| allowed.contains(&SchemaItem::Prop(p)))
             .collect();
         Self {
             schema: Arc::clone(&self.schema),
@@ -292,9 +294,10 @@ impl PartialInstance {
                 .copied()
                 .filter(|o| allowed.contains(&SchemaItem::Class(o.class)))
                 .collect(),
-            edges: props
-                .into_iter()
-                .flat_map(|p| self.edges.labeled(p))
+            edges: self
+                .edges
+                .iter()
+                .filter(|e| keep[e.prop.0 as usize])
                 .collect(),
         }
     }
@@ -307,7 +310,8 @@ impl PartialInstance {
             .all(|e| self.nodes.contains(&e.src) && self.nodes.contains(&e.dst))
     }
 
-    /// Invariant check (for tests) that all three index views agree.
+    /// Invariant check (for tests) that both index views and the
+    /// per-property counts agree.
     pub fn check_index_consistent(&self) {
         self.edges.check_consistent();
     }

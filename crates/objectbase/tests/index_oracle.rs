@@ -1,8 +1,10 @@
 //! Differential test of the indexed edge storage: drive a
 //! [`PartialInstance`] and a naive flat-set oracle through identical
 //! random insert/remove sequences and require every public view — nodes,
-//! edges, labeled scans, successor/predecessor/incidence lookups,
-//! equality, ordering, hashing — to agree at every step.
+//! edges, labeled scans, the property set, successor/predecessor/incidence
+//! lookups, equality, ordering, hashing — to agree at every step. A
+//! high-degree arm pushes one forward and one reverse adjacency list
+//! across the small-vector bound in both directions.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeSet;
@@ -13,6 +15,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use receivers_objectbase::examples::beer_schema;
+use receivers_objectbase::index::ADJ_BOUND;
 use receivers_objectbase::{Edge, Oid, PartialInstance, PropId};
 
 /// The reference model: the flat item sets the pre-index implementation
@@ -83,6 +86,17 @@ fn check_agreement(subject: &PartialInstance, oracle: &Oracle, u: &Universe) {
     );
     assert_eq!(subject.node_count(), oracle.nodes.len());
     assert_eq!(subject.edge_count(), oracle.edges.len());
+    assert_eq!(
+        subject.edge_index().properties().collect::<Vec<_>>(),
+        oracle
+            .edges
+            .iter()
+            .map(|e| e.prop)
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect::<Vec<_>>(),
+        "property sets diverged"
+    );
 
     for &(p, _, _) in &u.props {
         assert_eq!(
@@ -252,5 +266,117 @@ fn random_sequences_agree_with_flat_set_oracle() {
                 "ordering diverged from flat-set lexicographic order"
             );
         }
+    }
+}
+
+/// Eq/Ord/Hash of `subject` against a rebuild of the same edge set from a
+/// shuffled insertion order — which leaves every adjacency list of the
+/// rebuild in whichever representation its final size picks, while the
+/// subject's lists may hold the same contents in the other one.
+fn assert_same_as_rebuild(
+    subject: &PartialInstance,
+    oracle: &Oracle,
+    schema: &Arc<receivers_objectbase::Schema>,
+    rng: &mut StdRng,
+) {
+    let rebuilt = rebuild_shuffled(oracle, schema, rng);
+    assert_eq!(*subject, rebuilt);
+    assert_eq!(subject.cmp(&rebuilt), std::cmp::Ordering::Equal);
+    assert_eq!(hash_of(subject), hash_of(&rebuilt));
+}
+
+/// One `(src, prop)` key and one `(dst, prop)` key grow past the
+/// small-vector bound and shrink back to empty, with inserts and removals
+/// in ascending, descending and random order. The views, the property set
+/// and Eq/Ord/Hash against a rebuild are checked on both sides of every
+/// representation change.
+#[test]
+fn high_degree_lists_cross_the_bound_both_ways() {
+    let s = beer_schema();
+    let u = Universe {
+        props: [s.frequents, s.likes, s.serves]
+            .iter()
+            .map(|&p| {
+                let prop = s.schema.property(p);
+                (p, prop.src, prop.dst)
+            })
+            .collect(),
+        classes: vec![s.drinker, s.bar, s.beer],
+        objects_per_class: 0,
+    };
+    let degree = 3 * ADJ_BOUND as u32;
+    let hub_drinker = Oid::new(s.drinker, degree);
+    let hub_bar = Oid::new(s.bar, degree);
+    // Out of the hub drinker, and into the hub bar; the two edge families
+    // are disjoint, so each list sees exactly `degree` edits each way.
+    let out_edge = |k: u32| Edge::new(hub_drinker, s.frequents, Oid::new(s.bar, k));
+    let in_edge = |k: u32| Edge::new(Oid::new(s.drinker, k), s.frequents, hub_bar);
+    // Sizes at which to compare: both sides of the bound on the way up,
+    // both sides of half the bound (where a tree turns back into a
+    // vector) on the way down.
+    let b = ADJ_BOUND;
+    let checkpoints = [1, b / 2 - 1, b / 2, b / 2 + 1, b - 1, b, b + 1, 2 * b];
+
+    for (name, seed) in [("ascending", 0u64), ("descending", 1), ("random", 2)] {
+        let mut rng = StdRng::seed_from_u64(0x41D6_0000 ^ seed);
+        let mut order: Vec<u32> = (0..degree).collect();
+        match name {
+            "descending" => order.reverse(),
+            "random" => {
+                for i in (1..order.len()).rev() {
+                    order.swap(i, rng.random_range(0..i + 1));
+                }
+            }
+            _ => {}
+        }
+        let mut subject = PartialInstance::empty(Arc::clone(&s.schema));
+        let mut oracle = Oracle::default();
+        // A `likes` edge that outlives the hub, so the property set is
+        // never trivially empty.
+        let keep = Edge::new(hub_drinker, s.likes, Oid::new(s.beer, 0));
+        subject.insert_edge(keep).expect("well typed");
+        oracle.edges.insert(keep);
+
+        for (n, &k) in order.iter().enumerate() {
+            for e in [out_edge(k), in_edge(k)] {
+                assert!(subject.insert_edge(e).expect("well typed"));
+                assert!(oracle.edges.insert(e));
+            }
+            if checkpoints.contains(&(n + 1)) {
+                check_agreement(&subject, &oracle, &u);
+                assert_same_as_rebuild(&subject, &oracle, &s.schema, &mut rng);
+            }
+        }
+        check_agreement(&subject, &oracle, &u);
+        assert_eq!(
+            subject.edge_index().out_degree(hub_drinker, s.frequents),
+            degree as usize
+        );
+        assert_eq!(
+            subject.predecessors(hub_bar, s.frequents).count(),
+            degree as usize
+        );
+
+        // Empty both lists again, in the same order.
+        for (n, &k) in order.iter().enumerate() {
+            for e in [out_edge(k), in_edge(k)] {
+                assert!(subject.remove_edge(&e), "{name}: remove {e:?}");
+                assert!(oracle.edges.remove(&e));
+            }
+            let left = degree as usize - (n + 1);
+            if checkpoints.contains(&left) {
+                check_agreement(&subject, &oracle, &u);
+                assert_same_as_rebuild(&subject, &oracle, &s.schema, &mut rng);
+            }
+        }
+        check_agreement(&subject, &oracle, &u);
+        assert_eq!(
+            subject.edge_index().properties().collect::<Vec<_>>(),
+            vec![s.likes],
+            "{name}: a property whose last edge is gone leaves the property set"
+        );
+        assert!(subject.remove_edge(&keep));
+        assert_eq!(subject.edge_index().properties().count(), 0, "{name}");
+        assert!(subject.edge_index().is_empty());
     }
 }

@@ -57,27 +57,41 @@ pub fn base_schema(schema: &Schema, rel: RelName) -> RelSchema {
 impl Database {
     /// Build the relational representation of `instance`.
     ///
-    /// Each class relation reads one contiguous node range and each
-    /// property relation one per-property index entry, so the whole
-    /// conversion is `O(N + E)` rather than one full scan per relation.
+    /// Each class relation adopts one contiguous node range. The property
+    /// relations come from one canonical pass over the edges, bucketed by
+    /// property: the canonical `(src, prop, dst)` order leaves every
+    /// bucket's `(src, dst)` rows strictly sorted, so each relation adopts
+    /// its bucket without a per-row insert. `O(N + E)` overall.
     pub fn from_instance(instance: &Instance) -> Self {
         let schema = Arc::clone(instance.schema());
-        let mut classes = BTreeMap::new();
-        for c in schema.classes() {
-            let mut r = Relation::empty(base_schema(&schema, RelName::Class(c)));
-            for o in instance.class_members(c) {
-                r.insert(&[o]).expect("typed by construction");
-            }
-            classes.insert(c, r);
+        let classes = schema
+            .classes()
+            .map(|c| {
+                let rows = instance.class_members(c).collect();
+                let r =
+                    Relation::from_typed_sorted_rows(base_schema(&schema, RelName::Class(c)), rows);
+                (c, r)
+            })
+            .collect();
+        let index = instance.as_partial().edge_index();
+        let mut buckets: Vec<Vec<Oid>> = schema
+            .properties()
+            .map(|p| Vec::with_capacity(2 * index.labeled_len(p)))
+            .collect();
+        for e in index.iter() {
+            let rows = &mut buckets[e.prop.0 as usize];
+            rows.push(e.src);
+            rows.push(e.dst);
         }
-        let mut props = BTreeMap::new();
-        for p in schema.properties() {
-            let mut r = Relation::empty(base_schema(&schema, RelName::Prop(p)));
-            for (src, dst) in instance.edges_labeled_pairs(p) {
-                r.insert(&[src, dst]).expect("typed by construction");
-            }
-            props.insert(p, r);
-        }
+        let props = schema
+            .properties()
+            .zip(buckets)
+            .map(|(p, rows)| {
+                let r =
+                    Relation::from_typed_sorted_rows(base_schema(&schema, RelName::Prop(p)), rows);
+                (p, r)
+            })
+            .collect();
         Self {
             schema,
             classes,

@@ -213,6 +213,15 @@ impl Relation {
         Ok(Self { schema, tuples })
     }
 
+    /// Adopt a strictly sorted row buffer whose tuples are already known
+    /// to match `schema`'s domains (an instance's nodes and edges, typed
+    /// on insertion). Both are checked in debug builds only.
+    pub(crate) fn from_typed_sorted_rows(schema: RelSchema, rows: Vec<Oid>) -> Self {
+        let tuples = TupleSet::from_sorted_rows(schema.arity(), rows);
+        debug_assert!(tuples.iter().all(|t| Self::check_tuple(&schema, t).is_ok()));
+        Self { schema, tuples }
+    }
+
     /// Adopt an already-built [`TupleSet`], validating arity and domains.
     pub fn from_tuple_set(schema: RelSchema, tuples: TupleSet) -> Result<Self> {
         if tuples.arity() != schema.arity() {

@@ -342,12 +342,9 @@ impl SetUpdate {
         let assignments = self.assignments(instance)?;
         let mut out = instance.clone();
         for (tuple, values) in assignments {
-            let old: Vec<Edge> = out
-                .edges_labeled(self.property)
-                .filter(|e| e.src == tuple)
-                .collect();
-            for e in old {
-                out.remove_edge(&e);
+            let old: Vec<Oid> = out.successors(tuple, self.property).collect();
+            for v in old {
+                out.remove_edge(&Edge::new(tuple, self.property, v));
             }
             for v in values {
                 out.add_edge(Edge::new(tuple, self.property, v))?;
@@ -480,12 +477,9 @@ impl UpdateMethod for CursorUpdateMethod {
             Err(e) => return MethodOutcome::Undefined(e.to_string()),
         };
         let mut out = instance.clone();
-        let old: Vec<Edge> = out
-            .edges_labeled(self.property)
-            .filter(|e| e.src == tuple)
-            .collect();
-        for e in old {
-            out.remove_edge(&e);
+        let old: Vec<Oid> = out.successors(tuple, self.property).collect();
+        for v in old {
+            out.remove_edge(&Edge::new(tuple, self.property, v));
         }
         for v in values {
             out.add_edge(Edge::new(tuple, self.property, v))

@@ -32,6 +32,16 @@ pub enum WalError {
     /// [`DurableStore::open`](crate::DurableStore::open) found no
     /// manifest — nothing was ever created here.
     NotFound,
+    /// A WAL record passed its checksum but does not apply to the state
+    /// before it (an op that is ill-typed, ineffective, or would leave a
+    /// dangling edge). Unlike a torn tail this is committed data, so
+    /// recovery refuses to open rather than truncate it.
+    BadRecord {
+        /// Sequence number of the refused record.
+        seq: u64,
+        /// Which op was refused, and why.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for WalError {
@@ -48,6 +58,9 @@ impl std::fmt::Display for WalError {
             ),
             WalError::AlreadyExists => write!(f, "a durable store already exists here"),
             WalError::NotFound => write!(f, "no durable store exists here (missing manifest)"),
+            WalError::BadRecord { seq, reason } => {
+                write!(f, "wal record {seq} does not apply: {reason}")
+            }
         }
     }
 }

@@ -23,9 +23,10 @@
 //! - [`store`] — [`DurableStore`]: group-committed appends behind a
 //!   [`WalConfig`] knob, epoch checkpoints, and recovery
 //!   (manifest → snapshot → tail replay through
-//!   [`redo_ops`](receivers_objectbase::redo_ops) into the instance,
-//!   then one [`DatabaseView`](receivers_relalg::DatabaseView) rebuild,
-//!   truncating a torn tail). [`DurableSink`] adapts the
+//!   [`try_redo_ops`](receivers_objectbase::try_redo_ops) into the
+//!   instance, then one [`DatabaseView`](receivers_relalg::DatabaseView)
+//!   rebuild, truncating a torn tail; a checksum-valid record that does
+//!   not apply is refused as [`WalError::BadRecord`]). [`DurableSink`] adapts the
 //!   [`DeltaObserver`](receivers_objectbase::DeltaObserver) protocol so
 //!   each committed transaction lands as one WAL record and
 //!   sequence-level rollbacks land as compensation records.

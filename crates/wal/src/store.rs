@@ -17,13 +17,15 @@
 //! one rule and one owner, [`DurableSink`]: checkpoint at the commit that
 //! crosses [`WalConfig::snapshot_every`]. Recovery is
 //! manifest → snapshot → replay the WAL tail through
-//! [`redo_ops`] into the instance alone, then rebuild the
+//! [`try_redo_ops`] into the instance alone, then rebuild the
 //! [`DatabaseView`] once, truncating at the first torn or corrupt
-//! record.
+//! record. A record whose checksum holds but whose ops do not apply is
+//! not a torn tail: recovery refuses it with [`WalError::BadRecord`] and
+//! leaves every file as it found it.
 
 use std::sync::Arc;
 
-use receivers_objectbase::{redo_ops, DeltaObserver, DeltaOp, Instance, NullObserver, Schema};
+use receivers_objectbase::{try_redo_ops, DeltaObserver, DeltaOp, Instance, NullObserver, Schema};
 use receivers_obs as obs;
 use receivers_relalg::{Database, DatabaseView, ViewObserver};
 
@@ -162,7 +164,9 @@ impl<S: WalStorage> DurableStore<S> {
     /// (bit-identical to maintaining the view through every record, at a
     /// fraction of the cost), truncating a torn or corrupt tail. Total
     /// over arbitrary storage contents — corruption surfaces as a
-    /// structured error or a truncated tail, never a panic.
+    /// structured error or a truncated tail, never a panic. A
+    /// checksum-valid record that does not apply is
+    /// [`WalError::BadRecord`], returned before any file is touched.
     #[allow(clippy::type_complexity)]
     pub fn open(
         storage: S,
@@ -201,7 +205,12 @@ impl<S: WalStorage> DurableStore<S> {
         // as the snapshot decode and produces a bit-identical view.
         let mut ops_replayed = 0u64;
         for record in &decoded.records {
-            redo_ops(&mut instance, &mut NullObserver, &record.ops);
+            try_redo_ops(&mut instance, &mut NullObserver, &record.ops).map_err(|e| {
+                WalError::BadRecord {
+                    seq: record.seq,
+                    reason: e.to_string(),
+                }
+            })?;
             ops_replayed += record.ops.len() as u64;
         }
         let view = DatabaseView::new(&instance);
@@ -516,8 +525,8 @@ impl<S: WalStorage> ViewObserver for DurableSink<'_, S> {
 mod tests {
     use super::*;
     use crate::storage::FaultStorage;
-    use receivers_objectbase::examples::{beer_schema, figure2};
-    use receivers_objectbase::{undo_ops, Edge, InstanceTxn};
+    use receivers_objectbase::examples::{beer_schema, figure2, BeerSchema, Fig2Objects};
+    use receivers_objectbase::{undo_ops, Edge, InstanceTxn, Oid, PropId, RedoFault};
 
     /// Run two committed transactions against `(instance, view, store)`
     /// through a [`DurableSink`]; returns the edge that got added.
@@ -979,5 +988,115 @@ mod tests {
             assert_eq!(ri, want, "byte {byte}");
             assert!(rview.matches_rebuild(&ri));
         }
+    }
+
+    /// Storage that serves `inner`'s files but fails every mutation, so a
+    /// recovery that touches a file cannot come back with anything but
+    /// an I/O error.
+    struct ReadOnly(FaultStorage);
+
+    impl WalStorage for ReadOnly {
+        fn read(&self, name: &str) -> WalResult<Option<Vec<u8>>> {
+            self.0.read(name)
+        }
+        fn append(&mut self, name: &str, _: &[u8]) -> WalResult<()> {
+            Err(WalError::Io(format!("append to {name}")))
+        }
+        fn write_atomic(&mut self, name: &str, _: &[u8]) -> WalResult<()> {
+            Err(WalError::Io(format!("write to {name}")))
+        }
+        fn sync(&mut self, name: &str) -> WalResult<()> {
+            Err(WalError::Io(format!("sync of {name}")))
+        }
+        fn truncate(&mut self, name: &str, _: u64) -> WalResult<()> {
+            Err(WalError::Io(format!("truncation of {name}")))
+        }
+        fn remove(&mut self, name: &str) -> WalResult<()> {
+            Err(WalError::Io(format!("removal of {name}")))
+        }
+        fn list(&self) -> WalResult<Vec<String>> {
+            self.0.list()
+        }
+    }
+
+    /// A store over Figure 2 whose WAL holds one checksum-valid record of
+    /// `op`, which does not apply: recovery must refuse it as
+    /// `BadRecord` naming `fault`, without touching a file.
+    fn assert_open_refuses(
+        op: impl FnOnce(&BeerSchema, &Fig2Objects) -> DeltaOp,
+        fault: RedoFault,
+    ) {
+        let s = beer_schema();
+        let (i, o) = figure2(&s);
+        let store = DurableStore::create(
+            FaultStorage::new(),
+            Arc::clone(&s.schema),
+            WalConfig::default(),
+            &i,
+        )
+        .unwrap();
+        let wal = store.wal_file();
+        let mut storage = store.into_storage();
+        let mut frame = Vec::new();
+        encode_record(1, &[op(&s, &o)], &mut frame);
+        storage.append(&wal, &frame).unwrap();
+        storage.sync(&wal).unwrap();
+        let err = DurableStore::open(
+            ReadOnly(storage),
+            Arc::clone(&s.schema),
+            WalConfig::default(),
+        )
+        .err();
+        match err {
+            Some(WalError::BadRecord { seq: 1, reason }) => {
+                assert!(reason.contains(&fault.to_string()), "{reason}")
+            }
+            other => panic!("expected BadRecord for seq 1, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn replay_refuses_re_adding_a_present_edge() {
+        assert_open_refuses(
+            |s, o| DeltaOp::AddedEdge(Edge::new(o.d1, s.frequents, o.bar1)),
+            RedoFault::Ineffective,
+        );
+    }
+
+    #[test]
+    fn replay_refuses_an_unknown_property() {
+        assert_open_refuses(
+            |_, o| DeltaOp::AddedEdge(Edge::new(o.d1, PropId(99), o.bar3)),
+            RedoFault::UnknownLabel,
+        );
+    }
+
+    #[test]
+    fn replay_refuses_an_ill_typed_edge() {
+        assert_open_refuses(
+            |s, o| DeltaOp::AddedEdge(Edge::new(o.bar3, s.frequents, o.d1)),
+            RedoFault::IllTyped,
+        );
+    }
+
+    #[test]
+    fn replay_refuses_removing_an_absent_node() {
+        assert_open_refuses(
+            |s, _| DeltaOp::RemovedNode(Oid::new(s.bar, 99)),
+            RedoFault::Ineffective,
+        );
+    }
+
+    #[test]
+    fn replay_refuses_an_edge_to_a_missing_node() {
+        assert_open_refuses(
+            |s, o| DeltaOp::AddedEdge(Edge::new(o.d1, s.frequents, Oid::new(s.bar, 99))),
+            RedoFault::DanglingEndpoint,
+        );
+    }
+
+    #[test]
+    fn replay_refuses_removing_a_node_that_still_has_edges() {
+        assert_open_refuses(|_, o| DeltaOp::RemovedNode(o.bar1), RedoFault::NodeHasEdges);
     }
 }

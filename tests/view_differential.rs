@@ -22,7 +22,9 @@
 //! as many operations as it replayed (`view.netted_ops ≤ view.raw_ops`).
 
 use std::collections::hash_map::DefaultHasher;
+use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -37,6 +39,7 @@ use receivers::objectbase::{
 };
 use receivers::obs;
 use receivers::relalg::database::Database;
+use receivers::relalg::expr::RelName;
 use receivers::relalg::gen::{random_expr, ExprParams};
 use receivers::relalg::typecheck::{infer_schema, update_params, ParamSchemas};
 use receivers::relalg::view::DatabaseView;
@@ -227,9 +230,9 @@ fn apply_statement_and_rollback(
 }
 
 /// One full differential trial for `seed`.
-fn run_triple(seed: u64) {
-    let _banner = ReplayBanner { seed };
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
+/// The trial's random schema and instance, drawn from `rng` (seeded from
+/// `seed`) — the first draws of every trial.
+fn trial_instance(seed: u64, rng: &mut StdRng) -> Instance {
     let schema = random_schema(
         SchemaParams {
             classes: rng.random_range(2..=5),
@@ -237,14 +240,81 @@ fn run_triple(seed: u64) {
         },
         seed,
     );
-    let instance = random_instance(
+    random_instance(
         &schema,
         InstanceParams {
             objects_per_class: rng.random_range(2..=8),
             edge_density: 0.1 + rng.random_range(0..=4u32) as f64 * 0.1,
         },
         seed.wrapping_mul(3),
+    )
+}
+
+/// Require `db` to be the relational encoding of `instance`
+/// (Proposition 5.1), with the expected relations built here from the
+/// instance's nodes and edges alone — an oracle that shares no code with
+/// `Database::from_instance` or the view's maintenance.
+fn assert_encodes(db: &Database, instance: &Instance, seed: u64) {
+    let schema = instance.schema();
+    let mut classes: BTreeMap<ClassId, BTreeSet<Oid>> =
+        schema.classes().map(|c| (c, BTreeSet::new())).collect();
+    for o in instance.nodes() {
+        classes.get_mut(&o.class).expect("typed node").insert(o);
+    }
+    let mut props: BTreeMap<PropId, BTreeSet<(Oid, Oid)>> =
+        schema.properties().map(|p| (p, BTreeSet::new())).collect();
+    for e in instance.edges() {
+        props
+            .get_mut(&e.prop)
+            .expect("typed edge")
+            .insert((e.src, e.dst));
+    }
+    for (c, want) in classes {
+        let got: Vec<Oid> = db
+            .relation(RelName::Class(c))
+            .expect("class relation")
+            .tuples()
+            .map(|t| {
+                assert_eq!(t.len(), 1, "class tuples are unary (seed {seed})");
+                t[0]
+            })
+            .collect();
+        assert_eq!(
+            got,
+            want.into_iter().collect::<Vec<_>>(),
+            "class relation C{} (seed {seed})",
+            c.0
+        );
+    }
+    for (p, want) in props {
+        let got: Vec<(Oid, Oid)> = db
+            .relation(RelName::Prop(p))
+            .expect("property relation")
+            .tuples()
+            .map(|t| {
+                assert_eq!(t.len(), 2, "property tuples are binary (seed {seed})");
+                (t[0], t[1])
+            })
+            .collect();
+        assert_eq!(
+            got,
+            want.into_iter().collect::<Vec<_>>(),
+            "property relation P{} (seed {seed})",
+            p.0
+        );
+    }
+    assert_eq!(
+        db.tuple_count(),
+        instance.node_count() + instance.edge_count(),
+        "no stray relations or tuples (seed {seed})"
     );
+}
+
+fn run_triple(seed: u64) {
+    let _banner = ReplayBanner { seed };
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
+    let instance = trial_instance(seed, &mut rng);
+    let schema = Arc::clone(instance.schema());
     let method = random_method(&schema, &mut rng, seed);
     let order: Vec<Receiver> = random_receivers(
         &instance,
@@ -326,6 +396,7 @@ fn run_triple(seed: u64) {
         Database::from_instance(&reference),
         "final view must equal the rebuild of the reference (seed {seed})"
     );
+    assert_encodes(view.database(), &reference, seed);
 
     // And the production driver agrees wholesale.
     let mut driven = instance.clone();
@@ -405,6 +476,25 @@ fn sweep(triples: u64) {
 #[test]
 fn maintained_view_matches_rebuild_after_every_statement() {
     sweep(DEFAULT_TRIPLES);
+}
+
+/// `Database::from_instance`, which the sweep's rebuild comparisons
+/// trust, against the hand-built encoding of [`assert_encodes`] on the
+/// instance of every corpus and sweep seed.
+#[test]
+fn from_instance_matches_a_hand_built_encoding() {
+    let n = std::env::var("RECEIVERS_DIFF_TRIPLES")
+        .ok()
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or(DEFAULT_TRIPLES);
+    for seed in corpus_seeds()
+        .into_iter()
+        .chain((0..n).map(|k| SWEEP_BASE + k))
+    {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
+        let instance = trial_instance(seed, &mut rng);
+        assert_encodes(&Database::from_instance(&instance), &instance, seed);
+    }
 }
 
 /// Scheduled long run: 5000 triples. `cargo test --test view_differential
