@@ -12,25 +12,20 @@
 //!   rewrite (remove-all + add-all edges) through the transaction log
 //!   every wave, even though the net effect is nil.
 //! * `sharded/…` — a persistent [`ShardedExecutor`]: per-shard pruned
-//!   replicas stay warm across waves, each receiver is netted against its
-//!   home replica, and the live instance sees only the (empty, in steady
-//!   state) net diff.
+//!   replicas stay warm across waves, each receiver runs on its receiving
+//!   drinker's home shard and is netted against the home replica, and the
+//!   live instance sees only the (empty, in steady state) net diff.
 //!
 //! Series:
 //!
 //! * `uniform/{scale}/t{n}` — two receivers per drinker, bars drawn from
-//!   the drinker's own shard (the planner keeps every receiver local);
+//!   the drinker's own shard;
 //! * `zipf/{scale}/t{n}` — receiving drinkers Zipf(1.1)-skewed, so one
-//!   shard carries a disproportionate share of the segment;
-//! * `xs25`/`xs50` — a 25% / 50% fraction of receivers pick an
-//!   out-of-shard bar and fall back to the ordered coordinator, splitting
-//!   the order into short segments;
-//! * `sharded-upgraded/xs25|xs50` — the same cross-shard waves under the
-//!   home-replica upgrade (`ShardConfig::upgrade`): every receiver runs
-//!   on its receiving drinker's shard, zero coordinator fallbacks, so the
-//!   `sharded` vs `sharded-upgraded` pair prices exactly what the
-//!   conservative co-shard rule was costing (experiment P12,
-//!   `BENCH_6.json`).
+//!   shard carries a disproportionate share of the wave;
+//! * `xs25`/`xs50` — the cross-shard-argument workload: a 25% / 50%
+//!   fraction of receivers pick a bar off the drinker's shard. They still
+//!   run on the drinker's home shard (the home-replica lemma, DESIGN.md
+//!   §10), so these series price arguments that live elsewhere.
 //!
 //! The win measured here is algorithmic — gross op traffic avoided per
 //! wave — so the curves remain meaningful even on a single hardware core;
@@ -43,10 +38,9 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 use receivers_core::methods::add_bar;
-use receivers_core::shard::{certify, shard_of, ShardConfig};
-use receivers_core::{apply_sequence_sharded, ShardPlan, ShardedExecutor};
+use receivers_core::shard::{shard_of, ShardConfig, ShardedExecutor};
 use receivers_objectbase::examples::{beer_schema, BeerSchema};
-use receivers_objectbase::{InPlaceOutcome, Instance, Oid, Receiver};
+use receivers_objectbase::{InPlaceOutcome, Instance, NullObserver, Oid, Receiver};
 use receivers_relalg::view::DatabaseView;
 
 /// The thread axis: `RECEIVERS_BENCH_THREADS="1,2,4,8"` override, else
@@ -198,14 +192,13 @@ fn seq_vs_shard(c: &mut Criterion) {
                 };
 
                 // Same receivers, same result, two execution strategies —
-                // checked on the cold path before anything is timed.
+                // checked on the cold path (a fresh executor) before
+                // anything is timed.
                 let mut oneshot = i.clone();
-                let out = apply_sequence_sharded(&m, &mut oneshot, &wave, &cfg);
+                let out = ShardedExecutor::new(&m, &cfg)
+                    .expect("add_bar certifies")
+                    .apply(&mut oneshot, &mut NullObserver, &wave, None);
                 assert_eq!(out, InPlaceOutcome::Applied);
-                if dist == "uniform" && t > 1 {
-                    let plan = ShardPlan::new(&m, &wave, t);
-                    assert_eq!(plan.coordinated_count(), 0, "uniform must stay local");
-                }
 
                 // Persistent sequential arm: live instance + maintained
                 // view, converged once so the timed waves are steady-state.
@@ -217,8 +210,8 @@ fn seq_vs_shard(c: &mut Criterion) {
 
                 // Persistent sharded arm: warm per-shard replicas.
                 let mut ex_inst = i.clone();
-                let mut exec = ShardedExecutor::new(&m, &cfg);
-                let out = exec.apply(&mut ex_inst, &wave);
+                let mut exec = ShardedExecutor::new(&m, &cfg).expect("add_bar certifies");
+                let out = exec.apply(&mut ex_inst, &mut NullObserver, &wave, None);
                 assert_eq!(out, InPlaceOutcome::Applied);
                 assert_eq!(ex_inst, seq_inst, "{dist}/{scale}/t{t}");
 
@@ -235,39 +228,15 @@ fn seq_vs_shard(c: &mut Criterion) {
                 group.bench_with_input(
                     BenchmarkId::new(format!("sharded/{dist}"), &case),
                     &wave,
-                    |b, wave| b.iter(|| black_box(exec.apply(&mut ex_inst, wave))),
+                    |b, wave| {
+                        b.iter(|| {
+                            black_box(exec.apply(&mut ex_inst, &mut NullObserver, wave, None))
+                        })
+                    },
                 );
 
                 // Both arms must still agree after every timed wave.
                 assert_eq!(ex_inst, seq_inst, "{dist}/{scale}/t{t} post-bench");
-
-                // Solver-upgraded arm, cross-shard series only: the
-                // home-replica upgrade localizes exactly the receivers
-                // the xs waves demote, so this third curve prices the
-                // conservative co-shard rule.
-                if dist.starts_with("xs") {
-                    let plan = ShardPlan::with_certificate_upgraded(&certify(&m), &wave, t);
-                    assert_eq!(
-                        plan.coordinated_count(),
-                        0,
-                        "upgrade must localize every xs receiver"
-                    );
-                    let up_cfg = ShardConfig {
-                        upgrade: true,
-                        ..cfg.clone()
-                    };
-                    let mut up_inst = i.clone();
-                    let mut up_exec = ShardedExecutor::new(&m, &up_cfg);
-                    let out = up_exec.apply(&mut up_inst, &wave);
-                    assert_eq!(out, InPlaceOutcome::Applied);
-                    assert_eq!(up_inst, seq_inst, "{dist}/{scale}/t{t} upgraded");
-                    group.bench_with_input(
-                        BenchmarkId::new(format!("sharded-upgraded/{dist}"), &case),
-                        &wave,
-                        |b, wave| b.iter(|| black_box(up_exec.apply(&mut up_inst, wave))),
-                    );
-                    assert_eq!(up_inst, seq_inst, "{dist}/{scale}/t{t} upgraded post-bench");
-                }
             }
         }
     }

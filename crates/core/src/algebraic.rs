@@ -11,7 +11,7 @@
 //! `a`'s type) holds *by construction* here: the algebra is many-sorted
 //! (typed), so every value in `E`'s result is drawn from `I`'s relations
 //! or the receiver — precisely the solution the paper attributes to
-//! Van den Bussche & Cabibbo [1998].
+//! Van den Bussche & Cabibbo \[1998\].
 
 use std::collections::BTreeSet;
 

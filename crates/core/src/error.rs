@@ -31,6 +31,10 @@ pub enum CoreError {
     /// A per-receiver branch of a combination semantics diverged or was
     /// undefined.
     BranchFailed(String),
+    /// A sharded executor was asked to run a method whose certificate is
+    /// not shard-safe; carries the names of the undischarged read/write
+    /// conflicts.
+    NotShardSafe(Vec<String>),
     /// An error from the algebra layer.
     Algebra(receivers_relalg::RelAlgError),
     /// An error from the conjunctive-query layer.
@@ -62,6 +66,15 @@ impl fmt::Display for CoreError {
                  undecidable (Corollary 5.7)"
             ),
             Self::BranchFailed(msg) => write!(f, "combination branch failed: {msg}"),
+            Self::NotShardSafe(props) => write!(
+                f,
+                "certificate not shard-safe: undischarged read/write conflict on {}",
+                props
+                    .iter()
+                    .map(|p| format!("`{p}`"))
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            ),
             Self::Algebra(e) => write!(f, "algebra error: {e}"),
             Self::Cq(e) => write!(f, "containment error: {e}"),
             Self::ObjectBase(e) => write!(f, "object-base error: {e}"),

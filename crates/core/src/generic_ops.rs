@@ -9,11 +9,11 @@
 //! templates. The static **conflict criterion**: for every property, the
 //! update may use *either* insert operations *or* delete/clear
 //! operations, never both. Conflict-free updates are order independent on
-//! every receiver set ([`tests::conflict_freedom_implies_independence`]
+//! every receiver set (`tests::conflict_freedom_implies_independence`
 //! verifies this empirically across randomized workloads); the criterion
 //! is sufficient but not necessary, exactly as the paper observes when
 //! comparing the approach with its own finer-grained analyses
-//! ([`tests::criterion_is_only_sufficient`]).
+//! (`tests::criterion_is_only_sufficient`).
 
 use receivers_objectbase::{
     Edge, Instance, MethodOutcome, Oid, PropId, Receiver, Signature, UpdateMethod,

@@ -24,33 +24,36 @@
 //!    overwrite like `favorite_bar` is shard-safe yet order-dependent) and
 //!    incomparable to order independence (the Example 6.4 transitive-
 //!    closure method is order-independent on key sets but reads what it
-//!    writes, so it is correctly refused).
+//!    writes, so it is correctly refused). A [`ShardedExecutor`] is only
+//!    ever built over a shard-safe certificate: its constructors refuse
+//!    any other, naming the undischarged conflicts.
 //!
-//! 3. **Plan.** [`ShardPlan`] assigns each receiver [`Assignment::Local`]
-//!    when the method is certified and *all* its component objects land in
-//!    one shard, else [`Assignment::Coordinated`]. Coordinated receivers
-//!    run on the ordered coordinator path — the exact sequential body —
-//!    and act as barriers between parallel segments, so results stay
-//!    bit-identical to [`AlgebraicMethod::apply_sequence_viewed`] whatever
-//!    the mix.
+//! 3. **Place.** Every receiver runs on its receiving object's *home*
+//!    shard, wherever its arguments live. This is the **home-replica
+//!    lemma**: argument objects of a shard-safe method are only ever
+//!    values and selection keys against class relations and unwritten
+//!    properties — whole on every replica — while reads of written
+//!    properties are pinned to the receiving row, which the home replica
+//!    holds and keeps current in sequence order. So evaluating a receiver
+//!    against its home replica gives exactly what sequential application
+//!    would at that position.
 //!
-//! 4. **Execute.** Each segment of consecutive Local receivers fans out
-//!    over [`receivers_rt::shard_map`] worker loops. A worker owns a
-//!    **pruned replica** of the database — written properties filtered to
-//!    its shard's rows, everything else shared-schema full copies — so a
-//!    point edit costs `O(E/n)` instead of `O(E)`: the per-shard
-//!    `TupleSet` delta buffers that make maintenance scale with the shard,
-//!    not the instance. Workers record the delta ops their receivers would
-//!    have logged under an observed transaction (identical op order by
-//!    construction), and never touch shared state.
+//! 4. **Execute.** A wave fans out over [`receivers_rt::shard_map`] worker
+//!    loops. A worker owns a **pruned replica** of the database — written
+//!    properties filtered to its shard's rows, everything else
+//!    shared-schema full copies — so a point edit costs `O(E/n)` instead
+//!    of `O(E)`. Workers record the netted delta ops of their receivers
+//!    and never touch shared state.
 //!
-//! 5. **Merge.** After the join, per-shard logs are replayed into the real
-//!    instance and view with [`redo_ops`] — shard-by-shard, one netted
-//!    [`DeltaObserver::batch_end`] per shard — and appended to the
-//!    sequence log, preserving the whole-sequence rollback contract: any
-//!    failure (reported at the *lowest* global receiver index, matching
-//!    the sequential first-failure semantics) rolls everything back via
-//!    [`undo_ops`].
+//! 5. **Merge, or nothing.** After the join the lowest failing global
+//!    receiver index, if any, is the wave's outcome — the receiver the
+//!    sequential application would have stopped at — and nothing is
+//!    merged: the instance and the caller's observer never saw the wave,
+//!    and only the replicas are dropped. Otherwise the per-shard logs are
+//!    replayed into the instance and the observer with [`redo_ops`], in
+//!    shard order, as one committed batch with one
+//!    [`DeltaObserver::batch_end`]. A wave is one step, like a database
+//!    ASM's update set.
 //!
 //! **Determinism argument.** Within a shard, one worker processes
 //! receivers in sequence order. Across shards, writes are keyed by the
@@ -62,12 +65,12 @@
 //! the sequential interleaving. The differential suite
 //! (`tests/shard_differential.rs`) pins bit-identical instance hash,
 //! `EdgeIndex`, and maintained view against the sequential path across
-//! hundreds of seeded cases, forced fallbacks and mid-sequence rollbacks
+//! hundreds of seeded cases, cross-shard arguments and failed waves
 //! included.
 
 use receivers_objectbase::{
-    redo_ops, undo_ops, DeltaObserver, DeltaOp, Edge, InPlaceOutcome, Instance, InstanceTxn, Oid,
-    PropId, Receiver, UpdateMethod,
+    redo_ops, DeltaObserver, DeltaOp, Edge, InPlaceOutcome, Instance, Oid, PropId, Receiver,
+    UpdateMethod,
 };
 use receivers_obs as obs;
 use receivers_relalg::database::Database;
@@ -77,21 +80,22 @@ use receivers_rt as rt;
 
 use crate::algebraic::AlgebraicMethod;
 use crate::coloring_bridge::{method_footprint, MethodFootprint};
+use crate::error::{CoreError, Result};
 
-obs::counter!(C_PLANS, "core.shard.plans");
 obs::counter!(C_LOCAL, "core.shard.local_receivers");
-obs::counter!(C_COORDINATED, "core.shard.coordinated_receivers");
-obs::counter!(C_SEGMENTS, "core.shard.segments");
 obs::counter!(C_MERGED_OPS, "core.shard.merged_ops");
 obs::counter!(C_ROLLBACKS, "core.shard.rollbacks");
 obs::counter!(C_REPLICA_BUILDS, "core.shard.replica_builds");
 obs::counter!(C_DISCHARGED, "core.shard.sat.discharged_conflicts");
-obs::counter!(C_UPGRADED, "core.shard.sat.upgraded_receivers");
+
+/// Waves shorter than this run inline on the caller thread: spawning
+/// workers for a handful of receivers costs more than the receivers.
+const INLINE_BELOW: usize = 64;
 
 /// The shard of object `o` under an `n`-way partition: a Fibonacci hash of
 /// `(class, index)`, so consecutive indices of one class spread across
-/// shards. Deterministic — plans, benches and differential runs all agree
-/// on the partition.
+/// shards. Deterministic — executors, benches and differential runs all
+/// agree on the partition.
 pub fn shard_of(o: Oid, shards: usize) -> usize {
     debug_assert!(shards > 0);
     let key = (u64::from(o.class.0) << 32) | u64::from(o.index);
@@ -127,8 +131,8 @@ pub struct ShardCertificate {
 }
 
 impl ShardCertificate {
-    /// `true` when every receiver whose components share a shard may run
-    /// on that shard's worker loop: no conflict remains undischarged.
+    /// `true` when every receiver may run on its receiving object's home
+    /// shard: no conflict remains undischarged.
     pub fn shard_safe(&self) -> bool {
         self.conflicts.is_subset(&self.discharged)
     }
@@ -170,139 +174,7 @@ pub fn certify(method: &AlgebraicMethod) -> ShardCertificate {
     }
 }
 
-/// Where one receiver of the order executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Assignment {
-    /// On the worker loop of this shard (all components co-sharded, method
-    /// certified).
-    Local(u32),
-    /// On the ordered coordinator path — the sequential body, acting as a
-    /// barrier between parallel segments.
-    Coordinated,
-}
-
-/// The planner's verdict for one receiver order: shard count plus one
-/// [`Assignment`] per receiver, in order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardPlan {
-    shards: usize,
-    assignments: Vec<Assignment>,
-}
-
-impl ShardPlan {
-    /// Plan `order` for `method` over `shards` shards: receivers go Local
-    /// exactly when the certificate allows it and all their component
-    /// objects (receiver and arguments) fall in the receiving object's
-    /// shard.
-    pub fn new(method: &AlgebraicMethod, order: &[Receiver], shards: usize) -> Self {
-        Self::with_certificate(&certify(method), order, shards)
-    }
-
-    /// [`ShardPlan::new`] with a precomputed certificate — the planner is
-    /// on the per-wave path of the [`ShardedExecutor`], which certifies
-    /// its method once at construction.
-    pub fn with_certificate(
-        certificate: &ShardCertificate,
-        order: &[Receiver],
-        shards: usize,
-    ) -> Self {
-        C_PLANS.incr();
-        let shards = shards.max(1);
-        let safe = certificate.shard_safe();
-        let assignments = order
-            .iter()
-            .map(|t| {
-                if !safe {
-                    return Assignment::Coordinated;
-                }
-                let home = shard_of(t.receiving_object(), shards);
-                if t.objects().iter().all(|&o| shard_of(o, shards) == home) {
-                    Assignment::Local(home as u32)
-                } else {
-                    Assignment::Coordinated
-                }
-            })
-            .collect();
-        Self {
-            shards,
-            assignments,
-        }
-    }
-
-    /// [`ShardPlan::with_certificate`] with the **home-replica upgrade**:
-    /// every receiver of a shard-safe method goes `Local` on its
-    /// receiving object's shard, co-sharded arguments or not.
-    ///
-    /// The co-shard rule of [`ShardPlan::with_certificate`] is purely
-    /// conservative for a shard-safe method: argument objects are only
-    /// ever *values* and selection keys against class relations and
-    /// unwritten properties — both whole on every replica — while reads
-    /// of written properties are pinned to the receiving row (keep arms
-    /// by construction, discharged conflicts by proof), which the home
-    /// replica holds and keeps current. So evaluating on the receiving
-    /// object's home shard is exact wherever the arguments live, and the
-    /// cross-shard merge stays disjoint because writes are keyed by the
-    /// receiving object. Opt-in rather than the default so existing
-    /// plans (and their differential baselines) are unchanged unless a
-    /// caller asks for the upgrade.
-    pub fn with_certificate_upgraded(
-        certificate: &ShardCertificate,
-        order: &[Receiver],
-        shards: usize,
-    ) -> Self {
-        C_PLANS.incr();
-        let shards = shards.max(1);
-        let safe = certificate.shard_safe();
-        let assignments = order
-            .iter()
-            .map(|t| {
-                if !safe {
-                    return Assignment::Coordinated;
-                }
-                let home = shard_of(t.receiving_object(), shards);
-                if !t.objects().iter().all(|&o| shard_of(o, shards) == home) {
-                    C_UPGRADED.incr();
-                }
-                Assignment::Local(home as u32)
-            })
-            .collect();
-        Self {
-            shards,
-            assignments,
-        }
-    }
-
-    /// Number of shards this plan partitions over.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The per-receiver assignments, in order.
-    pub fn assignments(&self) -> &[Assignment] {
-        &self.assignments
-    }
-
-    /// Force receiver `idx` onto the coordinator path — how tests and
-    /// benches inject cross-shard fallbacks at will.
-    pub fn coordinate(&mut self, idx: usize) {
-        self.assignments[idx] = Assignment::Coordinated;
-    }
-
-    /// How many receivers run shard-locally.
-    pub fn local_count(&self) -> usize {
-        self.assignments
-            .iter()
-            .filter(|a| matches!(a, Assignment::Local(_)))
-            .count()
-    }
-
-    /// How many receivers fall back to the coordinator.
-    pub fn coordinated_count(&self) -> usize {
-        self.assignments.len() - self.local_count()
-    }
-}
-
-/// Execution knobs for [`apply_sharded`].
+/// Execution knobs for a [`ShardedExecutor`].
 #[derive(Debug, Clone, Default)]
 pub struct ShardConfig {
     /// Shard count; `None` follows [`rt::num_threads`] so the partition
@@ -311,16 +183,10 @@ pub struct ShardConfig {
     /// The worker-loop/batch-scheduler tuning, forwarded to
     /// [`rt::shard_map`].
     pub pool: rt::ShardPoolConfig,
-    /// Plan with [`ShardPlan::with_certificate_upgraded`]: shard-safe
-    /// methods run every receiver on its receiving object's home shard
-    /// instead of demoting cross-shard receivers to the coordinator.
-    /// Off by default so existing plans (and their differential
-    /// baselines) keep the conservative co-shard rule.
-    pub upgrade: bool,
 }
 
-/// One shard's contribution to a segment: the concatenated delta log of
-/// its receivers (in order), or the first failure.
+/// One shard's contribution to a wave: the concatenated delta log of its
+/// receivers (in order), or the first failure.
 #[derive(Default)]
 struct ShardRun {
     log: Vec<DeltaOp>,
@@ -335,8 +201,8 @@ struct ShardRun {
     busy_ns: u64,
 }
 
-/// One shard lane's accumulated measurements across a wave's segments,
-/// reported by [`ShardedExecutor::apply_logged_stats`].
+/// One shard lane's measurements for a wave, reported by
+/// [`ShardedExecutor::apply`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardLaneStats {
     /// Shard index the lane served.
@@ -352,140 +218,14 @@ pub struct ShardLaneStats {
     pub busy_ns: u64,
 }
 
-/// Wave-level measurements from [`ShardedExecutor::apply_logged_stats`]:
-/// how the order split between the worker lanes and the ordered
-/// coordinator path.
+/// Wave-level measurements from [`ShardedExecutor::apply`]: how the
+/// order split across the worker lanes.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WaveStats {
     /// Receivers that ran on per-shard worker lanes.
     pub local_receivers: u64,
-    /// Receivers that fell back to the ordered coordinator path.
-    pub coordinated_receivers: u64,
-    /// Maximal Local segments fanned out over the pool.
-    pub segments: u64,
     /// Per-shard lane measurements, indexed by shard.
     pub lanes: Vec<ShardLaneStats>,
-}
-
-/// Apply `method` to each receiver of `order` in turn, semantically
-/// identical to [`AlgebraicMethod::apply_sequence_viewed`] — same final
-/// instance, view, and outcome, bit for bit — but with certified receivers
-/// executed on per-shard worker loops. Plans with [`ShardPlan::new`]; use
-/// [`apply_planned`] to supply a hand-built plan.
-pub fn apply_sharded(
-    method: &AlgebraicMethod,
-    instance: &mut Instance,
-    view: &mut DatabaseView,
-    order: &[Receiver],
-    cfg: &ShardConfig,
-) -> InPlaceOutcome {
-    let shards = cfg.shards.unwrap_or_else(rt::num_threads);
-    let plan = if cfg.upgrade {
-        ShardPlan::with_certificate_upgraded(&certify(method), order, shards)
-    } else {
-        ShardPlan::new(method, order, shards)
-    };
-    apply_planned(method, instance, view, order, &plan, cfg)
-}
-
-/// Convenience for benches and tests: build the view, then
-/// [`apply_sharded`] — the sharded counterpart of
-/// [`UpdateMethod::apply_in_place_sequence`].
-pub fn apply_sequence_sharded(
-    method: &AlgebraicMethod,
-    instance: &mut Instance,
-    order: &[Receiver],
-    cfg: &ShardConfig,
-) -> InPlaceOutcome {
-    if order.is_empty() {
-        return InPlaceOutcome::Applied;
-    }
-    let mut view = DatabaseView::new(instance);
-    apply_sharded(method, instance, &mut view, order, cfg)
-}
-
-/// [`apply_sharded`] with an explicit plan (must cover `order` exactly).
-pub fn apply_planned(
-    method: &AlgebraicMethod,
-    instance: &mut Instance,
-    view: &mut DatabaseView,
-    order: &[Receiver],
-    plan: &ShardPlan,
-    cfg: &ShardConfig,
-) -> InPlaceOutcome {
-    assert_eq!(
-        plan.assignments.len(),
-        order.len(),
-        "plan must cover the order"
-    );
-    let _span = obs::span("core.shard.apply");
-    let mut seq_log: Vec<DeltaOp> = Vec::new();
-    let mut i = 0;
-    while i < order.len() {
-        let step = match plan.assignments[i] {
-            Assignment::Coordinated => {
-                C_COORDINATED.incr();
-                apply_coordinated(method, instance, view, &order[i], &mut seq_log).map(|()| i + 1)
-            }
-            Assignment::Local(_) => {
-                let j = (i..order.len())
-                    .find(|&k| !matches!(plan.assignments[k], Assignment::Local(_)))
-                    .unwrap_or(order.len());
-                run_segment(method, instance, view, order, i..j, plan, cfg, &mut seq_log)
-                    .map(|()| j)
-            }
-        };
-        match step {
-            Ok(next) => i = next,
-            Err(msg) => {
-                C_ROLLBACKS.incr();
-                undo_ops(instance, view, &seq_log);
-                return InPlaceOutcome::Undefined(msg);
-            }
-        }
-    }
-    InPlaceOutcome::Applied
-}
-
-/// The ordered coordinator path: one receiver through the exact
-/// sequential body (validate, evaluate on the shared view, edit under an
-/// observed transaction).
-fn apply_coordinated(
-    method: &AlgebraicMethod,
-    instance: &mut Instance,
-    view: &mut DatabaseView,
-    t: &Receiver,
-    seq_log: &mut Vec<DeltaOp>,
-) -> Result<(), String> {
-    t.validate(method.signature(), instance)
-        .map_err(|e| e.to_string())?;
-    let results = method
-        .evaluate_on(view.database(), t)
-        .map_err(|e| e.to_string())?;
-    let recv = t.receiving_object();
-    let mut txn = InstanceTxn::begin_observed(instance, view);
-    for (prop, values) in results {
-        let old: Vec<Oid> = txn.instance().successors(recv, prop).collect();
-        for v in old {
-            txn.remove_edge(&Edge::new(recv, prop, v));
-        }
-        for v in values {
-            txn.add_edge(Edge::new(recv, prop, v))
-                .expect("typed evaluation only yields objects of I");
-        }
-    }
-    txn.commit_into(seq_log);
-    Ok(())
-}
-
-/// An instance-only delta sink for paths that maintain no full relational
-/// view (the [`ShardedExecutor`]'s merge and rollback).
-struct NoView;
-
-impl DeltaObserver for NoView {
-    fn applied(&mut self, _op: &DeltaOp) {}
-    fn undone(&mut self, _op: &DeltaOp) {}
-    fn batch_end(&mut self) {}
 }
 
 /// Reusable old/new successor buffers for the per-statement netted diff —
@@ -497,7 +237,7 @@ struct DiffScratch {
     new: Vec<Oid>,
 }
 
-/// Apply one certified receiver against a shard replica: validate,
+/// Apply one certified receiver against its home replica: validate,
 /// evaluate, then per statement append the **netted** delta (current
 /// successors not in the new value are removed, new values not current
 /// are added, both ascending) to `log` and keep the replica current.
@@ -517,7 +257,7 @@ fn apply_on_replica(
     t: &Receiver,
     log: &mut Vec<DeltaOp>,
     scratch: &mut DiffScratch,
-) -> Result<(), String> {
+) -> std::result::Result<(), String> {
     t.validate(method.signature(), instance)
         .map_err(|e| e.to_string())?;
     let results = method
@@ -578,10 +318,10 @@ fn apply_on_replica(
     Ok(())
 }
 
-/// The worker's replica of the shared database: written properties pruned
+/// A shard's replica of the shared database: written properties pruned
 /// to the shard's row group, everything else a plain copy. `O(E)` to
-/// build, amortized over the shard's receivers; thereafter every point
-/// edit moves `O(E/n)` instead of `O(E)`.
+/// build, amortized over the waves the replica serves; thereafter every
+/// point edit moves `O(E/n)` instead of `O(E)`.
 fn pruned_database(base: &Database, written: &[PropId], shard: usize, shards: usize) -> Database {
     let mut db = base.clone();
     for &p in written {
@@ -602,137 +342,30 @@ fn pruned_database(base: &Database, written: &[PropId], shard: usize, shards: us
     db
 }
 
-/// One maximal run of Local receivers: fan out over the shard worker
-/// loops, then deterministically merge the per-shard logs.
-#[allow(clippy::too_many_arguments)]
-fn run_segment(
-    method: &AlgebraicMethod,
-    instance: &mut Instance,
-    view: &mut DatabaseView,
-    order: &[Receiver],
-    range: std::ops::Range<usize>,
-    plan: &ShardPlan,
-    cfg: &ShardConfig,
-    seq_log: &mut Vec<DeltaOp>,
-) -> Result<(), String> {
-    C_SEGMENTS.incr();
-    let shards = plan.shards;
-    let mut shard_items: Vec<Vec<(usize, &Receiver)>> = vec![Vec::new(); shards];
-    for gi in range {
-        let Assignment::Local(s) = plan.assignments[gi] else {
-            unreachable!("segment contains only Local receivers");
-        };
-        shard_items[s as usize].push((gi, &order[gi]));
-    }
-    let written = method.updated_properties();
-    let base = view.database();
-    let inst: &Instance = instance;
-
-    // Spawning workers for a handful of receivers costs more than the
-    // receivers themselves (coordinated barriers can chop an order into
-    // many short segments); short segments run inline on the caller.
-    let total: usize = shard_items.iter().map(Vec::len).sum();
-    let pool = if total < 64 {
-        cfg.pool.clone().with_workers(1)
-    } else {
-        cfg.pool.clone()
-    };
-
-    let runs = rt::shard_map(shard_items, &pool, |shard, tasks| {
-        // Side-effect free: the worker builds its pruned replica lazily,
-        // evaluates against it, and records the netted delta its
-        // receivers produce — per shard, in sequence order.
-        let mut replica: Option<DatabaseView> = None;
-        let mut log: Vec<DeltaOp> = Vec::new();
-        let mut scratch = DiffScratch::default();
-        while let Some(batch) = tasks.next_batch() {
-            for (gi, t) in batch {
-                let replica = replica.get_or_insert_with(|| {
-                    DatabaseView::from_database(pruned_database(base, &written, shard, shards))
-                });
-                if let Err(msg) = apply_on_replica(method, inst, replica, t, &mut log, &mut scratch)
-                {
-                    return ShardRun {
-                        log: Vec::new(),
-                        err: Some((gi, msg)),
-                        ..ShardRun::default()
-                    };
-                }
-                C_LOCAL.incr();
-            }
-        }
-        ShardRun {
-            log,
-            err: None,
-            ..ShardRun::default()
-        }
-    });
-
-    // Sequential first-failure semantics: certified receivers succeed or
-    // fail identically on the shard and coordinator paths, so the lowest
-    // failing global index is exactly the receiver the sequential
-    // application would have stopped at.
-    if let Some((_, msg)) = runs
-        .iter()
-        .filter_map(|r| r.err.as_ref())
-        .min_by_key(|(gi, _)| *gi)
-    {
-        return Err(msg.clone());
-    }
-
-    // Deterministic merge: shard order, one netted batch_end per shard.
-    // Cross-shard logs edit disjoint (src, prop) row groups, so this
-    // equals the sequential interleaving on the order-insensitive
-    // containers (see the module docs).
-    let _merge = obs::span("core.shard.merge");
-    for run in runs {
-        if run.log.is_empty() {
-            continue;
-        }
-        C_MERGED_OPS.add(run.log.len() as u64);
-        redo_ops(instance, view, &run.log);
-        view.batch_end();
-        seq_log.extend_from_slice(&run.log);
-    }
-    Ok(())
-}
-
-/// Persistent sharded execution of one method: the per-shard pruned
-/// replicas outlive a single [`apply`](ShardedExecutor::apply), so a
+/// Sharded execution of one shard-safe method: every receiver of a wave
+/// runs on its receiving object's home shard, against a per-shard pruned
+/// replica that outlives a single [`apply`](ShardedExecutor::apply). A
 /// stream of receiver sequences — reconciliation waves, incremental
 /// loads — pays the `O(E)` replica construction once and thereafter only
-/// `O(changed)` per wave.
+/// `O(changed)` per wave. A one-shot application is `apply` on a fresh
+/// executor.
 ///
-/// This is the steady-state counterpart of the one-shot
-/// [`apply_sharded`]: same certification, same planner, same netted
-/// per-shard delta logs, same bit-identical final instance — but the
-/// executor maintains **no full relational view at all**. Certified
-/// receivers (local *and* coordinated) evaluate against the receiving
-/// object's home replica, which is exact because a certified method reads
-/// written properties only through keep arms pinned to `self` (rows the
-/// home replica holds), and everything else it reads — class relations,
-/// read-only properties — is never pruned and never changes under the
-/// method. Cross-shard receivers still run on the ordered coordinator
-/// path (caller thread, between segments), preserving the barrier
-/// semantics.
+/// The executor maintains **no full relational view at all**: the home
+/// replica is exact for a certified method (the home-replica lemma, see
+/// the module docs), and the caller's observer receives the wave's
+/// netted deltas.
 ///
 /// **Stewardship contract:** between applies the executor assumes the
 /// instance is not mutated behind its back — replicas are maintained
 /// incrementally from the deltas the executor itself produces. After any
 /// out-of-band mutation call [`invalidate`](ShardedExecutor::invalidate)
-/// to force a rebuild on the next apply. A failed apply rolls the
-/// instance back and invalidates automatically.
-///
-/// Methods that do not certify ([`ShardCertificate::shard_safe`] false)
-/// degrade to the plain sequential path inside `apply` — correct, just
-/// not sharded.
+/// to force a rebuild on the next apply. A failed apply leaves the
+/// instance untouched and invalidates automatically.
 pub struct ShardedExecutor<'m> {
     method: &'m AlgebraicMethod,
-    certificate: ShardCertificate,
     written: Vec<PropId>,
     shards: usize,
     pool: rt::ShardPoolConfig,
-    upgrade: bool,
     replicas: Vec<std::sync::Mutex<Option<DatabaseView>>>,
     /// True while an apply is in flight; still true on the next apply
     /// only if the previous one panicked out mid-run, in which case the
@@ -743,36 +376,42 @@ pub struct ShardedExecutor<'m> {
 impl<'m> ShardedExecutor<'m> {
     /// Build an executor for `method` under `cfg` (shard count defaults
     /// to [`rt::num_threads`]). Replicas are built lazily on first use.
-    pub fn new(method: &'m AlgebraicMethod, cfg: &ShardConfig) -> Self {
-        Self::with_certificate(method, certify(method), cfg)
+    /// Fails with [`CoreError::NotShardSafe`] when [`certify`] finds a
+    /// read/write conflict.
+    pub fn new(method: &'m AlgebraicMethod, cfg: &ShardConfig) -> Result<Self> {
+        Self::with_certificate(method, &certify(method), cfg)
     }
 
     /// [`ShardedExecutor::new`] with an externally refined certificate —
     /// typically [`certify`]'s output with conflicts discharged by the
     /// SQL layer's self-pinned-reads proofs. The caller vouches for every
     /// discharge: a wrongly discharged conflict silently diverges from
-    /// the sequential semantics.
+    /// the sequential semantics. A certificate that is not
+    /// [`shard_safe`](ShardCertificate::shard_safe) is refused with
+    /// [`CoreError::NotShardSafe`] naming its undischarged conflicts.
     pub fn with_certificate(
         method: &'m AlgebraicMethod,
-        certificate: ShardCertificate,
+        certificate: &ShardCertificate,
         cfg: &ShardConfig,
-    ) -> Self {
+    ) -> Result<Self> {
+        if !certificate.shard_safe() {
+            let schema = method.schema();
+            return Err(CoreError::NotShardSafe(
+                certificate
+                    .undischarged()
+                    .map(|p| schema.prop_name(p).to_owned())
+                    .collect(),
+            ));
+        }
         let shards = cfg.shards.unwrap_or_else(rt::num_threads).max(1);
-        Self {
+        Ok(Self {
             method,
-            certificate,
             written: method.updated_properties(),
             shards,
             pool: cfg.pool.clone(),
-            upgrade: cfg.upgrade,
             replicas: (0..shards).map(|_| std::sync::Mutex::new(None)).collect(),
             dirty: false,
-        }
-    }
-
-    /// The certificate the executor plans with.
-    pub fn certificate(&self) -> &ShardCertificate {
-        &self.certificate
+        })
     }
 
     /// Number of shards the executor partitions over.
@@ -823,157 +462,33 @@ impl<'m> ShardedExecutor<'m> {
         }
     }
 
-    /// Apply `method` to each receiver of `order` in turn — semantically
-    /// identical to the sequential path on the instance (same final
-    /// instance, same outcome), with certified receivers on per-shard
-    /// worker loops and replicas carried over from previous applies.
-    pub fn apply(&mut self, instance: &mut Instance, order: &[Receiver]) -> InPlaceOutcome {
+    /// Apply the method to each receiver of `order` in turn — the same
+    /// outcome and final instance as the sequential path, bit for bit —
+    /// as one wave: every receiver runs on its home shard's worker loop,
+    /// then the netted per-shard logs merge into `instance` and
+    /// `observer` in shard order, one committed batch and one
+    /// [`DeltaObserver::batch_end`]. An `Undefined` wave merges nothing:
+    /// the instance and the observer are exactly as they were.
+    ///
+    /// `stats`, when given, receives the wave's per-lane receiver/batch
+    /// counts, queue waits and busy time (one clock read per lane).
+    pub fn apply(
+        &mut self,
+        instance: &mut Instance,
+        observer: &mut dyn DeltaObserver,
+        order: &[Receiver],
+        stats: Option<&mut WaveStats>,
+    ) -> InPlaceOutcome {
         if order.is_empty() {
             return InPlaceOutcome::Applied;
         }
-        if !self.certificate.shard_safe() {
-            // Uncertified methods read what they write: no replica is
-            // sound, so run the plain sequential reference path.
-            return self.method.apply_in_place_sequence(instance, order);
-        }
-        self.apply_logged(instance, order).0
-    }
-
-    /// The certified wave body behind [`ShardedExecutor::apply`]; returns
-    /// the wave's delta log alongside the outcome (empty unless
-    /// `Applied`). Public so program executors (the `sql::plan` sharded
-    /// driver) can replay the log into their own maintained views; the
-    /// caller must hold a shard-safe certificate — this body runs
-    /// certified receivers on worker loops without the `apply` fallback
-    /// check.
-    pub fn apply_logged(
-        &mut self,
-        instance: &mut Instance,
-        order: &[Receiver],
-    ) -> (InPlaceOutcome, Vec<DeltaOp>) {
-        self.apply_logged_inner(instance, order, None)
-    }
-
-    /// [`apply_logged`](Self::apply_logged), additionally measuring the
-    /// wave: per-lane receiver/batch counts, queue waits, and busy time,
-    /// plus the local/coordinated split. Identical results; the only
-    /// extra cost is one clock read per lane per segment.
-    pub fn apply_logged_stats(
-        &mut self,
-        instance: &mut Instance,
-        order: &[Receiver],
-    ) -> (InPlaceOutcome, Vec<DeltaOp>, WaveStats) {
-        let mut stats = WaveStats::default();
-        let (outcome, log) = self.apply_logged_inner(instance, order, Some(&mut stats));
-        (outcome, log, stats)
-    }
-
-    fn apply_logged_inner(
-        &mut self,
-        instance: &mut Instance,
-        order: &[Receiver],
-        mut stats: Option<&mut WaveStats>,
-    ) -> (InPlaceOutcome, Vec<DeltaOp>) {
         let _span = obs::span("core.shard.apply");
-        let plan = if self.upgrade {
-            ShardPlan::with_certificate_upgraded(&self.certificate, order, self.shards)
-        } else {
-            ShardPlan::with_certificate(&self.certificate, order, self.shards)
-        };
         self.ensure_replicas(instance);
-
-        let mut seq_log: Vec<DeltaOp> = Vec::new();
-        let mut i = 0;
-        let mut failed: Option<String> = None;
-        while i < order.len() {
-            match plan.assignments[i] {
-                Assignment::Coordinated => {
-                    C_COORDINATED.incr();
-                    if let Some(st) = stats.as_deref_mut() {
-                        st.coordinated_receivers += 1;
-                    }
-                    let t = &order[i];
-                    let home = shard_of(t.receiving_object(), self.shards);
-                    let mut slot = lock_replica(&self.replicas[home]);
-                    let replica = slot.as_mut().expect("ensure_replicas built every shard");
-                    let mut log = Vec::new();
-                    let mut scratch = DiffScratch::default();
-                    match apply_on_replica(
-                        self.method,
-                        instance,
-                        replica,
-                        t,
-                        &mut log,
-                        &mut scratch,
-                    ) {
-                        Ok(()) => {
-                            redo_ops(instance, &mut NoView, &log);
-                            seq_log.extend(log);
-                            i += 1;
-                        }
-                        Err(msg) => {
-                            failed = Some(msg);
-                            break;
-                        }
-                    }
-                }
-                Assignment::Local(_) => {
-                    let j = (i..order.len())
-                        .find(|&k| !matches!(plan.assignments[k], Assignment::Local(_)))
-                        .unwrap_or(order.len());
-                    match self.run_persistent_segment(
-                        instance,
-                        order,
-                        i..j,
-                        &plan,
-                        &mut seq_log,
-                        stats.as_deref_mut(),
-                    ) {
-                        Ok(()) => i = j,
-                        Err(msg) => {
-                            failed = Some(msg);
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        self.dirty = false;
-        match failed {
-            None => (InPlaceOutcome::Applied, seq_log),
-            Some(msg) => {
-                // Whole-sequence rollback; replicas may hold edits from
-                // receivers past the failure point, so they are rebuilt
-                // on the next apply.
-                C_ROLLBACKS.incr();
-                undo_ops(instance, &mut NoView, &seq_log);
-                self.invalidate();
-                (InPlaceOutcome::Undefined(msg), Vec::new())
-            }
-        }
-    }
-
-    /// One maximal run of Local receivers against the persistent
-    /// replicas, netted logs merged into the instance in shard order.
-    fn run_persistent_segment(
-        &self,
-        instance: &mut Instance,
-        order: &[Receiver],
-        range: std::ops::Range<usize>,
-        plan: &ShardPlan,
-        seq_log: &mut Vec<DeltaOp>,
-        stats: Option<&mut WaveStats>,
-    ) -> Result<(), String> {
-        C_SEGMENTS.incr();
         let mut shard_items: Vec<Vec<(usize, &Receiver)>> = vec![Vec::new(); self.shards];
-        for gi in range {
-            let Assignment::Local(s) = plan.assignments[gi] else {
-                unreachable!("segment contains only Local receivers");
-            };
-            shard_items[s as usize].push((gi, &order[gi]));
+        for (gi, t) in order.iter().enumerate() {
+            shard_items[shard_of(t.receiving_object(), self.shards)].push((gi, t));
         }
-        let total: usize = shard_items.iter().map(Vec::len).sum();
-        let pool = if total < 64 {
+        let pool = if order.len() < INLINE_BELOW {
             self.pool.clone().with_workers(1)
         } else {
             self.pool.clone()
@@ -1000,7 +515,6 @@ impl<'m> ShardedExecutor<'m> {
                         apply_on_replica(method, inst, replica, t, &mut log, &mut scratch)
                     {
                         return ShardRun {
-                            log: Vec::new(),
                             err: Some((gi, msg)),
                             ..ShardRun::default()
                         };
@@ -1018,44 +532,50 @@ impl<'m> ShardedExecutor<'m> {
                 busy_ns: lane_start.map_or(0, |t| t.elapsed().as_nanos() as u64),
             }
         });
+        self.dirty = false;
 
+        // Sequential first-failure semantics: each shard stops at its
+        // first failure, and every receiver before the lowest failing
+        // global index ran exactly as it would sequentially, so that index
+        // is the receiver the sequential application would have stopped
+        // at. Nothing has been merged; the replicas may hold edits of
+        // receivers past the failure, so they are rebuilt next time.
         if let Some((_, msg)) = runs
             .iter()
             .filter_map(|r| r.err.as_ref())
             .min_by_key(|(gi, _)| *gi)
         {
-            return Err(msg.clone());
+            C_ROLLBACKS.incr();
+            self.invalidate();
+            return InPlaceOutcome::Undefined(msg.clone());
         }
 
         if let Some(st) = stats {
-            st.segments += 1;
-            if st.lanes.len() != self.shards {
-                st.lanes = (0..self.shards)
-                    .map(|shard| ShardLaneStats {
-                        shard,
-                        ..ShardLaneStats::default()
-                    })
-                    .collect();
-            }
-            for (lane, run) in st.lanes.iter_mut().zip(&runs) {
-                lane.receivers += run.receivers;
-                lane.batches += run.batches;
-                lane.wait_ns += run.wait_ns;
-                lane.busy_ns += run.busy_ns;
-                st.local_receivers += run.receivers;
-            }
+            st.lanes = runs
+                .iter()
+                .enumerate()
+                .map(|(shard, run)| ShardLaneStats {
+                    shard,
+                    receivers: run.receivers,
+                    batches: run.batches,
+                    wait_ns: run.wait_ns,
+                    busy_ns: run.busy_ns,
+                })
+                .collect();
+            st.local_receivers = runs.iter().map(|r| r.receivers).sum();
         }
 
+        // Deterministic merge: shard order, one committed batch. Cross-
+        // shard logs edit disjoint (src, prop) row groups, so this equals
+        // the sequential interleaving on the order-insensitive containers
+        // (see the module docs).
         let _merge = obs::span("core.shard.merge");
-        for run in runs {
-            if run.log.is_empty() {
-                continue;
-            }
-            C_MERGED_OPS.add(run.log.len() as u64);
-            redo_ops(instance, &mut NoView, &run.log);
-            seq_log.extend_from_slice(&run.log);
-        }
-        Ok(())
+        let log: Vec<DeltaOp> = runs.into_iter().flat_map(|r| r.log).collect();
+        C_MERGED_OPS.add(log.len() as u64);
+        redo_ops(instance, observer, &log);
+        observer.batch_committed(&log);
+        observer.batch_end();
+        InPlaceOutcome::Applied
     }
 }
 
@@ -1069,11 +589,13 @@ fn lock_replica<T>(cell: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algebraic::Statement;
     use crate::methods::{
         add_bar, delete_bar, favorite_bar, loop_schema, transitive_closure_method,
     };
     use receivers_objectbase::examples::beer_schema;
-    use receivers_objectbase::Signature;
+    use receivers_objectbase::{NullObserver, Signature};
+    use receivers_relalg::Expr;
 
     /// A beer instance with `n` drinkers and `n` bars, every drinker
     /// frequenting two bars.
@@ -1092,6 +614,8 @@ mod tests {
         i
     }
 
+    /// Drinker `k` paired with bar `n + 1 - k`: at several shards many of
+    /// these receivers have their argument off the home shard.
     fn receivers(s: &receivers_objectbase::examples::BeerSchema, n: u32) -> Vec<Receiver> {
         (1..=n)
             .map(|k| {
@@ -1109,8 +633,19 @@ mod tests {
             pool: rt::ShardPoolConfig::default()
                 .with_workers(workers)
                 .with_batch_size(4),
-            ..ShardConfig::default()
         }
+    }
+
+    /// Receivers of `order` with some object off the receiving object's
+    /// home shard.
+    fn cross_shard(order: &[Receiver], shards: usize) -> usize {
+        order
+            .iter()
+            .filter(|t| {
+                let home = shard_of(t.receiving_object(), shards);
+                t.objects().iter().any(|&o| shard_of(o, shards) != home)
+            })
+            .count()
     }
 
     /// The certificate: keep-pattern and blind-overwrite methods are
@@ -1141,42 +676,90 @@ mod tests {
         assert_eq!(cert.undischarged().count(), 0);
     }
 
-    /// The home-replica upgrade: cross-shard receivers of a shard-safe
-    /// method go Local on the receiving object's shard, and the result
-    /// stays bit-identical to the sequential path.
+    /// The constructors refuse a certificate that is not shard-safe and
+    /// name the undischarged conflicts; the transitive closure of Example
+    /// 6.4 reads the `B` it writes.
     #[test]
-    fn upgraded_plans_localize_cross_shard_receivers() {
+    fn executor_refuses_uncertified_methods() {
         let s = beer_schema();
-        let m = add_bar(&s);
-        let order = receivers(&s, 32);
-        let base = ShardPlan::new(&m, &order, 4);
-        assert!(base.coordinated_count() > 0, "workload must cross shards");
-        let up = ShardPlan::with_certificate_upgraded(&certify(&m), &order, 4);
-        assert_eq!(up.coordinated_count(), 0, "everything upgrades to Local");
-        for (t, a) in order.iter().zip(up.assignments()) {
-            let home = shard_of(t.receiving_object(), 4) as u32;
-            assert_eq!(*a, Assignment::Local(home));
+        let err = ShardedExecutor::new(&delete_bar(&s), &cfg(4, 2))
+            .err()
+            .expect("delete_bar reads what it writes");
+        assert_eq!(err, CoreError::NotShardSafe(vec!["frequents".to_owned()]));
+        assert!(err.to_string().contains("`frequents`"), "{err}");
+
+        let ls = loop_schema("A", "B");
+        let tc = transitive_closure_method(&ls);
+        assert!(matches!(
+            ShardedExecutor::new(&tc, &cfg(2, 1)),
+            Err(CoreError::NotShardSafe(props)) if props == ["B"]
+        ));
+    }
+
+    /// A copy-argument method `a := π_a(arg1 ⋈[arg1=C] Ca)` reads the
+    /// property it writes at an *argument* object, so a receiver's value
+    /// depends on its predecessor's write in another shard. Run down a
+    /// descending chain, sequential application propagates the last
+    /// node's value along the whole chain, which per-shard replicas
+    /// cannot reproduce: the executor must refuse the method, naming `a`.
+    #[test]
+    fn copy_argument_method_is_refused_and_sequential_stays_the_reference() {
+        let ls = loop_schema("a", "b");
+        let sig = Signature::new(vec![ls.c, ls.c]).unwrap();
+        let expr = Expr::arg(1)
+            .join_eq(Expr::prop(ls.e), "arg1", "C")
+            .project(["a"]);
+        let m = AlgebraicMethod::new(
+            "copy_arg",
+            std::sync::Arc::clone(&ls.schema),
+            sig,
+            vec![Statement {
+                property: ls.e,
+                expr,
+            }],
+        )
+        .unwrap();
+
+        // 16 nodes, node k's `a` pointing at itself; the chain copies
+        // node k+1's value into node k for k = 14 down to 0.
+        let node = |k: u32| Oid::new(ls.c, k);
+        let mut i = Instance::empty(std::sync::Arc::clone(&ls.schema));
+        for k in 0..16 {
+            i.add_object(node(k));
         }
+        for k in 0..16 {
+            i.link(node(k), ls.e, node(k)).unwrap();
+        }
+        let chain: Vec<Receiver> = (0..15)
+            .rev()
+            .map(|k| Receiver::new(vec![node(k), node(k + 1)]))
+            .collect();
+        assert!(cross_shard(&chain, 4) > 0, "the chain must cross shards");
 
-        let mut reference = crowd(&s, 32);
-        m.apply_in_place_sequence(&mut reference, &order);
-        let mut i = crowd(&s, 32);
-        let mut view = DatabaseView::new(&i);
-        let out = apply_planned(&m, &mut i, &mut view, &order, &up, &cfg(4, 2));
-        assert_eq!(out, InPlaceOutcome::Applied);
-        assert_eq!(i, reference);
-        assert!(view.matches_rebuild(&i));
+        assert!(matches!(
+            ShardedExecutor::new(&m, &cfg(4, 2)),
+            Err(CoreError::NotShardSafe(props)) if props == ["a"]
+        ));
 
-        // An unsafe certificate refuses the upgrade wholesale.
-        let down = ShardPlan::with_certificate_upgraded(&certify(&delete_bar(&s)), &order, 4);
-        assert_eq!(down.local_count(), 0);
+        let mut reference = i.clone();
+        assert_eq!(
+            m.apply_in_place_sequence(&mut reference, &chain),
+            InPlaceOutcome::Applied
+        );
+        for k in 0..16 {
+            assert_eq!(
+                reference.successors(node(k), ls.e).collect::<Vec<_>>(),
+                vec![node(15)],
+                "sequential application propagates node 15's value to node {k}"
+            );
+        }
     }
 
     /// `delete_bar` reads the property it writes, but only at the
     /// receiving drinker (see `methods.rs`: `π_f(self ⋈ Df ⋈≠ arg)`), so
     /// the conflict is honestly dischargeable — and the discharged
-    /// certificate runs it sharded, bit-identical to sequential, on both
-    /// the one-shot planned path and the persistent executor.
+    /// certificate runs it sharded, bit-identical to sequential, with a
+    /// caller-held view kept current.
     #[test]
     fn discharged_delete_bar_runs_sharded_and_matches_sequential() {
         let s = beer_schema();
@@ -1193,24 +776,17 @@ mod tests {
             InPlaceOutcome::Applied
         );
 
-        let plan = ShardPlan::with_certificate_upgraded(&cert, &order, 4);
-        assert_eq!(plan.coordinated_count(), 0);
         let mut i = crowd(&s, 24);
         let mut view = DatabaseView::new(&i);
-        let out = apply_planned(&m, &mut i, &mut view, &order, &plan, &cfg(4, 2));
-        assert_eq!(out, InPlaceOutcome::Applied);
+        let mut exec = ShardedExecutor::with_certificate(&m, &cert, &cfg(4, 2)).unwrap();
+        assert_eq!(
+            exec.apply(&mut i, &mut view, &order, None),
+            InPlaceOutcome::Applied
+        );
         assert_eq!(i, reference);
         assert!(view.matches_rebuild(&i));
         i.check_index_consistent();
-
-        let mut j = crowd(&s, 24);
-        let mut exec = ShardedExecutor::with_certificate(&m, cert, &cfg(4, 2));
-        assert_eq!(exec.apply(&mut j, &order), InPlaceOutcome::Applied);
-        assert_eq!(j, reference);
-        assert!(
-            exec.replicas_built() > 0,
-            "the discharged method really ran on replicas, not the sequential fallback"
-        );
+        assert_eq!(exec.replicas_built(), 4);
     }
 
     #[test]
@@ -1231,80 +807,44 @@ mod tests {
         assert!(hit.len() >= 4, "poor spread: {hit:?}");
     }
 
-    /// Receivers whose bar argument lands in another shard than the
-    /// drinker fall back to the coordinator; same-shard ones stay local.
-    #[test]
-    fn plans_follow_component_locality() {
-        let s = beer_schema();
-        let m = add_bar(&s);
-        let order = receivers(&s, 32);
-        let plan = ShardPlan::new(&m, &order, 4);
-        assert_eq!(plan.local_count() + plan.coordinated_count(), 32);
-        for (t, a) in order.iter().zip(plan.assignments()) {
-            let home = shard_of(t.receiving_object(), 4);
-            let co_sharded = t.objects().iter().all(|&o| shard_of(o, 4) == home);
-            match a {
-                Assignment::Local(sh) => {
-                    assert!(co_sharded);
-                    assert_eq!(*sh as usize, home);
-                }
-                Assignment::Coordinated => assert!(!co_sharded),
-            }
-        }
-        // An uncertified method plans everything onto the coordinator.
-        let plan = ShardPlan::new(&delete_bar(&s), &order, 4);
-        assert_eq!(plan.local_count(), 0);
-    }
-
     /// Bit-identical to the sequential path across shard/worker counts,
-    /// for a certified method with mixed local/coordinated receivers.
+    /// with cross-shard arguments, a caller-held view as observer, and
+    /// both the inline path and real worker loops.
     #[test]
     fn sharded_apply_matches_sequential() {
         let s = beer_schema();
         let m = add_bar(&s);
-        let order = receivers(&s, 24);
-        let mut reference = crowd(&s, 24);
-        assert_eq!(
-            m.apply_in_place_sequence(&mut reference, &order),
-            InPlaceOutcome::Applied
-        );
-        for (shards, workers) in [(1, 1), (2, 2), (4, 2), (7, 3)] {
-            let mut i = crowd(&s, 24);
-            let mut view = DatabaseView::new(&i);
-            let out = apply_sharded(&m, &mut i, &mut view, &order, &cfg(shards, workers));
-            assert_eq!(out, InPlaceOutcome::Applied);
-            assert_eq!(i, reference, "{shards} shards / {workers} workers");
-            assert!(view.matches_rebuild(&i));
-            i.check_index_consistent();
+        // The 96-receiver wave runs on real worker threads at one width
+        // only, so the module stays cheap under Miri.
+        for (n, widths) in [
+            (24u32, &[(1, 1), (2, 2), (4, 2), (7, 3)][..]),
+            (96, &[(4, 2)][..]),
+        ] {
+            let order = receivers(&s, n);
+            assert!(cross_shard(&order, 4) > 0, "workload must cross shards");
+            let mut reference = crowd(&s, n);
+            assert_eq!(
+                m.apply_in_place_sequence(&mut reference, &order),
+                InPlaceOutcome::Applied
+            );
+            for &(shards, workers) in widths {
+                let mut i = crowd(&s, n);
+                let mut view = DatabaseView::new(&i);
+                let mut exec = ShardedExecutor::new(&m, &cfg(shards, workers)).unwrap();
+                let out = exec.apply(&mut i, &mut view, &order, None);
+                assert_eq!(out, InPlaceOutcome::Applied);
+                assert_eq!(i, reference, "{n}: {shards} shards / {workers} workers");
+                assert!(view.matches_rebuild(&i));
+                i.check_index_consistent();
+            }
         }
     }
 
-    /// Forcing receivers onto the coordinator (the cross-shard fallback
-    /// path) must not change the result.
+    /// A mid-sequence failure (ghost receiver) merges nothing: instance
+    /// and view are bit-identical to the start, and the message is the
+    /// sequential one.
     #[test]
-    fn forced_fallbacks_preserve_the_result() {
-        let s = beer_schema();
-        let m = add_bar(&s);
-        let order = receivers(&s, 16);
-        let mut reference = crowd(&s, 16);
-        m.apply_in_place_sequence(&mut reference, &order);
-
-        let mut plan = ShardPlan::new(&m, &order, 4);
-        for idx in (0..order.len()).step_by(3) {
-            plan.coordinate(idx);
-        }
-        let mut i = crowd(&s, 16);
-        let mut view = DatabaseView::new(&i);
-        let out = apply_planned(&m, &mut i, &mut view, &order, &plan, &cfg(4, 2));
-        assert_eq!(out, InPlaceOutcome::Applied);
-        assert_eq!(i, reference);
-        assert!(view.matches_rebuild(&i));
-    }
-
-    /// A mid-sequence failure (ghost receiver) rolls the whole sharded
-    /// sequence back — instance and view bit-identical to the start.
-    #[test]
-    fn mid_sequence_failure_rolls_back_everything() {
+    fn mid_sequence_failure_merges_nothing() {
         let s = beer_schema();
         let m = add_bar(&s);
         let mut order = receivers(&s, 12);
@@ -1315,16 +855,15 @@ mod tests {
         let snapshot = i.clone();
         let mut view = DatabaseView::new(&i);
         let view_snapshot = view.clone();
-        let out = apply_sharded(&m, &mut i, &mut view, &order, &cfg(3, 2));
+        let mut exec = ShardedExecutor::new(&m, &cfg(3, 2)).unwrap();
+        let out = exec.apply(&mut i, &mut view, &order, None);
         assert!(matches!(out, InPlaceOutcome::Undefined(_)));
         assert_eq!(i, snapshot);
         assert_eq!(view, view_snapshot);
         i.check_index_consistent();
 
-        // And the failure message matches the sequential one.
         let mut j = crowd(&s, 12);
-        let seq = m.apply_in_place_sequence(&mut j, &order);
-        assert_eq!(out, seq);
+        assert_eq!(out, m.apply_in_place_sequence(&mut j, &order));
     }
 
     /// The persistent executor matches the sequential path wave after
@@ -1336,7 +875,7 @@ mod tests {
         let m = add_bar(&s);
         let mut reference = crowd(&s, 24);
         let mut i = crowd(&s, 24);
-        let mut exec = ShardedExecutor::new(&m, &cfg(4, 2));
+        let mut exec = ShardedExecutor::new(&m, &cfg(4, 2)).unwrap();
         // Three waves: fresh updates, a repeat (reconciliation no-ops),
         // and a skewed wave hammering one drinker.
         let hot: Vec<Receiver> = (1..=8)
@@ -1347,23 +886,26 @@ mod tests {
                 m.apply_in_place_sequence(&mut reference, &wave),
                 InPlaceOutcome::Applied
             );
-            assert_eq!(exec.apply(&mut i, &wave), InPlaceOutcome::Applied);
+            assert_eq!(
+                exec.apply(&mut i, &mut NullObserver, &wave, None),
+                InPlaceOutcome::Applied
+            );
             assert_eq!(i, reference);
             i.check_index_consistent();
         }
         assert_eq!(exec.replicas_built(), 4, "replicas persist across waves");
     }
 
-    /// A failing wave rolls the instance back and invalidates the
+    /// A failing wave leaves the instance alone and invalidates the
     /// replicas; the executor keeps working afterwards.
     #[test]
-    fn executor_rolls_back_and_recovers() {
+    fn executor_fails_whole_and_recovers() {
         let s = beer_schema();
         let m = add_bar(&s);
         let mut i = crowd(&s, 12);
-        let mut exec = ShardedExecutor::new(&m, &cfg(3, 2));
+        let mut exec = ShardedExecutor::new(&m, &cfg(3, 2)).unwrap();
         assert_eq!(
-            exec.apply(&mut i, &receivers(&s, 12)),
+            exec.apply(&mut i, &mut NullObserver, &receivers(&s, 12), None),
             InPlaceOutcome::Applied
         );
         let snapshot = i.clone();
@@ -1373,7 +915,7 @@ mod tests {
             7,
             Receiver::new(vec![Oid::new(s.drinker, 999), Oid::new(s.bar, 1)]),
         );
-        let out = exec.apply(&mut i, &bad);
+        let out = exec.apply(&mut i, &mut NullObserver, &bad, None);
         assert!(matches!(out, InPlaceOutcome::Undefined(_)));
         assert_eq!(i, snapshot);
         i.check_index_consistent();
@@ -1387,31 +929,42 @@ mod tests {
         let wave = receivers(&s, 12);
         let mut reference = snapshot.clone();
         m.apply_in_place_sequence(&mut reference, &wave);
-        assert_eq!(exec.apply(&mut i, &wave), InPlaceOutcome::Applied);
+        assert_eq!(
+            exec.apply(&mut i, &mut NullObserver, &wave, None),
+            InPlaceOutcome::Applied
+        );
         assert_eq!(i, reference);
     }
 
-    /// Cross-shard receivers run through the executor's coordinator path
-    /// and out-of-band mutations are picked up after `invalidate`.
+    /// Receivers pairing each drinker with every bar run on their home
+    /// shards, and out-of-band mutations are picked up after
+    /// `invalidate`.
     #[test]
-    fn executor_coordinates_cross_shard_and_invalidates() {
+    fn executor_runs_cross_shard_arguments_home_and_invalidates() {
         let s = beer_schema();
         let m = add_bar(&s);
-        // Receivers pairing each drinker with every bar: at 3 shards many
-        // pairs necessarily cross shards.
         let order: Vec<Receiver> = (1..=6)
             .flat_map(|d| (1..=6).map(move |b| (d, b)))
             .map(|(d, b)| Receiver::new(vec![Oid::new(s.drinker, d), Oid::new(s.bar, b)]))
             .collect();
-        let plan = ShardPlan::new(&m, &order, 3);
-        assert!(plan.coordinated_count() > 0, "workload must cross shards");
+        assert!(cross_shard(&order, 3) > 0, "workload must cross shards");
 
         let mut reference = crowd(&s, 6);
         m.apply_in_place_sequence(&mut reference, &order);
         let mut i = crowd(&s, 6);
-        let mut exec = ShardedExecutor::new(&m, &cfg(3, 2));
-        assert_eq!(exec.apply(&mut i, &order), InPlaceOutcome::Applied);
+        let mut exec = ShardedExecutor::new(&m, &cfg(3, 2)).unwrap();
+        let mut stats = WaveStats::default();
+        assert_eq!(
+            exec.apply(&mut i, &mut NullObserver, &order, Some(&mut stats)),
+            InPlaceOutcome::Applied
+        );
         assert_eq!(i, reference);
+        assert_eq!(stats.local_receivers, order.len() as u64);
+        assert_eq!(stats.lanes.len(), 3);
+        assert_eq!(
+            stats.lanes.iter().map(|l| l.receivers).sum::<u64>(),
+            stats.local_receivers
+        );
 
         // Mutate the instance behind the executor's back, then tell it.
         i.link(Oid::new(s.drinker, 1), s.frequents, Oid::new(s.bar, 5))
@@ -1422,63 +975,25 @@ mod tests {
         exec.invalidate();
         let wave = receivers(&s, 6);
         m.apply_in_place_sequence(&mut reference, &wave);
-        assert_eq!(exec.apply(&mut i, &wave), InPlaceOutcome::Applied);
+        assert_eq!(
+            exec.apply(&mut i, &mut NullObserver, &wave, None),
+            InPlaceOutcome::Applied
+        );
         assert_eq!(i, reference);
     }
 
-    /// An uncertified method through the executor falls back to the
-    /// sequential path — same result, replicas untouched.
+    /// Lane counters are exported through the metrics registry.
     #[test]
-    fn executor_uncertified_falls_back_to_sequential() {
-        let s = beer_schema();
-        let m = delete_bar(&s);
-        let order: Vec<Receiver> = (1..=10)
-            .map(|k| Receiver::new(vec![Oid::new(s.drinker, k), Oid::new(s.bar, k)]))
-            .collect();
-        let mut reference = crowd(&s, 10);
-        m.apply_in_place_sequence(&mut reference, &order);
-        let mut i = crowd(&s, 10);
-        let mut exec = ShardedExecutor::new(&m, &cfg(4, 2));
-        assert_eq!(exec.apply(&mut i, &order), InPlaceOutcome::Applied);
-        assert_eq!(i, reference);
-        assert_eq!(exec.replicas_built(), 0);
-    }
-
-    /// An uncertified method degrades to the coordinator path end to end —
-    /// still correct, no shard workers involved.
-    #[test]
-    fn uncertified_methods_run_coordinated_and_match() {
-        let s = beer_schema();
-        let m = delete_bar(&s);
-        let order: Vec<Receiver> = (1..=10)
-            .map(|k| Receiver::new(vec![Oid::new(s.drinker, k), Oid::new(s.bar, k)]))
-            .collect();
-        let mut reference = crowd(&s, 10);
-        m.apply_in_place_sequence(&mut reference, &order);
-        let mut i = crowd(&s, 10);
-        let mut view = DatabaseView::new(&i);
-        let out = apply_sharded(&m, &mut i, &mut view, &order, &cfg(4, 2));
-        assert_eq!(out, InPlaceOutcome::Applied);
-        assert_eq!(i, reference);
-    }
-
-    /// Fallback-path counters are exported through the metrics registry:
-    /// a forced-coordinated run must surface in
-    /// `core.shard.coordinated_receivers` (and locals in
-    /// `core.shard.local_receivers`).
-    #[test]
-    fn fallback_counters_are_exported() {
+    fn local_receivers_counter_is_exported() {
         let s = beer_schema();
         let m = add_bar(&s);
         let order = receivers(&s, 8);
 
         obs::set_enabled(obs::trace_enabled(), true);
         let before = obs::metrics_snapshot();
-        let mut plan = ShardPlan::new(&m, &order, 2);
-        plan.coordinate(0);
         let mut i = crowd(&s, 8);
-        let mut view = DatabaseView::new(&i);
-        let out = apply_planned(&m, &mut i, &mut view, &order, &plan, &cfg(2, 2));
+        let mut exec = ShardedExecutor::new(&m, &cfg(2, 2)).unwrap();
+        let out = exec.apply(&mut i, &mut NullObserver, &order, None);
         let after = obs::metrics_snapshot();
         assert_eq!(out, InPlaceOutcome::Applied);
 
@@ -1486,11 +1001,8 @@ mod tests {
         // lower bounds are safe to assert.
         let delta =
             |name: &str| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
-        assert!(delta("core.shard.plans") >= 1);
-        assert!(delta("core.shard.coordinated_receivers") >= 1);
-        assert!(
-            delta("core.shard.coordinated_receivers") + delta("core.shard.local_receivers") >= 8
-        );
+        assert!(delta("core.shard.local_receivers") >= 8);
+        assert!(delta("core.shard.replica_builds") >= 2);
     }
 
     /// Signature sanity: receivers with arguments of the wrong class are
@@ -1503,15 +1015,9 @@ mod tests {
         let mut i = crowd(&s, 4);
         let mut j = i.clone();
         let seq = m.apply_in_place_sequence(&mut i, &bad);
-        let mut view = DatabaseView::new(&j);
-        let shard = apply_sharded(&m, &mut j, &mut view, &bad, &cfg(2, 2));
+        let mut exec = ShardedExecutor::new(&m, &cfg(2, 2)).unwrap();
+        let shard = exec.apply(&mut j, &mut NullObserver, &bad, None);
         assert_eq!(seq, shard);
         assert!(matches!(shard, InPlaceOutcome::Undefined(_)));
-    }
-
-    // Keep the unused Signature import meaningful for rustc.
-    #[allow(dead_code)]
-    fn _sig_used(s: Signature) -> Signature {
-        s
     }
 }

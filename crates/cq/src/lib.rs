@@ -12,7 +12,7 @@
 //!   queries (finite unions of CQs), following the appendix's `s,d,u,v,c,n`
 //!   presentation;
 //! * [`hom`] — the Chandra–Merlin homomorphism test for equality CQs;
-//! * [`chase`] — the typed chase with functional and *full* inclusion
+//! * [`mod@chase`] — the typed chase with functional and *full* inclusion
 //!   dependencies (fd rule and ind rule of the appendix), including the
 //!   `⊥` unsatisfiability outcome;
 //! * [`partition`] — typed partition enumeration (restricted-growth

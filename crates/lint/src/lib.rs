@@ -37,7 +37,7 @@
 //! satisfiability (`R0501` unsatisfiable condition, `R0502` subsumed
 //! conjunct, both proved by the `receivers_sql::sat` solver). See
 //! [`diag::codes`]; `--explain R0xxx` on the lint CLI prints the
-//! extended documentation from [`explain`].
+//! extended documentation from [`mod@explain`].
 
 pub mod diag;
 pub mod explain;

@@ -12,8 +12,7 @@
 //! full `O(E)` instance clone — while still satisfying the contract that a
 //! non-`Done` outcome leaves the instance untouched.
 //!
-//! Transactions can additionally stream their log to a
-//! [`DeltaObserver`](crate::view::DeltaObserver)
+//! Transactions can additionally stream their log to a [`DeltaObserver`]
 //! ([`InstanceTxn::begin_observed`]), which is how incremental views (the
 //! maintained relational encoding) stay in lockstep with the instance; and
 //! a committed log can be appended to a caller-held sequence-level log

@@ -15,7 +15,7 @@ use receivers_objectbase::Schema;
 use crate::expr::{Expr, RelName};
 use crate::typecheck::{infer_schema, ParamSchemas};
 
-/// Parameters for [`random_positive_expr`].
+/// Parameters for [`random_expr`].
 #[derive(Debug, Clone, Copy)]
 pub struct ExprParams {
     /// Maximum AST depth.

@@ -1,5 +1,5 @@
 //! Relations: sets of typed tuples, with the algebra operators implemented
-//! directly as methods. The expression evaluator ([`crate::eval`]) lowers
+//! directly as methods. The expression evaluator ([`mod@crate::eval`]) lowers
 //! the AST onto these methods.
 //!
 //! Tuples live in a flat, canonically-sorted row arena ([`TupleSet`]):

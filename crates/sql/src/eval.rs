@@ -1,6 +1,6 @@
 //! Semantic evaluation of conditions and subqueries over an object-base
 //! instance (the "reference interpreter" for the SQL layer; the
-//! relational-algebra compilation in [`crate::compile`] is cross-checked
+//! relational-algebra compilation in [`mod@crate::compile`] is cross-checked
 //! against it in tests).
 
 use receivers_objectbase::{Instance, Oid};

@@ -17,7 +17,7 @@ use std::collections::BTreeSet;
 use receivers_obs as obs;
 
 use crate::footprint::Write;
-use crate::plan::{NodeId, PlanGraph, PlanNode, ProgramPlan, Stage};
+use crate::plan::{refusal_note, NodeId, PlanGraph, PlanNode, ProgramPlan, Stage};
 
 impl ProgramPlan {
     /// The compiled program's **EXPLAIN** tree: stages, planner
@@ -46,14 +46,15 @@ impl ProgramPlan {
     }
 
     /// Where the sharded driver will place stage `idx`, read off its
-    /// certificate without running anything.
-    fn shard_prediction(&self, idx: usize) -> &'static str {
+    /// certificate without running anything; a refusal names the
+    /// undischarged conflicts.
+    fn shard_prediction(&self, idx: usize) -> String {
         match self.shard_certificate(idx) {
             Some((cert, _)) if cert.shard_safe() => {
-                "shard: certified shard-safe — runs on per-shard worker loops"
+                "shard: certified shard-safe — runs on per-shard worker loops".to_owned()
             }
-            Some(_) => "shard: certificate not shard-safe — ordered coordinator path",
-            None => "shard: no algebraic form — coordinator/vectorized path",
+            Some((cert, _)) => format!("shard: {}", refusal_note(self.catalog(), &cert)),
+            None => "shard: no algebraic form — coordinator/vectorized path".to_owned(),
         }
     }
 }

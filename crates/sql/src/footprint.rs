@@ -8,7 +8,7 @@
 //! simply skipped, because the lint layer's name-resolution pass already
 //! reports them with proper spans — and the reads, table references,
 //! write, and guard are collected node-by-node. Name resolution mirrors
-//! [`crate::compile`]: unqualified columns prefer the loop/target table,
+//! [`mod@crate::compile`]: unqualified columns prefer the loop/target table,
 //! then the visible `FROM` tables.
 
 use std::collections::BTreeSet;

@@ -1,10 +1,10 @@
 //! Program-level expression-DAG planner: one compiled lazy pipeline
 //! behind every execution path.
 //!
-//! [`crate::compile`] lowers one statement at a time; this module lowers a
-//! **whole update program** into a typed [`PlanNode`] DAG (selector scans,
-//! guards, value subqueries, assignments, deletes) and executes the DAG
-//! through every driver the repository has:
+//! [`mod@crate::compile`] lowers one statement at a time; this module
+//! lowers a **whole update program** into a typed [`PlanNode`] DAG
+//! (selector scans, guards, value subqueries, assignments, deletes) and
+//! executes the DAG through every driver the repository has:
 //!
 //! * [`ProgramPlan::execute_viewed`] — the sequential in-place driver over
 //!   a maintained [`DatabaseView`], batching set-oriented stages through
@@ -42,7 +42,7 @@ use std::sync::{Mutex, OnceLock};
 use receivers_core::algebraic::{
     apply_assignment_batch, apply_delete_batch, apply_replacement_batch,
 };
-use receivers_core::shard::{certify, ShardConfig, ShardedExecutor, WaveStats};
+use receivers_core::shard::{certify, ShardCertificate, ShardConfig, ShardedExecutor, WaveStats};
 use receivers_core::AlgebraicMethod;
 use receivers_objectbase::{
     ClassId, DeltaObserver, InPlaceOutcome, Instance, Oid, PropId, Receiver,
@@ -96,10 +96,10 @@ impl NodeId {
 /// One node of the expression DAG a program compiles into.
 ///
 /// `class`/`prop` are `Option` because the same lowering serves the
-/// *tolerant* footprint builder ([`crate::footprint`]): references that do
-/// not resolve against the catalog are carried unresolved rather than
-/// rejected — the lint layer's name-resolution pass reports them with
-/// proper spans.
+/// *tolerant* footprint builder ([`mod@crate::footprint`]): references
+/// that do not resolve against the catalog are carried unresolved rather
+/// than rejected — the lint layer's name-resolution pass reports them
+/// with proper spans.
 #[derive(Debug, Clone)]
 pub enum PlanNode {
     /// Selector scan: every row of `table`.
@@ -1381,16 +1381,17 @@ impl<'p> ExecCache<'p> {
     }
 }
 
-/// What one executed stage did, collected unconditionally (integer adds
-/// and a static note) and read only by the profiled drivers.
+/// What one executed stage did, collected unconditionally (integer adds;
+/// the placement note and wave only when profiled) and read only by the
+/// profiled drivers.
 #[derive(Default)]
 struct StageMeter {
     /// Rows the stage's selector produced (receivers visited).
     rows_in: u64,
     /// Rows the stage actually wrote (deletes fired, assignments made).
     rows_out: u64,
-    /// Where the sharded driver placed the stage, when it decided.
-    placement: Option<&'static str>,
+    /// Where the profiled sharded driver placed the stage, and why.
+    placement: Option<String>,
     /// How a profiled shard wave split its receivers across lanes.
     wave: Option<WaveStats>,
 }
@@ -1462,8 +1463,6 @@ fn push_stage_profile(
     }
     if let Some(w) = meter.wave {
         node.set_metric("local_receivers", w.local_receivers);
-        node.set_metric("coordinated_receivers", w.coordinated_receivers);
-        node.set_metric("segments", w.segments);
         for lane in w.lanes.iter().filter(|l| l.receivers > 0 || l.batches > 0) {
             let mut ln = obs::ProfileNode::new(format!("shard {}", lane.shard), "shard-lane");
             ln.start_ns = mark.start_ns;
@@ -1519,11 +1518,39 @@ impl<S: WalStorage> StageObserver for DurableSink<'_, S> {
 
 /// The sharded session's placement rule — all its driver adds to the
 /// shared stage loop: a certified algebraic cursor stage runs on its
-/// persistent [`ShardedExecutor`], with the wave's delta log replayed
-/// into the session view; every other stage takes the shared path.
+/// persistent [`ShardedExecutor`], writing through the session view;
+/// every other stage takes the shared path.
 struct ShardLanes<'s, 'p> {
     cfg: &'s ShardConfig,
-    execs: &'s mut [Option<ShardedExecutor<'p>>],
+    execs: &'s mut [Lane<'p>],
+}
+
+/// A cursor stage's standing in a shard session, decided once on first
+/// use: its executor, or the refusal note of a certificate that is not
+/// shard-safe (so a refused stage is not re-solved on every execute).
+type Lane<'p> = Option<std::result::Result<ShardedExecutor<'p>, String>>;
+
+/// The placement note of a stage whose certificate is not shard-safe,
+/// naming the undischarged conflicts by their SQL columns.
+pub(crate) fn refusal_note(catalog: &Catalog, certificate: &ShardCertificate) -> String {
+    let columns: Vec<String> = certificate
+        .undischarged()
+        .map(|p| {
+            catalog
+                .tables()
+                .find_map(|(table, info)| {
+                    info.columns
+                        .iter()
+                        .find(|&(_, &q)| q == p)
+                        .map(|(column, _)| format!("{table}.{column}"))
+                })
+                .unwrap_or_else(|| catalog.schema.prop_name(p).to_owned())
+        })
+        .collect();
+    format!(
+        "certificate not shard-safe (undischarged: {}) — ordered coordinator path",
+        columns.join(", ")
+    )
 }
 
 impl<'p> ShardLanes<'_, 'p> {
@@ -1543,39 +1570,33 @@ impl<'p> ShardLanes<'_, 'p> {
             StageKind::CursorUpdate => stage.algebraic.as_ref()?,
             _ => return None,
         };
-        if self.execs[idx].is_none() {
+        let lane = self.execs[idx].get_or_insert_with(|| {
             let (certificate, _proofs) = plan
                 .shard_certificate(idx)
                 .expect("algebraic stages certify");
-            if certificate.shard_safe() {
-                self.execs[idx] = Some(ShardedExecutor::with_certificate(
-                    method,
-                    certificate,
-                    self.cfg,
-                ));
+            ShardedExecutor::with_certificate(method, &certificate, self.cfg)
+                .map_err(|_| refusal_note(&plan.catalog, &certificate))
+        });
+        let exec = match lane {
+            Ok(exec) => exec,
+            Err(note) => {
+                if profiled {
+                    meter.placement = Some(note.clone());
+                }
+                return None;
             }
-        }
-        let Some(exec) = self.execs[idx].as_mut() else {
-            meter.placement = Some("certificate not shard-safe — ordered coordinator path");
-            return None;
         };
-        meter.placement = Some("certified shard-safe — per-shard worker loops");
+        if profiled {
+            meter.placement = Some("certified shard-safe — per-shard worker loops".to_owned());
+        }
         let order = cursor_order(stage, instance);
         meter.rows_in += order.len() as u64;
         meter.rows_out += order.len() as u64;
-        let (outcome, log) = if profiled {
-            let (outcome, log, wave) = exec.apply_logged_stats(instance, &order);
+        let mut wave = WaveStats::default();
+        let outcome = exec.apply(instance, view, &order, profiled.then_some(&mut wave));
+        if profiled {
             meter.wave = Some(wave);
-            (outcome, log)
-        } else {
-            exec.apply_logged(instance, &order)
-        };
-        // Replay the wave's delta log into the session view (empty unless
-        // the wave applied).
-        for op in &log {
-            view.applied(op);
         }
-        view.batch_end();
         Some(outcome)
     }
 
@@ -1583,7 +1604,7 @@ impl<'p> ShardLanes<'_, 'p> {
     /// and its own too unless it ran the stage.
     fn invalidate_after(&mut self, idx: usize, ran_here: bool) {
         for (k, exec) in self.execs.iter_mut().enumerate() {
-            if let Some(exec) = exec {
+            if let Some(Ok(exec)) = exec {
                 if !(ran_here && k == idx) {
                     exec.invalidate();
                 }
@@ -1993,10 +2014,10 @@ impl ProgramPlan {
     }
 
     /// [`ProgramPlan::execute_sharded`] with **EXPLAIN ANALYZE**
-    /// attached: certified stages report how the wave split between the
-    /// per-shard worker lanes and the ordered coordinator path, with one
-    /// `shard N` child per active lane (receivers, batches, queue wait,
-    /// busy time).
+    /// attached: certified stages report their receivers on the
+    /// per-shard worker lanes, with one `shard N` child per active lane
+    /// (receivers, batches, queue wait, busy time); refused stages name
+    /// their undischarged conflicts.
     pub fn execute_sharded_profiled(
         &self,
         instance: &mut Instance,
@@ -2015,7 +2036,7 @@ pub struct ShardSession<'p> {
     plan: &'p ProgramPlan,
     cfg: ShardConfig,
     view: Option<DatabaseView>,
-    execs: Vec<Option<ShardedExecutor<'p>>>,
+    execs: Vec<Lane<'p>>,
 }
 
 impl ShardSession<'_> {
@@ -2023,7 +2044,7 @@ impl ShardSession<'_> {
     /// required after any mutation of the instance outside this session.
     pub fn invalidate(&mut self) {
         self.view = None;
-        for e in self.execs.iter_mut().flatten() {
+        for e in self.execs.iter_mut().flatten().flatten() {
             e.invalidate();
         }
     }
@@ -2333,14 +2354,21 @@ mod tests {
         assert_eq!(sharded, plain);
         assert_eq!(stree.children.len(), plan.stages().len());
         // (C) has an algebraic form but an undischargeable read conflict:
-        // the profile records the coordinator-fallback placement.
-        assert!(
-            stree.children[2]
-                .notes
+        // the profile records the coordinator-fallback placement and
+        // names the conflicting column, and EXPLAIN predicts the same.
+        let names_salary = |notes: &[String]| {
+            notes
                 .iter()
-                .any(|n| n.contains("coordinator")),
-            "stage (C) must record its placement decision: {:?}",
+                .any(|n| n.contains("coordinator") && n.contains("Salary"))
+        };
+        assert!(
+            names_salary(&stree.children[2].notes),
+            "stage (C) must record its placement decision and why: {:?}",
             stree.children[2].notes
+        );
+        assert!(
+            names_salary(&plan.explain().children[2].notes),
+            "EXPLAIN must predict stage (C)'s refusal and why"
         );
 
         let mut durable = i0.clone();

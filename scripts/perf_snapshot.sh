@@ -14,12 +14,7 @@
 #                  "Sharded execution"): seq_vs_shard steady-state wave
 #                  pairs across a 1/2/4/8 thread axis, uniform and
 #                  Zipf-skewed receiver distributions plus 25%/50%
-#                  cross-shard fallback series (EXPERIMENTS.md P11);
-#   BENCH_6.json — the solver-upgraded shard planner (DESIGN.md
-#                  "Condition satisfiability"): seq_vs_shard rerun with
-#                  the sharded-upgraded/xs25|xs50 arms enabled, so the
-#                  sharded vs sharded-upgraded pair prices the
-#                  conservative co-shard rule (EXPERIMENTS.md P12);
+#                  cross-shard-argument series (EXPERIMENTS.md P11);
 #   BENCH_7.json — the durability layer (DESIGN.md "Durability layer"):
 #                  wal_recovery commit-overhead, fsync-batching, and
 #                  recovery-vs-rebuild series (EXPERIMENTS.md P13);
@@ -44,6 +39,9 @@
 #                  the tree — compare against BENCH_3.json for the
 #                  noise-level claim of EXPERIMENTS.md P10 — and embedded
 #                  metrics snapshots of two instrumented example runs.
+#
+# BENCH_6.json (the retired sharded-upgraded arms of seq_vs_shard) is
+# frozen history and is not regenerated.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -113,18 +111,6 @@ RECEIVERS_BENCH_THREADS="${RECEIVERS_BENCH_THREADS:-1,2,4,8}" \
     BENCH_JSON_DIR="$DIR5" cargo bench -p receivers-bench --bench seq_vs_shard
 
 cargo run --release -p receivers-bench --bin bench_snapshot -- "$DIR5" BENCH_5.json
-
-DIR6="$(pwd)/target/bench-json-6"
-rm -rf "$DIR6"
-mkdir -p "$DIR6"
-
-# Rerun of the seq_vs_shard suite now that the bench carries the
-# sharded-upgraded arms: same sequential/sharded series as BENCH_5.json
-# (expect them within noise of that snapshot) plus the upgraded xs pair.
-RECEIVERS_BENCH_THREADS="${RECEIVERS_BENCH_THREADS:-1,2,4,8}" \
-    BENCH_JSON_DIR="$DIR6" cargo bench -p receivers-bench --bench seq_vs_shard
-
-cargo run --release -p receivers-bench --bin bench_snapshot -- "$DIR6" BENCH_6.json
 
 DIR7="$(pwd)/target/bench-json-7"
 rm -rf "$DIR7"

@@ -3,27 +3,28 @@
 //! Each trial draws one random (schema, instance, method, receiver-order)
 //! triple from a seed — the same generators as `view_differential`, so
 //! the methods range over certified (read/write-disjoint) and uncertified
-//! shapes — then checks that every sharded execution path is
-//! **bit-identical** to the sequential reference:
+//! shapes — then checks the one sharded engine, [`ShardedExecutor`],
+//! against the sequential reference `apply_in_place_sequence`:
 //!
-//! * one-shot [`apply_sequence_sharded`] at 1/2/3/7 shards: same outcome,
-//!   same instance, same instance hash, consistent adjacency index;
-//! * [`apply_sharded`] against a caller-held maintained [`DatabaseView`]:
-//!   the view still matches a from-scratch rebuild afterwards;
-//! * forced coordinator fallbacks ([`ShardPlan::coordinate`] on a random
-//!   subset) via [`apply_planned`];
-//! * the home-replica upgraded plan
-//!   ([`ShardPlan::with_certificate_upgraded`]): shard-safe methods run
-//!   every receiver shard-locally, co-sharded arguments or not;
-//! * a long order (the receivers cycled past the small-segment inline
-//!   threshold) at 2 shards × 2 workers, so real worker loops and the
-//!   deterministic merge run inside the differential;
-//! * a persistent [`ShardedExecutor`] across two waves, against the
-//!   sequential driver applied twice;
-//! * a ghost receiver appended mid-sequence: the sharded paths and the
-//!   executor must report the *same* `Undefined` outcome as the
-//!   sequential driver (first-failure semantics) and roll the instance
-//!   back bit-identically.
+//! * an uncertified method: the constructor refuses it, naming exactly
+//!   the certificate's undischarged conflicts — and a certified one is
+//!   never refused;
+//! * a fresh executor at 1/2/3/7 shards, writing through a caller-held
+//!   maintained [`DatabaseView`], on the short order (the inline path)
+//!   and on the order cycled to 96 receivers (real worker loops and the
+//!   deterministic merge): same outcome, same instance, same instance
+//!   hash, consistent adjacency index, view equal to a fresh rebuild;
+//! * a persistent executor across two waves, against the sequential
+//!   driver applied twice;
+//! * a ghost receiver appended: a fresh and the persistent executor must
+//!   report the *same* `Undefined` outcome as the sequential driver
+//!   (first-failure semantics) and merge nothing — instance and view
+//!   bit-identical to their pre-wave snapshots — and the persistent one
+//!   keeps working afterwards.
+//!
+//! The sweep counts what it exercised (executors built, methods refused,
+//! receivers whose arguments lie off the home shard) and requires each
+//! to be non-zero.
 //!
 //! Every assertion message carries the failing seed; to replay one, add
 //! it to `tests/seeds/shard_differential.seeds` (replayed before the
@@ -37,10 +38,8 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use receivers::core::algebraic::{AlgebraicMethod, Statement};
-use receivers::core::shard::{
-    apply_planned, apply_sequence_sharded, apply_sharded, certify, ShardConfig, ShardPlan,
-    ShardedExecutor,
-};
+use receivers::core::shard::{certify, shard_of, ShardConfig, ShardedExecutor, WaveStats};
+use receivers::core::CoreError;
 use receivers::objectbase::gen::{
     random_instance, random_receivers, random_schema, InstanceParams, SchemaParams,
 };
@@ -210,8 +209,29 @@ fn assert_identical(
     sharded.check_index_consistent();
 }
 
+/// What the trials exercised, summed over the sweep.
+#[derive(Default)]
+struct Tally {
+    /// Executors built (the method certified).
+    built: u64,
+    /// Methods the constructor refused.
+    refused: u64,
+    /// Receivers of applied waves with an argument off the home shard.
+    off_home: u64,
+}
+
+/// `shards` shards, and at least two workers so orders past the inline
+/// threshold run on real worker loops.
+fn cfg(shards: usize) -> ShardConfig {
+    ShardConfig {
+        shards: Some(shards),
+        pool: receivers::rt::ShardPoolConfig::default()
+            .with_workers(receivers::rt::num_threads().max(2)),
+    }
+}
+
 /// One full differential trial for `seed`.
-fn run_triple(seed: u64) {
+fn run_triple(seed: u64) -> Tally {
     let _banner = ReplayBanner { seed };
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
     let schema = random_schema(
@@ -245,133 +265,96 @@ fn run_triple(seed: u64) {
         "receiver generation produced no receivers (seed {seed})"
     );
 
-    // Sequential reference.
+    // Sequential references: the short order, and the order cycled
+    // past the inline threshold so real worker loops run.
     let mut reference = instance.clone();
     let out_ref = method.apply_in_place_sequence(&mut reference, &order);
+    let long_order: Vec<Receiver> = order.iter().cycle().take(96).cloned().collect();
+    let mut long_ref = instance.clone();
+    let long_out_ref = method.apply_in_place_sequence(&mut long_ref, &long_order);
 
-    // One-shot sharded application across shard counts, with a maintained
-    // view so the netted per-shard delta buffers are checked against a
-    // from-scratch rebuild.
-    for shards in [1usize, 2, 3, 7] {
-        let cfg = ShardConfig {
-            shards: Some(shards),
-            ..ShardConfig::default()
-        };
-        let mut sharded = instance.clone();
-        let mut view = DatabaseView::new(&sharded);
-        let out = apply_sharded(&method, &mut sharded, &mut view, &order, &cfg);
-        assert_identical(
-            &out,
-            &out_ref,
-            &sharded,
-            &reference,
-            seed,
-            &format!("{shards} shards"),
-        );
-        assert!(
-            view.matches_rebuild(&sharded),
-            "maintained view diverged from rebuild (seed {seed}, {shards} shards)"
-        );
+    // The constructor refuses exactly the methods the certificate does
+    // not clear, naming their undischarged conflicts.
+    let mut tally = Tally::default();
+    let cert = certify(&method);
+    match ShardedExecutor::new(&method, &cfg(1)) {
+        Ok(_) => assert!(
+            cert.shard_safe(),
+            "executor built over an unsafe certificate (seed {seed})"
+        ),
+        Err(e) => {
+            assert!(
+                !cert.shard_safe(),
+                "shard-safe method refused (seed {seed}): {e}"
+            );
+            let names = cert
+                .undischarged()
+                .map(|p| schema.prop_name(p).to_owned())
+                .collect();
+            assert_eq!(
+                e,
+                CoreError::NotShardSafe(names),
+                "refusal must name the undischarged conflicts (seed {seed})"
+            );
+            tally.refused += 1;
+            return tally;
+        }
     }
 
-    // Forced coordinator fallbacks: demote a random subset of receivers
-    // (and always at least one) to the ordered coordinator path.
-    {
-        let cfg = ShardConfig {
-            shards: Some(3),
-            ..ShardConfig::default()
-        };
-        let mut plan = ShardPlan::new(&method, &order, 3);
-        plan.coordinate(rng.random_range(0..order.len()));
-        for idx in 0..order.len() {
-            if rng.random_bool(0.4) {
-                plan.coordinate(idx);
+    // A fresh executor per shard count and order, writing through a
+    // caller-held view.
+    for shards in [1usize, 2, 3, 7] {
+        for (label, ord, ref_out, ref_inst) in [
+            ("short", &order, &out_ref, &reference),
+            ("long", &long_order, &long_out_ref, &long_ref),
+        ] {
+            let label = format!("{label} order, {shards} shards");
+            let mut exec = ShardedExecutor::new(&method, &cfg(shards)).unwrap();
+            tally.built += 1;
+            let mut sharded = instance.clone();
+            let mut view = DatabaseView::new(&sharded);
+            let out = exec.apply(&mut sharded, &mut view, ord, None);
+            assert_identical(&out, ref_out, &sharded, ref_inst, seed, &label);
+            assert!(
+                view.matches_rebuild(&sharded),
+                "maintained view diverged from rebuild (seed {seed}, {label})"
+            );
+            if out.is_applied() {
+                tally.off_home += ord
+                    .iter()
+                    .filter(|t| {
+                        let home = shard_of(t.receiving_object(), shards);
+                        t.objects().iter().any(|&o| shard_of(o, shards) != home)
+                    })
+                    .count() as u64;
             }
         }
-        let mut sharded = instance.clone();
-        let mut view = DatabaseView::new(&sharded);
-        let out = apply_planned(&method, &mut sharded, &mut view, &order, &plan, &cfg);
-        assert_identical(
-            &out,
-            &out_ref,
-            &sharded,
-            &reference,
-            seed,
-            "forced fallback",
-        );
-        assert!(
-            view.matches_rebuild(&sharded),
-            "maintained view diverged under forced fallbacks (seed {seed})"
-        );
-    }
-
-    // Home-replica upgraded plan: every receiver of a shard-safe method
-    // runs `Local` on its receiving object's shard, co-sharded arguments
-    // or not (an unsafe certificate degrades to all-Coordinated, which
-    // must also match). Differentially identical either way.
-    {
-        let cert = certify(&method);
-        let plan = ShardPlan::with_certificate_upgraded(&cert, &order, 3);
-        if cert.shard_safe() {
-            assert_eq!(
-                plan.coordinated_count(),
-                0,
-                "upgraded plan must localize every receiver of a shard-safe \
-                 method (seed {seed})"
-            );
-        }
-        let cfg = ShardConfig {
-            shards: Some(3),
-            ..ShardConfig::default()
-        };
-        let mut sharded = instance.clone();
-        let mut view = DatabaseView::new(&sharded);
-        let out = apply_planned(&method, &mut sharded, &mut view, &order, &plan, &cfg);
-        assert_identical(&out, &out_ref, &sharded, &reference, seed, "upgraded plan");
-        assert!(
-            view.matches_rebuild(&sharded),
-            "maintained view diverged under the upgraded plan (seed {seed})"
-        );
-    }
-
-    // A long order crosses the small-segment inline threshold, so real
-    // worker loops and the deterministic per-shard merge run here.
-    {
-        let long_order: Vec<Receiver> = order.iter().cycle().take(96).cloned().collect();
-        let mut long_ref = instance.clone();
-        let long_out_ref = method.apply_in_place_sequence(&mut long_ref, &long_order);
-        let cfg = ShardConfig {
-            shards: Some(2),
-            pool: receivers::rt::ShardPoolConfig::default().with_workers(2),
-            ..ShardConfig::default()
-        };
-        let mut sharded = instance.clone();
-        let out = apply_sequence_sharded(&method, &mut sharded, &long_order, &cfg);
-        assert_identical(&out, &long_out_ref, &sharded, &long_ref, seed, "long order");
     }
 
     // Persistent executor across two waves vs the sequential driver
     // applied twice.
-    let cfg = ShardConfig {
-        shards: Some(3),
-        ..ShardConfig::default()
-    };
     let mut ref2 = instance.clone();
     let mut out_ref2 = method.apply_in_place_sequence(&mut ref2, &order);
-    if matches!(out_ref2, InPlaceOutcome::Applied) {
+    if out_ref2.is_applied() {
         out_ref2 = method.apply_in_place_sequence(&mut ref2, &order);
     }
     let mut ex_inst = instance.clone();
-    let mut exec = ShardedExecutor::new(&method, &cfg);
-    let mut out_ex = exec.apply(&mut ex_inst, &order);
-    if matches!(out_ex, InPlaceOutcome::Applied) {
-        out_ex = exec.apply(&mut ex_inst, &order);
+    let mut ex_view = DatabaseView::new(&ex_inst);
+    let mut exec = ShardedExecutor::new(&method, &cfg(3)).unwrap();
+    tally.built += 1;
+    let mut out_ex = exec.apply(&mut ex_inst, &mut ex_view, &order, None);
+    if out_ex.is_applied() {
+        out_ex = exec.apply(&mut ex_inst, &mut ex_view, &order, None);
     }
     assert_identical(&out_ex, &out_ref2, &ex_inst, &ref2, seed, "executor waves");
+    assert!(
+        ex_view.matches_rebuild(&ex_inst),
+        "maintained view diverged across executor waves (seed {seed})"
+    );
 
     // Ghost receiver appended: first-failure semantics — the sequential
-    // driver, the one-shot sharded path, and the executor must all report
-    // the same `Undefined` outcome and restore their instances exactly.
+    // driver, a fresh executor and the persistent one must all report the
+    // same `Undefined` outcome, and the executors merge nothing.
     {
         let ghost_class = method.signature().receiving_class();
         let ghost = Oid::new(ghost_class, 1_000_000);
@@ -388,16 +371,21 @@ fn run_triple(seed: u64) {
         );
         assert_eq!(seq, reference, "sequential rollback (seed {seed})");
 
-        let cfg = ShardConfig {
-            shards: Some(2),
-            ..ShardConfig::default()
-        };
         let mut sharded = reference.clone();
-        let out = apply_sequence_sharded(&method, &mut sharded, &poisoned, &cfg);
-        assert_identical(&out, &out_seq, &sharded, &reference, seed, "ghost one-shot");
+        let mut view = DatabaseView::new(&sharded);
+        let view_snapshot = view.clone();
+        let mut fresh = ShardedExecutor::new(&method, &cfg(2)).unwrap();
+        tally.built += 1;
+        let out = fresh.apply(&mut sharded, &mut view, &poisoned, None);
+        assert_identical(&out, &out_seq, &sharded, &reference, seed, "ghost fresh");
+        assert!(
+            view == view_snapshot,
+            "an undefined wave must leave the view untouched (seed {seed}, ghost fresh)"
+        );
 
         let ex_snapshot = ex_inst.clone();
-        let out = exec.apply(&mut ex_inst, &poisoned);
+        let ex_view_snapshot = ex_view.clone();
+        let out = exec.apply(&mut ex_inst, &mut ex_view, &poisoned, None);
         let mut seq2 = ex_snapshot.clone();
         let out_seq2 = method.apply_in_place_sequence(&mut seq2, &poisoned);
         assert_identical(
@@ -408,11 +396,20 @@ fn run_triple(seed: u64) {
             seed,
             "ghost executor",
         );
+        assert!(
+            ex_view == ex_view_snapshot,
+            "an undefined wave must leave the view untouched (seed {seed}, ghost executor)"
+        );
         // And the executor recovers: the next clean wave still matches.
-        let out = exec.apply(&mut ex_inst, &order);
+        let out = exec.apply(&mut ex_inst, &mut ex_view, &order, None);
         let out_seq3 = method.apply_in_place_sequence(&mut seq2, &order);
         assert_identical(&out, &out_seq3, &ex_inst, &seq2, seed, "post-ghost wave");
+        assert!(
+            ex_view.matches_rebuild(&ex_inst),
+            "maintained view diverged after the ghost wave (seed {seed})"
+        );
     }
+    tally
 }
 
 /// Seeds from the committed replay corpus: `tests/seeds/*.seeds`, one
@@ -432,15 +429,22 @@ fn corpus_seeds() -> Vec<u64> {
 }
 
 fn sweep(triples: u64) {
-    // Metrics on for the whole sweep: a failing trial's banner carries a
-    // meaningful summary, and the closing invariant below is counter-backed.
+    // Metrics on for the whole sweep, so a failing trial's banner carries
+    // a meaningful summary.
     obs::set_enabled(obs::trace_enabled(), true);
+    let mut total = Tally::default();
+    let mut run = |seed| {
+        let t = run_triple(seed);
+        total.built += t.built;
+        total.refused += t.refused;
+        total.off_home += t.off_home;
+    };
     for seed in corpus_seeds() {
-        run_triple(seed);
+        run(seed);
     }
     if let Ok(s) = std::env::var("RECEIVERS_DIFF_SEED") {
         let seed = s.trim().parse().expect("RECEIVERS_DIFF_SEED must be u64");
-        run_triple(seed);
+        run(seed);
         return;
     }
     let n = std::env::var("RECEIVERS_DIFF_TRIPLES")
@@ -448,21 +452,20 @@ fn sweep(triples: u64) {
         .and_then(|v| v.trim().parse().ok())
         .unwrap_or(triples);
     for k in 0..n {
-        run_triple(SWEEP_BASE + k);
+        run(SWEEP_BASE + k);
     }
 
-    // The sweep must have exercised both planner outcomes: shard-local
-    // receivers (certified methods) and coordinator fallbacks (uncertified
-    // methods plus the forced demotions).
-    let snap = obs::metrics_snapshot();
-    let plans = snap.counter("core.shard.plans").unwrap_or(0);
-    let local = snap.counter("core.shard.local_receivers").unwrap_or(0);
-    let coordinated = snap
-        .counter("core.shard.coordinated_receivers")
-        .unwrap_or(0);
-    assert!(plans > 0, "the sweep must plan sharded executions");
-    assert!(local > 0, "the sweep must run shard-local receivers");
-    assert!(coordinated > 0, "the sweep must run coordinator fallbacks");
+    // The sweep must have exercised both constructor verdicts, and
+    // receivers whose arguments live off the home shard.
+    assert!(total.built > 0, "the sweep must build executors");
+    assert!(
+        total.refused > 0,
+        "the sweep must refuse uncertified methods"
+    );
+    assert!(
+        total.off_home > 0,
+        "the sweep must run receivers with arguments off the home shard"
+    );
 }
 
 /// The tier-1 differential sweep: the replay corpus plus 500 random
@@ -482,13 +485,12 @@ fn sharded_execution_matches_sequential_long_run() {
     sweep(5000);
 }
 
-/// End-to-end solver upgrade: Section 7's cursor update (B) reads the
+/// End-to-end solver discharge: Section 7's cursor update (B) reads the
 /// Salary it writes, so the syntactic certificate alone blocks sharding.
 /// `Solver::certify_sharded` proves the read pinned to the receiving row
-/// and discharges the conflict; the home-replica upgraded plan then runs
-/// *every* receiver shard-locally — even though each receiver pairs an
-/// employee with an amount argument that generally lives on another
-/// shard — and the result stays bit-identical to the sequential driver.
+/// and discharges the conflict; the executor then runs every receiver on
+/// its home shard, and the result stays bit-identical to the sequential
+/// driver.
 #[test]
 fn solver_discharged_cursor_update_shards_bit_identically() {
     use receivers::sql::catalog::employee_catalog;
@@ -513,6 +515,10 @@ fn solver_discharged_cursor_update_shards_bit_identically() {
         "the pinned-read proof must discharge every conflict of (B)"
     );
     assert!(!cert.proofs.is_empty(), "discharges carry proofs");
+    assert!(
+        ShardedExecutor::new(&cert.method, &cfg(2)).is_err(),
+        "without the discharge the executor refuses (B)"
+    );
 
     // One receiver per Employee tuple, straight from the compiled cursor.
     let cu = match compile(&stmt, &catalog).unwrap() {
@@ -527,81 +533,36 @@ fn solver_discharged_cursor_update_shards_bit_identically() {
     let out_ref = method.apply_in_place_sequence(&mut reference, &order);
     assert!(matches!(out_ref, InPlaceOutcome::Applied));
 
-    // Upgraded plans at several widths: zero coordinator fallbacks, and
-    // bit-identical results with a maintained view.
+    // Fresh executors at several widths, with a maintained view; the
+    // wave report accounts for every receiver on the lanes.
     for shards in [2usize, 3, 5] {
-        let plan = ShardPlan::with_certificate_upgraded(&cert.certificate, &order, shards);
-        assert_eq!(
-            plan.coordinated_count(),
-            0,
-            "solver-upgraded plan must localize every receiver ({shards} shards)"
-        );
-        let cfg = ShardConfig {
-            shards: Some(shards),
-            ..ShardConfig::default()
-        };
+        let mut exec =
+            ShardedExecutor::with_certificate(method, &cert.certificate, &cfg(shards)).unwrap();
         let mut sharded = instance.clone();
         let mut view = DatabaseView::new(&sharded);
-        let out = apply_planned(method, &mut sharded, &mut view, &order, &plan, &cfg);
+        let mut wave = WaveStats::default();
+        let out = exec.apply(&mut sharded, &mut view, &order, Some(&mut wave));
         assert_identical(
             &out,
             &out_ref,
             &sharded,
             &reference,
             0,
-            &format!("solver-upgraded {shards} shards"),
+            &format!("solver-discharged {shards} shards"),
         );
         assert!(
             view.matches_rebuild(&sharded),
-            "maintained view diverged under the solver-upgraded plan ({shards} shards)"
+            "maintained view diverged under the solver-discharged certificate ({shards} shards)"
+        );
+        assert_eq!(
+            wave.local_receivers,
+            order.len() as u64,
+            "the wave report must account for every receiver ({shards} shards)"
+        );
+        assert_eq!(
+            wave.lanes.iter().map(|l| l.receivers).sum::<u64>(),
+            wave.local_receivers,
+            "lane receiver counts must sum to the local total"
         );
     }
-
-    // The persistent executor accepts the discharged certificate too.
-    let cfg = ShardConfig {
-        shards: Some(3),
-        ..ShardConfig::default()
-    };
-    let mut ex_inst = instance.clone();
-    let mut exec = ShardedExecutor::with_certificate(method, cert.certificate.clone(), &cfg);
-    let out = exec.apply(&mut ex_inst, &order);
-    assert_identical(
-        &out,
-        &out_ref,
-        &ex_inst,
-        &reference,
-        0,
-        "solver-discharged executor",
-    );
-
-    // The stats-collecting twin is bit-identical and its wave report
-    // accounts for every receiver: the solver-upgraded certificate
-    // localizes all of them, split across the per-shard lanes.
-    exec.invalidate();
-    let mut st_inst = instance.clone();
-    let (out, log, wave) = exec.apply_logged_stats(&mut st_inst, &order);
-    assert_identical(
-        &out,
-        &out_ref,
-        &st_inst,
-        &reference,
-        0,
-        "stats-collecting executor",
-    );
-    assert!(!log.is_empty(), "an applied wave logs its deltas");
-    assert_eq!(
-        wave.local_receivers + wave.coordinated_receivers,
-        order.len() as u64,
-        "the wave report must account for every receiver"
-    );
-    assert_eq!(
-        wave.coordinated_receivers, 0,
-        "the solver-upgraded certificate localizes every receiver"
-    );
-    assert!(wave.segments > 0, "local receivers fan out in segments");
-    assert_eq!(
-        wave.lanes.iter().map(|l| l.receivers).sum::<u64>(),
-        wave.local_receivers,
-        "lane receiver counts must sum to the local total"
-    );
 }
