@@ -55,8 +55,10 @@ fn dense_instance(scale: u32) -> (BeerSchema, Instance) {
     (s, i)
 }
 
-/// Apply `order` durably: the viewed driver with a [`DurableSink`] around
-/// the view, then the sink's storage-error check.
+/// Apply `order` durably, each receiver its own unit: the viewed driver
+/// with a [`DurableSink`] around the view, every receiver's ops committed
+/// as one WAL record — so a 64-receiver order is 64 records, the
+/// workload the fsync-batching and replay arms price.
 fn durable_run<S: WalStorage>(
     m: &AlgebraicMethod,
     working: &mut Instance,
@@ -65,11 +67,18 @@ fn durable_run<S: WalStorage>(
     store: &mut DurableStore<S>,
 ) -> InPlaceOutcome {
     let mut sink = DurableSink::new(store, view);
-    let out = m.apply_sequence_viewed(working, &mut sink, order);
-    if let Some(e) = sink.take_error() {
-        panic!("durable apply: {e}");
+    let mut log = Vec::new();
+    for t in order {
+        log.clear();
+        let out = m.apply_sequence_logged(working, &mut sink, std::slice::from_ref(t), &mut log);
+        if !out.is_applied() {
+            return out;
+        }
+        if let Err(e) = sink.commit(&log) {
+            panic!("durable apply: {e}");
+        }
     }
-    out
+    InPlaceOutcome::Applied
 }
 
 /// The standard 64-receiver add_bar order over a `scale` instance.

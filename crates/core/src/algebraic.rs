@@ -179,10 +179,9 @@ impl AlgebraicMethod {
     /// both exactly as passed in (the sequence-level rollback contract).
     ///
     /// `view` is any [`ViewObserver`]: a bare [`DatabaseView`], or a
-    /// `receivers_wal::DurableSink` around one, which logs every
-    /// receiver's commit as one WAL record and a rollback as one
-    /// compensation record — then check the sink's `take_error` after the
-    /// call.
+    /// `receivers_wal::DurableSink` around one. To make the sequence part
+    /// of a larger atomic unit — one durable record, one rollback — use
+    /// [`Self::apply_sequence_logged`] with the unit's log.
     ///
     /// Per receiver the cost is `O(probe + changed edges)`; the `O(N + E)`
     /// view construction is paid once by the caller, not once per receiver.
@@ -192,21 +191,43 @@ impl AlgebraicMethod {
         view: &mut dyn ViewObserver,
         order: &[Receiver],
     ) -> InPlaceOutcome {
+        self.apply_sequence_logged(instance, view, order, &mut Vec::new())
+    }
+
+    /// [`Self::apply_sequence_viewed`] writing into the caller's delta
+    /// log: every receiver's committed ops are appended to `log`, so the
+    /// sequence joins an enclosing unit — the `sql::plan` stage loop's
+    /// program log — which the caller commits or undoes as a whole.
+    ///
+    /// On failure the sequence undoes exactly the ops it appended and
+    /// truncates `log` back, leaving instance, view and log as passed in;
+    /// ops already in the log are the caller's to undo, so nothing is ever
+    /// undone twice.
+    pub fn apply_sequence_logged(
+        &self,
+        instance: &mut Instance,
+        view: &mut dyn ViewObserver,
+        order: &[Receiver],
+        log: &mut Vec<DeltaOp>,
+    ) -> InPlaceOutcome {
         let _seq_span = obs::span("core.sequence");
-        let mut seq_log: Vec<DeltaOp> = Vec::new();
+        let start = log.len();
         for t in order {
             let _apply_span = obs::span("core.apply");
-            if let Err(e) = t.validate(&self.signature, instance) {
-                C_ROLLBACKS.incr();
-                undo_ops(instance, view, &seq_log);
-                return InPlaceOutcome::Undefined(e.to_string());
-            }
-            let results = match self.evaluate_on(view.database(), t) {
+            let results = t
+                .validate(&self.signature, instance)
+                .map_err(|e| e.to_string())
+                .and_then(|()| {
+                    self.evaluate_on(view.database(), t)
+                        .map_err(|e| e.to_string())
+                });
+            let results = match results {
                 Ok(r) => r,
-                Err(e) => {
+                Err(why) => {
                     C_ROLLBACKS.incr();
-                    undo_ops(instance, view, &seq_log);
-                    return InPlaceOutcome::Undefined(e.to_string());
+                    undo_ops(instance, view, &log[start..]);
+                    log.truncate(start);
+                    return InPlaceOutcome::Undefined(why);
                 }
             };
             let recv = t.receiving_object();
@@ -221,7 +242,7 @@ impl AlgebraicMethod {
                         .expect("typed evaluation only yields objects of I");
                 }
             }
-            txn.commit_into(&mut seq_log);
+            txn.commit_into(log);
             C_RECEIVERS_APPLIED.incr();
         }
         InPlaceOutcome::Applied
@@ -236,8 +257,8 @@ impl AlgebraicMethod {
 // observed transaction per batch. Program executors (the `sql::plan`
 // drivers) evaluate a whole stage's rows/values first, then commit the
 // batch through one of these — the observer sees one `batch_committed`
-// per stage, which is also the WAL-record granularity of the durable
-// driver.
+// per stage, which is where the stage loop appends the batch to its
+// program log.
 
 /// Remove `victims` (with edge cascade, in the given order) in one
 /// observed transaction — the phase-2 body of a set-oriented delete.
@@ -483,6 +504,36 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, CoreError::IllTypedStatement { .. }));
+    }
+
+    /// A failing sequence that joins a caller's log undoes exactly its
+    /// own ops: the caller's earlier ops stay applied and in the log, so
+    /// the caller's own rollback never undoes anything twice.
+    #[test]
+    fn logged_sequence_failure_undoes_only_its_own_ops() {
+        let (s, m) = add_bar_method();
+        let (mut i, o) = figure2(&s);
+        let mut view = DatabaseView::new(&i);
+        let mut log = Vec::new();
+        let mut txn = InstanceTxn::begin_observed(&mut i, &mut view);
+        txn.remove_edge(&Edge::new(o.d1, s.frequents, o.bar1));
+        txn.commit_into(&mut log);
+        let (after_first, logged) = (i.clone(), log.clone());
+
+        let ghost = Oid::new(s.bar, 999);
+        let order = [
+            Receiver::new(vec![o.d1, o.bar3]),
+            Receiver::new(vec![o.d1, ghost]),
+        ];
+        let out = m.apply_sequence_logged(&mut i, &mut view, &order, &mut log);
+        assert!(matches!(out, InPlaceOutcome::Undefined(_)), "{out:?}");
+        assert_eq!(i, after_first);
+        assert_eq!(log, logged);
+        assert!(view.matches_rebuild(&i));
+
+        undo_ops(&mut i, &mut view, &log);
+        assert_eq!(i, figure2(&s).0);
+        assert!(view.matches_rebuild(&i));
     }
 
     /// Methods cannot create or delete objects — only edges of the

@@ -45,8 +45,9 @@ pub trait DeltaObserver {
     /// [`InstanceTxn::commit_into`](crate::InstanceTxn::commit_into)
     /// immediately before the commit's [`Self::batch_end`]. Unlike
     /// `batch_end` this fires only on the commit path, never on
-    /// rollback, and carries the whole surviving log — the hook a
-    /// durability layer appends to its write-ahead log. Default no-op.
+    /// rollback, and carries the whole surviving log — the hook through
+    /// which a program's stage loop gathers the one delta log it commits
+    /// or undoes. Default no-op.
     fn batch_committed(&mut self, _ops: &[DeltaOp]) {}
 }
 

@@ -12,8 +12,12 @@
 //! * [`ProgramPlan::execute_sharded`] / [`ShardSession`] — certified
 //!   stages on the [`receivers_core::shard`] per-shard worker loops, with
 //!   certificates discharged from footprints *read off the DAG*;
-//! * [`ProgramPlan::execute_durable`] — the same pipeline writing every
-//!   committed batch through a [`DurableStore`] write-ahead log.
+//! * [`ProgramPlan::execute_durable`] — the same pipeline, logging the
+//!   whole program as one record of a [`DurableStore`] write-ahead log.
+//!
+//! A program is one transaction on every driver: the stage loop keeps one
+//! program-level delta log, and a program that is not applied — an
+//! `Undefined` stage, an error, a failed WAL write — is undone whole.
 //!
 //! Three planner passes run between lowering and execution, in order:
 //!
@@ -45,7 +49,7 @@ use receivers_core::algebraic::{
 use receivers_core::shard::{certify, ShardCertificate, ShardConfig, ShardedExecutor, WaveStats};
 use receivers_core::AlgebraicMethod;
 use receivers_objectbase::{
-    ClassId, DeltaObserver, InPlaceOutcome, Instance, Oid, PropId, Receiver,
+    undo_ops, ClassId, DeltaObserver, DeltaOp, InPlaceOutcome, Instance, Oid, PropId, Receiver,
 };
 use receivers_obs as obs;
 use receivers_relalg::database::Database;
@@ -1396,14 +1400,13 @@ struct StageMeter {
     wave: Option<WaveStats>,
 }
 
-/// Where a profiled stage started: clocks, selector-cache counters and
-/// WAL accounting, diffed against their values once the stage is done.
+/// Where a profiled stage started: clocks and selector-cache counters,
+/// diffed against their values once the stage is done.
 struct StageMark {
     start_ns: u64,
     t0: std::time::Instant,
     hits: u64,
     misses: u64,
-    wal: Option<WalStats>,
 }
 
 /// Short label for a stage kind, shared by EXPLAIN and the profilers.
@@ -1440,8 +1443,8 @@ pub(crate) fn stage_node(idx: usize, stage: &Stage) -> obs::ProfileNode {
 }
 
 /// Stamp one executed stage's measurements onto its node — wall time,
-/// rows, selector-cache deltas, the sharded placement and lanes, the
-/// durable `wal` child — and push it under the profile root.
+/// rows, selector-cache deltas, the sharded placement and lanes — and
+/// push it under the profile root.
 fn push_stage_profile(
     prof: &mut obs::ProfileNode,
     idx: usize,
@@ -1449,7 +1452,6 @@ fn push_stage_profile(
     mark: StageMark,
     meter: StageMeter,
     cache: &ExecCache<'_>,
-    wal: Option<WalStats>,
 ) {
     let mut node = stage_node(idx, stage);
     node.start_ns = mark.start_ns;
@@ -1475,29 +1477,18 @@ fn push_stage_profile(
             node.children.push(ln);
         }
     }
-    if let (Some(w0), Some(w)) = (mark.wal, wal) {
-        let mut wal = obs::ProfileNode::new("wal", "wal-append");
-        wal.start_ns = mark.start_ns;
-        wal.wall_ns = w.sync_ns - w0.sync_ns;
-        wal.set_metric("records", w.records - w0.records);
-        wal.set_metric("bytes", w.bytes - w0.bytes);
-        wal.set_metric("syncs", w.syncs - w0.syncs);
-        wal.set_metric("sync_ns", w.sync_ns - w0.sync_ns);
-        if w.checkpoints > w0.checkpoints {
-            wal.set_metric("checkpoints", w.checkpoints - w0.checkpoints);
-        }
-        node.children.push(wal);
-    }
     prof.children.push(node);
 }
 
 /// The observer side of the one stage loop: stages write through it and
-/// evaluate against its database. A durable sink additionally parks
-/// storage errors and keeps WAL accounting; a bare view has neither.
+/// evaluate against its database, and an applied program's log is handed
+/// to it once. A durable sink logs that as one WAL record and keeps WAL
+/// accounting; a bare view does neither.
 trait StageObserver: ViewObserver {
-    /// The storage error the last stage hit, if any.
-    fn take_error(&mut self) -> Option<WalError> {
-        None
+    /// Make the applied program's `ops` durable. On `Err` nothing of
+    /// them is in the log, and the stage loop undoes the program.
+    fn commit(&mut self, _ops: &[DeltaOp]) -> std::result::Result<(), WalError> {
+        Ok(())
     }
     /// Cumulative WAL accounting, when the observer logs.
     fn wal_stats(&self) -> Option<WalStats> {
@@ -1508,12 +1499,74 @@ trait StageObserver: ViewObserver {
 impl StageObserver for DatabaseView {}
 
 impl<S: WalStorage> StageObserver for DurableSink<'_, S> {
-    fn take_error(&mut self) -> Option<WalError> {
-        DurableSink::take_error(self)
+    fn commit(&mut self, ops: &[DeltaOp]) -> std::result::Result<(), WalError> {
+        DurableSink::commit(self, ops)
     }
     fn wal_stats(&self) -> Option<WalStats> {
         Some(self.store().stats())
     }
+}
+
+/// An observer that also appends every committed batch to the program
+/// log — how a stage whose applier commits through an observer (the batch
+/// appliers, a shard wave's merge) joins the one log the stage loop
+/// commits or undoes.
+struct Joined<'a> {
+    observer: &'a mut dyn DeltaObserver,
+    log: &'a mut Vec<DeltaOp>,
+}
+
+impl<'a> Joined<'a> {
+    fn new(observer: &'a mut dyn DeltaObserver, log: &'a mut Vec<DeltaOp>) -> Self {
+        Self { observer, log }
+    }
+}
+
+impl DeltaObserver for Joined<'_> {
+    fn applied(&mut self, op: &DeltaOp) {
+        self.observer.applied(op);
+    }
+    fn undone(&mut self, op: &DeltaOp) {
+        self.observer.undone(op);
+    }
+    fn batch_committed(&mut self, ops: &[DeltaOp]) {
+        self.observer.batch_committed(ops);
+        self.log.extend_from_slice(ops);
+    }
+    fn batch_end(&mut self) {
+        self.observer.batch_end();
+    }
+}
+
+/// Hand an applied program's log to the observer's commit and, when
+/// profiled on a logging observer, price it as the root's `commit` child:
+/// records, bytes, syncs, sync latency and checkpoints off the store's
+/// [`WalStats`].
+fn commit_program(
+    sink: &mut dyn StageObserver,
+    log: &[DeltaOp],
+    prof: Option<&mut obs::ProfileNode>,
+) -> std::result::Result<(), WalError> {
+    let _span = obs::span("sql.plan.commit");
+    let mark = prof
+        .is_some()
+        .then(|| sink.wal_stats())
+        .flatten()
+        .map(|w| (w, obs::now_ns(), std::time::Instant::now()));
+    sink.commit(log)?;
+    if let (Some(p), Some((w0, start_ns, t0)), Some(w)) = (prof, mark, sink.wal_stats()) {
+        let mut node = obs::ProfileNode::new("commit", "wal-commit");
+        node.start_ns = start_ns;
+        node.wall_ns = t0.elapsed().as_nanos() as u64;
+        node.rows_in = log.len() as u64;
+        node.set_metric("records", w.records - w0.records);
+        node.set_metric("bytes", w.bytes - w0.bytes);
+        node.set_metric("syncs", w.syncs - w0.syncs);
+        node.set_metric("sync_ns", w.sync_ns - w0.sync_ns);
+        node.set_metric("checkpoints", w.checkpoints - w0.checkpoints);
+        p.children.push(node);
+    }
+    Ok(())
 }
 
 /// The sharded session's placement rule — all its driver adds to the
@@ -1554,14 +1607,16 @@ pub(crate) fn refusal_note(catalog: &Catalog, certificate: &ShardCertificate) ->
 }
 
 impl<'p> ShardLanes<'_, 'p> {
-    /// Run stage `idx` on its executor, or return `None` to send it down
-    /// the shared path.
+    /// Run stage `idx` on its executor, its merged wave joining `log`, or
+    /// return `None` to send it down the shared path.
+    #[allow(clippy::too_many_arguments)]
     fn run(
         &mut self,
         plan: &'p ProgramPlan,
         idx: usize,
         instance: &mut Instance,
-        view: &mut dyn DeltaObserver,
+        observer: &mut dyn DeltaObserver,
+        log: &mut Vec<DeltaOp>,
         meter: &mut StageMeter,
         profiled: bool,
     ) -> Option<InPlaceOutcome> {
@@ -1593,7 +1648,12 @@ impl<'p> ShardLanes<'_, 'p> {
         meter.rows_in += order.len() as u64;
         meter.rows_out += order.len() as u64;
         let mut wave = WaveStats::default();
-        let outcome = exec.apply(instance, view, &order, profiled.then_some(&mut wave));
+        let outcome = exec.apply(
+            instance,
+            &mut Joined::new(observer, log),
+            &order,
+            profiled.then_some(&mut wave),
+        );
         if profiled {
             meter.wave = Some(wave);
         }
@@ -1601,11 +1661,12 @@ impl<'p> ShardLanes<'_, 'p> {
     }
 
     /// Stage `idx` applied: every other executor's replicas are stale now,
-    /// and its own too unless it ran the stage.
-    fn invalidate_after(&mut self, idx: usize, ran_here: bool) {
+    /// and its own too unless it ran the stage. `None` — the program was
+    /// undone — makes every replica stale.
+    fn invalidate_after(&mut self, ran: Option<(usize, bool)>) {
         for (k, exec) in self.execs.iter_mut().enumerate() {
             if let Some(Ok(exec)) = exec {
-                if !(ran_here && k == idx) {
+                if ran != Some((k, true)) {
                     exec.invalidate();
                 }
             }
@@ -1680,13 +1741,15 @@ impl ProgramPlan {
 
     /// Run a cursor delete's ordered loop: guard re-evaluated per
     /// receiver against the mutating instance, every fired delete one
-    /// observed transaction — exactly the interpreted
-    /// [`crate::compile::CursorDeleteMethod`] semantics, in place.
+    /// observed transaction committed into `log` — exactly the
+    /// interpreted [`crate::compile::CursorDeleteMethod`] semantics, in
+    /// place.
     fn run_cursor_delete(
         &self,
         stage: &Stage,
         instance: &mut Instance,
         observer: &mut dyn DeltaObserver,
+        log: &mut Vec<DeltaOp>,
         meter: &mut StageMeter,
     ) -> Result<InPlaceOutcome> {
         let CompiledStatement::CursorDelete(cd) = &stage.compiled else {
@@ -1711,20 +1774,21 @@ impl ProgramPlan {
                 meter.rows_out += 1;
                 let mut txn = receivers_objectbase::InstanceTxn::begin_observed(instance, observer);
                 txn.remove_object_cascade(tuple);
-                txn.commit();
+                txn.commit_into(log);
             }
         }
         Ok(InPlaceOutcome::Applied)
     }
 
-    /// Run a guarded (or non-algebraic) cursor update's ordered loop —
-    /// exactly the interpreted [`crate::compile::CursorUpdateMethod`]
-    /// semantics, in place.
+    /// Run a guarded (or non-algebraic) cursor update's ordered loop, each
+    /// receiver committed into `log` — exactly the interpreted
+    /// [`crate::compile::CursorUpdateMethod`] semantics, in place.
     fn run_cursor_update_interpreted(
         &self,
         stage: &Stage,
         instance: &mut Instance,
         observer: &mut dyn DeltaObserver,
+        log: &mut Vec<DeltaOp>,
         meter: &mut StageMeter,
     ) -> Result<InPlaceOutcome> {
         let CompiledStatement::CursorUpdate(cu) = &stage.compiled else {
@@ -1756,20 +1820,21 @@ impl ProgramPlan {
                 txn.add_edge(receivers_objectbase::Edge::new(tuple, prop, v))
                     .expect("typed evaluation");
             }
-            txn.commit();
+            txn.commit_into(log);
         }
         Ok(InPlaceOutcome::Applied)
     }
 
     /// Run one stage on the shared in-place path against `instance`, with
-    /// `view` maintained — the one place [`StageKind`] is matched for
-    /// execution.
+    /// `view` maintained and every committed op appended to the program
+    /// `log` — the one place [`StageKind`] is matched for execution.
     fn run_stage_viewed(
         &self,
         cache: &mut ExecCache<'_>,
         stage: &Stage,
         instance: &mut Instance,
         view: &mut dyn ViewObserver,
+        log: &mut Vec<DeltaOp>,
         meter: &mut StageMeter,
     ) -> Result<InPlaceOutcome> {
         match stage.kind {
@@ -1778,7 +1843,7 @@ impl ProgramPlan {
                 C_VECTORIZED_ROWS.add(rows.len() as u64);
                 meter.rows_in += rows.len() as u64;
                 meter.rows_out += rows.len() as u64;
-                apply_delete_batch(instance, view, &rows);
+                apply_delete_batch(instance, &mut Joined::new(view, log), &rows);
                 Ok(InPlaceOutcome::Applied)
             }
             StageKind::SetUpdate => {
@@ -1788,7 +1853,8 @@ impl ProgramPlan {
                 C_VECTORIZED_ROWS.add(assigns.len() as u64);
                 meter.rows_in += assigns.len() as u64;
                 meter.rows_out += assigns.len() as u64;
-                apply_assignment_batch(instance, view, self.stage_prop(stage)?, &assigns);
+                let prop = self.stage_prop(stage)?;
+                apply_assignment_batch(instance, &mut Joined::new(view, log), prop, &assigns);
                 Ok(InPlaceOutcome::Applied)
             }
             StageKind::ImprovedUpdate => {
@@ -1798,37 +1864,40 @@ impl ProgramPlan {
                 meter.rows_out += pairs.len() as u64;
                 apply_replacement_batch(
                     instance,
-                    view,
+                    &mut Joined::new(view, log),
                     self.stage_prop(stage)?,
                     &receiving,
                     &pairs,
                 );
                 Ok(InPlaceOutcome::Applied)
             }
-            StageKind::CursorDelete => self.run_cursor_delete(stage, instance, view, meter),
+            StageKind::CursorDelete => self.run_cursor_delete(stage, instance, view, log, meter),
             StageKind::CursorUpdate => match &stage.algebraic {
                 Some(m) => {
                     let order = cursor_order(stage, instance);
                     meter.rows_in += order.len() as u64;
                     meter.rows_out += order.len() as u64;
-                    Ok(m.apply_sequence_viewed(instance, view, &order))
+                    Ok(m.apply_sequence_logged(instance, view, &order, log))
                 }
-                None => self.run_cursor_update_interpreted(stage, instance, view, meter),
+                None => self.run_cursor_update_interpreted(stage, instance, view, log, meter),
             },
         }
     }
 
     /// The one stage loop behind every driver. It owns netted-stage
-    /// skipping, spans and counters, profile marks, the storage-error
-    /// check after each stage, outcome handling and selector-cache
-    /// invalidation; the drivers differ only in the observer they pass
-    /// (a view, or a [`DurableSink`] around one) and, for the sharded
-    /// session, in the [`ShardLanes`] placement rule.
+    /// skipping, spans and counters, profile marks, outcome handling,
+    /// selector-cache invalidation and the program's atomicity; the
+    /// drivers differ only in the observer they pass (a view, or a
+    /// [`DurableSink`] around one) and, for the sharded session, in the
+    /// [`ShardLanes`] placement rule.
     ///
-    /// On a non-[`Applied`](InPlaceOutcome::Applied) stage outcome the
-    /// program stops: the failing stage has rolled itself back, earlier
-    /// stages remain applied — the same contract as running the
-    /// statements one at a time.
+    /// A program is one transaction. Every stage's committed ops join one
+    /// program-level delta log; once every stage has applied, the log is
+    /// handed to the observer's commit (one WAL record on the durable
+    /// driver). An `Undefined` stage, an error, or a failed commit undoes
+    /// the whole log on the instance and the observer and drops every
+    /// executor replica, so the instance ends either fully updated or as
+    /// passed in — never half-done, and never ahead of the durable state.
     fn run_stages<'p>(
         &'p self,
         instance: &mut Instance,
@@ -1839,6 +1908,8 @@ impl ProgramPlan {
         let _span = obs::span("sql.plan.execute");
         C_EXECUTIONS.incr();
         let mut cache = ExecCache::new(self);
+        let mut log: Vec<DeltaOp> = Vec::new();
+        let mut failed = None;
         for (idx, stage) in self.stages.iter().enumerate() {
             if stage.netted {
                 C_STAGES_SKIPPED.incr();
@@ -1854,37 +1925,69 @@ impl ProgramPlan {
                 t0: std::time::Instant::now(),
                 hits: cache.hits,
                 misses: cache.misses,
-                wal: sink.wal_stats(),
             });
             let mut meter = StageMeter::default();
-            let placed = lanes
-                .as_deref_mut()
-                .and_then(|l| l.run(self, idx, instance, &mut *sink, &mut meter, prof.is_some()));
+            let placed = lanes.as_deref_mut().and_then(|l| {
+                l.run(
+                    self,
+                    idx,
+                    instance,
+                    &mut *sink,
+                    &mut log,
+                    &mut meter,
+                    prof.is_some(),
+                )
+            });
             let ran_on_lanes = placed.is_some();
             let outcome = match placed {
-                Some(outcome) => outcome,
-                None => self.run_stage_viewed(&mut cache, stage, instance, sink, &mut meter)?,
+                Some(outcome) => Ok(outcome),
+                None => {
+                    self.run_stage_viewed(&mut cache, stage, instance, sink, &mut log, &mut meter)
+                }
             };
-            if let Some(e) = sink.take_error() {
-                return Err(e.into());
+            if let (Some(p), Some(mark), Ok(_)) = (prof.as_deref_mut(), mark, &outcome) {
+                push_stage_profile(p, idx, stage, mark, meter, &cache);
             }
-            if let (Some(p), Some(mark)) = (prof.as_deref_mut(), mark) {
-                push_stage_profile(p, idx, stage, mark, meter, &cache, sink.wal_stats());
-            }
-            if !outcome.is_applied() {
-                return Ok(outcome);
+            match outcome {
+                Ok(InPlaceOutcome::Applied) => {}
+                other => {
+                    failed = Some((idx, other));
+                    break;
+                }
             }
             if let Some(l) = lanes.as_deref_mut() {
-                l.invalidate_after(idx, ran_on_lanes);
+                l.invalidate_after(Some((idx, ran_on_lanes)));
             }
             cache.invalidate_after(&stage.footprint);
         }
-        Ok(InPlaceOutcome::Applied)
+        let (result, culprit) = match failed {
+            None => match commit_program(sink, &log, prof.as_deref_mut()) {
+                Ok(()) => return Ok(InPlaceOutcome::Applied),
+                Err(e) => (Err(e.into()), "the program's WAL commit".to_owned()),
+            },
+            Some((idx, result)) => (result, format!("stage {}", idx + 1)),
+        };
+        let _undo = obs::span("sql.plan.rollback");
+        undo_ops(instance, sink, &log);
+        if let Some(l) = lanes {
+            l.invalidate_after(None);
+        }
+        if let Some(p) = prof {
+            let why = match &result {
+                Ok(InPlaceOutcome::Undefined(why)) => why.clone(),
+                Ok(other) => format!("{other:?}"),
+                Err(e) => e.to_string(),
+            };
+            p.add_note(format!("rolled back by {culprit}: {why}"));
+            p.set_metric("rolled_back_ops", log.len() as u64);
+        }
+        result
     }
 
     /// Run `execute` with **EXPLAIN ANALYZE** attached: a profile root
     /// for `driver`, timed around the run and, when the flight recorder
-    /// is on, retained rendered in its ring.
+    /// is on, retained rendered in its ring — also when the run fails,
+    /// so a rolled-back program's rollback note survives its error.
     fn profiled(
         &self,
         driver: &str,
@@ -1895,7 +1998,7 @@ impl ProgramPlan {
         root.set_metric("dag_nodes", self.graph.len() as u64);
         let start_ns = obs::now_ns();
         let t0 = std::time::Instant::now();
-        let outcome = execute(Some(&mut root))?;
+        let outcome = execute(Some(&mut root));
         root.start_ns = start_ns;
         root.wall_ns = t0.elapsed().as_nanos() as u64;
         if obs::flight_enabled() {
@@ -1905,16 +2008,16 @@ impl ProgramPlan {
                 Some(obs::render_profile_json(&root)),
             );
         }
-        Ok((outcome, root))
+        Ok((outcome?, root))
     }
 
     /// Execute the compiled program through the **sequential viewed
     /// driver**: every stage in statement order against `instance`, with
-    /// `view` incrementally maintained. Netted stages are skipped. On a
-    /// non-[`Applied`](InPlaceOutcome::Applied) stage outcome the program
-    /// stops (the failing stage has rolled itself back; earlier stages
-    /// remain applied — the same contract as running the statements one
-    /// at a time).
+    /// `view` incrementally maintained. Netted stages are skipped. The
+    /// program is atomic: on a non-[`Applied`](InPlaceOutcome::Applied)
+    /// stage outcome, or an error, every stage is undone and `instance`
+    /// and `view` are exactly as passed in — the paper's `M(I, s)` is
+    /// undefined when any step is.
     pub fn execute_viewed(
         &self,
         instance: &mut Instance,
@@ -1926,7 +2029,8 @@ impl ProgramPlan {
     /// [`ProgramPlan::execute_viewed`] with **EXPLAIN ANALYZE** attached:
     /// the same execution bit for bit, plus a [`obs::ProfileNode`] tree —
     /// one child per stage with wall time, rows in/out, and
-    /// selector-cache hit/miss counts. Render with
+    /// selector-cache hit/miss counts; a rolled-back program's root notes
+    /// which stage caused the rollback. Render with
     /// [`obs::render_profile_human`], [`obs::render_profile_json`] or
     /// [`obs::render_profile_chrome`].
     pub fn execute_viewed_profiled(
@@ -1938,13 +2042,14 @@ impl ProgramPlan {
     }
 
     /// Execute the compiled program through the **durable driver**: the
-    /// viewed driver's stage loop with one [`DurableSink`] around `view`
-    /// for the whole program, so every committed batch is appended to
-    /// `store`'s write-ahead log (one record per vectorized batch, one per
-    /// receiver on cursor loops) and the sink checkpoints at the commit
-    /// that crosses the store's threshold. On a storage error the
-    /// in-memory state is ahead of the durable state; recover via
-    /// [`DurableStore::open`].
+    /// viewed driver's stage loop with one [`DurableSink`] around `view`.
+    /// An applied program is appended to `store`'s write-ahead log as
+    /// **one record**, synced under the store's group-commit policy,
+    /// and the sink then checkpoints if the store's threshold is reached.
+    /// A program that is not applied writes nothing. On a storage error
+    /// the program is undone in memory and its record is not in the log,
+    /// so `instance` and `view` are as passed in and equal to what
+    /// [`DurableStore::open`] would recover.
     pub fn execute_durable<S: WalStorage>(
         &self,
         instance: &mut Instance,
@@ -1955,10 +2060,10 @@ impl ProgramPlan {
     }
 
     /// [`ProgramPlan::execute_durable`] with **EXPLAIN ANALYZE**
-    /// attached: per-stage wall time, rows, selector-cache counters, and
-    /// a nested `wal` child pricing the stage's log appends (records,
-    /// bytes, syncs, sync latency, checkpoints) off the sink's
-    /// [`DurableStore::stats`].
+    /// attached: per-stage wall time, rows and selector-cache counters,
+    /// then one program-level `commit` child after the stages pricing the
+    /// program's WAL record (records, bytes, syncs, sync latency,
+    /// checkpoints) off the sink's [`DurableStore::stats`].
     pub fn execute_durable_profiled<S: WalStorage>(
         &self,
         instance: &mut Instance,
@@ -2050,7 +2155,8 @@ impl ShardSession<'_> {
     }
 
     /// Apply the whole program to `instance` — semantically identical to
-    /// [`ProgramPlan::execute_viewed`].
+    /// [`ProgramPlan::execute_viewed`], atomicity included: a program that
+    /// is not applied is undone and drops every executor's replicas.
     pub fn execute(&mut self, instance: &mut Instance) -> Result<InPlaceOutcome> {
         self.execute_impl(instance, None)
     }
@@ -2264,6 +2370,112 @@ mod tests {
         assert!(rview.matches_rebuild(&recovered));
     }
 
+    /// A durable program is one WAL record, and a program whose record
+    /// cannot be written is undone whole: instance and view as passed in,
+    /// nothing in the log, and the same program applies on a retry.
+    #[test]
+    fn durable_program_is_one_record_and_a_failed_append_undoes_it() {
+        let (es, catalog) = employee_catalog();
+        let plan = compile_program(&program(&[DELETE_SIMPLE, CURSOR_UPDATE_C]), &catalog).unwrap();
+        assert_eq!(plan.stages()[1].kind(), StageKind::CursorUpdate);
+        let (i0, _) = section7_instance(&es);
+        let mut want = i0.clone();
+        let mut want_view = DatabaseView::new(&want);
+        assert!(plan
+            .execute_viewed(&mut want, &mut want_view)
+            .unwrap()
+            .is_applied());
+
+        let mut i = i0.clone();
+        let mut view = DatabaseView::new(&i);
+        let mut store = DurableStore::create(
+            FaultStorage::new().fail_nth_append(1),
+            Arc::clone(&es.schema),
+            WalConfig::default(),
+            &i0,
+        )
+        .unwrap();
+        let err = plan.execute_durable(&mut i, &mut view, &mut store);
+        assert!(
+            matches!(&err, Err(SqlError::Wal(msg)) if msg.contains("injected append failure")),
+            "{err:?}"
+        );
+        assert_eq!(i, i0, "the failed program is undone whole");
+        assert_eq!(view.database(), DatabaseView::new(&i0).database());
+        assert_eq!(store.last_seq(), 0);
+        assert_eq!(store.storage().len(&store.wal_file()), 0);
+
+        assert!(plan
+            .execute_durable(&mut i, &mut view, &mut store)
+            .unwrap()
+            .is_applied());
+        assert_eq!(i, want);
+        assert_eq!(store.stats().records, 1, "one record for the whole program");
+        let (_, recovered, _, report) = DurableStore::open(
+            store.into_storage().reopen(),
+            Arc::clone(&es.schema),
+            WalConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(report.records_replayed, 1);
+        assert_eq!(recovered, want);
+    }
+
+    /// A view whose commit always fails: the stage loop's rollback path
+    /// without any storage.
+    struct RefusingCommit(DatabaseView);
+
+    impl DeltaObserver for RefusingCommit {
+        fn applied(&mut self, op: &DeltaOp) {
+            self.0.applied(op);
+        }
+        fn undone(&mut self, op: &DeltaOp) {
+            self.0.undone(op);
+        }
+        fn batch_end(&mut self) {
+            self.0.batch_end();
+        }
+    }
+
+    impl ViewObserver for RefusingCommit {
+        fn database(&self) -> &Database {
+            self.0.database()
+        }
+    }
+
+    impl StageObserver for RefusingCommit {
+        fn commit(&mut self, _: &[DeltaOp]) -> std::result::Result<(), WalError> {
+            Err(WalError::Io("refused".to_owned()))
+        }
+    }
+
+    /// EXPLAIN ANALYZE of a rolled-back program says why it was rolled
+    /// back and how much was undone.
+    #[test]
+    fn rolled_back_program_names_its_cause() {
+        let (es, catalog) = employee_catalog();
+        let plan = compile_program(&program(&[DELETE_SIMPLE, UPDATE_A]), &catalog).unwrap();
+        let (i0, _) = section7_instance(&es);
+        let mut i = i0.clone();
+        let mut refusing = RefusingCommit(DatabaseView::new(&i));
+        let mut root = obs::ProfileNode::new("program (test)", "program");
+        let err = plan
+            .run_stages(&mut i, &mut refusing, None, Some(&mut root))
+            .unwrap_err();
+        assert_eq!(err, SqlError::from(WalError::Io("refused".to_owned())));
+        assert_eq!(i, i0);
+        assert!(refusing.0.matches_rebuild(&i));
+        assert_eq!(root.children.len(), 2, "both stages ran before the commit");
+        assert!(
+            root.notes
+                .iter()
+                .any(|n| n.starts_with("rolled back by the program's WAL commit")),
+            "{:?}",
+            root.notes
+        );
+        assert!(root.metric("rolled_back_ops").unwrap() > 0);
+    }
+
     /// Recompiling a program whose netting rests on a solver implication
     /// reuses the memoized verdict: the first compilation misses the
     /// proof cache, the second hits it, and both net the dead store.
@@ -2386,16 +2598,20 @@ mod tests {
         assert!(out.is_applied());
         assert_eq!(durable, plain);
         assert!(dview.matches_rebuild(&durable));
-        let wal_records: u64 = dtree
-            .children
-            .iter()
-            .filter_map(|c| c.find("wal").and_then(|w| w.metric("records")))
-            .sum();
         assert_eq!(
-            wal_records,
-            store.stats().records,
-            "the per-stage WAL children must account for every appended record"
+            dtree.children.len(),
+            plan.stages().len() + 1,
+            "one child per stage, then the program's commit"
         );
-        assert!(wal_records > 0, "the program must have logged something");
+        let commit = dtree.children.last().unwrap();
+        assert_eq!(commit.name, "commit");
+        assert_eq!(
+            commit.metric("records"),
+            Some(store.stats().records),
+            "the commit node must account for every appended record"
+        );
+        assert_eq!(store.stats().records, 1, "one WAL record per program");
+        assert_eq!(commit.metric("syncs"), Some(1));
+        assert!(commit.rows_in > 0, "the program must have logged something");
     }
 }

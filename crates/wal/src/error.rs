@@ -42,6 +42,15 @@ pub enum WalError {
         /// Which op was refused, and why.
         reason: String,
     },
+    /// A commit whose record payload exceeds the cap recovery accepts
+    /// ([`MAX_PAYLOAD_BYTES`](crate::record::MAX_PAYLOAD_BYTES)). Refused
+    /// before any byte is written.
+    RecordTooLarge {
+        /// Payload bytes the record would need.
+        bytes: u64,
+        /// The cap.
+        max: u64,
+    },
 }
 
 impl std::fmt::Display for WalError {
@@ -61,6 +70,10 @@ impl std::fmt::Display for WalError {
             WalError::BadRecord { seq, reason } => {
                 write!(f, "wal record {seq} does not apply: {reason}")
             }
+            WalError::RecordTooLarge { bytes, max } => write!(
+                f,
+                "wal record of {bytes} payload bytes exceeds the {max}-byte cap"
+            ),
         }
     }
 }

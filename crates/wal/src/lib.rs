@@ -26,10 +26,13 @@
 //!   [`try_redo_ops`](receivers_objectbase::try_redo_ops) into the
 //!   instance, then one [`DatabaseView`](receivers_relalg::DatabaseView)
 //!   rebuild, truncating a torn tail; a checksum-valid record that does
-//!   not apply is refused as [`WalError::BadRecord`]). [`DurableSink`] adapts the
-//!   [`DeltaObserver`](receivers_objectbase::DeltaObserver) protocol so
-//!   each committed transaction lands as one WAL record and
-//!   sequence-level rollbacks land as compensation records.
+//!   not apply is refused as [`WalError::BadRecord`]). [`DurableSink`] wires a
+//!   store to a maintained view behind the
+//!   [`DeltaObserver`](receivers_objectbase::DeltaObserver) protocol; a
+//!   driver hands it each atomic unit's delta log — a whole program in
+//!   the `sql::plan` stage loop — and the unit lands as one WAL record or,
+//!   on any storage error, not at all. A unit that fails never reaches
+//!   the log, so there is nothing to compensate.
 //!
 //! The recovery invariant, pinned by the crash suite: for every prefix
 //! of the written byte stream, reopening restores an instance and view
@@ -48,7 +51,8 @@ pub mod store;
 pub use crc::crc32;
 pub use error::{WalError, WalResult};
 pub use record::{
-    decode_log, decode_record, encode_record, invert_op, Decoded, DecodedLog, Record,
+    check_payload_len, decode_log, decode_record, encode_record, payload_len, Decoded, DecodedLog,
+    Record,
 };
 pub use snapshot::{decode_snapshot, encode_snapshot, schema_digest, Manifest, SnapshotHeader};
 pub use storage::{DirStorage, FaultStorage, WalStorage};
@@ -73,7 +77,6 @@ mod tests {
             "wal.syncs",
             "wal.checkpoints",
             "wal.snapshot_bytes",
-            "wal.compensation_records",
             "wal.recoveries",
             "wal.records_replayed",
             "wal.ops_replayed",

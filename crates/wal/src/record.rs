@@ -31,6 +31,8 @@ pub const FRAME_HEADER_BYTES: usize = 8;
 pub const PAYLOAD_PROLOGUE_BYTES: usize = 12;
 /// Smallest encoded op (a node op: tag + class + index).
 pub const MIN_OP_BYTES: usize = 9;
+/// An encoded edge op: tag + source + property + destination.
+const EDGE_OP_BYTES: usize = 21;
 /// Sanity cap on a single record's payload; anything larger is treated as
 /// corruption even when the buffer would cover it. Generous: ~6M edge ops.
 pub const MAX_PAYLOAD_BYTES: usize = 1 << 27;
@@ -66,7 +68,37 @@ pub enum Decoded {
     Torn(String),
 }
 
+/// Encoded size of one op's tag and fields.
+fn op_len(op: &DeltaOp) -> usize {
+    match op {
+        DeltaOp::AddedNode(_) | DeltaOp::RemovedNode(_) => MIN_OP_BYTES,
+        DeltaOp::AddedEdge(_) | DeltaOp::RemovedEdge(_) => EDGE_OP_BYTES,
+    }
+}
+
+/// Payload bytes of the record carrying `ops`, computed without encoding.
+pub fn payload_len(ops: &[DeltaOp]) -> usize {
+    PAYLOAD_PROLOGUE_BYTES + ops.iter().map(op_len).sum::<usize>()
+}
+
+/// Refuse a payload of `len` bytes that decoding would call implausible:
+/// over [`MAX_PAYLOAD_BYTES`], which also keeps the frame's `u32` length
+/// field and op count from wrapping. A writer checks this before its
+/// first byte, so a record that recovery would truncate is never
+/// acknowledged.
+pub fn check_payload_len(len: usize) -> WalResult<()> {
+    if len > MAX_PAYLOAD_BYTES {
+        return Err(WalError::RecordTooLarge {
+            bytes: len as u64,
+            max: MAX_PAYLOAD_BYTES as u64,
+        });
+    }
+    Ok(())
+}
+
 /// Append the frame for `(seq, ops)` to `out`. Returns the frame size.
+/// The payload must pass [`check_payload_len`]; a longer one would wrap
+/// the length field.
 pub fn encode_record(seq: u64, ops: &[DeltaOp], out: &mut Vec<u8>) -> usize {
     let start = out.len();
     // Header placeholder, patched below.
@@ -187,7 +219,7 @@ fn decode_op(buf: &[u8]) -> Option<(DeltaOp, usize)> {
             } else {
                 DeltaOp::RemovedNode(o)
             };
-            Some((op, 9))
+            Some((op, MIN_OP_BYTES))
         }
         TAG_ADDED_EDGE | TAG_REMOVED_EDGE => {
             let b = rest.get(0..20)?;
@@ -201,7 +233,7 @@ fn decode_op(buf: &[u8]) -> Option<(DeltaOp, usize)> {
             } else {
                 DeltaOp::RemovedEdge(e)
             };
-            Some((op, 21))
+            Some((op, EDGE_OP_BYTES))
         }
         _ => None,
     }
@@ -267,18 +299,6 @@ pub fn decode_log(buf: &[u8], first_seq: u64) -> DecodedLog {
                 records.push(record);
             }
         }
-    }
-}
-
-/// The inverse of a delta op — what a compensation record logs for each
-/// op undone by a sequence-level rollback, so that forward replay of the
-/// whole log reproduces the rolled-back state.
-pub fn invert_op(op: &DeltaOp) -> DeltaOp {
-    match *op {
-        DeltaOp::AddedNode(o) => DeltaOp::RemovedNode(o),
-        DeltaOp::RemovedNode(o) => DeltaOp::AddedNode(o),
-        DeltaOp::AddedEdge(e) => DeltaOp::RemovedEdge(e),
-        DeltaOp::RemovedEdge(e) => DeltaOp::AddedEdge(e),
     }
 }
 
@@ -482,11 +502,28 @@ mod tests {
         assert!(decoded.torn.unwrap().contains("sequence break"));
     }
 
+    /// The payload length helper agrees with the encoder, and the cap is
+    /// inclusive: a payload of exactly `MAX_PAYLOAD_BYTES` is writable, one
+    /// byte more is refused before anything is encoded.
     #[test]
-    fn invert_round_trips() {
+    fn payload_len_matches_the_encoder_and_the_cap_is_inclusive() {
         let mut rng = XorShift(5);
-        for op in sample_ops(&mut rng, 50) {
-            assert_eq!(invert_op(&invert_op(&op)), op);
+        for n in 0..50 {
+            let ops = sample_ops(&mut rng, n);
+            let mut buf = Vec::new();
+            let frame = encode_record(1, &ops, &mut buf);
+            assert_eq!(payload_len(&ops), frame - FRAME_HEADER_BYTES);
+            assert_eq!(check_payload_len(payload_len(&ops)), Ok(()));
         }
+        assert_eq!(check_payload_len(MAX_PAYLOAD_BYTES), Ok(()));
+        assert_eq!(
+            check_payload_len(MAX_PAYLOAD_BYTES + 1),
+            Err(WalError::RecordTooLarge {
+                bytes: MAX_PAYLOAD_BYTES as u64 + 1,
+                max: MAX_PAYLOAD_BYTES as u64,
+            })
+        );
+        // Far past `u32::MAX` too, where the frame's length field would wrap.
+        assert!(check_payload_len(usize::MAX).is_err());
     }
 }

@@ -194,12 +194,22 @@ struct FaultFile {
 /// lost page cache (each file rolls back to its last synced length); and
 /// [`Self::flip_bit`] models media corruption for the bit-flip arm of the
 /// suite.
+///
+/// Separately from the crash budget, one *transient* fault can be armed
+/// per call kind ([`Self::fail_nth_append`], [`Self::fail_nth_sync`]):
+/// that one call fails with [`WalError::Io`] — an append after keeping
+/// half its bytes, a sync without making anything durable — and the
+/// storage stays usable.
 #[derive(Debug, Clone, Default)]
 pub struct FaultStorage {
     files: BTreeMap<String, FaultFile>,
     budget: Option<u64>,
     cost: u64,
     crashed: bool,
+    /// Appends still to succeed before the armed transient append fault.
+    fail_append: Option<u64>,
+    /// Syncs still to succeed before the armed transient sync fault.
+    fail_sync: Option<u64>,
 }
 
 impl FaultStorage {
@@ -215,6 +225,20 @@ impl FaultStorage {
             budget: Some(budget),
             ..Self::default()
         }
+    }
+
+    /// Arm a transient fault: the `n`th `append` from now (1 = the next)
+    /// keeps the first half of its bytes and fails with [`WalError::Io`].
+    pub fn fail_nth_append(mut self, n: u64) -> Self {
+        self.fail_append = Some(n.max(1) - 1);
+        self
+    }
+
+    /// Arm a transient fault: the `n`th `sync` from now (1 = the next)
+    /// fails with [`WalError::Io`] and makes nothing durable.
+    pub fn fail_nth_sync(mut self, n: u64) -> Self {
+        self.fail_sync = Some(n.max(1) - 1);
+        self
     }
 
     /// Total bytes of mutation cost incurred so far (the crash-point
@@ -297,12 +321,34 @@ impl FaultStorage {
     }
 }
 
+/// Count one call against an armed transient fault; `true` when this call
+/// is the one that fails (the fault then disarms).
+fn transient_fires(armed: &mut Option<u64>) -> bool {
+    match armed {
+        Some(0) => {
+            *armed = None;
+            true
+        }
+        Some(n) => {
+            *n -= 1;
+            false
+        }
+        None => false,
+    }
+}
+
 impl WalStorage for FaultStorage {
     fn read(&self, name: &str) -> WalResult<Option<Vec<u8>>> {
         Ok(self.files.get(name).map(|f| f.data.clone()))
     }
 
     fn append(&mut self, name: &str, bytes: &[u8]) -> WalResult<()> {
+        if transient_fires(&mut self.fail_append) {
+            let kept = self.charge(bytes.len() / 2)?;
+            let file = self.files.entry(name.to_owned()).or_default();
+            file.data.extend_from_slice(&bytes[..kept]);
+            return Err(WalError::Io(format!("injected append failure on {name}")));
+        }
         let n = self.charge(bytes.len())?;
         let file = self.files.entry(name.to_owned()).or_default();
         file.data.extend_from_slice(&bytes[..n]);
@@ -330,6 +376,9 @@ impl WalStorage for FaultStorage {
     fn sync(&mut self, name: &str) -> WalResult<()> {
         if self.crashed {
             return Err(WalError::Crashed);
+        }
+        if transient_fires(&mut self.fail_sync) {
+            return Err(WalError::Io(format!("injected sync failure on {name}")));
         }
         if let Some(f) = self.files.get_mut(name) {
             f.synced_len = f.data.len();
@@ -434,6 +483,30 @@ mod tests {
             // Replaying the same budget is bit-identical.
             assert_eq!(run(Some(b)), (cost, la, lb));
         }
+    }
+
+    #[test]
+    fn transient_faults_fail_one_call_and_leave_the_storage_usable() {
+        let mut s = FaultStorage::new().fail_nth_append(2).fail_nth_sync(1);
+        s.append("wal", b"first").unwrap();
+        assert!(matches!(s.append("wal", b"0123"), Err(WalError::Io(_))));
+        assert_eq!(
+            s.read("wal").unwrap().unwrap(),
+            b"first01",
+            "half the bytes kept"
+        );
+        assert!(!s.crashed());
+        assert!(matches!(s.sync("wal"), Err(WalError::Io(_))));
+        assert_eq!(
+            s.synced_len("wal"),
+            0,
+            "a failed sync makes nothing durable"
+        );
+        s.truncate("wal", 5).unwrap();
+        s.append("wal", b"+more").unwrap();
+        s.sync("wal").unwrap();
+        assert_eq!(s.synced_len("wal"), 10);
+        assert_eq!(s.read("wal").unwrap().unwrap(), b"first+more");
     }
 
     #[test]

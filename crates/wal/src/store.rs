@@ -13,10 +13,18 @@
 //! manifest, then deletes the previous epoch's files — so a crash at any
 //! point leaves exactly one decodable epoch behind (the swing is the
 //! commit point; stale files from a half-finished checkpoint are ignored
-//! and cleaned up by the next successful one). Automatic checkpoints have
-//! one rule and one owner, [`DurableSink`]: checkpoint at the commit that
-//! crosses [`WalConfig::snapshot_every`]. Recovery is
-//! manifest → snapshot → replay the WAL tail through
+//! by recovery). Automatic checkpoints have one rule and one owner,
+//! [`DurableSink::commit`]: at a unit boundary, checkpoint once
+//! [`WalConfig::snapshot_every`] records *or* as many WAL bytes as the
+//! live snapshot holds have been logged since the last checkpoint, so
+//! replay never reads more than about one snapshot's worth of log.
+//!
+//! A commit is all or nothing on disk: a record whose append or sync
+//! fails is cut back off the WAL before the error returns, and a store
+//! that cannot cut it back is poisoned — every later write returns the
+//! error until the store is reopened.
+//!
+//! Recovery is manifest → snapshot → replay the WAL tail through
 //! [`try_redo_ops`] into the instance alone, then rebuild the
 //! [`DatabaseView`] once, truncating at the first torn or corrupt
 //! record. A record whose checksum holds but whose ops do not apply is
@@ -30,7 +38,7 @@ use receivers_obs as obs;
 use receivers_relalg::{Database, DatabaseView, ViewObserver};
 
 use crate::error::{WalError, WalResult};
-use crate::record::{decode_log, encode_record, invert_op};
+use crate::record::{check_payload_len, decode_log, encode_record, payload_len};
 use crate::snapshot::{decode_snapshot, encode_snapshot, schema_digest, Manifest};
 use crate::storage::WalStorage;
 
@@ -39,7 +47,6 @@ obs::counter!(C_BYTES_APPENDED, "wal.bytes_appended");
 obs::counter!(C_SYNCS, "wal.syncs");
 obs::counter!(C_CHECKPOINTS, "wal.checkpoints");
 obs::counter!(C_SNAPSHOT_BYTES, "wal.snapshot_bytes");
-obs::counter!(C_COMPENSATION_RECORDS, "wal.compensation_records");
 obs::counter!(C_RECOVERIES, "wal.recoveries");
 obs::counter!(C_RECORDS_REPLAYED, "wal.records_replayed");
 obs::counter!(C_OPS_REPLAYED, "wal.ops_replayed");
@@ -58,10 +65,11 @@ pub struct WalConfig {
     /// across commits at the price of losing the unsynced tail on a
     /// crash — recovery then restores the last synced prefix).
     pub group_commit: usize,
-    /// Take a compacting checkpoint every `snapshot_every` committed
-    /// records — [`DurableSink`] takes it at the end of the commit that
-    /// crosses the threshold; 0 disables automatic checkpoints (callers
-    /// may still checkpoint manually).
+    /// Automatic checkpoint threshold: [`DurableSink::commit`]
+    /// checkpoints at the end of the commit that brings the records
+    /// logged since the last checkpoint to `snapshot_every`, or their
+    /// bytes to the live snapshot's size, whichever comes first. 0
+    /// disables both triggers (callers may still checkpoint manually).
     pub snapshot_every: u64,
 }
 
@@ -117,11 +125,26 @@ pub struct DurableStore<S: WalStorage> {
     schema: Arc<Schema>,
     cfg: WalConfig,
     epoch: u64,
+    tail: Tail,
+    /// Bytes of the live epoch's snapshot: the byte trigger's threshold.
+    snapshot_len: u64,
+    /// The error a failed cut-back left behind; every later write
+    /// returns it until the store is reopened.
+    poisoned: Option<WalError>,
+    frame_buf: Vec<u8>,
+    stats: WalStats,
+}
+
+/// Where the live WAL ends: what a failed commit restores, so the bytes
+/// on disk and the counters describing them move back together.
+#[derive(Debug, Clone, Copy)]
+struct Tail {
+    /// Bytes in the live epoch's WAL file — also the bytes logged since
+    /// the last checkpoint, since a checkpoint starts a new file.
+    wal_len: u64,
     next_seq: u64,
     unsynced_records: usize,
     records_since_checkpoint: u64,
-    frame_buf: Vec<u8>,
-    stats: WalStats,
 }
 
 impl<S: WalStorage> DurableStore<S> {
@@ -151,9 +174,14 @@ impl<S: WalStorage> DurableStore<S> {
             schema,
             cfg,
             epoch: 1,
-            next_seq: 1,
-            unsynced_records: 0,
-            records_since_checkpoint: 0,
+            tail: Tail {
+                wal_len: 0,
+                next_seq: 1,
+                unsynced_records: 0,
+                records_since_checkpoint: 0,
+            },
+            snapshot_len: snap.len() as u64,
+            poisoned: None,
             frame_buf: Vec::new(),
             stats: WalStats::default(),
         })
@@ -239,9 +267,14 @@ impl<S: WalStorage> DurableStore<S> {
             schema,
             cfg,
             epoch: manifest.epoch,
-            next_seq: last_seq + 1,
-            unsynced_records: 0,
-            records_since_checkpoint: records_replayed,
+            tail: Tail {
+                wal_len: decoded.valid_len,
+                next_seq: last_seq + 1,
+                unsynced_records: 0,
+                records_since_checkpoint: records_replayed,
+            },
+            snapshot_len: snap_bytes.len() as u64,
+            poisoned: None,
             frame_buf: Vec::new(),
             stats: WalStats::default(),
         };
@@ -273,62 +306,109 @@ impl<S: WalStorage> DurableStore<S> {
         Ok((store, instance, view, report))
     }
 
-    /// Append one committed transaction's delta batch as a WAL record.
-    /// Returns the record's sequence number (empty batches are a no-op
-    /// returning the last sequence number). Durability follows the
+    /// Append one committed unit's delta ops as a WAL record. Returns the
+    /// record's sequence number (empty batches are a no-op returning the
+    /// last sequence number). Durability follows the
     /// [`WalConfig::group_commit`] policy; call [`Self::sync`] to force it.
+    ///
+    /// All or nothing: a record over the decoder's size cap is refused
+    /// with [`WalError::RecordTooLarge`] before any byte is written, and a
+    /// record whose append or sync fails is cut back off the WAL before
+    /// the error returns.
     pub fn commit(&mut self, ops: &[DeltaOp]) -> WalResult<u64> {
+        self.usable()?;
         if ops.is_empty() {
             return Ok(self.last_seq());
         }
-        let seq = self.next_seq;
+        check_payload_len(payload_len(ops))?;
+        let before = self.tail;
+        let seq = before.next_seq;
         self.frame_buf.clear();
         let n = encode_record(seq, ops, &mut self.frame_buf);
         let frame = std::mem::take(&mut self.frame_buf);
-        let res = self.storage.append(&self.wal_file(), &frame);
+        let appended = self.storage.append(&self.wal_file(), &frame);
         self.frame_buf = frame;
-        res?;
-        self.next_seq += 1;
-        self.unsynced_records += 1;
-        self.records_since_checkpoint += 1;
+        let sync_now = before.unsynced_records + 1 >= self.cfg.group_commit.max(1);
+        if let Err(e) = appended.and_then(|()| if sync_now { self.fsync() } else { Ok(()) }) {
+            return Err(self.cut_back(before, e));
+        }
+        self.tail = Tail {
+            wal_len: before.wal_len + n as u64,
+            next_seq: seq + 1,
+            unsynced_records: if sync_now {
+                0
+            } else {
+                before.unsynced_records + 1
+            },
+            records_since_checkpoint: before.records_since_checkpoint + 1,
+        };
         C_RECORDS_APPENDED.incr();
         C_BYTES_APPENDED.add(n as u64);
         H_RECORD_BYTES.record(n as u64);
         self.stats.records += 1;
         self.stats.bytes += n as u64;
-        if self.unsynced_records >= self.cfg.group_commit.max(1) {
-            self.sync()?;
-        }
         Ok(seq)
     }
 
     /// Force the WAL durable up to the last committed record.
     pub fn sync(&mut self) -> WalResult<()> {
-        if self.unsynced_records > 0 {
-            // One clock read per fsync barrier — noise next to the
-            // barrier itself, and it prices the dominant durability cost.
-            let t0 = std::time::Instant::now();
-            self.storage.sync(&self.wal_file())?;
-            let ns = t0.elapsed().as_nanos() as u64;
-            self.unsynced_records = 0;
-            C_SYNCS.incr();
-            H_SYNC_NS.record(ns);
-            self.stats.syncs += 1;
-            self.stats.sync_ns += ns;
+        self.usable()?;
+        if self.tail.unsynced_records > 0 {
+            self.fsync()?;
+            self.tail.unsynced_records = 0;
         }
         Ok(())
     }
 
-    /// Has the automatic-checkpoint threshold been crossed? Only
-    /// [`DurableSink`] asks: the one place automatic checkpoints are taken.
+    /// One timed fsync barrier of the live WAL — one clock read per
+    /// barrier, noise next to the barrier itself, and it prices the
+    /// dominant durability cost.
+    fn fsync(&mut self) -> WalResult<()> {
+        let t0 = std::time::Instant::now();
+        self.storage.sync(&self.wal_file())?;
+        let ns = t0.elapsed().as_nanos() as u64;
+        C_SYNCS.incr();
+        H_SYNC_NS.record(ns);
+        self.stats.syncs += 1;
+        self.stats.sync_ns += ns;
+        Ok(())
+    }
+
+    /// The poison a failed cut-back left, if any.
+    fn usable(&self) -> WalResult<()> {
+        self.poisoned.clone().map_or(Ok(()), Err)
+    }
+
+    /// Undo a failed commit on disk: truncate the live WAL back to
+    /// `before` and restore the counters with it. When the truncation
+    /// fails too, the partial record may still be on disk, so the store
+    /// is poisoned with `err`. Returns `err`.
+    fn cut_back(&mut self, before: Tail, err: WalError) -> WalError {
+        match self.storage.truncate(&self.wal_file(), before.wal_len) {
+            Ok(()) => self.tail = before,
+            Err(_) => self.poisoned = Some(err.clone()),
+        }
+        err
+    }
+
+    /// Is an automatic checkpoint due? Only [`DurableSink::commit`] asks:
+    /// the one place automatic checkpoints are taken. Either trigger
+    /// bounds replay: `snapshot_every` records, or as many WAL bytes as
+    /// the live snapshot has.
     fn should_checkpoint(&self) -> bool {
-        self.cfg.snapshot_every > 0 && self.records_since_checkpoint >= self.cfg.snapshot_every
+        self.cfg.snapshot_every > 0
+            && (self.tail.records_since_checkpoint >= self.cfg.snapshot_every
+                || self.tail.wal_len >= self.snapshot_len)
     }
 
     /// Checkpoint from an already-maintained database (no rebuild): write
     /// the next epoch's snapshot, swing the manifest, drop the previous
     /// epoch's files. `db` must reflect every committed record — which a
     /// [`DatabaseView`] maintained through the same commits does.
+    ///
+    /// An `Err` means the manifest did not swing: the live epoch and its
+    /// WAL are as they were. Removing the superseded files is best
+    /// effort, since recovery ignores them.
     pub fn checkpoint_db(&mut self, db: &Database) -> WalResult<()> {
         self.sync()?;
         let old = Manifest {
@@ -351,14 +431,14 @@ impl<S: WalStorage> DurableStore<S> {
         self.storage
             .write_atomic(MANIFEST_FILE, &manifest.encode())?;
         self.epoch = manifest.epoch;
-        self.records_since_checkpoint = 0;
-        self.unsynced_records = 0;
+        self.snapshot_len = snap.len() as u64;
+        self.tail.wal_len = 0;
+        self.tail.records_since_checkpoint = 0;
+        self.tail.unsynced_records = 0;
         C_CHECKPOINTS.incr();
         self.stats.checkpoints += 1;
-        // Best-effort cleanup of the superseded epoch; stale files are
-        // ignored by recovery if this is where a crash lands.
-        self.storage.remove(&old.snapshot_file())?;
-        self.storage.remove(&old.wal_file())?;
+        let _ = self.storage.remove(&old.snapshot_file());
+        let _ = self.storage.remove(&old.wal_file());
         Ok(())
     }
 
@@ -369,7 +449,7 @@ impl<S: WalStorage> DurableStore<S> {
 
     /// Last committed transaction sequence number (0 = none yet).
     pub fn last_seq(&self) -> u64 {
-        self.next_seq - 1
+        self.tail.next_seq - 1
     }
 
     /// Live checkpoint epoch.
@@ -404,114 +484,70 @@ impl<S: WalStorage> DurableStore<S> {
     }
 }
 
-/// Durability as an observer: wires a transaction's delta stream into a
-/// [`DurableStore`] *and* the maintained [`DatabaseView`] at once, so any
-/// driver that takes a [`ViewObserver`] runs durably when handed a sink
-/// instead of the bare view.
+/// Durability as an observer: a [`DurableStore`] and the maintained
+/// [`DatabaseView`] wired together, so any driver that takes a
+/// [`ViewObserver`] runs durably when handed a sink instead of the bare
+/// view.
 ///
-/// Logging happens at commit boundaries, never per op:
-/// - a committed batch ([`DeltaObserver::batch_committed`]) becomes one
-///   WAL record;
-/// - ops undone while still uncommitted (a transaction rollback) cancel
-///   against the open batch and are never logged;
-/// - ops undone *after* their commit (a sequence-level rollback through
-///   [`receivers_objectbase::undo_ops`]) are recorded inverted, and
-///   [`DeltaObserver::batch_end`] flushes them as one compensation
-///   record, synced at once whatever the group-commit phase — so forward
-///   replay of the whole log always reproduces the final state,
-///   rollbacks included.
-///
-/// The sink is also the one place automatic checkpoints are taken: at
-/// every [`DeltaObserver::batch_end`], once the view has flushed, it
-/// checkpoints from the view's database as soon as the store has logged
-/// [`WalConfig::snapshot_every`] records since the last checkpoint —
-/// that is, at the commit that crosses the threshold.
-///
-/// Storage failures are captured, not panicked: the first error parks in
-/// the sink ([`Self::take_error`]) and later commits and checkpoints are
-/// skipped, because an observer callback has no error channel of its own.
+/// The sink forwards every notification to the view and logs nothing on
+/// its own. The caller decides what one atomic unit is — a whole program
+/// in the `sql::plan` stage loop — keeps that unit's delta log, and hands
+/// it to [`Self::commit`] once the unit has applied: one WAL record,
+/// synced under [`WalConfig::group_commit`], then the checkpoint rule. A
+/// unit that fails never reaches the sink; its caller undoes the log
+/// through the sink, which keeps the view in step.
 pub struct DurableSink<'a, S: WalStorage> {
     store: &'a mut DurableStore<S>,
     view: &'a mut DatabaseView,
-    open_batch: Vec<DeltaOp>,
-    compensation: Vec<DeltaOp>,
-    error: Option<WalError>,
 }
 
 impl<'a, S: WalStorage> DurableSink<'a, S> {
-    /// Wire `store` and `view` together for one or more transactions.
+    /// Wire `store` and `view` together for one or more units.
     pub fn new(store: &'a mut DurableStore<S>, view: &'a mut DatabaseView) -> Self {
-        Self {
-            store,
-            view,
-            open_batch: Vec::new(),
-            compensation: Vec::new(),
-            error: None,
-        }
-    }
-
-    /// The first storage error hit while logging or checkpointing, if
-    /// any. A driver must check this after the transactions it wired
-    /// through the sink: on `Some`, durability is behind the in-memory
-    /// state and the run must stop (recovery will restore the last
-    /// durable prefix).
-    pub fn take_error(&mut self) -> Option<WalError> {
-        self.error.take()
+        Self { store, view }
     }
 
     /// The wrapped store, for inspection (a profiler diffs its
-    /// [`DurableStore::stats`] around a stage).
+    /// [`DurableStore::stats`] around a commit).
     pub fn store(&self) -> &DurableStore<S> {
         self.store
     }
 
-    fn log(&mut self, ops: &[DeltaOp], compensation: bool) {
-        if self.error.is_some() || ops.is_empty() {
-            return;
+    /// Log one applied unit's ops as one WAL record, then take the
+    /// automatic checkpoint if it is due ([`WalConfig::snapshot_every`]),
+    /// from the view, which already reflects the unit.
+    ///
+    /// All or nothing on disk: on `Err` the unit's record is not in the
+    /// live WAL (or the store is poisoned), so the caller undoes the unit
+    /// in memory and in-memory state stays equal to durable state. An
+    /// empty unit logs nothing.
+    pub fn commit(&mut self, ops: &[DeltaOp]) -> WalResult<()> {
+        let before = self.store.tail;
+        self.store.commit(ops)?;
+        if self.store.should_checkpoint() {
+            if let Err(e) = self.store.checkpoint_db(self.view.database()) {
+                return Err(self.store.cut_back(before, e));
+            }
         }
-        let mut res = self.store.commit(ops).map(drop);
-        if compensation && res.is_ok() {
-            C_COMPENSATION_RECORDS.incr();
-            res = self.store.sync();
-        }
-        self.error = res.err();
+        Ok(())
     }
 }
 
 impl<S: WalStorage> DeltaObserver for DurableSink<'_, S> {
     fn applied(&mut self, op: &DeltaOp) {
         self.view.applied(op);
-        self.open_batch.push(*op);
     }
 
     fn undone(&mut self, op: &DeltaOp) {
         self.view.undone(op);
-        if self.open_batch.last() == Some(op) {
-            // Rollback of a not-yet-committed op: cancels in place.
-            self.open_batch.pop();
-        } else {
-            // Reversal of an already-logged op: must itself be logged.
-            self.compensation.push(invert_op(op));
-        }
     }
 
     fn batch_committed(&mut self, ops: &[DeltaOp]) {
         self.view.batch_committed(ops);
-        self.open_batch.clear();
-        self.log(ops, false);
     }
 
     fn batch_end(&mut self) {
-        if !self.compensation.is_empty() {
-            let comp = std::mem::take(&mut self.compensation);
-            self.log(&comp, true);
-        }
-        self.open_batch.clear();
         self.view.batch_end();
-        // The view now reflects every logged record: checkpoint from it.
-        if self.error.is_none() && self.store.should_checkpoint() {
-            self.error = self.store.checkpoint_db(self.view.database()).err();
-        }
     }
 }
 
@@ -528,40 +564,61 @@ mod tests {
     use receivers_objectbase::examples::{beer_schema, figure2, BeerSchema, Fig2Objects};
     use receivers_objectbase::{undo_ops, Edge, InstanceTxn, Oid, PropId, RedoFault};
 
-    /// Run two committed transactions against `(instance, view, store)`
-    /// through a [`DurableSink`]; returns the edge that got added.
+    /// Run `edit` as one unit through `sink`: one observed transaction,
+    /// its log handed to [`DurableSink::commit`], undone in memory when
+    /// the commit fails — the way the program stage loop drives a sink.
+    fn unit<S: WalStorage>(
+        instance: &mut Instance,
+        sink: &mut DurableSink<'_, S>,
+        edit: impl FnOnce(&mut InstanceTxn<'_>),
+    ) -> WalResult<()> {
+        let mut log = Vec::new();
+        let mut txn = InstanceTxn::begin_observed(instance, sink);
+        edit(&mut txn);
+        txn.commit_into(&mut log);
+        let res = sink.commit(&log);
+        if res.is_err() {
+            undo_ops(instance, sink, &log);
+        }
+        res
+    }
+
+    /// Run two committed units against `(instance, view, store)` through a
+    /// [`DurableSink`]; returns the edge that got added.
     fn two_txns(
-        s: &receivers_objectbase::examples::BeerSchema,
-        o: &receivers_objectbase::examples::Fig2Objects,
+        s: &BeerSchema,
+        o: &Fig2Objects,
         instance: &mut Instance,
         view: &mut DatabaseView,
         store: &mut DurableStore<FaultStorage>,
     ) -> Edge {
         let added = Edge::new(o.d1, s.frequents, o.bar3);
         let mut sink = DurableSink::new(store, view);
-        let mut txn = InstanceTxn::begin_observed(instance, &mut sink);
-        txn.remove_edge(&Edge::new(o.d1, s.frequents, o.bar1));
-        txn.commit();
-        assert_eq!(sink.take_error(), None);
-        let mut sink = DurableSink::new(store, view);
-        let mut txn = InstanceTxn::begin_observed(instance, &mut sink);
-        txn.add_edge(added).unwrap();
-        txn.commit();
-        assert_eq!(sink.take_error(), None);
+        unit(instance, &mut sink, |txn| {
+            txn.remove_edge(&Edge::new(o.d1, s.frequents, o.bar1));
+        })
+        .unwrap();
+        unit(instance, &mut sink, |txn| {
+            txn.add_edge(added).unwrap();
+        })
+        .unwrap();
         added
+    }
+
+    fn fresh_store(
+        storage: FaultStorage,
+        s: &BeerSchema,
+        cfg: WalConfig,
+        i: &Instance,
+    ) -> DurableStore<FaultStorage> {
+        DurableStore::create(storage, Arc::clone(&s.schema), cfg, i).unwrap()
     }
 
     #[test]
     fn create_commit_reopen_round_trips_bit_identically() {
         let s = beer_schema();
         let (mut i, o) = figure2(&s);
-        let mut store = DurableStore::create(
-            FaultStorage::new(),
-            Arc::clone(&s.schema),
-            WalConfig::default(),
-            &i,
-        )
-        .unwrap();
+        let mut store = fresh_store(FaultStorage::new(), &s, WalConfig::default(), &i);
         let mut view = DatabaseView::new(&i);
         two_txns(&s, &o, &mut i, &mut view, &mut store);
         assert_eq!(store.last_seq(), 2);
@@ -582,13 +639,7 @@ mod tests {
     fn empty_commits_are_not_logged() {
         let s = beer_schema();
         let (i, _) = figure2(&s);
-        let mut store = DurableStore::create(
-            FaultStorage::new(),
-            Arc::clone(&s.schema),
-            WalConfig::default(),
-            &i,
-        )
-        .unwrap();
+        let mut store = fresh_store(FaultStorage::new(), &s, WalConfig::default(), &i);
         assert_eq!(store.commit(&[]).unwrap(), 0);
         assert_eq!(store.last_seq(), 0);
         assert_eq!(store.storage().len(&store.wal_file()), 0);
@@ -599,66 +650,48 @@ mod tests {
         let s = beer_schema();
         let (mut i, o) = figure2(&s);
         // Golden pass to learn byte marks.
-        let mut store = DurableStore::create(
-            FaultStorage::new(),
-            Arc::clone(&s.schema),
-            WalConfig::default(),
-            &i,
-        )
-        .unwrap();
+        let mut store = fresh_store(FaultStorage::new(), &s, WalConfig::default(), &i);
+        let after_create = store.storage().total_cost();
         let mut view = DatabaseView::new(&i);
-        let after_create = {
-            let probe = DurableStore::create(
-                FaultStorage::new(),
-                Arc::clone(&s.schema),
-                WalConfig::default(),
-                &figure2(&s).0,
-            )
-            .unwrap();
-            probe.storage().total_cost()
-        };
-        two_txns(&s, &o, &mut i, &mut view, &mut store);
-        let full = store.storage().total_cost();
         let after_first = {
-            // Cost after the first record only.
-            let (mut gi, _) = figure2(&s);
-            let mut gs = DurableStore::create(
-                FaultStorage::new(),
-                Arc::clone(&s.schema),
-                WalConfig::default(),
-                &gi,
-            )
+            let mut sink = DurableSink::new(&mut store, &mut view);
+            unit(&mut i, &mut sink, |txn| {
+                txn.remove_edge(&Edge::new(o.d1, s.frequents, o.bar1));
+            })
             .unwrap();
-            let mut gv = DatabaseView::new(&gi);
-            let mut sink = DurableSink::new(&mut gs, &mut gv);
-            let mut txn = InstanceTxn::begin_observed(&mut gi, &mut sink);
-            txn.remove_edge(&Edge::new(o.d1, s.frequents, o.bar1));
-            txn.commit();
-            gs.storage().total_cost()
+            store.storage().total_cost()
         };
+        let mut want = i.clone();
+        let mut sink = DurableSink::new(&mut store, &mut view);
+        unit(&mut i, &mut sink, |txn| {
+            txn.add_edge(Edge::new(o.d1, s.frequents, o.bar3)).unwrap();
+        })
+        .unwrap();
+        let full = store.storage().total_cost();
         // Crash mid-second-record: every budget strictly between the two
-        // record boundaries recovers exactly the first record's state.
+        // record boundaries fails the second unit, undoes it in memory,
+        // and recovers exactly the first unit's state.
         for budget in after_first + 1..full {
             let (mut ci, _) = figure2(&s);
-            let mut cs = DurableStore::create(
+            let mut cs = fresh_store(
                 FaultStorage::with_budget(budget),
-                Arc::clone(&s.schema),
+                &s,
                 WalConfig::default(),
                 &ci,
-            )
-            .unwrap();
+            );
             assert_eq!(cs.storage().total_cost(), after_create);
             let mut cv = DatabaseView::new(&ci);
             let mut sink = DurableSink::new(&mut cs, &mut cv);
-            let mut txn = InstanceTxn::begin_observed(&mut ci, &mut sink);
-            txn.remove_edge(&Edge::new(o.d1, s.frequents, o.bar1));
-            txn.commit();
-            assert_eq!(sink.take_error(), None, "first record fits budget {budget}");
-            let mut sink = DurableSink::new(&mut cs, &mut cv);
-            let mut txn = InstanceTxn::begin_observed(&mut ci, &mut sink);
-            txn.add_edge(Edge::new(o.d1, s.frequents, o.bar3)).unwrap();
-            txn.commit();
-            assert_eq!(sink.take_error(), Some(WalError::Crashed));
+            unit(&mut ci, &mut sink, |txn| {
+                txn.remove_edge(&Edge::new(o.d1, s.frequents, o.bar1));
+            })
+            .unwrap_or_else(|e| panic!("first record fits budget {budget}: {e}"));
+            let err = unit(&mut ci, &mut sink, |txn| {
+                txn.add_edge(Edge::new(o.d1, s.frequents, o.bar3)).unwrap();
+            });
+            assert_eq!(err, Err(WalError::Crashed));
+            assert_eq!(ci, want, "the failed unit is undone in memory");
+            assert!(cv.matches_rebuild(&ci));
 
             let storage = cs.into_storage().reopen();
             let (_, ri, rview, report) =
@@ -666,11 +699,11 @@ mod tests {
             assert_eq!(report.last_seq, 1, "budget {budget}");
             assert!(report.truncated_bytes > 0);
             assert!(report.torn.is_some());
-            let mut want = figure2(&s).0;
-            want.remove_edge(&Edge::new(o.d1, s.frequents, o.bar1));
             assert_eq!(ri, want);
             assert!(rview.matches_rebuild(&ri));
         }
+        want.add_edge(Edge::new(o.d1, s.frequents, o.bar3)).unwrap();
+        assert_eq!(i, want);
     }
 
     #[test]
@@ -681,8 +714,7 @@ mod tests {
             group_commit: 8, // neither commit reaches the sync threshold
             snapshot_every: 0,
         };
-        let mut store =
-            DurableStore::create(FaultStorage::new(), Arc::clone(&s.schema), cfg, &i).unwrap();
+        let mut store = fresh_store(FaultStorage::new(), &s, cfg, &i);
         let mut view = DatabaseView::new(&i);
         two_txns(&s, &o, &mut i, &mut view, &mut store);
         let wal = store.wal_file();
@@ -698,23 +730,17 @@ mod tests {
     fn checkpoint_compacts_and_recovery_resumes_after_it() {
         let s = beer_schema();
         let (mut i, o) = figure2(&s);
-        let mut store = DurableStore::create(
-            FaultStorage::new(),
-            Arc::clone(&s.schema),
-            WalConfig::default(),
-            &i,
-        )
-        .unwrap();
+        let mut store = fresh_store(FaultStorage::new(), &s, WalConfig::default(), &i);
         let mut view = DatabaseView::new(&i);
         two_txns(&s, &o, &mut i, &mut view, &mut store);
         store.checkpoint_db(view.database()).unwrap();
         assert_eq!(store.epoch(), 2);
         // One more committed record after the checkpoint.
         let mut sink = DurableSink::new(&mut store, &mut view);
-        let mut txn = InstanceTxn::begin_observed(&mut i, &mut sink);
-        txn.remove_edge(&Edge::new(o.d1, s.frequents, o.bar2));
-        txn.commit();
-        assert_eq!(sink.take_error(), None);
+        unit(&mut i, &mut sink, |txn| {
+            txn.remove_edge(&Edge::new(o.d1, s.frequents, o.bar2));
+        })
+        .unwrap();
 
         let files = store.storage().list().unwrap();
         assert!(
@@ -734,44 +760,96 @@ mod tests {
         assert!(rview.matches_rebuild(&ri));
     }
 
+    /// A unit whose append fails writes nothing: the torn half-record is
+    /// cut back off the WAL, the unit is undone in memory, recovery equals
+    /// the pre-unit state, and the store stays usable.
     #[test]
-    fn sequence_rollback_writes_a_compensation_record() {
+    fn failed_append_writes_nothing_and_the_store_stays_usable() {
         let s = beer_schema();
         let (mut i, o) = figure2(&s);
-        let initial = i.clone();
-        let mut store = DurableStore::create(
-            FaultStorage::new(),
-            Arc::clone(&s.schema),
+        let mut store = fresh_store(
+            FaultStorage::new().fail_nth_append(2),
+            &s,
             WalConfig::default(),
             &i,
+        );
+        let mut view = DatabaseView::new(&i);
+        let mut sink = DurableSink::new(&mut store, &mut view);
+        unit(&mut i, &mut sink, |txn| {
+            txn.remove_edge(&Edge::new(o.d1, s.frequents, o.bar1));
+        })
+        .unwrap();
+        let pre_unit = i.clone();
+        let wal = sink.store().wal_file();
+        let wal_len = sink.store().storage().len(&wal);
+        let err = unit(&mut i, &mut sink, |txn| {
+            txn.remove_object_cascade(o.bar2);
+        });
+        assert!(matches!(err, Err(WalError::Io(_))), "{err:?}");
+        assert_eq!(i, pre_unit);
+        assert!(view.matches_rebuild(&i));
+        assert_eq!(
+            store.storage().len(&wal),
+            wal_len,
+            "the torn record is cut back"
+        );
+        assert_eq!(store.last_seq(), 1);
+        let (_, ri, _, report) = DurableStore::open(
+            store.storage().clone().reopen(),
+            Arc::clone(&s.schema),
+            WalConfig::default(),
         )
         .unwrap();
-        let mut view = DatabaseView::new(&i);
-        let mut seq_log = Vec::new();
-        let mut sink = DurableSink::new(&mut store, &mut view);
-        let mut txn = InstanceTxn::begin_observed(&mut i, &mut sink);
-        txn.remove_edge(&Edge::new(o.d1, s.frequents, o.bar1));
-        txn.commit_into(&mut seq_log);
-        let mut txn = InstanceTxn::begin_observed(&mut i, &mut sink);
-        txn.add_edge(Edge::new(o.d1, s.frequents, o.bar3)).unwrap();
-        txn.commit_into(&mut seq_log);
-        // Sequence-level failure: roll the whole thing back through the
-        // same sink, producing one compensation record.
-        undo_ops(&mut i, &mut sink, &seq_log);
-        assert_eq!(sink.take_error(), None);
-        assert_eq!(i, initial);
-        assert!(view.matches_rebuild(&i));
-        assert_eq!(store.last_seq(), 3, "2 commits + 1 compensation record");
+        assert_eq!((report.last_seq, report.torn), (1, None));
+        assert_eq!(ri, pre_unit);
 
-        let storage = store.into_storage().reopen();
-        let (_, ri, rview, report) =
-            DurableStore::open(storage, Arc::clone(&s.schema), WalConfig::default()).unwrap();
-        assert_eq!(report.records_replayed, 3);
-        assert_eq!(
-            ri, initial,
-            "replaying the full log reproduces the rollback"
-        );
+        // The same unit again applies, as sequence number 2.
+        let mut sink = DurableSink::new(&mut store, &mut view);
+        unit(&mut i, &mut sink, |txn| {
+            txn.remove_object_cascade(o.bar2);
+        })
+        .unwrap();
+        let (_, ri, rview, report) = DurableStore::open(
+            store.into_storage().reopen(),
+            Arc::clone(&s.schema),
+            WalConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(report.last_seq, 2);
+        assert_eq!(ri, i);
         assert!(rview.matches_rebuild(&ri));
+    }
+
+    /// A failed fsync is a failed unit too: the record is cut back even
+    /// though its append went through.
+    #[test]
+    fn failed_sync_cuts_the_record_back() {
+        let s = beer_schema();
+        let (mut i, o) = figure2(&s);
+        let i0 = i.clone();
+        let mut store = fresh_store(
+            FaultStorage::new().fail_nth_sync(1),
+            &s,
+            WalConfig::default(),
+            &i,
+        );
+        let mut view = DatabaseView::new(&i);
+        let mut sink = DurableSink::new(&mut store, &mut view);
+        let err = unit(&mut i, &mut sink, |txn| {
+            txn.remove_edge(&Edge::new(o.d1, s.frequents, o.bar1));
+        });
+        assert!(matches!(err, Err(WalError::Io(_))), "{err:?}");
+        assert_eq!(i, i0);
+        assert_eq!(store.last_seq(), 0);
+        assert_eq!(store.storage().len(&store.wal_file()), 0);
+        assert_eq!(store.stats().syncs, 0, "a failed sync is not counted");
+        let (_, ri, _, _) = DurableStore::open(
+            store.into_storage().reopen(),
+            Arc::clone(&s.schema),
+            WalConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(ri, i0);
     }
 
     /// The sink takes the automatic checkpoint itself, at the end of the
@@ -785,26 +863,26 @@ mod tests {
             group_commit: 1,
             snapshot_every: 2,
         };
-        let mut store =
-            DurableStore::create(FaultStorage::new(), Arc::clone(&s.schema), cfg, &i).unwrap();
+        let mut store = fresh_store(FaultStorage::new(), &s, cfg, &i);
         let mut view = DatabaseView::new(&i);
         let mut sink = DurableSink::new(&mut store, &mut view);
-        let mut txn = InstanceTxn::begin_observed(&mut i, &mut sink);
-        txn.remove_edge(&Edge::new(o.d1, s.frequents, o.bar1));
-        txn.commit();
+        unit(&mut i, &mut sink, |txn| {
+            txn.remove_edge(&Edge::new(o.d1, s.frequents, o.bar1));
+        })
+        .unwrap();
         assert_eq!(sink.store().epoch(), 1, "one record is below the threshold");
-        let mut txn = InstanceTxn::begin_observed(&mut i, &mut sink);
-        txn.add_edge(Edge::new(o.d1, s.frequents, o.bar3)).unwrap();
-        txn.commit();
-        assert_eq!(sink.take_error(), None);
+        unit(&mut i, &mut sink, |txn| {
+            txn.add_edge(Edge::new(o.d1, s.frequents, o.bar3)).unwrap();
+        })
+        .unwrap();
         assert_eq!(sink.store().epoch(), 2, "the second commit crosses it");
         assert_eq!(sink.store().stats().checkpoints, 1);
         let at_checkpoint = sink.database().clone();
         // A later commit must not leak into the snapshot already taken.
-        let mut txn = InstanceTxn::begin_observed(&mut i, &mut sink);
-        txn.remove_edge(&Edge::new(o.d1, s.frequents, o.bar2));
-        txn.commit();
-        assert_eq!(sink.take_error(), None);
+        unit(&mut i, &mut sink, |txn| {
+            txn.remove_edge(&Edge::new(o.d1, s.frequents, o.bar2));
+        })
+        .unwrap();
         assert_eq!(sink.store().epoch(), 2, "one record past the checkpoint");
 
         let manifest_bytes = store.storage().read(MANIFEST_FILE).unwrap().unwrap();
@@ -821,78 +899,95 @@ mod tests {
         assert_ne!(at_checkpoint, *view.database());
     }
 
-    /// With group commit holding ordinary records back, a compensation
-    /// record is still synced the moment the sink logs it.
+    /// The byte trigger: one record as large as the live snapshot is a
+    /// checkpoint even far below `snapshot_every` records, so replay never
+    /// reads more than about one snapshot's worth of WAL.
     #[test]
-    fn compensation_is_synced_under_group_commit() {
+    fn a_record_as_large_as_the_snapshot_checkpoints() {
         let s = beer_schema();
-        let (mut i, o) = figure2(&s);
-        let initial = i.clone();
+        let (mut i, _) = figure2(&s);
         let cfg = WalConfig {
-            group_commit: 8,
-            snapshot_every: 0,
+            group_commit: 1,
+            snapshot_every: 1_000,
         };
-        let mut store =
-            DurableStore::create(FaultStorage::new(), Arc::clone(&s.schema), cfg, &i).unwrap();
+        let mut store = fresh_store(FaultStorage::new(), &s, cfg, &i);
+        let snapshot = store.snapshot_len;
         let mut view = DatabaseView::new(&i);
-        let mut seq_log = Vec::new();
         let mut sink = DurableSink::new(&mut store, &mut view);
-        let mut txn = InstanceTxn::begin_observed(&mut i, &mut sink);
-        txn.remove_edge(&Edge::new(o.d1, s.frequents, o.bar1));
-        txn.commit_into(&mut seq_log);
-        let mut txn = InstanceTxn::begin_observed(&mut i, &mut sink);
-        txn.add_edge(Edge::new(o.d1, s.frequents, o.bar3)).unwrap();
-        txn.commit_into(&mut seq_log);
-        let wal = sink.store().wal_file();
-        assert_eq!(
-            sink.store().storage().synced_len(&wal),
-            0,
-            "commits held back"
-        );
-        undo_ops(&mut i, &mut sink, &seq_log);
-        assert_eq!(sink.take_error(), None);
-        let storage = sink.store().storage();
-        assert!(storage.len(&wal) > 0);
-        assert_eq!(storage.synced_len(&wal), storage.len(&wal));
-
-        let storage = store.into_storage().reopen_dropping_unsynced();
-        let (_, ri, _, report) = DurableStore::open(storage, Arc::clone(&s.schema), cfg).unwrap();
-        assert_eq!(report.last_seq, 3, "2 commits + 1 compensation record");
-        assert_eq!(ri, initial);
+        // Fresh bars until one record outweighs the snapshot.
+        let mut fresh = 0u64;
+        unit(&mut i, &mut sink, |txn| {
+            while PAYLOAD_BYTES_PER_NODE * fresh < snapshot {
+                txn.fresh_object(s.bar);
+                fresh += 1;
+            }
+        })
+        .unwrap();
+        assert_eq!(sink.store().epoch(), 2, "the byte trigger fired");
+        assert_eq!(sink.store().tail.wal_len, 0);
+        unit(&mut i, &mut sink, |txn| {
+            txn.fresh_object(s.bar);
+        })
+        .unwrap();
+        assert_eq!(sink.store().epoch(), 2, "a small record stays below it");
+        let (_, ri, _, report) =
+            DurableStore::open(store.into_storage().reopen(), Arc::clone(&s.schema), cfg).unwrap();
+        assert_eq!((report.epoch, report.records_replayed), (2, 1));
+        assert_eq!(ri, i);
     }
 
-    /// A checkpoint that fails on storage parks its error in the sink like
-    /// a failed append does; the record that crossed the threshold stays
-    /// logged.
+    /// `snapshot_every: 0` disables the byte trigger along with the
+    /// record trigger.
     #[test]
-    fn checkpoint_storage_error_surfaces_through_take_error() {
+    fn snapshot_every_zero_disables_both_triggers() {
         let s = beer_schema();
-        let (i0, o) = figure2(&s);
-        let one_record = |storage: FaultStorage, snapshot_every: u64| {
-            let cfg = WalConfig {
-                group_commit: 1,
-                snapshot_every,
-            };
-            let mut i = i0.clone();
-            let mut store = DurableStore::create(storage, Arc::clone(&s.schema), cfg, &i).unwrap();
-            let mut view = DatabaseView::new(&i);
-            let mut sink = DurableSink::new(&mut store, &mut view);
-            let mut txn = InstanceTxn::begin_observed(&mut i, &mut sink);
-            txn.remove_edge(&Edge::new(o.d1, s.frequents, o.bar1));
-            txn.commit();
-            let err = sink.take_error();
-            (store, i, err)
-        };
-        // The cost of creating the store and logging the record, without
-        // a checkpoint: a budget of exactly that tears the snapshot write.
-        let (golden, _, err) = one_record(FaultStorage::new(), 0);
-        assert_eq!(err, None);
-        let budget = golden.storage().total_cost();
+        let (mut i, _) = figure2(&s);
+        let mut store = fresh_store(FaultStorage::new(), &s, WalConfig::default(), &i);
+        let snapshot = store.snapshot_len;
+        let mut view = DatabaseView::new(&i);
+        let mut sink = DurableSink::new(&mut store, &mut view);
+        unit(&mut i, &mut sink, |txn| {
+            for _ in 0..=snapshot / PAYLOAD_BYTES_PER_NODE {
+                txn.fresh_object(s.bar);
+            }
+        })
+        .unwrap();
+        assert!(sink.store().tail.wal_len >= snapshot);
+        assert_eq!(sink.store().epoch(), 1);
+    }
 
-        let (store, i, err) = one_record(FaultStorage::with_budget(budget), 1);
-        assert_eq!(err, Some(WalError::Crashed));
-        assert_eq!(store.epoch(), 1, "the checkpoint never swung the manifest");
-        let cfg = WalConfig::default();
+    /// Encoded bytes of one `AddedNode` op.
+    const PAYLOAD_BYTES_PER_NODE: u64 = crate::record::MIN_OP_BYTES as u64;
+
+    /// A checkpoint that fails before its manifest swing fails the unit
+    /// that triggered it: the unit's record is cut back with it, and the
+    /// store stays usable.
+    #[test]
+    fn failed_checkpoint_cuts_the_unit_back() {
+        let s = beer_schema();
+        let (mut i, o) = figure2(&s);
+        let i0 = i.clone();
+        // Group commit holds the record back, so the checkpoint's own
+        // WAL sync is the first sync, and the one that fails.
+        let cfg = WalConfig {
+            group_commit: 2,
+            snapshot_every: 1,
+        };
+        let mut store = fresh_store(FaultStorage::new().fail_nth_sync(1), &s, cfg, &i);
+        let mut view = DatabaseView::new(&i);
+        let mut sink = DurableSink::new(&mut store, &mut view);
+        let edit = |txn: &mut InstanceTxn<'_>| {
+            txn.remove_edge(&Edge::new(o.d1, s.frequents, o.bar1));
+        };
+        let err = unit(&mut i, &mut sink, edit);
+        assert!(matches!(err, Err(WalError::Io(_))), "{err:?}");
+        assert_eq!(i, i0);
+        assert_eq!(sink.store().epoch(), 1, "the manifest never swung");
+        assert_eq!(sink.store().last_seq(), 0);
+        assert_eq!(sink.store().storage().len(&sink.store().wal_file()), 0);
+
+        unit(&mut i, &mut sink, edit).unwrap();
+        assert_eq!(sink.store().epoch(), 2);
         let (_, ri, rview, report) =
             DurableStore::open(store.into_storage().reopen(), Arc::clone(&s.schema), cfg).unwrap();
         assert_eq!(report.last_seq, 1);
@@ -900,28 +995,82 @@ mod tests {
         assert!(rview.matches_rebuild(&ri));
     }
 
+    /// Storage whose appends tear (through an armed [`FaultStorage`]) and
+    /// whose truncations always fail: the cut-back of a failed commit
+    /// cannot happen.
+    struct NoCutBack(FaultStorage);
+
+    impl WalStorage for NoCutBack {
+        fn read(&self, name: &str) -> WalResult<Option<Vec<u8>>> {
+            self.0.read(name)
+        }
+        fn append(&mut self, name: &str, bytes: &[u8]) -> WalResult<()> {
+            self.0.append(name, bytes)
+        }
+        fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> WalResult<()> {
+            self.0.write_atomic(name, bytes)
+        }
+        fn sync(&mut self, name: &str) -> WalResult<()> {
+            self.0.sync(name)
+        }
+        fn truncate(&mut self, name: &str, _: u64) -> WalResult<()> {
+            Err(WalError::Io(format!("truncation of {name}")))
+        }
+        fn remove(&mut self, name: &str) -> WalResult<()> {
+            self.0.remove(name)
+        }
+        fn list(&self) -> WalResult<Vec<String>> {
+            self.0.list()
+        }
+    }
+
+    /// A failed commit that cannot be cut back poisons the store: every
+    /// later write returns the original error, though the storage itself
+    /// would accept it, until the store is reopened.
     #[test]
-    fn txn_rollback_logs_nothing() {
+    fn a_failed_cut_back_poisons_the_store() {
         let s = beer_schema();
-        let (mut i, o) = figure2(&s);
+        let (i, o) = figure2(&s);
         let mut store = DurableStore::create(
-            FaultStorage::new(),
+            NoCutBack(FaultStorage::new().fail_nth_append(1)),
             Arc::clone(&s.schema),
             WalConfig::default(),
             &i,
         )
         .unwrap();
+        let op = DeltaOp::RemovedEdge(Edge::new(o.d1, s.frequents, o.bar1));
+        let err = store.commit(&[op]).unwrap_err();
+        assert!(matches!(err, WalError::Io(_)), "{err:?}");
+        assert_eq!(store.commit(&[op]), Err(err.clone()));
+        assert_eq!(store.sync(), Err(err.clone()));
+        assert_eq!(store.checkpoint(&i), Err(err));
+        // Reopening reads the torn half-record as a torn tail.
+        let (_, ri, _, report) = DurableStore::open(
+            store.into_storage().0.reopen(),
+            Arc::clone(&s.schema),
+            WalConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(report.last_seq, 0);
+        assert!(report.truncated_bytes > 0);
+        assert_eq!(ri, i);
+    }
+
+    #[test]
+    fn txn_rollback_logs_nothing() {
+        let s = beer_schema();
+        let (mut i, o) = figure2(&s);
+        let mut store = fresh_store(FaultStorage::new(), &s, WalConfig::default(), &i);
         let mut view = DatabaseView::new(&i);
         let mut sink = DurableSink::new(&mut store, &mut view);
         let mut txn = InstanceTxn::begin_observed(&mut i, &mut sink);
         txn.remove_object_cascade(o.bar1);
         txn.rollback();
-        assert_eq!(sink.take_error(), None);
-        drop(sink);
+        sink.commit(&[]).unwrap();
+        assert!(view.matches_rebuild(&i));
         assert_eq!(store.last_seq(), 0);
         assert_eq!(store.storage().len(&store.wal_file()), 0);
     }
-
     #[test]
     fn create_refuses_to_clobber_and_open_requires_a_store() {
         let s = beer_schema();

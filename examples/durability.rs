@@ -55,8 +55,10 @@ fn main() {
     let (initial, o) = figure2(&s);
 
     // A store over real files: epoch-1 snapshot of Figure 2, then every
-    // committed transaction goes through the WAL — a `DurableSink` around
-    // the maintained view turns the in-memory driver into a durable one.
+    // applied unit goes through the WAL as one record — a `DurableSink`
+    // around the maintained view turns the in-memory driver into a
+    // durable one. A unit that is not applied, or whose record cannot be
+    // written, is undone and leaves nothing in the log.
     let cfg = WalConfig {
         group_commit: 2,
         snapshot_every: 0,
@@ -75,8 +77,11 @@ fn main() {
     let m = add_bar(&s);
     let order = vec![Receiver::new(vec![o.d1, o.bar3])];
     let mut sink = DurableSink::new(&mut store, &mut view);
-    m.apply_sequence_viewed(&mut working, &mut sink, &order);
-    assert_eq!(sink.take_error(), None, "durable add_bar");
+    let mut log = Vec::new();
+    assert!(m
+        .apply_sequence_logged(&mut working, &mut sink, &order, &mut log)
+        .is_applied());
+    sink.commit(&log).expect("durable add_bar");
     println!(
         "after add_bar(d1, bar3): {} bars frequented, last_seq {}",
         working.successors(o.d1, s.frequents).count(),
@@ -97,8 +102,11 @@ fn main() {
     let d = delete_bar(&s);
     let order = vec![Receiver::new(vec![o.d1, o.bar1])];
     let mut sink = DurableSink::new(&mut store, &mut view);
-    d.apply_sequence_viewed(&mut working, &mut sink, &order);
-    assert_eq!(sink.take_error(), None, "durable delete_bar");
+    let mut log = Vec::new();
+    assert!(d
+        .apply_sequence_logged(&mut working, &mut sink, &order, &mut log)
+        .is_applied());
+    sink.commit(&log).expect("durable delete_bar");
     store.sync().expect("force the tail durable");
     println!(
         "after delete_bar(d1, bar1): {} bars frequented, last_seq {}",

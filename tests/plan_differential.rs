@@ -5,9 +5,10 @@
 //! Section 7 employee catalog: guarded/unguarded set deletes, set
 //! updates, cursor updates in the improvable (B) and order-dependent (C)
 //! shapes, cursor deletes) plus a random bounded instance, then checks
-//! that the compiled-program pipeline is **bit-identical** to the legacy
-//! per-statement path (each statement compiled and applied one at a time
-//! through `sql::compile`):
+//! that the compiled-program pipeline is **bit-identical** to the oracle
+//! written here: the legacy per-statement path (each statement compiled
+//! and applied one at a time through `sql::compile`), or the input state
+//! when any statement is undefined, since a program is one transaction:
 //!
 //! * [`ProgramPlan::execute_viewed`]: same instance, same hash, the
 //!   maintained [`DatabaseView`] matching a from-scratch rebuild, and a
@@ -17,11 +18,16 @@
 //!   path applied twice;
 //! * [`ProgramPlan::execute_durable`] over a [`FaultStorage`]-backed
 //!   [`DurableStore`], and the recovery ([`DurableStore::open`]) of the
-//!   logged run — both bit-identical to the legacy result;
+//!   logged run — both bit-identical to the oracle, the program logged
+//!   as at most one WAL record;
 //! * the durable driver again over storage torn at a seeded byte: it may
-//!   only fail with the crash, its WAL must be a byte prefix of the
-//!   unbudgeted run's, and the wreckage must recover to a consistent
-//!   view.
+//!   only fail with the crash, and then leaves the instance exactly as
+//!   passed in; its WAL must be a byte prefix of the unbudgeted run's, and
+//!   the wreckage must recover to exactly the input or the oracle;
+//! * the durable driver over storage whose append, then whose sync, of
+//!   the program's record fails once: the instance and view equal the
+//!   input bit for bit, a reopen recovers the input, and re-running the
+//!   program on the same store applies and recovers to the oracle.
 //!
 //! The planner passes are exercised *as optimizations must be*: netted
 //! stages are skipped, shared selectors are hash-consed and reused, and
@@ -47,7 +53,7 @@ use rand::{RngExt, SeedableRng};
 use receivers::core::sequential::apply_seq_unchecked;
 use receivers::core::shard::ShardConfig;
 use receivers::objectbase::examples::EmployeeSchema;
-use receivers::objectbase::{Instance, Oid};
+use receivers::objectbase::{InPlaceOutcome, Instance, MethodOutcome, Oid};
 use receivers::obs;
 use receivers::relalg::view::DatabaseView;
 use receivers::sql::catalog::employee_catalog;
@@ -69,6 +75,10 @@ const SWEEP_BASE: u64 = 0x91A7_0000;
 
 /// Durable runs the crash arm actually tore (the rest fit their budget).
 static CRASHED_RUNS: AtomicU64 = AtomicU64::new(0);
+
+/// Durable runs the transient arm failed (an append or a sync of the
+/// program's record).
+static TRANSIENT_FAILURES: AtomicU64 = AtomicU64::new(0);
 
 /// Set-update stages whose values came from one `par(E)` evaluation, and
 /// those evaluated row by row, as EXPLAIN names them.
@@ -235,36 +245,80 @@ fn random_instance(es: &EmployeeSchema, rng: &mut StdRng) -> Instance {
     i
 }
 
-/// The legacy per-statement oracle: each statement compiled on its own
-/// through `sql::compile` and applied functionally — set-oriented forms
-/// via their two-phase `apply`, cursor forms via the interpreted method
-/// run receiver-by-receiver in canonical order. This is the execution
-/// path the planner replaced, and the semantics it must preserve.
-fn legacy_apply(stmts: &[SqlStatement], catalog: &Catalog, i0: &Instance, seed: u64) -> Instance {
+/// The oracle's verdict on a program: its result, or undefined.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Expected {
+    Applied(Instance),
+    Undefined,
+}
+
+impl Expected {
+    /// The state every driver must end in: the result, or the input.
+    fn state<'a>(&'a self, i0: &'a Instance) -> &'a Instance {
+        match self {
+            Expected::Applied(i) => i,
+            Expected::Undefined => i0,
+        }
+    }
+
+    fn applied(&self) -> bool {
+        matches!(self, Expected::Applied(_))
+    }
+}
+
+/// The program oracle: the legacy per-statement path — each statement
+/// compiled on its own through `sql::compile` and applied functionally,
+/// set-oriented forms via their two-phase `apply`, cursor forms via the
+/// interpreted method run receiver-by-receiver in canonical order — or
+/// [`Expected::Undefined`] when any statement is undefined, because the
+/// paper's `M(I, s)` is undefined when any step is and a program is one
+/// transaction. This is the execution path the planner replaced, and the
+/// semantics it must preserve.
+fn legacy_apply(stmts: &[SqlStatement], catalog: &Catalog, i0: &Instance, seed: u64) -> Expected {
+    let done = |out: MethodOutcome, what: &str| match out {
+        MethodOutcome::Done(i) => Some(i),
+        MethodOutcome::Undefined(_) => None,
+        MethodOutcome::Diverges => panic!("{what} oracle diverged (seed {seed})"),
+    };
     let mut i = i0.clone();
     for stmt in stmts {
         let compiled = compile(stmt, catalog)
             .unwrap_or_else(|e| panic!("pool statement must compile (seed {seed}): {e}"));
-        i = match &compiled {
-            CompiledStatement::SetDelete(sd) => sd
-                .apply(&i)
-                .unwrap_or_else(|e| panic!("set delete oracle errored (seed {seed}): {e}")),
-            CompiledStatement::SetUpdate(su) => su
-                .apply(&i)
-                .unwrap_or_else(|e| panic!("set update oracle errored (seed {seed}): {e}")),
+        let next = match &compiled {
+            CompiledStatement::SetDelete(sd) => Some(
+                sd.apply(&i)
+                    .unwrap_or_else(|e| panic!("set delete oracle errored (seed {seed}): {e}")),
+            ),
+            CompiledStatement::SetUpdate(su) => Some(
+                su.apply(&i)
+                    .unwrap_or_else(|e| panic!("set update oracle errored (seed {seed}): {e}")),
+            ),
             CompiledStatement::CursorDelete(cd) => {
                 let m = cd.method();
                 let t = cd.receivers(&i);
-                apply_seq_unchecked(&m, &i, &t).expect_done("cursor delete oracle")
+                done(apply_seq_unchecked(&m, &i, &t), "cursor delete")
             }
             CompiledStatement::CursorUpdate(cu) => {
                 let m = cu.interpreted_method();
                 let t = cu.receivers(&i);
-                apply_seq_unchecked(&m, &i, &t).expect_done("cursor update oracle")
+                done(apply_seq_unchecked(&m, &i, &t), "cursor update")
             }
         };
+        match next {
+            Some(next) => i = next,
+            None => return Expected::Undefined,
+        }
     }
-    i
+    Expected::Applied(i)
+}
+
+/// Assert a driver's outcome is the oracle's verdict.
+fn assert_outcome(out: &InPlaceOutcome, expected: &Expected, seed: u64, label: &str) {
+    assert_eq!(
+        out.is_applied(),
+        expected.applied(),
+        "{label} driver outcome {out:?} disagrees with the oracle (seed {seed})"
+    );
 }
 
 /// Assert `got` reproduced `want` bit for bit (instance + hash + index).
@@ -276,6 +330,38 @@ fn assert_identical(got: &Instance, want: &Instance, seed: u64, label: &str) {
         "instance hash diverged (seed {seed}, {label})"
     );
     got.check_index_consistent();
+}
+
+/// A fresh store over `storage` whose epoch-1 snapshot is `i0`.
+fn store_over(
+    storage: FaultStorage,
+    es: &EmployeeSchema,
+    i0: &Instance,
+    seed: u64,
+) -> DurableStore<FaultStorage> {
+    DurableStore::create(storage, Arc::clone(&es.schema), WalConfig::default(), i0)
+        .unwrap_or_else(|e| panic!("store creation failed (seed {seed}): {e}"))
+}
+
+/// Power `storage` back on with every written byte and recover it.
+fn recover(
+    storage: FaultStorage,
+    es: &EmployeeSchema,
+    seed: u64,
+    label: &str,
+) -> (Instance, DatabaseView) {
+    let (_store, recovered, rview, _report) = DurableStore::open(
+        storage.reopen(),
+        Arc::clone(&es.schema),
+        WalConfig::default(),
+    )
+    .unwrap_or_else(|e| panic!("{label} recovery failed (seed {seed}): {e}"));
+    recovered.check_index_consistent();
+    assert!(
+        rview.matches_rebuild(&recovered),
+        "{label} recovered view diverged from rebuild (seed {seed})"
+    );
+    (recovered, rview)
 }
 
 /// One full differential trial for `seed`.
@@ -292,7 +378,8 @@ fn run_program(seed: u64) {
 
     let plan = compile_program(&stmts, &catalog)
         .unwrap_or_else(|e| panic!("pool program must compile (seed {seed}): {e}"));
-    let oracle = legacy_apply(&stmts, &catalog, &i0, seed);
+    let expected = legacy_apply(&stmts, &catalog, &i0, seed);
+    let oracle = expected.state(&i0);
     for stage in plan.explain().children {
         for note in &stage.notes {
             if note.starts_with("values: one par(E)") {
@@ -309,8 +396,8 @@ fn run_program(seed: u64) {
     let out = plan
         .execute_viewed(&mut seq, &mut view)
         .unwrap_or_else(|e| panic!("viewed driver errored (seed {seed}): {e}"));
-    assert!(out.is_applied(), "viewed driver must apply (seed {seed})");
-    assert_identical(&seq, &oracle, seed, "viewed");
+    assert_outcome(&out, &expected, seed, "viewed");
+    assert_identical(&seq, oracle, seed, "viewed");
     assert!(
         view.matches_rebuild(&seq),
         "maintained view diverged from rebuild (seed {seed})"
@@ -320,15 +407,15 @@ fn run_program(seed: u64) {
     // viewed driver must reproduce the oracle bit for bit, account for
     // every stage, and its row counts must reconcile with the
     // vectorized-rows counter (`>=`: counters are process-global).
-    {
+    if expected.applied() {
         let before = obs::metrics_snapshot();
         let mut profiled = i0.clone();
         let mut pview = DatabaseView::new(&profiled);
         let (out, tree) = plan
             .execute_viewed_profiled(&mut profiled, &mut pview)
             .unwrap_or_else(|e| panic!("profiled viewed driver errored (seed {seed}): {e}"));
-        assert!(out.is_applied(), "profiled driver must apply (seed {seed})");
-        assert_identical(&profiled, &oracle, seed, "viewed+profile");
+        assert_outcome(&out, &expected, seed, "profiled viewed");
+        assert_identical(&profiled, oracle, seed, "viewed+profile");
         assert!(
             pview.matches_rebuild(&profiled),
             "profiled maintained view diverged (seed {seed})"
@@ -358,40 +445,45 @@ fn run_program(seed: u64) {
     }
 
     // Profiled sharded and durable drivers: same bit-identity contract,
-    // plus the durable tree's per-stage WAL children accounting for
-    // every appended record.
+    // plus the durable tree's program-level `commit` child accounting for
+    // every appended record — at most one per program.
     {
         let mut sharded = i0.clone();
         let (out, tree) = plan
             .execute_sharded_profiled(&mut sharded, &ShardConfig::default())
             .unwrap_or_else(|e| panic!("profiled sharded driver errored (seed {seed}): {e}"));
-        assert!(out.is_applied());
-        assert_identical(&sharded, &oracle, seed, "sharded+profile");
-        assert_eq!(tree.children.len(), plan.stages().len());
+        assert_outcome(&out, &expected, seed, "profiled sharded");
+        assert_identical(&sharded, oracle, seed, "sharded+profile");
+        if expected.applied() {
+            assert_eq!(tree.children.len(), plan.stages().len());
+        }
 
         let mut durable = i0.clone();
-        let mut store = DurableStore::create(
-            FaultStorage::new(),
-            Arc::clone(&es.schema),
-            WalConfig::default(),
-            &i0,
-        )
-        .unwrap_or_else(|e| panic!("store creation failed (seed {seed}): {e}"));
+        let mut store = store_over(FaultStorage::new(), &es, &i0, seed);
         let mut dview = DatabaseView::new(&durable);
         let (out, tree) = plan
             .execute_durable_profiled(&mut durable, &mut dview, &mut store)
             .unwrap_or_else(|e| panic!("profiled durable driver errored (seed {seed}): {e}"));
-        assert!(out.is_applied());
-        assert_identical(&durable, &oracle, seed, "durable+profile");
-        let wal_records: u64 = tree
-            .children
-            .iter()
-            .filter_map(|c| c.find("wal").and_then(|w| w.metric("records")))
-            .sum();
-        assert_eq!(
-            wal_records,
-            store.stats().records,
-            "per-stage WAL children must account for every record (seed {seed})"
+        assert_outcome(&out, &expected, seed, "profiled durable");
+        assert_identical(&durable, oracle, seed, "durable+profile");
+        if expected.applied() {
+            assert_eq!(
+                tree.children.len(),
+                plan.stages().len() + 1,
+                "one child per stage, then the commit (seed {seed})"
+            );
+            let commit = tree
+                .find("commit")
+                .unwrap_or_else(|| panic!("the durable tree has a commit node (seed {seed})"));
+            assert_eq!(
+                commit.metric("records"),
+                Some(store.stats().records),
+                "the commit node must account for every record (seed {seed})"
+            );
+        }
+        assert!(
+            store.stats().records <= 1,
+            "one WAL record per program at most (seed {seed})"
         );
     }
 
@@ -405,45 +497,33 @@ fn run_program(seed: u64) {
         let out = plan
             .execute_sharded(&mut sharded, &cfg)
             .unwrap_or_else(|e| panic!("sharded driver errored (seed {seed}, {shards}): {e}"));
-        assert!(
-            out.is_applied(),
-            "sharded driver must apply (seed {seed}, {shards} shards)"
-        );
-        assert_identical(&sharded, &oracle, seed, &format!("{shards} shards"));
+        assert_outcome(&out, &expected, seed, &format!("{shards}-shard"));
+        assert_identical(&sharded, oracle, seed, &format!("{shards} shards"));
     }
 
-    // Persistent sharded session across two waves, against the legacy
-    // path applied twice.
-    let oracle2 = legacy_apply(&stmts, &catalog, &oracle, seed);
+    // Persistent sharded session across two waves, against the oracle
+    // applied twice.
+    let expected2 = legacy_apply(&stmts, &catalog, oracle, seed);
     let mut twice = i0.clone();
     let mut session = plan.shard_session(ShardConfig::default());
-    for wave in 0..2 {
+    for (wave, want) in [&expected, &expected2].into_iter().enumerate() {
         let out = session
             .execute(&mut twice)
             .unwrap_or_else(|e| panic!("session wave {wave} errored (seed {seed}): {e}"));
-        assert!(
-            out.is_applied(),
-            "session wave {wave} must apply (seed {seed})"
-        );
+        assert_outcome(&out, want, seed, &format!("session wave {wave}"));
     }
-    assert_identical(&twice, &oracle2, seed, "session waves");
+    assert_identical(&twice, expected2.state(oracle), seed, "session waves");
 
     // Durable driver, then recovery of the logged run.
     let mut durable = i0.clone();
-    let mut store = DurableStore::create(
-        FaultStorage::new(),
-        Arc::clone(&es.schema),
-        WalConfig::default(),
-        &i0,
-    )
-    .unwrap_or_else(|e| panic!("store creation failed (seed {seed}): {e}"));
+    let mut store = store_over(FaultStorage::new(), &es, &i0, seed);
     let create_cost = store.storage().total_cost();
     let mut dview = DatabaseView::new(&durable);
     let out = plan
         .execute_durable(&mut durable, &mut dview, &mut store)
         .unwrap_or_else(|e| panic!("durable driver errored (seed {seed}): {e}"));
-    assert!(out.is_applied(), "durable driver must apply (seed {seed})");
-    assert_identical(&durable, &oracle, seed, "durable");
+    assert_outcome(&out, &expected, seed, "durable");
+    assert_identical(&durable, oracle, seed, "durable");
     assert!(
         dview.matches_rebuild(&durable),
         "durable maintained view diverged (seed {seed})"
@@ -454,32 +534,19 @@ fn run_program(seed: u64) {
         .read(&golden_wal)
         .expect("fault storage reads")
         .unwrap_or_default();
-    let (_store, recovered, rview, _report) = DurableStore::open(
-        store.into_storage().reopen(),
-        Arc::clone(&es.schema),
-        WalConfig::default(),
-    )
-    .unwrap_or_else(|e| panic!("recovery failed (seed {seed}): {e}"));
-    assert_identical(&recovered, &oracle, seed, "recovery");
-    assert!(
-        rview.matches_rebuild(&recovered),
-        "recovered view diverged from rebuild (seed {seed})"
-    );
+    let (recovered, _) = recover(store.into_storage(), &es, seed, "golden");
+    assert_identical(&recovered, oracle, seed, "recovery");
 
     // Crash arm: the same durable run over storage torn at a seeded byte
-    // past the store's creation. The only failure allowed is the crash;
-    // nothing may be logged after it, so the torn WAL is a byte prefix of
-    // the golden run's (same config, no checkpoints); and recovery of the
-    // wreckage must succeed with a consistent view.
+    // past the store's creation. The only failure allowed is the crash,
+    // and it leaves the instance and view exactly as passed in; nothing
+    // may be logged after it, so the torn WAL is a byte prefix of the
+    // golden run's (same config, no checkpoints); and the wreckage must
+    // recover to exactly the input or the oracle — the oracle whenever
+    // the run succeeded.
     let budget = create_cost + rng.random_range(0..=golden_bytes.len() as u64);
     let mut crashed = i0.clone();
-    let mut store = DurableStore::create(
-        FaultStorage::with_budget(budget),
-        Arc::clone(&es.schema),
-        WalConfig::default(),
-        &i0,
-    )
-    .unwrap_or_else(|e| panic!("budgets start past the create cost (seed {seed}): {e}"));
+    let mut store = store_over(FaultStorage::with_budget(budget), &es, &i0, seed);
     let mut cview = DatabaseView::new(&crashed);
     let run = plan.execute_durable(&mut crashed, &mut cview, &mut store);
     assert_eq!(
@@ -488,14 +555,25 @@ fn run_program(seed: u64) {
         "a torn write must surface as the driver's error, and only then \
          (seed {seed}, budget {budget})"
     );
-    if let Err(e) = run {
-        assert_eq!(
-            e,
-            SqlError::from(WalError::Crashed),
-            "only the armed crash may fail the durable driver (seed {seed}, budget {budget})"
-        );
-        CRASHED_RUNS.fetch_add(1, Ordering::Relaxed);
+    match &run {
+        Err(e) => {
+            assert_eq!(
+                *e,
+                SqlError::from(WalError::Crashed),
+                "only the armed crash may fail the durable driver (seed {seed}, budget {budget})"
+            );
+            assert_identical(&crashed, &i0, seed, "crashed run undone");
+            CRASHED_RUNS.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(out) => {
+            assert_outcome(out, &expected, seed, "crash-armed durable");
+            assert_identical(&crashed, oracle, seed, "crash-armed durable");
+        }
     }
+    assert!(
+        cview.matches_rebuild(&crashed),
+        "crash-arm view diverged from rebuild (seed {seed}, budget {budget})"
+    );
     let torn = store
         .storage()
         .read(&golden_wal)
@@ -506,17 +584,76 @@ fn run_program(seed: u64) {
         "the crashed WAL must be a prefix of the golden WAL — nothing logged after \
          the error (seed {seed}, budget {budget})"
     );
-    let (_store, recovered, rview, _report) = DurableStore::open(
-        store.into_storage().reopen(),
-        Arc::clone(&es.schema),
-        WalConfig::default(),
-    )
-    .unwrap_or_else(|e| panic!("crash recovery failed (seed {seed}, budget {budget}): {e}"));
-    recovered.check_index_consistent();
+    let (recovered, _) = recover(store.into_storage(), &es, seed, "crash");
     assert!(
-        rview.matches_rebuild(&recovered),
-        "crash-recovered view diverged from rebuild (seed {seed}, budget {budget})"
+        recovered == i0 || recovered == *oracle,
+        "crash recovery must land on the input or the oracle (seed {seed}, budget {budget})"
     );
+    if run.is_ok() {
+        assert_identical(&recovered, oracle, seed, "crash-armed recovery");
+    }
+
+    // Transient arm: the program's record fails once — (a) its append,
+    // (b) its sync — on a store that stays usable. A failed program is
+    // undone whole and leaves no record; the retry applies.
+    for (label, storage) in [
+        ("append", FaultStorage::new().fail_nth_append(1)),
+        ("sync", FaultStorage::new().fail_nth_sync(1)),
+    ] {
+        let mut inst = i0.clone();
+        let mut tview = DatabaseView::new(&inst);
+        let mut store = store_over(storage, &es, &i0, seed);
+        let run = plan.execute_durable(&mut inst, &mut tview, &mut store);
+        if golden_bytes.is_empty() {
+            // Nothing to log, so nothing to fail.
+            let out = run.unwrap_or_else(|e| panic!("empty program failed (seed {seed}): {e}"));
+            assert_outcome(&out, &expected, seed, "transient, nothing logged");
+            continue;
+        }
+        let e = run.expect_err("the armed fault must fail the program");
+        assert!(
+            matches!(&e, SqlError::Wal(msg) if msg.contains(&format!("injected {label} failure"))),
+            "only the injected {label} fault may fail the program (seed {seed}): {e}"
+        );
+        TRANSIENT_FAILURES.fetch_add(1, Ordering::Relaxed);
+        assert_identical(&inst, &i0, seed, &format!("failed {label} undone"));
+        assert_eq!(
+            tview.database(),
+            DatabaseView::new(&i0).database(),
+            "failed {label}: the view is the input's, bit for bit (seed {seed})"
+        );
+        assert!(tview.matches_rebuild(&inst));
+        assert_eq!(
+            store.last_seq(),
+            0,
+            "failed {label} leaves no record (seed {seed})"
+        );
+        let (recovered, _) = recover(store.storage().clone(), &es, seed, label);
+        assert_identical(
+            &recovered,
+            &i0,
+            seed,
+            &format!("{label}: recovery after failure"),
+        );
+
+        let out = plan
+            .execute_durable(&mut inst, &mut tview, &mut store)
+            .unwrap_or_else(|e| panic!("retry after failed {label} errored (seed {seed}): {e}"));
+        assert_outcome(
+            &out,
+            &expected,
+            seed,
+            &format!("retry after failed {label}"),
+        );
+        assert_identical(&inst, oracle, seed, &format!("retry after failed {label}"));
+        let (recovered, _) = recover(store.into_storage(), &es, seed, label);
+        assert_identical(
+            &recovered,
+            oracle,
+            seed,
+            &format!("{label}: recovery after retry"),
+        );
+    }
 }
 
 /// Seeds from the committed replay corpus: `tests/seeds/*.seeds`, one
@@ -593,6 +730,10 @@ fn sweep(programs: u64) {
         "the crash arm must tear some durable runs"
     );
     assert!(
+        TRANSIENT_FAILURES.load(Ordering::Relaxed) > 0,
+        "the transient arm must fail some programs' records"
+    );
+    assert!(
         PAR_VALUES.load(Ordering::Relaxed) > 0 && ROW_VALUES.load(Ordering::Relaxed) > 0,
         "set updates must take both values paths"
     );
@@ -648,7 +789,10 @@ fn shared_selector_is_reused_not_reevaluated() {
         "the second stage must reuse the cached shared selector"
     );
 
-    assert_eq!(i, legacy_apply(&stmts, &catalog, &i0, 0));
+    assert_eq!(
+        Expected::Applied(i.clone()),
+        legacy_apply(&stmts, &catalog, &i0, 0)
+    );
     assert!(view.matches_rebuild(&i));
 }
 
@@ -679,7 +823,7 @@ fn netted_store_is_skipped_without_observable_difference() {
     );
 
     assert_eq!(
-        i,
+        Expected::Applied(i.clone()),
         legacy_apply(&stmts, &catalog, &i0, 0),
         "skipping the netted stage is unobservable"
     );

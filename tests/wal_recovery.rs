@@ -3,8 +3,10 @@
 //! Each trial draws one random (schema, instance, method, receiver-order)
 //! triple from a seed — the same generator family as
 //! `tests/view_differential.rs` — and first runs it to completion through
-//! the durable driver (the viewed driver [`apply_sequence_viewed`] with a
-//! [`DurableSink`] around its view) over an unbudgeted [`FaultStorage`],
+//! the durable driver (the viewed driver
+//! [`AlgebraicMethod::apply_sequence_logged`] with a [`DurableSink`]
+//! around its view, each receiver committed as its own unit, so each
+//! receiver is one WAL record) over an unbudgeted [`FaultStorage`],
 //! recording the byte-cost mark and the committed instance at every WAL
 //! record boundary. The no-crash result is checked against a reference
 //! independent of that driver: a fresh relational encoding per receiver,
@@ -41,7 +43,8 @@ use receivers::objectbase::gen::{
     random_instance, random_receivers, random_schema, InstanceParams, SchemaParams,
 };
 use receivers::objectbase::{
-    ClassId, Edge, InPlaceOutcome, Instance, Oid, PropId, Receiver, Schema, Signature, UpdateMethod,
+    undo_ops, ClassId, Edge, InPlaceOutcome, Instance, Oid, PropId, Receiver, Schema, Signature,
+    UpdateMethod,
 };
 use receivers::obs;
 use receivers::relalg::gen::{random_expr, ExprParams};
@@ -177,9 +180,37 @@ fn statement_expr(
     }
 }
 
-/// The durable driver under test: [`AlgebraicMethod::apply_sequence_viewed`]
-/// with a [`DurableSink`] around `view`; `Err` is the storage error the
-/// sink parked.
+/// Run `units` through a [`DurableSink`] around `view`, each unit one
+/// atomic [`AlgebraicMethod::apply_sequence_logged`] call committed as one
+/// WAL record: an applied unit is committed, a unit that is not applied
+/// writes nothing, and a unit whose commit fails is undone in memory —
+/// `Err` is that storage error. Stops at the first unit that does not
+/// apply.
+fn durable_units<'a>(
+    method: &AlgebraicMethod,
+    instance: &mut Instance,
+    view: &mut DatabaseView,
+    units: impl IntoIterator<Item = &'a [Receiver]>,
+    store: &mut DurableStore<FaultStorage>,
+) -> Result<InPlaceOutcome, WalError> {
+    let mut sink = DurableSink::new(store, view);
+    let mut log = Vec::new();
+    for unit in units {
+        log.clear();
+        let out = method.apply_sequence_logged(instance, &mut sink, unit, &mut log);
+        if !out.is_applied() {
+            return Ok(out);
+        }
+        if let Err(e) = sink.commit(&log) {
+            undo_ops(instance, &mut sink, &log);
+            return Err(e);
+        }
+    }
+    Ok(InPlaceOutcome::Applied)
+}
+
+/// The durable driver under test: `order` through [`durable_units`], each
+/// receiver its own unit.
 fn durable_sequence(
     method: &AlgebraicMethod,
     instance: &mut Instance,
@@ -187,9 +218,7 @@ fn durable_sequence(
     order: &[Receiver],
     store: &mut DurableStore<FaultStorage>,
 ) -> Result<InPlaceOutcome, WalError> {
-    let mut sink = DurableSink::new(store, view);
-    let out = method.apply_sequence_viewed(instance, &mut sink, order);
-    sink.take_error().map_or(Ok(out), Err)
+    durable_units(method, instance, view, order.chunks(1), store)
 }
 
 /// One WAL record boundary of the golden run: cumulative storage cost at
@@ -638,13 +667,12 @@ fn recovery_restores_a_committed_state_long_run() {
     sweep(5000);
 }
 
-/// The durable sequence-rollback contract: a receiver that fails
-/// validation mid-sequence makes the durable driver undo the
-/// committed prefix *and* append the inverse operations as a compensation
-/// record — so the WAL replays forward to the rolled-back state and
-/// recovery agrees with the in-memory outcome bit for bit.
+/// The durable unit contract: a unit whose receiver fails validation
+/// mid-sequence is undone in memory and writes nothing, so recovery
+/// equals the pre-unit state — and the store takes the next unit as if
+/// the failed one had never run.
 #[test]
-fn mid_sequence_failure_is_compensated_and_recovery_agrees() {
+fn mid_sequence_failure_writes_nothing_and_recovery_agrees() {
     use receivers::core::methods::add_bar;
     use receivers::objectbase::examples::beer_schema;
 
@@ -663,7 +691,7 @@ fn mid_sequence_failure_is_compensated_and_recovery_agrees() {
         !i.class_members(s.bar).any(|o| o == ghost),
         "ghost bar must be absent"
     );
-    let order = vec![
+    let order = [
         Receiver::new(vec![Oid::new(s.drinker, 3), Oid::new(s.bar, 1)]),
         Receiver::new(vec![Oid::new(s.drinker, 11), Oid::new(s.bar, 4)]),
         Receiver::new(vec![Oid::new(s.drinker, 20), ghost]),
@@ -686,35 +714,43 @@ fn mid_sequence_failure_is_compensated_and_recovery_agrees() {
     let mut store = DurableStore::create(FaultStorage::new(), Arc::clone(&s.schema), cfg, &working)
         .expect("create");
     let mut view = DatabaseView::new(&working);
-    let outcome =
-        durable_sequence(&m, &mut working, &mut view, &order, &mut store).expect("no crash armed");
+    // The whole order is one unit.
+    let outcome = durable_units(&m, &mut working, &mut view, [&order[..]], &mut store)
+        .expect("no crash armed");
     assert!(
         matches!(outcome, InPlaceOutcome::Undefined(_)),
         "ghost receiver must make the sequence undefined, got {outcome:?}"
     );
-    assert_eq!(working, i, "instance restored to pre-sequence state");
+    assert_eq!(working, i, "instance restored to pre-unit state");
     assert_eq!(hash_of(&working), hash_of(&i), "instance hash unchanged");
     working.check_index_consistent();
     assert!(
         view.matches_rebuild(&working),
         "restored view matches rebuild"
     );
-    // The committed prefix hit the WAL, and so did its inversion.
-    let committed = store.last_seq();
-    assert!(
-        committed >= 2,
-        "at least one commit plus one compensation record, got seq {committed}"
-    );
+    assert_eq!(store.last_seq(), 0, "a failed unit writes nothing");
+    assert_eq!(store.storage().len(&store.wal_file()), 0);
 
-    // Forward replay of the full log — commits then compensation — lands
-    // on the pre-sequence state.
-    let storage = store.into_storage().reopen();
+    // Recovery of the untouched log is the pre-unit state.
     let (_, ri, rview, report) =
-        DurableStore::open(storage, Arc::clone(&s.schema), cfg).expect("recovery");
+        DurableStore::open(store.storage().clone().reopen(), Arc::clone(&s.schema), cfg)
+            .expect("recovery");
     assert!(report.torn.is_none(), "nothing torn: {:?}", report.torn);
-    assert_eq!(report.last_seq, committed, "recovery replays the whole log");
-    assert_eq!(ri, i, "recovery replays the compensation record too");
+    assert_eq!(report.last_seq, 0);
+    assert_eq!(ri, i, "recovery equals the pre-unit state");
     assert_eq!(hash_of(&ri), hash_of(&i), "recovered hash");
     ri.check_index_consistent();
     assert!(rview.matches_rebuild(&ri), "recovered view matches rebuild");
+
+    // The applicable prefix as the next unit logs as sequence number 1.
+    let out = durable_units(&m, &mut working, &mut view, [&order[..2]], &mut store)
+        .expect("no crash armed");
+    assert_eq!(out, InPlaceOutcome::Applied);
+    assert_eq!(working, prefix);
+    store.sync().expect("sync");
+    let (_, ri, _, report) =
+        DurableStore::open(store.into_storage().reopen(), Arc::clone(&s.schema), cfg)
+            .expect("recovery");
+    assert_eq!((report.last_seq, report.records_replayed), (1, 1));
+    assert_eq!(ri, prefix);
 }
