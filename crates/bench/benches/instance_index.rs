@@ -11,8 +11,9 @@
 //! * `edit/*` — the write path per edge: the 512×64 set-update batch of
 //!   the `e2e` `mixed` workload through [`apply_assignment_batch`] into a
 //!   maintained [`DatabaseView`], [`redo_ops`] of that batch's log (WAL
-//!   replay), and two hub shapes that exercise the adjacency lists past
-//!   their small-vector bound.
+//!   replay), [`decode_snapshot`] of the batch's result (recovery's bulk
+//!   build of a `mixed`-sized instance, ~33k edges), and two hub shapes
+//!   that exercise the adjacency lists past their small-vector bound.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -26,7 +27,8 @@ use receivers_objectbase::{
     redo_ops, DeltaObserver, DeltaOp, Edge, EdgeIndex, Instance, MethodOutcome, NullObserver, Oid,
     PropId, Receiver, ReceiverSet, Schema, UpdateMethod,
 };
-use receivers_relalg::DatabaseView;
+use receivers_relalg::{Database, DatabaseView};
+use receivers_wal::snapshot::{decode_snapshot, encode_snapshot};
 
 /// A beer instance with `scale` objects per class and edge counts linear
 /// in `scale`: every drinker frequents 8 bars and likes 2 beers, every
@@ -143,7 +145,8 @@ fn sequences(c: &mut Criterion) {
 
 /// The `mixed` workload's stage-4 shape: 512 employees with one salary
 /// each, and the batch that overwrites every salary with the 64 amounts
-/// of `Fire` (32,768 added edges, 512 removed).
+/// of `Fire` (32,768 new salary edges; an old salary that is one of them
+/// is retained, the rest removed).
 struct SalaryBatch {
     salary: PropId,
     base: Instance,
@@ -247,7 +250,17 @@ fn edits(c: &mut Criterion) {
         &batch.assignments,
     );
     assert!(expect_view.matches_rebuild(&expect));
-    assert_eq!(log.0.len(), 512 * 64 + 512);
+    // Exactly the effective edits: |old∖new| + |new∖old| over the rows.
+    let effective: usize = batch
+        .assignments
+        .iter()
+        .map(|(e, new)| {
+            let old: Vec<Oid> = batch.base.successors(*e, batch.salary).collect();
+            old.iter().filter(|o| !new.contains(o)).count()
+                + new.iter().filter(|n| !old.contains(n)).count()
+        })
+        .sum();
+    assert_eq!(log.0.len(), effective);
     let mut replayed = batch.base.clone();
     redo_ops(&mut replayed, &mut NullObserver, &log.0);
     assert_eq!(replayed, expect);
@@ -265,6 +278,16 @@ fn edits(c: &mut Criterion) {
             redo_ops(&mut i, &mut NullObserver, &log.0);
             black_box(i)
         })
+    });
+
+    let snapshot = encode_snapshot(&Database::from_instance(&expect), 1, 1);
+    let schema = Arc::clone(expect.schema());
+    assert_eq!(
+        decode_snapshot(&snapshot, &schema).expect("round trip").0,
+        expect
+    );
+    group.bench_function("snapshot_decode", |b| {
+        b.iter(|| black_box(decode_snapshot(&snapshot, &schema).expect("round trip")))
     });
 
     let s = beer_schema();

@@ -279,32 +279,95 @@ pub fn apply_delete_batch(
 /// Replace each assigned row's `prop` edges by its precomputed values,
 /// in one observed transaction — the phase-2 body of a set-oriented
 /// update. Rows absent from `assignments` keep their old edges.
+///
+/// Each row is one [`InstanceTxn::replace_successors`]: one index write
+/// per row, one node probe per distinct endpoint, and only the effective
+/// edits logged. A value that is not a typed object of the instance fails
+/// the batch with nothing applied: the transaction rolls back, and the
+/// observer sees no commit.
+pub fn try_apply_assignment_batch(
+    instance: &mut Instance,
+    observer: &mut dyn DeltaObserver,
+    prop: PropId,
+    assignments: &[(Oid, Vec<Oid>)],
+) -> Result<()> {
+    let _span = obs::span("core.batch.assign");
+    C_BATCH_ROWS.add(assignments.len() as u64);
+    let mut txn = InstanceTxn::begin_observed(instance, observer);
+    for (tuple, values) in assignments {
+        txn.replace_successors(*tuple, prop, values)?;
+    }
+    txn.commit();
+    Ok(())
+}
+
+/// [`try_apply_assignment_batch`] for batches known to be well typed.
+///
+/// # Panics
+///
+/// When the batch fails (after rolling it back).
 pub fn apply_assignment_batch(
     instance: &mut Instance,
     observer: &mut dyn DeltaObserver,
     prop: PropId,
     assignments: &[(Oid, Vec<Oid>)],
 ) {
-    let _span = obs::span("core.batch.assign");
-    C_BATCH_ROWS.add(assignments.len() as u64);
-    let mut txn = InstanceTxn::begin_observed(instance, observer);
-    for (tuple, values) in assignments {
-        let old: Vec<Oid> = txn.instance().successors(*tuple, prop).collect();
-        for v in old {
-            txn.remove_edge(&Edge::new(*tuple, prop, v));
-        }
-        for &v in values {
-            txn.add_edge(Edge::new(*tuple, prop, v))
-                .expect("typed evaluation only yields objects of I");
-        }
+    if let Err(e) = try_apply_assignment_batch(instance, observer, prop, assignments) {
+        panic!("{e}");
     }
-    txn.commit();
 }
 
 /// The replacement discipline of [`crate::apply_par`] (Definition 6.2) as
-/// one observed transaction: clear `prop` on *every* receiving object
-/// (receivers whose expression came up empty lose the property), then add
-/// the `(receiver, value)` pairs of the single parallel evaluation.
+/// one observed transaction: every receiving object's `prop` row becomes
+/// the values its `(receiver, value)` pairs give it, in one
+/// [`InstanceTxn::replace_successors`] per receiver — a receiver without
+/// pairs gets the empty list, so it loses the property.
+///
+/// Fails with nothing applied (the transaction rolls back) when a pair's
+/// receiver is not in `receiving`
+/// ([`CoreError::PairOutsideReceivers`]) or a value is not a typed
+/// object of the instance.
+pub fn try_apply_replacement_batch(
+    instance: &mut Instance,
+    observer: &mut dyn DeltaObserver,
+    prop: PropId,
+    receiving: &BTreeSet<Oid>,
+    pairs: &[(Oid, Oid)],
+) -> Result<()> {
+    let _span = obs::span("core.batch.replace");
+    C_BATCH_ROWS.add(receiving.len() as u64);
+    let mut sorted;
+    let mut rest = if pairs.is_sorted() {
+        pairs
+    } else {
+        sorted = pairs.to_vec();
+        sorted.sort_unstable();
+        &sorted[..]
+    };
+    let mut txn = InstanceTxn::begin_observed(instance, observer);
+    let mut values = Vec::new();
+    for &o0 in receiving {
+        if let Some(&(stray, _)) = rest.first().filter(|&&(o, _)| o < o0) {
+            return Err(CoreError::PairOutsideReceivers(stray));
+        }
+        let n = rest.partition_point(|&(o, _)| o == o0);
+        values.clear();
+        values.extend(rest[..n].iter().map(|&(_, v)| v));
+        rest = &rest[n..];
+        txn.replace_successors(o0, prop, &values)?;
+    }
+    if let Some(&(stray, _)) = rest.first() {
+        return Err(CoreError::PairOutsideReceivers(stray));
+    }
+    txn.commit();
+    Ok(())
+}
+
+/// [`try_apply_replacement_batch`] for batches known to be consistent.
+///
+/// # Panics
+///
+/// When the batch fails (after rolling it back).
 pub fn apply_replacement_batch(
     instance: &mut Instance,
     observer: &mut dyn DeltaObserver,
@@ -312,21 +375,9 @@ pub fn apply_replacement_batch(
     receiving: &BTreeSet<Oid>,
     pairs: &[(Oid, Oid)],
 ) {
-    let _span = obs::span("core.batch.replace");
-    C_BATCH_ROWS.add(receiving.len() as u64);
-    let mut txn = InstanceTxn::begin_observed(instance, observer);
-    for &o0 in receiving {
-        let old: Vec<Oid> = txn.instance().successors(o0, prop).collect();
-        for v in old {
-            txn.remove_edge(&Edge::new(o0, prop, v));
-        }
+    if let Err(e) = try_apply_replacement_batch(instance, observer, prop, receiving, pairs) {
+        panic!("{e}");
     }
-    for &(o0, v) in pairs {
-        debug_assert!(receiving.contains(&o0));
-        txn.add_edge(Edge::new(o0, prop, v))
-            .expect("typed evaluation only yields objects of I");
-    }
-    txn.commit();
 }
 
 impl UpdateMethod for AlgebraicMethod {
@@ -533,6 +584,156 @@ mod tests {
 
         undo_ops(&mut i, &mut view, &log);
         assert_eq!(i, figure2(&s).0);
+        assert!(view.matches_rebuild(&i));
+    }
+
+    /// Keeps a program log the way the `sql::plan` stage loop does: the
+    /// view follows every op, and each committed batch joins the log.
+    struct ProgramLog<'a> {
+        view: &'a mut DatabaseView,
+        log: &'a mut Vec<DeltaOp>,
+    }
+
+    impl DeltaObserver for ProgramLog<'_> {
+        fn applied(&mut self, op: &DeltaOp) {
+            self.view.applied(op);
+        }
+        fn undone(&mut self, op: &DeltaOp) {
+            self.view.undone(op);
+        }
+        fn batch_end(&mut self) {
+            self.view.batch_end();
+        }
+        fn batch_committed(&mut self, ops: &[DeltaOp]) {
+            self.log.extend_from_slice(ops);
+        }
+    }
+
+    /// Figure 2 plus a second drinker `d2` frequenting `bar3`, after one
+    /// committed batch (`d1` now frequents only `bar3`) in the program
+    /// log.
+    fn logged_figure2() -> (
+        receivers_objectbase::examples::BeerSchema,
+        receivers_objectbase::examples::Fig2Objects,
+        Oid,
+        Instance,
+        DatabaseView,
+        Vec<DeltaOp>,
+    ) {
+        let s = beer_schema();
+        let (mut i, o) = figure2(&s);
+        let d2 = Oid::new(s.drinker, 7);
+        i.add_object(d2);
+        i.link(d2, s.frequents, o.bar3).unwrap();
+        let mut view = DatabaseView::new(&i);
+        let mut log = Vec::new();
+        let mut sink = ProgramLog {
+            view: &mut view,
+            log: &mut log,
+        };
+        try_apply_assignment_batch(&mut i, &mut sink, s.frequents, &[(o.d1, vec![o.bar3])])
+            .unwrap();
+        assert!(!log.is_empty());
+        (s, o, d2, i, view, log)
+    }
+
+    /// An assignment value that is not an object of the instance, or not
+    /// of the property's type, fails the batch: `Err`, and instance, view
+    /// and program log are as they were — even though the faulty row
+    /// comes after rows the batch had already replaced.
+    #[test]
+    fn assignment_batch_fault_rolls_back() {
+        let (s, o, d2, mut i, mut view, mut log) = logged_figure2();
+        let (before, logged) = (i.clone(), log.clone());
+        let ghost_bar = Oid::new(s.bar, 999);
+        // An absent bar, and a present object of the wrong class.
+        for bad in [ghost_bar, o.d1] {
+            let rows = [(o.d1, vec![o.bar1, o.bar2]), (d2, vec![o.bar1, bad])];
+            let mut sink = ProgramLog {
+                view: &mut view,
+                log: &mut log,
+            };
+            let err = try_apply_assignment_batch(&mut i, &mut sink, s.frequents, &rows)
+                .expect_err("faulty value");
+            assert!(matches!(err, CoreError::ObjectBase(_)), "{err}");
+            assert_eq!(i, before);
+            assert_eq!(log, logged);
+            assert!(view.matches_rebuild(&i));
+        }
+    }
+
+    /// A replacement pair whose receiver is outside the receiving set —
+    /// below, between or above its members — or whose value is not an
+    /// object of the instance fails the batch with nothing applied.
+    #[test]
+    fn replacement_batch_fault_rolls_back() {
+        let (s, o, d2, mut i, mut view, mut log) = logged_figure2();
+        let (before, logged) = (i.clone(), log.clone());
+        let outsider = |k| Oid::new(s.drinker, k);
+        let receiving: BTreeSet<Oid> = [o.d1, d2].into();
+        assert!(o.d1 < outsider(5) && outsider(5) < d2 && d2 < outsider(9));
+        let cases = [
+            vec![(o.d1, o.bar1), (outsider(5), o.bar2), (d2, o.bar1)],
+            vec![(d2, o.bar2), (outsider(9), o.bar1)],
+            vec![(d2, Oid::new(s.bar, 999))],
+        ];
+        for pairs in &cases {
+            let mut sink = ProgramLog {
+                view: &mut view,
+                log: &mut log,
+            };
+            let err =
+                try_apply_replacement_batch(&mut i, &mut sink, s.frequents, &receiving, pairs)
+                    .expect_err("faulty pair");
+            match (&err, pairs.len()) {
+                (CoreError::ObjectBase(_), 1) => {}
+                (CoreError::PairOutsideReceivers(r), _) => assert_ne!(receiving.get(r), Some(r)),
+                _ => panic!("{err}"),
+            }
+            assert_eq!(i, before);
+            assert_eq!(log, logged);
+            assert!(view.matches_rebuild(&i));
+        }
+        let mut below = ProgramLog {
+            view: &mut view,
+            log: &mut log,
+        };
+        let only_d2: BTreeSet<Oid> = [d2].into();
+        let err = try_apply_replacement_batch(
+            &mut i,
+            &mut below,
+            s.frequents,
+            &only_d2,
+            &[(o.d1, o.bar1)],
+        )
+        .expect_err("receiver below the set");
+        assert_eq!(err, CoreError::PairOutsideReceivers(o.d1));
+        assert_eq!(i, before);
+    }
+
+    /// Unsorted, duplicated pairs are grouped per receiver; a receiver
+    /// without pairs loses the property; retained edges log no op.
+    #[test]
+    fn replacement_batch_groups_pairs_and_clears_pairless_receivers() {
+        let (s, o, d2, mut i, mut view, _) = logged_figure2();
+        let mut log = Vec::new();
+        let mut sink = ProgramLog {
+            view: &mut view,
+            log: &mut log,
+        };
+        let receiving: BTreeSet<Oid> = [o.d1, d2].into();
+        let pairs = [(o.d1, o.bar2), (o.d1, o.bar3), (o.d1, o.bar2)];
+        try_apply_replacement_batch(&mut i, &mut sink, s.frequents, &receiving, &pairs).unwrap();
+        let succ = |i: &Instance, r| i.successors(r, s.frequents).collect::<Vec<_>>();
+        assert_eq!(succ(&i, o.d1), vec![o.bar2, o.bar3]);
+        assert!(succ(&i, d2).is_empty());
+        assert_eq!(
+            log,
+            vec![
+                DeltaOp::AddedEdge(Edge::new(o.d1, s.frequents, o.bar2)),
+                DeltaOp::RemovedEdge(Edge::new(d2, s.frequents, o.bar3)),
+            ]
+        );
         assert!(view.matches_rebuild(&i));
     }
 

@@ -35,6 +35,10 @@ pub enum CoreError {
     /// not shard-safe; carries the names of the undischarged read/write
     /// conflicts.
     NotShardSafe(Vec<String>),
+    /// A replacement batch was handed a `(receiver, value)` pair whose
+    /// receiver is not in the batch's receiving set, so its old edges
+    /// would never have been cleared. Carries the receiver.
+    PairOutsideReceivers(receivers_objectbase::Oid),
     /// An error from the algebra layer.
     Algebra(receivers_relalg::RelAlgError),
     /// An error from the conjunctive-query layer.
@@ -74,6 +78,10 @@ impl fmt::Display for CoreError {
                     .map(|p| format!("`{p}`"))
                     .collect::<Vec<_>>()
                     .join(", ")
+            ),
+            Self::PairOutsideReceivers(o) => write!(
+                f,
+                "replacement pair for {o}, which is not in the receiving set"
             ),
             Self::Algebra(e) => write!(f, "algebra error: {e}"),
             Self::Cq(e) => write!(f, "containment error: {e}"),

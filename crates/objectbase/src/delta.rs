@@ -18,8 +18,16 @@
 //! a committed log can be appended to a caller-held sequence-level log
 //! ([`InstanceTxn::commit_into`]) so that a *multi-receiver* application
 //! can be rolled back wholesale with [`undo_ops`].
+//!
+//! Edits come one item at a time, or one row at a time:
+//! [`InstanceTxn::replace_successors`] replaces all `prop`-edges of one
+//! object, checks each distinct endpoint once, and logs only the
+//! effective edits — the removed edges, then the added ones, each
+//! ascending — so an edge the row keeps costs no op, no observer call and
+//! no WAL bytes. This is the write path of the set-oriented batch
+//! appliers.
 
-use crate::error::Result;
+use crate::error::{ObjectBaseError, Result};
 use crate::instance::Instance;
 use crate::item::Edge;
 use crate::oid::Oid;
@@ -39,6 +47,23 @@ pub enum DeltaOp {
     AddedEdge(Edge),
     /// A previously present edge was removed.
     RemovedEdge(Edge),
+}
+
+impl DeltaOp {
+    /// The ops of one whole-row replacement of `(src, prop)`: the edges to
+    /// `removed` removed, then the edges to `added` added, in that order.
+    pub fn row_replacement<'a>(
+        src: Oid,
+        prop: PropId,
+        removed: &'a [Oid],
+        added: &'a [Oid],
+    ) -> impl Iterator<Item = DeltaOp> + 'a {
+        let edge = move |dst| Edge::new(src, prop, dst);
+        let removals = removed
+            .iter()
+            .map(move |&dst| DeltaOp::RemovedEdge(edge(dst)));
+        removals.chain(added.iter().map(move |&dst| DeltaOp::AddedEdge(edge(dst))))
+    }
 }
 
 /// An open transaction over an instance. See the module docs.
@@ -136,6 +161,43 @@ impl<'a> InstanceTxn<'a> {
         self.add_edge(Edge::new(src, prop, dst))
     }
 
+    /// Replace the `prop`-successors of `src` by `values` (any order;
+    /// duplicates collapse) — the whole-row write of a set-oriented update.
+    ///
+    /// Typing and node presence are checked once per distinct endpoint,
+    /// before the row is touched, and only when `values` is non-empty (an
+    /// empty list only removes). The row is then replaced in one index
+    /// operation, and only the effective edits are logged and observed:
+    /// first the removed edges `old∖new`, then the added ones `new∖old`,
+    /// each ascending. Retained edges produce no op. Returns the number of
+    /// logged edits.
+    pub fn replace_successors(&mut self, src: Oid, prop: PropId, values: &[Oid]) -> Result<usize> {
+        let mut sorted;
+        let new = if values.windows(2).all(|w| w[0] < w[1]) {
+            values
+        } else {
+            sorted = values.to_vec();
+            sorted.sort_unstable();
+            sorted.dedup();
+            &sorted
+        };
+        check_row(self.instance, src, prop, new)?;
+        let (removed, added) = self
+            .instance
+            .partial_mut()
+            .edge_index_mut()
+            .replace_row(src, prop, new);
+        let n = removed.len() + added.len();
+        if n > 0 {
+            self.log
+                .extend(DeltaOp::row_replacement(src, prop, &removed, &added));
+            if let Some(obs) = self.observer.as_deref_mut() {
+                obs.row_replaced(src, prop, &removed, &added);
+            }
+        }
+        Ok(n)
+    }
+
     /// Remove an edge. Returns `true` when it was present.
     pub fn remove_edge(&mut self, e: &Edge) -> bool {
         let removed = self.instance.remove_edge(e);
@@ -213,6 +275,26 @@ impl Drop for InstanceTxn<'_> {
             self.undo();
         }
     }
+}
+
+/// Check that every edge `(src, prop, v)`, `v` in `new`, could be added
+/// to `instance`: both endpoints are nodes and the edge is typed. One node
+/// probe per distinct endpoint; the errors are those of
+/// [`Instance::add_edge`] for the first failing edge in `new`'s order.
+fn check_row(instance: &Instance, src: Oid, prop: PropId, new: &[Oid]) -> Result<()> {
+    let dangling = || ObjectBaseError::DanglingEdge {
+        property: instance.schema().prop_name(prop).to_owned(),
+    };
+    if !new.is_empty() && !instance.contains_node(src) {
+        return Err(dangling());
+    }
+    for &v in new {
+        if !instance.contains_node(v) {
+            return Err(dangling());
+        }
+        instance.check_typed(&Edge::new(src, prop, v))?;
+    }
+    Ok(())
 }
 
 /// Apply the inverse of one op.

@@ -36,6 +36,8 @@
 //! | operation                    | cost                        |
 //! |------------------------------|-----------------------------|
 //! | `insert` / `remove`          | `O(log K + min(d, B))` (×2) |
+//! | `replace_row` (`n` new)      | `O(log K + d + n)`, plus a reverse edit per changed edge |
+//! | `from_sorted_pairs`          | `O(E log E)`: one stable sort per block |
 //! | `contains`                   | `O(log K + log d)`          |
 //! | `successors(o, p)`           | `O(log K + d)`              |
 //! | `predecessors(o, p)`         | `O(log K + d)`              |
@@ -43,6 +45,19 @@
 //! | `properties()`               | `O(P)` over property counts |
 //! | `incident(o)`                | `O(log K + d·log d)`        |
 //! | full iteration               | `O(E)`                      |
+//!
+//! ## Bulk writes
+//!
+//! Two primitives write a set at a time. [`EdgeIndex::replace_row`]
+//! replaces a whole `(src, prop)` row by a sorted list: one merge against
+//! the old list, one forward-map operation, reverse-view edits for the
+//! changed edges only, and one count update; it reports the effective
+//! diff (`old∖new`, `new∖old`), which is what
+//! [`InstanceTxn::replace_successors`](crate::InstanceTxn::replace_successors)
+//! logs. [`EdgeIndex::from_sorted_pairs`] builds both views from
+//! per-property sorted `(src, dst)` blocks with no per-edge probe;
+//! [`EdgeIndex::from_edges`] and `FromIterator` sort, deduplicate and
+//! call it, and snapshot recovery feeds it the decoded blocks.
 //!
 //! All iterators yield edges in the canonical `(src, prop, dst)` order, so
 //! equality/ordering/hashing built on them is indistinguishable from the
@@ -76,6 +91,36 @@ enum Adj {
 impl Adj {
     fn single(o: Oid) -> Self {
         Adj::Vec(vec![o])
+    }
+
+    /// The list of `sorted` (strictly ascending, non-empty): a vector up to
+    /// the bound, a tree past it.
+    fn from_sorted(sorted: impl ExactSizeIterator<Item = Oid>) -> Self {
+        if sorted.len() <= ADJ_BOUND {
+            Adj::Vec(sorted.collect())
+        } else {
+            Adj::Tree(sorted.collect())
+        }
+    }
+
+    /// Make this list hold exactly `new` (strictly ascending, non-empty),
+    /// given the diff against the current contents. A vector that still
+    /// fits is overwritten in place; a tree that stays above half the
+    /// bound takes the diff edit by edit; anything else is rebuilt.
+    fn assign(&mut self, new: &[Oid], removed: &[Oid], added: &[Oid]) {
+        match self {
+            Adj::Vec(v) if new.len() <= ADJ_BOUND => {
+                v.clear();
+                v.extend_from_slice(new);
+            }
+            Adj::Tree(t) if new.len() > ADJ_BOUND / 2 => {
+                for o in removed {
+                    t.remove(o);
+                }
+                t.extend(added.iter().copied());
+            }
+            _ => *self = Adj::from_sorted(new.iter().copied()),
+        }
     }
 
     fn len(&self) -> usize {
@@ -225,13 +270,82 @@ impl EdgeIndex {
         Self::default()
     }
 
-    /// Build an index from any edge iterator (duplicates collapse).
+    /// Build an index from any edge iterator (duplicates collapse): the
+    /// edges are bucketed by property, each bucket sorted and deduplicated,
+    /// and the result handed to [`EdgeIndex::from_sorted_pairs`].
     pub fn from_edges(edges: impl IntoIterator<Item = Edge>) -> Self {
-        let mut ix = Self::new();
+        let mut buckets: Vec<Vec<(Oid, Oid)>> = Vec::new();
         for e in edges {
-            ix.insert(e);
+            let p = e.prop.0 as usize;
+            if p >= buckets.len() {
+                buckets.resize_with(p + 1, Vec::new);
+            }
+            buckets[p].push((e.src, e.dst));
         }
-        ix
+        Self::from_sorted_pairs(buckets.into_iter().enumerate().map(|(p, mut pairs)| {
+            pairs.sort_unstable();
+            pairs.dedup();
+            (PropId(p as u32), pairs)
+        }))
+    }
+
+    /// Build an index in bulk from per-property `(src, dst)` pairs, each
+    /// block strictly ascending. The forward view is collected from the
+    /// blocks' runs of equal sources; each block is then stably sorted by
+    /// destination and flipped in place to `(dst, src)`, and the reverse
+    /// view collected from its runs. Both views are built from sorted
+    /// keys, with no per-edge map probe. `O(E log E)` at worst, less when
+    /// the block's per-source runs are few.
+    ///
+    /// # Panics
+    ///
+    /// When a block is not strictly ascending, or a property has two
+    /// non-empty blocks.
+    pub fn from_sorted_pairs(blocks: impl IntoIterator<Item = (PropId, Vec<(Oid, Oid)>)>) -> Self {
+        let mut fwd = Vec::new();
+        let mut rev = Vec::new();
+        let mut prop_len: Vec<usize> = Vec::new();
+        for (p, mut pairs) in blocks {
+            if pairs.is_empty() {
+                continue;
+            }
+            assert!(
+                pairs.windows(2).all(|w| w[0] < w[1]),
+                "edge block of property {} is not strictly ascending",
+                p.0
+            );
+            let at = p.0 as usize;
+            if at >= prop_len.len() {
+                prop_len.resize(at + 1, 0);
+            }
+            assert_eq!(prop_len[at], 0, "property {} given twice", p.0);
+            prop_len[at] = pairs.len();
+            Self::collect_runs(&pairs, p, &mut fwd);
+            // Sources ascend within each destination once the block is
+            // stably sorted by destination alone; the sort merges the
+            // block's ascending per-source runs.
+            pairs.sort_by_key(|&(_, dst)| dst);
+            for pair in &mut pairs {
+                *pair = (pair.1, pair.0);
+            }
+            Self::collect_runs(&pairs, p, &mut rev);
+        }
+        fwd.sort_unstable_by_key(|&(key, _)| key);
+        rev.sort_unstable_by_key(|&(key, _)| key);
+        Self {
+            fwd: fwd.into_iter().collect(),
+            rev: rev.into_iter().collect(),
+            len: prop_len.iter().sum(),
+            prop_len,
+        }
+    }
+
+    /// One `((a, p), list of b)` entry per run of equal `a` in the sorted
+    /// `(a, b)` pairs.
+    fn collect_runs(pairs: &[(Oid, Oid)], p: PropId, out: &mut Vec<((Oid, PropId), Adj)>) {
+        for run in pairs.chunk_by(|x, y| x.0 == y.0) {
+            out.push(((run[0].0, p), Adj::from_sorted(run.iter().map(|&(_, b)| b))));
+        }
     }
 
     /// Number of distinct edges.
@@ -305,6 +419,73 @@ impl EdgeIndex {
             adj.remove();
         }
         true
+    }
+
+    /// Replace the whole row `(src, prop)` by `new` (strictly ascending;
+    /// empty clears the row) and return the effective diff `(old∖new,
+    /// new∖old)`, both ascending. The old list is merged against `new`
+    /// once, and the row costs one forward-map operation. The reverse view
+    /// is touched only for the changed edges, and the counts are updated
+    /// once.
+    ///
+    /// # Panics
+    ///
+    /// When `new` is not strictly ascending.
+    pub fn replace_row(&mut self, src: Oid, prop: PropId, new: &[Oid]) -> (Vec<Oid>, Vec<Oid>) {
+        assert!(
+            new.windows(2).all(|w| w[0] < w[1]),
+            "replacement row is not strictly ascending"
+        );
+        let (mut removed, mut added) = (Vec::new(), Vec::new());
+        match self.fwd.entry((src, prop)) {
+            Entry::Vacant(_) if new.is_empty() => return (removed, added),
+            Entry::Vacant(slot) => {
+                added.extend_from_slice(new);
+                slot.insert(Adj::from_sorted(new.iter().copied()));
+            }
+            Entry::Occupied(mut row) => {
+                let mut new_it = new.iter().copied().peekable();
+                for o in row.get().iter() {
+                    while let Some(n) = new_it.next_if(|&n| n < o) {
+                        added.push(n);
+                    }
+                    if new_it.next_if_eq(&o).is_none() {
+                        removed.push(o);
+                    }
+                }
+                added.extend(new_it);
+                if new.is_empty() {
+                    row.remove();
+                } else if !(removed.is_empty() && added.is_empty()) {
+                    row.get_mut().assign(new, &removed, &added);
+                }
+            }
+        }
+        for &dst in &removed {
+            let present = Self::unlink(&mut self.rev, (dst, prop), &src);
+            debug_assert!(present, "index views out of sync");
+        }
+        for &dst in &added {
+            let fresh = Self::link(&mut self.rev, (dst, prop), src);
+            debug_assert!(fresh, "index views out of sync");
+        }
+        let p = prop.0 as usize;
+        if p >= self.prop_len.len() {
+            self.prop_len.resize(p + 1, 0);
+        }
+        self.prop_len[p] = self.prop_len[p] + added.len() - removed.len();
+        self.len = self.len + added.len() - removed.len();
+        (removed, added)
+    }
+
+    /// The forward rows' keys `(src, prop)`, ascending.
+    pub(crate) fn source_keys(&self) -> impl Iterator<Item = (Oid, PropId)> + '_ {
+        self.fwd.keys().copied()
+    }
+
+    /// The reverse rows' keys `(dst, prop)`, ascending.
+    pub(crate) fn target_keys(&self) -> impl Iterator<Item = (Oid, PropId)> + '_ {
+        self.rev.keys().copied()
     }
 
     /// All edges in canonical `(src, prop, dst)` order.
@@ -577,6 +758,85 @@ mod tests {
         }
         assert!(grown.is_empty());
         assert_eq!(grown.properties().count(), 0);
+    }
+
+    /// `replace_row` reports exactly `old∖new` and `new∖old`, leaves
+    /// retained edges alone, and keeps both views and the counts in sync
+    /// — including rows whose list crosses the bound either way.
+    #[test]
+    fn replace_row_reports_the_effective_diff() {
+        let src = Oid::new(ClassId(0), 0);
+        let dst = |d: u32| Oid::new(ClassId(1), d);
+        let b = ADJ_BOUND as u32;
+        let mut ix = EdgeIndex::from_edges([e(0, 1, 4), e(3, 0, 4)]);
+        let rows: [Vec<u32>; 7] = [
+            vec![1, 2, 4],
+            vec![2, 4, 5],
+            vec![],
+            (0..2 * b).collect(),
+            (b..b + b / 2 + 1).collect(),
+            (0..3).collect(),
+            vec![],
+        ];
+        let mut old: Vec<u32> = Vec::new();
+        for row in rows {
+            let new: Vec<Oid> = row.iter().map(|&d| dst(d)).collect();
+            let (removed, added) = ix.replace_row(src, PropId(0), &new);
+            let gone: Vec<Oid> = old
+                .iter()
+                .filter(|d| !row.contains(d))
+                .map(|&d| dst(d))
+                .collect();
+            let came: Vec<Oid> = row
+                .iter()
+                .filter(|d| !old.contains(d))
+                .map(|&d| dst(d))
+                .collect();
+            assert_eq!((&removed, &added), (&gone, &came), "row {row:?}");
+            assert_eq!(ix.successors(src, PropId(0)).collect::<Vec<_>>(), new);
+            ix.check_consistent();
+            old = row;
+        }
+        assert_eq!(ix.len(), 2);
+        assert!(ix.contains(&e(0, 1, 4)) && ix.contains(&e(3, 0, 4)));
+    }
+
+    /// The bulk build equals inserting the same edges one at a time, hub
+    /// rows included, and `from_edges` collapses duplicates in any order.
+    #[test]
+    fn bulk_build_matches_per_edge_inserts() {
+        let hub = 2 * ADJ_BOUND as u32;
+        let mut edges: Vec<Edge> = (0..hub)
+            .flat_map(|k| [e(0, 0, k), e(k, 1, 5), e(k % 7, 2, k % 11)])
+            .collect();
+        let mut one_by_one = EdgeIndex::new();
+        for &ed in &edges {
+            one_by_one.insert(ed);
+        }
+        edges.reverse();
+        edges.extend_from_slice(&edges.clone()[..40]);
+        let bulk = EdgeIndex::from_edges(edges);
+        bulk.check_consistent();
+        assert_eq!(bulk, one_by_one);
+        assert_eq!(bulk.len(), one_by_one.len());
+        for p in 0..3 {
+            assert_eq!(
+                bulk.labeled_len(PropId(p)),
+                one_by_one.labeled_len(PropId(p))
+            );
+        }
+        let hub_bar = Oid::new(ClassId(2), 5);
+        assert!(bulk
+            .predecessors(hub_bar, PropId(1))
+            .eq(one_by_one.predecessors(hub_bar, PropId(1))));
+        assert!(EdgeIndex::from_edges([]).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "not strictly ascending")]
+    fn bulk_build_refuses_unsorted_blocks() {
+        let (a, b) = (Oid::new(ClassId(0), 1), Oid::new(ClassId(0), 0));
+        EdgeIndex::from_sorted_pairs([(PropId(0), vec![(a, a), (b, b)])]);
     }
 
     #[test]

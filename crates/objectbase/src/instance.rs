@@ -32,14 +32,12 @@ impl Instance {
         }
     }
 
-    /// Validate a partial instance as an instance.
+    /// Validate a partial instance as an instance: one merge of the node
+    /// set against each index view's distinct endpoints.
     pub fn from_partial(partial: PartialInstance) -> Result<Self> {
-        if let Some(e) = partial
-            .edges()
-            .find(|e| !partial.contains_node(e.src) || !partial.contains_node(e.dst))
-        {
+        if let Some(p) = partial.dangling_property() {
             return Err(ObjectBaseError::DanglingEdge {
-                property: partial.schema().prop_name(e.prop).to_owned(),
+                property: partial.schema().prop_name(p).to_owned(),
             });
         }
         Ok(Self { inner: partial })

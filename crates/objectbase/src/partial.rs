@@ -39,6 +39,39 @@ impl PartialInstance {
         }
     }
 
+    /// Assemble a partial instance from a node set and an already-built
+    /// edge index — the bulk path of snapshot recovery, paired with
+    /// [`EdgeIndex::from_sorted_pairs`]. Every edge must be well typed
+    /// (checked once per adjacency row of each view, not per edge);
+    /// endpoints need not be present, as always for partial instances.
+    pub fn from_parts(schema: Arc<Schema>, nodes: BTreeSet<Oid>, edges: EdgeIndex) -> Result<Self> {
+        let sources = edges.source_keys().map(|(o, p)| (o, p, true));
+        let targets = edges.target_keys().map(|(o, p)| (o, p, false));
+        for (o, p, is_src) in sources.chain(targets) {
+            if (p.0 as usize) >= schema.property_count() {
+                return Err(ObjectBaseError::UnknownProperty(format!("#{}", p.0)));
+            }
+            let prop = schema.property(p);
+            let expected = if is_src { prop.src } else { prop.dst };
+            if o.class != expected {
+                return Err(ObjectBaseError::IllTypedEdge {
+                    property: prop.name.clone(),
+                    detail: format!(
+                        "{} endpoint of class {}, expected {}",
+                        if is_src { "source" } else { "target" },
+                        schema.class_name(o.class),
+                        schema.class_name(expected),
+                    ),
+                });
+            }
+        }
+        Ok(Self {
+            schema,
+            nodes,
+            edges,
+        })
+    }
+
     /// The schema this partial instance is constrained by.
     pub fn schema(&self) -> &Arc<Schema> {
         &self.schema
@@ -154,6 +187,12 @@ impl PartialInstance {
     /// Insert an edge after checking it is well typed against the schema.
     /// Endpoints need *not* be present: partial instances may dangle.
     pub fn insert_edge(&mut self, e: Edge) -> Result<bool> {
+        self.check_typed(&e)?;
+        Ok(self.edges.insert(e))
+    }
+
+    /// Check that `e`'s endpoint classes match its property's signature.
+    pub(crate) fn check_typed(&self, e: &Edge) -> Result<()> {
         let prop = self.schema.property(e.prop);
         if prop.src != e.src.class || prop.dst != e.dst.class {
             return Err(ObjectBaseError::IllTypedEdge {
@@ -167,7 +206,7 @@ impl PartialInstance {
                 ),
             });
         }
-        Ok(self.edges.insert(e))
+        Ok(())
     }
 
     /// Insert an arbitrary item (edge typing still checked).
@@ -186,6 +225,12 @@ impl PartialInstance {
     /// Remove an edge.
     pub fn remove_edge(&mut self, e: &Edge) -> bool {
         self.edges.remove(e)
+    }
+
+    /// Mutable access to the edge index, for the transaction's whole-row
+    /// writes; the caller keeps the edges typed.
+    pub(crate) fn edge_index_mut(&mut self) -> &mut EdgeIndex {
+        &mut self.edges
     }
 
     /// Remove an arbitrary item.
@@ -305,9 +350,16 @@ impl PartialInstance {
     /// True when every edge has both endpoints present (i.e. this partial
     /// instance is in fact an instance).
     pub fn is_instance(&self) -> bool {
-        self.edges
-            .iter()
-            .all(|e| self.nodes.contains(&e.src) && self.nodes.contains(&e.dst))
+        self.dangling_property().is_none()
+    }
+
+    /// The property of some edge with an endpoint that is not a node, if
+    /// any. The distinct sources (forward rows) and targets (reverse rows)
+    /// each arrive ascending, so each is one merge against the node set:
+    /// `O(N + K)` for `K` rows, with no per-edge probe.
+    pub(crate) fn dangling_property(&self) -> Option<PropId> {
+        first_outside(&self.nodes, self.edges.source_keys())
+            .or_else(|| first_outside(&self.nodes, self.edges.target_keys()))
     }
 
     /// Invariant check (for tests) that both index views and the
@@ -315,6 +367,20 @@ impl PartialInstance {
     pub fn check_index_consistent(&self) {
         self.edges.check_consistent();
     }
+}
+
+/// The property of the first row in `rows` (ascending by node) whose node
+/// is not in `nodes`, found by one merge.
+fn first_outside(
+    nodes: &BTreeSet<Oid>,
+    mut rows: impl Iterator<Item = (Oid, PropId)>,
+) -> Option<PropId> {
+    let mut nodes = nodes.iter().peekable();
+    rows.find(|&(o, _)| {
+        while nodes.next_if(|&&n| n < o).is_some() {}
+        nodes.peek() != Some(&&o)
+    })
+    .map(|(_, p)| p)
 }
 
 impl PartialEq for PartialInstance {

@@ -15,6 +15,8 @@
 //! protocol and the trivial [`NullObserver`].
 
 use crate::delta::DeltaOp;
+use crate::oid::Oid;
+use crate::schema::PropId;
 
 /// A consumer of instance deltas, kept in lockstep with the instance by
 /// [`InstanceTxn::begin_observed`](crate::InstanceTxn::begin_observed) and
@@ -49,6 +51,18 @@ pub trait DeltaObserver {
     /// which a program's stage loop gathers the one delta log it commits
     /// or undoes. Default no-op.
     fn batch_committed(&mut self, _ops: &[DeltaOp]) {}
+    /// The `prop`-row of `src` was replaced in one step
+    /// ([`InstanceTxn::replace_successors`](crate::InstanceTxn::replace_successors)):
+    /// the edges to `removed`, then the edges to `added` (each ascending,
+    /// disjoint, all effective) are applied. Stands for one
+    /// [`Self::applied`] per edit, in that order, which is the default; a
+    /// view that consumes canonical-order row edits in bulk overrides it,
+    /// and an observer that wraps another forwards it.
+    fn row_replaced(&mut self, src: Oid, prop: PropId, removed: &[Oid], added: &[Oid]) {
+        for op in DeltaOp::row_replacement(src, prop, removed, added) {
+            self.applied(&op);
+        }
+    }
 }
 
 /// An observer that ignores every delta; useful as a default.

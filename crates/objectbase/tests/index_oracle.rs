@@ -4,7 +4,9 @@
 //! edges, labeled scans, the property set, successor/predecessor/incidence
 //! lookups, equality, ordering, hashing — to agree at every step. A
 //! high-degree arm pushes one forward and one reverse adjacency list
-//! across the small-vector bound in both directions.
+//! across the small-vector bound in both directions. A whole-row arm
+//! drives `InstanceTxn::replace_successors` against the per-edge
+//! remove-then-add path, with a maintained view observing the subject.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeSet;
@@ -14,9 +16,12 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use receivers_objectbase::examples::beer_schema;
+use receivers_objectbase::examples::{beer_schema, BeerSchema};
 use receivers_objectbase::index::ADJ_BOUND;
-use receivers_objectbase::{Edge, Oid, PartialInstance, PropId};
+use receivers_objectbase::{
+    undo_ops, DeltaOp, Edge, Instance, InstanceTxn, Oid, PartialInstance, PropId,
+};
+use receivers_relalg::DatabaseView;
 
 /// The reference model: the flat item sets the pre-index implementation
 /// stored directly.
@@ -378,5 +383,202 @@ fn high_degree_lists_cross_the_bound_both_ways() {
         assert!(subject.remove_edge(&keep));
         assert_eq!(subject.edge_index().properties().count(), 0, "{name}");
         assert!(subject.edge_index().is_empty());
+    }
+}
+
+/// The per-edge reference for a whole-row replacement: remove every old
+/// successor, then add each value in the given order.
+fn replace_per_edge(
+    txn: &mut InstanceTxn<'_>,
+    src: Oid,
+    prop: PropId,
+    values: &[Oid],
+) -> receivers_objectbase::Result<()> {
+    let old: Vec<Oid> = txn.instance().successors(src, prop).collect();
+    for v in old {
+        txn.remove_edge(&Edge::new(src, prop, v));
+    }
+    for &v in values {
+        txn.add_edge(Edge::new(src, prop, v))?;
+    }
+    Ok(())
+}
+
+/// One random replacement row: unsorted with duplicates, partly
+/// retaining the old list, sometimes empty; the hub drinker's rows jump
+/// between sizes on both sides of the bound and of half the bound; a
+/// rare value is absent or of the wrong class.
+fn random_row(
+    s: &BeerSchema,
+    i: &Instance,
+    hub: Oid,
+    universe: u32,
+    rng: &mut StdRng,
+) -> (Oid, PropId, Vec<Oid>) {
+    let b = ADJ_BOUND;
+    let (src, prop, len) = if rng.random_range(0..4u32) == 0 {
+        let sizes = [0, b / 2 - 1, b / 2 + 1, b - 1, b, b + 1, 2 * b, 3 * b];
+        (hub, s.frequents, sizes[rng.random_range(0..sizes.len())])
+    } else {
+        let d = Oid::new(s.drinker, rng.random_range(0..universe));
+        let p = if rng.random_range(0..2u32) == 0 {
+            s.frequents
+        } else {
+            s.likes
+        };
+        (d, p, rng.random_range(0..6usize))
+    };
+    let class = s.schema.property(prop).dst;
+    let mut values: Vec<Oid> = i
+        .successors(src, prop)
+        .filter(|_| rng.random_range(0..2u32) == 0)
+        .collect();
+    while values.len() < len {
+        values.push(Oid::new(class, rng.random_range(0..3 * b as u32)));
+    }
+    if !values.is_empty() {
+        let k = rng.random_range(0..values.len());
+        values.push(values[k]);
+    }
+    for k in (1..values.len()).rev() {
+        values.swap(k, rng.random_range(0..k + 1));
+    }
+    match rng.random_range(0..40u32) {
+        0 => values.push(Oid::new(class, 10 * b as u32)),
+        1 => values.push(src),
+        _ => {}
+    }
+    (src, prop, values)
+}
+
+/// Subject and reference state of the whole-row arm.
+struct RowArm {
+    subject: Instance,
+    oracle: Instance,
+    view: DatabaseView,
+    log: Vec<DeltaOp>,
+}
+
+impl RowArm {
+    /// Apply `rows` as one transaction on each side and check they agree:
+    /// equal instances (or an error on both sides, with nothing applied),
+    /// a log of exactly the effective edits — per row, removals then
+    /// additions, each ascending — consistent index views and a
+    /// maintained view equal to a rebuild.
+    fn batch(&mut self, rows: &[(Oid, PropId, Vec<Oid>)], seed: u64) {
+        let before = self.subject.clone();
+        let mut expected_ops = Vec::new();
+        let mut reference = InstanceTxn::begin(&mut self.oracle);
+        let mut failed = false;
+        for (src, prop, values) in rows {
+            let old: BTreeSet<Oid> = reference.instance().successors(*src, *prop).collect();
+            if replace_per_edge(&mut reference, *src, *prop, values).is_err() {
+                failed = true;
+                break;
+            }
+            let new: BTreeSet<Oid> = values.iter().copied().collect();
+            let edge = |v: &Oid| Edge::new(*src, *prop, *v);
+            expected_ops.extend(old.difference(&new).map(|v| DeltaOp::RemovedEdge(edge(v))));
+            expected_ops.extend(new.difference(&old).map(|v| DeltaOp::AddedEdge(edge(v))));
+        }
+        let mut txn = InstanceTxn::begin_observed(&mut self.subject, &mut self.view);
+        let outcome = rows.iter().try_for_each(|(src, prop, values)| {
+            txn.replace_successors(*src, *prop, values).map(drop)
+        });
+        assert_eq!(outcome.is_err(), failed, "seed {seed}: {outcome:?}");
+        if failed {
+            reference.rollback();
+            drop(txn);
+            assert_eq!(
+                self.subject, before,
+                "seed {seed}: a failed batch applied edits"
+            );
+        } else {
+            reference.commit();
+            let start = self.log.len();
+            txn.commit_into(&mut self.log);
+            assert_eq!(
+                self.log[start..],
+                expected_ops[..],
+                "seed {seed}: logged edits"
+            );
+        }
+        assert_eq!(self.subject, self.oracle, "seed {seed}: instances diverged");
+        self.subject.check_index_consistent();
+        assert!(
+            self.view.matches_rebuild(&self.subject),
+            "seed {seed}: view diverged"
+        );
+    }
+}
+
+/// `replace_successors` against the per-edge remove-then-add path over
+/// random batches, then two sweeps that push the hub bar's reverse list
+/// past the bound and back; finally `undo_ops` of the whole log must
+/// restore the starting instance and view exactly.
+#[test]
+fn whole_row_replacement_matches_the_per_edge_path() {
+    let s = beer_schema();
+    let universe = 3 * ADJ_BOUND as u32;
+    let hub = Oid::new(s.drinker, 0);
+    let hub_bar = Oid::new(s.bar, 0);
+    for seed in 0..6u64 {
+        let mut rng = StdRng::seed_from_u64(0x5EED_0017 ^ seed);
+        let mut base = Instance::empty(Arc::clone(&s.schema));
+        for c in [s.drinker, s.bar, s.beer] {
+            for k in 0..universe {
+                base.add_object(Oid::new(c, k));
+            }
+        }
+        for _ in 0..1500 {
+            let d = Oid::new(s.drinker, rng.random_range(0..universe));
+            let p = if rng.random_range(0..2u32) == 0 {
+                s.frequents
+            } else {
+                s.likes
+            };
+            let class = s.schema.property(p).dst;
+            base.link(d, p, Oid::new(class, rng.random_range(0..universe)))
+                .expect("typed");
+        }
+        let mut arm = RowArm {
+            subject: base.clone(),
+            oracle: base.clone(),
+            view: DatabaseView::new(&base),
+            log: Vec::new(),
+        };
+        for _ in 0..30 {
+            let rows: Vec<_> = (0..rng.random_range(1..6usize))
+                .map(|_| random_row(&s, &arm.oracle, hub, universe, &mut rng))
+                .collect();
+            arm.batch(&rows, seed);
+        }
+        // Every drinker gains the hub bar, then loses it again.
+        for gain in [true, false] {
+            let rows: Vec<_> = (0..universe)
+                .map(|k| {
+                    let d = Oid::new(s.drinker, k);
+                    let mut values: Vec<Oid> = arm
+                        .oracle
+                        .successors(d, s.frequents)
+                        .filter(|&b| b != hub_bar)
+                        .collect();
+                    if gain {
+                        values.push(hub_bar);
+                    }
+                    (d, s.frequents, values)
+                })
+                .collect();
+            arm.batch(&rows, seed);
+            let expect = if gain { universe as usize } else { 0 };
+            assert_eq!(
+                arm.subject.predecessors(hub_bar, s.frequents).count(),
+                expect
+            );
+        }
+        undo_ops(&mut arm.subject, &mut arm.view, &arm.log);
+        assert_eq!(arm.subject, base, "seed {seed}: undo_ops did not restore");
+        arm.subject.check_index_consistent();
+        assert!(arm.view.matches_rebuild(&arm.subject));
     }
 }

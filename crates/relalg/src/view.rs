@@ -36,6 +36,15 @@
 //! unobservable: whoever holds the transaction holds the view mutably, so
 //! the view can only be read between bursts, where it is always
 //! consolidated.
+//!
+//! The set-oriented batch appliers write whole rows
+//! ([`DeltaObserver::row_replaced`]). While a burst is nothing but row
+//! replacements of one property in ascending source order, their removed
+//! and added tuples are already canonical and pairwise distinct, so the
+//! view collects them as they come and hands them to
+//! [`Database::apply_edge_edits`] at `batch_end`: no per-op `Edit`, no
+//! sort, nothing to net. Any other notification in the burst moves the
+//! run into the buffer first, and the burst nets as above.
 
 use receivers_objectbase::{ClassId, DeltaObserver, DeltaOp, Instance, Oid, PropId};
 use receivers_obs as obs;
@@ -63,6 +72,24 @@ pub struct DatabaseView {
     /// Effective edits buffered since the last [`DeltaObserver::batch_end`]
     /// — always empty whenever the view is externally readable.
     pending: Vec<Edit>,
+    /// The burst so far, while it is nothing but whole-row replacements
+    /// of one property in ascending source order: their removed and added
+    /// rows are then already canonical and disjoint, so `batch_end`
+    /// applies them as they are. Set only while `pending` is empty; any
+    /// other notification spills it into `pending` first.
+    rows: Option<RowRun>,
+}
+
+/// Whole-row replacements collected for [`Database::apply_edge_edits`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct RowRun {
+    prop: PropId,
+    /// The last replaced row's source; the next row must be above it.
+    last_src: Oid,
+    /// `(src, dst)`-chunked rows to insert, canonical order.
+    adds: Vec<Oid>,
+    /// `(src, dst)`-chunked rows to remove, canonical order.
+    dels: Vec<Oid>,
 }
 
 impl DatabaseView {
@@ -72,6 +99,7 @@ impl DatabaseView {
         Self {
             db: Database::from_instance(instance),
             pending: Vec::new(),
+            rows: None,
         }
     }
 
@@ -84,26 +112,61 @@ impl DatabaseView {
         Self {
             db,
             pending: Vec::new(),
+            rows: None,
         }
     }
 
     /// The maintained database, for evaluation.
     pub fn database(&self) -> &Database {
-        debug_assert!(self.pending.is_empty(), "view read inside a burst");
+        debug_assert!(self.is_flushed(), "view read inside a burst");
         &self.db
     }
 
     /// Consume the view, keeping the maintained database.
     pub fn into_database(self) -> Database {
-        debug_assert!(self.pending.is_empty(), "view consumed inside a burst");
+        debug_assert!(self.is_flushed(), "view consumed inside a burst");
         self.db
     }
 
     /// `true` when the maintained view equals a fresh rebuild from
     /// `instance` — the invariant the differential suite pins.
     pub fn matches_rebuild(&self, instance: &Instance) -> bool {
-        debug_assert!(self.pending.is_empty(), "view read inside a burst");
+        debug_assert!(self.is_flushed(), "view read inside a burst");
         self.db == Database::from_instance(instance)
+    }
+
+    fn is_flushed(&self) -> bool {
+        self.pending.is_empty() && self.rows.is_none()
+    }
+
+    /// Move a collected row run into `pending`, ahead of whatever the
+    /// burst brings next. Its edits touch distinct tuples, so their order
+    /// among themselves does not matter to the netting.
+    fn spill(&mut self) {
+        let Some(run) = self.rows.take() else {
+            return;
+        };
+        for (rows, insert) in [(&run.dels, false), (&run.adds, true)] {
+            self.pending.extend(rows.chunks_exact(2).map(|row| Edit {
+                edge: true,
+                insert,
+                relation: run.prop.0,
+                row: (pack(row[0]), pack(row[1])),
+            }));
+        }
+    }
+
+    /// Apply a collected row run: no edit buffer, no sort, no netting —
+    /// its rows are canonical and each tuple occurs once.
+    fn apply_rows(&mut self, run: RowRun) {
+        let n = ((run.adds.len() + run.dels.len()) / 2) as u64;
+        C_BATCHES.incr();
+        C_RAW_OPS.add(n);
+        H_BATCH_RAW_OPS.record(n);
+        C_NETTED_OPS.add(n);
+        self.db
+            .apply_edge_edits(run.prop, &run.adds, &run.dels)
+            .expect("delta ops typed by the observed instance");
     }
 
     /// Consolidate the buffered burst into the maintained database.
@@ -239,10 +302,12 @@ impl ViewObserver for DatabaseView {
 
 impl DeltaObserver for DatabaseView {
     fn applied(&mut self, op: &DeltaOp) {
+        self.spill();
         self.pending.push(Edit::of(op));
     }
 
     fn undone(&mut self, op: &DeltaOp) {
+        self.spill();
         // The effective edit is the inverse of the op being reversed.
         let edit = Edit::of(op);
         self.pending.push(Edit {
@@ -251,8 +316,40 @@ impl DeltaObserver for DatabaseView {
         });
     }
 
+    /// Collect the row into the current run when the burst so far is a
+    /// run of this property with lower sources; otherwise buffer its
+    /// edits like any others.
+    fn row_replaced(&mut self, src: Oid, prop: PropId, removed: &[Oid], added: &[Oid]) {
+        let extends = self.pending.is_empty()
+            && self
+                .rows
+                .as_ref()
+                .is_none_or(|run| run.prop == prop && run.last_src < src);
+        if !extends {
+            for op in DeltaOp::row_replacement(src, prop, removed, added) {
+                self.applied(&op);
+            }
+            return;
+        }
+        let run = self.rows.get_or_insert_with(|| RowRun {
+            prop,
+            last_src: src,
+            adds: Vec::new(),
+            dels: Vec::new(),
+        });
+        run.last_src = src;
+        for (rows, dsts) in [(&mut run.dels, removed), (&mut run.adds, added)] {
+            for &dst in dsts {
+                rows.extend([src, dst]);
+            }
+        }
+    }
+
     fn batch_end(&mut self) {
-        self.flush();
+        match self.rows.take() {
+            Some(run) => self.apply_rows(run),
+            None => self.flush(),
+        }
     }
 }
 
@@ -333,6 +430,73 @@ mod tests {
             .map(|t| t[0])
             .collect();
         assert_eq!(beers, fresh);
+        assert!(view.matches_rebuild(&i));
+    }
+
+    /// Whole-row replacements reach the view through `row_replaced`:
+    /// rows of one property in ascending source order go straight to the
+    /// relation at `batch_end`; any other shape — a descending or repeated
+    /// source, a second property, a point edit during or after the run, a
+    /// rollback — spills the run into the netting buffer. Every burst must
+    /// leave the view equal to a rebuild, and a run must not leak into the
+    /// next burst.
+    #[test]
+    fn row_runs_apply_directly_and_spill_on_any_other_edit() {
+        const N: u32 = 48;
+        let s = beer_schema();
+        let mut i = Instance::empty(Arc::clone(&s.schema));
+        let drinker = |k: u32| Oid::new(s.drinker, k);
+        let bar = |k: u32| Oid::new(s.bar, k);
+        let beer = |k: u32| Oid::new(s.beer, k);
+        for k in 0..N {
+            for o in [drinker(k), bar(k), beer(k)] {
+                i.add_object(o);
+            }
+            i.link(drinker(k), s.frequents, bar(k)).unwrap();
+        }
+        let mut view = DatabaseView::new(&i);
+        let row = |k: u32, shift: u32| vec![bar((k + shift) % N), bar(k), bar((k * 7) % N)];
+        let shapes: [(&str, Vec<u32>); 6] = [
+            ("ascending", (0..N).collect()),
+            ("descending", (0..N).rev().collect()),
+            ("repeated source", [3, 3, 9].into()),
+            ("point edit mid-run", (0..N).collect()),
+            ("point edit after the run", (0..N).collect()),
+            ("second property", (0..N).collect()),
+        ];
+        for (round, (name, order)) in shapes.into_iter().enumerate() {
+            let shift = round as u32 + 1;
+            let mut txn = InstanceTxn::begin_observed(&mut i, &mut view);
+            for (n, &k) in order.iter().enumerate() {
+                txn.replace_successors(drinker(k), s.frequents, &row(k, shift))
+                    .unwrap();
+                if name == "point edit mid-run" && n == order.len() / 2 {
+                    txn.link(drinker(0), s.likes, beer(1)).unwrap();
+                }
+                if name == "second property" {
+                    txn.replace_successors(drinker(k), s.likes, &[beer(k)])
+                        .unwrap();
+                }
+            }
+            if name == "point edit after the run" {
+                // Last in the burst, on a tuple the run just added: the
+                // netting needs the run's edits ahead of it.
+                let added = Edge::new(drinker(0), s.frequents, bar(shift));
+                assert!(txn.remove_edge(&added));
+            }
+            txn.commit();
+            assert!(view.matches_rebuild(&i), "{name}");
+        }
+        let before = i.clone();
+        {
+            let mut txn = InstanceTxn::begin_observed(&mut i, &mut view);
+            for k in 0..N {
+                txn.replace_successors(drinker(k), s.frequents, &[])
+                    .unwrap();
+            }
+            // Dropped: the rollback's `undone` ops spill the run first.
+        }
+        assert_eq!(i, before);
         assert!(view.matches_rebuild(&i));
     }
 

@@ -44,7 +44,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::{Mutex, OnceLock};
 
 use receivers_core::algebraic::{
-    apply_assignment_batch, apply_delete_batch, apply_replacement_batch,
+    apply_delete_batch, try_apply_assignment_batch, try_apply_replacement_batch,
 };
 use receivers_core::shard::{certify, ShardCertificate, ShardConfig, ShardedExecutor, WaveStats};
 use receivers_core::AlgebraicMethod;
@@ -1536,6 +1536,9 @@ impl DeltaObserver for Joined<'_> {
     fn batch_end(&mut self) {
         self.observer.batch_end();
     }
+    fn row_replaced(&mut self, src: Oid, prop: PropId, removed: &[Oid], added: &[Oid]) {
+        self.observer.row_replaced(src, prop, removed, added);
+    }
 }
 
 /// Hand an applied program's log to the observer's commit and, when
@@ -1854,7 +1857,7 @@ impl ProgramPlan {
                 meter.rows_in += assigns.len() as u64;
                 meter.rows_out += assigns.len() as u64;
                 let prop = self.stage_prop(stage)?;
-                apply_assignment_batch(instance, &mut Joined::new(view, log), prop, &assigns);
+                try_apply_assignment_batch(instance, &mut Joined::new(view, log), prop, &assigns)?;
                 Ok(InPlaceOutcome::Applied)
             }
             StageKind::ImprovedUpdate => {
@@ -1862,13 +1865,13 @@ impl ProgramPlan {
                     self.improved_pairs(cache, stage, instance, view.database())?;
                 meter.rows_in += receiving.len() as u64;
                 meter.rows_out += pairs.len() as u64;
-                apply_replacement_batch(
+                try_apply_replacement_batch(
                     instance,
                     &mut Joined::new(view, log),
                     self.stage_prop(stage)?,
                     &receiving,
                     &pairs,
-                );
+                )?;
                 Ok(InPlaceOutcome::Applied)
             }
             StageKind::CursorDelete => self.run_cursor_delete(stage, instance, view, log, meter),

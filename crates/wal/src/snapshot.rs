@@ -28,9 +28,10 @@
 //! body     := [epoch: u64] [last_seq: u64] [schema_digest: u32]
 //! ```
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use receivers_objectbase::{Edge, Instance, Oid, Schema};
+use receivers_objectbase::{EdgeIndex, Instance, Oid, PartialInstance, Schema};
 use receivers_relalg::{Database, RelName};
 
 use crate::crc::crc32;
@@ -143,11 +144,86 @@ fn bad(why: impl Into<String>) -> WalError {
 /// Decode a snapshot under `schema`, rebuilding the [`Instance`]. Total:
 /// every byte stream yields `Ok` or a structured [`WalError`] — never a
 /// panic, never an allocation sized from unvalidated input.
+///
+/// The instance is built in bulk: each block is collected into a buffer
+/// (sized from a count already checked against the bytes present), a
+/// block that arrives out of order is sorted, and duplicates are refused
+/// on the sorted block. The edge index is then built in one
+/// [`EdgeIndex::from_sorted_pairs`] call, and the no-dangling-edges check
+/// is one merge of the node set against each view's rows — no per-edge
+/// insert, no per-edge node probe.
 pub fn decode_snapshot(
     bytes: &[u8],
     schema: &Arc<Schema>,
 ) -> WalResult<(Instance, SnapshotHeader)> {
     let mut cur = Cursor::new(bytes);
+    let (epoch, last_seq) = decode_header(&mut cur, bytes, schema)?;
+    let mut nodes = Vec::new();
+    for c in schema.classes() {
+        let n = cur.u32().ok_or_else(|| bad("truncated node count"))? as usize;
+        if n > cur.remaining() / 4 {
+            return Err(bad(format!(
+                "class block claims {n} nodes, only {} bytes remain",
+                cur.remaining()
+            )));
+        }
+        let at = nodes.len();
+        nodes.reserve(n);
+        for _ in 0..n {
+            let index = cur.u32().ok_or_else(|| bad("truncated node index"))?;
+            nodes.push(Oid::new(c, index));
+        }
+        if let Some(dup) = sort_find_duplicate(&mut nodes[at..]) {
+            return Err(bad(format!(
+                "duplicate node {} in class block {}",
+                dup.index, c.0
+            )));
+        }
+    }
+    let prop_count = cur.u32().ok_or_else(|| bad("truncated property count"))? as usize;
+    if prop_count != schema.property_count() {
+        return Err(bad(format!(
+            "snapshot has {prop_count} property blocks, schema has {}",
+            schema.property_count()
+        )));
+    }
+    let mut blocks = Vec::with_capacity(prop_count);
+    for p in schema.properties() {
+        let sig = schema.property(p);
+        let n = cur.u32().ok_or_else(|| bad("truncated edge count"))? as usize;
+        if n > cur.remaining() / 8 {
+            return Err(bad(format!(
+                "property block claims {n} edges, only {} bytes remain",
+                cur.remaining()
+            )));
+        }
+        let mut pairs = Vec::with_capacity(n);
+        for _ in 0..n {
+            let src = cur.u32().ok_or_else(|| bad("truncated edge src"))?;
+            let dst = cur.u32().ok_or_else(|| bad("truncated edge dst"))?;
+            pairs.push((Oid::new(sig.src, src), Oid::new(sig.dst, dst)));
+        }
+        if sort_find_duplicate(&mut pairs).is_some() {
+            return Err(bad(format!("duplicate edge in property block {}", p.0)));
+        }
+        blocks.push((p, pairs));
+    }
+    if cur.remaining() != 0 {
+        return Err(bad(format!("{} trailing bytes", cur.remaining())));
+    }
+    // Class blocks arrive in id order and `Oid` orders class-major, so
+    // the concatenated blocks are sorted: the set is built in bulk.
+    let nodes: BTreeSet<Oid> = nodes.into_iter().collect();
+    let edges = EdgeIndex::from_sorted_pairs(blocks);
+    let instance = PartialInstance::from_parts(Arc::clone(schema), nodes, edges)
+        .and_then(Instance::from_partial)
+        .map_err(|e| bad(format!("ill-formed edge: {e}")))?;
+    Ok((instance, SnapshotHeader { epoch, last_seq }))
+}
+
+/// Check the magic, checksum, schema digest and class count; returns
+/// `(epoch, last_seq)` with the cursor at the first class block.
+fn decode_header(cur: &mut Cursor<'_>, bytes: &[u8], schema: &Schema) -> WalResult<(u64, u64)> {
     if cur.take(8) != Some(SNAP_MAGIC) {
         return Err(bad("bad magic"));
     }
@@ -172,56 +248,17 @@ pub fn decode_snapshot(
             schema.class_count()
         )));
     }
-    let mut instance = Instance::empty(Arc::clone(schema));
-    for c in schema.classes() {
-        let n = cur.u32().ok_or_else(|| bad("truncated node count"))? as usize;
-        if n > cur.remaining() / 4 {
-            return Err(bad(format!(
-                "class block claims {n} nodes, only {} bytes remain",
-                cur.remaining()
-            )));
-        }
-        for _ in 0..n {
-            let index = cur.u32().ok_or_else(|| bad("truncated node index"))?;
-            if !instance.add_object(Oid::new(c, index)) {
-                return Err(bad(format!(
-                    "duplicate node {index} in class block {}",
-                    c.0
-                )));
-            }
-        }
+    Ok((epoch, last_seq))
+}
+
+/// Sort `block` unless it is already strictly ascending (the order the
+/// encoder writes), and return a duplicated element if there is one.
+fn sort_find_duplicate<T: Ord + Copy>(block: &mut [T]) -> Option<T> {
+    if block.windows(2).all(|w| w[0] < w[1]) {
+        return None;
     }
-    let prop_count = cur.u32().ok_or_else(|| bad("truncated property count"))? as usize;
-    if prop_count != schema.property_count() {
-        return Err(bad(format!(
-            "snapshot has {prop_count} property blocks, schema has {}",
-            schema.property_count()
-        )));
-    }
-    for p in schema.properties() {
-        let sig = schema.property(p);
-        let n = cur.u32().ok_or_else(|| bad("truncated edge count"))? as usize;
-        if n > cur.remaining() / 8 {
-            return Err(bad(format!(
-                "property block claims {n} edges, only {} bytes remain",
-                cur.remaining()
-            )));
-        }
-        for _ in 0..n {
-            let src = cur.u32().ok_or_else(|| bad("truncated edge src"))?;
-            let dst = cur.u32().ok_or_else(|| bad("truncated edge dst"))?;
-            let edge = Edge::new(Oid::new(sig.src, src), p, Oid::new(sig.dst, dst));
-            match instance.add_edge(edge) {
-                Ok(true) => {}
-                Ok(false) => return Err(bad(format!("duplicate edge in property block {}", p.0))),
-                Err(e) => return Err(bad(format!("ill-formed edge: {e}"))),
-            }
-        }
-    }
-    if cur.remaining() != 0 {
-        return Err(bad(format!("{} trailing bytes", cur.remaining())));
-    }
-    Ok((instance, SnapshotHeader { epoch, last_seq }))
+    block.sort_unstable();
+    block.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
 }
 
 /// The root pointer: which epoch is live and where its WAL resumes.
@@ -290,7 +327,69 @@ impl Manifest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use receivers_objectbase::{ClassId, PropId};
+    use receivers_objectbase::{ClassId, Edge, PropId};
+
+    /// The per-edge decoder the bulk one replaced, kept as its oracle:
+    /// one `Instance::add_object` per node and one `Instance::add_edge`
+    /// per edge, each refusal detected where the stream produces it.
+    fn decode_snapshot_per_edge(bytes: &[u8], schema: &Arc<Schema>) -> WalResult<Instance> {
+        let mut cur = Cursor::new(bytes);
+        decode_header(&mut cur, bytes, schema)?;
+        let mut instance = Instance::empty(Arc::clone(schema));
+        for c in schema.classes() {
+            let n = cur.u32().ok_or_else(|| bad("truncated node count"))? as usize;
+            if n > cur.remaining() / 4 {
+                return Err(bad("class block claims too many nodes"));
+            }
+            for _ in 0..n {
+                let index = cur.u32().ok_or_else(|| bad("truncated node index"))?;
+                if !instance.add_object(Oid::new(c, index)) {
+                    return Err(bad("duplicate node"));
+                }
+            }
+        }
+        let prop_count = cur.u32().ok_or_else(|| bad("truncated property count"))? as usize;
+        if prop_count != schema.property_count() {
+            return Err(bad("property count mismatch"));
+        }
+        for p in schema.properties() {
+            let sig = schema.property(p);
+            let n = cur.u32().ok_or_else(|| bad("truncated edge count"))? as usize;
+            if n > cur.remaining() / 8 {
+                return Err(bad("property block claims too many edges"));
+            }
+            for _ in 0..n {
+                let src = cur.u32().ok_or_else(|| bad("truncated edge src"))?;
+                let dst = cur.u32().ok_or_else(|| bad("truncated edge dst"))?;
+                let edge = Edge::new(Oid::new(sig.src, src), p, Oid::new(sig.dst, dst));
+                match instance.add_edge(edge) {
+                    Ok(true) => {}
+                    Ok(false) => return Err(bad("duplicate edge")),
+                    Err(e) => return Err(bad(format!("ill-formed edge: {e}"))),
+                }
+            }
+        }
+        if cur.remaining() != 0 {
+            return Err(bad("trailing bytes"));
+        }
+        Ok(instance)
+    }
+
+    /// The bulk decoder agrees with the per-edge oracle on `bytes`: the
+    /// same instance, or an error on both sides.
+    fn assert_agrees_with_oracle(bytes: &[u8], schema: &Arc<Schema>) {
+        match (
+            decode_snapshot(bytes, schema),
+            decode_snapshot_per_edge(bytes, schema),
+        ) {
+            (Ok((bulk, _)), Ok(oracle)) => {
+                assert_eq!(bulk, oracle);
+                bulk.check_index_consistent();
+            }
+            (Err(_), Err(_)) => {}
+            (bulk, oracle) => panic!("bulk {bulk:?} vs per-edge {oracle:?}"),
+        }
+    }
 
     fn beer_schema() -> Arc<Schema> {
         let mut b = Schema::builder();
@@ -350,6 +449,7 @@ mod tests {
         assert_eq!(restored, instance);
         assert_eq!(Database::from_instance(&restored), db);
         restored.check_index_consistent();
+        assert_agrees_with_oracle(&bytes, instance.schema());
         // Deterministic encoding: same database, same bytes.
         assert_eq!(
             encode_snapshot(&Database::from_instance(&restored), 3, 17),
@@ -364,6 +464,7 @@ mod tests {
         let bytes = encode_snapshot(&Database::from_instance(&instance), 1, 0);
         let (restored, _) = decode_snapshot(&bytes, &schema).unwrap();
         assert_eq!(restored, instance);
+        assert_agrees_with_oracle(&bytes, &schema);
     }
 
     #[test]
@@ -391,6 +492,7 @@ mod tests {
                 decode_snapshot(&bytes[..cut], &schema).is_err(),
                 "cut {cut}"
             );
+            assert_agrees_with_oracle(&bytes[..cut], &schema);
         }
     }
 
@@ -427,7 +529,7 @@ mod tests {
         };
         for len in 0..160usize {
             let bytes: Vec<u8> = (0..len).map(|_| next() as u8).collect();
-            let _ = decode_snapshot(&bytes, &schema); // must not panic
+            assert_agrees_with_oracle(&bytes, &schema); // must not panic
             let _ = Manifest::decode(&bytes); // must not panic
         }
         // A forged header claiming u32::MAX nodes with a valid checksum.
@@ -444,6 +546,100 @@ mod tests {
         match decode_snapshot(&forged, &schema) {
             Err(WalError::BadSnapshot(why)) => assert!(why.contains("claims"), "{why}"),
             other => panic!("expected bad-snapshot error, got {other:?}"),
+        }
+        assert_agrees_with_oracle(&forged, &schema);
+    }
+
+    /// A snapshot body with a valid checksum and digest holding the given
+    /// class and property blocks, in the given order.
+    fn forge(schema: &Schema, classes: &[&[u32]], props: &[&[(u32, u32)]]) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(SNAP_MAGIC);
+        out.extend_from_slice(&[0u8; 4]);
+        out.extend_from_slice(&1u64.to_le_bytes());
+        out.extend_from_slice(&0u64.to_le_bytes());
+        out.extend_from_slice(&schema_digest(schema).to_le_bytes());
+        out.extend_from_slice(&(classes.len() as u32).to_le_bytes());
+        for block in classes {
+            out.extend_from_slice(&(block.len() as u32).to_le_bytes());
+            for index in *block {
+                out.extend_from_slice(&index.to_le_bytes());
+            }
+        }
+        out.extend_from_slice(&(props.len() as u32).to_le_bytes());
+        for block in props {
+            out.extend_from_slice(&(block.len() as u32).to_le_bytes());
+            for (src, dst) in *block {
+                out.extend_from_slice(&src.to_le_bytes());
+                out.extend_from_slice(&dst.to_le_bytes());
+            }
+        }
+        let crc = crc32(&out[12..]);
+        out[8..12].copy_from_slice(&crc.to_le_bytes());
+        out
+    }
+
+    /// Well-checksummed bodies that are out of order, duplicated or
+    /// dangling: the bulk decoder accepts exactly what the per-edge
+    /// oracle accepts (an out-of-order block is still a set) and refuses
+    /// the rest with a structured error naming the fault.
+    #[test]
+    fn bulk_decode_matches_the_per_edge_oracle_on_malformed_blocks() {
+        let schema = beer_schema();
+        // Drinkers 0..3, bars {0, 3}, beers {0, 1}; frequents, likes, serves.
+        let nodes: [&[u32]; 3] = [&[0, 1, 2], &[0, 3], &[0, 1]];
+        let good: [&[(u32, u32)]; 3] = [&[(0, 0), (0, 3), (2, 3)], &[(1, 1)], &[(3, 0), (3, 1)]];
+        // (name, class blocks, property blocks, expected refusal)
+        type Case<'a> = (
+            &'a str,
+            [&'a [u32]; 3],
+            [&'a [(u32, u32)]; 3],
+            Option<&'a str>,
+        );
+        let cases: [Case<'_>; 7] = [
+            ("canonical", nodes, good, None),
+            ("unsorted nodes", [&[2, 0, 1], &[3, 0], &[0, 1]], good, None),
+            (
+                "unsorted edges",
+                nodes,
+                [&[(2, 3), (0, 0), (0, 3)], &[(1, 1)], &[(3, 1), (3, 0)]],
+                None,
+            ),
+            (
+                "duplicate node",
+                [&[0, 1, 0], &[0, 3], &[0, 1]],
+                good,
+                Some("duplicate node"),
+            ),
+            (
+                "duplicate edge",
+                nodes,
+                [&[(0, 3), (0, 0), (0, 3)], &[], &[]],
+                Some("duplicate edge"),
+            ),
+            (
+                "dangling source",
+                nodes,
+                [&[(0, 0), (7, 3)], &[], &[]],
+                Some("ill-formed edge"),
+            ),
+            (
+                "dangling target",
+                nodes,
+                [&[], &[], &[(3, 0), (3, 2)]],
+                Some("ill-formed edge"),
+            ),
+        ];
+        for (name, classes, props, refusal) in cases {
+            let bytes = forge(&schema, &classes, &props);
+            assert_agrees_with_oracle(&bytes, &schema);
+            match (decode_snapshot(&bytes, &schema), refusal) {
+                (Ok((i, _)), None) => assert_eq!(i.edge_count(), 6, "{name}"),
+                (Err(WalError::BadSnapshot(why)), Some(want)) => {
+                    assert!(why.contains(want), "{name}: {why}")
+                }
+                (other, _) => panic!("{name}: {other:?}"),
+            }
         }
     }
 

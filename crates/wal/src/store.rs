@@ -33,7 +33,9 @@
 
 use std::sync::Arc;
 
-use receivers_objectbase::{try_redo_ops, DeltaObserver, DeltaOp, Instance, NullObserver, Schema};
+use receivers_objectbase::{
+    try_redo_ops, DeltaObserver, DeltaOp, Instance, NullObserver, Oid, PropId, Schema,
+};
 use receivers_obs as obs;
 use receivers_relalg::{Database, DatabaseView, ViewObserver};
 
@@ -548,6 +550,10 @@ impl<S: WalStorage> DeltaObserver for DurableSink<'_, S> {
 
     fn batch_end(&mut self) {
         self.view.batch_end();
+    }
+
+    fn row_replaced(&mut self, src: Oid, prop: PropId, removed: &[Oid], added: &[Oid]) {
+        self.view.row_replaced(src, prop, removed, added);
     }
 }
 
