@@ -19,13 +19,13 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
 
-use receivers_core::algebraic::apply_assignment_batch;
+use receivers_core::algebraic::{apply_assignment_batch, try_apply_assignment_batch};
 use receivers_core::methods::add_bar;
 use receivers_core::sequential::apply_seq_unchecked;
 use receivers_objectbase::examples::{beer_schema, BeerSchema};
 use receivers_objectbase::{
-    redo_ops, DeltaObserver, DeltaOp, Edge, EdgeIndex, Instance, MethodOutcome, NullObserver, Oid,
-    PropId, Receiver, ReceiverSet, Schema, UpdateMethod,
+    redo_ops, Edge, EdgeIndex, Instance, MethodOutcome, NullObserver, Oid, PropId, Receiver,
+    ReceiverSet, Schema, UpdateMethod,
 };
 use receivers_relalg::{Database, DatabaseView};
 use receivers_wal::snapshot::{decode_snapshot, encode_snapshot};
@@ -186,18 +186,6 @@ fn salary_batch() -> SalaryBatch {
     }
 }
 
-/// Keeps the committed log of the transaction it observes.
-#[derive(Default)]
-struct CommittedLog(Vec<DeltaOp>);
-
-impl DeltaObserver for CommittedLog {
-    fn applied(&mut self, _op: &DeltaOp) {}
-    fn undone(&mut self, _op: &DeltaOp) {}
-    fn batch_committed(&mut self, ops: &[DeltaOp]) {
-        self.0.extend_from_slice(ops);
-    }
-}
-
 /// Hub degree for the `edit/hub_*` cases.
 const HUB: u32 = 100_000;
 
@@ -241,8 +229,15 @@ fn edits(c: &mut Criterion) {
 
     let mut expect = batch.base.clone();
     let mut expect_view = view.clone();
-    let mut log = CommittedLog::default();
-    apply_assignment_batch(&mut expect, &mut log, batch.salary, &batch.assignments);
+    let mut log = Vec::new();
+    try_apply_assignment_batch(
+        &mut expect,
+        &mut NullObserver,
+        batch.salary,
+        &batch.assignments,
+        &mut log,
+    )
+    .expect("a well-typed batch");
     apply_assignment_batch(
         &mut batch.base.clone(),
         &mut expect_view,
@@ -260,9 +255,9 @@ fn edits(c: &mut Criterion) {
                 + new.iter().filter(|n| !old.contains(n)).count()
         })
         .sum();
-    assert_eq!(log.0.len(), effective);
+    assert_eq!(log.len(), effective);
     let mut replayed = batch.base.clone();
-    redo_ops(&mut replayed, &mut NullObserver, &log.0);
+    redo_ops(&mut replayed, &mut NullObserver, &log);
     assert_eq!(replayed, expect);
 
     group.bench_function("assignment_batch_viewed", |b| {
@@ -275,7 +270,7 @@ fn edits(c: &mut Criterion) {
     group.bench_function("redo_ops", |b| {
         b.iter(|| {
             let mut i = batch.base.clone();
-            redo_ops(&mut i, &mut NullObserver, &log.0);
+            redo_ops(&mut i, &mut NullObserver, &log);
             black_box(i)
         })
     });

@@ -8,9 +8,9 @@
 //!
 //! * `sequential/…` — a persistent instance with a persistent maintained
 //!   [`DatabaseView`], re-applying the wave through
-//!   `apply_sequence_viewed`. Each receiver re-emits its full gross
-//!   rewrite (remove-all + add-all edges) through the transaction log
-//!   every wave, even though the net effect is nil.
+//!   `apply_sequence_viewed`. Each receiver re-evaluates against the
+//!   full view and replaces its row; in steady state the replacement is
+//!   a no-op that logs nothing.
 //! * `sharded/…` — a persistent [`ShardedExecutor`]: per-shard pruned
 //!   replicas stay warm across waves, each receiver runs on its receiving
 //!   drinker's home shard and is netted against the home replica, and the
@@ -27,8 +27,9 @@
 //!   run on the drinker's home shard (the home-replica lemma, DESIGN.md
 //!   §10), so these series price arguments that live elsewhere.
 //!
-//! The win measured here is algorithmic — gross op traffic avoided per
-//! wave — so the curves remain meaningful even on a single hardware core;
+//! Both arms log only net edits (the sequential one through
+//! whole-row replacement), so what remains between them is evaluation
+//! against a pruned replica versus the full view, plus the worker fan-out;
 //! EXPERIMENTS.md P11 records the host's core count next to the numbers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -197,7 +198,13 @@ fn seq_vs_shard(c: &mut Criterion) {
                 let mut oneshot = i.clone();
                 let out = ShardedExecutor::new(&m, &cfg)
                     .expect("add_bar certifies")
-                    .apply(&mut oneshot, &mut NullObserver, &wave, None);
+                    .apply(
+                        &mut oneshot,
+                        &mut NullObserver,
+                        &wave,
+                        &mut Vec::new(),
+                        None,
+                    );
                 assert_eq!(out, InPlaceOutcome::Applied);
 
                 // Persistent sequential arm: live instance + maintained
@@ -211,7 +218,13 @@ fn seq_vs_shard(c: &mut Criterion) {
                 // Persistent sharded arm: warm per-shard replicas.
                 let mut ex_inst = i.clone();
                 let mut exec = ShardedExecutor::new(&m, &cfg).expect("add_bar certifies");
-                let out = exec.apply(&mut ex_inst, &mut NullObserver, &wave, None);
+                let out = exec.apply(
+                    &mut ex_inst,
+                    &mut NullObserver,
+                    &wave,
+                    &mut Vec::new(),
+                    None,
+                );
                 assert_eq!(out, InPlaceOutcome::Applied);
                 assert_eq!(ex_inst, seq_inst, "{dist}/{scale}/t{t}");
 
@@ -230,7 +243,13 @@ fn seq_vs_shard(c: &mut Criterion) {
                     &wave,
                     |b, wave| {
                         b.iter(|| {
-                            black_box(exec.apply(&mut ex_inst, &mut NullObserver, wave, None))
+                            black_box(exec.apply(
+                                &mut ex_inst,
+                                &mut NullObserver,
+                                wave,
+                                &mut Vec::new(),
+                                None,
+                            ))
                         })
                     },
                 );

@@ -16,14 +16,14 @@
 use std::collections::BTreeSet;
 
 use receivers_objectbase::{
-    undo_ops, DeltaObserver, DeltaOp, Edge, InPlaceOutcome, Instance, InstanceTxn, MethodOutcome,
-    Oid, PropId, Receiver, Signature, UpdateMethod,
+    undo_ops, DeltaObserver, DeltaOp, InPlaceOutcome, Instance, InstanceTxn, MethodOutcome, Oid,
+    PropId, Receiver, Signature, UpdateMethod,
 };
 use receivers_obs as obs;
 use receivers_relalg::database::Database;
 use receivers_relalg::eval::{eval, Bindings};
 use receivers_relalg::typecheck::{update_params, ParamSchemas};
-use receivers_relalg::view::{DatabaseView, ViewObserver};
+use receivers_relalg::view::DatabaseView;
 use receivers_relalg::{infer_schema, is_positive, Expr};
 
 use crate::error::{CoreError, Result};
@@ -178,17 +178,16 @@ impl AlgebraicMethod {
     /// view — so a non-[`Applied`](InPlaceOutcome::Applied) outcome leaves
     /// both exactly as passed in (the sequence-level rollback contract).
     ///
-    /// `view` is any [`ViewObserver`]: a bare [`DatabaseView`], or a
-    /// `receivers_wal::DurableSink` around one. To make the sequence part
-    /// of a larger atomic unit — one durable record, one rollback — use
-    /// [`Self::apply_sequence_logged`] with the unit's log.
+    /// To make the sequence part of a larger atomic unit — one durable
+    /// record, one rollback — use [`Self::apply_sequence_logged`] with the
+    /// unit's log.
     ///
     /// Per receiver the cost is `O(probe + changed edges)`; the `O(N + E)`
     /// view construction is paid once by the caller, not once per receiver.
     pub fn apply_sequence_viewed(
         &self,
         instance: &mut Instance,
-        view: &mut dyn ViewObserver,
+        view: &mut DatabaseView,
         order: &[Receiver],
     ) -> InPlaceOutcome {
         self.apply_sequence_logged(instance, view, order, &mut Vec::new())
@@ -199,6 +198,10 @@ impl AlgebraicMethod {
     /// sequence joins an enclosing unit — the `sql::plan` stage loop's
     /// program log — which the caller commits or undoes as a whole.
     ///
+    /// Each statement replaces the receiver's row in one
+    /// [`InstanceTxn::replace_successors`], so an edge the new value keeps
+    /// logs no op.
+    ///
     /// On failure the sequence undoes exactly the ops it appended and
     /// truncates `log` back, leaving instance, view and log as passed in;
     /// ops already in the log are the caller's to undo, so nothing is ever
@@ -206,7 +209,7 @@ impl AlgebraicMethod {
     pub fn apply_sequence_logged(
         &self,
         instance: &mut Instance,
-        view: &mut dyn ViewObserver,
+        view: &mut DatabaseView,
         order: &[Receiver],
         log: &mut Vec<DeltaOp>,
     ) -> InPlaceOutcome {
@@ -214,38 +217,41 @@ impl AlgebraicMethod {
         let start = log.len();
         for t in order {
             let _apply_span = obs::span("core.apply");
-            let results = t
-                .validate(&self.signature, instance)
-                .map_err(|e| e.to_string())
-                .and_then(|()| {
-                    self.evaluate_on(view.database(), t)
-                        .map_err(|e| e.to_string())
-                });
-            let results = match results {
-                Ok(r) => r,
-                Err(why) => {
-                    C_ROLLBACKS.incr();
-                    undo_ops(instance, view, &log[start..]);
-                    log.truncate(start);
-                    return InPlaceOutcome::Undefined(why);
-                }
-            };
-            let recv = t.receiving_object();
-            let mut txn = InstanceTxn::begin_observed(instance, view);
-            for (prop, values) in results {
-                let old: Vec<Oid> = txn.instance().successors(recv, prop).collect();
-                for v in old {
-                    txn.remove_edge(&Edge::new(recv, prop, v));
-                }
-                for v in values {
-                    txn.add_edge(Edge::new(recv, prop, v))
-                        .expect("typed evaluation only yields objects of I");
-                }
+            if let Err(why) = self.apply_receiver(instance, view, t, log) {
+                C_ROLLBACKS.incr();
+                undo_ops(instance, view, &log[start..]);
+                log.truncate(start);
+                return InPlaceOutcome::Undefined(why);
             }
-            txn.commit_into(log);
             C_RECEIVERS_APPLIED.incr();
         }
         InPlaceOutcome::Applied
+    }
+
+    /// One receiver of [`Self::apply_sequence_logged`]: validate, evaluate
+    /// against `view`, then replace each updated row in one observed
+    /// transaction committed into `log`. On `Err` the transaction has
+    /// rolled back, so nothing of this receiver is applied or logged.
+    fn apply_receiver(
+        &self,
+        instance: &mut Instance,
+        view: &mut DatabaseView,
+        t: &Receiver,
+        log: &mut Vec<DeltaOp>,
+    ) -> std::result::Result<(), String> {
+        t.validate(&self.signature, instance)
+            .map_err(|e| e.to_string())?;
+        let results = self
+            .evaluate_on(view.database(), t)
+            .map_err(|e| e.to_string())?;
+        let recv = t.receiving_object();
+        let mut txn = InstanceTxn::begin_observed(instance, view);
+        for (prop, values) in results {
+            txn.replace_successors(recv, prop, &values)
+                .map_err(|e| e.to_string())?;
+        }
+        txn.commit_into(log);
+        Ok(())
     }
 }
 
@@ -255,17 +261,18 @@ impl AlgebraicMethod {
 //
 // The phase-2 bodies of precomputed set-oriented updates, applied in one
 // observed transaction per batch. Program executors (the `sql::plan`
-// drivers) evaluate a whole stage's rows/values first, then commit the
-// batch through one of these — the observer sees one `batch_committed`
-// per stage, which is where the stage loop appends the batch to its
-// program log.
+// stage loop) evaluate a whole stage's rows/values first, then apply the
+// batch through one of these, which commits it into the program log the
+// caller passes. The three-argument forms keep no log.
 
 /// Remove `victims` (with edge cascade, in the given order) in one
-/// observed transaction — the phase-2 body of a set-oriented delete.
-pub fn apply_delete_batch(
+/// observed transaction committed into `log` — the phase-2 body of a
+/// set-oriented delete.
+pub fn apply_delete_batch_logged(
     instance: &mut Instance,
     observer: &mut dyn DeltaObserver,
     victims: &[Oid],
+    log: &mut Vec<DeltaOp>,
 ) {
     let _span = obs::span("core.batch.delete");
     C_BATCH_ROWS.add(victims.len() as u64);
@@ -273,23 +280,34 @@ pub fn apply_delete_batch(
     for &v in victims {
         txn.remove_object_cascade(v);
     }
-    txn.commit();
+    txn.commit_into(log);
+}
+
+/// [`apply_delete_batch_logged`] keeping no log.
+pub fn apply_delete_batch(
+    instance: &mut Instance,
+    observer: &mut dyn DeltaObserver,
+    victims: &[Oid],
+) {
+    apply_delete_batch_logged(instance, observer, victims, &mut Vec::new());
 }
 
 /// Replace each assigned row's `prop` edges by its precomputed values,
-/// in one observed transaction — the phase-2 body of a set-oriented
-/// update. Rows absent from `assignments` keep their old edges.
+/// in one observed transaction committed into `log` — the phase-2 body
+/// of a set-oriented update. Rows absent from `assignments` keep their
+/// old edges.
 ///
 /// Each row is one [`InstanceTxn::replace_successors`]: one index write
 /// per row, one node probe per distinct endpoint, and only the effective
 /// edits logged. A value that is not a typed object of the instance fails
-/// the batch with nothing applied: the transaction rolls back, and the
-/// observer sees no commit.
+/// the batch with nothing applied: the transaction rolls back, so
+/// instance, observer and `log` are as passed in.
 pub fn try_apply_assignment_batch(
     instance: &mut Instance,
     observer: &mut dyn DeltaObserver,
     prop: PropId,
     assignments: &[(Oid, Vec<Oid>)],
+    log: &mut Vec<DeltaOp>,
 ) -> Result<()> {
     let _span = obs::span("core.batch.assign");
     C_BATCH_ROWS.add(assignments.len() as u64);
@@ -297,11 +315,12 @@ pub fn try_apply_assignment_batch(
     for (tuple, values) in assignments {
         txn.replace_successors(*tuple, prop, values)?;
     }
-    txn.commit();
+    txn.commit_into(log);
     Ok(())
 }
 
-/// [`try_apply_assignment_batch`] for batches known to be well typed.
+/// [`try_apply_assignment_batch`] for batches known to be well typed,
+/// keeping no log.
 ///
 /// # Panics
 ///
@@ -312,19 +331,21 @@ pub fn apply_assignment_batch(
     prop: PropId,
     assignments: &[(Oid, Vec<Oid>)],
 ) {
-    if let Err(e) = try_apply_assignment_batch(instance, observer, prop, assignments) {
+    if let Err(e) =
+        try_apply_assignment_batch(instance, observer, prop, assignments, &mut Vec::new())
+    {
         panic!("{e}");
     }
 }
 
 /// The replacement discipline of [`crate::apply_par`] (Definition 6.2) as
-/// one observed transaction: every receiving object's `prop` row becomes
-/// the values its `(receiver, value)` pairs give it, in one
-/// [`InstanceTxn::replace_successors`] per receiver — a receiver without
-/// pairs gets the empty list, so it loses the property.
+/// one observed transaction committed into `log`: every receiving
+/// object's `prop` row becomes the values its `(receiver, value)` pairs
+/// give it, in one [`InstanceTxn::replace_successors`] per receiver — a
+/// receiver without pairs gets the empty list, so it loses the property.
 ///
-/// Fails with nothing applied (the transaction rolls back) when a pair's
-/// receiver is not in `receiving`
+/// Fails with nothing applied or logged (the transaction rolls back) when
+/// a pair's receiver is not in `receiving`
 /// ([`CoreError::PairOutsideReceivers`]) or a value is not a typed
 /// object of the instance.
 pub fn try_apply_replacement_batch(
@@ -333,6 +354,7 @@ pub fn try_apply_replacement_batch(
     prop: PropId,
     receiving: &BTreeSet<Oid>,
     pairs: &[(Oid, Oid)],
+    log: &mut Vec<DeltaOp>,
 ) -> Result<()> {
     let _span = obs::span("core.batch.replace");
     C_BATCH_ROWS.add(receiving.len() as u64);
@@ -359,11 +381,12 @@ pub fn try_apply_replacement_batch(
     if let Some(&(stray, _)) = rest.first() {
         return Err(CoreError::PairOutsideReceivers(stray));
     }
-    txn.commit();
+    txn.commit_into(log);
     Ok(())
 }
 
-/// [`try_apply_replacement_batch`] for batches known to be consistent.
+/// [`try_apply_replacement_batch`] for batches known to be consistent,
+/// keeping no log.
 ///
 /// # Panics
 ///
@@ -375,7 +398,9 @@ pub fn apply_replacement_batch(
     receiving: &BTreeSet<Oid>,
     pairs: &[(Oid, Oid)],
 ) {
-    if let Err(e) = try_apply_replacement_batch(instance, observer, prop, receiving, pairs) {
+    if let Err(e) =
+        try_apply_replacement_batch(instance, observer, prop, receiving, pairs, &mut Vec::new())
+    {
         panic!("{e}");
     }
 }
@@ -428,6 +453,7 @@ impl UpdateMethod for AlgebraicMethod {
 mod tests {
     use super::*;
     use receivers_objectbase::examples::{beer_schema, figure2, figure3, figure4};
+    use receivers_objectbase::Edge;
     use std::sync::Arc;
 
     fn add_bar_method() -> (receivers_objectbase::examples::BeerSchema, AlgebraicMethod) {
@@ -557,6 +583,33 @@ mod tests {
         assert!(matches!(err, CoreError::IllTypedStatement { .. }));
     }
 
+    /// Each statement replaces the receiver's row as a whole: a receiver
+    /// whose new value equals its old one logs no op, and a changed row
+    /// logs only its effective edits — the kept edges are neither removed
+    /// nor re-added.
+    #[test]
+    fn logged_sequence_logs_only_effective_row_edits() {
+        let (s, m) = add_bar_method();
+        let (mut i, o) = figure2(&s);
+        let mut view = DatabaseView::new(&i);
+        let mut log = Vec::new();
+        let unchanged = [Receiver::new(vec![o.d1, o.bar1])];
+        let out = m.apply_sequence_logged(&mut i, &mut view, &unchanged, &mut log);
+        assert_eq!(out, InPlaceOutcome::Applied);
+        assert!(log.is_empty(), "an unchanged row logs nothing: {log:?}");
+        assert_eq!(i, figure2(&s).0);
+
+        let grown = [Receiver::new(vec![o.d1, o.bar3])];
+        let out = m.apply_sequence_logged(&mut i, &mut view, &grown, &mut log);
+        assert_eq!(out, InPlaceOutcome::Applied);
+        assert_eq!(
+            log,
+            vec![DeltaOp::AddedEdge(Edge::new(o.d1, s.frequents, o.bar3))]
+        );
+        assert_eq!(i, figure3(&s));
+        assert!(view.matches_rebuild(&i));
+    }
+
     /// A failing sequence that joins a caller's log undoes exactly its
     /// own ops: the caller's earlier ops stay applied and in the log, so
     /// the caller's own rollback never undoes anything twice.
@@ -587,28 +640,6 @@ mod tests {
         assert!(view.matches_rebuild(&i));
     }
 
-    /// Keeps a program log the way the `sql::plan` stage loop does: the
-    /// view follows every op, and each committed batch joins the log.
-    struct ProgramLog<'a> {
-        view: &'a mut DatabaseView,
-        log: &'a mut Vec<DeltaOp>,
-    }
-
-    impl DeltaObserver for ProgramLog<'_> {
-        fn applied(&mut self, op: &DeltaOp) {
-            self.view.applied(op);
-        }
-        fn undone(&mut self, op: &DeltaOp) {
-            self.view.undone(op);
-        }
-        fn batch_end(&mut self) {
-            self.view.batch_end();
-        }
-        fn batch_committed(&mut self, ops: &[DeltaOp]) {
-            self.log.extend_from_slice(ops);
-        }
-    }
-
     /// Figure 2 plus a second drinker `d2` frequenting `bar3`, after one
     /// committed batch (`d1` now frequents only `bar3`) in the program
     /// log.
@@ -627,12 +658,8 @@ mod tests {
         i.link(d2, s.frequents, o.bar3).unwrap();
         let mut view = DatabaseView::new(&i);
         let mut log = Vec::new();
-        let mut sink = ProgramLog {
-            view: &mut view,
-            log: &mut log,
-        };
-        try_apply_assignment_batch(&mut i, &mut sink, s.frequents, &[(o.d1, vec![o.bar3])])
-            .unwrap();
+        let row = [(o.d1, vec![o.bar3])];
+        try_apply_assignment_batch(&mut i, &mut view, s.frequents, &row, &mut log).unwrap();
         assert!(!log.is_empty());
         (s, o, d2, i, view, log)
     }
@@ -649,11 +676,7 @@ mod tests {
         // An absent bar, and a present object of the wrong class.
         for bad in [ghost_bar, o.d1] {
             let rows = [(o.d1, vec![o.bar1, o.bar2]), (d2, vec![o.bar1, bad])];
-            let mut sink = ProgramLog {
-                view: &mut view,
-                log: &mut log,
-            };
-            let err = try_apply_assignment_batch(&mut i, &mut sink, s.frequents, &rows)
+            let err = try_apply_assignment_batch(&mut i, &mut view, s.frequents, &rows, &mut log)
                 .expect_err("faulty value");
             assert!(matches!(err, CoreError::ObjectBase(_)), "{err}");
             assert_eq!(i, before);
@@ -678,13 +701,15 @@ mod tests {
             vec![(d2, Oid::new(s.bar, 999))],
         ];
         for pairs in &cases {
-            let mut sink = ProgramLog {
-                view: &mut view,
-                log: &mut log,
-            };
-            let err =
-                try_apply_replacement_batch(&mut i, &mut sink, s.frequents, &receiving, pairs)
-                    .expect_err("faulty pair");
+            let err = try_apply_replacement_batch(
+                &mut i,
+                &mut view,
+                s.frequents,
+                &receiving,
+                pairs,
+                &mut log,
+            )
+            .expect_err("faulty pair");
             match (&err, pairs.len()) {
                 (CoreError::ObjectBase(_), 1) => {}
                 (CoreError::PairOutsideReceivers(r), _) => assert_ne!(receiving.get(r), Some(r)),
@@ -694,21 +719,19 @@ mod tests {
             assert_eq!(log, logged);
             assert!(view.matches_rebuild(&i));
         }
-        let mut below = ProgramLog {
-            view: &mut view,
-            log: &mut log,
-        };
         let only_d2: BTreeSet<Oid> = [d2].into();
         let err = try_apply_replacement_batch(
             &mut i,
-            &mut below,
+            &mut view,
             s.frequents,
             &only_d2,
             &[(o.d1, o.bar1)],
+            &mut log,
         )
         .expect_err("receiver below the set");
         assert_eq!(err, CoreError::PairOutsideReceivers(o.d1));
         assert_eq!(i, before);
+        assert_eq!(log, logged);
     }
 
     /// Unsorted, duplicated pairs are grouped per receiver; a receiver
@@ -717,13 +740,10 @@ mod tests {
     fn replacement_batch_groups_pairs_and_clears_pairless_receivers() {
         let (s, o, d2, mut i, mut view, _) = logged_figure2();
         let mut log = Vec::new();
-        let mut sink = ProgramLog {
-            view: &mut view,
-            log: &mut log,
-        };
         let receiving: BTreeSet<Oid> = [o.d1, d2].into();
         let pairs = [(o.d1, o.bar2), (o.d1, o.bar3), (o.d1, o.bar2)];
-        try_apply_replacement_batch(&mut i, &mut sink, s.frequents, &receiving, &pairs).unwrap();
+        try_apply_replacement_batch(&mut i, &mut view, s.frequents, &receiving, &pairs, &mut log)
+            .unwrap();
         let succ = |i: &Instance, r| i.successors(r, s.frequents).collect::<Vec<_>>();
         assert_eq!(succ(&i, o.d1), vec![o.bar2, o.bar3]);
         assert!(succ(&i, d2).is_empty());

@@ -48,12 +48,13 @@
 //! 5. **Merge, or nothing.** After the join the lowest failing global
 //!    receiver index, if any, is the wave's outcome — the receiver the
 //!    sequential application would have stopped at — and nothing is
-//!    merged: the instance and the caller's observer never saw the wave,
-//!    and only the replicas are dropped. Otherwise the per-shard logs are
-//!    replayed into the instance and the observer with [`redo_ops`], in
-//!    shard order, as one committed batch with one
-//!    [`DeltaObserver::batch_end`]. A wave is one step, like a database
-//!    ASM's update set.
+//!    merged: the instance, the caller's observer and the caller's log
+//!    never saw the wave, and only the replicas are dropped. Otherwise the
+//!    per-shard logs are appended to the caller's log in shard order and
+//!    replayed from there into the instance and the observer with
+//!    [`redo_ops`], one burst with one [`DeltaObserver::batch_end`]. A
+//!    wave is one step, like a database ASM's update set, and its ops
+//!    join the caller's log the way a committed transaction's do.
 //!
 //! **Determinism argument.** Within a shard, one worker processes
 //! receivers in sequence order. Across shards, writes are keyed by the
@@ -465,10 +466,11 @@ impl<'m> ShardedExecutor<'m> {
     /// Apply the method to each receiver of `order` in turn — the same
     /// outcome and final instance as the sequential path, bit for bit —
     /// as one wave: every receiver runs on its home shard's worker loop,
-    /// then the netted per-shard logs merge into `instance` and
-    /// `observer` in shard order, one committed batch and one
-    /// [`DeltaObserver::batch_end`]. An `Undefined` wave merges nothing:
-    /// the instance and the observer are exactly as they were.
+    /// then the netted per-shard logs are appended to `log` in shard order
+    /// and merge from there into `instance` and `observer`, one burst and
+    /// one [`DeltaObserver::batch_end`]. An `Undefined` wave merges
+    /// nothing: the instance, the observer and `log` are exactly as they
+    /// were.
     ///
     /// `stats`, when given, receives the wave's per-lane receiver/batch
     /// counts, queue waits and busy time (one clock read per lane).
@@ -477,6 +479,7 @@ impl<'m> ShardedExecutor<'m> {
         instance: &mut Instance,
         observer: &mut dyn DeltaObserver,
         order: &[Receiver],
+        log: &mut Vec<DeltaOp>,
         stats: Option<&mut WaveStats>,
     ) -> InPlaceOutcome {
         if order.is_empty() {
@@ -565,15 +568,15 @@ impl<'m> ShardedExecutor<'m> {
             st.local_receivers = runs.iter().map(|r| r.receivers).sum();
         }
 
-        // Deterministic merge: shard order, one committed batch. Cross-
-        // shard logs edit disjoint (src, prop) row groups, so this equals
-        // the sequential interleaving on the order-insensitive containers
-        // (see the module docs).
+        // Deterministic merge: shard order, one burst. Cross-shard logs
+        // edit disjoint (src, prop) row groups, so this equals the
+        // sequential interleaving on the order-insensitive containers (see
+        // the module docs).
         let _merge = obs::span("core.shard.merge");
-        let log: Vec<DeltaOp> = runs.into_iter().flat_map(|r| r.log).collect();
-        C_MERGED_OPS.add(log.len() as u64);
-        redo_ops(instance, observer, &log);
-        observer.batch_committed(&log);
+        let start = log.len();
+        log.extend(runs.into_iter().flat_map(|r| r.log));
+        C_MERGED_OPS.add((log.len() - start) as u64);
+        redo_ops(instance, observer, &log[start..]);
         observer.batch_end();
         InPlaceOutcome::Applied
     }
@@ -779,14 +782,20 @@ mod tests {
         let mut i = crowd(&s, 24);
         let mut view = DatabaseView::new(&i);
         let mut exec = ShardedExecutor::with_certificate(&m, &cert, &cfg(4, 2)).unwrap();
+        let mut log = Vec::new();
         assert_eq!(
-            exec.apply(&mut i, &mut view, &order, None),
+            exec.apply(&mut i, &mut view, &order, &mut log, None),
             InPlaceOutcome::Applied
         );
         assert_eq!(i, reference);
         assert!(view.matches_rebuild(&i));
         i.check_index_consistent();
         assert_eq!(exec.replicas_built(), 4);
+        // The merged wave joined the caller's log: undoing it restores
+        // the start, view included.
+        receivers_objectbase::undo_ops(&mut i, &mut view, &log);
+        assert_eq!(i, crowd(&s, 24));
+        assert!(view.matches_rebuild(&i));
     }
 
     #[test]
@@ -831,7 +840,7 @@ mod tests {
                 let mut i = crowd(&s, n);
                 let mut view = DatabaseView::new(&i);
                 let mut exec = ShardedExecutor::new(&m, &cfg(shards, workers)).unwrap();
-                let out = exec.apply(&mut i, &mut view, &order, None);
+                let out = exec.apply(&mut i, &mut view, &order, &mut Vec::new(), None);
                 assert_eq!(out, InPlaceOutcome::Applied);
                 assert_eq!(i, reference, "{n}: {shards} shards / {workers} workers");
                 assert!(view.matches_rebuild(&i));
@@ -856,10 +865,13 @@ mod tests {
         let mut view = DatabaseView::new(&i);
         let view_snapshot = view.clone();
         let mut exec = ShardedExecutor::new(&m, &cfg(3, 2)).unwrap();
-        let out = exec.apply(&mut i, &mut view, &order, None);
+        let earlier = DeltaOp::AddedNode(Oid::new(s.bar, 999));
+        let mut log = vec![earlier];
+        let out = exec.apply(&mut i, &mut view, &order, &mut log, None);
         assert!(matches!(out, InPlaceOutcome::Undefined(_)));
         assert_eq!(i, snapshot);
         assert_eq!(view, view_snapshot);
+        assert_eq!(log, [earlier], "the caller's log is untouched");
         i.check_index_consistent();
 
         let mut j = crowd(&s, 12);
@@ -887,7 +899,7 @@ mod tests {
                 InPlaceOutcome::Applied
             );
             assert_eq!(
-                exec.apply(&mut i, &mut NullObserver, &wave, None),
+                exec.apply(&mut i, &mut NullObserver, &wave, &mut Vec::new(), None),
                 InPlaceOutcome::Applied
             );
             assert_eq!(i, reference);
@@ -905,7 +917,13 @@ mod tests {
         let mut i = crowd(&s, 12);
         let mut exec = ShardedExecutor::new(&m, &cfg(3, 2)).unwrap();
         assert_eq!(
-            exec.apply(&mut i, &mut NullObserver, &receivers(&s, 12), None),
+            exec.apply(
+                &mut i,
+                &mut NullObserver,
+                &receivers(&s, 12),
+                &mut Vec::new(),
+                None
+            ),
             InPlaceOutcome::Applied
         );
         let snapshot = i.clone();
@@ -915,7 +933,7 @@ mod tests {
             7,
             Receiver::new(vec![Oid::new(s.drinker, 999), Oid::new(s.bar, 1)]),
         );
-        let out = exec.apply(&mut i, &mut NullObserver, &bad, None);
+        let out = exec.apply(&mut i, &mut NullObserver, &bad, &mut Vec::new(), None);
         assert!(matches!(out, InPlaceOutcome::Undefined(_)));
         assert_eq!(i, snapshot);
         i.check_index_consistent();
@@ -930,7 +948,7 @@ mod tests {
         let mut reference = snapshot.clone();
         m.apply_in_place_sequence(&mut reference, &wave);
         assert_eq!(
-            exec.apply(&mut i, &mut NullObserver, &wave, None),
+            exec.apply(&mut i, &mut NullObserver, &wave, &mut Vec::new(), None),
             InPlaceOutcome::Applied
         );
         assert_eq!(i, reference);
@@ -955,7 +973,13 @@ mod tests {
         let mut exec = ShardedExecutor::new(&m, &cfg(3, 2)).unwrap();
         let mut stats = WaveStats::default();
         assert_eq!(
-            exec.apply(&mut i, &mut NullObserver, &order, Some(&mut stats)),
+            exec.apply(
+                &mut i,
+                &mut NullObserver,
+                &order,
+                &mut Vec::new(),
+                Some(&mut stats)
+            ),
             InPlaceOutcome::Applied
         );
         assert_eq!(i, reference);
@@ -976,7 +1000,7 @@ mod tests {
         let wave = receivers(&s, 6);
         m.apply_in_place_sequence(&mut reference, &wave);
         assert_eq!(
-            exec.apply(&mut i, &mut NullObserver, &wave, None),
+            exec.apply(&mut i, &mut NullObserver, &wave, &mut Vec::new(), None),
             InPlaceOutcome::Applied
         );
         assert_eq!(i, reference);
@@ -993,7 +1017,7 @@ mod tests {
         let before = obs::metrics_snapshot();
         let mut i = crowd(&s, 8);
         let mut exec = ShardedExecutor::new(&m, &cfg(2, 2)).unwrap();
-        let out = exec.apply(&mut i, &mut NullObserver, &order, None);
+        let out = exec.apply(&mut i, &mut NullObserver, &order, &mut Vec::new(), None);
         let after = obs::metrics_snapshot();
         assert_eq!(out, InPlaceOutcome::Applied);
 
@@ -1016,7 +1040,7 @@ mod tests {
         let mut j = i.clone();
         let seq = m.apply_in_place_sequence(&mut i, &bad);
         let mut exec = ShardedExecutor::new(&m, &cfg(2, 2)).unwrap();
-        let shard = exec.apply(&mut j, &mut NullObserver, &bad, None);
+        let shard = exec.apply(&mut j, &mut NullObserver, &bad, &mut Vec::new(), None);
         assert_eq!(seq, shard);
         assert!(matches!(shard, InPlaceOutcome::Undefined(_)));
     }

@@ -9,6 +9,12 @@
 //! forwarded again during rollback, keeping the view bit-identical to a
 //! fresh rebuild at all times — including after a mid-sequence failure.
 //!
+//! An observer mirrors edits; it never collects them. A caller that needs
+//! the committed log — a program's stage loop, which undoes it or hands it
+//! to a durable store — takes it from
+//! [`InstanceTxn::commit_into`](crate::InstanceTxn::commit_into), the one
+//! way ops enter a caller-held log.
+//!
 //! The trait lives here, in the data-model crate, so that downstream crates
 //! (the relational layer maintains a `DatabaseView`) can implement it
 //! without creating a dependency cycle. The crate itself ships only the
@@ -42,22 +48,12 @@ pub trait DeltaObserver {
     /// mutably), so a view is allowed to be internally stale until this
     /// fires.
     fn batch_end(&mut self) {}
-    /// A transaction **committed** with `ops` as its final delta log —
-    /// fired by [`InstanceTxn::commit`](crate::InstanceTxn::commit) and
-    /// [`InstanceTxn::commit_into`](crate::InstanceTxn::commit_into)
-    /// immediately before the commit's [`Self::batch_end`]. Unlike
-    /// `batch_end` this fires only on the commit path, never on
-    /// rollback, and carries the whole surviving log — the hook through
-    /// which a program's stage loop gathers the one delta log it commits
-    /// or undoes. Default no-op.
-    fn batch_committed(&mut self, _ops: &[DeltaOp]) {}
     /// The `prop`-row of `src` was replaced in one step
     /// ([`InstanceTxn::replace_successors`](crate::InstanceTxn::replace_successors)):
     /// the edges to `removed`, then the edges to `added` (each ascending,
     /// disjoint, all effective) are applied. Stands for one
     /// [`Self::applied`] per edit, in that order, which is the default; a
-    /// view that consumes canonical-order row edits in bulk overrides it,
-    /// and an observer that wraps another forwards it.
+    /// view that consumes canonical-order row edits in bulk overrides it.
     fn row_replaced(&mut self, src: Oid, prop: PropId, removed: &[Oid], added: &[Oid]) {
         for op in DeltaOp::row_replacement(src, prop, removed, added) {
             self.applied(&op);

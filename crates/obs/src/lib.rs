@@ -157,21 +157,28 @@ pub fn enable() {
 /// they close (events are neither lost nor duplicated); spans opened
 /// while it is off never record.
 pub fn set_enabled(trace: bool, metrics: bool) {
-    let mut s = F_INIT | (state() & (F_PROFILE | F_FLIGHT));
+    let mut set = 0;
     if trace {
-        s |= F_TRACE;
+        set |= F_TRACE;
     }
     if metrics {
-        s |= F_METRICS;
+        set |= F_METRICS;
     }
-    STATE.store(s, Ordering::Relaxed);
+    update(|s| (s & (F_PROFILE | F_FLIGHT)) | set);
 }
 
 /// Flip one state bit on or off, preserving the others.
 fn set_bit(bit: u8, on: bool) {
-    let s = state();
-    let s = if on { s | bit } else { s & !bit };
-    STATE.store(F_INIT | s, Ordering::Relaxed);
+    update(|s| if on { s | bit } else { s & !bit });
+}
+
+/// Apply `f` to the switches in one atomic read-modify-write, so
+/// concurrent setters of different switches never undo each other.
+fn update(f: impl Fn(u8) -> u8) {
+    state();
+    let _ = STATE.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
+        Some(F_INIT | f(s))
+    });
 }
 
 /// Turn profile collection on or off, preserving the other switches.

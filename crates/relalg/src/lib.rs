@@ -56,4 +56,4 @@ pub use relation::Relation;
 pub use schema::{Attr, RelSchema};
 pub use tuples::{TupleSet, Tuples};
 pub use typecheck::{collect_errors, infer_schema, ParamSchemas};
-pub use view::{DatabaseView, ViewObserver};
+pub use view::DatabaseView;

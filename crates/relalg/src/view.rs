@@ -45,6 +45,14 @@
 //! [`Database::apply_edge_edits`] at `batch_end`: no per-op `Edit`, no
 //! sort, nothing to net. Any other notification in the burst moves the
 //! run into the buffer first, and the burst nets as above.
+//!
+//! The view is the only observer the drivers have. Those that evaluate
+//! against the database they maintain — an algebraic method's viewed
+//! sequence, the `sql` planner's stage loop — take a `&mut DatabaseView`
+//! and read [`DatabaseView::database`] between bursts. Nothing wraps it:
+//! the delta log a driver commits or undoes comes from the transactions
+//! themselves, and a durable driver hands that log, with this database,
+//! to its write-ahead log once the program has applied.
 
 use receivers_objectbase::{ClassId, DeltaObserver, DeltaOp, Instance, Oid, PropId};
 use receivers_obs as obs;
@@ -281,23 +289,6 @@ fn pack(o: Oid) -> u64 {
 
 fn unpack(x: u64) -> Oid {
     Oid::new(ClassId((x >> 32) as u32), x as u32)
-}
-
-/// A [`DeltaObserver`] that keeps a maintained [`Database`] readable
-/// between bursts — a [`DatabaseView`] itself, or an observer wrapping one
-/// (the durability layer's WAL sink). Drivers that evaluate against the
-/// database they are maintaining take this instead of a bare view, so one
-/// driver body serves every observer.
-pub trait ViewObserver: DeltaObserver {
-    /// The maintained database, consolidated through the last
-    /// [`DeltaObserver::batch_end`].
-    fn database(&self) -> &Database;
-}
-
-impl ViewObserver for DatabaseView {
-    fn database(&self) -> &Database {
-        DatabaseView::database(self)
-    }
 }
 
 impl DeltaObserver for DatabaseView {

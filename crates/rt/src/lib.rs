@@ -1,18 +1,19 @@
 //! Deterministic fork-join primitives for the decision procedures.
 //!
 //! The external `rayon` crate is unavailable in this build environment, so
-//! this crate provides the three combinators the workspace actually needs,
+//! this crate provides the combinators the workspace actually needs,
 //! built on `std::thread::scope`:
 //!
-//! * [`par_map`] — map over a slice, results in input order;
 //! * [`par_find_map_first`] — first (lowest-index) `Some`, with
 //!   cross-thread early exit;
-//! * [`par_join`] — run two closures concurrently.
+//! * [`par_join`] — run two closures concurrently;
+//! * [`shard_map`] — per-shard worker loops over pre-partitioned,
+//!   order-preserving streams (the sharded application engine's runtime).
 //!
 //! **Determinism.** Every combinator returns exactly what its sequential
-//! counterpart would: `par_map` preserves order, `par_find_map_first`
-//! always reports the lowest-index hit regardless of thread timing, and
-//! `par_join` is pure composition. Disabling the `parallel` feature (or
+//! counterpart would: `par_find_map_first` always reports the lowest-index
+//! hit regardless of thread timing, `par_join` is pure composition, and
+//! `shard_map` returns each shard's result in shard order. Disabling the `parallel` feature (or
 //! setting `RECEIVERS_RT_THREADS=1`) degrades to plain loops with
 //! bit-identical results, which is what keeps single-threaded builds and
 //! CI runs reproducible.
@@ -38,7 +39,6 @@ use std::sync::Mutex;
 
 pub use shard::{shard_map, ShardPoolConfig, ShardTasks};
 
-obs::counter!(C_PAR_MAP_CALLS, "rt.par_map.calls");
 obs::counter!(C_TASKS_SPAWNED, "rt.tasks_spawned");
 obs::counter!(C_FIND_CALLS, "rt.find_first.calls");
 obs::counter!(C_FIND_CLAIMS, "rt.find_first.claims");
@@ -83,46 +83,6 @@ pub fn num_threads() -> usize {
         }
         std::thread::available_parallelism().map_or(1, usize::from)
     }
-}
-
-/// Map `f` over `items`, returning results in input order.
-///
-/// Splits the slice into one contiguous chunk per worker. Falls back to a
-/// sequential loop for short inputs or single-threaded configurations.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    C_PAR_MAP_CALLS.incr();
-    #[cfg(feature = "parallel")]
-    {
-        let workers = num_threads().min(items.len());
-        if workers > 1 {
-            let chunk = items.len().div_ceil(workers);
-            let parent = obs::current_span();
-            return std::thread::scope(|s| {
-                let f = &f;
-                let handles: Vec<_> = items
-                    .chunks(chunk)
-                    .map(|part| {
-                        C_TASKS_SPAWNED.incr();
-                        s.spawn(move || {
-                            let _w = obs::span_under("rt.worker", parent);
-                            part.iter().map(f).collect::<Vec<R>>()
-                        })
-                    })
-                    .collect();
-                let mut out = Vec::with_capacity(items.len());
-                for h in handles {
-                    out.extend(h.join().expect("rt worker panicked"));
-                }
-                out
-            });
-        }
-    }
-    items.iter().map(f).collect()
 }
 
 /// How one worker participated in a [`par_find_map_first_stats`] call.
@@ -359,15 +319,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn map_preserves_order() {
-        let items: Vec<u64> = (0..1000).collect();
-        let out = par_map(&items, |&x| x * 2);
-        assert_eq!(out, items.iter().map(|&x| x * 2).collect::<Vec<_>>());
-        assert_eq!(par_map(&[] as &[u64], |&x| x), Vec::<u64>::new());
-        assert_eq!(par_map(&[7u64], |&x| x + 1), vec![8]);
-    }
 
     #[test]
     fn find_returns_lowest_index_hit() {

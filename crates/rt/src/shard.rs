@@ -1,6 +1,6 @@
 //! Per-shard worker loops with a batch scheduler.
 //!
-//! [`par_map`](crate::par_map) hands each worker one contiguous chunk and
+//! A chunked parallel map hands each worker one contiguous chunk and
 //! joins; that shape cannot express the sharded application of an update
 //! method, where work arrives as *per-shard streams* that must be consumed
 //! in order (each shard's receivers see the effects of the previous ones)

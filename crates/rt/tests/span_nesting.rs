@@ -16,10 +16,10 @@ fn worker_spans_nest_under_the_calling_span() {
         let _root = obs::span("caller");
         root_id = obs::current_span();
         assert_ne!(root_id, 0);
-        let out = rt::par_map(&items, |&x| x + 1);
-        assert_eq!(out.len(), items.len());
         let hit = rt::par_find_map_first(&items, |&x| (x == 200).then_some(x));
         assert_eq!(hit, Some(200));
+        let (a, b) = rt::par_join(|| items.len(), || items.iter().sum::<u64>());
+        assert_eq!((a, b), (256, 255 * 256 / 2));
     }
     let events = obs::take_spans();
     obs::set_enabled(false, false);

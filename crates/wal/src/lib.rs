@@ -26,13 +26,16 @@
 //!   [`try_redo_ops`](receivers_objectbase::try_redo_ops) into the
 //!   instance, then one [`DatabaseView`](receivers_relalg::DatabaseView)
 //!   rebuild, truncating a torn tail; a checksum-valid record that does
-//!   not apply is refused as [`WalError::BadRecord`]). [`DurableSink`] wires a
-//!   store to a maintained view behind the
-//!   [`DeltaObserver`](receivers_objectbase::DeltaObserver) protocol; a
-//!   driver hands it each atomic unit's delta log — a whole program in
-//!   the `sql::plan` stage loop — and the unit lands as one WAL record or,
-//!   on any storage error, not at all. A unit that fails never reaches
-//!   the log, so there is nothing to compensate.
+//!   not apply is refused as [`WalError::BadRecord`]).
+//!
+//! Durability is not an observer. A driver runs an atomic unit — a whole
+//! program in the `sql::plan` stage loop — against its maintained view
+//! alone, keeping the unit's delta log, and once the unit has applied
+//! hands the log and the view's database to [`DurableStore::commit`]: the
+//! unit lands as one WAL record, followed by the automatic checkpoint
+//! when one is due, or on any storage error not at all, and the driver
+//! undoes it in memory. A unit that fails never reaches the log, so there
+//! is nothing to compensate.
 //!
 //! The recovery invariant, pinned by the crash suite: for every prefix
 //! of the written byte stream, reopening restores an instance and view
@@ -56,7 +59,7 @@ pub use record::{
 };
 pub use snapshot::{decode_snapshot, encode_snapshot, schema_digest, Manifest, SnapshotHeader};
 pub use storage::{DirStorage, FaultStorage, WalStorage};
-pub use store::{DurableSink, DurableStore, RecoveryReport, WalConfig, WalStats};
+pub use store::{DurableStore, RecoveryReport, WalConfig, WalStats};
 
 #[cfg(test)]
 mod tests {

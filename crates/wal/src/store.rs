@@ -14,15 +14,15 @@
 //! point leaves exactly one decodable epoch behind (the swing is the
 //! commit point; stale files from a half-finished checkpoint are ignored
 //! by recovery). Automatic checkpoints have one rule and one owner,
-//! [`DurableSink::commit`]: at a unit boundary, checkpoint once
-//! [`WalConfig::snapshot_every`] records *or* as many WAL bytes as the
-//! live snapshot holds have been logged since the last checkpoint, so
+//! [`DurableStore::commit`]: after appending a unit's record, checkpoint
+//! once [`WalConfig::snapshot_every`] records *or* as many WAL bytes as
+//! the live snapshot holds have been logged since the last checkpoint, so
 //! replay never reads more than about one snapshot's worth of log.
 //!
-//! A commit is all or nothing on disk: a record whose append or sync
-//! fails is cut back off the WAL before the error returns, and a store
-//! that cannot cut it back is poisoned — every later write returns the
-//! error until the store is reopened.
+//! A commit is all or nothing on disk: a record whose append, sync or
+//! triggered checkpoint fails is cut back off the WAL before the error
+//! returns, and a store that cannot cut it back is poisoned — every later
+//! write returns the error until the store is reopened.
 //!
 //! Recovery is manifest → snapshot → replay the WAL tail through
 //! [`try_redo_ops`] into the instance alone, then rebuild the
@@ -33,11 +33,9 @@
 
 use std::sync::Arc;
 
-use receivers_objectbase::{
-    try_redo_ops, DeltaObserver, DeltaOp, Instance, NullObserver, Oid, PropId, Schema,
-};
+use receivers_objectbase::{try_redo_ops, DeltaOp, Instance, NullObserver, Schema};
 use receivers_obs as obs;
-use receivers_relalg::{Database, DatabaseView, ViewObserver};
+use receivers_relalg::{Database, DatabaseView};
 
 use crate::error::{WalError, WalResult};
 use crate::record::{check_payload_len, decode_log, encode_record, payload_len};
@@ -67,7 +65,7 @@ pub struct WalConfig {
     /// across commits at the price of losing the unsynced tail on a
     /// crash — recovery then restores the last synced prefix).
     pub group_commit: usize,
-    /// Automatic checkpoint threshold: [`DurableSink::commit`]
+    /// Automatic checkpoint threshold: [`DurableStore::commit`]
     /// checkpoints at the end of the commit that brings the records
     /// logged since the last checkpoint to `snapshot_every`, or their
     /// bytes to the live snapshot's size, whichever comes first. 0
@@ -308,16 +306,35 @@ impl<S: WalStorage> DurableStore<S> {
         Ok((store, instance, view, report))
     }
 
-    /// Append one committed unit's delta ops as a WAL record. Returns the
-    /// record's sequence number (empty batches are a no-op returning the
-    /// last sequence number). Durability follows the
-    /// [`WalConfig::group_commit`] policy; call [`Self::sync`] to force it.
+    /// Log one applied unit's delta ops — a whole program, in the `sql`
+    /// planner's durable driver — as one WAL record, then take the
+    /// automatic checkpoint if it is due ([`WalConfig::snapshot_every`])
+    /// from `db`, which must already reflect the unit (a [`DatabaseView`]
+    /// maintained through it does). Returns the record's sequence number;
+    /// an empty unit logs nothing and returns the last one. Durability
+    /// follows the [`WalConfig::group_commit`] policy; call [`Self::sync`]
+    /// to force it.
     ///
-    /// All or nothing: a record over the decoder's size cap is refused
-    /// with [`WalError::RecordTooLarge`] before any byte is written, and a
-    /// record whose append or sync fails is cut back off the WAL before
-    /// the error returns.
-    pub fn commit(&mut self, ops: &[DeltaOp]) -> WalResult<u64> {
+    /// All or nothing on disk: a record over the decoder's size cap is
+    /// refused with [`WalError::RecordTooLarge`] before any byte is
+    /// written, and a record whose append, sync or checkpoint fails is cut
+    /// back off the WAL before the error returns (or the store is
+    /// poisoned). On `Err` the caller undoes the unit in memory, so
+    /// in-memory state stays equal to durable state.
+    pub fn commit(&mut self, ops: &[DeltaOp], db: &Database) -> WalResult<u64> {
+        let before = self.tail;
+        let seq = self.append(ops)?;
+        if self.should_checkpoint() {
+            if let Err(e) = self.checkpoint_db(db) {
+                return Err(self.cut_back(before, e));
+            }
+        }
+        Ok(seq)
+    }
+
+    /// Append `ops` as one record, synced under the group-commit policy;
+    /// a failed append or sync is cut back before the error returns.
+    fn append(&mut self, ops: &[DeltaOp]) -> WalResult<u64> {
         self.usable()?;
         if ops.is_empty() {
             return Ok(self.last_seq());
@@ -393,8 +410,8 @@ impl<S: WalStorage> DurableStore<S> {
         err
     }
 
-    /// Is an automatic checkpoint due? Only [`DurableSink::commit`] asks:
-    /// the one place automatic checkpoints are taken. Either trigger
+    /// Is an automatic checkpoint due? Only [`Self::commit`] asks: the one
+    /// place automatic checkpoints are taken. Either trigger
     /// bounds replay: `snapshot_every` records, or as many WAL bytes as
     /// the live snapshot has.
     fn should_checkpoint(&self) -> bool {
@@ -486,83 +503,6 @@ impl<S: WalStorage> DurableStore<S> {
     }
 }
 
-/// Durability as an observer: a [`DurableStore`] and the maintained
-/// [`DatabaseView`] wired together, so any driver that takes a
-/// [`ViewObserver`] runs durably when handed a sink instead of the bare
-/// view.
-///
-/// The sink forwards every notification to the view and logs nothing on
-/// its own. The caller decides what one atomic unit is — a whole program
-/// in the `sql::plan` stage loop — keeps that unit's delta log, and hands
-/// it to [`Self::commit`] once the unit has applied: one WAL record,
-/// synced under [`WalConfig::group_commit`], then the checkpoint rule. A
-/// unit that fails never reaches the sink; its caller undoes the log
-/// through the sink, which keeps the view in step.
-pub struct DurableSink<'a, S: WalStorage> {
-    store: &'a mut DurableStore<S>,
-    view: &'a mut DatabaseView,
-}
-
-impl<'a, S: WalStorage> DurableSink<'a, S> {
-    /// Wire `store` and `view` together for one or more units.
-    pub fn new(store: &'a mut DurableStore<S>, view: &'a mut DatabaseView) -> Self {
-        Self { store, view }
-    }
-
-    /// The wrapped store, for inspection (a profiler diffs its
-    /// [`DurableStore::stats`] around a commit).
-    pub fn store(&self) -> &DurableStore<S> {
-        self.store
-    }
-
-    /// Log one applied unit's ops as one WAL record, then take the
-    /// automatic checkpoint if it is due ([`WalConfig::snapshot_every`]),
-    /// from the view, which already reflects the unit.
-    ///
-    /// All or nothing on disk: on `Err` the unit's record is not in the
-    /// live WAL (or the store is poisoned), so the caller undoes the unit
-    /// in memory and in-memory state stays equal to durable state. An
-    /// empty unit logs nothing.
-    pub fn commit(&mut self, ops: &[DeltaOp]) -> WalResult<()> {
-        let before = self.store.tail;
-        self.store.commit(ops)?;
-        if self.store.should_checkpoint() {
-            if let Err(e) = self.store.checkpoint_db(self.view.database()) {
-                return Err(self.store.cut_back(before, e));
-            }
-        }
-        Ok(())
-    }
-}
-
-impl<S: WalStorage> DeltaObserver for DurableSink<'_, S> {
-    fn applied(&mut self, op: &DeltaOp) {
-        self.view.applied(op);
-    }
-
-    fn undone(&mut self, op: &DeltaOp) {
-        self.view.undone(op);
-    }
-
-    fn batch_committed(&mut self, ops: &[DeltaOp]) {
-        self.view.batch_committed(ops);
-    }
-
-    fn batch_end(&mut self) {
-        self.view.batch_end();
-    }
-
-    fn row_replaced(&mut self, src: Oid, prop: PropId, removed: &[Oid], added: &[Oid]) {
-        self.view.row_replaced(src, prop, removed, added);
-    }
-}
-
-impl<S: WalStorage> ViewObserver for DurableSink<'_, S> {
-    fn database(&self) -> &Database {
-        self.view.database()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -570,27 +510,29 @@ mod tests {
     use receivers_objectbase::examples::{beer_schema, figure2, BeerSchema, Fig2Objects};
     use receivers_objectbase::{undo_ops, Edge, InstanceTxn, Oid, PropId, RedoFault};
 
-    /// Run `edit` as one unit through `sink`: one observed transaction,
-    /// its log handed to [`DurableSink::commit`], undone in memory when
-    /// the commit fails — the way the program stage loop drives a sink.
+    /// Run `edit` as one unit: one transaction observed by `view`, its
+    /// log handed to [`DurableStore::commit`] with the view's database,
+    /// undone in memory when the commit fails — the way the program stage
+    /// loop drives a store.
     fn unit<S: WalStorage>(
         instance: &mut Instance,
-        sink: &mut DurableSink<'_, S>,
+        view: &mut DatabaseView,
+        store: &mut DurableStore<S>,
         edit: impl FnOnce(&mut InstanceTxn<'_>),
     ) -> WalResult<()> {
         let mut log = Vec::new();
-        let mut txn = InstanceTxn::begin_observed(instance, sink);
+        let mut txn = InstanceTxn::begin_observed(instance, view);
         edit(&mut txn);
         txn.commit_into(&mut log);
-        let res = sink.commit(&log);
+        let res = store.commit(&log, view.database()).map(drop);
         if res.is_err() {
-            undo_ops(instance, sink, &log);
+            undo_ops(instance, view, &log);
         }
         res
     }
 
-    /// Run two committed units against `(instance, view, store)` through a
-    /// [`DurableSink`]; returns the edge that got added.
+    /// Run two committed units against `(instance, view, store)`; returns
+    /// the edge that got added.
     fn two_txns(
         s: &BeerSchema,
         o: &Fig2Objects,
@@ -599,12 +541,11 @@ mod tests {
         store: &mut DurableStore<FaultStorage>,
     ) -> Edge {
         let added = Edge::new(o.d1, s.frequents, o.bar3);
-        let mut sink = DurableSink::new(store, view);
-        unit(instance, &mut sink, |txn| {
+        unit(instance, view, store, |txn| {
             txn.remove_edge(&Edge::new(o.d1, s.frequents, o.bar1));
         })
         .unwrap();
-        unit(instance, &mut sink, |txn| {
+        unit(instance, view, store, |txn| {
             txn.add_edge(added).unwrap();
         })
         .unwrap();
@@ -646,7 +587,7 @@ mod tests {
         let s = beer_schema();
         let (i, _) = figure2(&s);
         let mut store = fresh_store(FaultStorage::new(), &s, WalConfig::default(), &i);
-        assert_eq!(store.commit(&[]).unwrap(), 0);
+        assert_eq!(store.commit(&[], &Database::from_instance(&i)), Ok(0));
         assert_eq!(store.last_seq(), 0);
         assert_eq!(store.storage().len(&store.wal_file()), 0);
     }
@@ -660,16 +601,14 @@ mod tests {
         let after_create = store.storage().total_cost();
         let mut view = DatabaseView::new(&i);
         let after_first = {
-            let mut sink = DurableSink::new(&mut store, &mut view);
-            unit(&mut i, &mut sink, |txn| {
+            unit(&mut i, &mut view, &mut store, |txn| {
                 txn.remove_edge(&Edge::new(o.d1, s.frequents, o.bar1));
             })
             .unwrap();
             store.storage().total_cost()
         };
         let mut want = i.clone();
-        let mut sink = DurableSink::new(&mut store, &mut view);
-        unit(&mut i, &mut sink, |txn| {
+        unit(&mut i, &mut view, &mut store, |txn| {
             txn.add_edge(Edge::new(o.d1, s.frequents, o.bar3)).unwrap();
         })
         .unwrap();
@@ -687,12 +626,11 @@ mod tests {
             );
             assert_eq!(cs.storage().total_cost(), after_create);
             let mut cv = DatabaseView::new(&ci);
-            let mut sink = DurableSink::new(&mut cs, &mut cv);
-            unit(&mut ci, &mut sink, |txn| {
+            unit(&mut ci, &mut cv, &mut cs, |txn| {
                 txn.remove_edge(&Edge::new(o.d1, s.frequents, o.bar1));
             })
             .unwrap_or_else(|e| panic!("first record fits budget {budget}: {e}"));
-            let err = unit(&mut ci, &mut sink, |txn| {
+            let err = unit(&mut ci, &mut cv, &mut cs, |txn| {
                 txn.add_edge(Edge::new(o.d1, s.frequents, o.bar3)).unwrap();
             });
             assert_eq!(err, Err(WalError::Crashed));
@@ -742,8 +680,7 @@ mod tests {
         store.checkpoint_db(view.database()).unwrap();
         assert_eq!(store.epoch(), 2);
         // One more committed record after the checkpoint.
-        let mut sink = DurableSink::new(&mut store, &mut view);
-        unit(&mut i, &mut sink, |txn| {
+        unit(&mut i, &mut view, &mut store, |txn| {
             txn.remove_edge(&Edge::new(o.d1, s.frequents, o.bar2));
         })
         .unwrap();
@@ -780,15 +717,14 @@ mod tests {
             &i,
         );
         let mut view = DatabaseView::new(&i);
-        let mut sink = DurableSink::new(&mut store, &mut view);
-        unit(&mut i, &mut sink, |txn| {
+        unit(&mut i, &mut view, &mut store, |txn| {
             txn.remove_edge(&Edge::new(o.d1, s.frequents, o.bar1));
         })
         .unwrap();
         let pre_unit = i.clone();
-        let wal = sink.store().wal_file();
-        let wal_len = sink.store().storage().len(&wal);
-        let err = unit(&mut i, &mut sink, |txn| {
+        let wal = store.wal_file();
+        let wal_len = store.storage().len(&wal);
+        let err = unit(&mut i, &mut view, &mut store, |txn| {
             txn.remove_object_cascade(o.bar2);
         });
         assert!(matches!(err, Err(WalError::Io(_))), "{err:?}");
@@ -810,8 +746,7 @@ mod tests {
         assert_eq!(ri, pre_unit);
 
         // The same unit again applies, as sequence number 2.
-        let mut sink = DurableSink::new(&mut store, &mut view);
-        unit(&mut i, &mut sink, |txn| {
+        unit(&mut i, &mut view, &mut store, |txn| {
             txn.remove_object_cascade(o.bar2);
         })
         .unwrap();
@@ -840,8 +775,7 @@ mod tests {
             &i,
         );
         let mut view = DatabaseView::new(&i);
-        let mut sink = DurableSink::new(&mut store, &mut view);
-        let err = unit(&mut i, &mut sink, |txn| {
+        let err = unit(&mut i, &mut view, &mut store, |txn| {
             txn.remove_edge(&Edge::new(o.d1, s.frequents, o.bar1));
         });
         assert!(matches!(err, Err(WalError::Io(_))), "{err:?}");
@@ -858,11 +792,11 @@ mod tests {
         assert_eq!(ri, i0);
     }
 
-    /// The sink takes the automatic checkpoint itself, at the end of the
-    /// commit that crosses `snapshot_every`, from the view as it stands
-    /// at that moment.
+    /// The store takes the automatic checkpoint itself, at the end of the
+    /// commit that crosses `snapshot_every`, from the database it is
+    /// handed, as it stands at that moment.
     #[test]
-    fn sink_checkpoints_at_the_commit_that_crosses_the_threshold() {
+    fn commit_checkpoints_at_the_commit_that_crosses_the_threshold() {
         let s = beer_schema();
         let (mut i, o) = figure2(&s);
         let cfg = WalConfig {
@@ -871,25 +805,24 @@ mod tests {
         };
         let mut store = fresh_store(FaultStorage::new(), &s, cfg, &i);
         let mut view = DatabaseView::new(&i);
-        let mut sink = DurableSink::new(&mut store, &mut view);
-        unit(&mut i, &mut sink, |txn| {
+        unit(&mut i, &mut view, &mut store, |txn| {
             txn.remove_edge(&Edge::new(o.d1, s.frequents, o.bar1));
         })
         .unwrap();
-        assert_eq!(sink.store().epoch(), 1, "one record is below the threshold");
-        unit(&mut i, &mut sink, |txn| {
+        assert_eq!(store.epoch(), 1, "one record is below the threshold");
+        unit(&mut i, &mut view, &mut store, |txn| {
             txn.add_edge(Edge::new(o.d1, s.frequents, o.bar3)).unwrap();
         })
         .unwrap();
-        assert_eq!(sink.store().epoch(), 2, "the second commit crosses it");
-        assert_eq!(sink.store().stats().checkpoints, 1);
-        let at_checkpoint = sink.database().clone();
+        assert_eq!(store.epoch(), 2, "the second commit crosses it");
+        assert_eq!(store.stats().checkpoints, 1);
+        let at_checkpoint = view.database().clone();
         // A later commit must not leak into the snapshot already taken.
-        unit(&mut i, &mut sink, |txn| {
+        unit(&mut i, &mut view, &mut store, |txn| {
             txn.remove_edge(&Edge::new(o.d1, s.frequents, o.bar2));
         })
         .unwrap();
-        assert_eq!(sink.store().epoch(), 2, "one record past the checkpoint");
+        assert_eq!(store.epoch(), 2, "one record past the checkpoint");
 
         let manifest_bytes = store.storage().read(MANIFEST_FILE).unwrap().unwrap();
         let manifest = Manifest::decode(&manifest_bytes).unwrap();
@@ -919,23 +852,22 @@ mod tests {
         let mut store = fresh_store(FaultStorage::new(), &s, cfg, &i);
         let snapshot = store.snapshot_len;
         let mut view = DatabaseView::new(&i);
-        let mut sink = DurableSink::new(&mut store, &mut view);
         // Fresh bars until one record outweighs the snapshot.
         let mut fresh = 0u64;
-        unit(&mut i, &mut sink, |txn| {
+        unit(&mut i, &mut view, &mut store, |txn| {
             while PAYLOAD_BYTES_PER_NODE * fresh < snapshot {
                 txn.fresh_object(s.bar);
                 fresh += 1;
             }
         })
         .unwrap();
-        assert_eq!(sink.store().epoch(), 2, "the byte trigger fired");
-        assert_eq!(sink.store().tail.wal_len, 0);
-        unit(&mut i, &mut sink, |txn| {
+        assert_eq!(store.epoch(), 2, "the byte trigger fired");
+        assert_eq!(store.tail.wal_len, 0);
+        unit(&mut i, &mut view, &mut store, |txn| {
             txn.fresh_object(s.bar);
         })
         .unwrap();
-        assert_eq!(sink.store().epoch(), 2, "a small record stays below it");
+        assert_eq!(store.epoch(), 2, "a small record stays below it");
         let (_, ri, _, report) =
             DurableStore::open(store.into_storage().reopen(), Arc::clone(&s.schema), cfg).unwrap();
         assert_eq!((report.epoch, report.records_replayed), (2, 1));
@@ -951,15 +883,14 @@ mod tests {
         let mut store = fresh_store(FaultStorage::new(), &s, WalConfig::default(), &i);
         let snapshot = store.snapshot_len;
         let mut view = DatabaseView::new(&i);
-        let mut sink = DurableSink::new(&mut store, &mut view);
-        unit(&mut i, &mut sink, |txn| {
+        unit(&mut i, &mut view, &mut store, |txn| {
             for _ in 0..=snapshot / PAYLOAD_BYTES_PER_NODE {
                 txn.fresh_object(s.bar);
             }
         })
         .unwrap();
-        assert!(sink.store().tail.wal_len >= snapshot);
-        assert_eq!(sink.store().epoch(), 1);
+        assert!(store.tail.wal_len >= snapshot);
+        assert_eq!(store.epoch(), 1);
     }
 
     /// Encoded bytes of one `AddedNode` op.
@@ -981,19 +912,18 @@ mod tests {
         };
         let mut store = fresh_store(FaultStorage::new().fail_nth_sync(1), &s, cfg, &i);
         let mut view = DatabaseView::new(&i);
-        let mut sink = DurableSink::new(&mut store, &mut view);
         let edit = |txn: &mut InstanceTxn<'_>| {
             txn.remove_edge(&Edge::new(o.d1, s.frequents, o.bar1));
         };
-        let err = unit(&mut i, &mut sink, edit);
+        let err = unit(&mut i, &mut view, &mut store, edit);
         assert!(matches!(err, Err(WalError::Io(_))), "{err:?}");
         assert_eq!(i, i0);
-        assert_eq!(sink.store().epoch(), 1, "the manifest never swung");
-        assert_eq!(sink.store().last_seq(), 0);
-        assert_eq!(sink.store().storage().len(&sink.store().wal_file()), 0);
+        assert_eq!(store.epoch(), 1, "the manifest never swung");
+        assert_eq!(store.last_seq(), 0);
+        assert_eq!(store.storage().len(&store.wal_file()), 0);
 
-        unit(&mut i, &mut sink, edit).unwrap();
-        assert_eq!(sink.store().epoch(), 2);
+        unit(&mut i, &mut view, &mut store, edit).unwrap();
+        assert_eq!(store.epoch(), 2);
         let (_, ri, rview, report) =
             DurableStore::open(store.into_storage().reopen(), Arc::clone(&s.schema), cfg).unwrap();
         assert_eq!(report.last_seq, 1);
@@ -1045,9 +975,10 @@ mod tests {
         )
         .unwrap();
         let op = DeltaOp::RemovedEdge(Edge::new(o.d1, s.frequents, o.bar1));
-        let err = store.commit(&[op]).unwrap_err();
+        let db = Database::from_instance(&i);
+        let err = store.commit(&[op], &db).unwrap_err();
         assert!(matches!(err, WalError::Io(_)), "{err:?}");
-        assert_eq!(store.commit(&[op]), Err(err.clone()));
+        assert_eq!(store.commit(&[op], &db), Err(err.clone()));
         assert_eq!(store.sync(), Err(err.clone()));
         assert_eq!(store.checkpoint(&i), Err(err));
         // Reopening reads the torn half-record as a torn tail.
@@ -1062,17 +993,19 @@ mod tests {
         assert_eq!(ri, i);
     }
 
+    /// A unit whose transaction rolls back has nothing in its log, and
+    /// committing it writes no record.
     #[test]
     fn txn_rollback_logs_nothing() {
         let s = beer_schema();
         let (mut i, o) = figure2(&s);
         let mut store = fresh_store(FaultStorage::new(), &s, WalConfig::default(), &i);
         let mut view = DatabaseView::new(&i);
-        let mut sink = DurableSink::new(&mut store, &mut view);
-        let mut txn = InstanceTxn::begin_observed(&mut i, &mut sink);
+        let log = Vec::new();
+        let mut txn = InstanceTxn::begin_observed(&mut i, &mut view);
         txn.remove_object_cascade(o.bar1);
         txn.rollback();
-        sink.commit(&[]).unwrap();
+        assert_eq!(store.commit(&log, view.database()), Ok(0));
         assert!(view.matches_rebuild(&i));
         assert_eq!(store.last_seq(), 0);
         assert_eq!(store.storage().len(&store.wal_file()), 0);

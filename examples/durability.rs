@@ -16,7 +16,7 @@ use receivers::core::methods::{add_bar, delete_bar};
 use receivers::objectbase::examples::{beer_schema, figure2};
 use receivers::objectbase::Receiver;
 use receivers::relalg::view::DatabaseView;
-use receivers::wal::{DirStorage, DurableSink, DurableStore, WalConfig};
+use receivers::wal::{DirStorage, DurableStore, WalConfig};
 
 fn main() {
     let (obs_cli, rest) = match receivers::obs::cli::ObsCli::parse(std::env::args().skip(1)) {
@@ -55,10 +55,10 @@ fn main() {
     let (initial, o) = figure2(&s);
 
     // A store over real files: epoch-1 snapshot of Figure 2, then every
-    // applied unit goes through the WAL as one record — a `DurableSink`
-    // around the maintained view turns the in-memory driver into a
-    // durable one. A unit that is not applied, or whose record cannot be
-    // written, is undone and leaves nothing in the log.
+    // applied unit goes through the WAL as one record — the in-memory
+    // driver keeps the unit's delta log, and `DurableStore::commit` logs
+    // it. A unit that is not applied, or whose record cannot be written,
+    // is undone and leaves nothing in the log.
     let cfg = WalConfig {
         group_commit: 2,
         snapshot_every: 0,
@@ -76,12 +76,13 @@ fn main() {
     // unfrequented.
     let m = add_bar(&s);
     let order = vec![Receiver::new(vec![o.d1, o.bar3])];
-    let mut sink = DurableSink::new(&mut store, &mut view);
     let mut log = Vec::new();
     assert!(m
-        .apply_sequence_logged(&mut working, &mut sink, &order, &mut log)
+        .apply_sequence_logged(&mut working, &mut view, &order, &mut log)
         .is_applied());
-    sink.commit(&log).expect("durable add_bar");
+    store
+        .commit(&log, view.database())
+        .expect("durable add_bar");
     println!(
         "after add_bar(d1, bar3): {} bars frequented, last_seq {}",
         working.successors(o.d1, s.frequents).count(),
@@ -101,12 +102,13 @@ fn main() {
     // lives only in the new epoch's WAL tail.
     let d = delete_bar(&s);
     let order = vec![Receiver::new(vec![o.d1, o.bar1])];
-    let mut sink = DurableSink::new(&mut store, &mut view);
     let mut log = Vec::new();
     assert!(d
-        .apply_sequence_logged(&mut working, &mut sink, &order, &mut log)
+        .apply_sequence_logged(&mut working, &mut view, &order, &mut log)
         .is_applied());
-    sink.commit(&log).expect("durable delete_bar");
+    store
+        .commit(&log, view.database())
+        .expect("durable delete_bar");
     store.sync().expect("force the tail durable");
     println!(
         "after delete_bar(d1, bar1): {} bars frequented, last_seq {}",

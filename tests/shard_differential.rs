@@ -313,7 +313,7 @@ fn run_triple(seed: u64) -> Tally {
             tally.built += 1;
             let mut sharded = instance.clone();
             let mut view = DatabaseView::new(&sharded);
-            let out = exec.apply(&mut sharded, &mut view, ord, None);
+            let out = exec.apply(&mut sharded, &mut view, ord, &mut Vec::new(), None);
             assert_identical(&out, ref_out, &sharded, ref_inst, seed, &label);
             assert!(
                 view.matches_rebuild(&sharded),
@@ -342,9 +342,9 @@ fn run_triple(seed: u64) -> Tally {
     let mut ex_view = DatabaseView::new(&ex_inst);
     let mut exec = ShardedExecutor::new(&method, &cfg(3)).unwrap();
     tally.built += 1;
-    let mut out_ex = exec.apply(&mut ex_inst, &mut ex_view, &order, None);
+    let mut out_ex = exec.apply(&mut ex_inst, &mut ex_view, &order, &mut Vec::new(), None);
     if out_ex.is_applied() {
-        out_ex = exec.apply(&mut ex_inst, &mut ex_view, &order, None);
+        out_ex = exec.apply(&mut ex_inst, &mut ex_view, &order, &mut Vec::new(), None);
     }
     assert_identical(&out_ex, &out_ref2, &ex_inst, &ref2, seed, "executor waves");
     assert!(
@@ -376,7 +376,7 @@ fn run_triple(seed: u64) -> Tally {
         let view_snapshot = view.clone();
         let mut fresh = ShardedExecutor::new(&method, &cfg(2)).unwrap();
         tally.built += 1;
-        let out = fresh.apply(&mut sharded, &mut view, &poisoned, None);
+        let out = fresh.apply(&mut sharded, &mut view, &poisoned, &mut Vec::new(), None);
         assert_identical(&out, &out_seq, &sharded, &reference, seed, "ghost fresh");
         assert!(
             view == view_snapshot,
@@ -385,7 +385,7 @@ fn run_triple(seed: u64) -> Tally {
 
         let ex_snapshot = ex_inst.clone();
         let ex_view_snapshot = ex_view.clone();
-        let out = exec.apply(&mut ex_inst, &mut ex_view, &poisoned, None);
+        let out = exec.apply(&mut ex_inst, &mut ex_view, &poisoned, &mut Vec::new(), None);
         let mut seq2 = ex_snapshot.clone();
         let out_seq2 = method.apply_in_place_sequence(&mut seq2, &poisoned);
         assert_identical(
@@ -401,7 +401,7 @@ fn run_triple(seed: u64) -> Tally {
             "an undefined wave must leave the view untouched (seed {seed}, ghost executor)"
         );
         // And the executor recovers: the next clean wave still matches.
-        let out = exec.apply(&mut ex_inst, &mut ex_view, &order, None);
+        let out = exec.apply(&mut ex_inst, &mut ex_view, &order, &mut Vec::new(), None);
         let out_seq3 = method.apply_in_place_sequence(&mut seq2, &order);
         assert_identical(&out, &out_seq3, &ex_inst, &seq2, seed, "post-ghost wave");
         assert!(
@@ -541,7 +541,13 @@ fn solver_discharged_cursor_update_shards_bit_identically() {
         let mut sharded = instance.clone();
         let mut view = DatabaseView::new(&sharded);
         let mut wave = WaveStats::default();
-        let out = exec.apply(&mut sharded, &mut view, &order, Some(&mut wave));
+        let out = exec.apply(
+            &mut sharded,
+            &mut view,
+            &order,
+            &mut Vec::new(),
+            Some(&mut wave),
+        );
         assert_identical(
             &out,
             &out_ref,

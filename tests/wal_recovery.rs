@@ -4,9 +4,10 @@
 //! triple from a seed — the same generator family as
 //! `tests/view_differential.rs` — and first runs it to completion through
 //! the durable driver (the viewed driver
-//! [`AlgebraicMethod::apply_sequence_logged`] with a [`DurableSink`]
-//! around its view, each receiver committed as its own unit, so each
-//! receiver is one WAL record) over an unbudgeted [`FaultStorage`],
+//! [`AlgebraicMethod::apply_sequence_logged`], each receiver's log
+//! committed to the [`DurableStore`] as its own unit, so each receiver
+//! that changes the instance is one WAL record) over an unbudgeted
+//! [`FaultStorage`],
 //! recording the byte-cost mark and the committed instance at every WAL
 //! record boundary. The no-crash result is checked against a reference
 //! independent of that driver: a fresh relational encoding per receiver,
@@ -51,7 +52,7 @@ use receivers::relalg::gen::{random_expr, ExprParams};
 use receivers::relalg::typecheck::{infer_schema, update_params, ParamSchemas};
 use receivers::relalg::view::DatabaseView;
 use receivers::relalg::Expr;
-use receivers::wal::{DurableSink, DurableStore, FaultStorage, WalConfig, WalError, WalStorage};
+use receivers::wal::{DurableStore, FaultStorage, WalConfig, WalError, WalStorage};
 
 /// Default number of random triples per run; override with
 /// `RECEIVERS_DIFF_TRIPLES`. The `#[ignore]`d long-run variant uses 5000.
@@ -180,12 +181,12 @@ fn statement_expr(
     }
 }
 
-/// Run `units` through a [`DurableSink`] around `view`, each unit one
-/// atomic [`AlgebraicMethod::apply_sequence_logged`] call committed as one
-/// WAL record: an applied unit is committed, a unit that is not applied
-/// writes nothing, and a unit whose commit fails is undone in memory —
-/// `Err` is that storage error. Stops at the first unit that does not
-/// apply.
+/// Run `units` against `view`, each unit one atomic
+/// [`AlgebraicMethod::apply_sequence_logged`] call whose log is committed
+/// to `store` as one WAL record: an applied unit is committed, a unit
+/// that is not applied writes nothing, and a unit whose commit fails is
+/// undone in memory — `Err` is that storage error. Stops at the first
+/// unit that does not apply.
 fn durable_units<'a>(
     method: &AlgebraicMethod,
     instance: &mut Instance,
@@ -193,16 +194,15 @@ fn durable_units<'a>(
     units: impl IntoIterator<Item = &'a [Receiver]>,
     store: &mut DurableStore<FaultStorage>,
 ) -> Result<InPlaceOutcome, WalError> {
-    let mut sink = DurableSink::new(store, view);
     let mut log = Vec::new();
     for unit in units {
         log.clear();
-        let out = method.apply_sequence_logged(instance, &mut sink, unit, &mut log);
+        let out = method.apply_sequence_logged(instance, view, unit, &mut log);
         if !out.is_applied() {
             return Ok(out);
         }
-        if let Err(e) = sink.commit(&log) {
-            undo_ops(instance, &mut sink, &log);
+        if let Err(e) = store.commit(&log, view.database()) {
+            undo_ops(instance, view, &log);
             return Err(e);
         }
     }
