@@ -33,7 +33,7 @@ obs::counter!(C_ROLLBACKS, "core.seq.rollbacks");
 obs::counter!(C_BATCH_ROWS, "core.batch.rows_applied");
 
 /// One algebraic update statement `a := E`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Statement {
     /// The updated property `a` (of the receiving class).
     pub property: PropId,

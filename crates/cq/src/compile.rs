@@ -134,8 +134,11 @@ impl PreCq {
 /// Compile a positive algebra expression into an equivalent positive
 /// query. Errors with [`CqError::NotPositive`] on difference.
 pub fn compile_positive(expr: &Expr, ctx: &SchemaCtx) -> Result<PositiveQuery> {
+    // The one full inference validates the whole tree; `go` then threads
+    // each node's scheme bottom-up instead of re-inferring every subtree
+    // (which made compilation quadratic in the expression size).
     let scheme = ctx.infer(expr)?;
-    let disjuncts = go(expr, ctx)?;
+    let (disjuncts, _) = go(expr, ctx)?;
     let summary_domains: Vec<ClassId> = scheme.columns().iter().map(|(_, d)| *d).collect();
     let mut cqs: Vec<ConjunctiveQuery> = Vec::with_capacity(disjuncts.len());
     let mut seen = BTreeSet::new();
@@ -148,27 +151,29 @@ pub fn compile_positive(expr: &Expr, ctx: &SchemaCtx) -> Result<PositiveQuery> {
     PositiveQuery::new(summary_domains, cqs)
 }
 
-fn go(expr: &Expr, ctx: &SchemaCtx) -> Result<Vec<PreCq>> {
+/// The disjuncts of `expr` and its scheme, computed in one bottom-up
+/// pass with the same scheme operations as [`SchemaCtx::infer`].
+fn go(expr: &Expr, ctx: &SchemaCtx) -> Result<(Vec<PreCq>, RelSchema)> {
     Ok(match expr {
         Expr::Base(r) => {
             let rel = AtomRel::Base(*r);
             let scheme = ctx.rel_schema(&rel)?;
-            vec![PreCq::leaf(rel, &scheme)]
+            (vec![PreCq::leaf(rel, &scheme)], scheme)
         }
         Expr::Param(p) => {
             let rel = AtomRel::Param(p.clone());
             let scheme = ctx.rel_schema(&rel)?;
-            vec![PreCq::leaf(rel, &scheme)]
+            (vec![PreCq::leaf(rel, &scheme)], scheme)
         }
         Expr::Union(l, r) => {
-            let mut out = go(l, ctx)?;
-            out.extend(go(r, ctx)?);
-            out
+            let (mut out, scheme) = go(l, ctx)?;
+            out.extend(go(r, ctx)?.0);
+            (out, scheme)
         }
         Expr::Diff(_, _) => return Err(CqError::NotPositive),
         Expr::Product(l, r) => {
-            let ls = go(l, ctx)?;
-            let rs = go(r, ctx)?;
+            let (ls, lscheme) = go(l, ctx)?;
+            let (rs, rscheme) = go(r, ctx)?;
             let mut out = Vec::with_capacity(ls.len() * rs.len());
             for lcq in &ls {
                 for rcq in &rs {
@@ -178,51 +183,55 @@ fn go(expr: &Expr, ctx: &SchemaCtx) -> Result<Vec<PreCq>> {
                     out.push(merged);
                 }
             }
-            out
+            (out, lscheme.product(&rscheme)?)
         }
         Expr::SelectEq(e, a, b) => {
-            let scheme = ctx.infer(e)?;
+            let (ds, scheme) = go(e, ctx)?;
             let (i, j) = (scheme.position(a)?, scheme.position(b)?);
-            go(e, ctx)?
+            let out = ds
                 .into_iter()
                 .filter_map(|d| {
                     let (x, y) = (d.columns[i], d.columns[j]);
                     d.unify(x, y)
                 })
-                .collect()
+                .collect();
+            (out, scheme)
         }
         Expr::SelectNe(e, a, b) => {
-            let scheme = ctx.infer(e)?;
+            let (ds, scheme) = go(e, ctx)?;
             let (i, j) = (scheme.position(a)?, scheme.position(b)?);
-            go(e, ctx)?
+            let out = ds
                 .into_iter()
                 .filter_map(|d| {
                     let (x, y) = (d.columns[i], d.columns[j]);
                     d.add_neq(x, y)
                 })
-                .collect()
+                .collect();
+            (out, scheme)
         }
         Expr::Project(e, attrs) => {
-            let scheme = ctx.infer(e)?;
+            let (ds, scheme) = go(e, ctx)?;
             let positions: Vec<usize> = attrs
                 .iter()
                 .map(|a| scheme.position(a).map_err(CqError::from))
                 .collect::<Result<_>>()?;
-            go(e, ctx)?
+            let out = ds
                 .into_iter()
                 .map(|mut d| {
                     d.columns = positions.iter().map(|&i| d.columns[i]).collect();
                     d
                 })
-                .collect()
+                .collect();
+            (out, scheme.project(attrs)?)
         }
-        Expr::Rename(e, _, _) => go(e, ctx)?,
+        Expr::Rename(e, from, to) => {
+            let (ds, scheme) = go(e, ctx)?;
+            (ds, scheme.rename(from, to)?)
+        }
         Expr::NatJoin(l, r) => {
-            let lscheme = ctx.infer(l)?;
-            let rscheme = ctx.infer(r)?;
+            let (ls, lscheme) = go(l, ctx)?;
+            let (rs, rscheme) = go(r, ctx)?;
             let common = lscheme.common_attrs(&rscheme)?;
-            let ls = go(l, ctx)?;
-            let rs = go(r, ctx)?;
             let mut out = Vec::with_capacity(ls.len() * rs.len());
             for lcq in &ls {
                 'pair: for rcq in &rs {
@@ -262,7 +271,7 @@ fn go(expr: &Expr, ctx: &SchemaCtx) -> Result<Vec<PreCq>> {
                     out.push(current);
                 }
             }
-            out
+            (out, lscheme.natural_join(&rscheme)?)
         }
         Expr::ThetaJoin {
             left,
@@ -271,12 +280,10 @@ fn go(expr: &Expr, ctx: &SchemaCtx) -> Result<Vec<PreCq>> {
             on_right,
             eq,
         } => {
-            let lscheme = ctx.infer(left)?;
-            let rscheme = ctx.infer(right)?;
+            let (ls, lscheme) = go(left, ctx)?;
+            let (rs, rscheme) = go(right, ctx)?;
             let li = lscheme.position(on_left)?;
             let ri = rscheme.position(on_right)?;
-            let ls = go(left, ctx)?;
-            let rs = go(right, ctx)?;
             let mut out = Vec::with_capacity(ls.len() * rs.len());
             for lcq in &ls {
                 for rcq in &rs {
@@ -294,7 +301,7 @@ fn go(expr: &Expr, ctx: &SchemaCtx) -> Result<Vec<PreCq>> {
                     }
                 }
             }
-            out
+            (out, lscheme.product(&rscheme)?)
         }
     })
 }

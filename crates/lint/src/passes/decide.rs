@@ -11,7 +11,6 @@
 //! statement. The pass manager suppresses the coloring pass's `R0102`
 //! on any statement this pass certifies.
 
-use receivers_core::decide_key_order_independence;
 use receivers_sql::ast::{Condition, CursorBody, Projection, Select, SqlStatement};
 use receivers_sql::improve::ImproveRefusal;
 use receivers_sql::{compile, improve_cursor_update, CompiledStatement, SpannedStatement};
@@ -53,21 +52,19 @@ impl ProgramPass for DecidePass {
             };
             match improve_cursor_update(&cu) {
                 Err(_) => continue,
-                Ok(Err(ImproveRefusal::NotPositive)) => out.push(
-                    Diagnostic::new(
-                        codes::NON_POSITIVE,
-                        "the value subquery is not positive; Theorem 5.12 does not apply",
-                    )
-                    .with_span(stmt.span),
+                Ok(Err(refusal @ ImproveRefusal::NotPositive)) => out.push(
+                    Diagnostic::new(codes::NON_POSITIVE, refusal.describe(cx.catalog))
+                        .with_span(stmt.span),
                 ),
-                Ok(Err(ImproveRefusal::OrderDependent)) => {
+                Ok(Err(ImproveRefusal::OrderDependent { property })) => {
                     let mut d = Diagnostic::new(
                         codes::ORDER_DEPENDENT,
                         "order dependent: the Theorem 5.12 procedure refutes key-order \
                          independence of this cursor update",
                     )
                     .with_span(stmt.span);
-                    if let Some(prop) = offending_property(&cu) {
+                    if let Some(prop) = property {
+                        let prop = cu.catalog().schema.prop_name(prop);
                         d = d.note(format!(
                             "the before/after update expressions differ on property `{prop}`: \
                              an earlier iteration's write changes a later iteration's read"
@@ -111,16 +108,6 @@ impl ProgramPass for DecidePass {
             }
         }
     }
-}
-
-/// Re-run the decision procedure to name the property whose before/after
-/// expressions differ (the improvement path discards it).
-fn offending_property(cu: &receivers_sql::CursorUpdate) -> Option<String> {
-    let method = cu.to_algebraic().ok()?;
-    let decision = decide_key_order_independence(&method).ok()?;
-    decision
-        .offending_property
-        .map(|p| method.schema().prop_name(p).to_owned())
 }
 
 /// Rewrite `var.Col` to plain `Col` so the suggestion is valid outside

@@ -19,7 +19,7 @@ pub struct ClassId(pub u32);
 pub struct PropId(pub u32);
 
 /// A schema edge `(B, e, C)`: property `e` of class `B` with type `C`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Property {
     /// The property name `e`.
@@ -45,7 +45,7 @@ pub enum SchemaItem {
 ///
 /// Schemas are immutable once built; share them via [`Arc`] (instances hold
 /// an `Arc<Schema>`). Build with [`SchemaBuilder`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Schema {
     classes: Vec<String>,

@@ -86,6 +86,19 @@ impl Catalog {
         self.tables.iter().map(|(n, t)| (n.as_str(), t))
     }
 
+    /// The SQL name of a property: `table.column` of the first table (in
+    /// name order) storing it, else its schema name.
+    pub fn column_name(&self, prop: PropId) -> String {
+        self.tables()
+            .find_map(|(table, info)| {
+                info.columns
+                    .iter()
+                    .find(|&(_, &q)| q == prop)
+                    .map(|(column, _)| format!("{table}.{column}"))
+            })
+            .unwrap_or_else(|| self.schema.prop_name(prop).to_owned())
+    }
+
     /// Parse a catalog description, deriving both the object-base
     /// [`Schema`] and the table mappings. This is what frees the lint
     /// front end from the fixed Section 7 employee catalog: any schema

@@ -117,7 +117,7 @@ mod tests {
     use crate::catalog::employee_catalog;
     use crate::parser::parse;
     use crate::plan::compile_program;
-    use crate::scenarios::{CURSOR_UPDATE_B, UPDATE_A};
+    use crate::scenarios::{CURSOR_UPDATE_B, CURSOR_UPDATE_C, UPDATE_A};
 
     /// EXPLAIN is purely static and carries the planner's decisions: one
     /// child per stage, netting with its proof notes, the footprint
@@ -198,5 +198,40 @@ mod tests {
             values(1)
         );
         assert!(values(2).is_empty());
+    }
+
+    /// A cursor update the improve pass leaves alone says why: (C) names
+    /// the Theorem 5.12 refusal and its offending property, a guarded
+    /// update that it has no algebraic form. Improved and set stages
+    /// carry no such note.
+    #[test]
+    fn explain_names_the_improve_refusal() {
+        const GUARDED: &str = "for each t in Employee do if Salary in table Fire \
+             update t set Salary = (select New from NewSal where Old = Salary)";
+        let (_, catalog) = employee_catalog();
+        let stmts =
+            [CURSOR_UPDATE_C, GUARDED, CURSOR_UPDATE_B, UPDATE_A].map(|t| parse(t).unwrap());
+        let tree = compile_program(&stmts, &catalog).unwrap().explain();
+        let improve = |k: usize| -> Vec<&String> {
+            tree.children[k]
+                .notes
+                .iter()
+                .filter(|n| n.starts_with("improve:"))
+                .collect()
+        };
+        assert_eq!(
+            improve(0),
+            [
+                "improve: refused — order dependent (Theorem 5.12): the before/after \
+              update expressions differ on `Employee.Salary`"
+            ]
+        );
+        assert!(
+            matches!(improve(1).as_slice(), [n] if n.starts_with("improve: not attempted — ")
+                && n.contains("guarded")),
+            "{:?}",
+            improve(1)
+        );
+        assert!(improve(2).is_empty() && improve(3).is_empty());
     }
 }

@@ -11,19 +11,30 @@
 //! 3. on success, return the improved program: the single parallel
 //!    expression `par(E)` whose one evaluation computes the precomputed
 //!    key set of assignments `(tuple, new value)` for all tuples at once.
+//!
+//! The verdict of step 2 is a pure function of the method's schema,
+//! signature and statements, so it is memoized in the planner's
+//! process-wide proof cache (the same store as the netting pass's
+//! implications): a statement recompiled in any later program skips the
+//! decision. Theorem 5.12 stays the only oracle — a miss runs
+//! [`decide_key_order_independence`] unchanged.
 
 use receivers_core::parallel::apply_par;
 use receivers_core::{decide_key_order_independence, AlgebraicMethod};
-use receivers_objectbase::Instance;
+use receivers_objectbase::{Instance, PropId};
 use receivers_obs as obs;
 use receivers_relalg::par::par;
 use receivers_relalg::Expr;
 
+use crate::catalog::Catalog;
 use crate::compile::CursorUpdate;
 use crate::error::{Result, SqlError};
+use crate::plan::{memoized, CachedProof, ProofKey};
 
 obs::counter!(C_IMPROVE_ATTEMPTS, "sql.improve.attempts");
 obs::counter!(C_IMPROVE_REWRITES, "sql.improve.rewrites");
+obs::counter!(C_CACHE_HIT, "sql.improve.cache.hit");
+obs::counter!(C_CACHE_MISS, "sql.improve.cache.miss");
 
 /// The improved, set-oriented form of a cursor update.
 pub struct ImprovedUpdate {
@@ -47,14 +58,50 @@ impl ImprovedUpdate {
 }
 
 /// Why an improvement was refused.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ImproveRefusal {
     /// The subquery uses difference; Theorem 5.12 does not apply.
     NotPositive,
     /// The decision procedure proved the cursor update order *dependent*
     /// — rewriting it would change its (order-dependent, presumably
     /// unintended) semantics.
-    OrderDependent,
+    OrderDependent {
+        /// The first property whose before/after update expressions
+        /// differ ([`receivers_core::Decision::offending_property`]; the
+        /// procedure names one on every dependent verdict).
+        property: Option<PropId>,
+    },
+}
+
+impl ImproveRefusal {
+    /// One line naming the refusal and, for an order-dependent update,
+    /// the offending property by its SQL column.
+    pub fn describe(&self, catalog: &Catalog) -> String {
+        match self {
+            Self::NotPositive => {
+                "the value subquery is not positive; Theorem 5.12 does not apply".to_owned()
+            }
+            Self::OrderDependent { property: Some(p) } => format!(
+                "order dependent (Theorem 5.12): the before/after update expressions \
+                 differ on `{}`",
+                catalog.column_name(*p)
+            ),
+            Self::OrderDependent { property: None } => "order dependent (Theorem 5.12)".to_owned(),
+        }
+    }
+}
+
+/// What the improve pass made of one lowered cursor update.
+pub enum Improvement {
+    /// The rewrite fired.
+    Improved(ImprovedUpdate),
+    /// The pass left the loop alone.
+    Kept {
+        /// The lowered method, handed back for the cursor stage to run.
+        method: AlgebraicMethod,
+        /// The refusal, or the error the decision stopped on.
+        reason: Result<ImproveRefusal>,
+    },
 }
 
 /// Attempt the rewrite. `Ok(Err(refusal))` is a *negative verdict* (the
@@ -63,23 +110,63 @@ pub enum ImproveRefusal {
 pub fn improve_cursor_update(
     update: &CursorUpdate,
 ) -> Result<std::result::Result<ImprovedUpdate, ImproveRefusal>> {
+    match improve_method(update.to_algebraic()?) {
+        Improvement::Improved(improved) => Ok(Ok(improved)),
+        Improvement::Kept { reason, .. } => reason.map(Err),
+    }
+}
+
+/// The improve pass on a cursor update already lowered by
+/// [`CursorUpdate::to_algebraic`]: the planner lowers each statement
+/// once and hands the method here. The key-order verdict comes from the
+/// proof cache; a miss decides it with Theorem 5.12 and stores it.
+pub fn improve_method(method: AlgebraicMethod) -> Improvement {
     C_IMPROVE_ATTEMPTS.incr();
     let _span = obs::span("sql.improve");
-    let method = update.to_algebraic()?;
+    let reason = match key_order_verdict(&method) {
+        Ok(None) => match par(&method.statements()[0].expr) {
+            Ok(assignment_query) => {
+                C_IMPROVE_REWRITES.incr();
+                return Improvement::Improved(ImprovedUpdate {
+                    method,
+                    assignment_query,
+                });
+            }
+            Err(e) => Err(e.into()),
+        },
+        Ok(Some(refusal)) => Ok(refusal),
+        Err(e) => Err(e),
+    };
+    Improvement::Kept { method, reason }
+}
+
+/// `None` when `method` is key-order independent, else the refusal.
+/// Positivity is checked first (it is syntactic and cheap); the
+/// Theorem 5.12 decision is memoized under the method's schema,
+/// signature and statements, stored whole — two methods share an entry
+/// only when they are equal, whatever their hashes.
+fn key_order_verdict(method: &AlgebraicMethod) -> Result<Option<ImproveRefusal>> {
     if !method.is_positive() {
-        return Ok(Err(ImproveRefusal::NotPositive));
+        return Ok(Some(ImproveRefusal::NotPositive));
     }
-    let decision = decide_key_order_independence(&method).map_err(SqlError::from)?;
-    if !decision.independent {
-        return Ok(Err(ImproveRefusal::OrderDependent));
-    }
-    let statement = &method.statements()[0];
-    let assignment_query = par(&statement.expr)?;
-    C_IMPROVE_REWRITES.incr();
-    Ok(Ok(ImprovedUpdate {
-        method,
-        assignment_query,
-    }))
+    let key = ProofKey::KeyOrder(
+        std::sync::Arc::clone(method.schema()),
+        method.signature_ref().clone(),
+        method.statements().to_vec(),
+    );
+    let verdict = memoized(key, &C_CACHE_HIT, &C_CACHE_MISS, || {
+        decide_key_order_independence(method)
+            .map(CachedProof::KeyOrder)
+            .map_err(SqlError::from)
+    })?;
+    let CachedProof::KeyOrder(decision) = verdict else {
+        unreachable!("a key-order key maps to a key-order verdict")
+    };
+    Ok(
+        (!decision.independent).then_some(ImproveRefusal::OrderDependent {
+            property: decision.offending_property,
+        }),
+    )
 }
 
 #[cfg(test)]
@@ -134,7 +221,7 @@ mod tests {
     fn update_c_is_refused() {
         let cu = cursor_update(CURSOR_UPDATE_C);
         match improve_cursor_update(&cu).unwrap() {
-            Err(refusal) => assert_eq!(refusal, ImproveRefusal::OrderDependent),
+            Err(refusal) => assert!(matches!(refusal, ImproveRefusal::OrderDependent { .. })),
             Ok(_) => panic!("update (C) must be refused"),
         }
     }

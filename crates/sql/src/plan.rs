@@ -41,15 +41,17 @@
 //! DAG instead of a separate walker.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use receivers_core::algebraic::{
     apply_delete_batch_logged, try_apply_assignment_batch, try_apply_replacement_batch,
+    Statement as AlgStatement,
 };
 use receivers_core::shard::{certify, ShardCertificate, ShardConfig, ShardedExecutor, WaveStats};
-use receivers_core::AlgebraicMethod;
+use receivers_core::{AlgebraicMethod, Decision};
 use receivers_objectbase::{
     undo_ops, ClassId, DeltaOp, InPlaceOutcome, Instance, InstanceTxn, Oid, PropId, Receiver,
+    Schema, Signature,
 };
 use receivers_obs as obs;
 use receivers_relalg::database::Database;
@@ -64,7 +66,7 @@ use crate::compile::{compile, CompiledStatement};
 use crate::error::{Result, SqlError};
 use crate::eval::{eval_condition, eval_select, Binding, Scopes};
 use crate::footprint::{Footprint, Write};
-use crate::improve::{improve_cursor_update, ImprovedUpdate};
+use crate::improve::{improve_method, ImproveRefusal, ImprovedUpdate, Improvement};
 use crate::sat::{GuardRef, Implication, Proof, Solver};
 
 obs::counter!(C_PROGRAMS, "sql.plan.programs_compiled");
@@ -757,6 +759,10 @@ pub struct Stage {
     guard_key: Option<String>,
     algebraic: Option<AlgebraicMethod>,
     improved: Option<ImprovedUpdate>,
+    /// Why the improve pass left a cursor update's loop alone: its
+    /// refusal, or why the update has no algebraic form to decide
+    /// (EXPLAIN's `improve:` note).
+    not_improved: Option<Result<ImproveRefusal>>,
     /// A set update's value subquery lowered once to `par(E)`
     /// ([`crate::compile::SetUpdate::values_query`]), or why its values
     /// stay row by row.
@@ -875,23 +881,15 @@ pub fn compile_program(program: &[SqlStatement], catalog: &Catalog) -> Result<Pr
 
         // Improve pass: an unguarded, key-order-independent cursor update
         // collapses into one vectorized `par(E)` node.
-        let (kind, algebraic, improved) = match &compiled {
-            CompiledStatement::SetDelete(_) => (StageKind::SetDelete, None, None),
-            CompiledStatement::SetUpdate(_) => (StageKind::SetUpdate, None, None),
-            CompiledStatement::CursorDelete(_) => (StageKind::CursorDelete, None, None),
+        let (kind, algebraic, improved, not_improved) = match &compiled {
+            CompiledStatement::SetDelete(_) => (StageKind::SetDelete, None, None, None),
+            CompiledStatement::SetUpdate(_) => (StageKind::SetUpdate, None, None, None),
+            CompiledStatement::CursorDelete(_) => (StageKind::CursorDelete, None, None, None),
             CompiledStatement::CursorUpdate(cu) => {
-                let algebraic = if cu.condition.is_none() {
-                    cu.to_algebraic().ok()
-                } else {
-                    None
-                };
-                let improved = if algebraic.is_some() {
-                    improve_cursor_update(cu).ok().and_then(|r| r.ok())
-                } else {
-                    None
-                };
-                match improved {
-                    Some(imp) => {
+                // Lowered once: the improve pass takes the method and hands
+                // it back when it leaves the loop alone.
+                match cu.to_algebraic().map(improve_method) {
+                    Ok(Improvement::Improved(imp)) => {
                         C_IMPROVED.incr();
                         proofs.push(Proof::default().note(
                             "improve pass: the cursor update is key-order independent \
@@ -927,9 +925,12 @@ pub fn compile_program(program: &[SqlStatement], catalog: &Catalog) -> Result<Pr
                         );
                         lowered.values = Some(values);
                         lowered.root = root;
-                        (StageKind::ImprovedUpdate, None, Some(imp))
+                        (StageKind::ImprovedUpdate, None, Some(imp), None)
                     }
-                    None => (StageKind::CursorUpdate, algebraic, None),
+                    Ok(Improvement::Kept { method, reason }) => {
+                        (StageKind::CursorUpdate, Some(method), None, Some(reason))
+                    }
+                    Err(e) => (StageKind::CursorUpdate, None, None, Some(Err(e))),
                 }
             }
         };
@@ -959,6 +960,7 @@ pub fn compile_program(program: &[SqlStatement], catalog: &Catalog) -> Result<Pr
             guard_key: lowered.guard_key,
             algebraic,
             improved,
+            not_improved,
             values_query,
             shared_selector: lowered.shared,
             netted: false,
@@ -1046,32 +1048,85 @@ fn scan_table_info<'a>(
 // The netting pass.
 // ---------------------------------------------------------------------
 
-/// Memoized verdict of one netting guard-implication query.
+/// The key of one memoized planner verdict in the proof cache.
+#[derive(PartialEq, Eq, Hash)]
+pub(crate) enum ProofKey {
+    /// A netting guard implication: catalog digest, target table, and
+    /// the *canonical* guard text (`canon_condition`, cursor variables
+    /// rewritten to `#r`). The per-graph `guard_key` embeds node indexes
+    /// and is useless across programs; the canonical text is stable.
+    Implication(u64, String, String),
+    /// The improve pass's Theorem 5.12 key-order verdict: the method's
+    /// schema, signature and statements, stored whole and compared by
+    /// full equality.
+    KeyOrder(Arc<Schema>, Signature, Vec<AlgStatement>),
+}
+
+/// One memoized planner verdict.
 #[derive(Clone)]
-enum CachedImplication {
-    /// The solver proved the implication; its proof notes.
+pub(crate) enum CachedProof {
+    /// The solver proved the netting implication; its proof notes.
     Implies(Vec<String>),
     /// The solver could not speak (the netting argument stands on the
     /// syntactic identity alone).
     Inconclusive,
+    /// The key-order decision ([`crate::improve`]).
+    KeyOrder(Decision),
 }
 
-/// Process-wide memo of [`Solver::implies`] verdicts from the netting
-/// pass, keyed by catalog digest, target table, and the *canonical* guard
-/// text (`canon_condition`, cursor variables rewritten to `#r`). The
-/// per-graph `guard_key` embeds node indexes and is useless across
-/// programs; the canonical text is stable, so recompiling a program — or
-/// compiling any program sharing the guard — skips the solver entirely.
-type ProofCache = Mutex<HashMap<(u64, String, String), CachedImplication>>;
+/// Process-wide memo of the planner's verdicts: the netting pass's
+/// [`Solver::implies`] queries and the improve pass's key-order
+/// decisions. Both are pure functions of their keys, so recompiling a
+/// program — or compiling any program sharing a guard or a cursor
+/// update — skips the solver and the decision procedure. Entries are
+/// bounded by the distinct guards and cursor updates the process
+/// compiles; there is no eviction.
+type ProofCache = Mutex<HashMap<ProofKey, CachedProof>>;
 
 fn proof_cache() -> &'static ProofCache {
     static CACHE: OnceLock<ProofCache> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Clear the process-wide netting proof cache. Bench/test support: the
-/// cold-compile arm of the profiler benchmark needs every iteration to
-/// miss, and the cache is otherwise append-only for the process lifetime.
+/// The verdict under `key`: from the proof cache (counting `hit`), or
+/// computed and stored (counting `miss`). Errors are returned, not
+/// stored.
+pub(crate) fn memoized<E>(
+    key: ProofKey,
+    hit: &'static obs::Counter,
+    miss: &'static obs::Counter,
+    compute: impl FnOnce() -> std::result::Result<CachedProof, E>,
+) -> std::result::Result<CachedProof, E> {
+    let cached = proof_cache()
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .get(&key)
+        .cloned();
+    if let Some(v) = cached {
+        hit.incr();
+        return Ok(v);
+    }
+    miss.incr();
+    let v = compute()?;
+    proof_cache()
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .insert(key, v.clone());
+    Ok(v)
+}
+
+/// The number of verdicts in the process-wide proof cache.
+#[doc(hidden)]
+pub fn proof_cache_len() -> usize {
+    proof_cache()
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .len()
+}
+
+/// Clear the process-wide proof cache, both verdict kinds. Bench/test
+/// support: a cold-compile measurement needs every lookup to miss, and
+/// the cache is otherwise append-only for the process lifetime.
 #[doc(hidden)]
 pub fn reset_proof_cache() {
     proof_cache()
@@ -1203,35 +1258,20 @@ fn netting_cover_proof(
             // to renaming (ki == kj above), so the canonical text of one
             // of them, with the table and catalog, determines the query.
             let canon = canon_condition(gi, &si.var)?;
-            let key = (digest, stmt_table(&si.statement).to_owned(), canon);
-            let cached = proof_cache()
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .get(&key)
-                .cloned();
-            let verdict = match cached {
-                Some(v) => {
-                    C_PROOF_HIT.incr();
-                    v
-                }
-                None => {
-                    C_PROOF_MISS.incr();
-                    let v = match solver.implies(
+            let key = ProofKey::Implication(digest, stmt_table(&si.statement).to_owned(), canon);
+            let Ok(verdict) = memoized(key, &C_PROOF_HIT, &C_PROOF_MISS, || {
+                Ok::<_, std::convert::Infallible>(
+                    match solver.implies(
                         stmt_table(&si.statement),
                         GuardRef::in_cursor(&si.var, Some(gi)),
                         GuardRef::in_cursor(&sj.var, Some(gj)),
                     ) {
-                        Implication::Implies(p) => CachedImplication::Implies(p.notes),
-                        _ => CachedImplication::Inconclusive,
-                    };
-                    proof_cache()
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .insert(key, v.clone());
-                    v
-                }
-            };
-            if let CachedImplication::Implies(notes) = verdict {
+                        Implication::Implies(p) => CachedProof::Implies(p.notes),
+                        _ => CachedProof::Inconclusive,
+                    },
+                )
+            });
+            if let CachedProof::Implies(notes) = verdict {
                 proof.notes.extend(notes);
             }
             Some(proof)
@@ -1439,6 +1479,14 @@ pub(crate) fn stage_node(idx: usize, stage: &Stage) -> obs::ProfileNode {
         Some(Err(why)) => n.add_note(format!("values: row by row — {why}")),
         None => {}
     }
+    match (&stage.not_improved, &stage.compiled) {
+        (Some(Ok(refusal)), CompiledStatement::CursorUpdate(cu)) => n.add_note(format!(
+            "improve: refused — {}",
+            refusal.describe(cu.catalog())
+        )),
+        (Some(Err(why)), _) => n.add_note(format!("improve: not attempted — {why}")),
+        _ => {}
+    }
     n
 }
 
@@ -1536,17 +1584,7 @@ type Lane<'p> = Option<std::result::Result<ShardedExecutor<'p>, String>>;
 pub(crate) fn refusal_note(catalog: &Catalog, certificate: &ShardCertificate) -> String {
     let columns: Vec<String> = certificate
         .undischarged()
-        .map(|p| {
-            catalog
-                .tables()
-                .find_map(|(table, info)| {
-                    info.columns
-                        .iter()
-                        .find(|&(_, &q)| q == p)
-                        .map(|(column, _)| format!("{table}.{column}"))
-                })
-                .unwrap_or_else(|| catalog.schema.prop_name(p).to_owned())
-        })
+        .map(|p| catalog.column_name(p))
         .collect();
     format!(
         "certificate not shard-safe (undischarged: {}) — ordered coordinator path",

@@ -1,0 +1,373 @@
+//! Seeded suite for the improve pass's memoized key-order verdicts.
+//!
+//! The improve pass (`sql::improve`) memoizes its Theorem 5.12 verdict
+//! in the planner's process-wide proof cache. Every unguarded cursor
+//! update this suite collects — seeded draws from the `plan_differential`
+//! statement pool, the SQL fixtures under `examples/fixtures`, the
+//! Section 7 scenarios, and the cursor updates the `lint` and `sql`
+//! tests compile — is checked against a fresh, uncached
+//! [`decide_key_order_independence`]: on a cold cache the first call
+//! misses, the second hits, and both return the fresh decision's verdict
+//! and offending property.
+//!
+//! The cache and its counters are process-wide, so the tests of this
+//! binary take one lock and run one at a time.
+//!
+//! Replay one seed with
+//! `RECEIVERS_DIFF_SEED=<seed> cargo test --test improve_memo`.
+
+use std::path::Path;
+use std::sync::{Mutex, MutexGuard};
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+use receivers::core::decide_key_order_independence;
+use receivers::core::error::CoreError;
+use receivers::objectbase::PropId;
+use receivers::obs;
+use receivers::sql::catalog::employee_catalog;
+use receivers::sql::improve::ImproveRefusal;
+use receivers::sql::plan::{proof_cache_len, reset_proof_cache};
+use receivers::sql::scenarios::{CURSOR_UPDATE_B, CURSOR_UPDATE_C};
+use receivers::sql::{
+    compile, compile_program, improve_cursor_update, parse, parse_program, Catalog,
+    CompiledStatement, CursorBody, CursorUpdate, SqlStatement,
+};
+
+mod common;
+use common::random_statement;
+
+/// Seeds drawn from the statement pool, each for `DRAWS` statements.
+const SEEDS: u64 = 64;
+const DRAWS: usize = 8;
+const SWEEP_BASE: u64 = 0x1A9E_0000;
+
+/// Cursor updates compiled by the `lint` and `sql` tests beyond the
+/// scenarios: a qualified cursor variable, a write of `Manager`, and a
+/// subquery that ignores the row. (A subquery with a negative atom has
+/// no algebraic form to decide, so it never reaches the pass.)
+const EXTRA: &[&str] = &[
+    "for each t in Employee do update t set Salary = \
+     (select New from NewSal where Old = t.Salary)",
+    "for each t in Employee do update t set Manager = \
+     (select E1.EmpId from Employee E1 where E1.Manager = E1.EmpId)",
+    "for each t in Employee do update t set Salary = (select Amount from Fire)",
+];
+
+/// A cursor update over a catalog that has nothing to do with Section 7.
+const LIBRARY_UPDATE: &str =
+    "for each b in Book do update b set Topic = (select Topic from Banned)";
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    obs::set_enabled(obs::trace_enabled(), true);
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// `(hits, misses)` of the improve pass's cache lookups so far.
+fn lookups() -> (u64, u64) {
+    let snap = obs::metrics_snapshot();
+    (
+        snap.counter("sql.improve.cache.hit").unwrap_or(0),
+        snap.counter("sql.improve.cache.miss").unwrap_or(0),
+    )
+}
+
+fn is_unguarded_cursor_update(stmt: &SqlStatement) -> bool {
+    matches!(
+        stmt,
+        SqlStatement::ForEach {
+            body: CursorBody::UpdateSet {
+                condition: None,
+                ..
+            },
+            ..
+        }
+    )
+}
+
+fn cursor_update(stmt: &SqlStatement, catalog: &Catalog, label: &str) -> CursorUpdate {
+    match compile(stmt, catalog) {
+        Ok(CompiledStatement::CursorUpdate(cu)) => cu,
+        Ok(_) => panic!("{label}: not a cursor update"),
+        Err(e) => panic!("{label}: does not compile: {e}"),
+    }
+}
+
+fn library_catalog(extra: &str) -> Catalog {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/fixtures/library.cat");
+    let text = std::fs::read_to_string(path).expect("library catalog");
+    Catalog::parse(&format!("{text}\n{extra}")).expect("library catalog parses")
+}
+
+/// One unguarded cursor update of the suite.
+struct Case {
+    /// Where it comes from: `pool`, `fixture`, `scenario` or `library`.
+    source: &'static str,
+    /// The source, seed or file, and the statement, for messages.
+    label: String,
+    catalog: Catalog,
+    stmt: SqlStatement,
+}
+
+/// Every unguarded cursor update of the suite.
+fn corpus() -> Vec<Case> {
+    let (_, employees) = employee_catalog();
+    let mut out = Vec::new();
+
+    let seeds: Vec<u64> = match std::env::var("RECEIVERS_DIFF_SEED") {
+        Ok(s) => vec![s.parse().expect("RECEIVERS_DIFF_SEED is a decimal u64")],
+        Err(_) => (0..SEEDS).map(|k| SWEEP_BASE + k).collect(),
+    };
+    for seed in seeds {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..DRAWS {
+            let text = random_statement(&mut rng);
+            let stmt = parse(&text).unwrap_or_else(|e| panic!("pool statement {text}: {e}"));
+            if is_unguarded_cursor_update(&stmt) {
+                out.push(Case {
+                    source: "pool",
+                    label: format!("pool seed {seed}: {text}"),
+                    catalog: employees.clone(),
+                    stmt,
+                });
+            }
+        }
+    }
+
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/fixtures");
+    let mut files: Vec<_> = std::fs::read_dir(&fixtures)
+        .expect("fixtures directory")
+        .map(|e| e.expect("fixture entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "sql"))
+        .collect();
+    files.sort();
+    for file in files {
+        let catalog = match std::fs::read_to_string(file.with_extension("cat")) {
+            Ok(text) => Catalog::parse(&text).expect("fixture catalog parses"),
+            Err(_) => employees.clone(),
+        };
+        let text = std::fs::read_to_string(&file).expect("fixture");
+        let Ok(program) = parse_program(&text) else {
+            continue; // the lint reports the syntax error
+        };
+        for s in program {
+            if is_unguarded_cursor_update(&s.stmt) {
+                out.push(Case {
+                    source: "fixture",
+                    label: format!("fixture {}: {}", file.display(), s.stmt),
+                    catalog: catalog.clone(),
+                    stmt: s.stmt,
+                });
+            }
+        }
+    }
+
+    for text in [CURSOR_UPDATE_B, CURSOR_UPDATE_C].iter().chain(EXTRA) {
+        out.push(Case {
+            source: "scenario",
+            label: format!("scenario: {text}"),
+            catalog: employees.clone(),
+            stmt: parse(text).expect("scenario parses"),
+        });
+    }
+    out.push(Case {
+        source: "library",
+        label: format!("library: {LIBRARY_UPDATE}"),
+        catalog: library_catalog(""),
+        stmt: parse(LIBRARY_UPDATE).expect("library update parses"),
+    });
+    out
+}
+
+/// A verdict, from the improve pass or a fresh decision.
+#[derive(Debug, PartialEq)]
+enum Verdict {
+    Independent,
+    /// Order dependent, with the offending property.
+    Dependent(Option<PropId>),
+    NotPositive,
+}
+
+fn improve_verdict(cu: &CursorUpdate, label: &str) -> Verdict {
+    match improve_cursor_update(cu).unwrap_or_else(|e| panic!("{label}: improve errored: {e}")) {
+        Ok(_) => Verdict::Independent,
+        Err(ImproveRefusal::OrderDependent { property }) => Verdict::Dependent(property),
+        Err(ImproveRefusal::NotPositive) => Verdict::NotPositive,
+    }
+}
+
+/// On a cold cache, the first improve call misses and the second hits,
+/// and both equal a fresh Theorem 5.12 decision.
+#[test]
+fn memoized_verdicts_match_fresh_decisions() {
+    let _serial = serial();
+    let (mut independent, mut dependent) = (0, 0);
+    let mut sources = std::collections::BTreeSet::new();
+    for Case {
+        source,
+        label,
+        catalog,
+        stmt,
+    } in &corpus()
+    {
+        sources.insert(*source);
+        let cu = cursor_update(stmt, catalog, label);
+        let method = cu
+            .to_algebraic()
+            .unwrap_or_else(|e| panic!("{label}: no algebraic form: {e}"));
+        let fresh = match decide_key_order_independence(&method) {
+            Ok(d) if d.independent => Verdict::Independent,
+            Ok(d) => Verdict::Dependent(d.offending_property),
+            Err(CoreError::NotPositive) => Verdict::NotPositive,
+            Err(e) => panic!("{label}: the decision errored: {e}"),
+        };
+        match fresh {
+            Verdict::Independent => independent += 1,
+            Verdict::Dependent(_) => dependent += 1,
+            Verdict::NotPositive => {}
+        }
+
+        reset_proof_cache();
+        let before = lookups();
+        let first = improve_verdict(&cu, label);
+        let after_first = lookups();
+        let second = improve_verdict(&cu, label);
+        let after_second = lookups();
+        assert_eq!(
+            first, fresh,
+            "{label}: cold verdict differs from Theorem 5.12"
+        );
+        assert_eq!(
+            second, fresh,
+            "{label}: cached verdict differs from Theorem 5.12"
+        );
+
+        let delta = |a: (u64, u64), b: (u64, u64)| (b.0 - a.0, b.1 - a.1);
+        if fresh != Verdict::NotPositive {
+            assert_eq!(
+                delta(before, after_first),
+                (0, 1),
+                "{label}: first call must miss"
+            );
+            assert_eq!(
+                delta(after_first, after_second),
+                (1, 0),
+                "{label}: second call must hit"
+            );
+            assert_eq!(proof_cache_len(), 1, "{label}: one verdict stored");
+        } else {
+            // Positivity is syntactic and decided before the cache.
+            assert_eq!(delta(before, after_second), (0, 0), "{label}: no lookup");
+            assert_eq!(proof_cache_len(), 0, "{label}: nothing stored");
+        }
+    }
+    // Non-vacuity: both verdicts, from every source.
+    assert!(independent > 0 && dependent > 0);
+    for source in ["pool", "fixture", "scenario", "library"] {
+        assert!(sources.contains(source), "no statement from {source}");
+    }
+}
+
+/// Statements that lower to the same method share one entry, across
+/// sources and spellings: after a cold pass over the whole corpus the
+/// cache holds one verdict per distinct method, and every other call hit.
+#[test]
+fn equal_methods_share_one_entry() {
+    let _serial = serial();
+    let mut keys = Vec::new();
+    let mut positive = 0u64;
+    reset_proof_cache();
+    let before = lookups();
+    for Case {
+        label,
+        catalog,
+        stmt,
+        ..
+    } in corpus()
+    {
+        let cu = cursor_update(&stmt, &catalog, &label);
+        let method = cu.to_algebraic().expect("algebraic form");
+        if method.is_positive() {
+            positive += 1;
+            let key = (
+                method.schema().clone(),
+                method.signature_ref().clone(),
+                method.statements().to_vec(),
+            );
+            if !keys.contains(&key) {
+                keys.push(key);
+            }
+        }
+        improve_verdict(&cu, &label);
+    }
+    let after = lookups();
+    let distinct = keys.len() as u64;
+    assert_eq!(proof_cache_len() as u64, distinct);
+    assert_eq!(after.1 - before.1, distinct, "one miss per distinct method");
+    assert_eq!(after.0 - before.0, positive - distinct, "every repeat hits");
+    assert!(positive > distinct, "the corpus must repeat a method");
+}
+
+/// Two schemas never share an entry: the same cursor update over two
+/// catalogs whose schemas differ only by an unused class lowers to equal
+/// signatures and statements, and still gets two verdicts.
+#[test]
+fn different_schemas_never_share_an_entry() {
+    let _serial = serial();
+    let plain = library_catalog("");
+    let wider = library_catalog("class Shelf");
+    let stmt = parse(LIBRARY_UPDATE).unwrap();
+    let (a, b) = (
+        cursor_update(&stmt, &plain, "plain"),
+        cursor_update(&stmt, &wider, "wider"),
+    );
+    let (ma, mb) = (a.to_algebraic().unwrap(), b.to_algebraic().unwrap());
+    assert_eq!(ma.signature_ref(), mb.signature_ref());
+    assert_eq!(ma.statements(), mb.statements());
+    assert_ne!(ma.schema(), mb.schema());
+
+    reset_proof_cache();
+    let before = lookups();
+    let va = improve_verdict(&a, "plain");
+    let vb = improve_verdict(&b, "wider");
+    let after = lookups();
+    assert_eq!(
+        (after.0 - before.0, after.1 - before.1),
+        (0, 2),
+        "both miss"
+    );
+    assert_eq!(proof_cache_len(), 2);
+    assert_eq!(va, vb, "the unused class changes no verdict");
+}
+
+/// `reset_proof_cache` empties the cache of both verdict kinds: the
+/// next call misses again.
+#[test]
+fn reset_empties_the_cache() {
+    let _serial = serial();
+    let (_, catalog) = employee_catalog();
+    let cu = cursor_update(&parse(CURSOR_UPDATE_B).unwrap(), &catalog, "(B)");
+    reset_proof_cache();
+    improve_verdict(&cu, "(B)");
+    // Two stores under one guard: the netting pass memoizes the guard
+    // implication in the same cache.
+    let guarded = [
+        "update Employee set Manager = (select E1.Manager from Employee E1 \
+         where E1.EmpId = EmpId) where Salary in table Fire",
+        "update Employee set Manager = (select E1.EmpId from Employee E1 \
+         where E1.EmpId = EmpId) where Salary in table Fire",
+    ]
+    .map(|t| parse(t).unwrap());
+    let plan = compile_program(&guarded, &catalog).unwrap();
+    assert!(plan.stages()[0].netted(), "the guarded store must net");
+    assert_eq!(proof_cache_len(), 2, "one verdict of each kind");
+    reset_proof_cache();
+    assert_eq!(proof_cache_len(), 0);
+    let before = lookups();
+    improve_verdict(&cu, "(B)");
+    let after = lookups();
+    assert_eq!((after.0 - before.0, after.1 - before.1), (0, 1));
+}
