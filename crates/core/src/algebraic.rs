@@ -295,26 +295,26 @@ pub fn apply_delete_batch(
 /// Replace each assigned row's `prop` edges by its precomputed values,
 /// in one observed transaction committed into `log` — the phase-2 body
 /// of a set-oriented update. Rows absent from `assignments` keep their
-/// old edges.
+/// old edges. A row's values may be owned or borrowed (`V` is `Vec<Oid>`
+/// or a shared `&[Oid]`).
 ///
-/// Each row is one [`InstanceTxn::replace_successors`]: one index write
-/// per row, one node probe per distinct endpoint, and only the effective
-/// edits logged. A value that is not a typed object of the instance fails
-/// the batch with nothing applied: the transaction rolls back, so
-/// instance, observer and `log` are as passed in.
-pub fn try_apply_assignment_batch(
+/// The batch is one [`InstanceTxn::replace_rows`]: one index write for
+/// all rows, one check per distinct endpoint, and only the effective
+/// edits logged, row by row. Rows in any order are written in ascending
+/// source order. A value that is not a typed object of the instance, or
+/// a row assigned twice, fails the batch with nothing applied: instance,
+/// observer and `log` are as passed in.
+pub fn try_apply_assignment_batch<V: AsRef<[Oid]>>(
     instance: &mut Instance,
     observer: &mut dyn DeltaObserver,
     prop: PropId,
-    assignments: &[(Oid, Vec<Oid>)],
+    assignments: &[(Oid, V)],
     log: &mut Vec<DeltaOp>,
 ) -> Result<()> {
     let _span = obs::span("core.batch.assign");
     C_BATCH_ROWS.add(assignments.len() as u64);
     let mut txn = InstanceTxn::begin_observed(instance, observer);
-    for (tuple, values) in assignments {
-        txn.replace_successors(*tuple, prop, values)?;
-    }
+    txn.replace_rows(prop, assignments)?;
     txn.commit_into(log);
     Ok(())
 }
@@ -325,11 +325,11 @@ pub fn try_apply_assignment_batch(
 /// # Panics
 ///
 /// When the batch fails (after rolling it back).
-pub fn apply_assignment_batch(
+pub fn apply_assignment_batch<V: AsRef<[Oid]>>(
     instance: &mut Instance,
     observer: &mut dyn DeltaObserver,
     prop: PropId,
-    assignments: &[(Oid, Vec<Oid>)],
+    assignments: &[(Oid, V)],
 ) {
     if let Err(e) =
         try_apply_assignment_batch(instance, observer, prop, assignments, &mut Vec::new())
@@ -341,13 +341,12 @@ pub fn apply_assignment_batch(
 /// The replacement discipline of [`crate::apply_par`] (Definition 6.2) as
 /// one observed transaction committed into `log`: every receiving
 /// object's `prop` row becomes the values its `(receiver, value)` pairs
-/// give it, in one [`InstanceTxn::replace_successors`] per receiver — a
-/// receiver without pairs gets the empty list, so it loses the property.
+/// give it, all rows in one [`InstanceTxn::replace_rows`] — a receiver
+/// without pairs gets the empty list, so it loses the property.
 ///
-/// Fails with nothing applied or logged (the transaction rolls back) when
-/// a pair's receiver is not in `receiving`
-/// ([`CoreError::PairOutsideReceivers`]) or a value is not a typed
-/// object of the instance.
+/// Fails with nothing applied or logged when a pair's receiver is not in
+/// `receiving` ([`CoreError::PairOutsideReceivers`], found before any
+/// value is checked) or a value is not a typed object of the instance.
 pub fn try_apply_replacement_batch(
     instance: &mut Instance,
     observer: &mut dyn DeltaObserver,
@@ -366,21 +365,23 @@ pub fn try_apply_replacement_batch(
         sorted.sort_unstable();
         &sorted[..]
     };
-    let mut txn = InstanceTxn::begin_observed(instance, observer);
-    let mut values = Vec::new();
+    let values: Vec<Oid> = rest.iter().map(|&(_, v)| v).collect();
+    let mut rows: Vec<(Oid, &[Oid])> = Vec::with_capacity(receiving.len());
+    let mut at = 0;
     for &o0 in receiving {
         if let Some(&(stray, _)) = rest.first().filter(|&&(o, _)| o < o0) {
             return Err(CoreError::PairOutsideReceivers(stray));
         }
         let n = rest.partition_point(|&(o, _)| o == o0);
-        values.clear();
-        values.extend(rest[..n].iter().map(|&(_, v)| v));
+        rows.push((o0, &values[at..at + n]));
         rest = &rest[n..];
-        txn.replace_successors(o0, prop, &values)?;
+        at += n;
     }
     if let Some(&(stray, _)) = rest.first() {
         return Err(CoreError::PairOutsideReceivers(stray));
     }
+    let mut txn = InstanceTxn::begin_observed(instance, observer);
+    txn.replace_rows(prop, &rows)?;
     txn.commit_into(log);
     Ok(())
 }
@@ -453,7 +454,7 @@ impl UpdateMethod for AlgebraicMethod {
 mod tests {
     use super::*;
     use receivers_objectbase::examples::{beer_schema, figure2, figure3, figure4};
-    use receivers_objectbase::Edge;
+    use receivers_objectbase::{Edge, ObjectBaseError};
     use std::sync::Arc;
 
     fn add_bar_method() -> (receivers_objectbase::examples::BeerSchema, AlgebraicMethod) {
@@ -683,6 +684,49 @@ mod tests {
             assert_eq!(log, logged);
             assert!(view.matches_rebuild(&i));
         }
+    }
+
+    /// Rows in any order are written, and logged, in ascending source
+    /// order; a row assigned twice fails the batch before anything is
+    /// written.
+    #[test]
+    fn assignment_batch_sorts_rows_and_refuses_a_repeated_row() {
+        let (s, o, d2, mut i, mut view, mut log) = logged_figure2();
+        let (before, logged) = (i.clone(), log.clone());
+        let rows = [(d2, vec![o.bar1]), (o.d1, vec![o.bar1, o.bar1, o.bar2])];
+        let err = try_apply_assignment_batch(
+            &mut i,
+            &mut view,
+            s.frequents,
+            &[rows[0].clone(), rows[1].clone(), (d2, vec![o.bar2])],
+            &mut log,
+        )
+        .expect_err("repeated row");
+        assert!(
+            matches!(
+                err,
+                CoreError::ObjectBase(ObjectBaseError::DuplicateRow { .. })
+            ),
+            "{err}"
+        );
+        assert_eq!(i, before);
+        assert_eq!(log, logged);
+        assert!(view.matches_rebuild(&i));
+
+        let mut log = Vec::new();
+        try_apply_assignment_batch(&mut i, &mut view, s.frequents, &rows, &mut log).unwrap();
+        let edge = |src, dst| Edge::new(src, s.frequents, dst);
+        assert_eq!(
+            log,
+            vec![
+                DeltaOp::RemovedEdge(edge(o.d1, o.bar3)),
+                DeltaOp::AddedEdge(edge(o.d1, o.bar1)),
+                DeltaOp::AddedEdge(edge(o.d1, o.bar2)),
+                DeltaOp::RemovedEdge(edge(d2, o.bar3)),
+                DeltaOp::AddedEdge(edge(d2, o.bar1)),
+            ]
+        );
+        assert!(view.matches_rebuild(&i));
     }
 
     /// A replacement pair whose receiver is outside the receiving set —

@@ -19,13 +19,16 @@
 //! ([`InstanceTxn::commit_into`]) so that a *multi-receiver* application
 //! can be rolled back wholesale with [`undo_ops`].
 //!
-//! Edits come one item at a time, or one row at a time:
-//! [`InstanceTxn::replace_successors`] replaces all `prop`-edges of one
-//! object, checks each distinct endpoint once, and logs only the
-//! effective edits — the removed edges, then the added ones, each
-//! ascending — so an edge the row keeps costs no op, no observer call and
-//! no WAL bytes. This is the write path of the set-oriented batch
-//! appliers.
+//! Edits come one item at a time, or a row at a time:
+//! [`InstanceTxn::replace_rows`] replaces all `prop`-edges of a batch of
+//! objects in one index write, checks each distinct endpoint once per
+//! batch, and logs only the effective edits — per row, the removed edges,
+//! then the added ones, each ascending — so an edge a row keeps costs no
+//! op, no observer call and no WAL bytes. This is the write path of the
+//! set-oriented batch appliers; [`InstanceTxn::replace_successors`] is
+//! its one-row case, the write path of cursor loops.
+
+use std::borrow::Cow;
 
 use crate::error::{ObjectBaseError, Result};
 use crate::instance::Instance;
@@ -162,40 +165,62 @@ impl<'a> InstanceTxn<'a> {
     }
 
     /// Replace the `prop`-successors of `src` by `values` (any order;
-    /// duplicates collapse) — the whole-row write of a set-oriented update.
-    ///
-    /// Typing and node presence are checked once per distinct endpoint,
-    /// before the row is touched, and only when `values` is non-empty (an
-    /// empty list only removes). The row is then replaced in one index
-    /// operation, and only the effective edits are logged and observed:
-    /// first the removed edges `old∖new`, then the added ones `new∖old`,
-    /// each ascending. Retained edges produce no op. Returns the number of
-    /// logged edits.
+    /// duplicates collapse) — the one-row case of
+    /// [`InstanceTxn::replace_rows`]. Returns the number of logged edits.
     pub fn replace_successors(&mut self, src: Oid, prop: PropId, values: &[Oid]) -> Result<usize> {
-        let mut sorted;
-        let new = if values.windows(2).all(|w| w[0] < w[1]) {
-            values
-        } else {
-            sorted = values.to_vec();
-            sorted.sort_unstable();
-            sorted.dedup();
-            &sorted
-        };
-        check_row(self.instance, src, prop, new)?;
-        let (removed, added) = self
+        self.replace_rows(prop, &[(src, values)])
+    }
+
+    /// Replace the `prop`-successors of each row's source by the row's
+    /// values (any order; duplicates collapse) — the whole-batch write of
+    /// a set-oriented update. Rows may come in any order; each source may
+    /// appear once.
+    ///
+    /// Before anything is written, every distinct endpoint of the batch
+    /// is checked once for presence and typing (a row with no values only
+    /// removes, so its source is not checked), and a repeated source is
+    /// refused. A failing check returns the error [`Instance::add_edge`]
+    /// gives for the first failing edge in batch order. The rows are then
+    /// written in one [`EdgeIndex::replace_rows`](crate::EdgeIndex::replace_rows),
+    /// and only the effective edits are logged and observed, row by row
+    /// in ascending source order: first the removed edges `old∖new`, then
+    /// the added ones `new∖old`, each ascending. Retained edges produce
+    /// no op. Returns the number of logged edits.
+    pub fn replace_rows<V: AsRef<[Oid]>>(
+        &mut self,
+        prop: PropId,
+        rows: &[(Oid, V)],
+    ) -> Result<usize> {
+        let mut rows: Vec<(Oid, Cow<'_, [Oid]>)> = rows
+            .iter()
+            .map(|(src, values)| (*src, sorted_set(values.as_ref())))
+            .collect();
+        check_rows(self.instance, prop, &rows)?;
+        if !rows.is_sorted_by_key(|&(src, _)| src) {
+            rows.sort_by_key(|&(src, _)| src);
+        }
+        if let Some(w) = rows.windows(2).find(|w| w[0].0 == w[1].0) {
+            return Err(ObjectBaseError::DuplicateRow {
+                property: self.instance.schema().prop_name(prop).to_owned(),
+                row: w[0].0.to_string(),
+            });
+        }
+        let diffs = self
             .instance
             .partial_mut()
             .edge_index_mut()
-            .replace_row(src, prop, new);
-        let n = removed.len() + added.len();
-        if n > 0 {
+            .replace_rows(prop, &rows);
+        for (src, removed, added) in diffs.iter() {
+            if removed.is_empty() && added.is_empty() {
+                continue;
+            }
             self.log
-                .extend(DeltaOp::row_replacement(src, prop, &removed, &added));
+                .extend(DeltaOp::row_replacement(src, prop, removed, added));
             if let Some(obs) = self.observer.as_deref_mut() {
-                obs.row_replaced(src, prop, &removed, &added);
+                obs.row_replaced(src, prop, removed, added);
             }
         }
-        Ok(n)
+        Ok(diffs.edit_count())
     }
 
     /// Remove an edge. Returns `true` when it was present.
@@ -271,10 +296,61 @@ impl Drop for InstanceTxn<'_> {
     }
 }
 
+/// `values` strictly ascending: borrowed when it already is, otherwise
+/// sorted and deduplicated.
+fn sorted_set(values: &[Oid]) -> Cow<'_, [Oid]> {
+    if values.windows(2).all(|w| w[0] < w[1]) {
+        Cow::Borrowed(values)
+    } else {
+        let mut sorted = values.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        Cow::Owned(sorted)
+    }
+}
+
+/// Check that every edge `(src, prop, v)` of every row, `v` in the row's
+/// list, could be added to `instance`: both endpoints are nodes and the
+/// edge is typed. Each source is checked once, and each distinct value
+/// once per batch (a row whose list equals the previous row's adds no
+/// value to check). When something fails, the rows are rescanned in
+/// order with [`check_row`], so the error is the one of
+/// [`Instance::add_edge`] for the first failing edge in batch order.
+fn check_rows(instance: &Instance, prop: PropId, rows: &[(Oid, Cow<'_, [Oid]>)]) -> Result<()> {
+    let typing = instance.schema().property(prop);
+    let present = |o: Oid, class: ClassId| o.class == class && instance.contains_node(o);
+    let mut values: Vec<Oid> = Vec::new();
+    let mut prev: Option<&[Oid]> = None;
+    let mut sound = true;
+    for (src, new) in rows {
+        if new.is_empty() {
+            continue;
+        }
+        if !present(*src, typing.src) {
+            sound = false;
+            break;
+        }
+        if prev != Some(&new[..]) {
+            values.extend_from_slice(new);
+            prev = Some(new);
+        }
+    }
+    if sound {
+        values.sort_unstable();
+        values.dedup();
+        sound = values.iter().all(|&v| present(v, typing.dst));
+    }
+    if sound {
+        return Ok(());
+    }
+    rows.iter()
+        .try_for_each(|(src, new)| check_row(instance, *src, prop, new))
+}
+
 /// Check that every edge `(src, prop, v)`, `v` in `new`, could be added
-/// to `instance`: both endpoints are nodes and the edge is typed. One node
-/// probe per distinct endpoint; the errors are those of
-/// [`Instance::add_edge`] for the first failing edge in `new`'s order.
+/// to `instance`: both endpoints are nodes and the edge is typed. The
+/// errors are those of [`Instance::add_edge`] for the first failing edge
+/// in `new`'s order.
 fn check_row(instance: &Instance, src: Oid, prop: PropId, new: &[Oid]) -> Result<()> {
     let dangling = || ObjectBaseError::DanglingEdge {
         property: instance.schema().prop_name(prop).to_owned(),

@@ -27,6 +27,13 @@ pub enum ObjectBaseError {
         /// The offending property name.
         property: String,
     },
+    /// A batch of whole-row replacements named the same source twice.
+    DuplicateRow {
+        /// The replaced property name.
+        property: String,
+        /// The repeated source object.
+        row: String,
+    },
     /// A receiver whose component types do not match the method signature.
     SignatureMismatch {
         /// Position in the receiver tuple (0 = receiving object).
@@ -59,6 +66,12 @@ impl fmt::Display for ObjectBaseError {
             }
             Self::DanglingEdge { property } => {
                 write!(f, "dangling edge on property `{property}`")
+            }
+            Self::DuplicateRow { property, row } => {
+                write!(
+                    f,
+                    "row `{row}` of property `{property}` replaced twice in one batch"
+                )
             }
             Self::SignatureMismatch {
                 position,

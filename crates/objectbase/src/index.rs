@@ -36,7 +36,7 @@
 //! | operation                    | cost                        |
 //! |------------------------------|-----------------------------|
 //! | `insert` / `remove`          | `O(log K + min(d, B))` (×2) |
-//! | `replace_row` (`n` new)      | `O(log K + d + n)`, plus a reverse edit per changed edge |
+//! | `replace_rows` (per row: `n` new) | `O(log K + d + n)` forward; one sort of the changed edges, one map operation per touched reverse row |
 //! | `from_sorted_pairs`          | `O(E log E)`: one stable sort per block |
 //! | `contains`                   | `O(log K + log d)`          |
 //! | `successors(o, p)`           | `O(log K + d)`              |
@@ -48,13 +48,17 @@
 //!
 //! ## Bulk writes
 //!
-//! Two primitives write a set at a time. [`EdgeIndex::replace_row`]
-//! replaces a whole `(src, prop)` row by a sorted list: one merge against
-//! the old list, one forward-map operation, reverse-view edits for the
-//! changed edges only, and one count update; it reports the effective
+//! Two primitives write a set at a time. [`EdgeIndex::replace_rows`]
+//! replaces whole `(src, prop)` rows of one property, each by a sorted
+//! list: one merge against each old list and one forward-map operation
+//! per row, then the batch's reverse edits sorted by `(dst, src)` so each
+//! touched reverse row is written once — merged when its run is large
+//! next to it, edge by edge when small, so a hub row never pays `O(d)` for
+//! a few edits — and one count update. It reports each row's effective
 //! diff (`old∖new`, `new∖old`), which is what
-//! [`InstanceTxn::replace_successors`](crate::InstanceTxn::replace_successors)
-//! logs. [`EdgeIndex::from_sorted_pairs`] builds both views from
+//! [`InstanceTxn::replace_rows`](crate::InstanceTxn::replace_rows) logs;
+//! [`EdgeIndex::replace_row`] is its one-row case.
+//! [`EdgeIndex::from_sorted_pairs`] builds both views from
 //! per-property sorted `(src, dst)` blocks with no per-edge probe;
 //! [`EdgeIndex::from_edges`] and `FromIterator` sort, deduplicate and
 //! call it, and snapshot recovery feeds it the decoded blocks.
@@ -76,6 +80,46 @@ use crate::schema::PropId;
 /// Largest adjacency list kept as a sorted vector (128 oids = 1 KiB);
 /// longer lists are B-trees.
 pub const ADJ_BOUND: usize = 128;
+
+/// A reverse row takes its run of [`EdgeIndex::replace_rows`] edits by
+/// one merge into a rebuilt list when the run has at least
+/// [`MERGE_MIN_RUN`] edits and at least `1 / MERGE_SHARE` of the row's
+/// length; otherwise edge by edge, in place.
+const MERGE_SHARE: usize = 16;
+
+/// See [`MERGE_SHARE`]: a shorter run never pays for a rebuilt list.
+const MERGE_MIN_RUN: usize = 8;
+
+/// One reverse-view edit of a batch: `(dst, src, added)`.
+type RevEdit = (Oid, Oid, bool);
+
+/// The per-row effective diffs of [`EdgeIndex::replace_rows`], in the
+/// rows' order, held in two flat buffers.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct RowDiffs {
+    removed: Vec<Oid>,
+    added: Vec<Oid>,
+    /// Per row: its source and the ends of its runs in `removed` and
+    /// `added`.
+    rows: Vec<(Oid, usize, usize)>,
+}
+
+impl RowDiffs {
+    /// Each row's `(src, old∖new, new∖old)`, both ascending.
+    pub fn iter(&self) -> impl Iterator<Item = (Oid, &[Oid], &[Oid])> + '_ {
+        let mut from = (0, 0);
+        self.rows.iter().map(move |&(src, r, a)| {
+            let row = (src, &self.removed[from.0..r], &self.added[from.1..a]);
+            from = (r, a);
+            row
+        })
+    }
+
+    /// The number of edits over every row.
+    pub fn edit_count(&self) -> usize {
+        self.removed.len() + self.added.len()
+    }
+}
 
 /// One adjacency list: the strictly ascending neighbours of a
 /// `(node, prop)` key. Never empty while stored in a view.
@@ -423,22 +467,77 @@ impl EdgeIndex {
 
     /// Replace the whole row `(src, prop)` by `new` (strictly ascending;
     /// empty clears the row) and return the effective diff `(old∖new,
-    /// new∖old)`, both ascending. The old list is merged against `new`
-    /// once, and the row costs one forward-map operation. The reverse view
-    /// is touched only for the changed edges, and the counts are updated
-    /// once.
+    /// new∖old)`, both ascending: the one-row case of
+    /// [`EdgeIndex::replace_rows`].
     ///
     /// # Panics
     ///
     /// When `new` is not strictly ascending.
     pub fn replace_row(&mut self, src: Oid, prop: PropId, new: &[Oid]) -> (Vec<Oid>, Vec<Oid>) {
+        let diffs = self.replace_rows(prop, &[(src, new)]);
+        (diffs.removed, diffs.added)
+    }
+
+    /// Replace the `prop`-rows of several sources at once: row `(src,
+    /// new)` makes the successors of `src` exactly `new` (strictly
+    /// ascending; empty clears the row). Returns each row's effective
+    /// diff, in input order.
+    ///
+    /// Each forward row is merged against its old list once and costs one
+    /// forward-map operation. The reverse edits of the whole batch are
+    /// then sorted by `(dst, src)` and each touched reverse row is edited
+    /// once: a run of at least 8 edits and 1/16 of the row is merged into
+    /// a rebuilt list, a smaller one is applied edge by edge in place, so
+    /// a hub row gaining a few sources costs `O(k log d)`, not `O(d)`. The
+    /// counts are updated once.
+    ///
+    /// # Panics
+    ///
+    /// When the sources are not strictly ascending or a row is not.
+    pub fn replace_rows<V: AsRef<[Oid]>>(&mut self, prop: PropId, rows: &[(Oid, V)]) -> RowDiffs {
         assert!(
-            new.windows(2).all(|w| w[0] < w[1]),
-            "replacement row is not strictly ascending"
+            rows.windows(2).all(|w| w[0].0 < w[1].0),
+            "replacement rows' sources are not strictly ascending"
         );
-        let (mut removed, mut added) = (Vec::new(), Vec::new());
+        let mut diffs = RowDiffs::default();
+        for (src, new) in rows {
+            let new = new.as_ref();
+            assert!(
+                new.windows(2).all(|w| w[0] < w[1]),
+                "replacement row is not strictly ascending"
+            );
+            self.merge_forward(*src, prop, new, &mut diffs);
+        }
+        let (n_removed, n_added) = (diffs.removed.len(), diffs.added.len());
+        if n_removed + n_added == 0 {
+            return diffs;
+        }
+        let mut edits: Vec<RevEdit> = Vec::with_capacity(n_removed + n_added);
+        for (src, removed, added) in diffs.iter() {
+            edits.extend(removed.iter().map(|&dst| (dst, src, false)));
+            edits.extend(added.iter().map(|&dst| (dst, src, true)));
+        }
+        edits.sort_unstable_by_key(|&(dst, src, _)| (dst, src));
+        for run in edits.chunk_by(|x, y| x.0 == y.0) {
+            Self::edit_reverse_row(&mut self.rev, (run[0].0, prop), run);
+        }
+        let p = prop.0 as usize;
+        if p >= self.prop_len.len() {
+            self.prop_len.resize(p + 1, 0);
+        }
+        self.prop_len[p] = self.prop_len[p] + n_added - n_removed;
+        self.len = self.len + n_added - n_removed;
+        diffs
+    }
+
+    /// The forward half of one row of [`EdgeIndex::replace_rows`]: merge
+    /// the old list of `(src, prop)` against `new` once, write the row in
+    /// one map operation, and append the row's diff to `diffs`.
+    fn merge_forward(&mut self, src: Oid, prop: PropId, new: &[Oid], diffs: &mut RowDiffs) {
+        let (from_removed, from_added) = (diffs.removed.len(), diffs.added.len());
+        let (removed, added) = (&mut diffs.removed, &mut diffs.added);
         match self.fwd.entry((src, prop)) {
-            Entry::Vacant(_) if new.is_empty() => return (removed, added),
+            Entry::Vacant(_) if new.is_empty() => {}
             Entry::Vacant(slot) => {
                 added.extend_from_slice(new);
                 slot.insert(Adj::from_sorted(new.iter().copied()));
@@ -454,28 +553,71 @@ impl EdgeIndex {
                     }
                 }
                 added.extend(new_it);
+                let (removed, added) = (&removed[from_removed..], &added[from_added..]);
                 if new.is_empty() {
                     row.remove();
                 } else if !(removed.is_empty() && added.is_empty()) {
-                    row.get_mut().assign(new, &removed, &added);
+                    row.get_mut().assign(new, removed, added);
                 }
             }
         }
-        for &dst in &removed {
-            let present = Self::unlink(&mut self.rev, (dst, prop), &src);
-            debug_assert!(present, "index views out of sync");
+        diffs
+            .rows
+            .push((src, diffs.removed.len(), diffs.added.len()));
+    }
+
+    /// Apply one reverse row's run of edits (sorted by source, each
+    /// effective) in one map operation: merged into a rebuilt list when
+    /// the run is large next to the row, edge by edge otherwise.
+    fn edit_reverse_row(
+        view: &mut BTreeMap<(Oid, PropId), Adj>,
+        key: (Oid, PropId),
+        run: &[RevEdit],
+    ) {
+        match view.entry(key) {
+            Entry::Vacant(slot) => {
+                debug_assert!(run.iter().all(|e| e.2), "index views out of sync");
+                slot.insert(Adj::from_sorted(run.iter().map(|e| e.1)));
+            }
+            Entry::Occupied(mut row) => {
+                let adj = row.get_mut();
+                if run.len() >= MERGE_MIN_RUN && run.len() * MERGE_SHARE >= adj.len() {
+                    let mut merged = Vec::with_capacity(adj.len() + run.len());
+                    let mut edits = run.iter().peekable();
+                    for o in adj.iter() {
+                        while let Some(e) = edits.next_if(|e| e.1 < o) {
+                            debug_assert!(e.2, "index views out of sync");
+                            merged.push(e.1);
+                        }
+                        match edits.next_if(|e| e.1 == o) {
+                            Some(e) => debug_assert!(!e.2, "index views out of sync"),
+                            None => merged.push(o),
+                        }
+                    }
+                    for e in edits {
+                        debug_assert!(e.2, "index views out of sync");
+                        merged.push(e.1);
+                    }
+                    if merged.is_empty() {
+                        row.remove();
+                    } else {
+                        *adj = Adj::from_sorted(merged.into_iter());
+                    }
+                } else {
+                    for &(_, src, add) in run {
+                        let effective = if add {
+                            adj.insert(src)
+                        } else {
+                            adj.remove(&src)
+                        };
+                        debug_assert!(effective, "index views out of sync");
+                    }
+                    if adj.is_empty() {
+                        row.remove();
+                    }
+                }
+            }
         }
-        for &dst in &added {
-            let fresh = Self::link(&mut self.rev, (dst, prop), src);
-            debug_assert!(fresh, "index views out of sync");
-        }
-        let p = prop.0 as usize;
-        if p >= self.prop_len.len() {
-            self.prop_len.resize(p + 1, 0);
-        }
-        self.prop_len[p] = self.prop_len[p] + added.len() - removed.len();
-        self.len = self.len + added.len() - removed.len();
-        (removed, added)
     }
 
     /// The forward rows' keys `(src, prop)`, ascending.
@@ -569,7 +711,9 @@ impl EdgeIndex {
         edges.into_iter()
     }
 
-    pub(crate) fn check_consistent(&self) {
+    /// Invariant check (for tests): panics unless every list keeps its
+    /// representation bounds and both views and the counts agree.
+    pub fn check_consistent(&self) {
         for adj in self.fwd.values().chain(self.rev.values()) {
             adj.check();
         }

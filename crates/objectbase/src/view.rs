@@ -49,7 +49,8 @@ pub trait DeltaObserver {
     /// fires.
     fn batch_end(&mut self) {}
     /// The `prop`-row of `src` was replaced in one step
-    /// ([`InstanceTxn::replace_successors`](crate::InstanceTxn::replace_successors)):
+    /// ([`InstanceTxn::replace_rows`](crate::InstanceTxn::replace_rows),
+    /// one call per row, in ascending source order):
     /// the edges to `removed`, then the edges to `added` (each ascending,
     /// disjoint, all effective) are applied. Stands for one
     /// [`Self::applied`] per edit, in that order, which is the default; a

@@ -272,6 +272,18 @@ impl UpdateMethod for CursorDeleteMethod {
 // Set-oriented update.
 // ---------------------------------------------------------------------
 
+/// A set update's value subquery compiled to one relational algebra
+/// query ([`SetUpdate::values_query`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum ValuesQuery {
+    /// `par(E)` over `rec`: the subquery reads a column of the row, so
+    /// each row gets its own values, all from one evaluation.
+    PerRow(Expr),
+    /// The closed `E₀`: the subquery reads no column of the row, so one
+    /// evaluation gives every row the same values.
+    Shared(Expr),
+}
+
 /// `UPDATE t SET col = (SELECT …) [WHERE cond]`, two-phase.
 pub struct SetUpdate {
     catalog: Catalog,
@@ -322,19 +334,29 @@ impl SetUpdate {
         Ok(out)
     }
 
-    /// The value subquery as one parallel expression `par(E)` over `rec`
-    /// (scheme `self`, the rows to update). By Lemma 6.7 its single
-    /// evaluation yields exactly the pairs `(row, value)` with `value` in
-    /// the row's [`SetUpdate::assignments`] values — a set update is
-    /// two-phase, so no order-independence decision is needed. Fails,
-    /// with the reason, when the subquery is outside the fragment
-    /// [`select_to_expr`] compiles.
-    pub(crate) fn values_query(&self) -> Result<Expr> {
-        let (expr, _attr) = select_to_expr(&self.select, &self.catalog, &self.table, "t")?;
+    /// The value subquery in relational algebra, evaluated once for all
+    /// rows — a set update is two-phase, so no order-independence decision
+    /// is needed. When the subquery reads a column of the updated row it
+    /// is `par(E)` over `rec` (scheme `self`, the rows to update): by
+    /// Lemma 6.7 its single evaluation yields exactly the pairs `(row,
+    /// value)` with `value` in the row's [`SetUpdate::assignments`]
+    /// values. When it reads none, `E(I, t)` is one set `E₀(I)` for every
+    /// row `t`, and the query is the closed `E₀`: the same join chain
+    /// without the `self` seed. Fails, with the reason, when the subquery
+    /// is outside the fragment [`select_to_expr`] compiles.
+    pub(crate) fn values_query(&self) -> Result<ValuesQuery> {
+        let (c, projection) =
+            SelectCompiler::gather(&self.select, &self.catalog, &self.table, "t")?;
+        let reads_row = c.reads_row;
+        let expr = c.build(&projection, !reads_row)?;
         // `par(·)` keeps a well-typed expression well-typed over `rec`.
         let sig = Signature::new(vec![self.table.class])?;
         infer_schema(&expr, &self.catalog.schema, &update_params(&sig))?;
-        Ok(par(&expr)?)
+        Ok(if reads_row {
+            ValuesQuery::PerRow(par(&expr)?)
+        } else {
+            ValuesQuery::Shared(expr)
+        })
     }
 
     /// Phase 1 + phase 2.
@@ -531,9 +553,36 @@ struct SelectCompiler<'a> {
     /// Equality constraints between resolved attributes.
     eqs: Vec<(Attr, Attr)>,
     fresh: usize,
+    /// `true` once some column reference resolved to the cursor tuple.
+    reads_row: bool,
 }
 
 impl<'a> SelectCompiler<'a> {
+    /// Resolve every column of `select` (over the cursor tuple `outer_var`
+    /// of `outer`); returns the compiler and the resolved projection.
+    fn gather(
+        select: &Select,
+        catalog: &'a Catalog,
+        outer: &'a TableInfo,
+        outer_var: &'a str,
+    ) -> Result<(Self, Resolved)> {
+        let mut c = SelectCompiler {
+            catalog,
+            outer,
+            outer_var,
+            aliases: Vec::new(),
+            visible: Vec::new(),
+            used: BTreeSet::new(),
+            eqs: Vec::new(),
+            fresh: 0,
+            reads_row: false,
+        };
+        let projection = c
+            .gather_select(select)?
+            .ok_or_else(|| SqlError::Unsupported("SELECT * in a value subquery".to_owned()))?;
+        Ok((c, projection))
+    }
+
     fn add_alias(&mut self, name: &str, table: &'a TableInfo) -> Result<()> {
         if name == "self" || name == self.outer_var || self.aliases.iter().any(|(a, _)| a == name) {
             return Err(SqlError::Unsupported(format!(
@@ -582,6 +631,7 @@ impl<'a> SelectCompiler<'a> {
                 }
             }
         };
+        self.reads_row |= scope_attr == "self";
         let resolved = if table.id_column == colref.column {
             Resolved {
                 scope_attr,
@@ -661,13 +711,25 @@ impl<'a> SelectCompiler<'a> {
         Ok(projection)
     }
 
-    /// Assemble the final expression.
-    fn build(self, projection: &Resolved) -> Result<Expr> {
+    /// Assemble the final expression: the `FROM` tables joined onto the
+    /// cursor tuple `self`, or, when `closed` (no column reads the cursor
+    /// tuple), onto each other alone.
+    fn build(self, projection: &Resolved, closed: bool) -> Result<Expr> {
         let schema = &self.catalog.schema;
-        let mut acc = Expr::self_rel();
-        for (alias, table) in &self.aliases {
+        let mut tables = self.aliases.iter().map(|(alias, table)| {
             let class_name = schema.class_name(table.class).to_owned();
-            acc = acc.nat_join(Expr::class(table.class).rename(class_name, alias.clone()));
+            Expr::class(table.class).rename(class_name, alias.clone())
+        });
+        let mut acc = if closed {
+            debug_assert!(!self.reads_row, "a closed query reads the cursor tuple");
+            tables.next().ok_or_else(|| {
+                SqlError::Unsupported("value subquery without a FROM table".to_owned())
+            })?
+        } else {
+            Expr::self_rel()
+        };
+        for table in tables {
+            acc = acc.nat_join(table);
         }
         let mut eqs = self.eqs.clone();
         for r in &self.used {
@@ -712,21 +774,9 @@ pub fn select_to_expr(
     outer: &TableInfo,
     outer_var: &str,
 ) -> Result<(Expr, Attr)> {
-    let mut c = SelectCompiler {
-        catalog,
-        outer,
-        outer_var,
-        aliases: Vec::new(),
-        visible: Vec::new(),
-        used: BTreeSet::new(),
-        eqs: Vec::new(),
-        fresh: 0,
-    };
-    let proj = c
-        .gather_select(select)?
-        .ok_or_else(|| SqlError::Unsupported("SELECT * in a value subquery".to_owned()))?;
-    let attr = proj.attr();
-    let expr = c.build(&proj)?;
+    let (c, projection) = SelectCompiler::gather(select, catalog, outer, outer_var)?;
+    let attr = projection.attr();
+    let expr = c.build(&projection, false)?;
     Ok((expr, attr))
 }
 

@@ -174,14 +174,17 @@ mod tests {
     }
 
     /// Each set-update stage names how its values are computed: one
-    /// `par(E)` evaluation, or row by row with the reason the subquery has
-    /// no algebraic form. Other stages name no values path.
+    /// `par(E)` evaluation, one evaluation shared by every row when the
+    /// subquery reads no column of the row, or row by row with the reason
+    /// the subquery has no algebraic form. Other stages name no values
+    /// path.
     #[test]
     fn explain_names_the_values_path() {
         const NEGATIVE: &str = "update Employee set Salary = \
              (select New from NewSal where Old = Salary and Old not in table Fire)";
+        const OVERWRITE: &str = "update Employee set Salary = (select Amount from Fire)";
         let (_, catalog) = employee_catalog();
-        let stmts = [UPDATE_A, NEGATIVE, CURSOR_UPDATE_B].map(|t| parse(t).unwrap());
+        let stmts = [UPDATE_A, NEGATIVE, OVERWRITE, CURSOR_UPDATE_B].map(|t| parse(t).unwrap());
         let tree = compile_program(&stmts, &catalog).unwrap().explain();
         let values = |k: usize| -> Vec<&String> {
             tree.children[k]
@@ -197,7 +200,11 @@ mod tests {
             "{:?}",
             values(1)
         );
-        assert!(values(2).is_empty());
+        assert_eq!(
+            values(2),
+            ["values: one evaluation shared by every row (the subquery reads no column of the row)"]
+        );
+        assert!(values(3).is_empty());
     }
 
     /// A cursor update the improve pass leaves alone says why: (C) names

@@ -62,7 +62,7 @@ use receivers_wal::{DurableStore, WalResult, WalStorage};
 
 use crate::ast::{ColumnRef, Condition, CursorBody, Projection, Select, SqlStatement};
 use crate::catalog::{Catalog, TableInfo};
-use crate::compile::{compile, CompiledStatement};
+use crate::compile::{compile, CompiledStatement, ValuesQuery};
 use crate::error::{Result, SqlError};
 use crate::eval::{eval_condition, eval_select, Binding, Scopes};
 use crate::footprint::{Footprint, Write};
@@ -763,10 +763,11 @@ pub struct Stage {
     /// refusal, or why the update has no algebraic form to decide
     /// (EXPLAIN's `improve:` note).
     not_improved: Option<Result<ImproveRefusal>>,
-    /// A set update's value subquery lowered once to `par(E)`
+    /// A set update's value subquery lowered once to `par(E)`, or to the
+    /// closed `E₀` every row shares
     /// ([`crate::compile::SetUpdate::values_query`]), or why its values
     /// stay row by row.
-    values_query: Option<Result<Expr>>,
+    values_query: Option<Result<ValuesQuery>>,
     shared_selector: bool,
     netted: bool,
     netted_by: Option<usize>,
@@ -1298,13 +1299,33 @@ fn netting_cover_proof(
 struct ExecCache<'p> {
     plan: &'p ProgramPlan,
     rows: HashMap<NodeId, Vec<Oid>>,
-    values: HashMap<NodeId, Vec<(Oid, Vec<Oid>)>>,
+    values: HashMap<NodeId, Assignments>,
     /// Local mirror of `sql.plan.selector_reuses` for this execution
     /// only — the global counter is shared across threads, so a profiler
     /// diffs these instead.
     hits: u64,
     /// Local mirror of `sql.plan.selector_evals`.
     misses: u64,
+}
+
+/// A set update's phase-1 answer: the selected rows and their new values.
+#[derive(Clone)]
+enum Assignments {
+    /// Each row with its own values.
+    PerRow(Vec<(Oid, Vec<Oid>)>),
+    /// Every row gets the same sorted `values` (the subquery reads no
+    /// column of the row).
+    Shared { rows: Vec<Oid>, values: Vec<Oid> },
+}
+
+impl Assignments {
+    /// The number of selected rows.
+    fn len(&self) -> usize {
+        match self {
+            Assignments::PerRow(rows) => rows.len(),
+            Assignments::Shared { rows, .. } => rows.len(),
+        }
+    }
 }
 
 impl<'p> ExecCache<'p> {
@@ -1357,18 +1378,19 @@ impl<'p> ExecCache<'p> {
         }
     }
 
-    /// The `(row, values)` assignments a values node produces: from one
-    /// evaluation of `query`, the node's `par(E)`, against `db` when there
-    /// is one, otherwise by evaluating the subquery row by row. A row
-    /// `par(E)` pairs with nothing gets no values, as the row-by-row
-    /// subquery gives it.
+    /// The assignments a values node produces, from one evaluation of
+    /// `query` against `db` when there is one: a closed `E₀` once for
+    /// every row (none when no row is selected), a `par(E)` split per
+    /// row, where a row `par(E)` pairs with nothing gets no values, as
+    /// the row-by-row subquery gives it. Without a query, the subquery is
+    /// evaluated row by row.
     fn values(
         &mut self,
         id: NodeId,
-        query: Option<&Expr>,
+        query: Option<&ValuesQuery>,
         instance: &Instance,
         db: &Database,
-    ) -> Result<Vec<(Oid, Vec<Oid>)>> {
+    ) -> Result<Assignments> {
         if let Some(cached) = self.values.get(&id) {
             C_SELECTOR_REUSES.incr();
             self.hits += 1;
@@ -1382,27 +1404,42 @@ impl<'p> ExecCache<'p> {
         self.misses += 1;
         let info = scan_table_info(&self.plan.graph, *rows, &self.plan.catalog)
             .ok_or_else(|| SqlError::Unsupported("unresolved scan in plan".to_owned()))?;
-        let mut out = Vec::with_capacity(base.len());
-        if let Some(query) = query {
-            let pairs = par_pairs(query, info.class, &base, db)?;
-            for &t in &base {
-                let from = pairs.partition_point(|&(row, _)| row < t);
-                let to = from + pairs[from..].partition_point(|&(row, _)| row == t);
-                out.push((t, pairs[from..to].iter().map(|&(_, v)| v).collect()));
+        let out = match query {
+            Some(ValuesQuery::Shared(closed)) => {
+                let values = if base.is_empty() {
+                    Vec::new()
+                } else {
+                    let rel = eval_expr(closed, db, &Bindings::new())?;
+                    rel.tuples().map(|t| t[0]).collect()
+                };
+                Assignments::Shared { rows: base, values }
             }
-        } else {
-            for &t in &base {
-                let scopes: Scopes<'_> = vec![Binding {
-                    alias: var.clone(),
-                    table: info,
-                    tuple: t,
-                }];
-                out.push((
-                    t,
-                    eval_select(select, &scopes, &self.plan.catalog, instance)?,
-                ));
+            Some(ValuesQuery::PerRow(query)) => {
+                let pairs = par_pairs(query, info.class, &base, db)?;
+                let mut out = Vec::with_capacity(base.len());
+                for &t in &base {
+                    let from = pairs.partition_point(|&(row, _)| row < t);
+                    let to = from + pairs[from..].partition_point(|&(row, _)| row == t);
+                    out.push((t, pairs[from..to].iter().map(|&(_, v)| v).collect()));
+                }
+                Assignments::PerRow(out)
             }
-        }
+            None => {
+                let mut out = Vec::with_capacity(base.len());
+                for &t in &base {
+                    let scopes: Scopes<'_> = vec![Binding {
+                        alias: var.clone(),
+                        table: info,
+                        tuple: t,
+                    }];
+                    out.push((
+                        t,
+                        eval_select(select, &scopes, &self.plan.catalog, instance)?,
+                    ));
+                }
+                Assignments::PerRow(out)
+            }
+        };
         self.values.insert(id, out.clone());
         Ok(out)
     }
@@ -1475,7 +1512,10 @@ pub(crate) fn stage_node(idx: usize, stage: &Stage) -> obs::ProfileNode {
         n.add_note("selector shared with an earlier stage (cse)");
     }
     match &stage.values_query {
-        Some(Ok(_)) => n.add_note("values: one par(E) evaluation"),
+        Some(Ok(ValuesQuery::PerRow(_))) => n.add_note("values: one par(E) evaluation"),
+        Some(Ok(ValuesQuery::Shared(_))) => n.add_note(
+            "values: one evaluation shared by every row (the subquery reads no column of the row)",
+        ),
         Some(Err(why)) => n.add_note(format!("values: row by row — {why}")),
         None => {}
     }
@@ -1830,7 +1870,16 @@ impl ProgramPlan {
                 meter.rows_in += assigns.len() as u64;
                 meter.rows_out += assigns.len() as u64;
                 let prop = self.stage_prop(stage)?;
-                try_apply_assignment_batch(instance, view, prop, &assigns, log)?;
+                match &assigns {
+                    Assignments::PerRow(rows) => {
+                        try_apply_assignment_batch(instance, view, prop, rows, log)?
+                    }
+                    Assignments::Shared { rows, values } => {
+                        let rows: Vec<(Oid, &[Oid])> =
+                            rows.iter().map(|&row| (row, &values[..])).collect();
+                        try_apply_assignment_batch(instance, view, prop, &rows, log)?
+                    }
+                }
                 Ok(InPlaceOutcome::Applied)
             }
             StageKind::ImprovedUpdate => {
@@ -2181,7 +2230,7 @@ mod tests {
     use crate::compile::SetUpdate;
     use crate::parser::parse;
     use crate::scenarios::{
-        section7_instance, CURSOR_UPDATE_B, CURSOR_UPDATE_C, DELETE_SIMPLE, UPDATE_A,
+        section7_instance, CURSOR_UPDATE_B, CURSOR_UPDATE_C, DELETE_SIMPLE, UPDATE_A, UPDATE_C_SET,
     };
 
     fn program(texts: &[&str]) -> Vec<SqlStatement> {
@@ -2239,6 +2288,142 @@ mod tests {
         assert!(view.matches_rebuild(&i));
         assert_eq!(i.successors(e3, es.manager).count(), 0, "e3 manages no one");
         assert_eq!(i, set_update(MANAGED, &catalog).apply(&i0).unwrap());
+    }
+
+    /// Run `text` as a one-stage program on the viewed driver from `i0`
+    /// and check it against [`SetUpdate::apply`]; returns the stage's
+    /// values query and the result.
+    fn run_set_update(text: &str, catalog: &Catalog, i0: &Instance) -> (ValuesQuery, Instance) {
+        let plan = compile_program(&program(&[text]), catalog).unwrap();
+        let query = match &plan.stages()[0].values_query {
+            Some(Ok(q)) => q.clone(),
+            other => panic!(
+                "{text}: no values query: {:?}",
+                other.as_ref().map(|q| q.is_ok())
+            ),
+        };
+        let mut i = i0.clone();
+        let mut view = DatabaseView::new(&i);
+        assert!(plan.execute_viewed(&mut i, &mut view).unwrap().is_applied());
+        assert!(view.matches_rebuild(&i), "{text}");
+        assert_eq!(i, set_update(text, catalog).apply(i0).unwrap(), "{text}");
+        (query, i)
+    }
+
+    /// The Section 7 instance with a second fired amount (250, which no
+    /// employee earns).
+    fn two_fires(es: &receivers_objectbase::examples::EmployeeSchema) -> Instance {
+        let (mut i, data) = section7_instance(es);
+        let fire = Oid::new(es.fire, 1);
+        i.add_object(fire);
+        i.link(fire, es.fire_amount, data.amounts[3]).unwrap();
+        i
+    }
+
+    /// A subquery that reads no column of the row is evaluated once, and
+    /// every selected row gets the same values; an empty `Fire` gives
+    /// every row the empty set, so each loses its salary.
+    #[test]
+    fn uncorrelated_values_are_shared_by_every_row() {
+        const OVERWRITE: &str = "update Employee set Salary = (select Amount from Fire)";
+        let (es, catalog) = employee_catalog();
+        let i0 = two_fires(&es);
+        let (query, i) = run_set_update(OVERWRITE, &catalog, &i0);
+        assert!(matches!(query, ValuesQuery::Shared(_)), "{query:?}");
+        let fired: Vec<Oid> = vec![Oid::new(es.amount, 0), Oid::new(es.amount, 3)];
+        for e in i.class_members(es.employee) {
+            assert_eq!(i.successors(e, es.salary).collect::<Vec<_>>(), fired);
+        }
+
+        let mut no_fire = i0.clone();
+        for f in i0.class_members(es.fire) {
+            no_fire.remove_object_cascade(f);
+        }
+        let (_, i) = run_set_update(OVERWRITE, &catalog, &no_fire);
+        for e in i.class_members(es.employee) {
+            assert_eq!(i.successors(e, es.salary).count(), 0, "{e} keeps a salary");
+        }
+        assert!(i.class_members(es.employee).count() > 0);
+    }
+
+    /// A guard that selects no row leaves the instance as it was, shared
+    /// values or not.
+    #[test]
+    fn uncorrelated_values_under_a_guard_selecting_no_row() {
+        const NOBODY: &str = "update Employee set Salary = (select Amount from Fire) \
+             where Salary in table Fire";
+        const RICH: &str = "update Employee set Manager = \
+             (select E1.EmpId from Employee E1 where E1.Manager = E1.EmpId) \
+             where Salary in table Fire";
+        let (es, catalog) = employee_catalog();
+        let (mut i0, data) = section7_instance(&es);
+        // Fire 250 only: no employee earns it.
+        i0.remove_edge(&receivers_objectbase::Edge::new(
+            data.fires[0],
+            es.fire_amount,
+            data.amounts[0],
+        ));
+        i0.link(data.fires[0], es.fire_amount, data.amounts[3])
+            .unwrap();
+        for text in [NOBODY, RICH] {
+            let (query, i) = run_set_update(text, &catalog, &i0);
+            assert!(matches!(query, ValuesQuery::Shared(_)), "{text}");
+            assert_eq!(i, i0, "{text}");
+        }
+    }
+
+    /// A shared subquery that reads the property the stage writes sees
+    /// the pre-stage instance: the `mixed` workload's first stage, and a
+    /// salary map whose answer changes once any row is written.
+    #[test]
+    fn uncorrelated_values_come_from_the_pre_stage_instance() {
+        const SELF_MANAGED: &str = "update Employee set Manager = \
+             (select E1.EmpId from Employee E1 where E1.Manager = E1.EmpId) \
+             where Salary in table Fire";
+        const RAISE_ALL: &str = "update Employee set Salary = \
+             (select New from Employee E1, NewSal where Old = E1.Salary)";
+        let (es, catalog) = employee_catalog();
+        let (i0, data) = section7_instance(&es);
+        for text in [SELF_MANAGED, RAISE_ALL] {
+            let (query, _) = run_set_update(text, &catalog, &i0);
+            assert!(matches!(query, ValuesQuery::Shared(_)), "{text}");
+        }
+        // Salaries {100, 200} map to {150, 250} for everyone; a value
+        // read after the first write would see 150 and drop it.
+        let (_, i) = run_set_update(RAISE_ALL, &catalog, &i0);
+        let raised = vec![data.amounts[2], data.amounts[3]];
+        for &e in &data.employees {
+            assert_eq!(i.successors(e, es.salary).collect::<Vec<_>>(), raised);
+        }
+    }
+
+    /// A two-table uncorrelated subquery is one closed join.
+    #[test]
+    fn uncorrelated_two_table_subquery() {
+        const FIRED_PAY: &str = "update Employee set Salary = \
+             (select E1.Salary from Employee E1, Fire where E1.Salary = Amount)";
+        let (es, catalog) = employee_catalog();
+        let i0 = two_fires(&es);
+        let (query, i) = run_set_update(FIRED_PAY, &catalog, &i0);
+        assert!(matches!(query, ValuesQuery::Shared(_)), "{query:?}");
+        let e1_pay: Vec<Oid> = i0.successors(Oid::new(es.employee, 0), es.salary).collect();
+        for e in i.class_members(es.employee) {
+            assert_eq!(i.successors(e, es.salary).collect::<Vec<_>>(), e1_pay);
+        }
+    }
+
+    /// A subquery that reads any column of the row, its identity column
+    /// included, never takes the shared path.
+    #[test]
+    fn correlated_subqueries_stay_per_row() {
+        const MANAGED: &str = "update Employee set Manager = \
+             (select E1.EmpId from Employee E1 where E1.Manager = EmpId)";
+        let (es, catalog) = employee_catalog();
+        let i0 = two_fires(&es);
+        for text in [UPDATE_A, UPDATE_C_SET, MANAGED] {
+            let (query, _) = run_set_update(text, &catalog, &i0);
+            assert!(matches!(query, ValuesQuery::PerRow(_)), "{text}: {query:?}");
+        }
     }
 
     /// Two statements with the identical guard hash-cons onto one selector

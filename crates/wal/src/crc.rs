@@ -1,12 +1,16 @@
 //! CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) — the frame
 //! checksum of the WAL record format and the snapshot/manifest files.
 //!
-//! Hand-rolled table-driven implementation so the durability layer stays
-//! zero-dependency; the table is built in a `const fn` at compile time.
+//! Hand-rolled so the durability layer stays zero-dependency. The loop is
+//! slice-by-8: eight tables, built in a `const fn` at compile time, fold
+//! eight input bytes per step with eight independent lookups instead of
+//! eight dependent ones. `TABLES[0]` is the classic bytewise table, which
+//! also finishes the tail shorter than eight bytes.
 
-/// The 256-entry lookup table for the reflected IEEE polynomial.
-const fn make_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `TABLES[0]` is the bytewise table of the reflected IEEE polynomial;
+/// `TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes.
+const fn make_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -19,19 +23,42 @@ const fn make_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-static TABLE: [u32; 256] = make_table();
+static TABLES: [[u32; 256]; 8] = make_tables();
 
 /// CRC-32 of `bytes` (init `0xFFFF_FFFF`, final xor `0xFFFF_FFFF`).
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut blocks = bytes.chunks_exact(8);
+    for b in &mut blocks {
+        let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][b[4] as usize]
+            ^ t[2][b[5] as usize]
+            ^ t[1][b[6] as usize]
+            ^ t[0][b[7] as usize];
+    }
+    for &b in blocks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -40,15 +67,53 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 mod tests {
     use super::*;
 
+    /// The bytewise table loop: the oracle the slice-by-8 loop must match.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    /// Deterministic pseudo-random bytes (xorshift64).
+    fn noise(len: usize) -> Vec<u8> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 32) as u8
+            })
+            .collect()
+    }
+
     /// The catalogue check value: CRC-32 of `"123456789"`.
     #[test]
     fn matches_the_ieee_check_value() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]
     fn empty_input_is_zero() {
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// Slice-by-8 equals the bytewise loop on every length 0..=256 at
+    /// each of the 8 start offsets (so every alignment and every tail
+    /// length), and on a 1 MB buffer.
+    #[test]
+    fn slice_by_8_matches_the_bytewise_loop() {
+        let buf = noise(1 << 20);
+        for start in 0..8 {
+            for len in 0..=256 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {start}, len {len}");
+            }
+        }
+        assert_eq!(crc32(&buf), crc32_bytewise(&buf));
     }
 
     #[test]
