@@ -17,12 +17,12 @@
 //! resolves against the subquery's `FROM` tables, which must match
 //! uniquely (`Old`, `New`).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use receivers_core::algebraic::{AlgebraicMethod, Statement as AlgStatement};
 use receivers_objectbase::{
-    Edge, Instance, MethodOutcome, Oid, Receiver, ReceiverSet, Signature, UpdateMethod,
+    Edge, Instance, MethodOutcome, Oid, PropId, Receiver, ReceiverSet, Signature, UpdateMethod,
 };
 use receivers_relalg::par::par;
 use receivers_relalg::typecheck::update_params;
@@ -347,8 +347,8 @@ impl SetUpdate {
     pub(crate) fn values_query(&self) -> Result<ValuesQuery> {
         let (c, projection) =
             SelectCompiler::gather(&self.select, &self.catalog, &self.table, "t")?;
-        let reads_row = c.reads_row;
-        let expr = c.build(&projection, !reads_row)?;
+        let reads_row = c.reads_row();
+        let expr = c.build(&projection.attr(), !reads_row)?;
         // `par(·)` keeps a well-typed expression well-typed over `rec`.
         let sig = Signature::new(vec![self.table.class])?;
         infer_schema(&expr, &self.catalog.schema, &update_params(&sig))?;
@@ -374,6 +374,236 @@ impl SetUpdate {
         }
         Ok(out)
     }
+}
+
+// ---------------------------------------------------------------------
+// Set-statement guards, lowered to anchored conjuncts.
+// ---------------------------------------------------------------------
+
+/// The value set a guard conjunct reads off the row `t`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RowValues {
+    /// The identity column: `{t}`.
+    Row,
+    /// A data column: `t`'s successors along the property.
+    Prop(PropId),
+}
+
+/// One conjunct of a set statement's guard, in source order
+/// ([`lower_guard`]). The multi-valued reading of `sat.rs` holds
+/// throughout: `=` means two value sets intersect, `<>` that they are
+/// disjoint.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum GuardConjunct {
+    /// `a = b` (`a <> b` when `negated`) on two of the row's own value
+    /// sets.
+    RowEq {
+        /// `true` for `<>`.
+        negated: bool,
+        /// The left value set.
+        a: RowValues,
+        /// The right value set.
+        b: RowValues,
+    },
+    /// The row passes iff `row ∩ E₀ ≠ ∅` (`= ∅` when `negated`), where the
+    /// closed unary query `E₀` reads no column of the row, so one
+    /// evaluation serves every row (Lemma 6.7's corollary). Without a
+    /// `row`, the conjunct reads no column of the row at all and passes
+    /// every row iff `E₀` is non-empty.
+    Probe {
+        /// `true` for `NOT IN TABLE`.
+        negated: bool,
+        /// The row's values tested against `E₀`: `a` of `a IN TABLE T`,
+        /// or the row's side of an `EXISTS`'s linking equality.
+        row: Option<RowValues>,
+        /// The closed query.
+        e0: Expr,
+    },
+    /// Outside the anchored shapes: evaluated by [`eval_condition`] for
+    /// each row that reaches it.
+    Residual {
+        /// The conjunct.
+        cond: Condition,
+        /// Why it stays row by row.
+        why: String,
+    },
+}
+
+/// Lower a set statement's guard, with the row bound as `var` over
+/// `table`, into its `AND` chain's conjuncts, in source order. `a = b`
+/// and `a <> b` on the row compare two of its value sets; `a [NOT] IN
+/// TABLE T` probes `T`'s column; an `EXISTS` linked to the row by exactly
+/// one equality `x = t.c` (or `x = t`), and reading the row nowhere else,
+/// probes `E₀`: the subquery without that equality and without the
+/// `self` seed, projected on `x`. Every other conjunct is a
+/// [`GuardConjunct::Residual`], so lowering never fails.
+pub(crate) fn lower_guard(
+    cond: &Condition,
+    catalog: &Catalog,
+    table: &TableInfo,
+    var: &str,
+) -> Vec<GuardConjunct> {
+    fn conjuncts<'c>(cond: &'c Condition, out: &mut Vec<&'c Condition>) {
+        match cond {
+            Condition::And(a, b) => {
+                conjuncts(a, out);
+                conjuncts(b, out);
+            }
+            atom => out.push(atom),
+        }
+    }
+    let mut atoms = Vec::new();
+    conjuncts(cond, &mut atoms);
+    atoms
+        .into_iter()
+        .map(|atom| {
+            lower_conjunct(atom, catalog, table, var).unwrap_or_else(|why| {
+                GuardConjunct::Residual {
+                    cond: atom.clone(),
+                    why,
+                }
+            })
+        })
+        .collect()
+}
+
+/// One conjunct of [`lower_guard`], or why it stays row by row.
+fn lower_conjunct(
+    atom: &Condition,
+    catalog: &Catalog,
+    table: &TableInfo,
+    var: &str,
+) -> std::result::Result<GuardConjunct, String> {
+    let on_row = |c: &ColumnRef| row_values(c, table, var).map_err(|e| e.to_string());
+    match atom {
+        Condition::Eq(a, b) | Condition::NotEq(a, b) => Ok(GuardConjunct::RowEq {
+            negated: matches!(atom, Condition::NotEq(..)),
+            a: on_row(a)?,
+            b: on_row(b)?,
+        }),
+        Condition::InTable(c, t) | Condition::NotInTable(c, t) => {
+            let row = on_row(c)?;
+            let (info, prop) = catalog.single_column(t).map_err(|e| e.to_string())?;
+            let schema = &catalog.schema;
+            if schema.property(prop).src != info.class {
+                return Err(format!("`{t}`'s column is not a property of its class"));
+            }
+            Ok(GuardConjunct::Probe {
+                negated: matches!(atom, Condition::NotInTable(..)),
+                row: Some(row),
+                e0: Expr::prop(prop).project([schema.prop_name(prop)]),
+            })
+        }
+        Condition::Exists(select) => lower_exists(select, catalog, table, var),
+        Condition::And(..) => unreachable!("conjuncts are flattened"),
+    }
+}
+
+/// Resolve a guard-level column reference, where the row is the only
+/// binding in scope, exactly as [`crate::eval::column_values`] does.
+fn row_values(c: &ColumnRef, table: &TableInfo, var: &str) -> Result<RowValues> {
+    let unknown = || SqlError::UnknownColumn {
+        column: c.column.clone(),
+        scope: var.to_owned(),
+    };
+    match &c.qualifier {
+        Some(q) if q != var => return Err(SqlError::UnknownAlias(q.clone())),
+        None if !table.has_column(&c.column) => return Err(unknown()),
+        _ => {}
+    }
+    if table.id_column == c.column {
+        return Ok(RowValues::Row);
+    }
+    table
+        .column_prop(&c.column)
+        .map(RowValues::Prop)
+        .ok_or_else(unknown)
+}
+
+/// An `EXISTS` conjunct as a [`GuardConjunct::Probe`] on its linking
+/// equality, or why it stays row by row. `EXISTS` asks for one binding
+/// of the `FROM` tables satisfying the `WHERE` chain; when the row is
+/// read only in `x = t.c`, that is `t.c ∩ E₀ ≠ ∅` with `E₀` the `x`
+/// values of the bindings satisfying the rest. The join chain gives each
+/// data column one attribute, so a data column read twice in the `WHERE`
+/// chain would have to meet both atoms with one value, where
+/// `sql::eval` lets each atom pick its own: that shape stays row by row.
+fn lower_exists(
+    select: &Select,
+    catalog: &Catalog,
+    table: &TableInfo,
+    var: &str,
+) -> std::result::Result<GuardConjunct, String> {
+    let mut c = SelectCompiler::new(catalog, table, var);
+    c.gather_select(select)
+        .map_err(|e| format!("the EXISTS does not compile: {e}"))?;
+    let column_name = |r: &Resolved| r.column.clone().unwrap_or_else(|| table.id_column.clone());
+    match c.row_reads.len() {
+        0 | 1 => {}
+        n => {
+            let names: Vec<String> = c.row_reads.iter().map(column_name).collect();
+            let times = if n == 2 {
+                "twice".to_owned()
+            } else {
+                format!("{n} times")
+            };
+            return Err(format!(
+                "the EXISTS reads the row {times} ({})",
+                names.join(", ")
+            ));
+        }
+    }
+    let mut reads: BTreeMap<&str, usize> = BTreeMap::new();
+    for (a, b) in &c.eqs {
+        *reads.entry(a).or_default() += 1;
+        *reads.entry(b).or_default() += 1;
+    }
+    if let Some(attr) = c
+        .used
+        .iter()
+        .map(Resolved::attr)
+        .find(|a| reads.get(a.as_str()).is_some_and(|&n| n > 1))
+    {
+        return Err(format!("the EXISTS reads {attr} twice"));
+    }
+    let is_row = |a: &str| a == "self" || a.starts_with("self.");
+    let (row, projection) = match c.row_reads.pop() {
+        None => {
+            let first = c.aliases.first().map(|(a, _)| a.clone());
+            (None, first.ok_or("the EXISTS has no FROM table")?)
+        }
+        Some(read) => {
+            let Some(k) = c.eqs.iter().position(|(a, b)| is_row(a) || is_row(b)) else {
+                return Err(format!(
+                    "the EXISTS projects a column of the row ({})",
+                    column_name(&read)
+                ));
+            };
+            let (a, b) = c.eqs.remove(k);
+            let x = if is_row(&a) { b } else { a };
+            c.used.remove(&read);
+            let row = match &read.column {
+                None => RowValues::Row,
+                Some(col) => RowValues::Prop(
+                    table
+                        .column_prop(col)
+                        .ok_or_else(|| format!("unknown column `{col}`"))?,
+                ),
+            };
+            (Some(row), x)
+        }
+    };
+    let e0 = c
+        .build(&projection, true)
+        .map_err(|e| format!("the EXISTS does not compile: {e}"))?;
+    let sig = Signature::new(vec![table.class]).map_err(|e| e.to_string())?;
+    infer_schema(&e0, &catalog.schema, &update_params(&sig))
+        .map_err(|e| format!("E₀ does not typecheck: {e}"))?;
+    Ok(GuardConjunct::Probe {
+        negated: false,
+        row,
+        e0,
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -553,20 +783,14 @@ struct SelectCompiler<'a> {
     /// Equality constraints between resolved attributes.
     eqs: Vec<(Attr, Attr)>,
     fresh: usize,
-    /// `true` once some column reference resolved to the cursor tuple.
-    reads_row: bool,
+    /// The column references that resolved to the cursor tuple, in
+    /// resolution order.
+    row_reads: Vec<Resolved>,
 }
 
 impl<'a> SelectCompiler<'a> {
-    /// Resolve every column of `select` (over the cursor tuple `outer_var`
-    /// of `outer`); returns the compiler and the resolved projection.
-    fn gather(
-        select: &Select,
-        catalog: &'a Catalog,
-        outer: &'a TableInfo,
-        outer_var: &'a str,
-    ) -> Result<(Self, Resolved)> {
-        let mut c = SelectCompiler {
+    fn new(catalog: &'a Catalog, outer: &'a TableInfo, outer_var: &'a str) -> Self {
+        SelectCompiler {
             catalog,
             outer,
             outer_var,
@@ -575,8 +799,24 @@ impl<'a> SelectCompiler<'a> {
             used: BTreeSet::new(),
             eqs: Vec::new(),
             fresh: 0,
-            reads_row: false,
-        };
+            row_reads: Vec::new(),
+        }
+    }
+
+    /// `true` once some column reference resolved to the cursor tuple.
+    fn reads_row(&self) -> bool {
+        !self.row_reads.is_empty()
+    }
+
+    /// Resolve every column of `select` (over the cursor tuple `outer_var`
+    /// of `outer`); returns the compiler and the resolved projection.
+    fn gather(
+        select: &Select,
+        catalog: &'a Catalog,
+        outer: &'a TableInfo,
+        outer_var: &'a str,
+    ) -> Result<(Self, Resolved)> {
+        let mut c = SelectCompiler::new(catalog, outer, outer_var);
         let projection = c
             .gather_select(select)?
             .ok_or_else(|| SqlError::Unsupported("SELECT * in a value subquery".to_owned()))?;
@@ -631,7 +871,6 @@ impl<'a> SelectCompiler<'a> {
                 }
             }
         };
-        self.reads_row |= scope_attr == "self";
         let resolved = if table.id_column == colref.column {
             Resolved {
                 scope_attr,
@@ -649,6 +888,9 @@ impl<'a> SelectCompiler<'a> {
                 column: Some(colref.column.clone()),
             }
         };
+        if resolved.scope_attr == "self" {
+            self.row_reads.push(resolved.clone());
+        }
         if resolved.column.is_some() {
             self.used.insert(resolved.clone());
         }
@@ -714,14 +956,14 @@ impl<'a> SelectCompiler<'a> {
     /// Assemble the final expression: the `FROM` tables joined onto the
     /// cursor tuple `self`, or, when `closed` (no column reads the cursor
     /// tuple), onto each other alone.
-    fn build(self, projection: &Resolved, closed: bool) -> Result<Expr> {
+    fn build(self, projection: &str, closed: bool) -> Result<Expr> {
         let schema = &self.catalog.schema;
         let mut tables = self.aliases.iter().map(|(alias, table)| {
             let class_name = schema.class_name(table.class).to_owned();
             Expr::class(table.class).rename(class_name, alias.clone())
         });
         let mut acc = if closed {
-            debug_assert!(!self.reads_row, "a closed query reads the cursor tuple");
+            debug_assert!(!self.reads_row(), "a closed query reads the cursor tuple");
             tables.next().ok_or_else(|| {
                 SqlError::Unsupported("value subquery without a FROM table".to_owned())
             })?
@@ -761,7 +1003,7 @@ impl<'a> SelectCompiler<'a> {
         for (a, b) in &eqs {
             acc = acc.select_eq(a.clone(), b.clone());
         }
-        Ok(acc.project([projection.attr()]))
+        Ok(acc.project([projection]))
     }
 }
 
@@ -776,7 +1018,7 @@ pub fn select_to_expr(
 ) -> Result<(Expr, Attr)> {
     let (c, projection) = SelectCompiler::gather(select, catalog, outer, outer_var)?;
     let attr = projection.attr();
-    let expr = c.build(&projection, false)?;
+    let expr = c.build(&attr, false)?;
     Ok((expr, attr))
 }
 

@@ -117,7 +117,7 @@ mod tests {
     use crate::catalog::employee_catalog;
     use crate::parser::parse;
     use crate::plan::compile_program;
-    use crate::scenarios::{CURSOR_UPDATE_B, CURSOR_UPDATE_C, UPDATE_A};
+    use crate::scenarios::{CURSOR_UPDATE_B, CURSOR_UPDATE_C, DELETE_MANAGER, UPDATE_A};
 
     /// EXPLAIN is purely static and carries the planner's decisions: one
     /// child per stage, netting with its proof notes, the footprint
@@ -240,5 +240,39 @@ mod tests {
             improve(1)
         );
         assert!(improve(2).is_empty() && improve(3).is_empty());
+    }
+    /// Each set stage with a guard names how it runs: every conjunct one
+    /// probe per row after its subquery is evaluated once, or, for a
+    /// residual, its position and why it stays row by row. Unguarded and
+    /// cursor stages carry no guard note.
+    #[test]
+    fn explain_names_the_guard_path() {
+        const TWICE: &str = "update Employee set Salary = (select Amount from Fire) \
+             where Salary in table Fire and exists (select * from Employee E1 \
+             where E1.EmpId = Manager and E1.Salary = Salary)";
+        const CURSOR: &str = "for each t in Employee do if Salary in table Fire \
+             delete t from Employee";
+        let (_, catalog) = employee_catalog();
+        let stmts = [DELETE_MANAGER, TWICE, UPDATE_A, CURSOR].map(|t| parse(t).unwrap());
+        let tree = compile_program(&stmts, &catalog).unwrap().explain();
+        let guard = |k: usize| -> Vec<&String> {
+            tree.children[k]
+                .notes
+                .iter()
+                .filter(|n| n.starts_with("guard:"))
+                .collect()
+        };
+        assert_eq!(
+            guard(0),
+            ["guard: each subquery evaluated once, then one probe per row (1 conjunct)"]
+        );
+        assert_eq!(
+            guard(1),
+            [
+                "guard: the other 1 conjunct evaluated once, then probed per row",
+                "guard: conjunct 2 row by row — the EXISTS reads the row twice (Manager, Salary)",
+            ]
+        );
+        assert!(guard(2).is_empty() && guard(3).is_empty());
     }
 }

@@ -62,7 +62,9 @@ use receivers_wal::{DurableStore, WalResult, WalStorage};
 
 use crate::ast::{ColumnRef, Condition, CursorBody, Projection, Select, SqlStatement};
 use crate::catalog::{Catalog, TableInfo};
-use crate::compile::{compile, CompiledStatement, ValuesQuery};
+use crate::compile::{
+    compile, lower_guard, CompiledStatement, GuardConjunct, RowValues, ValuesQuery,
+};
 use crate::error::{Result, SqlError};
 use crate::eval::{eval_condition, eval_select, Binding, Scopes};
 use crate::footprint::{Footprint, Write};
@@ -768,6 +770,9 @@ pub struct Stage {
     /// ([`crate::compile::SetUpdate::values_query`]), or why its values
     /// stay row by row.
     values_query: Option<Result<ValuesQuery>>,
+    /// A set statement's guard lowered once to anchored conjuncts
+    /// ([`crate::compile::lower_guard`]).
+    guard_query: Option<Arc<[GuardConjunct]>>,
     shared_selector: bool,
     netted: bool,
     netted_by: Option<usize>,
@@ -835,6 +840,21 @@ impl Stage {
     pub fn proofs(&self) -> &[Proof] {
         &self.proofs
     }
+
+    /// The conjuncts of a set statement's guard that run row by row:
+    /// each one's 1-based position in the `AND` chain, and why. Empty when
+    /// every conjunct is one probe per row, and for stages without a set
+    /// guard.
+    pub fn guard_residuals(&self) -> Vec<(usize, &str)> {
+        let conjuncts = self.guard_query.as_deref().unwrap_or_default();
+        (1..)
+            .zip(conjuncts)
+            .filter_map(|(k, c)| match c {
+                GuardConjunct::Residual { why, .. } => Some((k, why.as_str())),
+                _ => None,
+            })
+            .collect()
+    }
 }
 
 /// A whole update program compiled into one expression DAG — the single
@@ -874,6 +894,7 @@ pub fn compile_program(program: &[SqlStatement], catalog: &Catalog) -> Result<Pr
     C_PROGRAMS.incr();
     let mut b = GraphBuilder::new(catalog);
     let mut stages: Vec<Stage> = Vec::with_capacity(program.len());
+    let mut guards: HashMap<NodeId, Arc<[GuardConjunct]>> = HashMap::new();
     for stmt in program {
         let compiled = compile(stmt, catalog)?;
         C_STAGES.incr();
@@ -936,8 +957,19 @@ pub fn compile_program(program: &[SqlStatement], catalog: &Catalog) -> Result<Pr
             }
         };
 
-        let values_query = match &compiled {
-            CompiledStatement::SetUpdate(su) => Some(su.values_query()),
+        let (values_query, set_table) = match &compiled {
+            CompiledStatement::SetUpdate(su) => (Some(su.values_query()), Some(su.table())),
+            CompiledStatement::SetDelete(sd) => (None, Some(sd.table())),
+            _ => (None, None),
+        };
+        // Lowered once per guard node: set stages whose selectors
+        // hash-consed onto one node share its conjuncts.
+        let guard_query = match (set_table, b.graph.node(lowered.rows)) {
+            (Some(table), PlanNode::Guard { var, cond, .. }) => {
+                Some(Arc::clone(guards.entry(lowered.rows).or_insert_with(
+                    || lower_guard(cond, catalog, table, var).into(),
+                )))
+            }
             _ => None,
         };
         let footprint = footprint_of(&b.graph, lowered.root, catalog);
@@ -963,6 +995,7 @@ pub fn compile_program(program: &[SqlStatement], catalog: &Catalog) -> Result<Pr
             improved,
             not_improved,
             values_query,
+            guard_query,
             shared_selector: lowered.shared,
             netted: false,
             netted_by: None,
@@ -1306,6 +1339,10 @@ struct ExecCache<'p> {
     hits: u64,
     /// Local mirror of `sql.plan.selector_evals`.
     misses: u64,
+    /// Closed guard subqueries `E₀` evaluated in this execution.
+    subqueries: u64,
+    /// Rows a residual guard conjunct evaluated in this execution.
+    residual_rows: u64,
 }
 
 /// A set update's phase-1 answer: the selected rows and their new values.
@@ -1336,41 +1373,43 @@ impl<'p> ExecCache<'p> {
             values: HashMap::new(),
             hits: 0,
             misses: 0,
+            subqueries: 0,
+            residual_rows: 0,
         }
     }
 
     /// The rows a selector node produces against the current instance
     /// (class-member order, as the two-phase set statements enumerate).
-    fn rows(&mut self, id: NodeId, instance: &Instance) -> Result<Vec<Oid>> {
-        match self.plan.graph.node(id) {
+    /// A guard node takes its `guard`, lowered at plan time.
+    fn rows(
+        &mut self,
+        id: NodeId,
+        guard: Option<&[GuardConjunct]>,
+        instance: &Instance,
+        db: &Database,
+    ) -> Result<Vec<Oid>> {
+        let plan = self.plan;
+        match plan.graph.node(id) {
             PlanNode::Scan { table, class } => {
                 // Membership is never cached: it is cheap to enumerate
                 // and correct by construction.
                 let class = class.ok_or_else(|| SqlError::UnknownTable(table.clone()))?;
                 Ok(instance.class_members(class).collect())
             }
-            PlanNode::Guard { input, var, cond } => {
+            PlanNode::Guard { input, var, .. } => {
                 if let Some(cached) = self.rows.get(&id) {
                     C_SELECTOR_REUSES.incr();
                     self.hits += 1;
                     return Ok(cached.clone());
                 }
-                let base = self.rows(*input, instance)?;
+                let guard = guard
+                    .ok_or_else(|| SqlError::Unsupported("guard not lowered in plan".to_owned()))?;
+                let base = self.rows(*input, None, instance, db)?;
                 C_SELECTOR_EVALS.incr();
                 self.misses += 1;
-                let info = scan_table_info(&self.plan.graph, *input, &self.plan.catalog)
+                let info = scan_table_info(&plan.graph, *input, &plan.catalog)
                     .ok_or_else(|| SqlError::Unsupported("unresolved scan in plan".to_owned()))?;
-                let mut out = Vec::with_capacity(base.len());
-                for &t in &base {
-                    let scopes: Scopes<'_> = vec![Binding {
-                        alias: var.clone(),
-                        table: info,
-                        tuple: t,
-                    }];
-                    if eval_condition(cond, &scopes, &self.plan.catalog, instance)? {
-                        out.push(t);
-                    }
-                }
+                let out = self.select(guard, &base, var, info, instance, db)?;
                 self.rows.insert(id, out.clone());
                 Ok(out)
             }
@@ -1378,9 +1417,80 @@ impl<'p> ExecCache<'p> {
         }
     }
 
+    /// The rows of `base` that pass a set statement's lowered `guard`,
+    /// in `base`'s order. Each closed `E₀` is evaluated once, when the
+    /// first row reaches its conjunct (never, when none does); then every
+    /// row tests its own forward edges against those sorted sets, and a
+    /// residual conjunct binds the row as `var` over `info`. The
+    /// conjuncts run in source order and a row stops at the first that
+    /// fails, as [`eval_condition`]'s `AND` does, so a residual
+    /// conjunct's error is raised at the same row as evaluating the whole
+    /// guard row by row.
+    fn select(
+        &mut self,
+        guard: &[GuardConjunct],
+        base: &[Oid],
+        var: &str,
+        info: &TableInfo,
+        instance: &Instance,
+        db: &Database,
+    ) -> Result<Vec<Oid>> {
+        let values = |t: Oid, v: RowValues| {
+            let (own, prop) = match v {
+                RowValues::Row => (Some(t), None),
+                RowValues::Prop(p) => (None, Some(p)),
+            };
+            own.into_iter().chain(
+                prop.into_iter()
+                    .flat_map(move |p| instance.successors(t, p)),
+            )
+        };
+        let mut sets: Vec<Option<Vec<Oid>>> = vec![None; guard.len()];
+        let mut out = Vec::with_capacity(base.len());
+        'rows: for &t in base {
+            for (conjunct, set) in guard.iter().zip(&mut sets) {
+                let pass = match conjunct {
+                    GuardConjunct::RowEq { negated, a, b } => {
+                        let hit = values(t, *a).any(|x| values(t, *b).any(|y| x == y));
+                        hit != *negated
+                    }
+                    GuardConjunct::Probe { negated, row, e0 } => {
+                        let set = match set {
+                            Some(set) => set,
+                            None => {
+                                self.subqueries += 1;
+                                let rel = eval_expr(e0, db, &Bindings::new())?;
+                                set.insert(rel.tuples().map(|t| t[0]).collect())
+                            }
+                        };
+                        let hit = match row {
+                            None => !set.is_empty(),
+                            Some(v) => values(t, *v).any(|x| set.binary_search(&x).is_ok()),
+                        };
+                        hit != *negated
+                    }
+                    GuardConjunct::Residual { cond, .. } => {
+                        self.residual_rows += 1;
+                        let scopes: Scopes<'_> = vec![Binding {
+                            alias: var.to_owned(),
+                            table: info,
+                            tuple: t,
+                        }];
+                        eval_condition(cond, &scopes, &self.plan.catalog, instance)?
+                    }
+                };
+                if !pass {
+                    continue 'rows;
+                }
+            }
+            out.push(t);
+        }
+        Ok(out)
+    }
+
     /// The assignments a values node produces, from one evaluation of
-    /// `query` against `db` when there is one: a closed `E₀` once for
-    /// every row (none when no row is selected), a `par(E)` split per
+    /// `query` against `db` when there is one (none when no row is
+    /// selected): a closed `E₀` once for every row, a `par(E)` split per
     /// row, where a row `par(E)` pairs with nothing gets no values, as
     /// the row-by-row subquery gives it. Without a query, the subquery is
     /// evaluated row by row.
@@ -1388,6 +1498,7 @@ impl<'p> ExecCache<'p> {
         &mut self,
         id: NodeId,
         query: Option<&ValuesQuery>,
+        guard: Option<&[GuardConjunct]>,
         instance: &Instance,
         db: &Database,
     ) -> Result<Assignments> {
@@ -1399,7 +1510,7 @@ impl<'p> ExecCache<'p> {
         let PlanNode::Values { rows, var, select } = self.plan.graph.node(id) else {
             return Err(SqlError::Unsupported("not a values node".to_owned()));
         };
-        let base = self.rows(*rows, instance)?;
+        let base = self.rows(*rows, guard, instance, db)?;
         C_SELECTOR_EVALS.incr();
         self.misses += 1;
         let info = scan_table_info(&self.plan.graph, *rows, &self.plan.catalog)
@@ -1414,6 +1525,7 @@ impl<'p> ExecCache<'p> {
                 };
                 Assignments::Shared { rows: base, values }
             }
+            Some(ValuesQuery::PerRow(_)) if base.is_empty() => Assignments::PerRow(Vec::new()),
             Some(ValuesQuery::PerRow(query)) => {
                 let pairs = par_pairs(query, info.class, &base, db)?;
                 let mut out = Vec::with_capacity(base.len());
@@ -1462,9 +1574,9 @@ impl<'p> ExecCache<'p> {
     }
 }
 
-/// What one executed stage did, collected unconditionally (integer adds;
-/// the placement note and wave only when profiled) and read only by the
-/// profiled drivers.
+/// What one executed stage did, collected unconditionally (integer adds
+/// and a selector clock; the placement note and wave only when profiled)
+/// and read only by the profiled drivers.
 #[derive(Default)]
 struct StageMeter {
     /// Rows the stage's selector produced (receivers visited).
@@ -1475,6 +1587,9 @@ struct StageMeter {
     placement: Option<String>,
     /// How a profiled shard wave split its receivers across lanes.
     wave: Option<WaveStats>,
+    /// Time a set stage spent selecting its rows (and their values): the
+    /// rest of the stage is its batch write.
+    selector_ns: u64,
 }
 
 /// Where a profiled stage started: clocks and selector-cache counters,
@@ -1484,6 +1599,9 @@ struct StageMark {
     t0: std::time::Instant,
     hits: u64,
     misses: u64,
+    subqueries: u64,
+    residual_rows: u64,
+    log_len: usize,
 }
 
 /// Short label for a stage kind, shared by EXPLAIN and the profilers.
@@ -1519,6 +1637,24 @@ pub(crate) fn stage_node(idx: usize, stage: &Stage) -> obs::ProfileNode {
         Some(Err(why)) => n.add_note(format!("values: row by row — {why}")),
         None => {}
     }
+    if let Some(conjuncts) = &stage.guard_query {
+        let residuals = stage.guard_residuals();
+        let probed = conjuncts.len() - residuals.len();
+        if residuals.is_empty() {
+            n.add_note(format!(
+                "guard: each subquery evaluated once, then one probe per row ({probed} conjunct{})",
+                if probed == 1 { "" } else { "s" }
+            ));
+        } else if probed > 0 {
+            n.add_note(format!(
+                "guard: the other {probed} conjunct{} evaluated once, then probed per row",
+                if probed == 1 { "" } else { "s" }
+            ));
+        }
+        for (k, why) in residuals {
+            n.add_note(format!("guard: conjunct {k} row by row — {why}"));
+        }
+    }
     match (&stage.not_improved, &stage.compiled) {
         (Some(Ok(refusal)), CompiledStatement::CursorUpdate(cu)) => n.add_note(format!(
             "improve: refused — {}",
@@ -1540,6 +1676,7 @@ fn push_stage_profile(
     mark: StageMark,
     meter: StageMeter,
     cache: &ExecCache<'_>,
+    log_len: usize,
 ) {
     let mut node = stage_node(idx, stage);
     node.start_ns = mark.start_ns;
@@ -1548,6 +1685,17 @@ fn push_stage_profile(
     node.rows_out = meter.rows_out;
     node.set_metric("selector_cache_hits", cache.hits - mark.hits);
     node.set_metric("selector_cache_misses", cache.misses - mark.misses);
+    node.set_metric("delta_ops", (log_len - mark.log_len) as u64);
+    if stage.guard_query.is_some() {
+        node.set_metric("guard_subqueries", cache.subqueries - mark.subqueries);
+        node.set_metric(
+            "guard_residual_rows",
+            cache.residual_rows - mark.residual_rows,
+        );
+    }
+    if meter.selector_ns > 0 {
+        node.set_metric("selector_ns", meter.selector_ns);
+    }
     if let Some(note) = meter.placement {
         node.add_note(note);
     }
@@ -1753,7 +1901,7 @@ impl ProgramPlan {
         let PlanNode::AssignQuery { query, .. } = self.graph.node(values) else {
             unreachable!("improved stages hold an AssignQuery node");
         };
-        let rows = cache.rows(stage.scan, instance)?;
+        let rows = cache.rows(stage.scan, None, instance, db)?;
         C_VECTORIZED_ROWS.add(rows.len() as u64);
         let class = imp.method.signature_ref().receiving_class();
         let pairs = par_pairs(query, class, &rows, db)?;
@@ -1855,7 +2003,10 @@ impl ProgramPlan {
     ) -> Result<InPlaceOutcome> {
         match stage.kind {
             StageKind::SetDelete => {
-                let rows = cache.rows(stage.rows, instance)?;
+                let t0 = std::time::Instant::now();
+                let guard = stage.guard_query.as_deref();
+                let rows = cache.rows(stage.rows, guard, instance, view.database())?;
+                meter.selector_ns = t0.elapsed().as_nanos() as u64;
                 C_VECTORIZED_ROWS.add(rows.len() as u64);
                 meter.rows_in += rows.len() as u64;
                 meter.rows_out += rows.len() as u64;
@@ -1865,7 +2016,10 @@ impl ProgramPlan {
             StageKind::SetUpdate => {
                 let values = stage.values.expect("set updates have a values node");
                 let query = stage.values_query.as_ref().and_then(|q| q.as_ref().ok());
-                let assigns = cache.values(values, query, instance, view.database())?;
+                let t0 = std::time::Instant::now();
+                let guard = stage.guard_query.as_deref();
+                let assigns = cache.values(values, query, guard, instance, view.database())?;
+                meter.selector_ns = t0.elapsed().as_nanos() as u64;
                 C_VECTORIZED_ROWS.add(assigns.len() as u64);
                 meter.rows_in += assigns.len() as u64;
                 meter.rows_out += assigns.len() as u64;
@@ -1948,6 +2102,9 @@ impl ProgramPlan {
                 t0: std::time::Instant::now(),
                 hits: cache.hits,
                 misses: cache.misses,
+                subqueries: cache.subqueries,
+                residual_rows: cache.residual_rows,
+                log_len: log.len(),
             });
             let mut meter = StageMeter::default();
             let placed = lanes.as_deref_mut().and_then(|l| {
@@ -1969,7 +2126,7 @@ impl ProgramPlan {
                 }
             };
             if let (Some(p), Some(mark), Ok(_)) = (prof.as_deref_mut(), mark, &outcome) {
-                push_stage_profile(p, idx, stage, mark, meter, &cache);
+                push_stage_profile(p, idx, stage, mark, meter, &cache, log.len());
             }
             match outcome {
                 Ok(InPlaceOutcome::Applied) => {}

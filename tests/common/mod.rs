@@ -9,7 +9,7 @@ use receivers::sql::scenarios::UPDATE_C_SET;
 /// Guard pool. Deliberately small so identical guards recur within one
 /// program and the selector CSE / netting passes fire during the sweep;
 /// every atom evaluates cleanly on any instance over the employee schema.
-const GUARDS: &[&str] = &[
+pub const GUARDS: &[&str] = &[
     "Salary in table Fire",
     "Salary not in table Fire",
     "Manager = EmpId",

@@ -1,0 +1,608 @@
+//! Seeded differential suite for the set statements' guard selector
+//! (`sql::plan`).
+//!
+//! A set statement's guard is lowered once, at plan time, into anchored
+//! conjuncts: each closed subquery `E₀` is evaluated once against the
+//! view, then every row tests its own edges against those sets; the
+//! conjuncts outside that shape (residuals) are evaluated row by row.
+//! This suite checks the selector against the oracle written here —
+//! [`eval_condition`] on the whole guard, one row at a time in
+//! class-member order, which is the Section 7 semantics of `WHERE`:
+//!
+//! * the rows a guarded set delete removes are exactly the rows whose
+//!   guard holds, and an error is the oracle's first error, with the
+//!   instance left as passed in;
+//! * a guarded set update ends exactly where `SetUpdate::apply` (the
+//!   two-phase interpreter) does, errors alike;
+//! * each `E₀` is evaluated at most once per stage, and a guard with no
+//!   residual evaluates no row by row.
+//!
+//! Guards come from the `tests/common` pool and from a generator over all
+//! six condition forms with nesting: column references on the row, on
+//! `EXISTS` aliases, unqualified, identity columns, and a few that do not
+//! resolve. Instances are bounded and seeded, with empty `Employee`,
+//! `Fire` and `NewSal` tables and multi-valued salaries among the shapes.
+//!
+//! Every assertion message carries the failing seed; to replay one, run
+//! `RECEIVERS_DIFF_SEED=<seed> cargo test --test guard_selector`.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
+
+use receivers::objectbase::examples::EmployeeSchema;
+use receivers::objectbase::{InPlaceOutcome, Instance, Oid};
+use receivers::relalg::view::DatabaseView;
+use receivers::sql::catalog::employee_catalog;
+use receivers::sql::eval::{eval_condition, Binding};
+use receivers::sql::scenarios::DELETE_MANAGER;
+use receivers::sql::{
+    compile, compile_program, parse, Catalog, CompiledStatement, Condition, SqlStatement,
+};
+
+mod common;
+use common::{random_statement, GUARDS};
+
+/// Default number of seeded trials; override with
+/// `RECEIVERS_DIFF_GUARDS`.
+const DEFAULT_TRIALS: u64 = 1000;
+
+/// Base offset separating this sweep's seed space from the other
+/// differential suites.
+const SWEEP_BASE: u64 = 0x6A4D_0000;
+
+/// The guard of `correlated`'s guarded set update (stage 3) in the `e2e`
+/// benchmark; its stage 4 is [`DELETE_MANAGER`].
+const MANAGER_FIRED: &str =
+    "exists (select * from Employee E1 where E1.EmpId = Manager and E1.Salary in table Fire)";
+
+/// Non-vacuity tallies over the sweep.
+static PROBED: AtomicU64 = AtomicU64::new(0);
+static RESIDUAL: AtomicU64 = AtomicU64::new(0);
+static ERRORS: AtomicU64 = AtomicU64::new(0);
+static SELECTED: AtomicU64 = AtomicU64::new(0);
+
+/// The shapes a trial's instance takes.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    General,
+    NoEmployees,
+    NoFire,
+    NoNewSal,
+    /// Several salaries per row, as after a set update that gives every
+    /// row one shared list of values.
+    MultiValued,
+}
+
+const SHAPES: [Shape; 5] = [
+    Shape::General,
+    Shape::NoEmployees,
+    Shape::NoFire,
+    Shape::NoNewSal,
+    Shape::MultiValued,
+];
+
+/// A random bounded instance over the employee schema.
+fn random_instance(es: &EmployeeSchema, shape: Shape, rng: &mut StdRng) -> Instance {
+    let mut i = Instance::empty(Arc::clone(&es.schema));
+    let count = |rng: &mut StdRng, empty: bool, lo: u32, hi: u32| {
+        if empty {
+            0
+        } else {
+            rng.random_range(lo..=hi)
+        }
+    };
+    let employees: Vec<Oid> = (0..count(rng, matches!(shape, Shape::NoEmployees), 1, 5))
+        .map(|k| Oid::new(es.employee, k))
+        .collect();
+    let amounts: Vec<Oid> = (0..rng.random_range(2..=4u32))
+        .map(|k| Oid::new(es.amount, k))
+        .collect();
+    let fires: Vec<Oid> = (0..count(rng, matches!(shape, Shape::NoFire), 1, 2))
+        .map(|k| Oid::new(es.fire, k))
+        .collect();
+    let newsals: Vec<Oid> = (0..count(rng, matches!(shape, Shape::NoNewSal), 1, 3))
+        .map(|k| Oid::new(es.newsal, k))
+        .collect();
+    for &o in employees
+        .iter()
+        .chain(&amounts)
+        .chain(&fires)
+        .chain(&newsals)
+    {
+        i.add_object(o);
+    }
+    let salary_p = if matches!(shape, Shape::MultiValued) {
+        0.85
+    } else {
+        0.4
+    };
+    for &e in &employees {
+        for &a in &amounts {
+            if rng.random_bool(salary_p) {
+                i.link(e, es.salary, a).expect("typed edge");
+            }
+        }
+        for &m in &employees {
+            if rng.random_bool(0.35) {
+                i.link(e, es.manager, m).expect("typed edge");
+            }
+        }
+    }
+    for &f in &fires {
+        for &a in &amounts {
+            if rng.random_bool(0.4) {
+                i.link(f, es.fire_amount, a).expect("typed edge");
+            }
+        }
+    }
+    for &n in &newsals {
+        for &a in &amounts {
+            if rng.random_bool(0.4) {
+                i.link(n, es.old, a).expect("typed edge");
+            }
+            if rng.random_bool(0.4) {
+                i.link(n, es.new, a).expect("typed edge");
+            }
+        }
+    }
+    i
+}
+
+/// Random guards over all six condition forms, nested through `EXISTS`.
+struct GuardGen<'r> {
+    rng: &'r mut StdRng,
+    fresh: usize,
+}
+
+impl GuardGen<'_> {
+    fn pick<'a>(&mut self, items: &[&'a str]) -> &'a str {
+        items[self.rng.random_range(0..items.len())]
+    }
+
+    /// A condition with the `FROM` aliases `scope` (alias, table) visible.
+    fn condition(&mut self, depth: u32, scope: &[(String, &'static str)]) -> String {
+        match self.rng.random_range(0..if depth > 0 { 7u32 } else { 4 }) {
+            0 => format!("{} = {}", self.column(scope), self.column(scope)),
+            1 => format!("{} <> {}", self.column(scope), self.column(scope)),
+            2 => format!("{} in table {}", self.column(scope), self.table()),
+            3 => format!("{} not in table {}", self.column(scope), self.table()),
+            4 | 5 => self.exists(depth - 1, scope),
+            _ => format!(
+                "{} and {}",
+                self.condition(depth - 1, scope),
+                self.condition(depth - 1, scope)
+            ),
+        }
+    }
+
+    /// Mostly `Fire`; sometimes a table `IN TABLE` refuses.
+    fn table(&mut self) -> &'static str {
+        match self.rng.random_range(0..20u32) {
+            0 => "NewSal",
+            1 => "Payroll",
+            _ => "Fire",
+        }
+    }
+
+    fn column(&mut self, scope: &[(String, &'static str)]) -> String {
+        let roll = self.rng.random_range(0..100u32);
+        if roll < 3 {
+            return self.pick(&["Bogus", "Z9.Salary"]).to_owned();
+        }
+        if scope.is_empty() || roll < 35 {
+            return self
+                .pick(&[
+                    "Salary",
+                    "Manager",
+                    "EmpId",
+                    "t.Salary",
+                    "t.Manager",
+                    "t.EmpId",
+                ])
+                .to_owned();
+        }
+        let (alias, table) = &scope[self.rng.random_range(0..scope.len())];
+        let columns: &[&str] = match *table {
+            "Employee" => &["EmpId", "Salary", "Manager"],
+            "NewSal" => &["NewSalId", "Old", "New"],
+            _ => &["FireId", "Amount"],
+        };
+        let column = self.pick(columns);
+        if *table != "Employee" && self.rng.random_bool(0.3) {
+            // Unqualified: resolves when exactly one visible table has it.
+            column.to_owned()
+        } else {
+            format!("{alias}.{column}")
+        }
+    }
+
+    fn exists(&mut self, depth: u32, scope: &[(String, &'static str)]) -> String {
+        let mut inner = scope.to_vec();
+        let mut from = Vec::new();
+        for _ in 0..self.rng.random_range(1..=2u32) {
+            let table = self.pick(&["Employee", "NewSal", "Fire"]);
+            self.fresh += 1;
+            let alias = format!("{}{}", &table[..1], self.fresh);
+            from.push(format!("{table} {alias}"));
+            inner.push((alias, table));
+        }
+        let projection = if self.rng.random_bool(0.6) {
+            "*".to_owned()
+        } else {
+            self.column(&inner)
+        };
+        let mut text = format!("exists (select {projection} from {}", from.join(", "));
+        if self.rng.random_bool(0.85) {
+            text.push_str(" where ");
+            text.push_str(&self.condition(depth, &inner));
+        }
+        text.push(')');
+        text
+    }
+}
+
+/// The oracle: the guard evaluated on each `Employee` row in
+/// class-member order, the first error ending the scan.
+fn oracle(guard: &str, catalog: &Catalog, i: &Instance) -> Result<Vec<Oid>, String> {
+    let condition = guard_of(guard);
+    let table = catalog.lookup("Employee").expect("employee table");
+    let mut out = Vec::new();
+    for t in i.class_members(table.class) {
+        let scopes = vec![Binding {
+            alias: "t".to_owned(),
+            table,
+            tuple: t,
+        }];
+        if eval_condition(&condition, &scopes, catalog, i).map_err(|e| e.to_string())? {
+            out.push(t);
+        }
+    }
+    Ok(out)
+}
+
+/// The planner's selection of `guard`, read off a guarded set delete:
+/// the rows it removed, or its error (which must leave `i` untouched).
+/// Also checks that each `E₀` ran at most once and that a guard with no
+/// residual evaluated no row by row. Returns the selection and the
+/// number of residual conjuncts.
+fn planned(
+    guard: &str,
+    catalog: &Catalog,
+    i: &Instance,
+    seed: u64,
+) -> (Result<Vec<Oid>, String>, usize) {
+    let stmt = parse(&format!("delete from Employee where {guard}")).expect("parsed by the oracle");
+    let plan = compile_program(&[stmt], catalog).expect("a set delete compiles");
+    let stage = &plan.stages()[0];
+    let residuals = stage.guard_residuals().len();
+    let mut w = i.clone();
+    let mut v = DatabaseView::new(&w);
+    let selected = match plan.execute_viewed_profiled(&mut w, &mut v) {
+        Ok((outcome, tree)) => {
+            assert_eq!(outcome, InPlaceOutcome::Applied, "seed {seed}: {guard}");
+            let node = &tree.children[0];
+            let subqueries = node.metric("guard_subqueries").expect("guarded stage");
+            let residual_rows = node.metric("guard_residual_rows").expect("guarded stage");
+            let probes = guard_conjuncts(guard) - residuals;
+            assert!(
+                subqueries <= probes as u64,
+                "seed {seed}: {subqueries} E₀ evaluations for {probes} probed conjuncts: {guard}"
+            );
+            if residuals == 0 {
+                assert_eq!(residual_rows, 0, "seed {seed}: {guard}");
+            }
+            let emp = catalog.lookup("Employee").expect("employee table").class;
+            Ok(i.class_members(emp)
+                .filter(|&t| !w.contains_node(t))
+                .collect())
+        }
+        Err(e) => {
+            assert!(
+                w == *i,
+                "seed {seed}: an error must leave the instance: {guard}"
+            );
+            Err(e.to_string())
+        }
+    };
+    (selected, residuals)
+}
+
+/// `guard` parsed.
+fn guard_of(guard: &str) -> Condition {
+    match parse(&format!("delete from Employee where {guard}")) {
+        Ok(SqlStatement::Delete { condition, .. }) => condition,
+        other => panic!("generated guard must parse: {guard}: {other:?}"),
+    }
+}
+
+/// The number of conjuncts in `guard`'s top-level `AND` chain.
+fn guard_conjuncts(guard: &str) -> usize {
+    fn count(c: &Condition) -> usize {
+        match c {
+            Condition::And(a, b) => count(a) + count(b),
+            _ => 1,
+        }
+    }
+    count(&guard_of(guard))
+}
+
+/// The guarded set update through the planner against the two-phase
+/// interpreter: same instance, or the same error.
+fn check_update(guard: &str, catalog: &Catalog, i: &Instance, seed: u64) {
+    let text = format!("update Employee set Salary = (select Amount from Fire) where {guard}");
+    let stmt = parse(&text).expect("parses");
+    let want = match compile(&stmt, catalog).expect("compiles") {
+        CompiledStatement::SetUpdate(su) => su.apply(i).map_err(|e| e.to_string()),
+        _ => unreachable!("a set update"),
+    };
+    let plan = compile_program(&[stmt], catalog).expect("compiles");
+    let mut w = i.clone();
+    let mut v = DatabaseView::new(&w);
+    let got = match plan.execute_viewed(&mut w, &mut v) {
+        Ok(outcome) => {
+            assert_eq!(outcome, InPlaceOutcome::Applied, "seed {seed}: {text}");
+            Ok(w)
+        }
+        Err(e) => {
+            assert!(
+                w == *i,
+                "seed {seed}: an error must leave the instance: {text}"
+            );
+            Err(e.to_string())
+        }
+    };
+    assert!(
+        got == want,
+        "seed {seed}: set update diverges from the interpreter: {text}"
+    );
+}
+
+/// One guard on one instance: delete selection and update result against
+/// the oracle.
+fn check(guard: &str, catalog: &Catalog, i: &Instance, seed: u64) -> usize {
+    let want = oracle(guard, catalog, i);
+    let (got, residuals) = planned(guard, catalog, i, seed);
+    assert_eq!(got, want, "seed {seed}: selection diverges: {guard}");
+    match &want {
+        Ok(rows) => {
+            SELECTED.fetch_add(rows.len() as u64, Ordering::Relaxed);
+        }
+        Err(_) => {
+            ERRORS.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+    check_update(guard, catalog, i, seed);
+    residuals
+}
+
+fn run_trial(seed: u64) {
+    let (es, catalog) = employee_catalog();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let guard = match rng.random_range(0..4u32) {
+        // A pool statement's guard, when it drew a guarded one.
+        0 => {
+            let stmt = parse(&random_statement(&mut rng)).expect("pool statements parse");
+            let guard = match &stmt {
+                SqlStatement::Delete { condition, .. } => Some(condition),
+                SqlStatement::Update { condition, .. } => condition.as_ref(),
+                SqlStatement::ForEach { .. } => None,
+            };
+            match guard.and_then(|g| GUARDS.iter().find(|&&text| guard_of(text) == *g)) {
+                Some(text) => (*text).to_owned(),
+                None => GUARDS[rng.random_range(0..GUARDS.len())].to_owned(),
+            }
+        }
+        _ => GuardGen {
+            rng: &mut rng,
+            fresh: 0,
+        }
+        .condition(3, &[]),
+    };
+    for _ in 0..3 {
+        let shape = SHAPES[rng.random_range(0..SHAPES.len())];
+        let i = random_instance(&es, shape, &mut rng);
+        let residuals = check(&guard, &catalog, &i, seed);
+        let tally = if residuals == 0 { &PROBED } else { &RESIDUAL };
+        tally.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+#[test]
+fn guard_selector_matches_eval_condition() {
+    if let Ok(s) = std::env::var("RECEIVERS_DIFF_SEED") {
+        run_trial(s.trim().parse().expect("RECEIVERS_DIFF_SEED must be u64"));
+        return;
+    }
+    let n = std::env::var("RECEIVERS_DIFF_GUARDS")
+        .ok()
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or(DEFAULT_TRIALS);
+    for k in 0..n {
+        run_trial(SWEEP_BASE + k);
+    }
+    if n >= DEFAULT_TRIALS {
+        for (what, tally) in [
+            ("probed guards", &PROBED),
+            ("residual guards", &RESIDUAL),
+            ("guard errors", &ERRORS),
+            ("selected rows", &SELECTED),
+        ] {
+            assert!(tally.load(Ordering::Relaxed) > 0, "the sweep saw no {what}");
+        }
+    }
+}
+
+/// The traffic cannot silently fall back: every pool guard and both
+/// guards of the `correlated` workload lower with no residual, on a set
+/// delete and on a set update.
+#[test]
+fn pool_and_correlated_guards_lower_without_residual() {
+    let (_, catalog) = employee_catalog();
+    let correlated = DELETE_MANAGER
+        .split_once(" where ")
+        .map(|(_, g)| g)
+        .expect("guarded");
+    for guard in GUARDS.iter().copied().chain([MANAGER_FIRED, correlated]) {
+        for text in [
+            format!("delete from Employee where {guard}"),
+            format!(
+                "update Employee set Salary = (select New from NewSal where Old = Salary) \
+                 where {guard}"
+            ),
+        ] {
+            let plan = compile_program(&[parse(&text).unwrap()], &catalog).unwrap();
+            let stage = &plan.stages()[0];
+            assert_eq!(stage.guard_residuals(), [], "{text}");
+            let explain = plan.explain();
+            assert!(
+                explain.children[0]
+                    .notes
+                    .iter()
+                    .any(|n| n.starts_with("guard: each subquery evaluated once")),
+                "{text}: {:?}",
+                explain.children[0].notes
+            );
+        }
+    }
+}
+
+/// Each residual shape is named, and still agrees with the oracle; the
+/// near misses that do lower (an alias projection, identity columns on
+/// both sides of the link, an uncorrelated `EXISTS`) agree too.
+#[test]
+fn residual_shapes_are_named_and_agree() {
+    let (es, catalog) = employee_catalog();
+    let cases: &[(&str, Option<&str>)] = &[
+        (
+            "exists (select * from Employee E1 where E1.EmpId = Manager and E1.Salary = Salary)",
+            Some("the EXISTS reads the row twice (Manager, Salary)"),
+        ),
+        (
+            "exists (select * from NewSal N where N.Old = Salary and N.New <> N.Old)",
+            Some("negative atom"),
+        ),
+        (
+            "exists (select * from NewSal N where N.Old = Salary and N.New not in table Fire)",
+            Some("negative atom"),
+        ),
+        (
+            "exists (select Manager from NewSal N where N.Old = N.New)",
+            Some("the EXISTS projects a column of the row (Manager)"),
+        ),
+        (
+            "exists (select * from Employee E1 where E1.EmpId = Manager \
+             and E1.Salary in table Fire and E1.Salary = E1.Salary)",
+            Some("the EXISTS reads E1.Salary twice"),
+        ),
+        ("Bogus = Salary", Some("unknown column")),
+        ("Salary in table NewSal", Some("one-column table")),
+        (
+            "exists (select E1.Manager from Employee E1 where E1.EmpId = Manager)",
+            None,
+        ),
+        (
+            "exists (select * from Employee E1 where E1.EmpId = EmpId)",
+            None,
+        ),
+        (
+            "exists (select * from Employee E1 where E1.Manager = EmpId)",
+            None,
+        ),
+        (
+            "exists (select * from Employee E1 where E1.Manager = E1.EmpId)",
+            None,
+        ),
+        ("EmpId = Manager and Salary <> Salary", None),
+        ("Salary in table Fire and Salary not in table Fire", None),
+    ];
+    for (k, &(guard, want)) in cases.iter().enumerate() {
+        let plan = compile_program(
+            &[parse(&format!("delete from Employee where {guard}")).unwrap()],
+            &catalog,
+        )
+        .unwrap();
+        let residuals = plan.stages()[0].guard_residuals();
+        match want {
+            None => assert_eq!(residuals, [], "{guard}"),
+            Some(why) => assert!(
+                matches!(residuals.as_slice(), [(_, got)] if got.contains(why)),
+                "{guard}: {residuals:?}"
+            ),
+        }
+        for (s, &shape) in SHAPES.iter().enumerate() {
+            let seed = SWEEP_BASE + 0x1_0000 + (k * SHAPES.len() + s) as u64;
+            let i = random_instance(&es, shape, &mut StdRng::seed_from_u64(seed));
+            check(guard, &catalog, &i, seed);
+        }
+    }
+}
+
+/// Each atom of an `EXISTS` picks its own value of a multi-valued
+/// column: an employee earning one amount in `Fire` and another listed
+/// as an old salary satisfies both atoms below, though no single salary
+/// does. A join giving `E1.Salary` one attribute would miss it, which is
+/// why the shape stays row by row.
+#[test]
+fn each_atom_picks_its_own_value() {
+    let (es, catalog) = employee_catalog();
+    let mut i = Instance::empty(Arc::clone(&es.schema));
+    let (e, fired, old) = (
+        Oid::new(es.employee, 0),
+        Oid::new(es.amount, 0),
+        Oid::new(es.amount, 1),
+    );
+    let (f, n) = (Oid::new(es.fire, 0), Oid::new(es.newsal, 0));
+    for o in [e, fired, old, f, n] {
+        i.add_object(o);
+    }
+    i.link(e, es.manager, e).unwrap();
+    i.link(e, es.salary, fired).unwrap();
+    i.link(e, es.salary, old).unwrap();
+    i.link(f, es.fire_amount, fired).unwrap();
+    i.link(n, es.old, old).unwrap();
+    let guard = "exists (select * from Employee E1, NewSal N where E1.EmpId = Manager \
+                 and E1.Salary in table Fire and E1.Salary = N.Old)";
+    assert_eq!(oracle(guard, &catalog, &i), Ok(vec![e]));
+    check(guard, &catalog, &i, SWEEP_BASE + 0x3_0000);
+}
+
+/// `mixed`'s shape at scale: every row holds many salaries, and the
+/// negative probe stops at its first hit.
+#[test]
+fn multi_valued_rows_at_scale() {
+    let (es, catalog) = employee_catalog();
+    let mut i = Instance::empty(Arc::clone(&es.schema));
+    let amounts: Vec<Oid> = (0..24).map(|k| Oid::new(es.amount, k)).collect();
+    for &a in &amounts {
+        i.add_object(a);
+    }
+    for k in 0..4 {
+        let f = Oid::new(es.fire, k);
+        i.add_object(f);
+        i.link(f, es.fire_amount, amounts[(5 * k + 3) as usize])
+            .unwrap();
+    }
+    for k in 0..32u32 {
+        i.add_object(Oid::new(es.employee, k));
+    }
+    for k in 0..32u32 {
+        let e = Oid::new(es.employee, k);
+        for (j, &a) in amounts.iter().enumerate() {
+            if !(j as u32 + k).is_multiple_of(3) || k.is_multiple_of(8) {
+                i.link(e, es.salary, a).unwrap();
+            }
+        }
+        i.link(e, es.manager, Oid::new(es.employee, (k + 1) % 32))
+            .unwrap();
+    }
+    for guard in [
+        "Salary in table Fire",
+        "Salary not in table Fire",
+        MANAGER_FIRED,
+    ] {
+        check(guard, &catalog, &i, SWEEP_BASE + 0x2_0000);
+    }
+}
