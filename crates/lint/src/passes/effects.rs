@@ -90,3 +90,31 @@ fn summarize(coloring: &Coloring) -> String {
         parts.join(", ")
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use receivers_sql::catalog::employee_catalog;
+    use receivers_sql::scenarios::CURSOR_DELETE_SIMPLE;
+
+    use crate::PassManager;
+
+    /// Qualifying the guard's column with the cursor variable keeps the
+    /// simple delete's Theorem 4.23 certificate, coloring and all.
+    #[test]
+    fn cursor_qualified_guard_is_certified_like_the_plain_one() {
+        let (_es, catalog) = employee_catalog();
+        let pm = PassManager::with_default_passes();
+        let certificate = |text: &str| {
+            let report = pm.lint_source(text, &catalog);
+            let found = report.with_code("R0101");
+            assert_eq!(found.len(), 1, "{text}: {:#?}", report.diagnostics);
+            (found[0].message.clone(), found[0].notes.clone())
+        };
+        assert_eq!(
+            certificate(
+                "for each t in Employee do if t.Salary in table Fire delete t from Employee"
+            ),
+            certificate(CURSOR_DELETE_SIMPLE)
+        );
+    }
+}

@@ -3,13 +3,18 @@
 //! reference (`R0003`/`R0004`/`R0005`).
 //!
 //! The compiler (`receivers_sql::compile`) stops at the first unresolved
-//! name; this pass re-resolves the whole program and reports *all* of
-//! them, which is what makes the downstream passes safe to skip
-//! statements that fail to compile.
+//! name; this pass walks the whole program with `receivers_sql::scope`'s
+//! walker — the resolution rule `receivers_sql::eval` evaluates by — and
+//! reports *all* of them, which is what makes the downstream passes safe
+//! to skip statements that fail to compile. It adds one check the rule
+//! does not need: an unqualified column that several `FROM` tables have
+//! resolves to the outermost, but is reported (`R0004`) as ambiguous.
 
-use receivers_sql::ast::{Condition, CursorBody, Projection, Select, SqlStatement};
+use receivers_objectbase::PropId;
+use receivers_sql::ast::FromItem;
 use receivers_sql::catalog::{Catalog, TableInfo};
-use receivers_sql::{ColumnRef, Span, SpannedStatement};
+use receivers_sql::scope::{walk_condition, walk_select, Bound, Reference, Visitor};
+use receivers_sql::{ColumnRef, Span, SpannedStatement, SqlError};
 
 use crate::diag::{codes, Diagnostic};
 use crate::pass::{LintContext, ProgramPass};
@@ -24,223 +29,136 @@ impl ProgramPass for NameResolutionPass {
 
     fn run(&self, program: &[SpannedStatement], cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
         for stmt in program {
+            let (table, var, condition, update) = stmt.stmt.parts();
+            let outer = cx.catalog.lookup(table).ok().map(|info| Bound {
+                alias: var,
+                table: info,
+            });
             let mut r = Resolver {
                 catalog: cx.catalog,
-                var: None,
-                outer: None,
+                unbound_var: var.filter(|_| outer.is_none()),
                 out,
             };
-            match &stmt.stmt {
-                SqlStatement::Delete { table, condition } => {
-                    r.outer = r.table(table, stmt.span);
-                    r.condition(condition, &[]);
+            if outer.is_none() {
+                r.unknown_table(format!("unknown table `{table}`"), stmt.span);
+            }
+            if let Some((column, select)) = update {
+                if outer.is_some_and(|row| row.table.column_prop(column).is_none()) {
+                    r.out.push(
+                        Diagnostic::new(
+                            codes::UNKNOWN_COLUMN,
+                            format!("table `{table}` has no updatable column `{column}`"),
+                        )
+                        .with_span(stmt.span),
+                    );
                 }
-                SqlStatement::Update {
-                    table,
-                    column,
-                    select,
-                    condition,
-                } => {
-                    r.outer = r.table(table, stmt.span);
-                    r.target_column(table, column, stmt.span);
-                    r.select(select, &[]);
-                    if let Some(c) = condition {
-                        r.condition(c, &[]);
-                    }
-                }
-                SqlStatement::ForEach { var, table, body } => {
-                    r.var = Some(var.clone());
-                    r.outer = r.table(table, stmt.span);
-                    match body {
-                        CursorBody::DeleteIf { condition, .. } => {
-                            if let Some(c) = condition {
-                                r.condition(c, &[]);
-                            }
-                        }
-                        CursorBody::UpdateSet {
-                            condition,
-                            column,
-                            select,
-                        } => {
-                            r.target_column(table, column, stmt.span);
-                            r.select(select, &[]);
-                            if let Some(c) = condition {
-                                r.condition(c, &[]);
-                            }
-                        }
-                    }
-                }
+                walk_select(select, outer, cx.catalog, &mut r);
+            }
+            if let Some(c) = condition {
+                walk_condition(c, outer, cx.catalog, &mut r);
             }
         }
     }
 }
 
+/// Reports what the [`receivers_sql::scope`] walker fails to resolve.
 struct Resolver<'a> {
     catalog: &'a Catalog,
-    /// The cursor variable, usable as a qualifier inside `FOR EACH`.
-    var: Option<String>,
-    /// The loop/target table, once resolved.
-    outer: Option<TableInfo>,
+    /// The cursor variable when the loop table did not resolve: `R0003`
+    /// already names the table, so qualifiers naming the variable are
+    /// not reported again.
+    unbound_var: Option<&'a str>,
     out: &'a mut Vec<Diagnostic>,
 }
 
 impl Resolver<'_> {
-    fn known_tables(&self) -> String {
+    fn unknown_table(&mut self, message: String, span: Span) {
         let names: Vec<String> = self
             .catalog
             .tables()
             .map(|(n, _)| format!("`{n}`"))
             .collect();
-        names.join(", ")
+        self.out.push(
+            Diagnostic::new(codes::UNKNOWN_TABLE, message)
+                .with_span(span)
+                .note(format!("the catalog defines {}", names.join(", "))),
+        );
     }
+}
 
-    fn table(&mut self, name: &str, span: Span) -> Option<TableInfo> {
-        match self.catalog.lookup(name) {
-            Ok(t) => Some(t.clone()),
-            Err(_) => {
-                let note = format!("the catalog defines {}", self.known_tables());
-                self.out.push(
-                    Diagnostic::new(codes::UNKNOWN_TABLE, format!("unknown table `{name}`"))
-                        .with_span(span)
-                        .note(note),
-                );
-                None
-            }
+impl Visitor for Resolver<'_> {
+    fn scan(&mut self, item: &FromItem, table: Result<&TableInfo, SqlError>) {
+        if table.is_err() {
+            self.unknown_table(format!("unknown table `{}`", item.table), item.span);
         }
     }
 
-    /// The updated column of an `UPDATE … SET col` must be a data column
-    /// of the target table.
-    fn target_column(&mut self, table: &str, column: &str, span: Span) {
-        if let Ok(info) = self.catalog.lookup(table) {
-            if info.column_prop(column).is_none() {
-                self.out.push(
-                    Diagnostic::new(
-                        codes::UNKNOWN_COLUMN,
-                        format!("table `{table}` has no updatable column `{column}`"),
-                    )
-                    .with_span(span),
-                );
+    fn column(&mut self, colref: &ColumnRef, reference: Result<Reference, SqlError>) {
+        let message = match reference {
+            Ok(r) if r.ambiguous => {
+                format!("ambiguous column `{}`: qualify it", colref.column)
             }
-        }
-    }
-
-    fn condition(&mut self, cond: &Condition, scopes: &[(String, TableInfo)]) {
-        match cond {
-            Condition::Eq(a, b) | Condition::NotEq(a, b) => {
-                self.column(a, scopes);
-                self.column(b, scopes);
-            }
-            Condition::InTable(c, table) | Condition::NotInTable(c, table) => {
-                self.column(c, scopes);
-                if self.catalog.lookup(table).is_err() {
-                    let note = format!("the catalog defines {}", self.known_tables());
-                    self.out.push(
-                        Diagnostic::new(
-                            codes::UNKNOWN_TABLE,
-                            format!("unknown table `{table}` in `IN TABLE`"),
-                        )
-                        .with_span(c.span)
-                        .note(note),
-                    );
-                }
-            }
-            Condition::Exists(select) => self.select(select, scopes),
-            Condition::And(a, b) => {
-                self.condition(a, scopes);
-                self.condition(b, scopes);
-            }
-        }
-    }
-
-    fn select(&mut self, select: &Select, outer_scopes: &[(String, TableInfo)]) {
-        let mut scopes = outer_scopes.to_vec();
-        for item in &select.from {
-            match self.catalog.lookup(&item.table) {
-                Ok(info) => scopes.push((item.name().to_owned(), info.clone())),
-                Err(_) => {
-                    let note = format!("the catalog defines {}", self.known_tables());
-                    self.out.push(
-                        Diagnostic::new(
-                            codes::UNKNOWN_TABLE,
-                            format!("unknown table `{}`", item.table),
-                        )
-                        .with_span(item.span)
-                        .note(note),
-                    );
-                }
-            }
-        }
-        if let Some(w) = &select.where_clause {
-            self.condition(w, &scopes);
-        }
-        if let Projection::Column(c) = &select.projection {
-            self.column(c, &scopes);
-        }
-    }
-
-    fn column(&mut self, colref: &ColumnRef, scopes: &[(String, TableInfo)]) {
-        match &colref.qualifier {
-            Some(q) if Some(q.as_str()) == self.var.as_deref() => {
-                if let Some(t) = &self.outer {
-                    check_column_of(self.out, t, q, colref);
-                }
-            }
-            Some(q) => match scopes.iter().find(|(a, _)| a == q) {
-                Some((_, t)) => check_column_of(self.out, t, q, colref),
-                None => self.out.push(
-                    Diagnostic::new(codes::UNKNOWN_ALIAS, format!("unknown alias `{q}`"))
-                        .with_span(colref.span),
-                ),
-            },
-            None => {
-                if self
-                    .outer
-                    .as_ref()
-                    .map(|t| t.has_column(&colref.column))
-                    .unwrap_or(false)
-                {
+            Ok(_) => return,
+            Err(SqlError::UnknownAlias(q)) => {
+                if Some(q.as_str()) == self.unbound_var {
                     return;
                 }
-                let matches = scopes
-                    .iter()
-                    .filter(|(_, t)| t.has_column(&colref.column))
-                    .count();
-                match matches {
-                    1 => {}
-                    0 => self.out.push(
-                        Diagnostic::new(
-                            codes::UNKNOWN_COLUMN,
-                            format!("no visible table has a column `{}`", colref.column),
-                        )
+                self.out.push(
+                    Diagnostic::new(codes::UNKNOWN_ALIAS, format!("unknown alias `{q}`"))
                         .with_span(colref.span),
-                    ),
-                    _ => self.out.push(
-                        Diagnostic::new(
-                            codes::UNKNOWN_COLUMN,
-                            format!("ambiguous column `{}`: qualify it", colref.column),
-                        )
-                        .with_span(colref.span),
-                    ),
-                }
+                );
+                return;
             }
+            Err(_) => match &colref.qualifier {
+                Some(q) => format!("`{q}` has no column `{}`", colref.column),
+                None => format!("no visible table has a column `{}`", colref.column),
+            },
+        };
+        self.out
+            .push(Diagnostic::new(codes::UNKNOWN_COLUMN, message).with_span(colref.span));
+    }
+
+    fn in_table(
+        &mut self,
+        colref: &ColumnRef,
+        table: &str,
+        column: Result<(&TableInfo, PropId), SqlError>,
+    ) {
+        if let Err(SqlError::UnknownTable(_)) = column {
+            self.unknown_table(
+                format!("unknown table `{table}` in `IN TABLE`"),
+                colref.span,
+            );
         }
     }
 }
 
-fn check_column_of(
-    out: &mut Vec<Diagnostic>,
-    table: &TableInfo,
-    qualifier: &str,
-    colref: &ColumnRef,
-) {
-    if !table.has_column(&colref.column) {
-        out.push(
-            Diagnostic::new(
-                codes::UNKNOWN_COLUMN,
-                format!("`{qualifier}` has no column `{}`", colref.column),
-            )
-            .with_span(colref.span),
-        );
+#[cfg(test)]
+mod tests {
+    use receivers_sql::catalog::employee_catalog;
+
+    use crate::PassManager;
+
+    /// A nested `FROM` that reuses an alias shadows the outer one, as in
+    /// `receivers_sql::eval`: `E.Old` is NewSal's `Old`, in the set and
+    /// cursor forms alike.
+    #[test]
+    fn reused_alias_resolves_to_the_inner_binding() {
+        let (_es, catalog) = employee_catalog();
+        let pm = PassManager::with_default_passes();
+        for text in [
+            "delete from Employee where exists (select * from Employee E \
+             where exists (select * from NewSal E where E.Old = Salary))",
+            "for each t in Employee do if exists (select * from Employee E \
+             where exists (select * from NewSal E where E.Old = Salary)) \
+             delete t from Employee",
+        ] {
+            let report = pm.lint_source(text, &catalog);
+            assert!(
+                report.with_code("R0004").is_empty(),
+                "{text}: {:#?}",
+                report.diagnostics
+            );
+        }
     }
 }

@@ -27,15 +27,14 @@
 //! statements get the same footprint coloring but are **two-phase** —
 //! order independent by construction, whatever their coloring.
 
-use std::collections::BTreeSet;
-
 use receivers_coloring::{Color, ColorSet, Coloring};
-use receivers_objectbase::SchemaItem;
+use receivers_objectbase::{PropId, SchemaItem};
 
-use crate::ast::{ColumnRef, Condition, Select};
+use crate::ast::{ColumnRef, Condition, FromItem, Select};
 use crate::catalog::{Catalog, TableInfo};
 use crate::compile::{CompiledStatement, CursorDelete};
 use crate::error::{Result, SqlError};
+use crate::scope::{walk_condition, walk_select, Bound, Column, Reference, Visitor};
 
 /// The analysis result for a cursor delete (kept for compatibility; the
 /// general entry point is [`analyze_statement`]).
@@ -97,21 +96,29 @@ impl EffectAnalysis {
     }
 }
 
-/// Analyse any compiled statement.
+/// Analyse any compiled statement. A cursor statement's row is named by
+/// its cursor variable; a set statement's row has no name a qualifier
+/// can use.
 pub fn analyze_statement(stmt: &CompiledStatement) -> Result<EffectAnalysis> {
     match stmt {
         CompiledStatement::SetDelete(sd) => {
-            let mut coloring = delete_coloring(sd.catalog(), sd.table(), sd.condition())?;
+            let mut coloring = delete_coloring(sd.catalog(), sd.table(), None, sd.condition())?;
             finish(&mut coloring, EffectVerdict::TwoPhase)
         }
         CompiledStatement::CursorDelete(cd) => {
-            let mut coloring = delete_coloring(cd.catalog(), cd.table(), cd.condition.as_ref())?;
+            let mut coloring = delete_coloring(
+                cd.catalog(),
+                cd.table(),
+                Some(&cd.var),
+                cd.condition.as_ref(),
+            )?;
             finish_per_tuple(&mut coloring)
         }
         CompiledStatement::SetUpdate(su) => {
             let mut coloring = update_coloring(
                 su.catalog(),
                 su.table(),
+                None,
                 su.property,
                 su.select(),
                 su.condition.as_ref(),
@@ -122,6 +129,7 @@ pub fn analyze_statement(stmt: &CompiledStatement) -> Result<EffectAnalysis> {
             let mut coloring = update_coloring(
                 cu.catalog(),
                 cu.table(),
+                Some(&cu.var),
                 cu.property,
                 cu.select(),
                 cu.condition.as_ref(),
@@ -134,8 +142,12 @@ pub fn analyze_statement(stmt: &CompiledStatement) -> Result<EffectAnalysis> {
 /// Analyse a compiled cursor delete (compatibility wrapper around
 /// [`analyze_statement`]'s cursor-delete case).
 pub fn analyze_cursor_delete(delete: &CursorDelete) -> Result<DeleteAnalysis> {
-    let mut coloring =
-        delete_coloring(delete.catalog(), delete.table(), delete.condition.as_ref())?;
+    let mut coloring = delete_coloring(
+        delete.catalog(),
+        delete.table(),
+        Some(&delete.var),
+        delete.condition.as_ref(),
+    )?;
     let analysis = finish_per_tuple(&mut coloring)?;
     Ok(DeleteAnalysis {
         simple: analysis.simple,
@@ -169,146 +181,120 @@ fn finish_per_tuple(coloring: &mut Coloring) -> Result<EffectAnalysis> {
     )
 }
 
-/// Coloring of a delete (cursor or set): the target class is `d`, the
-/// condition's reads are `u`.
+/// Coloring of a delete (cursor or set) with the row named `var`: the
+/// target class is `d`, the condition's reads are `u`.
 fn delete_coloring(
     catalog: &Catalog,
     table: &TableInfo,
+    var: Option<&str>,
     condition: Option<&Condition>,
 ) -> Result<Coloring> {
-    let schema = std::sync::Arc::clone(&catalog.schema);
-    let mut coloring = Coloring::empty(schema);
-    coloring.add(SchemaItem::Class(table.class), Color::D);
+    let mut uses = Uses::new(catalog);
+    uses.coloring.add(SchemaItem::Class(table.class), Color::D);
     if let Some(cond) = condition {
-        let mut walker = Walker {
-            catalog,
-            loop_table: table,
-            coloring: &mut coloring,
-            extent_tables: BTreeSet::new(),
-        };
-        walker.condition(cond, &[])?;
+        let row = Bound { alias: var, table };
+        walk_condition(cond, Some(row), catalog, &mut uses);
     }
-    Ok(coloring)
+    uses.finish()
 }
 
-/// Coloring of an update (cursor or set): replacing the tuple's
-/// `property`-edges colors the property `c` and `d`; the value subquery's
-/// reads are `u`.
+/// Coloring of an update (cursor or set) with the row named `var`:
+/// replacing the tuple's `property`-edges colors the property `c` and
+/// `d`; the value subquery's reads are `u`.
 fn update_coloring(
     catalog: &Catalog,
     table: &TableInfo,
+    var: Option<&str>,
     property: receivers_objectbase::PropId,
     select: &Select,
     condition: Option<&Condition>,
 ) -> Result<Coloring> {
-    let schema = std::sync::Arc::clone(&catalog.schema);
-    let mut coloring = Coloring::empty(schema);
-    coloring.add(SchemaItem::Prop(property), Color::C);
-    coloring.add(SchemaItem::Prop(property), Color::D);
-    let mut walker = Walker {
-        catalog,
-        loop_table: table,
-        coloring: &mut coloring,
-        extent_tables: BTreeSet::new(),
-    };
-    walker.select(select, &[])?;
+    let row = Bound { alias: var, table };
+    let mut uses = Uses::new(catalog);
+    uses.coloring.add(SchemaItem::Prop(property), Color::C);
+    uses.coloring.add(SchemaItem::Prop(property), Color::D);
+    walk_select(select, Some(row), catalog, &mut uses);
     if let Some(cond) = condition {
-        walker.condition(cond, &[])?;
+        walk_condition(cond, Some(row), catalog, &mut uses);
     }
-    Ok(coloring)
+    uses.finish()
 }
 
-struct Walker<'a> {
+/// Colors everything a condition or subquery reads `u`, as the
+/// [`crate::scope`] walker reports it; the first reference that fails to
+/// resolve fails the analysis.
+struct Uses<'a> {
     catalog: &'a Catalog,
-    loop_table: &'a TableInfo,
-    coloring: &'a mut Coloring,
-    extent_tables: BTreeSet<String>,
+    coloring: Coloring,
+    error: Option<SqlError>,
 }
 
-impl Walker<'_> {
-    /// `scopes` holds the FROM tables of enclosing subqueries (the cursor
-    /// tuple is implicit).
-    fn condition(&mut self, cond: &Condition, scopes: &[(String, TableInfo)]) -> Result<()> {
-        match cond {
-            Condition::Eq(a, b) | Condition::NotEq(a, b) => {
-                self.column(a, scopes)?;
-                self.column(b, scopes)
-            }
-            Condition::InTable(c, table) | Condition::NotInTable(c, table) => {
-                self.column(c, scopes)?;
-                let (info, prop) = self.catalog.single_column(table)?;
-                self.use_class(info.class);
-                self.use_prop(prop);
-                Ok(())
-            }
-            Condition::Exists(select) => self.select(select, scopes),
-            Condition::And(a, b) => {
-                self.condition(a, scopes)?;
-                self.condition(b, scopes)
-            }
+impl<'a> Uses<'a> {
+    fn new(catalog: &'a Catalog) -> Self {
+        Self {
+            catalog,
+            coloring: Coloring::empty(std::sync::Arc::clone(&catalog.schema)),
+            error: None,
         }
     }
 
-    fn select(&mut self, select: &Select, outer: &[(String, TableInfo)]) -> Result<()> {
-        let mut scopes = outer.to_vec();
-        for item in &select.from {
-            let info = self.catalog.lookup(&item.table)?.clone();
-            // Scanning a table's extent uses its class.
-            self.use_class(info.class);
-            self.extent_tables.insert(item.name().to_owned());
-            scopes.push((item.name().to_owned(), info));
+    fn finish(self) -> Result<Coloring> {
+        match self.error {
+            Some(e) => Err(e),
+            None => Ok(self.coloring),
         }
-        if let Some(w) = &select.where_clause {
-            self.condition(w, &scopes)?;
-        }
-        if let crate::ast::Projection::Column(c) = &select.projection {
-            self.column(c, &scopes)?;
-        }
-        Ok(())
     }
 
-    fn column(&mut self, colref: &ColumnRef, scopes: &[(String, TableInfo)]) -> Result<()> {
-        // Resolution mirrors crate::compile: cursor tuple first for
-        // unqualified names.
-        let table: &TableInfo = match &colref.qualifier {
-            Some(q) => {
-                &scopes
-                    .iter()
-                    .find(|(a, _)| a == q)
-                    .ok_or_else(|| SqlError::UnknownAlias(q.clone()))?
-                    .1
-            }
-            None => {
-                if self.loop_table.has_column(&colref.column) {
-                    self.loop_table
-                } else {
-                    &scopes
-                        .iter()
-                        .find(|(_, t)| t.has_column(&colref.column))
-                        .ok_or_else(|| SqlError::UnknownColumn {
-                            column: colref.column.clone(),
-                            scope: "any visible table".to_owned(),
-                        })?
-                        .1
-                }
-            }
-        };
-        if let Some(prop) = table.column_prop(&colref.column) {
-            self.use_prop(prop);
-        }
-        // Identity columns use nothing beyond the tuple binding itself.
-        Ok(())
+    fn fail(&mut self, e: SqlError) {
+        self.error.get_or_insert(e);
     }
 
     fn use_class(&mut self, class: receivers_objectbase::ClassId) {
         self.coloring.add(SchemaItem::Class(class), Color::U);
     }
 
-    fn use_prop(&mut self, prop: receivers_objectbase::PropId) {
+    fn use_prop(&mut self, prop: PropId) {
         self.coloring.add(SchemaItem::Prop(prop), Color::U);
         // The value class is used along with the property.
         let dst = self.catalog.schema.property(prop).dst;
         self.use_class(dst);
+    }
+}
+
+impl Visitor for Uses<'_> {
+    fn scan(&mut self, _item: &FromItem, table: Result<&TableInfo>) {
+        // Scanning a table's extent uses its class.
+        match table {
+            Ok(info) => self.use_class(info.class),
+            Err(e) => self.fail(e),
+        }
+    }
+
+    fn column(&mut self, _colref: &ColumnRef, reference: Result<Reference>) {
+        match reference {
+            Ok(Reference {
+                column: Column::Prop(prop),
+                ..
+            }) => self.use_prop(prop),
+            // Identity columns use nothing beyond the tuple binding itself.
+            Ok(_) => {}
+            Err(e) => self.fail(e),
+        }
+    }
+
+    fn in_table(
+        &mut self,
+        _colref: &ColumnRef,
+        _table: &str,
+        column: Result<(&TableInfo, PropId)>,
+    ) {
+        match column {
+            Ok((info, prop)) => {
+                self.use_class(info.class);
+                self.use_prop(prop);
+            }
+            Err(e) => self.fail(e),
+        }
     }
 }
 
@@ -409,6 +395,38 @@ mod tests {
         // cursor version.
         let emp = a.coloring.get(SchemaItem::Class(es.employee));
         assert!(emp.contains(Color::D) && emp.contains(Color::U));
+    }
+
+    /// Qualifying the guard's column with the cursor variable reads the
+    /// same column: the coloring is the unqualified form's.
+    #[test]
+    fn cursor_qualified_guard_keeps_its_coloring() {
+        let (_es, qualified) = analyze_any(
+            "for each t in Employee do if t.Salary in table Fire delete t from Employee",
+        );
+        let (_es, plain) = analyze_any(CURSOR_DELETE_SIMPLE);
+        assert_eq!(qualified.verdict, EffectVerdict::CertifiedSimple);
+        assert_eq!(qualified.coloring.to_string(), plain.coloring.to_string());
+    }
+
+    /// A nested `FROM` that reuses an alias shadows the outer one, as in
+    /// `sql::eval`: `E.Old` is NewSal's `Old`, in the set and cursor forms.
+    #[test]
+    fn reused_alias_reads_the_inner_binding() {
+        for text in [
+            "delete from Employee where exists (select * from Employee E \
+             where exists (select * from NewSal E where E.Old = Salary))",
+            "for each t in Employee do if exists (select * from Employee E \
+             where exists (select * from NewSal E where E.Old = Salary)) \
+             delete t from Employee",
+        ] {
+            let (es, a) = analyze_any(text);
+            assert_eq!(
+                a.coloring.get(SchemaItem::Prop(es.old)),
+                ColorSet::ONLY_U,
+                "{text}"
+            );
+        }
     }
 
     /// The generalized analysis agrees with the cursor-delete wrapper.

@@ -210,6 +210,42 @@ pub enum SqlStatement {
     },
 }
 
+/// What [`SqlStatement::parts`] returns: the target table, the cursor
+/// variable (`None` for a set statement, whose row no qualifier names),
+/// the guard (a delete's `WHERE`/`IF`, an update's optional guard) and
+/// an update's column and value subquery.
+pub type StatementParts<'a> = (
+    &'a str,
+    Option<&'a str>,
+    Option<&'a Condition>,
+    Option<(&'a str, &'a Select)>,
+);
+
+impl SqlStatement {
+    /// The statement's parts, as the name-resolution callers bind them.
+    pub fn parts(&self) -> StatementParts<'_> {
+        match self {
+            Self::Delete { table, condition } => (table, None, Some(condition), None),
+            Self::Update {
+                table,
+                column,
+                select,
+                condition,
+            } => (table, None, condition.as_ref(), Some((column, select))),
+            Self::ForEach { var, table, body } => match body {
+                CursorBody::DeleteIf { condition, .. } => {
+                    (table, Some(var), condition.as_ref(), None)
+                }
+                CursorBody::UpdateSet {
+                    condition,
+                    column,
+                    select,
+                } => (table, Some(var), condition.as_ref(), Some((column, select))),
+            },
+        }
+    }
+}
+
 /// A statement together with the span it occupies in a program's source
 /// (as returned by [`crate::parser::parse_program`]).
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -11,18 +11,18 @@
 //!   objects), so they compile to interpreted methods; their analysis
 //!   goes through schema colorings ([`crate::analyze`]).
 //!
-//! **Name resolution.** Following the paper's examples, an *unqualified*
+//! **Name resolution** is [`crate::scope`]'s rule, shared with
+//! [`mod@crate::eval`]: following the paper's examples, an *unqualified*
 //! column name refers to the cursor tuple when the cursor's table has
-//! that column (`Salary`, `Manager` in statements (B)/(C)); otherwise it
-//! resolves against the subquery's `FROM` tables, which must match
-//! uniquely (`Old`, `New`).
+//! that column (`Salary`, `Manager` in statements (B)/(C)); otherwise to
+//! the outermost visible `FROM` table that has it (`Old`, `New`).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use receivers_core::algebraic::{AlgebraicMethod, Statement as AlgStatement};
 use receivers_objectbase::{
-    Edge, Instance, MethodOutcome, Oid, PropId, Receiver, ReceiverSet, Signature, UpdateMethod,
+    Edge, Instance, MethodOutcome, Oid, Receiver, ReceiverSet, Signature, UpdateMethod,
 };
 use receivers_relalg::par::par;
 use receivers_relalg::typecheck::update_params;
@@ -34,6 +34,7 @@ use crate::ast::{ColumnRef, Condition, CursorBody, Projection, Select, SqlStatem
 use crate::catalog::{Catalog, TableInfo};
 use crate::error::{Result, SqlError};
 use crate::eval::{eval_condition, eval_select, Binding, Scopes};
+use crate::scope::{resolve, Bound, Column};
 
 obs::counter!(C_STATEMENTS_COMPILED, "sql.statements_compiled");
 
@@ -188,7 +189,8 @@ impl SetDelete {
 /// `FOR EACH t IN R DO IF cond DELETE t FROM R`.
 pub struct CursorDelete {
     catalog: Catalog,
-    var: String,
+    /// The cursor variable (crate-visible for [`crate::analyze`]).
+    pub(crate) var: String,
     table: TableInfo,
     /// The guarding condition (public for [`crate::analyze`]).
     pub condition: Option<Condition>,
@@ -348,7 +350,7 @@ impl SetUpdate {
         let (c, projection) =
             SelectCompiler::gather(&self.select, &self.catalog, &self.table, "t")?;
         let reads_row = c.reads_row();
-        let expr = c.build(&projection.attr(), !reads_row)?;
+        let expr = c.build(&projection.attr, !reads_row)?;
         // `par(·)` keeps a well-typed expression well-typed over `rec`.
         let sig = Signature::new(vec![self.table.class])?;
         infer_schema(&expr, &self.catalog.schema, &update_params(&sig))?;
@@ -380,15 +382,6 @@ impl SetUpdate {
 // Set-statement guards, lowered to anchored conjuncts.
 // ---------------------------------------------------------------------
 
-/// The value set a guard conjunct reads off the row `t`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RowValues {
-    /// The identity column: `{t}`.
-    Row,
-    /// A data column: `t`'s successors along the property.
-    Prop(PropId),
-}
-
 /// One conjunct of a set statement's guard, in source order
 /// ([`lower_guard`]). The multi-valued reading of `sat.rs` holds
 /// throughout: `=` means two value sets intersect, `<>` that they are
@@ -400,10 +393,10 @@ pub(crate) enum GuardConjunct {
     RowEq {
         /// `true` for `<>`.
         negated: bool,
-        /// The left value set.
-        a: RowValues,
-        /// The right value set.
-        b: RowValues,
+        /// The left value set, on the row.
+        a: Column,
+        /// The right value set, on the row.
+        b: Column,
     },
     /// The row passes iff `row ∩ E₀ ≠ ∅` (`= ∅` when `negated`), where the
     /// closed unary query `E₀` reads no column of the row, so one
@@ -415,7 +408,7 @@ pub(crate) enum GuardConjunct {
         negated: bool,
         /// The row's values tested against `E₀`: `a` of `a IN TABLE T`,
         /// or the row's side of an `EXISTS`'s linking equality.
-        row: Option<RowValues>,
+        row: Option<Column>,
         /// The closed query.
         e0: Expr,
     },
@@ -474,7 +467,15 @@ fn lower_conjunct(
     table: &TableInfo,
     var: &str,
 ) -> std::result::Result<GuardConjunct, String> {
-    let on_row = |c: &ColumnRef| row_values(c, table, var).map_err(|e| e.to_string());
+    let row = [Bound {
+        alias: Some(var),
+        table,
+    }];
+    let on_row = |c: &ColumnRef| {
+        resolve(c, &row)
+            .map(|r| r.column)
+            .map_err(|e| e.to_string())
+    };
     match atom {
         Condition::Eq(a, b) | Condition::NotEq(a, b) => Ok(GuardConjunct::RowEq {
             negated: matches!(atom, Condition::NotEq(..)),
@@ -499,49 +500,24 @@ fn lower_conjunct(
     }
 }
 
-/// Resolve a guard-level column reference, where the row is the only
-/// binding in scope, exactly as [`crate::eval::column_values`] does.
-fn row_values(c: &ColumnRef, table: &TableInfo, var: &str) -> Result<RowValues> {
-    let unknown = || SqlError::UnknownColumn {
-        column: c.column.clone(),
-        scope: var.to_owned(),
-    };
-    match &c.qualifier {
-        Some(q) if q != var => return Err(SqlError::UnknownAlias(q.clone())),
-        None if !table.has_column(&c.column) => return Err(unknown()),
-        _ => {}
-    }
-    if table.id_column == c.column {
-        return Ok(RowValues::Row);
-    }
-    table
-        .column_prop(&c.column)
-        .map(RowValues::Prop)
-        .ok_or_else(unknown)
-}
-
 /// An `EXISTS` conjunct as a [`GuardConjunct::Probe`] on its linking
 /// equality, or why it stays row by row. `EXISTS` asks for one binding
 /// of the `FROM` tables satisfying the `WHERE` chain; when the row is
 /// read only in `x = t.c`, that is `t.c ∩ E₀ ≠ ∅` with `E₀` the `x`
-/// values of the bindings satisfying the rest. The join chain gives each
-/// data column one attribute, so a data column read twice in the `WHERE`
-/// chain would have to meet both atoms with one value, where
-/// `sql::eval` lets each atom pick its own: that shape stays row by row.
-fn lower_exists(
-    select: &Select,
-    catalog: &Catalog,
-    table: &TableInfo,
-    var: &str,
+/// values of the bindings satisfying the rest.
+fn lower_exists<'a>(
+    select: &'a Select,
+    catalog: &'a Catalog,
+    table: &'a TableInfo,
+    var: &'a str,
 ) -> std::result::Result<GuardConjunct, String> {
     let mut c = SelectCompiler::new(catalog, table, var);
     c.gather_select(select)
         .map_err(|e| format!("the EXISTS does not compile: {e}"))?;
-    let column_name = |r: &Resolved| r.column.clone().unwrap_or_else(|| table.id_column.clone());
     match c.row_reads.len() {
         0 | 1 => {}
         n => {
-            let names: Vec<String> = c.row_reads.iter().map(column_name).collect();
+            let names: Vec<&str> = c.row_reads.iter().map(|r| r.name.as_str()).collect();
             let times = if n == 2 {
                 "twice".to_owned()
             } else {
@@ -553,19 +529,6 @@ fn lower_exists(
             ));
         }
     }
-    let mut reads: BTreeMap<&str, usize> = BTreeMap::new();
-    for (a, b) in &c.eqs {
-        *reads.entry(a).or_default() += 1;
-        *reads.entry(b).or_default() += 1;
-    }
-    if let Some(attr) = c
-        .used
-        .iter()
-        .map(Resolved::attr)
-        .find(|a| reads.get(a.as_str()).is_some_and(|&n| n > 1))
-    {
-        return Err(format!("the EXISTS reads {attr} twice"));
-    }
     let is_row = |a: &str| a == "self" || a.starts_with("self.");
     let (row, projection) = match c.row_reads.pop() {
         None => {
@@ -576,21 +539,13 @@ fn lower_exists(
             let Some(k) = c.eqs.iter().position(|(a, b)| is_row(a) || is_row(b)) else {
                 return Err(format!(
                     "the EXISTS projects a column of the row ({})",
-                    column_name(&read)
+                    read.name
                 ));
             };
             let (a, b) = c.eqs.remove(k);
             let x = if is_row(&a) { b } else { a };
             c.used.remove(&read);
-            let row = match &read.column {
-                None => RowValues::Row,
-                Some(col) => RowValues::Prop(
-                    table
-                        .column_prop(col)
-                        .ok_or_else(|| format!("unknown column `{col}`"))?,
-                ),
-            };
-            (Some(row), x)
+            (Some(read.column), x)
         }
     };
     let e0 = c
@@ -613,7 +568,8 @@ fn lower_exists(
 /// `FOR EACH t IN R DO [IF cond] UPDATE t SET col = (SELECT …)`.
 pub struct CursorUpdate {
     catalog: Catalog,
-    var: String,
+    /// The cursor variable (crate-visible for [`crate::analyze`]).
+    pub(crate) var: String,
     table: TableInfo,
     /// The updated property (public for [`crate::improve`]).
     pub property: receivers_objectbase::PropId,
@@ -749,23 +705,22 @@ impl UpdateMethod for CursorUpdateMethod {
 // SELECT → relational algebra compilation.
 // ---------------------------------------------------------------------
 
-/// A fully resolved column reference: the owning scope's tuple attribute
-/// plus the column.
+/// A fully resolved column reference: the binding's tuple attribute, the
+/// column, and the attribute the reference is read as.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct Resolved {
-    /// Tuple attribute of the scope (`"self"` or an alias name).
+    /// Tuple attribute of the binding (`"self"` or an alias name).
     scope_attr: Attr,
-    /// Column name (`None` = the identity column: the tuple itself).
-    column: Option<String>,
-}
-
-impl Resolved {
-    fn attr(&self) -> Attr {
-        match &self.column {
-            None => self.scope_attr.clone(),
-            Some(c) => format!("{}.{}", self.scope_attr, c),
-        }
-    }
+    /// The column as written.
+    name: String,
+    /// What the column reads.
+    column: Column,
+    /// The reference's own attribute: `scope_attr` for the identity
+    /// column; `scope_attr.column` for the first reference to a data
+    /// column and `scope_attr.column#k` for its `k`-th, so that each
+    /// reference picks its own value of a multi-valued column, as in
+    /// `sql::eval`.
+    attr: Attr,
 }
 
 struct SelectCompiler<'a> {
@@ -774,11 +729,12 @@ struct SelectCompiler<'a> {
     outer_var: &'a str,
     /// Collected FROM aliases (flattened across EXISTS nesting).
     aliases: Vec<(String, &'a TableInfo)>,
-    /// Indices into `aliases` of the `FROM` tables in scope at the
-    /// reference being resolved: the enclosing selects' and the current
-    /// one's, outermost first — the scopes `crate::eval` binds.
-    visible: Vec<usize>,
-    /// Non-identity column references to materialize as property joins.
+    /// The bindings in scope at the reference being resolved, as
+    /// `crate::eval` binds them: the cursor tuple, then the enclosing
+    /// selects' and the current one's `FROM` tables, outermost first.
+    scopes: Vec<Bound<'a>>,
+    /// Data column references to materialize as property joins, one per
+    /// reference.
     used: BTreeSet<Resolved>,
     /// Equality constraints between resolved attributes.
     eqs: Vec<(Attr, Attr)>,
@@ -795,7 +751,10 @@ impl<'a> SelectCompiler<'a> {
             outer,
             outer_var,
             aliases: Vec::new(),
-            visible: Vec::new(),
+            scopes: vec![Bound {
+                alias: Some(outer_var),
+                table: outer,
+            }],
             used: BTreeSet::new(),
             eqs: Vec::new(),
             fresh: 0,
@@ -811,7 +770,7 @@ impl<'a> SelectCompiler<'a> {
     /// Resolve every column of `select` (over the cursor tuple `outer_var`
     /// of `outer`); returns the compiler and the resolved projection.
     fn gather(
-        select: &Select,
+        select: &'a Select,
         catalog: &'a Catalog,
         outer: &'a TableInfo,
         outer_var: &'a str,
@@ -833,91 +792,70 @@ impl<'a> SelectCompiler<'a> {
         Ok(())
     }
 
-    /// Resolve a column reference against the visible scopes. Unqualified
-    /// references prefer the cursor tuple (the paper's convention), then
-    /// the visible FROM tables.
+    /// Resolve a column reference against the scopes in view
+    /// ([`crate::scope::resolve`]) and give it its own attribute.
     fn resolve(&mut self, colref: &ColumnRef) -> Result<Resolved> {
-        let visible = || self.visible.iter().map(|&i| &self.aliases[i]);
-        let (scope_attr, table): (Attr, &TableInfo) = match &colref.qualifier {
-            Some(q) if q == self.outer_var => ("self".to_owned(), self.outer),
-            Some(q) => {
-                let (a, t) = visible()
-                    .find(|(a, _)| a == q)
-                    .ok_or_else(|| SqlError::UnknownAlias(q.clone()))?;
-                (a.clone(), t)
-            }
-            None => {
-                if self.outer.has_column(&colref.column) {
-                    ("self".to_owned(), self.outer)
-                } else {
-                    let matches: Vec<&(String, &TableInfo)> = visible()
-                        .filter(|(_, t)| t.has_column(&colref.column))
-                        .collect();
-                    match matches.as_slice() {
-                        [(a, t)] => (a.clone(), t),
-                        [] => {
-                            return Err(SqlError::UnknownColumn {
-                                column: colref.column.clone(),
-                                scope: "any visible table".to_owned(),
-                            })
-                        }
-                        _ => {
-                            return Err(SqlError::Unsupported(format!(
-                                "ambiguous column `{}`",
-                                colref.column
-                            )))
-                        }
-                    }
+        let r = resolve(colref, &self.scopes)?;
+        let scope_attr = match r.scope {
+            0 => "self".to_owned(),
+            k => self.scopes[k]
+                .alias
+                .expect("FROM bindings are named")
+                .to_owned(),
+        };
+        let attr = match r.column {
+            Column::Id => scope_attr.clone(),
+            Column::Prop(_) => {
+                let base = format!("{scope_attr}.{}", colref.column);
+                let earlier = self
+                    .used
+                    .iter()
+                    .filter(|u| u.scope_attr == scope_attr && u.column == r.column)
+                    .count();
+                match earlier {
+                    0 => base,
+                    k => format!("{base}#{}", k + 1),
                 }
             }
         };
-        let resolved = if table.id_column == colref.column {
-            Resolved {
-                scope_attr,
-                column: None,
-            }
-        } else {
-            if table.column_prop(&colref.column).is_none() {
-                return Err(SqlError::UnknownColumn {
-                    column: colref.column.clone(),
-                    scope: scope_attr,
-                });
-            }
-            Resolved {
-                scope_attr,
-                column: Some(colref.column.clone()),
-            }
+        let resolved = Resolved {
+            scope_attr,
+            name: colref.column.clone(),
+            column: r.column,
+            attr,
         };
         if resolved.scope_attr == "self" {
             self.row_reads.push(resolved.clone());
         }
-        if resolved.column.is_some() {
+        if resolved.column != Column::Id {
             self.used.insert(resolved.clone());
         }
         Ok(resolved)
     }
 
-    fn gather_condition(&mut self, cond: &Condition) -> Result<()> {
+    fn gather_condition(&mut self, cond: &'a Condition) -> Result<()> {
         match cond {
             Condition::Eq(a, b) => {
                 let ra = self.resolve(a)?;
                 let rb = self.resolve(b)?;
-                self.eqs.push((ra.attr(), rb.attr()));
+                self.eqs.push((ra.attr, rb.attr));
                 Ok(())
             }
             Condition::InTable(c, table) => {
                 let rc = self.resolve(c)?;
-                let (info, _prop) = self.catalog.single_column(table)?;
-                let col_name = info.columns.keys().next().expect("one column").clone();
+                let (info, prop) = self.catalog.single_column(table)?;
+                let name = info.columns.keys().next().expect("one column").clone();
                 self.fresh += 1;
                 let alias = format!("__{table}{}", self.fresh);
                 self.add_alias(&alias, info)?;
                 let member = Resolved {
+                    attr: format!("{alias}.{name}"),
                     scope_attr: alias,
-                    column: Some(col_name),
+                    name,
+                    column: Column::Prop(prop),
                 };
                 self.used.insert(member.clone());
-                self.eqs.push((rc.attr(), member.attr()));
+                self.eqs.push((rc.attr, member.attr));
                 Ok(())
             }
             Condition::NotEq(..) | Condition::NotInTable(..) => Err(SqlError::Unsupported(
@@ -935,12 +873,15 @@ impl<'a> SelectCompiler<'a> {
 
     /// Gather a (sub)select; returns the resolved projection (`None` for
     /// `SELECT *`). Its `FROM` tables are visible only inside it.
-    fn gather_select(&mut self, select: &Select) -> Result<Option<Resolved>> {
-        let outer_scopes = self.visible.len();
+    fn gather_select(&mut self, select: &'a Select) -> Result<Option<Resolved>> {
+        let outer_scopes = self.scopes.len();
         for item in &select.from {
             let info = self.catalog.lookup(&item.table)?;
             self.add_alias(item.name(), info)?;
-            self.visible.push(self.aliases.len() - 1);
+            self.scopes.push(Bound {
+                alias: Some(item.name()),
+                table: info,
+            });
         }
         if let Some(w) = &select.where_clause {
             self.gather_condition(w)?;
@@ -949,7 +890,7 @@ impl<'a> SelectCompiler<'a> {
             Projection::Star => None,
             Projection::Column(c) => Some(self.resolve(c)?),
         };
-        self.visible.truncate(outer_scopes);
+        self.scopes.truncate(outer_scopes);
         Ok(projection)
     }
 
@@ -975,12 +916,14 @@ impl<'a> SelectCompiler<'a> {
         }
         let mut eqs = self.eqs.clone();
         for r in &self.used {
-            let col = r.column.as_deref().expect("used only holds data columns");
+            let Column::Prop(prop) = r.column else {
+                unreachable!("used only holds data columns")
+            };
             let (table, tuple_attr): (&TableInfo, String) = if r.scope_attr == "self" {
                 // `par(·)` forbids renaming to `self`, so the cursor
                 // tuple's property joins use a fresh tuple attribute
                 // equated with `self` by a selection instead.
-                (self.outer, format!("{}__t", r.attr()))
+                (self.outer, format!("{}__t", r.attr))
             } else {
                 let (a, t) = self
                     .aliases
@@ -989,12 +932,11 @@ impl<'a> SelectCompiler<'a> {
                     .expect("resolved against aliases");
                 (t, a.clone())
             };
-            let prop = table.column_prop(col).expect("validated in resolve");
             let class_name = schema.class_name(table.class).to_owned();
             let prop_name = schema.prop_name(prop).to_owned();
             let join = Expr::prop(prop)
                 .rename(class_name, tuple_attr.clone())
-                .rename(prop_name, r.attr());
+                .rename(prop_name, r.attr.clone());
             acc = acc.nat_join(join);
             if r.scope_attr == "self" {
                 eqs.push(("self".to_owned(), tuple_attr));
@@ -1017,7 +959,7 @@ pub fn select_to_expr(
     outer_var: &str,
 ) -> Result<(Expr, Attr)> {
     let (c, projection) = SelectCompiler::gather(select, catalog, outer, outer_var)?;
-    let attr = projection.attr();
+    let attr = projection.attr;
     let expr = c.build(&attr, false)?;
     Ok((expr, attr))
 }

@@ -7,7 +7,8 @@ use receivers_objectbase::{Instance, Oid};
 
 use crate::ast::{ColumnRef, Condition, Projection, Select};
 use crate::catalog::{Catalog, TableInfo};
-use crate::error::{Result, SqlError};
+use crate::error::Result;
+use crate::scope::{resolve, Column, Scope};
 
 /// One cursor/alias binding: the alias name, its table, and the bound
 /// tuple object.
@@ -24,43 +25,30 @@ pub struct Binding<'a> {
 /// A stack of scopes, innermost last.
 pub type Scopes<'a> = Vec<Binding<'a>>;
 
-/// The value of a column reference under the given scopes: the set of
-/// objects the referenced property points to (a singleton `{t}` for
-/// identity columns).
+impl Scope for Binding<'_> {
+    fn alias(&self) -> Option<&str> {
+        Some(&self.alias)
+    }
+
+    fn table(&self) -> &TableInfo {
+        self.table
+    }
+}
+
+/// The value of a column reference under the given scopes, resolved by
+/// [`crate::scope::resolve`]: the set of objects the referenced property
+/// points to (a singleton `{t}` for identity columns).
 pub fn column_values(
     colref: &ColumnRef,
-    scopes: &Scopes<'_>,
+    scopes: &[Binding<'_>],
     instance: &Instance,
 ) -> Result<Vec<Oid>> {
-    let binding = match &colref.qualifier {
-        Some(q) => scopes
-            .iter()
-            .rev()
-            .find(|b| &b.alias == q)
-            .ok_or_else(|| SqlError::UnknownAlias(q.clone()))?,
-        // Unqualified names prefer the *outermost* binding (the cursor
-        // tuple), matching the paper's reading of `Manager` and `Salary`
-        // inside nested subqueries; see the note in `crate::compile`.
-        None => scopes
-            .iter()
-            .find(|b| b.table.has_column(&colref.column))
-            .ok_or_else(|| SqlError::UnknownColumn {
-                column: colref.column.clone(),
-                scope: "any visible table".to_owned(),
-            })?,
-    };
-    if binding.table.id_column == colref.column {
-        return Ok(vec![binding.tuple]);
-    }
-    let prop =
-        binding
-            .table
-            .column_prop(&colref.column)
-            .ok_or_else(|| SqlError::UnknownColumn {
-                column: colref.column.clone(),
-                scope: binding.alias.clone(),
-            })?;
-    Ok(instance.successors(binding.tuple, prop).collect())
+    let r = resolve(colref, scopes)?;
+    let tuple = scopes[r.scope].tuple;
+    Ok(match r.column {
+        Column::Id => vec![tuple],
+        Column::Prop(prop) => instance.successors(tuple, prop).collect(),
+    })
 }
 
 /// Evaluate a condition under the given scopes.

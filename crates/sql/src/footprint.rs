@@ -7,9 +7,8 @@
 //! statement is lowered tolerantly — references that do not resolve are
 //! simply skipped, because the lint layer's name-resolution pass already
 //! reports them with proper spans — and the reads, table references,
-//! write, and guard are collected node-by-node. Name resolution mirrors
-//! [`mod@crate::compile`]: unqualified columns prefer the loop/target table,
-//! then the visible `FROM` tables.
+//! write, and guard are collected node-by-node. Names resolve by
+//! [`crate::scope`]'s rule, the one [`mod@crate::eval`] evaluates by.
 
 use std::collections::BTreeSet;
 
@@ -111,6 +110,23 @@ mod tests {
         let b = footprint(&parse(CURSOR_UPDATE_B).unwrap(), &catalog);
         assert_eq!(a.reads, b.reads);
         assert_eq!(a.write, b.write);
+    }
+
+    /// A nested `FROM` that reuses an alias shadows the outer one: the
+    /// reads are the row's `Salary` and the inner NewSal's `Old`.
+    #[test]
+    fn reused_alias_reads_the_inner_binding() {
+        let (es, catalog) = employee_catalog();
+        for text in [
+            "delete from Employee where exists (select * from Employee E \
+             where exists (select * from NewSal E where E.Old = Salary))",
+            "for each t in Employee do if exists (select * from Employee E \
+             where exists (select * from NewSal E where E.Old = Salary)) \
+             delete t from Employee",
+        ] {
+            let fp = footprint(&parse(text).unwrap(), &catalog);
+            assert_eq!(fp.reads, BTreeSet::from([es.salary, es.old]), "{text}");
+        }
     }
 
     #[test]

@@ -45,6 +45,7 @@ pub mod parser;
 pub mod plan;
 pub mod sat;
 pub mod scenarios;
+pub mod scope;
 pub mod span;
 
 pub use analyze::{analyze_cursor_delete, analyze_statement, DeleteAnalysis, EffectAnalysis};

@@ -60,16 +60,15 @@ use receivers_relalg::view::DatabaseView;
 use receivers_relalg::{Expr, RelSchema, Relation};
 use receivers_wal::{DurableStore, WalResult, WalStorage};
 
-use crate::ast::{ColumnRef, Condition, CursorBody, Projection, Select, SqlStatement};
+use crate::ast::{ColumnRef, Condition, FromItem, Projection, Select, SqlStatement};
 use crate::catalog::{Catalog, TableInfo};
-use crate::compile::{
-    compile, lower_guard, CompiledStatement, GuardConjunct, RowValues, ValuesQuery,
-};
+use crate::compile::{compile, lower_guard, CompiledStatement, GuardConjunct, ValuesQuery};
 use crate::error::{Result, SqlError};
 use crate::eval::{eval_condition, eval_select, Binding, Scopes};
 use crate::footprint::{Footprint, Write};
 use crate::improve::{improve_method, ImproveRefusal, ImprovedUpdate, Improvement};
 use crate::sat::{GuardRef, Implication, Proof, Solver};
+use crate::scope::{walk_condition, walk_select, Bound, Column, Reference, Visitor};
 
 obs::counter!(C_PROGRAMS, "sql.plan.programs_compiled");
 obs::counter!(C_STAGES, "sql.plan.stages_compiled");
@@ -367,92 +366,44 @@ impl std::fmt::Display for RewriteSelect<'_> {
 // Reading footprints off the DAG.
 // ---------------------------------------------------------------------
 
-/// One name-resolution scope: a binding name and its table.
-type Scope<'s> = (&'s str, &'s TableInfo);
-
-/// The scope a statement's own row is bound in: its variable (`t` for set
+/// The statement's row as a scope binding: `var` (`t` for set
 /// statements) over the target table, when that resolves.
-fn row_scope<'s>(var: &'s str, outer: Option<&'s TableInfo>) -> Vec<Scope<'s>> {
-    outer.map(|t| (var, t)).into_iter().collect()
+fn row_binding<'s>(var: &'s str, outer: Option<&'s TableInfo>) -> Option<Bound<'s>> {
+    outer.map(|table| Bound {
+        alias: Some(var),
+        table,
+    })
 }
 
-/// The read/table collector behind [`crate::footprint::footprint`] —
-/// mirrors the name resolution of [`crate::eval`] over the scopes it is
-/// given, outermost (the statement's row, from [`row_scope`]) first: a
-/// qualified column names the innermost scope bound under its qualifier,
-/// an unqualified one the outermost scope whose table has it. It is
-/// *tolerant*: unresolvable references are skipped, because the lint
-/// layer's name-resolution pass already reports them with spans.
-pub(crate) struct ReadCollector<'a> {
-    catalog: &'a Catalog,
-    /// Properties read so far.
-    pub reads: BTreeSet<PropId>,
-    /// Table names referenced so far.
-    pub tables: BTreeSet<String>,
+/// The properties and table names a condition or subquery reads, as the
+/// [`crate::scope`] walker reports them. *Tolerant*: a reference that
+/// does not resolve reads nothing, because the lint layer's
+/// name-resolution pass already reports it with a span.
+#[derive(Default)]
+struct Reads {
+    props: BTreeSet<PropId>,
+    tables: BTreeSet<String>,
 }
 
-impl<'a> ReadCollector<'a> {
-    pub(crate) fn new(catalog: &'a Catalog) -> Self {
-        Self {
-            catalog,
-            reads: BTreeSet::new(),
-            tables: BTreeSet::new(),
+impl Visitor for Reads {
+    fn scan(&mut self, item: &FromItem, _table: Result<&TableInfo>) {
+        self.tables.insert(item.table.clone());
+    }
+
+    fn column(&mut self, _colref: &ColumnRef, reference: Result<Reference>) {
+        if let Ok(Reference {
+            column: Column::Prop(prop),
+            ..
+        }) = reference
+        {
+            self.props.insert(prop);
         }
     }
 
-    pub(crate) fn condition<'s>(&mut self, cond: &'s Condition, scopes: &[Scope<'s>])
-    where
-        'a: 's,
-    {
-        match cond {
-            Condition::Eq(a, b) | Condition::NotEq(a, b) => {
-                self.column(&a.qualifier, &a.column, scopes);
-                self.column(&b.qualifier, &b.column, scopes);
-            }
-            Condition::InTable(c, table) | Condition::NotInTable(c, table) => {
-                self.column(&c.qualifier, &c.column, scopes);
-                self.tables.insert(table.clone());
-                if let Ok((_info, prop)) = self.catalog.single_column(table) {
-                    self.reads.insert(prop);
-                }
-            }
-            Condition::Exists(select) => self.select(select, scopes),
-            Condition::And(a, b) => {
-                self.condition(a, scopes);
-                self.condition(b, scopes);
-            }
-        }
-    }
-
-    pub(crate) fn select<'s>(&mut self, select: &'s Select, outer_scopes: &[Scope<'s>])
-    where
-        'a: 's,
-    {
-        let mut scopes = outer_scopes.to_vec();
-        for item in &select.from {
-            self.tables.insert(item.table.clone());
-            if let Ok(info) = self.catalog.lookup(&item.table) {
-                scopes.push((item.name(), info));
-            }
-        }
-        if let Some(w) = &select.where_clause {
-            self.condition(w, &scopes);
-        }
-        if let Projection::Column(c) = &select.projection {
-            self.column(&c.qualifier, &c.column, &scopes);
-        }
-    }
-
-    fn column(&mut self, qualifier: &Option<String>, column: &str, scopes: &[Scope<'_>]) {
-        let table: Option<&TableInfo> = match qualifier {
-            Some(q) => scopes.iter().rev().find(|(a, _)| *a == q).map(|&(_, t)| t),
-            None => scopes
-                .iter()
-                .find(|(_, t)| t.has_column(column))
-                .map(|&(_, t)| t),
-        };
-        if let Some(prop) = table.and_then(|t| t.column_prop(column)) {
-            self.reads.insert(prop);
+    fn in_table(&mut self, _colref: &ColumnRef, table: &str, column: Result<(&TableInfo, PropId)>) {
+        self.tables.insert(table.to_owned());
+        if let Ok((_, prop)) = column {
+            self.props.insert(prop);
         }
     }
 }
@@ -467,9 +418,10 @@ pub fn footprint_of(graph: &PlanGraph, root: NodeId, catalog: &Catalog) -> Footp
         PlanNode::Assign { table, .. } | PlanNode::Delete { table, .. } => table.clone(),
         _ => String::new(),
     };
-    let mut rc = ReadCollector::new(catalog);
+    let mut reads = Reads::default();
     struct FpVisitor<'a, 'b> {
-        rc: &'b mut ReadCollector<'a>,
+        reads: &'b mut Reads,
+        catalog: &'a Catalog,
         outer: Option<&'a TableInfo>,
         fp: &'b mut Footprint,
     }
@@ -480,11 +432,13 @@ pub fn footprint_of(graph: &PlanGraph, root: NodeId, catalog: &Catalog) -> Footp
                     self.fp.tables.insert(table.clone());
                 }
                 PlanNode::Guard { var, cond, .. } => {
-                    self.rc.condition(cond, &row_scope(var, self.outer));
+                    let row = row_binding(var, self.outer);
+                    walk_condition(cond, row, self.catalog, self.reads);
                     self.fp.guard = Some(cond.clone());
                 }
                 PlanNode::Values { var, select, .. } => {
-                    self.rc.select(select, &row_scope(var, self.outer));
+                    let row = row_binding(var, self.outer);
+                    walk_select(select, row, self.catalog, self.reads);
                 }
                 // The improve pass's one-shot `par(E)` node: its reads
                 // are the algebraic query's base property relations —
@@ -493,7 +447,7 @@ pub fn footprint_of(graph: &PlanGraph, root: NodeId, catalog: &Catalog) -> Footp
                 PlanNode::AssignQuery { query, .. } => {
                     for rel in query.base_relations() {
                         if let receivers_relalg::RelName::Prop(p) = rel {
-                            self.rc.reads.insert(p);
+                            self.reads.props.insert(p);
                         }
                     }
                 }
@@ -524,28 +478,15 @@ pub fn footprint_of(graph: &PlanGraph, root: NodeId, catalog: &Catalog) -> Footp
     graph.walk(
         root,
         &mut FpVisitor {
-            rc: &mut rc,
+            reads: &mut reads,
+            catalog,
             outer: catalog.lookup(&target).ok(),
             fp: &mut fp,
         },
     );
-    fp.reads = rc.reads;
-    fp.tables.append(&mut rc.tables);
+    fp.reads = reads.props;
+    fp.tables.append(&mut reads.tables);
     fp
-}
-
-/// Properties read by a single condition with the row bound as `var` over
-/// `outer` — the guard-only read set the netting pass compares
-/// intermediate writes against.
-fn condition_reads(
-    cond: &Condition,
-    catalog: &Catalog,
-    var: &str,
-    outer: Option<&TableInfo>,
-) -> BTreeSet<PropId> {
-    let mut rc = ReadCollector::new(catalog);
-    rc.condition(cond, &row_scope(var, outer));
-    rc.reads
 }
 
 // ---------------------------------------------------------------------
@@ -608,31 +549,8 @@ impl<'a> GraphBuilder<'a> {
     /// resolution failures leave `class`/`prop` unresolved instead of
     /// erroring (strict callers run [`compile`] alongside).
     fn lower(&mut self, stmt: &SqlStatement) -> Lowered {
-        let (table, var, guard, body): (&str, &str, Option<&Condition>, Option<(&str, &Select)>) =
-            match stmt {
-                SqlStatement::Delete { table, condition } => (table, "t", Some(condition), None),
-                SqlStatement::Update {
-                    table,
-                    column,
-                    select,
-                    condition,
-                } => (table, "t", condition.as_ref(), Some((column, select))),
-                SqlStatement::ForEach { var, table, body } => match body {
-                    CursorBody::DeleteIf { condition, .. } => {
-                        (table, var.as_str(), condition.as_ref(), None)
-                    }
-                    CursorBody::UpdateSet {
-                        condition,
-                        column,
-                        select,
-                    } => (
-                        table,
-                        var.as_str(),
-                        condition.as_ref(),
-                        Some((column, select)),
-                    ),
-                },
-            };
+        let (table, var, guard, body) = stmt.parts();
+        let var = var.unwrap_or("t");
         let class = self.catalog.lookup(table).ok().map(|t| t.class);
         let (scan, _) = self.add(
             Some(format!("scan:{table}")),
@@ -757,7 +675,6 @@ pub struct Stage {
     values: Option<NodeId>,
     root: NodeId,
     footprint: Footprint,
-    guard_reads: BTreeSet<PropId>,
     guard_key: Option<String>,
     algebraic: Option<AlgebraicMethod>,
     improved: Option<ImprovedUpdate>,
@@ -973,12 +890,6 @@ pub fn compile_program(program: &[SqlStatement], catalog: &Catalog) -> Result<Pr
             _ => None,
         };
         let footprint = footprint_of(&b.graph, lowered.root, catalog);
-        let outer = catalog.lookup(stmt_table(stmt)).ok();
-        let guard_reads = footprint
-            .guard
-            .as_ref()
-            .map(|g| condition_reads(g, catalog, &lowered.var, outer))
-            .unwrap_or_default();
         stages.push(Stage {
             kind,
             compiled,
@@ -989,7 +900,6 @@ pub fn compile_program(program: &[SqlStatement], catalog: &Catalog) -> Result<Pr
             values: lowered.values,
             root: lowered.root,
             footprint,
-            guard_reads,
             guard_key: lowered.guard_key,
             algebraic,
             improved,
@@ -1032,16 +942,18 @@ fn compute_node_reads(graph: &PlanGraph, catalog: &Catalog) -> Vec<BTreeSet<Prop
             PlanNode::Scan { .. } => BTreeSet::new(),
             PlanNode::Guard { input, var, cond } => {
                 let outer = scan_table_info(graph, *input, catalog);
+                let mut guard = Reads::default();
+                walk_condition(cond, row_binding(var, outer), catalog, &mut guard);
                 let mut s = reads[input.0].clone();
-                s.append(&mut condition_reads(cond, catalog, var, outer));
+                s.append(&mut guard.props);
                 s
             }
             PlanNode::Values { rows, var, select } => {
                 let outer = scan_table_info(graph, *rows, catalog);
-                let mut rc = ReadCollector::new(catalog);
-                rc.select(select, &row_scope(var, outer));
+                let mut values = Reads::default();
+                walk_select(select, row_binding(var, outer), catalog, &mut values);
                 let mut s = reads[rows.0].clone();
-                s.append(&mut rc.reads);
+                s.append(&mut values.props);
                 s
             }
             PlanNode::AssignQuery { rows, query } => {
@@ -1274,7 +1186,11 @@ fn netting_cover_proof(
             let stable = (i + 1..j).all(|k| {
                 plan.stages[k].netted
                     || match &plan.stages[k].footprint.write {
-                        Some(Write::Update { prop, .. }) => !sj.guard_reads.contains(prop),
+                        // `sj.rows` is its guard node, over a scan
+                        // that reads nothing.
+                        Some(Write::Update { prop, .. }) => {
+                            !plan.node_reads[sj.rows.0].contains(prop)
+                        }
                         Some(Write::Delete { .. }) => false,
                         None => true,
                     }
@@ -1435,10 +1351,10 @@ impl<'p> ExecCache<'p> {
         instance: &Instance,
         db: &Database,
     ) -> Result<Vec<Oid>> {
-        let values = |t: Oid, v: RowValues| {
+        let values = |t: Oid, v: Column| {
             let (own, prop) = match v {
-                RowValues::Row => (Some(t), None),
-                RowValues::Prop(p) => (None, Some(p)),
+                Column::Id => (Some(t), None),
+                Column::Prop(p) => (None, Some(p)),
             };
             own.into_iter().chain(
                 prop.into_iter()
@@ -2551,6 +2467,54 @@ mod tests {
         let raised = vec![data.amounts[2], data.amounts[3]];
         for &e in &data.employees {
             assert_eq!(i.successors(e, es.salary).collect::<Vec<_>>(), raised);
+        }
+    }
+
+    /// Each column reference picks its own value of a multi-valued
+    /// column, as `SetUpdate::apply` does: `N.Old` meets `Salary` with one
+    /// value and `Fire` with another, and the projected `E1.Salary`
+    /// returns every salary of an employee one of whose salaries is fired.
+    #[test]
+    fn each_column_reference_picks_its_own_value() {
+        let (es, catalog) = employee_catalog();
+        let (mut i0, data) = section7_instance(&es);
+        let (a100, a200, a150) = (data.amounts[0], data.amounts[1], data.amounts[2]);
+        let [e1, e2, e3] = data.employees[..] else {
+            panic!("three employees")
+        };
+        // NewSal's first row maps Old {100, 150}; Fire = {150}; e2 earns
+        // {200, 150}.
+        i0.link(data.newsals[0], es.old, a150).unwrap();
+        i0.remove_edge(&receivers_objectbase::Edge::new(
+            data.fires[0],
+            es.fire_amount,
+            a100,
+        ));
+        i0.link(data.fires[0], es.fire_amount, a150).unwrap();
+        i0.link(e2, es.salary, a150).unwrap();
+        let salaries = |i: &Instance, e: Oid| i.successors(e, es.salary).collect::<Vec<_>>();
+
+        let (query, i) = run_set_update(
+            "update Employee set Salary = (select N.New from NewSal N \
+             where N.Old = Salary and N.Old in table Fire)",
+            &catalog,
+            &i0,
+        );
+        assert!(matches!(query, ValuesQuery::PerRow(_)), "{query:?}");
+        assert_eq!(
+            [salaries(&i, e1), salaries(&i, e2), salaries(&i, e3)],
+            [vec![a150], vec![a150], vec![]]
+        );
+
+        let (query, i) = run_set_update(
+            "update Employee set Salary = \
+             (select E1.Salary from Employee E1, Fire where E1.Salary = Amount)",
+            &catalog,
+            &i0,
+        );
+        assert!(matches!(query, ValuesQuery::Shared(_)), "{query:?}");
+        for e in [e1, e2, e3] {
+            assert_eq!(salaries(&i, e), [a200, a150]);
         }
     }
 

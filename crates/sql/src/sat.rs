@@ -45,10 +45,11 @@ use receivers_relalg::deps::AtomRel;
 use receivers_relalg::expr::RelName;
 use receivers_relalg::typecheck::ParamSchemas;
 
-use crate::ast::{Condition, CursorBody, Projection, Select, SqlStatement};
+use crate::ast::{Condition, Projection, Select, SqlStatement};
 use crate::catalog::{Catalog, TableInfo};
 use crate::compile::{compile, CompiledStatement};
 use crate::footprint::{footprint, Write};
+use crate::scope::{resolve, Bound, Column, Scope};
 
 /// A human-readable, atom-level justification of a verdict.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -156,13 +157,10 @@ impl<'a> GuardRef<'a> {
     /// Extract the guard of any statement (its write-restricting
     /// condition), for commutativity and dead-store reasoning.
     pub fn of_statement(stmt: &'a SqlStatement) -> Self {
-        match stmt {
-            SqlStatement::Delete { condition, .. } => Self::of(Some(condition)),
-            SqlStatement::Update { condition, .. } => Self::of(condition.as_ref()),
-            SqlStatement::ForEach { var, body, .. } => match body {
-                CursorBody::DeleteIf { condition, .. } => Self::in_cursor(var, condition.as_ref()),
-                CursorBody::UpdateSet { condition, .. } => Self::in_cursor(var, condition.as_ref()),
-            },
+        let (_, cursor_var, condition, _) = stmt.parts();
+        Self {
+            cursor_var,
+            condition,
         }
     }
 }
@@ -358,9 +356,8 @@ enum CovTerm {
 }
 
 // ---------------------------------------------------------------------
-// The normalizer: conditions → normal form, mirroring `eval`'s
-// name-resolution (outer row first for unqualified names, innermost
-// alias for qualified ones).
+// The normalizer: conditions → normal form, resolving names by
+// `crate::scope`'s rule over the target row and the `FROM` rows.
 // ---------------------------------------------------------------------
 
 struct Normalizer<'a> {
@@ -369,54 +366,47 @@ struct Normalizer<'a> {
     cursor_var: Option<&'a str>,
 }
 
-type Scopes = Vec<(String, TableInfo, usize)>;
+/// A scope binding and the normal-form node of its row.
+struct NodeScope<'c> {
+    bound: Bound<'c>,
+    node: usize,
+}
 
-impl Normalizer<'_> {
-    /// Resolve a column reference, mirroring `eval::column_values`:
-    /// qualified names rev-find the innermost matching alias (a `FROM`
-    /// alias shadows the cursor variable), unqualified names prefer the
-    /// outermost binding — the target row.
+impl Scope for NodeScope<'_> {
+    fn alias(&self) -> Option<&str> {
+        self.bound.alias
+    }
+
+    fn table(&self) -> &TableInfo {
+        self.bound.table
+    }
+}
+
+type Scopes<'c> = Vec<NodeScope<'c>>;
+
+impl<'a> Normalizer<'a> {
+    /// The scope stack of the target row alone: node 0, named by the
+    /// cursor variable (a set statement's row has no name).
+    fn row_scopes(&self) -> Scopes<'a> {
+        vec![NodeScope {
+            bound: Bound {
+                alias: self.cursor_var,
+                table: self.outer,
+            },
+            node: 0,
+        }]
+    }
+
+    /// Resolve a column reference by [`crate::scope::resolve`].
     fn resolve(&self, colref: &crate::ast::ColumnRef, scopes: &Scopes) -> Result<Term, NormErr> {
-        let term_in = |info: &TableInfo, node: usize| -> Option<Term> {
-            if info.id_column == colref.column {
-                Some(Term { node, prop: None })
-            } else {
-                info.column_prop(&colref.column).map(|p| Term {
-                    node,
-                    prop: Some(p),
-                })
-            }
-        };
-        match &colref.qualifier {
-            Some(q) => {
-                let hit = scopes
-                    .iter()
-                    .rev()
-                    .find(|(a, _, _)| a == q)
-                    .map(|(_, info, node)| (info, *node))
-                    .or_else(|| (Some(q.as_str()) == self.cursor_var).then_some((self.outer, 0)));
-                let Some((info, node)) = hit else {
-                    return Err(NormErr::Unknown(format!("unknown alias `{q}`")));
-                };
-                term_in(info, node).ok_or_else(|| {
-                    NormErr::Unknown(format!("`{q}` has no column `{}`", colref.column))
-                })
-            }
-            None => {
-                if let Some(t) = term_in(self.outer, 0) {
-                    return Ok(t);
-                }
-                for (_, info, node) in scopes {
-                    if let Some(t) = term_in(info, *node) {
-                        return Ok(t);
-                    }
-                }
-                Err(NormErr::Unknown(format!(
-                    "no visible table has a column `{}`",
-                    colref.column
-                )))
-            }
-        }
+        let r = resolve(colref, scopes).map_err(|e| NormErr::Unknown(e.to_string()))?;
+        Ok(Term {
+            node: scopes[r.scope].node,
+            prop: match r.column {
+                Column::Id => None,
+                Column::Prop(p) => Some(p),
+            },
+        })
     }
 
     /// The class of the *values* a term can denote.
@@ -483,12 +473,15 @@ impl Normalizer<'_> {
         }
     }
 
-    fn conjoin(
+    fn conjoin<'c>(
         &self,
         nf: &mut NormalForm,
-        cond: &Condition,
-        scopes: &mut Scopes,
-    ) -> Result<(), NormErr> {
+        cond: &'c Condition,
+        scopes: &mut Scopes<'c>,
+    ) -> Result<(), NormErr>
+    where
+        'a: 'c,
+    {
         match cond {
             Condition::And(a, b) => {
                 self.conjoin(nf, a, scopes)?;
@@ -548,21 +541,29 @@ impl Normalizer<'_> {
     /// nodes for the `FROM` items, the `WHERE` conjoined, and — when the
     /// projection is a data column — a value-existence atom (a row whose
     /// projected column is empty contributes nothing to the result).
-    fn exists(
+    fn exists<'c>(
         &self,
         nf: &mut NormalForm,
-        select: &Select,
-        scopes: &mut Scopes,
-    ) -> Result<(), NormErr> {
+        select: &'c Select,
+        scopes: &mut Scopes<'c>,
+    ) -> Result<(), NormErr>
+    where
+        'a: 'c,
+    {
         let depth = scopes.len();
         for item in &select.from {
-            let info = self
+            let table = self
                 .catalog
                 .lookup(&item.table)
-                .map_err(|e| NormErr::Unknown(e.to_string()))?
-                .clone();
-            let node = nf.fresh(info.class);
-            scopes.push((item.name().to_owned(), info, node));
+                .map_err(|e| NormErr::Unknown(e.to_string()))?;
+            let node = nf.fresh(table.class);
+            scopes.push(NodeScope {
+                bound: Bound {
+                    alias: Some(item.name()),
+                    table,
+                },
+                node,
+            });
         }
         let mut result = Ok(());
         if let Some(w) = &select.where_clause {
@@ -613,7 +614,7 @@ impl<'a> Solver<'a> {
             outer: table,
             cursor_var: guard.cursor_var,
         };
-        n.conjoin(nf, cond, &mut Vec::new())
+        n.conjoin(nf, cond, &mut n.row_scopes())
     }
 
     fn normal_form(&self, table: &str, guards: &[GuardRef<'_>]) -> Result<NormalForm, NormErr> {
@@ -815,27 +816,8 @@ impl<'a> Solver<'a> {
     /// Returns `None` for deletes, for statements whose reads fail to
     /// normalize, and when any `prop` read is not `x₀`-pinned.
     pub fn pinned_read_proof(&self, stmt: &SqlStatement, prop: PropId) -> Option<Proof> {
-        let (table, var, guard, select) = match stmt {
-            SqlStatement::Update {
-                table,
-                condition,
-                select,
-                ..
-            } => (table, None, condition.as_ref(), Some(select)),
-            SqlStatement::ForEach {
-                var,
-                table,
-                body:
-                    CursorBody::UpdateSet {
-                        condition, select, ..
-                    },
-            } => (
-                table,
-                Some(var.as_str()),
-                condition.as_ref(),
-                Some(select.as_ref()),
-            ),
-            _ => return None,
+        let (table, var, guard, Some((_, select))) = stmt.parts() else {
+            return None;
         };
         let info = self.catalog.lookup(table).ok()?.clone();
         let mut nf = NormalForm::new(info.class);
@@ -844,13 +826,11 @@ impl<'a> Solver<'a> {
             outer: &info,
             cursor_var: var,
         };
-        let mut scopes = Vec::new();
+        let mut scopes = n.row_scopes();
         if let Some(g) = guard {
             n.conjoin(&mut nf, g, &mut scopes).ok()?;
         }
-        if let Some(s) = select {
-            n.exists(&mut nf, s, &mut scopes).ok()?;
-        }
+        n.exists(&mut nf, select, &mut scopes).ok()?;
         for e in &nf.edges {
             if e.prop == prop && nf.find(e.src) != 0 {
                 return None;

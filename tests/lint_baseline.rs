@@ -44,6 +44,11 @@ fn fixture_json_baselines_are_current() {
             include_str!("../examples/fixtures/shardable.sql"),
             include_str!("../examples/fixtures/shardable.json"),
         ),
+        (
+            "scoping",
+            include_str!("../examples/fixtures/scoping.sql"),
+            include_str!("../examples/fixtures/scoping.json"),
+        ),
     ];
     let (_es, catalog) = employee_catalog();
     let pm = PassManager::with_default_passes();
