@@ -198,13 +198,7 @@ fn seq_vs_shard(c: &mut Criterion) {
                 let mut oneshot = i.clone();
                 let out = ShardedExecutor::new(&m, &cfg)
                     .expect("add_bar certifies")
-                    .apply(
-                        &mut oneshot,
-                        &mut NullObserver,
-                        &wave,
-                        &mut Vec::new(),
-                        None,
-                    );
+                    .apply(&mut oneshot, &mut NullObserver, &wave, &mut Vec::new());
                 assert_eq!(out, InPlaceOutcome::Applied);
 
                 // Persistent sequential arm: live instance + maintained
@@ -218,13 +212,7 @@ fn seq_vs_shard(c: &mut Criterion) {
                 // Persistent sharded arm: warm per-shard replicas.
                 let mut ex_inst = i.clone();
                 let mut exec = ShardedExecutor::new(&m, &cfg).expect("add_bar certifies");
-                let out = exec.apply(
-                    &mut ex_inst,
-                    &mut NullObserver,
-                    &wave,
-                    &mut Vec::new(),
-                    None,
-                );
+                let out = exec.apply(&mut ex_inst, &mut NullObserver, &wave, &mut Vec::new());
                 assert_eq!(out, InPlaceOutcome::Applied);
                 assert_eq!(ex_inst, seq_inst, "{dist}/{scale}/t{t}");
 
@@ -248,7 +236,6 @@ fn seq_vs_shard(c: &mut Criterion) {
                                 &mut NullObserver,
                                 wave,
                                 &mut Vec::new(),
-                                None,
                             ))
                         })
                     },

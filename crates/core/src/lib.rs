@@ -61,7 +61,5 @@ pub use query_order::{q_order_independent_sampled, ReceiverQuery};
 pub use sequential::{
     apply_seq, apply_sequence, order_independent_on, order_independent_sampled, IndependenceVerdict,
 };
-pub use shard::{
-    certify, shard_of, ShardCertificate, ShardConfig, ShardLaneStats, ShardedExecutor, WaveStats,
-};
+pub use shard::{certify, shard_of, ShardCertificate, ShardConfig, ShardedExecutor};
 pub use syntactic::satisfies_prop_5_8;

@@ -1,5 +1,5 @@
-//! Coloring-certified sharded execution: per-shard worker loops over a
-//! hash-partitioned object base.
+//! Coloring-certified sharded execution: the library's sharded engine,
+//! per-shard worker loops over a hash-partitioned object base.
 //!
 //! Sequential application `M(I, t₁…tₙ)` funnels every receiver through one
 //! maintained view and one transaction stream; Section 6's observation is
@@ -39,11 +39,12 @@
 //!    would at that position.
 //!
 //! 4. **Execute.** A wave fans out over [`receivers_rt::shard_map`] worker
-//!    loops. A worker owns a **pruned replica** of the database — written
-//!    properties filtered to its shard's rows, everything else
-//!    shared-schema full copies — so a point edit costs `O(E/n)` instead
-//!    of `O(E)`. Workers record the netted delta ops of their receivers
-//!    and never touch shared state.
+//!    loops, which claim whole shards. The worker that claims a shard gets
+//!    its receivers together with `&mut` its **pruned replica** of the
+//!    database — written properties filtered to its shard's rows,
+//!    everything else shared-schema full copies — so a point edit costs
+//!    `O(E/n)` instead of `O(E)`. Workers record the netted delta ops of
+//!    their receivers and never touch shared state.
 //!
 //! 5. **Merge, or nothing.** After the join the lowest failing global
 //!    receiver index, if any, is the wave's outcome — the receiver the
@@ -181,52 +182,8 @@ pub struct ShardConfig {
     /// Shard count; `None` follows [`rt::num_threads`] so the partition
     /// matches the worker pool.
     pub shards: Option<usize>,
-    /// The worker-loop/batch-scheduler tuning, forwarded to
-    /// [`rt::shard_map`].
-    pub pool: rt::ShardPoolConfig,
-}
-
-/// One shard's contribution to a wave: the concatenated delta log of its
-/// receivers (in order), or the first failure.
-#[derive(Default)]
-struct ShardRun {
-    log: Vec<DeltaOp>,
-    err: Option<(usize, String)>,
-    /// Receivers this lane applied.
-    receivers: u64,
-    /// Batches pulled off the run queue.
-    batches: u64,
-    /// Nanoseconds parked on the run queue (see [`rt::ShardTasks::wait_ns`]).
-    wait_ns: u64,
-    /// Wall nanoseconds inside the worker closure (0 when untimed).
-    busy_ns: u64,
-}
-
-/// One shard lane's measurements for a wave, reported by
-/// [`ShardedExecutor::apply`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ShardLaneStats {
-    /// Shard index the lane served.
-    pub shard: usize,
-    /// Receivers applied on this lane.
-    pub receivers: u64,
-    /// Batches the lane pulled off its run queue.
-    pub batches: u64,
-    /// Nanoseconds the lane spent parked waiting for the scheduler to
-    /// feed its shard (0 unless metrics or profiling are enabled).
-    pub wait_ns: u64,
-    /// Wall nanoseconds the lane's worker closure ran for.
-    pub busy_ns: u64,
-}
-
-/// Wave-level measurements from [`ShardedExecutor::apply`]: how the
-/// order split across the worker lanes.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WaveStats {
-    /// Receivers that ran on per-shard worker lanes.
-    pub local_receivers: u64,
-    /// Per-shard lane measurements, indexed by shard.
-    pub lanes: Vec<ShardLaneStats>,
+    /// Worker threads; `None` follows [`rt::num_threads`] at each apply.
+    pub workers: Option<usize>,
 }
 
 /// Reusable old/new successor buffers for the per-statement netted diff —
@@ -366,8 +323,8 @@ pub struct ShardedExecutor<'m> {
     method: &'m AlgebraicMethod,
     written: Vec<PropId>,
     shards: usize,
-    pool: rt::ShardPoolConfig,
-    replicas: Vec<std::sync::Mutex<Option<DatabaseView>>>,
+    workers: Option<usize>,
+    replicas: Vec<Option<DatabaseView>>,
     /// True while an apply is in flight; still true on the next apply
     /// only if the previous one panicked out mid-run, in which case the
     /// replicas are untrusted and rebuilt.
@@ -409,8 +366,8 @@ impl<'m> ShardedExecutor<'m> {
             method,
             written: method.updated_properties(),
             shards,
-            pool: cfg.pool.clone(),
-            replicas: (0..shards).map(|_| std::sync::Mutex::new(None)).collect(),
+            workers: cfg.workers,
+            replicas: (0..shards).map(|_| None).collect(),
             dirty: false,
         })
     }
@@ -423,18 +380,13 @@ impl<'m> ShardedExecutor<'m> {
     /// Drop all replicas; the next apply rebuilds them from the instance.
     /// Required after any mutation of the instance outside this executor.
     pub fn invalidate(&mut self) {
-        for cell in &self.replicas {
-            *lock_replica(cell) = None;
-        }
+        self.replicas.fill_with(|| None);
     }
 
     /// How many replicas are currently built — persistence is observable:
     /// a second apply over the same shards builds nothing.
     pub fn replicas_built(&self) -> usize {
-        self.replicas
-            .iter()
-            .filter(|c| lock_replica(c).is_some())
-            .count()
+        self.replicas.iter().filter(|r| r.is_some()).count()
     }
 
     /// Build every missing replica from the instance: one `O(E)` shared
@@ -449,8 +401,7 @@ impl<'m> ShardedExecutor<'m> {
             return;
         }
         let base = Database::from_instance(instance);
-        for (shard, cell) in self.replicas.iter().enumerate() {
-            let mut slot = lock_replica(cell);
+        for (shard, slot) in self.replicas.iter_mut().enumerate() {
             if slot.is_none() {
                 C_REPLICA_BUILDS.incr();
                 *slot = Some(DatabaseView::from_database(pruned_database(
@@ -471,16 +422,12 @@ impl<'m> ShardedExecutor<'m> {
     /// one [`DeltaObserver::batch_end`]. An `Undefined` wave merges
     /// nothing: the instance, the observer and `log` are exactly as they
     /// were.
-    ///
-    /// `stats`, when given, receives the wave's per-lane receiver/batch
-    /// counts, queue waits and busy time (one clock read per lane).
     pub fn apply(
         &mut self,
         instance: &mut Instance,
         observer: &mut dyn DeltaObserver,
         order: &[Receiver],
         log: &mut Vec<DeltaOp>,
-        stats: Option<&mut WaveStats>,
     ) -> InPlaceOutcome {
         if order.is_empty() {
             return InPlaceOutcome::Applied;
@@ -491,49 +438,36 @@ impl<'m> ShardedExecutor<'m> {
         for (gi, t) in order.iter().enumerate() {
             shard_items[shard_of(t.receiving_object(), self.shards)].push((gi, t));
         }
-        let pool = if order.len() < INLINE_BELOW {
-            self.pool.clone().with_workers(1)
+        let workers = if order.len() < INLINE_BELOW {
+            1
         } else {
-            self.pool.clone()
+            self.workers.unwrap_or_else(rt::num_threads)
         };
         let method = self.method;
-        let replicas = &self.replicas;
         let inst: &Instance = instance;
-        let timed = stats.is_some();
+        // Each shard travels with `&mut` its own replica: the worker that
+        // claims the shard is the only one that touches it.
+        let shards: Vec<_> = shard_items
+            .into_iter()
+            .zip(self.replicas.iter_mut())
+            .map(|(items, replica)| {
+                let replica = replica.as_mut().expect("ensure_replicas built every shard");
+                (items, replica)
+            })
+            .collect();
 
-        let runs = rt::shard_map(shard_items, &pool, |shard, tasks| {
-            let lane_start = timed.then(std::time::Instant::now);
-            // Shards are claimed exclusively, so the lock is uncontended;
-            // it exists to hand each worker mutable access to its shard's
-            // long-lived replica.
-            let mut slot = lock_replica(&replicas[shard]);
-            let replica = slot.as_mut().expect("ensure_replicas built every shard");
+        // One shard's contribution to the wave: the concatenated delta log
+        // of its receivers (in order), or its first failure with the
+        // receiver's global index.
+        let runs = rt::shard_map(shards, workers, |_, (items, replica)| {
             let mut log: Vec<DeltaOp> = Vec::new();
             let mut scratch = DiffScratch::default();
-            let (mut receivers, mut batches) = (0u64, 0u64);
-            while let Some(batch) = tasks.next_batch() {
-                batches += 1;
-                for (gi, t) in batch {
-                    if let Err(msg) =
-                        apply_on_replica(method, inst, replica, t, &mut log, &mut scratch)
-                    {
-                        return ShardRun {
-                            err: Some((gi, msg)),
-                            ..ShardRun::default()
-                        };
-                    }
-                    C_LOCAL.incr();
-                    receivers += 1;
-                }
+            for (gi, t) in items {
+                apply_on_replica(method, inst, replica, t, &mut log, &mut scratch)
+                    .map_err(|msg| (gi, msg))?;
+                C_LOCAL.incr();
             }
-            ShardRun {
-                log,
-                err: None,
-                receivers,
-                batches,
-                wait_ns: tasks.wait_ns(),
-                busy_ns: lane_start.map_or(0, |t| t.elapsed().as_nanos() as u64),
-            }
+            Ok(log)
         });
         self.dirty = false;
 
@@ -545,27 +479,12 @@ impl<'m> ShardedExecutor<'m> {
         // receivers past the failure, so they are rebuilt next time.
         if let Some((_, msg)) = runs
             .iter()
-            .filter_map(|r| r.err.as_ref())
+            .filter_map(|r| r.as_ref().err())
             .min_by_key(|(gi, _)| *gi)
         {
             C_ROLLBACKS.incr();
             self.invalidate();
             return InPlaceOutcome::Undefined(msg.clone());
-        }
-
-        if let Some(st) = stats {
-            st.lanes = runs
-                .iter()
-                .enumerate()
-                .map(|(shard, run)| ShardLaneStats {
-                    shard,
-                    receivers: run.receivers,
-                    batches: run.batches,
-                    wait_ns: run.wait_ns,
-                    busy_ns: run.busy_ns,
-                })
-                .collect();
-            st.local_receivers = runs.iter().map(|r| r.receivers).sum();
         }
 
         // Deterministic merge: shard order, one burst. Cross-shard logs
@@ -574,19 +493,12 @@ impl<'m> ShardedExecutor<'m> {
         // the module docs).
         let _merge = obs::span("core.shard.merge");
         let start = log.len();
-        log.extend(runs.into_iter().flat_map(|r| r.log));
+        log.extend(runs.into_iter().flatten().flatten());
         C_MERGED_OPS.add((log.len() - start) as u64);
         redo_ops(instance, observer, &log[start..]);
         observer.batch_end();
         InPlaceOutcome::Applied
     }
-}
-
-/// Poison-surviving replica lock: a worker panic already aborts the run
-/// through the pool, so the replica state behind a poisoned mutex is
-/// discarded via `invalidate`, never trusted.
-fn lock_replica<T>(cell: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    cell.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
@@ -633,9 +545,7 @@ mod tests {
     fn cfg(shards: usize, workers: usize) -> ShardConfig {
         ShardConfig {
             shards: Some(shards),
-            pool: rt::ShardPoolConfig::default()
-                .with_workers(workers)
-                .with_batch_size(4),
+            workers: Some(workers),
         }
     }
 
@@ -784,7 +694,7 @@ mod tests {
         let mut exec = ShardedExecutor::with_certificate(&m, &cert, &cfg(4, 2)).unwrap();
         let mut log = Vec::new();
         assert_eq!(
-            exec.apply(&mut i, &mut view, &order, &mut log, None),
+            exec.apply(&mut i, &mut view, &order, &mut log),
             InPlaceOutcome::Applied
         );
         assert_eq!(i, reference);
@@ -840,7 +750,7 @@ mod tests {
                 let mut i = crowd(&s, n);
                 let mut view = DatabaseView::new(&i);
                 let mut exec = ShardedExecutor::new(&m, &cfg(shards, workers)).unwrap();
-                let out = exec.apply(&mut i, &mut view, &order, &mut Vec::new(), None);
+                let out = exec.apply(&mut i, &mut view, &order, &mut Vec::new());
                 assert_eq!(out, InPlaceOutcome::Applied);
                 assert_eq!(i, reference, "{n}: {shards} shards / {workers} workers");
                 assert!(view.matches_rebuild(&i));
@@ -867,7 +777,7 @@ mod tests {
         let mut exec = ShardedExecutor::new(&m, &cfg(3, 2)).unwrap();
         let earlier = DeltaOp::AddedNode(Oid::new(s.bar, 999));
         let mut log = vec![earlier];
-        let out = exec.apply(&mut i, &mut view, &order, &mut log, None);
+        let out = exec.apply(&mut i, &mut view, &order, &mut log);
         assert!(matches!(out, InPlaceOutcome::Undefined(_)));
         assert_eq!(i, snapshot);
         assert_eq!(view, view_snapshot);
@@ -899,7 +809,7 @@ mod tests {
                 InPlaceOutcome::Applied
             );
             assert_eq!(
-                exec.apply(&mut i, &mut NullObserver, &wave, &mut Vec::new(), None),
+                exec.apply(&mut i, &mut NullObserver, &wave, &mut Vec::new()),
                 InPlaceOutcome::Applied
             );
             assert_eq!(i, reference);
@@ -921,8 +831,7 @@ mod tests {
                 &mut i,
                 &mut NullObserver,
                 &receivers(&s, 12),
-                &mut Vec::new(),
-                None
+                &mut Vec::new()
             ),
             InPlaceOutcome::Applied
         );
@@ -933,7 +842,7 @@ mod tests {
             7,
             Receiver::new(vec![Oid::new(s.drinker, 999), Oid::new(s.bar, 1)]),
         );
-        let out = exec.apply(&mut i, &mut NullObserver, &bad, &mut Vec::new(), None);
+        let out = exec.apply(&mut i, &mut NullObserver, &bad, &mut Vec::new());
         assert!(matches!(out, InPlaceOutcome::Undefined(_)));
         assert_eq!(i, snapshot);
         i.check_index_consistent();
@@ -948,7 +857,7 @@ mod tests {
         let mut reference = snapshot.clone();
         m.apply_in_place_sequence(&mut reference, &wave);
         assert_eq!(
-            exec.apply(&mut i, &mut NullObserver, &wave, &mut Vec::new(), None),
+            exec.apply(&mut i, &mut NullObserver, &wave, &mut Vec::new()),
             InPlaceOutcome::Applied
         );
         assert_eq!(i, reference);
@@ -971,24 +880,11 @@ mod tests {
         m.apply_in_place_sequence(&mut reference, &order);
         let mut i = crowd(&s, 6);
         let mut exec = ShardedExecutor::new(&m, &cfg(3, 2)).unwrap();
-        let mut stats = WaveStats::default();
         assert_eq!(
-            exec.apply(
-                &mut i,
-                &mut NullObserver,
-                &order,
-                &mut Vec::new(),
-                Some(&mut stats)
-            ),
+            exec.apply(&mut i, &mut NullObserver, &order, &mut Vec::new()),
             InPlaceOutcome::Applied
         );
         assert_eq!(i, reference);
-        assert_eq!(stats.local_receivers, order.len() as u64);
-        assert_eq!(stats.lanes.len(), 3);
-        assert_eq!(
-            stats.lanes.iter().map(|l| l.receivers).sum::<u64>(),
-            stats.local_receivers
-        );
 
         // Mutate the instance behind the executor's back, then tell it.
         i.link(Oid::new(s.drinker, 1), s.frequents, Oid::new(s.bar, 5))
@@ -1000,13 +896,13 @@ mod tests {
         let wave = receivers(&s, 6);
         m.apply_in_place_sequence(&mut reference, &wave);
         assert_eq!(
-            exec.apply(&mut i, &mut NullObserver, &wave, &mut Vec::new(), None),
+            exec.apply(&mut i, &mut NullObserver, &wave, &mut Vec::new()),
             InPlaceOutcome::Applied
         );
         assert_eq!(i, reference);
     }
 
-    /// Lane counters are exported through the metrics registry.
+    /// Worker counters are exported through the metrics registry.
     #[test]
     fn local_receivers_counter_is_exported() {
         let s = beer_schema();
@@ -1017,7 +913,7 @@ mod tests {
         let before = obs::metrics_snapshot();
         let mut i = crowd(&s, 8);
         let mut exec = ShardedExecutor::new(&m, &cfg(2, 2)).unwrap();
-        let out = exec.apply(&mut i, &mut NullObserver, &order, &mut Vec::new(), None);
+        let out = exec.apply(&mut i, &mut NullObserver, &order, &mut Vec::new());
         let after = obs::metrics_snapshot();
         assert_eq!(out, InPlaceOutcome::Applied);
 
@@ -1040,7 +936,7 @@ mod tests {
         let mut j = i.clone();
         let seq = m.apply_in_place_sequence(&mut i, &bad);
         let mut exec = ShardedExecutor::new(&m, &cfg(2, 2)).unwrap();
-        let shard = exec.apply(&mut j, &mut NullObserver, &bad, &mut Vec::new(), None);
+        let shard = exec.apply(&mut j, &mut NullObserver, &bad, &mut Vec::new());
         assert_eq!(seq, shard);
         assert!(matches!(shard, InPlaceOutcome::Undefined(_)));
     }

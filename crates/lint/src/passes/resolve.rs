@@ -1,6 +1,8 @@
 //! Name resolution as a lint: every table, column, and alias reference
 //! checked against the catalog, with spans pointing at the offending
-//! reference (`R0003`/`R0004`/`R0005`).
+//! reference (`R0003`/`R0004`/`R0005`), and every assignment's value
+//! column checked against the class the assigned column holds (`R0002`,
+//! by [`check_assignment`], the check `compile` applies).
 //!
 //! The compiler (`receivers_sql::compile`) stops at the first unresolved
 //! name; this pass walks the whole program with `receivers_sql::scope`'s
@@ -11,8 +13,9 @@
 //! resolves to the outermost, but is reported (`R0004`) as ambiguous.
 
 use receivers_objectbase::PropId;
-use receivers_sql::ast::FromItem;
+use receivers_sql::ast::{FromItem, Projection};
 use receivers_sql::catalog::{Catalog, TableInfo};
+use receivers_sql::compile::check_assignment;
 use receivers_sql::scope::{walk_condition, walk_select, Bound, Reference, Visitor};
 use receivers_sql::{ColumnRef, Span, SpannedStatement, SqlError};
 
@@ -53,6 +56,18 @@ impl ProgramPass for NameResolutionPass {
                     );
                 }
                 walk_select(select, outer, cx.catalog, &mut r);
+                if let Some(row) = outer {
+                    if let Err(e) =
+                        check_assignment(cx.catalog, table, row.table, var, column, select)
+                    {
+                        let span = match &select.projection {
+                            Projection::Column(value) => value.span,
+                            Projection::Star => stmt.span,
+                        };
+                        r.out
+                            .push(Diagnostic::new(codes::ILL_TYPED, e.to_string()).with_span(span));
+                    }
+                }
             }
             if let Some(c) = condition {
                 walk_condition(c, outer, cx.catalog, &mut r);

@@ -12,7 +12,7 @@
 //!
 //! Advisory only: the diagnostic reports parallel headroom the program
 //! already has, never a problem — statements that do not certify stay
-//! silent (they simply run on the ordered coordinator path).
+//! silent (`core::shard`'s executor refuses them; they apply in order).
 
 use receivers_obs as obs;
 use receivers_sql::sat::Solver;

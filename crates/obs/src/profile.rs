@@ -6,9 +6,7 @@
 //!   `receivers-sql`): stages, DAG nodes, footprints, and the recorded
 //!   rewrite/netting proofs, with every timing field zero.
 //! * **EXPLAIN ANALYZE** — the same tree measured: per-node wall time,
-//!   rows in/out, selector-cache hits, per-shard receiver placement and
-//!   queue waits, WAL bytes and fsync latency, merged across worker
-//!   threads into one report.
+//!   rows in/out, selector-cache hits, WAL bytes and fsync latency.
 //!
 //! Three renderers share the tree: an indented human form
 //! ([`render_profile_human`]), the stable `receivers-obs/profile/v1`

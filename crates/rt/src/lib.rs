@@ -7,8 +7,9 @@
 //! * [`par_find_map_first`] — first (lowest-index) `Some`, with
 //!   cross-thread early exit;
 //! * [`par_join`] — run two closures concurrently;
-//! * [`shard_map`] — per-shard worker loops over pre-partitioned,
-//!   order-preserving streams (the sharded application engine's runtime).
+//! * [`shard_map`] — per-shard worker loops: workers claim whole shards
+//!   from one shared cursor (the runtime of `receivers_core::shard`, the
+//!   library's sharded engine).
 //!
 //! **Determinism.** Every combinator returns exactly what its sequential
 //! counterpart would: `par_find_map_first` always reports the lowest-index
@@ -37,7 +38,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 #[cfg(feature = "parallel")]
 use std::sync::Mutex;
 
-pub use shard::{shard_map, ShardPoolConfig, ShardTasks};
+pub use shard::shard_map;
 
 obs::counter!(C_TASKS_SPAWNED, "rt.tasks_spawned");
 obs::counter!(C_FIND_CALLS, "rt.find_first.calls");

@@ -38,14 +38,7 @@ fn thread_count_knobs() {
             .map(|s| (0..40).map(|k| s * 100 + k).collect())
             .collect();
         let expect = shards.clone();
-        let cfg = receivers_rt::ShardPoolConfig::default().with_batch_size(7);
-        let out = receivers_rt::shard_map(shards, &cfg, |_s, tasks| {
-            let mut seen = Vec::new();
-            while let Some(batch) = tasks.next_batch() {
-                seen.extend(batch);
-            }
-            seen
-        });
+        let out = receivers_rt::shard_map(shards, receivers_rt::num_threads(), |_s, items| items);
         assert_eq!(out, expect, "workers={workers}");
     }
     receivers_rt::set_num_threads(None);

@@ -76,6 +76,7 @@ pub fn compile(stmt: &SqlStatement, catalog: &Catalog) -> Result<CompiledStateme
                     column: column.clone(),
                     scope: table.clone(),
                 })?;
+            check_assignment(catalog, table, &info, None, column, select)?;
             Ok(CompiledStatement::SetUpdate(SetUpdate {
                 catalog: catalog.clone(),
                 table: info,
@@ -114,6 +115,7 @@ pub fn compile(stmt: &SqlStatement, catalog: &Catalog) -> Result<CompiledStateme
                             column: column.clone(),
                             scope: table.clone(),
                         })?;
+                    check_assignment(catalog, table, &info, Some(var), column, select)?;
                     Ok(CompiledStatement::CursorUpdate(CursorUpdate {
                         catalog: catalog.clone(),
                         var: var.clone(),
@@ -126,6 +128,59 @@ pub fn compile(stmt: &SqlStatement, catalog: &Catalog) -> Result<CompiledStateme
             }
         }
     }
+}
+
+/// Check that the value subquery of `table.column := (select …)` yields
+/// objects of the class the column holds. `row` names the statement's
+/// row: the cursor variable, or `None` for a set update. Fails with
+/// [`SqlError::IllTypedAssignment`] when the projected column holds
+/// another class; a name that does not resolve is left to the
+/// evaluation that reads it, which reports it there.
+pub fn check_assignment(
+    catalog: &Catalog,
+    table: &str,
+    info: &TableInfo,
+    row: Option<&str>,
+    column: &str,
+    select: &Select,
+) -> Result<()> {
+    let Projection::Column(value) = &select.projection else {
+        return Ok(());
+    };
+    let Some(prop) = info.column_prop(column) else {
+        return Ok(());
+    };
+    let mut scopes = vec![Bound {
+        alias: row,
+        table: info,
+    }];
+    for item in &select.from {
+        let Ok(table) = catalog.lookup(&item.table) else {
+            return Ok(());
+        };
+        scopes.push(Bound {
+            alias: Some(item.name()),
+            table,
+        });
+    }
+    let Ok(resolved) = resolve(value, &scopes) else {
+        return Ok(());
+    };
+    let schema = &catalog.schema;
+    let found = match resolved.column {
+        Column::Id => scopes[resolved.scope].table.class,
+        Column::Prop(p) => schema.property(p).dst,
+    };
+    let expected = schema.property(prop).dst;
+    if found == expected {
+        return Ok(());
+    }
+    Err(SqlError::IllTypedAssignment {
+        column: format!("{table}.{column}"),
+        expected: schema.class_name(expected).to_owned(),
+        value: value.to_string(),
+        found: schema.class_name(found).to_owned(),
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -983,6 +1038,75 @@ mod tests {
         let stmt = parse(text).unwrap();
         let compiled = compile(&stmt, &catalog).unwrap();
         (es, catalog, compiled)
+    }
+
+    /// An assignment whose value column holds another class than the
+    /// assigned column is refused at compile time, with one typed error
+    /// naming both classes — the same from `compile` and from
+    /// `compile_program`, set and cursor forms, guarded or not.
+    #[test]
+    fn ill_typed_assignments_are_refused_at_compile_time() {
+        let (_, catalog) = employee_catalog();
+        let ill_typed =
+            |column: &str, expected: &str, value: &str, found: &str| SqlError::IllTypedAssignment {
+                column: column.to_owned(),
+                expected: expected.to_owned(),
+                value: value.to_owned(),
+                found: found.to_owned(),
+            };
+        let cases = [
+            (
+                "update Employee set Salary = (select EmpId from Employee)",
+                ill_typed("Employee.Salary", "Amount", "EmpId", "Employee"),
+            ),
+            (
+                "update Employee set Manager = (select Amount from Fire)",
+                ill_typed("Employee.Manager", "Employee", "Amount", "Amount"),
+            ),
+            (
+                "for each t in Employee do update t set Manager = (select Amount from Fire)",
+                ill_typed("Employee.Manager", "Employee", "Amount", "Amount"),
+            ),
+            (
+                "for each t in Employee do if t.Salary in table Fire \
+                 update t set Manager = (select F.Amount from Fire F)",
+                ill_typed("Employee.Manager", "Employee", "F.Amount", "Amount"),
+            ),
+            (
+                "update Employee set Manager = (select t.Salary from Employee t)",
+                ill_typed("Employee.Manager", "Employee", "t.Salary", "Amount"),
+            ),
+        ];
+        for (text, want) in &cases {
+            let stmt = parse(text).unwrap();
+            let err = compile(&stmt, &catalog).err().expect(text);
+            assert_eq!(&err, want, "{text}");
+            let program_err = crate::plan::compile_program(std::slice::from_ref(&stmt), &catalog)
+                .err()
+                .expect(text);
+            assert_eq!(program_err, err, "compile_program agrees: {text}");
+        }
+        let err = compile(&parse(cases[1].0).unwrap(), &catalog)
+            .err()
+            .unwrap();
+        assert_eq!(
+            err.to_string(),
+            "ill-typed assignment: `Employee.Manager` holds `Employee` objects, \
+             but the value column `Amount` holds `Amount` objects"
+        );
+
+        // Well typed: the identity column where the column holds the
+        // table's own class, and a data column of the same class.
+        for text in [
+            "update Employee set Manager = (select EmpId from Employee)",
+            "update Employee set Manager = \
+             (select E1.Manager from Employee E1 where E1.EmpId = Manager)",
+            "for each t in Employee do update t set Salary = (select Amount from Fire)",
+            "for each t in Employee do update t set Manager = (select t.Manager from Fire)",
+        ] {
+            let stmt = parse(text).unwrap();
+            assert!(compile(&stmt, &catalog).is_ok(), "{text}");
+        }
     }
 
     /// The simple delete: both solutions delete exactly e1 (whose salary

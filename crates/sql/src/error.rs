@@ -35,6 +35,18 @@ pub enum SqlError {
     },
     /// Unknown alias in a qualified reference.
     UnknownAlias(String),
+    /// An update's value column holds objects of another class than the
+    /// column it is assigned to.
+    IllTypedAssignment {
+        /// The assigned column, `Table.Column`.
+        column: String,
+        /// The class the assigned column holds.
+        expected: String,
+        /// The value subquery's projected column, as written.
+        value: String,
+        /// The class the value column holds.
+        found: String,
+    },
     /// Malformed catalog description file (see
     /// [`Catalog::parse`](crate::catalog::Catalog::parse)).
     CatalogDescription {
@@ -90,6 +102,16 @@ impl fmt::Display for SqlError {
                 write!(f, "unknown column `{column}` in {scope}")
             }
             Self::UnknownAlias(a) => write!(f, "unknown alias `{a}`"),
+            Self::IllTypedAssignment {
+                column,
+                expected,
+                value,
+                found,
+            } => write!(
+                f,
+                "ill-typed assignment: `{column}` holds `{expected}` objects, \
+                 but the value column `{value}` holds `{found}` objects"
+            ),
             Self::CatalogDescription { line, msg } => {
                 write!(f, "catalog description line {line}: {msg}")
             }

@@ -4,10 +4,10 @@
 //! [`obs::ProfileNode`] tree *without executing anything*: one child per
 //! stage carrying the planner's decisions (netting with its
 //! [`Proof`](crate::sat::Proof) notes, selector sharing from the cse
-//! pass, the improve rewrite), the stage's footprint summary, its
-//! predicted shard placement, and the expression-DAG nodes it
-//! evaluates. The same tree type backs **EXPLAIN ANALYZE**
-//! ([`ProgramPlan::execute_viewed_profiled`] and friends), so every
+//! pass, the improve rewrite), the stage's footprint summary, and the
+//! expression-DAG nodes it evaluates. The same tree type backs
+//! **EXPLAIN ANALYZE** ([`ProgramPlan::execute_viewed_profiled`] and
+//! friends), so every
 //! renderer — [`obs::render_profile_human`], [`obs::render_profile_json`]
 //! (`receivers-obs/profile/v1`), [`obs::render_profile_chrome`] — works
 //! on both.
@@ -17,13 +17,13 @@ use std::collections::BTreeSet;
 use receivers_obs as obs;
 
 use crate::footprint::Write;
-use crate::plan::{refusal_note, NodeId, PlanGraph, PlanNode, ProgramPlan, Stage};
+use crate::plan::{NodeId, PlanGraph, PlanNode, ProgramPlan, Stage};
 
 impl ProgramPlan {
     /// The compiled program's **EXPLAIN** tree: stages, planner
-    /// decisions, footprints, and predicted shard placement, with the
-    /// expression DAG nested under each stage. Purely static — nothing
-    /// is executed and no instance is needed.
+    /// decisions and footprints, with the expression DAG nested under
+    /// each stage. Purely static — nothing is executed and no instance
+    /// is needed.
     pub fn explain(&self) -> obs::ProfileNode {
         let mut root = obs::ProfileNode::new("program", "explain");
         root.set_metric("stages", self.stages().len() as u64);
@@ -37,25 +37,11 @@ impl ProgramPlan {
                     node.add_note(format!("proof: {n}"));
                 }
             }
-            node.add_note(self.shard_prediction(idx));
             node.children
                 .push(dag_node(self.graph(), stage.root(), &mut seen));
             root.children.push(node);
         }
         root
-    }
-
-    /// Where the sharded driver will place stage `idx`, read off its
-    /// certificate without running anything; a refusal names the
-    /// undischarged conflicts.
-    fn shard_prediction(&self, idx: usize) -> String {
-        match self.shard_certificate(idx) {
-            Some((cert, _)) if cert.shard_safe() => {
-                "shard: certified shard-safe — runs on per-shard worker loops".to_owned()
-            }
-            Some((cert, _)) => format!("shard: {}", refusal_note(self.catalog(), &cert)),
-            None => "shard: no algebraic form — coordinator/vectorized path".to_owned(),
-        }
     }
 }
 
@@ -121,7 +107,7 @@ mod tests {
 
     /// EXPLAIN is purely static and carries the planner's decisions: one
     /// child per stage, netting with its proof notes, the footprint
-    /// summary, the predicted shard placement, and the nested DAG — all
+    /// summary, and the nested DAG — all
     /// rendering through the shared profile renderers.
     #[test]
     fn explain_reports_stages_decisions_and_dag() {
@@ -149,10 +135,6 @@ mod tests {
             assert!(
                 stage.notes.iter().any(|n| n.starts_with("footprint:")),
                 "stage {k} must summarise its footprint"
-            );
-            assert!(
-                stage.notes.iter().any(|n| n.starts_with("shard:")),
-                "stage {k} must predict its shard placement"
             );
             assert!(
                 !stage.children.is_empty(),

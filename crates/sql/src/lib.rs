@@ -58,7 +58,7 @@ pub use improve::improve_cursor_update;
 pub use parser::{parse, parse_program};
 pub use plan::{
     compile_program, footprint_of, statement_dag, NodeId, PlanGraph, PlanNode, PlanVisitor,
-    ProgramPlan, ShardSession, Stage, StageKind,
+    ProgramPlan, Stage, StageKind,
 };
 pub use sat::{
     Commutativity, Disjointness, GuardRef, Implication, Proof, Satisfiability,

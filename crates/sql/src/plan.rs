@@ -9,9 +9,10 @@
 //! * [`ProgramPlan::execute_viewed`] — the sequential in-place driver over
 //!   a maintained [`DatabaseView`], batching set-oriented stages through
 //!   the vectorized appliers of [`receivers_core::algebraic`];
-//! * [`ProgramPlan::execute_sharded`] / [`ShardSession`] — certified
-//!   stages on the [`receivers_core::shard`] per-shard worker loops, with
-//!   certificates discharged from footprints *read off the DAG*;
+//! * [`ProgramPlan::execute_sharded`] — the same stage loop on a fresh
+//!   view, the entry point the end-to-end benchmark prices as its
+//!   sharded arm (the library's sharded engine is
+//!   [`receivers_core::shard`], which no stage reaches; see DESIGN.md);
 //! * [`ProgramPlan::execute_durable`] — the same pipeline, logging the
 //!   whole program as one record of a [`DurableStore`] write-ahead log.
 //!
@@ -47,7 +48,7 @@ use receivers_core::algebraic::{
     apply_delete_batch_logged, try_apply_assignment_batch, try_apply_replacement_batch,
     Statement as AlgStatement,
 };
-use receivers_core::shard::{certify, ShardCertificate, ShardConfig, ShardedExecutor, WaveStats};
+use receivers_core::shard::ShardConfig;
 use receivers_core::{AlgebraicMethod, Decision};
 use receivers_objectbase::{
     undo_ops, ClassId, DeltaOp, InPlaceOutcome, Instance, InstanceTxn, Oid, PropId, Receiver,
@@ -718,8 +719,8 @@ impl Stage {
         self.rows
     }
 
-    /// The footprint read off the DAG — what the shard certification and
-    /// the netting pass consume.
+    /// The footprint read off the DAG — what the netting pass and the
+    /// selector cache's invalidation consume.
     pub fn footprint(&self) -> &Footprint {
         &self.footprint
     }
@@ -1491,18 +1492,13 @@ impl<'p> ExecCache<'p> {
 }
 
 /// What one executed stage did, collected unconditionally (integer adds
-/// and a selector clock; the placement note and wave only when profiled)
-/// and read only by the profiled drivers.
+/// and a selector clock) and read only by the profiled drivers.
 #[derive(Default)]
 struct StageMeter {
     /// Rows the stage's selector produced (receivers visited).
     rows_in: u64,
     /// Rows the stage actually wrote (deletes fired, assignments made).
     rows_out: u64,
-    /// Where the profiled sharded driver placed the stage, and why.
-    placement: Option<String>,
-    /// How a profiled shard wave split its receivers across lanes.
-    wave: Option<WaveStats>,
     /// Time a set stage spent selecting its rows (and their values): the
     /// rest of the stage is its batch write.
     selector_ns: u64,
@@ -1583,8 +1579,7 @@ pub(crate) fn stage_node(idx: usize, stage: &Stage) -> obs::ProfileNode {
 }
 
 /// Stamp one executed stage's measurements onto its node — wall time,
-/// rows, selector-cache deltas, the sharded placement and lanes — and
-/// push it under the profile root.
+/// rows, selector-cache deltas — and push it under the profile root.
 fn push_stage_profile(
     prof: &mut obs::ProfileNode,
     idx: usize,
@@ -1611,23 +1606,6 @@ fn push_stage_profile(
     }
     if meter.selector_ns > 0 {
         node.set_metric("selector_ns", meter.selector_ns);
-    }
-    if let Some(note) = meter.placement {
-        node.add_note(note);
-    }
-    if let Some(w) = meter.wave {
-        node.set_metric("local_receivers", w.local_receivers);
-        for lane in w.lanes.iter().filter(|l| l.receivers > 0 || l.batches > 0) {
-            let mut ln = obs::ProfileNode::new(format!("shard {}", lane.shard), "shard-lane");
-            ln.start_ns = mark.start_ns;
-            ln.wall_ns = lane.busy_ns;
-            ln.rows_in = lane.receivers;
-            ln.rows_out = lane.receivers;
-            ln.set_metric("receivers", lane.receivers);
-            ln.set_metric("batches", lane.batches);
-            ln.set_metric("queue_wait_ns", lane.wait_ns);
-            node.children.push(ln);
-        }
     }
     prof.children.push(node);
 }
@@ -1666,96 +1644,6 @@ fn commit_to<S: WalStorage>(
             p.children.push(node);
         }
         Ok(())
-    }
-}
-
-/// The sharded session's placement rule — all its driver adds to the
-/// shared stage loop: a certified algebraic cursor stage runs on its
-/// persistent [`ShardedExecutor`], writing through the session view;
-/// every other stage takes the shared path.
-struct ShardLanes<'s, 'p> {
-    cfg: &'s ShardConfig,
-    execs: &'s mut [Lane<'p>],
-}
-
-/// A cursor stage's standing in a shard session, decided once on first
-/// use: its executor, or the refusal note of a certificate that is not
-/// shard-safe (so a refused stage is not re-solved on every execute).
-type Lane<'p> = Option<std::result::Result<ShardedExecutor<'p>, String>>;
-
-/// The placement note of a stage whose certificate is not shard-safe,
-/// naming the undischarged conflicts by their SQL columns.
-pub(crate) fn refusal_note(catalog: &Catalog, certificate: &ShardCertificate) -> String {
-    let columns: Vec<String> = certificate
-        .undischarged()
-        .map(|p| catalog.column_name(p))
-        .collect();
-    format!(
-        "certificate not shard-safe (undischarged: {}) — ordered coordinator path",
-        columns.join(", ")
-    )
-}
-
-impl<'p> ShardLanes<'_, 'p> {
-    /// Run stage `idx` on its executor, its merged wave joining `log`, or
-    /// return `None` to send it down the shared path.
-    #[allow(clippy::too_many_arguments)]
-    fn run(
-        &mut self,
-        plan: &'p ProgramPlan,
-        idx: usize,
-        instance: &mut Instance,
-        view: &mut DatabaseView,
-        log: &mut Vec<DeltaOp>,
-        meter: &mut StageMeter,
-        profiled: bool,
-    ) -> Option<InPlaceOutcome> {
-        let stage = &plan.stages[idx];
-        let method = match stage.kind {
-            StageKind::CursorUpdate => stage.algebraic.as_ref()?,
-            _ => return None,
-        };
-        let lane = self.execs[idx].get_or_insert_with(|| {
-            let (certificate, _proofs) = plan
-                .shard_certificate(idx)
-                .expect("algebraic stages certify");
-            ShardedExecutor::with_certificate(method, &certificate, self.cfg)
-                .map_err(|_| refusal_note(&plan.catalog, &certificate))
-        });
-        let exec = match lane {
-            Ok(exec) => exec,
-            Err(note) => {
-                if profiled {
-                    meter.placement = Some(note.clone());
-                }
-                return None;
-            }
-        };
-        if profiled {
-            meter.placement = Some("certified shard-safe — per-shard worker loops".to_owned());
-        }
-        let order = cursor_order(stage, instance);
-        meter.rows_in += order.len() as u64;
-        meter.rows_out += order.len() as u64;
-        let mut wave = WaveStats::default();
-        let outcome = exec.apply(instance, view, &order, log, profiled.then_some(&mut wave));
-        if profiled {
-            meter.wave = Some(wave);
-        }
-        Some(outcome)
-    }
-
-    /// Stage `idx` applied: every other executor's replicas are stale now,
-    /// and its own too unless it ran the stage. `None` — the program was
-    /// undone — makes every replica stale.
-    fn invalidate_after(&mut self, ran: Option<(usize, bool)>) {
-        for (k, exec) in self.execs.iter_mut().enumerate() {
-            if let Some(Ok(exec)) = exec {
-                if ran != Some((k, true)) {
-                    exec.invalidate();
-                }
-            }
-        }
     }
 }
 
@@ -1978,24 +1866,21 @@ impl ProgramPlan {
     /// skipping, spans and counters, profile marks, outcome handling,
     /// selector-cache invalidation and the program's atomicity; the
     /// drivers differ only in the program-commit step they pass (the
-    /// durable driver's store) and, for the sharded session, in the
-    /// [`ShardLanes`] placement rule. The maintained `view` is the only
+    /// durable driver's store). The maintained `view` is the only
     /// observer: every stage writes through it and evaluates against it.
     ///
     /// A program is one transaction. The loop owns one program-level delta
     /// log, and every writer a stage runs commits its ops into it; once
     /// every stage has applied, the log is handed to `commit` (one WAL
     /// record on the durable driver). An `Undefined` stage, an error, or a
-    /// failed commit undoes the whole log on the instance and the view and
-    /// drops every executor replica, so the instance ends either fully
-    /// updated or as passed in — never half-done, and never ahead of the
-    /// durable state.
-    fn run_stages<'p>(
-        &'p self,
+    /// failed commit undoes the whole log on the instance and the view, so
+    /// the instance ends either fully updated or as passed in — never
+    /// half-done, and never ahead of the durable state.
+    fn run_stages(
+        &self,
         instance: &mut Instance,
         view: &mut DatabaseView,
         commit: Option<CommitStep<'_>>,
-        mut lanes: Option<&mut ShardLanes<'_, 'p>>,
         mut prof: Option<&mut obs::ProfileNode>,
     ) -> Result<InPlaceOutcome> {
         let _span = obs::span("sql.plan.execute");
@@ -2023,24 +1908,8 @@ impl ProgramPlan {
                 log_len: log.len(),
             });
             let mut meter = StageMeter::default();
-            let placed = lanes.as_deref_mut().and_then(|l| {
-                l.run(
-                    self,
-                    idx,
-                    instance,
-                    view,
-                    &mut log,
-                    &mut meter,
-                    prof.is_some(),
-                )
-            });
-            let ran_on_lanes = placed.is_some();
-            let outcome = match placed {
-                Some(outcome) => Ok(outcome),
-                None => {
-                    self.run_stage_viewed(&mut cache, stage, instance, view, &mut log, &mut meter)
-                }
-            };
+            let outcome =
+                self.run_stage_viewed(&mut cache, stage, instance, view, &mut log, &mut meter);
             if let (Some(p), Some(mark), Ok(_)) = (prof.as_deref_mut(), mark, &outcome) {
                 push_stage_profile(p, idx, stage, mark, meter, &cache, log.len());
             }
@@ -2050,9 +1919,6 @@ impl ProgramPlan {
                     failed = Some((idx, other));
                     break;
                 }
-            }
-            if let Some(l) = lanes.as_deref_mut() {
-                l.invalidate_after(Some((idx, ran_on_lanes)));
             }
             cache.invalidate_after(&stage.footprint);
         }
@@ -2067,9 +1933,6 @@ impl ProgramPlan {
         };
         let _undo = obs::span("sql.plan.rollback");
         undo_ops(instance, view, &log);
-        if let Some(l) = lanes {
-            l.invalidate_after(None);
-        }
         if let Some(p) = prof {
             let why = match &result {
                 Ok(InPlaceOutcome::Undefined(why)) => why.clone(),
@@ -2121,7 +1984,7 @@ impl ProgramPlan {
         instance: &mut Instance,
         view: &mut DatabaseView,
     ) -> Result<InPlaceOutcome> {
-        self.run_stages(instance, view, None, None, None)
+        self.run_stages(instance, view, None, None)
     }
 
     /// [`ProgramPlan::execute_viewed`] with **EXPLAIN ANALYZE** attached:
@@ -2136,9 +1999,7 @@ impl ProgramPlan {
         instance: &mut Instance,
         view: &mut DatabaseView,
     ) -> Result<(InPlaceOutcome, obs::ProfileNode)> {
-        self.profiled("viewed", |prof| {
-            self.run_stages(instance, view, None, None, prof)
-        })
+        self.profiled("viewed", |prof| self.run_stages(instance, view, None, prof))
     }
 
     /// Execute the compiled program through the **durable driver**: the
@@ -2156,7 +2017,7 @@ impl ProgramPlan {
         view: &mut DatabaseView,
         store: &mut DurableStore<S>,
     ) -> Result<InPlaceOutcome> {
-        self.run_stages(instance, view, Some(&mut commit_to(store)), None, None)
+        self.run_stages(instance, view, Some(&mut commit_to(store)), None)
     }
 
     /// [`ProgramPlan::execute_durable`] with **EXPLAIN ANALYZE**
@@ -2172,123 +2033,38 @@ impl ProgramPlan {
     ) -> Result<(InPlaceOutcome, obs::ProfileNode)> {
         let mut commit = commit_to(store);
         self.profiled("durable", |prof| {
-            self.run_stages(instance, view, Some(&mut commit), None, prof)
+            self.run_stages(instance, view, Some(&mut commit), prof)
         })
     }
 
-    /// The shard certificate of an algebraic stage: the coloring-footprint
-    /// certification of [`receivers_core::certify`], refined by
-    /// discharging read/write conflicts whose reads the solver proves
-    /// self-pinned — all read off the stage's DAG footprint and
-    /// statement. Returns `None` for stages with no algebraic form.
-    pub fn shard_certificate(
-        &self,
-        idx: usize,
-    ) -> Option<(receivers_core::ShardCertificate, Vec<(PropId, Proof)>)> {
-        let stage = &self.stages[idx];
-        let method = stage.algebraic.as_ref()?;
-        let mut certificate = certify(method);
-        let solver = Solver::new(&self.catalog);
-        let proofs = solver.discharge_pinned_reads(&stage.statement, &mut certificate);
-        Some((certificate, proofs))
-    }
-
-    /// A persistent sharded execution session over this plan — the
-    /// [`ShardedExecutor`]-backed driver, replicas kept warm across
-    /// repeated executions.
-    pub fn shard_session(&self, cfg: ShardConfig) -> ShardSession<'_> {
-        ShardSession {
-            plan: self,
-            cfg,
-            view: None,
-            execs: self.stages.iter().map(|_| None).collect(),
-        }
-    }
-
-    /// Execute the compiled program through the **sharded driver**:
-    /// certified algebraic stages run on the per-shard worker loops of
-    /// [`receivers_core::shard`] (certificates discharged from the DAG
-    /// footprints), everything else runs vectorized on the coordinator —
-    /// bit-identical to the sequential path.
+    /// Execute the compiled program through the **sharded driver**: the
+    /// one stage loop on a fresh maintained view, bit-identical to
+    /// [`ProgramPlan::execute_viewed`]. The config is unused; it is kept
+    /// so the benchmark's sharded arm keeps its call shape until the
+    /// drivers fold into one entry point. No stage runs on the per-shard
+    /// worker loops of [`receivers_core::shard`]: a stage whose
+    /// certificate is shard-safe is key-order independent, so the improve
+    /// pass has already made it a `par(E)` stage.
     pub fn execute_sharded(
         &self,
         instance: &mut Instance,
-        cfg: &ShardConfig,
+        _cfg: &ShardConfig,
     ) -> Result<InPlaceOutcome> {
-        self.shard_session(cfg.clone()).execute(instance)
+        let mut view = DatabaseView::new(instance);
+        self.run_stages(instance, &mut view, None, None)
     }
 
     /// [`ProgramPlan::execute_sharded`] with **EXPLAIN ANALYZE**
-    /// attached: certified stages report their receivers on the
-    /// per-shard worker lanes, with one `shard N` child per active lane
-    /// (receivers, batches, queue wait, busy time); refused stages name
-    /// their undischarged conflicts.
+    /// attached, under a `program (sharded)` root.
     pub fn execute_sharded_profiled(
         &self,
         instance: &mut Instance,
-        cfg: &ShardConfig,
+        _cfg: &ShardConfig,
     ) -> Result<(InPlaceOutcome, obs::ProfileNode)> {
-        self.shard_session(cfg.clone()).execute_profiled(instance)
-    }
-}
-
-/// A persistent sharded session over a [`ProgramPlan`]: one
-/// [`ShardedExecutor`] per certified algebraic stage (replicas carried
-/// over between [`ShardSession::execute`] calls), a maintained
-/// [`DatabaseView`] for the coordinator stages, and the executor-replica
-/// cross-invalidation the stage sequence requires.
-pub struct ShardSession<'p> {
-    plan: &'p ProgramPlan,
-    cfg: ShardConfig,
-    view: Option<DatabaseView>,
-    execs: Vec<Lane<'p>>,
-}
-
-impl ShardSession<'_> {
-    /// Drop the session's maintained view and every executor's replicas;
-    /// required after any mutation of the instance outside this session.
-    pub fn invalidate(&mut self) {
-        self.view = None;
-        for e in self.execs.iter_mut().flatten().flatten() {
-            e.invalidate();
-        }
-    }
-
-    /// Apply the whole program to `instance` — semantically identical to
-    /// [`ProgramPlan::execute_viewed`], atomicity included: a program that
-    /// is not applied is undone and drops every executor's replicas.
-    pub fn execute(&mut self, instance: &mut Instance) -> Result<InPlaceOutcome> {
-        self.execute_impl(instance, None)
-    }
-
-    /// [`ShardSession::execute`] with **EXPLAIN ANALYZE** attached — see
-    /// [`ProgramPlan::execute_sharded_profiled`].
-    pub fn execute_profiled(
-        &mut self,
-        instance: &mut Instance,
-    ) -> Result<(InPlaceOutcome, obs::ProfileNode)> {
-        let plan = self.plan;
-        plan.profiled("sharded", |prof| self.execute_impl(instance, prof))
-    }
-
-    fn execute_impl(
-        &mut self,
-        instance: &mut Instance,
-        prof: Option<&mut obs::ProfileNode>,
-    ) -> Result<InPlaceOutcome> {
-        let mut view = self
-            .view
-            .take()
-            .unwrap_or_else(|| DatabaseView::new(instance));
-        let mut lanes = ShardLanes {
-            cfg: &self.cfg,
-            execs: &mut self.execs,
-        };
-        let outcome = self
-            .plan
-            .run_stages(instance, &mut view, None, Some(&mut lanes), prof);
-        self.view = Some(view);
-        outcome
+        self.profiled("sharded", |prof| {
+            let mut view = DatabaseView::new(instance);
+            self.run_stages(instance, &mut view, None, prof)
+        })
     }
 }
 
@@ -2931,8 +2707,7 @@ mod tests {
 
     /// EXPLAIN ANALYZE is a pure observer: each profiled driver matches
     /// its plain twin bit for bit, and the trees account for every stage
-    /// — rows, selector-cache counters, the durable run's WAL appends,
-    /// and the sharded run's placement decision.
+    /// — rows, selector-cache counters and the durable run's WAL appends.
     #[test]
     fn profiled_drivers_match_plain_and_account_stages() {
         let (es, catalog) = employee_catalog();
@@ -2979,24 +2754,8 @@ mod tests {
             .unwrap();
         assert!(out.is_applied());
         assert_eq!(sharded, plain);
+        assert_eq!(stree.name, "program (sharded)");
         assert_eq!(stree.children.len(), plan.stages().len());
-        // (C) has an algebraic form but an undischargeable read conflict:
-        // the profile records the coordinator-fallback placement and
-        // names the conflicting column, and EXPLAIN predicts the same.
-        let names_salary = |notes: &[String]| {
-            notes
-                .iter()
-                .any(|n| n.contains("coordinator") && n.contains("Salary"))
-        };
-        assert!(
-            names_salary(&stree.children[2].notes),
-            "stage (C) must record its placement decision and why: {:?}",
-            stree.children[2].notes
-        );
-        assert!(
-            names_salary(&plan.explain().children[2].notes),
-            "EXPLAIN must predict stage (C)'s refusal and why"
-        );
 
         let mut durable = i0.clone();
         let mut store = DurableStore::create(

@@ -872,25 +872,6 @@ impl<'a> Solver<'a> {
         };
         let method = cu.to_algebraic().ok()?;
         let mut certificate = receivers_core::certify(&method);
-        let proofs = self.discharge_pinned_reads(stmt, &mut certificate);
-        Some(ShardedCertification {
-            method,
-            certificate,
-            proofs,
-        })
-    }
-
-    /// Discharge every conflict of `certificate` whose read the solver
-    /// proves self-pinned in `stmt` — the discharge loop shared by
-    /// [`Solver::certify_sharded`] and the program planner's sharded
-    /// driver (`sql::plan`), which brings its own certificate built from
-    /// the stage's compiled method. Returns one proof per discharged
-    /// conflict.
-    pub fn discharge_pinned_reads(
-        &self,
-        stmt: &SqlStatement,
-        certificate: &mut receivers_core::ShardCertificate,
-    ) -> Vec<(PropId, Proof)> {
         let mut proofs = Vec::new();
         for prop in certificate.undischarged().collect::<Vec<_>>() {
             if let Some(proof) = self.pinned_read_proof(stmt, prop) {
@@ -898,7 +879,11 @@ impl<'a> Solver<'a> {
                 proofs.push((prop, proof));
             }
         }
-        proofs
+        Some(ShardedCertification {
+            method,
+            certificate,
+            proofs,
+        })
     }
 }
 

@@ -105,7 +105,7 @@ fn main() {
     );
 
     // EXPLAIN: the static plan tree — planner decisions with their
-    // proofs, footprints, predicted shard placement, the nested DAG.
+    // proofs, footprints, the nested DAG.
     if cli.explain_requested() {
         if let Err(e) = cli.export_explain(&plan.explain()) {
             eprintln!("profile_program: writing explain output: {e}");

@@ -10,6 +10,10 @@
 //! misses, the second hits, and both return the fresh decision's verdict
 //! and offending property.
 //!
+//! The same corpus pins why the planner needs no shard lanes: every
+//! statement `Solver::certify_sharded` certifies shard-safe compiles,
+//! through `compile_program`, to an improved `par(E)` stage.
+//!
 //! The cache and its counters are process-wide, so the tests of this
 //! binary take one lock and run one at a time.
 //!
@@ -32,7 +36,7 @@ use receivers::sql::plan::{proof_cache_len, reset_proof_cache};
 use receivers::sql::scenarios::{CURSOR_UPDATE_B, CURSOR_UPDATE_C};
 use receivers::sql::{
     compile, compile_program, improve_cursor_update, parse, parse_program, Catalog,
-    CompiledStatement, CursorBody, CursorUpdate, SqlStatement,
+    CompiledStatement, CursorBody, CursorUpdate, Solver, SqlStatement, StageKind,
 };
 
 mod common;
@@ -45,14 +49,28 @@ const SWEEP_BASE: u64 = 0x1A9E_0000;
 
 /// Cursor updates compiled by the `lint` and `sql` tests beyond the
 /// scenarios: a qualified cursor variable, a write of `Manager`, and a
-/// subquery that ignores the row. (A subquery with a negative atom has
-/// no algebraic form to decide, so it never reaches the pass.)
+/// subquery that ignores the row; then writes of `Manager` the pool
+/// lacks, reading the written column at the row itself, at the
+/// manager's row, at other rows, or not at all. (A subquery with a
+/// negative atom has no algebraic form to decide, so it never reaches
+/// the pass.)
 const EXTRA: &[&str] = &[
     "for each t in Employee do update t set Salary = \
      (select New from NewSal where Old = t.Salary)",
     "for each t in Employee do update t set Manager = \
      (select E1.EmpId from Employee E1 where E1.Manager = E1.EmpId)",
     "for each t in Employee do update t set Salary = (select Amount from Fire)",
+    "for each t in Employee do update t set Manager = \
+     (select E1.Manager from Employee E1 where E1.EmpId = Manager)",
+    "for each t in Employee do update t set Manager = \
+     (select E1.Manager from Employee E1 where E1.EmpId = EmpId)",
+    "for each t in Employee do update t set Manager = \
+     (select E1.EmpId from Employee E1 where E1.EmpId = Manager)",
+    "for each t in Employee do update t set Manager = \
+     (select E1.EmpId from Employee E1 where E1.Manager = Manager)",
+    "for each t in Employee do update t set Manager = \
+     (select E1.EmpId from Employee E1 where E1.Salary = Salary)",
+    "for each t in Employee do update t set Manager = (select EmpId from Employee)",
 ];
 
 /// A cursor update over a catalog that has nothing to do with Section 7.
@@ -154,7 +172,9 @@ fn corpus() -> Vec<Case> {
             continue; // the lint reports the syntax error
         };
         for s in program {
-            if is_unguarded_cursor_update(&s.stmt) {
+            // The lint reports a statement that does not compile (the
+            // ill-typed assignments of `typing.sql`).
+            if is_unguarded_cursor_update(&s.stmt) && compile(&s.stmt, &catalog).is_ok() {
                 out.push(Case {
                     source: "fixture",
                     label: format!("fixture {}: {}", file.display(), s.stmt),
@@ -269,6 +289,41 @@ fn memoized_verdicts_match_fresh_decisions() {
     for source in ["pool", "fixture", "scenario", "library"] {
         assert!(sources.contains(source), "no statement from {source}");
     }
+}
+
+/// A statement whose shard certificate is safe reads the column it
+/// writes only at the receiver's own row, so it is key-order
+/// independent and the improve pass makes it a `par(E)` stage: no
+/// statement of the corpus would reach a per-shard lane of the planner.
+#[test]
+fn shard_safe_statements_compile_to_improved_stages() {
+    let _serial = serial();
+    let (mut safe, mut unsafe_) = (0, 0);
+    for Case {
+        label,
+        catalog,
+        stmt,
+        ..
+    } in corpus()
+    {
+        let cert = Solver::new(&catalog)
+            .certify_sharded(&stmt)
+            .unwrap_or_else(|| panic!("{label}: no algebraic cursor update to certify"));
+        if !cert.certificate.shard_safe() {
+            unsafe_ += 1;
+            continue;
+        }
+        safe += 1;
+        let plan = compile_program(std::slice::from_ref(&stmt), &catalog)
+            .unwrap_or_else(|e| panic!("{label}: does not compile: {e}"));
+        assert_eq!(
+            plan.stages()[0].kind(),
+            StageKind::ImprovedUpdate,
+            "{label}: shard-safe but not improved"
+        );
+    }
+    // Non-vacuity: both certificates occur.
+    assert!(safe > 0 && unsafe_ > 0, "safe {safe}, unsafe {unsafe_}");
 }
 
 /// Statements that lower to the same method share one entry, across

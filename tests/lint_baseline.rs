@@ -49,6 +49,11 @@ fn fixture_json_baselines_are_current() {
             include_str!("../examples/fixtures/scoping.sql"),
             include_str!("../examples/fixtures/scoping.json"),
         ),
+        (
+            "typing",
+            include_str!("../examples/fixtures/typing.sql"),
+            include_str!("../examples/fixtures/typing.json"),
+        ),
     ];
     let (_es, catalog) = employee_catalog();
     let pm = PassManager::with_default_passes();

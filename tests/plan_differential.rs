@@ -14,8 +14,6 @@
 //!   maintained [`DatabaseView`] matching a from-scratch rebuild, and a
 //!   consistent adjacency index;
 //! * [`ProgramPlan::execute_sharded`] at 1/2/3 shards;
-//! * a persistent [`ShardSession`] across two waves, against the legacy
-//!   path applied twice;
 //! * [`ProgramPlan::execute_durable`] over a [`FaultStorage`]-backed
 //!   [`DurableStore`], and the recovery ([`DurableStore::open`]) of the
 //!   logged run — both bit-identical to the oracle, the program logged
@@ -447,19 +445,6 @@ fn run_program(seed: u64) {
         assert_outcome(&out, &expected, seed, &format!("{shards}-shard"));
         assert_identical(&sharded, oracle, seed, &format!("{shards} shards"));
     }
-
-    // Persistent sharded session across two waves, against the oracle
-    // applied twice.
-    let expected2 = legacy_apply(&stmts, &catalog, oracle, seed);
-    let mut twice = i0.clone();
-    let mut session = plan.shard_session(ShardConfig::default());
-    for (wave, want) in [&expected, &expected2].into_iter().enumerate() {
-        let out = session
-            .execute(&mut twice)
-            .unwrap_or_else(|e| panic!("session wave {wave} errored (seed {seed}): {e}"));
-        assert_outcome(&out, want, seed, &format!("session wave {wave}"));
-    }
-    assert_identical(&twice, expected2.state(oracle), seed, "session waves");
 
     // Durable driver, then recovery of the logged run.
     let mut durable = i0.clone();

@@ -38,7 +38,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use receivers::core::algebraic::{AlgebraicMethod, Statement};
-use receivers::core::shard::{certify, shard_of, ShardConfig, ShardedExecutor, WaveStats};
+use receivers::core::shard::{certify, shard_of, ShardConfig, ShardedExecutor};
 use receivers::core::CoreError;
 use receivers::objectbase::gen::{
     random_instance, random_receivers, random_schema, InstanceParams, SchemaParams,
@@ -225,8 +225,7 @@ struct Tally {
 fn cfg(shards: usize) -> ShardConfig {
     ShardConfig {
         shards: Some(shards),
-        pool: receivers::rt::ShardPoolConfig::default()
-            .with_workers(receivers::rt::num_threads().max(2)),
+        workers: Some(receivers::rt::num_threads().max(2)),
     }
 }
 
@@ -313,7 +312,7 @@ fn run_triple(seed: u64) -> Tally {
             tally.built += 1;
             let mut sharded = instance.clone();
             let mut view = DatabaseView::new(&sharded);
-            let out = exec.apply(&mut sharded, &mut view, ord, &mut Vec::new(), None);
+            let out = exec.apply(&mut sharded, &mut view, ord, &mut Vec::new());
             assert_identical(&out, ref_out, &sharded, ref_inst, seed, &label);
             assert!(
                 view.matches_rebuild(&sharded),
@@ -342,9 +341,9 @@ fn run_triple(seed: u64) -> Tally {
     let mut ex_view = DatabaseView::new(&ex_inst);
     let mut exec = ShardedExecutor::new(&method, &cfg(3)).unwrap();
     tally.built += 1;
-    let mut out_ex = exec.apply(&mut ex_inst, &mut ex_view, &order, &mut Vec::new(), None);
+    let mut out_ex = exec.apply(&mut ex_inst, &mut ex_view, &order, &mut Vec::new());
     if out_ex.is_applied() {
-        out_ex = exec.apply(&mut ex_inst, &mut ex_view, &order, &mut Vec::new(), None);
+        out_ex = exec.apply(&mut ex_inst, &mut ex_view, &order, &mut Vec::new());
     }
     assert_identical(&out_ex, &out_ref2, &ex_inst, &ref2, seed, "executor waves");
     assert!(
@@ -376,7 +375,7 @@ fn run_triple(seed: u64) -> Tally {
         let view_snapshot = view.clone();
         let mut fresh = ShardedExecutor::new(&method, &cfg(2)).unwrap();
         tally.built += 1;
-        let out = fresh.apply(&mut sharded, &mut view, &poisoned, &mut Vec::new(), None);
+        let out = fresh.apply(&mut sharded, &mut view, &poisoned, &mut Vec::new());
         assert_identical(&out, &out_seq, &sharded, &reference, seed, "ghost fresh");
         assert!(
             view == view_snapshot,
@@ -385,7 +384,7 @@ fn run_triple(seed: u64) -> Tally {
 
         let ex_snapshot = ex_inst.clone();
         let ex_view_snapshot = ex_view.clone();
-        let out = exec.apply(&mut ex_inst, &mut ex_view, &poisoned, &mut Vec::new(), None);
+        let out = exec.apply(&mut ex_inst, &mut ex_view, &poisoned, &mut Vec::new());
         let mut seq2 = ex_snapshot.clone();
         let out_seq2 = method.apply_in_place_sequence(&mut seq2, &poisoned);
         assert_identical(
@@ -401,7 +400,7 @@ fn run_triple(seed: u64) -> Tally {
             "an undefined wave must leave the view untouched (seed {seed}, ghost executor)"
         );
         // And the executor recovers: the next clean wave still matches.
-        let out = exec.apply(&mut ex_inst, &mut ex_view, &order, &mut Vec::new(), None);
+        let out = exec.apply(&mut ex_inst, &mut ex_view, &order, &mut Vec::new());
         let out_seq3 = method.apply_in_place_sequence(&mut seq2, &order);
         assert_identical(&out, &out_seq3, &ex_inst, &seq2, seed, "post-ghost wave");
         assert!(
@@ -533,21 +532,13 @@ fn solver_discharged_cursor_update_shards_bit_identically() {
     let out_ref = method.apply_in_place_sequence(&mut reference, &order);
     assert!(matches!(out_ref, InPlaceOutcome::Applied));
 
-    // Fresh executors at several widths, with a maintained view; the
-    // wave report accounts for every receiver on the lanes.
+    // Fresh executors at several widths, with a maintained view.
     for shards in [2usize, 3, 5] {
         let mut exec =
             ShardedExecutor::with_certificate(method, &cert.certificate, &cfg(shards)).unwrap();
         let mut sharded = instance.clone();
         let mut view = DatabaseView::new(&sharded);
-        let mut wave = WaveStats::default();
-        let out = exec.apply(
-            &mut sharded,
-            &mut view,
-            &order,
-            &mut Vec::new(),
-            Some(&mut wave),
-        );
+        let out = exec.apply(&mut sharded, &mut view, &order, &mut Vec::new());
         assert_identical(
             &out,
             &out_ref,
@@ -559,16 +550,6 @@ fn solver_discharged_cursor_update_shards_bit_identically() {
         assert!(
             view.matches_rebuild(&sharded),
             "maintained view diverged under the solver-discharged certificate ({shards} shards)"
-        );
-        assert_eq!(
-            wave.local_receivers,
-            order.len() as u64,
-            "the wave report must account for every receiver ({shards} shards)"
-        );
-        assert_eq!(
-            wave.lanes.iter().map(|l| l.receivers).sum::<u64>(),
-            wave.local_receivers,
-            "lane receiver counts must sum to the local total"
         );
     }
 }
