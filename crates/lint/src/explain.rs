@@ -116,10 +116,12 @@ pub const ALL: &[Explanation] = &[
         code: "R0201",
         text: "A dead assignment: a later statement overwrites the same column before \
                any statement reads it, so the values this statement writes are never \
-               observable. An unguarded update of a column is a full overwrite; for \
-               guarded overwrites the satisfiability solver is consulted — a later \
-               write whose guard provably covers this one still kills it (the proof is \
-               attached as notes), while a provably disjoint guard does not.",
+               observable. This is the planner's netting rule, so the planner skips \
+               exactly these statements. An unguarded update of a column is a full \
+               overwrite; a guarded one kills this statement when the satisfiability \
+               solver proves this statement's guard implies it (identical guards do) \
+               and nothing in between writes what its guard reads (the proof is \
+               attached as notes). Any delete in between keeps the statement live.",
         example: "update Employee set Salary = (select Old from NewSal);\n\
                   update Employee set Salary = (select New from NewSal)",
     },

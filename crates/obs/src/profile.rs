@@ -3,7 +3,7 @@
 //! One [`ProfileNode`] type serves both halves of the profiler story:
 //!
 //! * **EXPLAIN** — a static plan description (`ProgramPlan::explain` in
-//!   `receivers-sql`): stages, DAG nodes, footprints, and the recorded
+//!   `receivers-sql`): stages, planner decisions, footprints, and the recorded
 //!   rewrite/netting proofs, with every timing field zero.
 //! * **EXPLAIN ANALYZE** — the same tree measured: per-node wall time,
 //!   rows in/out, selector-cache hits, WAL bytes and fsync latency.

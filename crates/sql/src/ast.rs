@@ -222,6 +222,13 @@ pub type StatementParts<'a> = (
 );
 
 impl SqlStatement {
+    /// The alias the statement's row binds as when it runs: the cursor
+    /// variable, or `t` for a set statement, as the two-phase set
+    /// statements of [`mod@crate::compile`] bind it.
+    pub(crate) fn row_alias(&self) -> &str {
+        self.parts().1.unwrap_or("t")
+    }
+
     /// The statement's parts, as the name-resolution callers bind them.
     pub fn parts(&self) -> StatementParts<'_> {
         match self {

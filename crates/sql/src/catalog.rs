@@ -16,7 +16,7 @@ use receivers_objectbase::{ClassId, PropId, Schema, SchemaBuilder};
 use crate::error::{Result, SqlError};
 
 /// One table's mapping.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TableInfo {
     /// The class whose objects are this table's tuples.
     pub class: ClassId,
@@ -39,7 +39,7 @@ impl TableInfo {
 }
 
 /// A catalog of tables over one object-base schema.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Catalog {
     /// The underlying object-base schema.
     pub schema: Arc<Schema>,

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use receivers_core::algebraic::{AlgebraicMethod, Statement as AlgStatement};
 use receivers_objectbase::{
-    Edge, Instance, MethodOutcome, Oid, Receiver, ReceiverSet, Signature, UpdateMethod,
+    Edge, Instance, MethodOutcome, Oid, PropId, Receiver, ReceiverSet, Signature, UpdateMethod,
 };
 use receivers_relalg::par::par;
 use receivers_relalg::typecheck::update_params;
@@ -30,11 +30,11 @@ use receivers_relalg::{infer_schema, Attr, Expr};
 
 use receivers_obs as obs;
 
-use crate::ast::{ColumnRef, Condition, CursorBody, Projection, Select, SqlStatement};
+use crate::ast::{ColumnRef, Condition, CursorBody, FromItem, Projection, Select, SqlStatement};
 use crate::catalog::{Catalog, TableInfo};
 use crate::error::{Result, SqlError};
 use crate::eval::{eval_condition, eval_select, Binding, Scopes};
-use crate::scope::{resolve, Bound, Column};
+use crate::scope::{resolve, walk_condition, walk_select, Bound, Column, Reference, Visitor};
 
 obs::counter!(C_STATEMENTS_COMPILED, "sql.statements_compiled");
 
@@ -57,6 +57,7 @@ pub fn compile(stmt: &SqlStatement, catalog: &Catalog) -> Result<CompiledStateme
     match stmt {
         SqlStatement::Delete { table, condition } => {
             let info = catalog.lookup(table)?.clone();
+            check_names(catalog, &info, stmt.row_alias(), Some(condition), None)?;
             Ok(CompiledStatement::SetDelete(SetDelete {
                 catalog: catalog.clone(),
                 table: info,
@@ -76,6 +77,13 @@ pub fn compile(stmt: &SqlStatement, catalog: &Catalog) -> Result<CompiledStateme
                     column: column.clone(),
                     scope: table.clone(),
                 })?;
+            check_names(
+                catalog,
+                &info,
+                stmt.row_alias(),
+                condition.as_ref(),
+                Some(select),
+            )?;
             check_assignment(catalog, table, &info, None, column, select)?;
             Ok(CompiledStatement::SetUpdate(SetUpdate {
                 catalog: catalog.clone(),
@@ -97,6 +105,7 @@ pub fn compile(stmt: &SqlStatement, catalog: &Catalog) -> Result<CompiledStateme
                             "cursor delete targets `{del_table}` but iterates `{table}`"
                         )));
                     }
+                    check_names(catalog, &info, var, condition.as_ref(), None)?;
                     Ok(CompiledStatement::CursorDelete(CursorDelete {
                         catalog: catalog.clone(),
                         var: var.clone(),
@@ -115,6 +124,7 @@ pub fn compile(stmt: &SqlStatement, catalog: &Catalog) -> Result<CompiledStateme
                             column: column.clone(),
                             scope: table.clone(),
                         })?;
+                    check_names(catalog, &info, var, condition.as_ref(), Some(select))?;
                     check_assignment(catalog, table, &info, Some(var), column, select)?;
                     Ok(CompiledStatement::CursorUpdate(CursorUpdate {
                         catalog: catalog.clone(),
@@ -130,12 +140,66 @@ pub fn compile(stmt: &SqlStatement, catalog: &Catalog) -> Result<CompiledStateme
     }
 }
 
+/// Check that every name in a statement's `guard` and value subquery
+/// `select` resolves, with the row bound as `row` over `info` (the
+/// [`crate::scope`] rule [`mod@crate::eval`] evaluates by). Fails with the
+/// first reference that does not: [`SqlError::UnknownTable`] for a `FROM`
+/// or `IN TABLE` table, [`SqlError::UnknownAlias`] or
+/// [`SqlError::UnknownColumn`] for a column reference.
+fn check_names(
+    catalog: &Catalog,
+    info: &TableInfo,
+    row: &str,
+    guard: Option<&Condition>,
+    select: Option<&Select>,
+) -> Result<()> {
+    #[derive(Default)]
+    struct FirstError(Option<SqlError>);
+    impl Visitor for FirstError {
+        fn scan(&mut self, _item: &FromItem, table: Result<&TableInfo>) {
+            if let Err(e) = table {
+                self.0.get_or_insert(e);
+            }
+        }
+        fn column(&mut self, _colref: &ColumnRef, reference: Result<Reference>) {
+            if let Err(e) = reference {
+                self.0.get_or_insert(e);
+            }
+        }
+        fn in_table(
+            &mut self,
+            _colref: &ColumnRef,
+            _table: &str,
+            column: Result<(&TableInfo, PropId)>,
+        ) {
+            // A table that resolves but is not one column wide is a
+            // shape the guard lowering refuses, not an unknown name.
+            if let Err(e @ SqlError::UnknownTable(_)) = column {
+                self.0.get_or_insert(e);
+            }
+        }
+    }
+    let row = Some(Bound {
+        alias: Some(row),
+        table: info,
+    });
+    let mut first = FirstError::default();
+    if let Some(cond) = guard {
+        walk_condition(cond, row, catalog, &mut first);
+    }
+    if let Some(select) = select {
+        walk_select(select, row, catalog, &mut first);
+    }
+    first.0.map_or(Ok(()), Err)
+}
+
 /// Check that the value subquery of `table.column := (select …)` yields
 /// objects of the class the column holds. `row` names the statement's
 /// row: the cursor variable, or `None` for a set update. Fails with
 /// [`SqlError::IllTypedAssignment`] when the projected column holds
-/// another class; a name that does not resolve is left to the
-/// evaluation that reads it, which reports it there.
+/// another class. A name that does not resolve is not checked here:
+/// [`compile`] refuses it by name resolution first, and the lint layer
+/// reports it with a span.
 pub fn check_assignment(
     catalog: &Catalog,
     table: &str,
@@ -191,7 +255,8 @@ pub fn check_assignment(
 pub struct SetDelete {
     catalog: Catalog,
     table: TableInfo,
-    condition: Condition,
+    /// The `WHERE` condition (crate-visible for [`crate::plan`]).
+    pub(crate) condition: Condition,
 }
 
 impl SetDelete {
@@ -484,13 +549,14 @@ pub(crate) enum GuardConjunct {
 /// one equality `x = t.c` (or `x = t`), and reading the row nowhere else,
 /// probes `E₀`: the subquery without that equality and without the
 /// `self` seed, projected on `x`. Every other conjunct is a
-/// [`GuardConjunct::Residual`], so lowering never fails.
+/// [`GuardConjunct::Residual`]. Fails only on a column of the row that
+/// does not resolve, which [`compile`] has already refused.
 pub(crate) fn lower_guard(
     cond: &Condition,
     catalog: &Catalog,
     table: &TableInfo,
     var: &str,
-) -> Vec<GuardConjunct> {
+) -> Result<Vec<GuardConjunct>> {
     fn conjuncts<'c>(cond: &'c Condition, out: &mut Vec<&'c Condition>) {
         match cond {
             Condition::And(a, b) => {
@@ -505,12 +571,14 @@ pub(crate) fn lower_guard(
     atoms
         .into_iter()
         .map(|atom| {
-            lower_conjunct(atom, catalog, table, var).unwrap_or_else(|why| {
-                GuardConjunct::Residual {
-                    cond: atom.clone(),
-                    why,
-                }
-            })
+            Ok(
+                lower_conjunct(atom, catalog, table, var)?.unwrap_or_else(|why| {
+                    GuardConjunct::Residual {
+                        cond: atom.clone(),
+                        why,
+                    }
+                }),
+            )
         })
         .collect()
 }
@@ -521,17 +589,13 @@ fn lower_conjunct(
     catalog: &Catalog,
     table: &TableInfo,
     var: &str,
-) -> std::result::Result<GuardConjunct, String> {
+) -> Result<std::result::Result<GuardConjunct, String>> {
     let row = [Bound {
         alias: Some(var),
         table,
     }];
-    let on_row = |c: &ColumnRef| {
-        resolve(c, &row)
-            .map(|r| r.column)
-            .map_err(|e| e.to_string())
-    };
-    match atom {
+    let on_row = |c: &ColumnRef| resolve(c, &row).map(|r| r.column);
+    Ok(match atom {
         Condition::Eq(a, b) | Condition::NotEq(a, b) => Ok(GuardConjunct::RowEq {
             negated: matches!(atom, Condition::NotEq(..)),
             a: on_row(a)?,
@@ -539,20 +603,26 @@ fn lower_conjunct(
         }),
         Condition::InTable(c, t) | Condition::NotInTable(c, t) => {
             let row = on_row(c)?;
-            let (info, prop) = catalog.single_column(t).map_err(|e| e.to_string())?;
-            let schema = &catalog.schema;
-            if schema.property(prop).src != info.class {
-                return Err(format!("`{t}`'s column is not a property of its class"));
-            }
-            Ok(GuardConjunct::Probe {
+            in_table_probe(catalog, t).map(|e0| GuardConjunct::Probe {
                 negated: matches!(atom, Condition::NotInTable(..)),
                 row: Some(row),
-                e0: Expr::prop(prop).project([schema.prop_name(prop)]),
+                e0,
             })
         }
         Condition::Exists(select) => lower_exists(select, catalog, table, var),
         Condition::And(..) => unreachable!("conjuncts are flattened"),
+    })
+}
+
+/// The closed query `E₀` of `IN TABLE t`: `t`'s one column, or why the
+/// table cannot be probed.
+fn in_table_probe(catalog: &Catalog, t: &str) -> std::result::Result<Expr, String> {
+    let (info, prop) = catalog.single_column(t).map_err(|e| e.to_string())?;
+    let schema = &catalog.schema;
+    if schema.property(prop).src != info.class {
+        return Err(format!("`{t}`'s column is not a property of its class"));
     }
+    Ok(Expr::prop(prop).project([schema.prop_name(prop)]))
 }
 
 /// An `EXISTS` conjunct as a [`GuardConjunct::Probe`] on its linking
@@ -1038,6 +1108,67 @@ mod tests {
         let stmt = parse(text).unwrap();
         let compiled = compile(&stmt, &catalog).unwrap();
         (es, catalog, compiled)
+    }
+
+    /// A name in a guard or a value subquery that resolves nowhere is
+    /// refused by `compile` (so by `compile_program`) with the error
+    /// naming it, in the set and cursor forms alike; nothing is left to
+    /// fail at run time.
+    #[test]
+    fn unresolved_names_are_refused_at_compile_time() {
+        let (_, catalog) = employee_catalog();
+        let unknown_column = |column: &str, scope: &str| SqlError::UnknownColumn {
+            column: column.to_owned(),
+            scope: scope.to_owned(),
+        };
+        let cases = [
+            (
+                "update Employee set Salary = (select Nope from Fire)",
+                unknown_column("Nope", "any visible table"),
+            ),
+            (
+                "update Employee set Salary = (select Amount from Ghost)",
+                SqlError::UnknownTable("Ghost".to_owned()),
+            ),
+            (
+                "for each t in Employee do update t set Salary = (select Q.Amount from Fire)",
+                SqlError::UnknownAlias("Q".to_owned()),
+            ),
+            (
+                "delete from Employee where Nope in table Fire",
+                unknown_column("Nope", "any visible table"),
+            ),
+            (
+                "delete from Employee where Salary in table Ghost",
+                SqlError::UnknownTable("Ghost".to_owned()),
+            ),
+            (
+                "for each t in Employee do if exists (select * from NewSal N \
+                 where N.Bogus = Salary) delete t from Employee",
+                unknown_column("Bogus", "N"),
+            ),
+            (
+                "update Employee set Salary = (select New from NewSal where Old = Salary) \
+                 where x.Salary in table Fire",
+                SqlError::UnknownAlias("x".to_owned()),
+            ),
+        ];
+        for (text, want) in &cases {
+            let stmt = parse(text).unwrap();
+            assert_eq!(
+                compile(&stmt, &catalog).err().as_ref(),
+                Some(want),
+                "{text}"
+            );
+            let program_err = crate::plan::compile_program(std::slice::from_ref(&stmt), &catalog)
+                .err()
+                .expect(text);
+            assert_eq!(&program_err, want, "compile_program agrees: {text}");
+        }
+        // The set statements' row binds as `t`, as their evaluation binds it.
+        let qualified = "update Employee set Salary = (select New from NewSal \
+             where Old = t.Salary) where t.Salary in table Fire";
+        assert!(compile(&parse(qualified).unwrap(), &catalog).is_ok());
     }
 
     /// An assignment whose value column holds another class than the

@@ -4,31 +4,25 @@
 //! [`obs::ProfileNode`] tree *without executing anything*: one child per
 //! stage carrying the planner's decisions (netting with its
 //! [`Proof`](crate::sat::Proof) notes, selector sharing from the cse
-//! pass, the improve rewrite), the stage's footprint summary, and the
-//! expression-DAG nodes it evaluates. The same tree type backs
-//! **EXPLAIN ANALYZE** ([`ProgramPlan::execute_viewed_profiled`] and
-//! friends), so every
+//! pass, the improve rewrite) and the stage's footprint summary. The
+//! same tree type backs **EXPLAIN ANALYZE**
+//! ([`ProgramPlan::execute_viewed_profiled`] and friends), so every
 //! renderer — [`obs::render_profile_human`], [`obs::render_profile_json`]
 //! (`receivers-obs/profile/v1`), [`obs::render_profile_chrome`] — works
 //! on both.
 
-use std::collections::BTreeSet;
-
 use receivers_obs as obs;
 
 use crate::footprint::Write;
-use crate::plan::{NodeId, PlanGraph, PlanNode, ProgramPlan, Stage};
+use crate::plan::{ProgramPlan, Stage};
 
 impl ProgramPlan {
     /// The compiled program's **EXPLAIN** tree: stages, planner
-    /// decisions and footprints, with the expression DAG nested under
-    /// each stage. Purely static — nothing is executed and no instance
-    /// is needed.
+    /// decisions and footprints. Purely static — nothing is executed and
+    /// no instance is needed.
     pub fn explain(&self) -> obs::ProfileNode {
         let mut root = obs::ProfileNode::new("program", "explain");
         root.set_metric("stages", self.stages().len() as u64);
-        root.set_metric("dag_nodes", self.graph().len() as u64);
-        let mut seen: BTreeSet<NodeId> = BTreeSet::new();
         for (idx, stage) in self.stages().iter().enumerate() {
             let mut node = crate::plan::stage_node(idx, stage);
             node.add_note(footprint_note(stage));
@@ -37,8 +31,6 @@ impl ProgramPlan {
                     node.add_note(format!("proof: {n}"));
                 }
             }
-            node.children
-                .push(dag_node(self.graph(), stage.root(), &mut seen));
             root.children.push(node);
         }
         root
@@ -62,40 +54,6 @@ fn footprint_note(stage: &Stage) -> String {
     )
 }
 
-/// The expression-DAG subtree rooted at `id`, rendered as profile
-/// nodes. Hash-consed nodes shared with an earlier stage (or an earlier
-/// sibling) are noted but not re-expanded, so the tree mirrors the
-/// evaluation the drivers actually share.
-fn dag_node(graph: &PlanGraph, id: NodeId, seen: &mut BTreeSet<NodeId>) -> obs::ProfileNode {
-    let plan_node = graph.node(id);
-    let (kind, desc) = describe(plan_node);
-    let mut node = obs::ProfileNode::new(format!("node {}", id.index()), kind);
-    node.add_note(desc);
-    if !seen.insert(id) {
-        node.add_note("shared — evaluated once, reused here (cse)");
-        return node;
-    }
-    for input in plan_node.inputs() {
-        node.children.push(dag_node(graph, input, seen));
-    }
-    node
-}
-
-/// A DAG node's kind label and one-line description.
-fn describe(node: &PlanNode) -> (&'static str, String) {
-    match node {
-        PlanNode::Scan { table, .. } => ("scan", format!("scan {table}")),
-        PlanNode::Guard { var, cond, .. } => ("guard", format!("guard {var}: {cond}")),
-        PlanNode::Values { var, select, .. } => ("values", format!("values {var}: {select}")),
-        PlanNode::AssignQuery { .. } => (
-            "assign-query",
-            "vectorized par(E) join against the receiver relation".to_owned(),
-        ),
-        PlanNode::Assign { table, column, .. } => ("assign", format!("assign {table}.{column}")),
-        PlanNode::Delete { table, .. } => ("delete", format!("delete {table}")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use receivers_obs as obs;
@@ -106,11 +64,11 @@ mod tests {
     use crate::scenarios::{CURSOR_UPDATE_B, CURSOR_UPDATE_C, DELETE_MANAGER, UPDATE_A};
 
     /// EXPLAIN is purely static and carries the planner's decisions: one
-    /// child per stage, netting with its proof notes, the footprint
-    /// summary, and the nested DAG — all
+    /// child per stage, netting with its proof notes, selector sharing
+    /// naming the stage shared with, and the footprint summary — all
     /// rendering through the shared profile renderers.
     #[test]
-    fn explain_reports_stages_decisions_and_dag() {
+    fn explain_reports_stages_and_decisions() {
         const OVERWRITE: &str = "update Employee set Salary = (select Amount from Fire)";
         let (_, catalog) = employee_catalog();
         let stmts = [
@@ -123,7 +81,6 @@ mod tests {
         assert_eq!(tree.kind, "explain");
         assert_eq!(tree.children.len(), 3, "one child per stage");
         assert_eq!(tree.metric("stages"), Some(3));
-        assert!(tree.metric("dag_nodes").unwrap_or(0) > 0);
 
         let netted = &tree.children[0];
         assert!(
@@ -136,11 +93,16 @@ mod tests {
                 stage.notes.iter().any(|n| n.starts_with("footprint:")),
                 "stage {k} must summarise its footprint"
             );
-            assert!(
-                !stage.children.is_empty(),
-                "stage {k} must nest its expression DAG"
-            );
         }
+        // (B)'s subquery is (A)'s, over the same unguarded selector.
+        assert!(
+            tree.children[2]
+                .notes
+                .iter()
+                .any(|n| n == "selector shared with stage 1 (cse)"),
+            "{:?}",
+            tree.children[2].notes
+        );
         assert!(
             tree.children[2].notes.iter().any(|n| n.contains("improve")
                 || n.contains("par(E)")

@@ -1,21 +1,23 @@
-//! Read/write footprints of statements, for the flow-sensitive lints
-//! (dead assignments, unused tables) and the commutativity certificates
-//! of [`crate::sat`].
+//! Read/write footprints of statements, for the planner's netting pass
+//! and selector cache, the flow-sensitive lints (dead assignments,
+//! unused tables) and the commutativity certificates of [`crate::sat`].
 //!
-//! Footprints are read off the planner's expression DAG
-//! ([`crate::plan::statement_dag`] + [`crate::plan::footprint_of`]): the
-//! statement is lowered tolerantly — references that do not resolve are
-//! simply skipped, because the lint layer's name-resolution pass already
-//! reports them with proper spans — and the reads, table references,
-//! write, and guard are collected node-by-node. Names resolve by
-//! [`crate::scope`]'s rule, the one [`mod@crate::eval`] evaluates by.
+//! A footprint is read off the statement itself: its guard and value
+//! subquery are walked with [`crate::scope`]'s walker, the row bound as
+//! it runs (the cursor variable, `t` for a set statement), so names
+//! resolve by the rule [`mod@crate::eval`] evaluates by. The walk is
+//! *tolerant*: a reference that does not resolve reads nothing, because
+//! the lint layer's name-resolution pass reports it with a span and
+//! [`mod@crate::compile`] refuses the statement.
 
 use std::collections::BTreeSet;
 
 use receivers_objectbase::PropId;
 
-use crate::ast::{Condition, SqlStatement};
-use crate::catalog::Catalog;
+use crate::ast::{ColumnRef, Condition, FromItem, SqlStatement};
+use crate::catalog::{Catalog, TableInfo};
+use crate::error::Result;
+use crate::scope::{walk_condition, walk_select, Bound, Column, Reference, Visitor};
 
 /// What a statement writes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,12 +55,86 @@ pub struct Footprint {
     pub guard: Option<Condition>,
 }
 
-/// Compute the footprint of a statement against a catalog, by lowering
-/// it into a standalone expression DAG and reading the footprint off the
-/// nodes.
+/// The properties and table names a condition or subquery reads, as the
+/// [`crate::scope`] walker reports them; a reference that does not
+/// resolve reads nothing.
+#[derive(Default)]
+struct Reads {
+    props: BTreeSet<PropId>,
+    tables: BTreeSet<String>,
+}
+
+impl Visitor for Reads {
+    fn scan(&mut self, item: &FromItem, _table: Result<&TableInfo>) {
+        self.tables.insert(item.table.clone());
+    }
+
+    fn column(&mut self, _colref: &ColumnRef, reference: Result<Reference>) {
+        if let Ok(Reference {
+            column: Column::Prop(prop),
+            ..
+        }) = reference
+        {
+            self.props.insert(prop);
+        }
+    }
+
+    fn in_table(&mut self, _colref: &ColumnRef, table: &str, column: Result<(&TableInfo, PropId)>) {
+        self.tables.insert(table.to_owned());
+        if let Ok((_, prop)) = column {
+            self.props.insert(prop);
+        }
+    }
+}
+
+/// The statement's row as a scope binding, when its table resolves.
+fn row_of<'a>(stmt: &'a SqlStatement, catalog: &'a Catalog) -> Option<Bound<'a>> {
+    let (table, ..) = stmt.parts();
+    catalog.lookup(table).ok().map(|table| Bound {
+        alias: Some(stmt.row_alias()),
+        table,
+    })
+}
+
+/// Compute the footprint of a statement against a catalog.
 pub fn footprint(stmt: &SqlStatement, catalog: &Catalog) -> Footprint {
-    let (graph, root) = crate::plan::statement_dag(stmt, catalog);
-    crate::plan::footprint_of(&graph, root, catalog)
+    let (table, _, guard, update) = stmt.parts();
+    let row = row_of(stmt, catalog);
+    let mut reads = Reads::default();
+    if let Some(cond) = guard {
+        walk_condition(cond, row, catalog, &mut reads);
+    }
+    let write = match update {
+        Some((column, select)) => {
+            walk_select(select, row, catalog, &mut reads);
+            row.and_then(|row| row.table.column_prop(column))
+                .map(|prop| Write::Update {
+                    table: table.to_owned(),
+                    column: column.to_owned(),
+                    prop,
+                })
+        }
+        None => Some(Write::Delete {
+            table: table.to_owned(),
+        }),
+    };
+    reads.tables.insert(table.to_owned());
+    Footprint {
+        reads: reads.props,
+        tables: reads.tables,
+        write,
+        guard: guard.cloned(),
+    }
+}
+
+/// The properties the statement's guard reads: what decides which rows
+/// its write touches. Empty for an unguarded statement.
+pub(crate) fn guard_reads(stmt: &SqlStatement, catalog: &Catalog) -> BTreeSet<PropId> {
+    let mut reads = Reads::default();
+    if let (_, _, Some(cond), _) = stmt.parts() {
+        walk_condition(cond, row_of(stmt, catalog), catalog, &mut reads);
+    }
+    reads.props
 }
 
 #[cfg(test)]

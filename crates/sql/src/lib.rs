@@ -56,10 +56,7 @@ pub use error::{Result, SqlError};
 pub use footprint::{footprint, Footprint, Write};
 pub use improve::improve_cursor_update;
 pub use parser::{parse, parse_program};
-pub use plan::{
-    compile_program, footprint_of, statement_dag, NodeId, PlanGraph, PlanNode, PlanVisitor,
-    ProgramPlan, Stage, StageKind,
-};
+pub use plan::{compile_program, ProgramPlan, Stage, StageKind};
 pub use sat::{
     Commutativity, Disjointness, GuardRef, Implication, Proof, Satisfiability,
     ShardedCertification, Solver,

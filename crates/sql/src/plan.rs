@@ -1,10 +1,11 @@
-//! Program-level expression-DAG planner: one compiled lazy pipeline
-//! behind every execution path.
+//! Program-level planner: one compiled pipeline behind every execution
+//! path.
 //!
-//! [`mod@crate::compile`] lowers one statement at a time; this module
-//! lowers a **whole update program** into a typed [`PlanNode`] DAG
-//! (selector scans, guards, value subqueries, assignments, deletes) and
-//! executes the DAG through every driver the repository has:
+//! [`mod@crate::compile`] compiles one statement at a time; this module
+//! compiles a **whole update program** into [`Stage`]s — each statement
+//! as the paper's Section 7 models it, one update method applied to a key
+//! set of receivers, plus the per-kind data the planner passes computed
+//! for it — and executes them through every driver the repository has:
 //!
 //! * [`ProgramPlan::execute_viewed`] — the sequential in-place driver over
 //!   a maintained [`DatabaseView`], batching set-oriented stages through
@@ -20,26 +21,26 @@
 //! program-level delta log, and a program that is not applied — an
 //! `Undefined` stage, an error, a failed WAL write — is undone whole.
 //!
-//! Three planner passes run between lowering and execution, in order:
+//! Three planner passes run at compile time:
 //!
 //! 1. **improve** — the Section 7 "code improvement tool"
-//!    ([`crate::improve`]) as a DAG pass: a key-order-independent cursor
-//!    update's loop collapses into one [`PlanNode::AssignQuery`] node
-//!    holding the parallel expression `par(E)` (Theorem 6.5), evaluated
-//!    once per batch against the flat `TupleSet` kernel;
-//! 2. **cse** — selector compilation with common-subexpression sharing:
-//!    structurally identical guards and value subqueries (up to cursor
-//!    variable renaming) hash-cons onto one node, so one evaluation
-//!    serves every statement that shares the selector;
+//!    ([`crate::improve`]): a key-order-independent cursor update's loop
+//!    collapses into one evaluation of the parallel expression `par(E)`
+//!    (Theorem 6.5) against the flat `TupleSet` kernel;
+//! 2. **cse** — common-subexpression sharing: each stage gets a
+//!    hash-consed selector slot (its table plus its guard up to cursor
+//!    variable renaming) and, for updates, a values slot (the selector
+//!    plus the value subquery), so one evaluation serves every stage
+//!    sharing the slot until a write invalidates it;
 //! 3. **net** — successive assignments to the same `(table, property)`
-//!    are netted: a store provably overwritten before any read is marked
-//!    [`Stage::netted`] and skipped by every executor, with a
-//!    [`Proof`] recording why the skip is sound (backed by
-//!    [`Solver::implies`] when the guards need a semantic argument).
+//!    are netted by [`net_stores`]: a store provably overwritten before
+//!    any read is marked [`Stage::netted`] and skipped by every executor,
+//!    with a [`Proof`] recording why the skip is sound (backed by
+//!    [`Solver::implies`] when the guards need a semantic argument). The
+//!    lint's dead-assignment check is the same rule.
 //!
-//! Every stage is wrapped in `sql.plan.*` counters and spans, and
-//! [`crate::footprint::footprint`] now reads statement footprints off this
-//! DAG instead of a separate walker.
+//! Every stage is wrapped in `sql.plan.*` counters and spans; its
+//! footprint is [`crate::footprint::footprint`] of its statement.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -51,8 +52,8 @@ use receivers_core::algebraic::{
 use receivers_core::shard::ShardConfig;
 use receivers_core::{AlgebraicMethod, Decision};
 use receivers_objectbase::{
-    undo_ops, ClassId, DeltaOp, InPlaceOutcome, Instance, InstanceTxn, Oid, PropId, Receiver,
-    Schema, Signature,
+    undo_ops, ClassId, DeltaOp, InPlaceOutcome, Instance, InstanceTxn, Oid, PropId, Schema,
+    Signature,
 };
 use receivers_obs as obs;
 use receivers_relalg::database::Database;
@@ -61,15 +62,18 @@ use receivers_relalg::view::DatabaseView;
 use receivers_relalg::{Expr, RelSchema, Relation};
 use receivers_wal::{DurableStore, WalResult, WalStorage};
 
-use crate::ast::{ColumnRef, Condition, FromItem, Projection, Select, SqlStatement};
+use crate::ast::{ColumnRef, Condition, Projection, Select, SqlStatement};
 use crate::catalog::{Catalog, TableInfo};
-use crate::compile::{compile, lower_guard, CompiledStatement, GuardConjunct, ValuesQuery};
-use crate::error::{Result, SqlError};
+use crate::compile::{
+    compile, lower_guard, CompiledStatement, CursorDelete, CursorUpdate, GuardConjunct, SetDelete,
+    SetUpdate, ValuesQuery,
+};
+use crate::error::Result;
 use crate::eval::{eval_condition, eval_select, Binding, Scopes};
-use crate::footprint::{Footprint, Write};
+use crate::footprint::{footprint, guard_reads, Footprint, Write};
 use crate::improve::{improve_method, ImproveRefusal, ImprovedUpdate, Improvement};
 use crate::sat::{GuardRef, Implication, Proof, Solver};
-use crate::scope::{walk_condition, walk_select, Bound, Column, Reference, Visitor};
+use crate::scope::Column;
 
 obs::counter!(C_PROGRAMS, "sql.plan.programs_compiled");
 obs::counter!(C_STAGES, "sql.plan.stages_compiled");
@@ -86,184 +90,12 @@ obs::counter!(C_PROOF_HIT, "sql.plan.proof_cache.hit");
 obs::counter!(C_PROOF_MISS, "sql.plan.proof_cache.miss");
 
 // ---------------------------------------------------------------------
-// The DAG.
-// ---------------------------------------------------------------------
-
-/// Index of a node in a [`PlanGraph`]. Stable for the graph's lifetime;
-/// hash-consed nodes are shared by id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct NodeId(usize);
-
-impl NodeId {
-    /// The underlying index into [`PlanGraph::node`].
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
-/// One node of the expression DAG a program compiles into.
-///
-/// `class`/`prop` are `Option` because the same lowering serves the
-/// *tolerant* footprint builder ([`mod@crate::footprint`]): references
-/// that do not resolve against the catalog are carried unresolved rather
-/// than rejected — the lint layer's name-resolution pass reports them
-/// with proper spans.
-#[derive(Debug, Clone)]
-pub enum PlanNode {
-    /// Selector scan: every row of `table`.
-    Scan {
-        /// Table name.
-        table: String,
-        /// Its class, when the table resolves.
-        class: Option<ClassId>,
-    },
-    /// Selector guard: the rows of `input` satisfying `cond`, with the
-    /// row bound as `var`. For set-oriented stages this is a batch filter
-    /// (one evaluation per execution); for cursor stages the same node
-    /// doubles as the loop-body guard, re-evaluated per receiver against
-    /// the mutating instance.
-    Guard {
-        /// The guarded row source.
-        input: NodeId,
-        /// Binding name for the row.
-        var: String,
-        /// The guard condition.
-        cond: Condition,
-    },
-    /// Per-row value subquery: the pairs `(row, eval(select, row))` for
-    /// every row of `rows`.
-    Values {
-        /// The row source.
-        rows: NodeId,
-        /// Binding name for the row.
-        var: String,
-        /// The value subquery.
-        select: Select,
-    },
-    /// One vectorized relational evaluation computing every
-    /// `(row, value)` assignment pair at once: the improve pass's
-    /// `par(E)` join against the receiver relation (Theorem 6.5).
-    AssignQuery {
-        /// The row source (every receiver).
-        rows: NodeId,
-        /// The parallel expression `par(E)`.
-        query: Expr,
-    },
-    /// Replace each produced row's `prop` edges by its produced values.
-    Assign {
-        /// A [`PlanNode::Values`] or [`PlanNode::AssignQuery`] input.
-        values: NodeId,
-        /// Target table name.
-        table: String,
-        /// Updated column name.
-        column: String,
-        /// The property behind the column, when it resolves.
-        prop: Option<PropId>,
-    },
-    /// Remove the produced rows (with edge cascade).
-    Delete {
-        /// The row source.
-        rows: NodeId,
-        /// Target table name.
-        table: String,
-    },
-}
-
-impl PlanNode {
-    /// The node's inputs, in evaluation order.
-    pub fn inputs(&self) -> Vec<NodeId> {
-        match self {
-            PlanNode::Scan { .. } => vec![],
-            PlanNode::Guard { input, .. } => vec![*input],
-            PlanNode::Values { rows, .. } | PlanNode::AssignQuery { rows, .. } => vec![*rows],
-            PlanNode::Assign { values, .. } => vec![*values],
-            PlanNode::Delete { rows, .. } => vec![*rows],
-        }
-    }
-}
-
-/// A visitor over the DAG — the visitor half of the visitor/collector
-/// pair ([`PlanGraph::walk`] drives it in post-order, each shared node
-/// visited once).
-pub trait PlanVisitor {
-    /// Called once per reachable node, inputs before consumers.
-    fn visit(&mut self, id: NodeId, node: &PlanNode);
-}
-
-/// The node store of a compiled program: an append-only arena of
-/// hash-consed [`PlanNode`]s.
-#[derive(Debug, Default)]
-pub struct PlanGraph {
-    nodes: Vec<PlanNode>,
-}
-
-impl PlanGraph {
-    /// The node behind `id`.
-    pub fn node(&self, id: NodeId) -> &PlanNode {
-        &self.nodes[id.0]
-    }
-
-    /// Number of nodes in the graph (shared nodes counted once).
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// `true` when the graph has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Post-order traversal from `root`: inputs before consumers, every
-    /// reachable node visited exactly once even when shared.
-    pub fn walk(&self, root: NodeId, visitor: &mut impl PlanVisitor) {
-        let mut seen = BTreeSet::new();
-        self.walk_rec(root, visitor, &mut seen);
-    }
-
-    fn walk_rec(&self, id: NodeId, visitor: &mut impl PlanVisitor, seen: &mut BTreeSet<NodeId>) {
-        if !seen.insert(id) {
-            return;
-        }
-        for input in self.node(id).inputs() {
-            self.walk_rec(input, visitor, seen);
-        }
-        visitor.visit(id, self.node(id));
-    }
-
-    /// Collector over the DAG: [`PlanGraph::walk`] gathering the `Some`
-    /// results of `f`.
-    pub fn collect<B>(
-        &self,
-        root: NodeId,
-        mut f: impl FnMut(NodeId, &PlanNode) -> Option<B>,
-    ) -> Vec<B> {
-        struct Collector<'f, B> {
-            f: &'f mut dyn FnMut(NodeId, &PlanNode) -> Option<B>,
-            out: Vec<B>,
-        }
-        impl<B> PlanVisitor for Collector<'_, B> {
-            fn visit(&mut self, id: NodeId, node: &PlanNode) {
-                if let Some(b) = (self.f)(id, node) {
-                    self.out.push(b);
-                }
-            }
-        }
-        let mut c = Collector {
-            f: &mut f,
-            out: Vec::new(),
-        };
-        self.walk(root, &mut c);
-        c.out
-    }
-}
-
-// ---------------------------------------------------------------------
-// Condition/select canonicalization (the hash-cons key).
+// Condition/select canonicalization (the cse pass's slot keys).
 // ---------------------------------------------------------------------
 
 /// Rewrite `var`-qualified column references to the canonical row marker
 /// `#r`, so selectors differing only in cursor-variable naming hash-cons
-/// onto one node. Returns `None` (no sharing) when a `FROM` alias shadows
+/// onto one slot. Returns `None` (no sharing) when a `FROM` alias shadows
 /// `var` anywhere in the tree — rewriting under a shadow would change
 /// which binding a qualifier resolves to.
 fn canon_condition(cond: &Condition, var: &str) -> Option<String> {
@@ -364,281 +196,6 @@ impl std::fmt::Display for RewriteSelect<'_> {
 }
 
 // ---------------------------------------------------------------------
-// Reading footprints off the DAG.
-// ---------------------------------------------------------------------
-
-/// The statement's row as a scope binding: `var` (`t` for set
-/// statements) over the target table, when that resolves.
-fn row_binding<'s>(var: &'s str, outer: Option<&'s TableInfo>) -> Option<Bound<'s>> {
-    outer.map(|table| Bound {
-        alias: Some(var),
-        table,
-    })
-}
-
-/// The properties and table names a condition or subquery reads, as the
-/// [`crate::scope`] walker reports them. *Tolerant*: a reference that
-/// does not resolve reads nothing, because the lint layer's
-/// name-resolution pass already reports it with a span.
-#[derive(Default)]
-struct Reads {
-    props: BTreeSet<PropId>,
-    tables: BTreeSet<String>,
-}
-
-impl Visitor for Reads {
-    fn scan(&mut self, item: &FromItem, _table: Result<&TableInfo>) {
-        self.tables.insert(item.table.clone());
-    }
-
-    fn column(&mut self, _colref: &ColumnRef, reference: Result<Reference>) {
-        if let Ok(Reference {
-            column: Column::Prop(prop),
-            ..
-        }) = reference
-        {
-            self.props.insert(prop);
-        }
-    }
-
-    fn in_table(&mut self, _colref: &ColumnRef, table: &str, column: Result<(&TableInfo, PropId)>) {
-        self.tables.insert(table.to_owned());
-        if let Ok((_, prop)) = column {
-            self.props.insert(prop);
-        }
-    }
-}
-
-/// Assemble the [`Footprint`] of the statement whose DAG is rooted at
-/// `root`: reads and table references collected node-by-node, the write
-/// and guard read off the root and its selector chain. This *is* the
-/// footprint walk now — [`crate::footprint::footprint`] delegates here.
-pub fn footprint_of(graph: &PlanGraph, root: NodeId, catalog: &Catalog) -> Footprint {
-    let mut fp = Footprint::default();
-    let target = match graph.node(root) {
-        PlanNode::Assign { table, .. } | PlanNode::Delete { table, .. } => table.clone(),
-        _ => String::new(),
-    };
-    let mut reads = Reads::default();
-    struct FpVisitor<'a, 'b> {
-        reads: &'b mut Reads,
-        catalog: &'a Catalog,
-        outer: Option<&'a TableInfo>,
-        fp: &'b mut Footprint,
-    }
-    impl PlanVisitor for FpVisitor<'_, '_> {
-        fn visit(&mut self, _id: NodeId, node: &PlanNode) {
-            match node {
-                PlanNode::Scan { table, .. } => {
-                    self.fp.tables.insert(table.clone());
-                }
-                PlanNode::Guard { var, cond, .. } => {
-                    let row = row_binding(var, self.outer);
-                    walk_condition(cond, row, self.catalog, self.reads);
-                    self.fp.guard = Some(cond.clone());
-                }
-                PlanNode::Values { var, select, .. } => {
-                    let row = row_binding(var, self.outer);
-                    walk_select(select, row, self.catalog, self.reads);
-                }
-                // The improve pass's one-shot `par(E)` node: its reads
-                // are the algebraic query's base property relations —
-                // dropping them would let the netting pass treat the
-                // stage as a blind overwrite of a property it reads.
-                PlanNode::AssignQuery { query, .. } => {
-                    for rel in query.base_relations() {
-                        if let receivers_relalg::RelName::Prop(p) = rel {
-                            self.reads.props.insert(p);
-                        }
-                    }
-                }
-                PlanNode::Assign {
-                    table,
-                    column,
-                    prop,
-                    ..
-                } => {
-                    self.fp.tables.insert(table.clone());
-                    if let Some(prop) = prop {
-                        self.fp.write = Some(Write::Update {
-                            table: table.clone(),
-                            column: column.clone(),
-                            prop: *prop,
-                        });
-                    }
-                }
-                PlanNode::Delete { table, .. } => {
-                    self.fp.tables.insert(table.clone());
-                    self.fp.write = Some(Write::Delete {
-                        table: table.clone(),
-                    });
-                }
-            }
-        }
-    }
-    graph.walk(
-        root,
-        &mut FpVisitor {
-            reads: &mut reads,
-            catalog,
-            outer: catalog.lookup(&target).ok(),
-            fp: &mut fp,
-        },
-    );
-    fp.reads = reads.props;
-    fp.tables.append(&mut reads.tables);
-    fp
-}
-
-// ---------------------------------------------------------------------
-// Lowering statements into the DAG.
-// ---------------------------------------------------------------------
-
-/// Builds the DAG, hash-consing selector and value nodes by canonical
-/// key (the **cse** pass: structurally identical subtrees share a node).
-struct GraphBuilder<'a> {
-    catalog: &'a Catalog,
-    graph: PlanGraph,
-    cse: HashMap<String, NodeId>,
-}
-
-/// The node handles of one lowered statement.
-struct Lowered {
-    /// The statement's [`PlanNode::Scan`].
-    scan: NodeId,
-    /// The selector output: `scan`, or the [`PlanNode::Guard`] over it.
-    rows: NodeId,
-    /// The [`PlanNode::Values`] node of update statements.
-    values: Option<NodeId>,
-    /// The statement's root ([`PlanNode::Assign`] or [`PlanNode::Delete`]).
-    root: NodeId,
-    /// Binding name of the target row (`"t"` for set statements).
-    var: String,
-    /// Canonical hash-cons key of the guard, when shareable.
-    guard_key: Option<String>,
-    /// Whether the selector (guard or values) hash-consed onto an
-    /// existing node.
-    shared: bool,
-}
-
-impl<'a> GraphBuilder<'a> {
-    fn new(catalog: &'a Catalog) -> Self {
-        Self {
-            catalog,
-            graph: PlanGraph::default(),
-            cse: HashMap::new(),
-        }
-    }
-
-    /// Append `node`, or return the existing node under `key`.
-    fn add(&mut self, key: Option<String>, node: PlanNode) -> (NodeId, bool) {
-        if let Some(k) = &key {
-            if let Some(&id) = self.cse.get(k) {
-                C_CSE_SHARED.incr();
-                return (id, true);
-            }
-        }
-        let id = NodeId(self.graph.nodes.len());
-        self.graph.nodes.push(node);
-        if let Some(k) = key {
-            self.cse.insert(k, id);
-        }
-        (id, false)
-    }
-
-    /// Lower one statement into selector/values/root nodes. Tolerant:
-    /// resolution failures leave `class`/`prop` unresolved instead of
-    /// erroring (strict callers run [`compile`] alongside).
-    fn lower(&mut self, stmt: &SqlStatement) -> Lowered {
-        let (table, var, guard, body) = stmt.parts();
-        let var = var.unwrap_or("t");
-        let class = self.catalog.lookup(table).ok().map(|t| t.class);
-        let (scan, _) = self.add(
-            Some(format!("scan:{table}")),
-            PlanNode::Scan {
-                table: table.to_owned(),
-                class,
-            },
-        );
-        let mut shared = false;
-        let mut guard_key = None;
-        let rows = match guard {
-            Some(cond) => {
-                let key = canon_condition(cond, var).map(|c| format!("sel:{}:{c}", scan.index()));
-                guard_key.clone_from(&key);
-                let (id, hit) = self.add(
-                    key,
-                    PlanNode::Guard {
-                        input: scan,
-                        var: var.to_owned(),
-                        cond: cond.clone(),
-                    },
-                );
-                shared |= hit;
-                id
-            }
-            None => scan,
-        };
-        let (values, root) = match body {
-            None => {
-                let (root, _) = self.add(
-                    None,
-                    PlanNode::Delete {
-                        rows,
-                        table: table.to_owned(),
-                    },
-                );
-                (None, root)
-            }
-            Some((column, select)) => {
-                let key = canon_select(select, var).map(|s| format!("val:{}:{s}", rows.index()));
-                let (values, hit) = self.add(
-                    key,
-                    PlanNode::Values {
-                        rows,
-                        var: var.to_owned(),
-                        select: select.clone(),
-                    },
-                );
-                shared |= hit;
-                let prop = self
-                    .catalog
-                    .lookup(table)
-                    .ok()
-                    .and_then(|t| t.column_prop(column));
-                let (root, _) = self.add(
-                    None,
-                    PlanNode::Assign {
-                        values,
-                        table: table.to_owned(),
-                        column: column.to_owned(),
-                        prop,
-                    },
-                );
-                (Some(values), root)
-            }
-        };
-        Lowered {
-            scan,
-            rows,
-            values,
-            root,
-            var: var.to_owned(),
-            guard_key,
-            shared,
-        }
-    }
-}
-
-/// Lower a single statement into a standalone tolerant DAG — the entry
-/// point [`crate::footprint::footprint`] reads footprints through.
-pub fn statement_dag(stmt: &SqlStatement, catalog: &Catalog) -> (PlanGraph, NodeId) {
-    let mut b = GraphBuilder::new(catalog);
-    let lowered = b.lower(stmt);
-    (b.graph, lowered.root)
-}
-
-// ---------------------------------------------------------------------
 // Stages and the compiled program.
 // ---------------------------------------------------------------------
 
@@ -663,36 +220,57 @@ pub enum StageKind {
     ImprovedUpdate,
 }
 
-/// One statement of a compiled program: its DAG nodes, execution
-/// discipline, footprint (read off the DAG), and the planner-pass
-/// verdicts that apply to it.
-pub struct Stage {
-    kind: StageKind,
-    compiled: CompiledStatement,
-    statement: SqlStatement,
-    var: String,
-    scan: NodeId,
-    rows: NodeId,
-    values: Option<NodeId>,
-    root: NodeId,
-    footprint: Footprint,
-    guard_key: Option<String>,
-    algebraic: Option<AlgebraicMethod>,
-    improved: Option<ImprovedUpdate>,
-    /// Why the improve pass left a cursor update's loop alone: its
-    /// refusal, or why the update has no algebraic form to decide
-    /// (EXPLAIN's `improve:` note).
-    not_improved: Option<Result<ImproveRefusal>>,
-    /// A set update's value subquery lowered once to `par(E)`, or to the
-    /// closed `E₀` every row shares
-    /// ([`crate::compile::SetUpdate::values_query`]), or why its values
-    /// stay row by row.
-    values_query: Option<Result<ValuesQuery>>,
-    /// A set statement's guard lowered once to anchored conjuncts
+/// What a stage executes: its compiled statement and the per-kind data
+/// the planner passes computed for it.
+enum Exec {
+    /// A set delete and its guard, lowered once to anchored conjuncts
     /// ([`crate::compile::lower_guard`]).
-    guard_query: Option<Arc<[GuardConjunct]>>,
-    shared_selector: bool,
-    netted: bool,
+    SetDelete {
+        delete: SetDelete,
+        guard: Arc<[GuardConjunct]>,
+    },
+    /// A set update and its planner data.
+    SetUpdate(SetUpdateExec),
+    /// A cursor delete: its ordered loop.
+    CursorDelete(CursorDelete),
+    /// A cursor update the improve pass left alone: its algebraic form
+    /// when it has one, and the improve pass's refusal or why the update
+    /// has no algebraic form to decide (EXPLAIN's `improve:` note).
+    CursorUpdate {
+        update: CursorUpdate,
+        algebraic: Option<AlgebraicMethod>,
+        refusal: Result<ImproveRefusal>,
+    },
+    /// A cursor update the improve pass rewrote into one `par(E)`
+    /// evaluation ([`ImprovedUpdate::assignment_query`]).
+    Improved {
+        update: CursorUpdate,
+        improved: ImprovedUpdate,
+    },
+}
+
+/// A set update, its guard's conjuncts when it has one, its values slot,
+/// and its value subquery lowered once to `par(E)` or to the closed `E₀`
+/// every row shares ([`crate::compile::SetUpdate::values_query`]), or why
+/// its values stay row by row.
+struct SetUpdateExec {
+    update: SetUpdate,
+    guard: Option<Arc<[GuardConjunct]>>,
+    values: usize,
+    query: Result<ValuesQuery>,
+}
+
+/// One statement of a compiled program: what it executes, its footprint,
+/// its selector slot, and the planner-pass verdicts that apply to it.
+pub struct Stage {
+    exec: Exec,
+    statement: SqlStatement,
+    footprint: Footprint,
+    /// The hash-consed selector slot: the table plus the canonical guard.
+    selector: usize,
+    /// The earlier stage whose selector or values slot this one shares
+    /// (cse pass).
+    shared_with: Option<usize>,
     netted_by: Option<usize>,
     proofs: Vec<Proof>,
 }
@@ -700,7 +278,13 @@ pub struct Stage {
 impl Stage {
     /// The execution discipline.
     pub fn kind(&self) -> StageKind {
-        self.kind
+        match &self.exec {
+            Exec::SetDelete { .. } => StageKind::SetDelete,
+            Exec::SetUpdate(_) => StageKind::SetUpdate,
+            Exec::CursorDelete(_) => StageKind::CursorDelete,
+            Exec::CursorUpdate { .. } => StageKind::CursorUpdate,
+            Exec::Improved { .. } => StageKind::ImprovedUpdate,
+        }
     }
 
     /// The source statement.
@@ -708,18 +292,15 @@ impl Stage {
         &self.statement
     }
 
-    /// The stage's root node ([`PlanNode::Assign`] or
-    /// [`PlanNode::Delete`]).
-    pub fn root(&self) -> NodeId {
-        self.root
+    /// The stage's hash-consed selector slot: its table plus its guard
+    /// up to cursor-variable renaming. Stages with equal slots select
+    /// the same rows wherever no write in between touches what the guard
+    /// reads, and the executor evaluates the selector once for them.
+    pub fn selector(&self) -> usize {
+        self.selector
     }
 
-    /// The stage's selector output node (scan or guard).
-    pub fn rows_node(&self) -> NodeId {
-        self.rows
-    }
-
-    /// The footprint read off the DAG — what the netting pass and the
+    /// The statement's footprint — what the netting pass and the
     /// selector cache's invalidation consume.
     pub fn footprint(&self) -> &Footprint {
         &self.footprint
@@ -728,7 +309,7 @@ impl Stage {
     /// `true` when the netting pass proved this stage's store dead and
     /// every executor skips it.
     pub fn netted(&self) -> bool {
-        self.netted
+        self.netted_by.is_some()
     }
 
     /// The (0-based) later stage whose store netted this one away.
@@ -736,21 +317,27 @@ impl Stage {
         self.netted_by
     }
 
-    /// `true` when the stage's selector or values node is shared with an
+    /// `true` when the stage's selector or values slot is shared with an
     /// earlier stage (cse pass).
     pub fn shared_selector(&self) -> bool {
-        self.shared_selector
+        self.shared_with.is_some()
     }
 
     /// The compiled algebraic form, for unguarded cursor updates that
     /// have one.
     pub fn algebraic(&self) -> Option<&AlgebraicMethod> {
-        self.algebraic.as_ref()
+        match &self.exec {
+            Exec::CursorUpdate { algebraic, .. } => algebraic.as_ref(),
+            _ => None,
+        }
     }
 
     /// The improve-pass rewrite, when it fired.
     pub fn improved(&self) -> Option<&ImprovedUpdate> {
-        self.improved.as_ref()
+        match &self.exec {
+            Exec::Improved { improved, .. } => Some(improved),
+            _ => None,
+        }
     }
 
     /// Proofs attached by the planner passes (netting justification,
@@ -759,12 +346,29 @@ impl Stage {
         &self.proofs
     }
 
+    /// A set statement's guard, lowered to anchored conjuncts.
+    fn guard_query(&self) -> Option<&[GuardConjunct]> {
+        match &self.exec {
+            Exec::SetDelete { guard, .. } => Some(guard),
+            Exec::SetUpdate(set) => set.guard.as_deref(),
+            _ => None,
+        }
+    }
+
+    /// A set update's lowered value subquery, or why it has none.
+    fn values_query(&self) -> Option<&Result<ValuesQuery>> {
+        match &self.exec {
+            Exec::SetUpdate(set) => Some(&set.query),
+            _ => None,
+        }
+    }
+
     /// The conjuncts of a set statement's guard that run row by row:
     /// each one's 1-based position in the `AND` chain, and why. Empty when
     /// every conjunct is one probe per row, and for stages without a set
     /// guard.
     pub fn guard_residuals(&self) -> Vec<(usize, &str)> {
-        let conjuncts = self.guard_query.as_deref().unwrap_or_default();
+        let conjuncts = self.guard_query().unwrap_or_default();
         (1..)
             .zip(conjuncts)
             .filter_map(|(k, c)| match c {
@@ -775,15 +379,14 @@ impl Stage {
     }
 }
 
-/// A whole update program compiled into one expression DAG — the single
+/// A whole update program compiled into its stages — the single
 /// execution path behind the sequential, sharded, and durable drivers.
 pub struct ProgramPlan {
     catalog: Catalog,
-    graph: PlanGraph,
     stages: Vec<Stage>,
-    /// Cumulative property-read set per node (over its input chain), for
-    /// executor cache invalidation.
-    node_reads: Vec<BTreeSet<PropId>>,
+    /// The properties each selector and values slot reads, for executor
+    /// cache invalidation.
+    slot_reads: Vec<BTreeSet<PropId>>,
 }
 
 impl ProgramPlan {
@@ -792,203 +395,201 @@ impl ProgramPlan {
         &self.catalog
     }
 
-    /// The shared node store.
-    pub fn graph(&self) -> &PlanGraph {
-        &self.graph
-    }
-
     /// The program's stages, in statement order.
     pub fn stages(&self) -> &[Stage] {
         &self.stages
     }
 }
 
+/// The cse pass's hash-consing: a slot per distinct canonical key, with
+/// the stage that claimed it first and the properties its evaluation
+/// reads.
+#[derive(Default)]
+struct Slots {
+    ids: HashMap<String, usize>,
+    owners: Vec<usize>,
+    reads: Vec<BTreeSet<PropId>>,
+}
+
+impl Slots {
+    /// The slot under `key` and, when an earlier stage claimed it, that
+    /// stage; a new slot reading `reads` for `stage` otherwise. A `None`
+    /// key (a cursor variable shadowed inside the tree) is never shared.
+    fn claim(
+        &mut self,
+        key: Option<String>,
+        stage: usize,
+        reads: impl FnOnce() -> BTreeSet<PropId>,
+    ) -> (usize, Option<usize>) {
+        if let Some(&id) = key.as_ref().and_then(|k| self.ids.get(k)) {
+            return (id, Some(self.owners[id]));
+        }
+        let id = self.owners.len();
+        self.owners.push(stage);
+        self.reads.push(reads());
+        if let Some(k) = key {
+            self.ids.insert(k, id);
+        }
+        (id, None)
+    }
+
+    /// The values slot of an update at `stage` whose row is `var`: the
+    /// selector plus the canonical value subquery, reading everything
+    /// the statement reads.
+    fn values(
+        &mut self,
+        selector: usize,
+        select: &Select,
+        var: &str,
+        stage: usize,
+        footprint: &Footprint,
+    ) -> (usize, Option<usize>) {
+        let key = canon_select(select, var).map(|s| format!("val:{selector}:{s}"));
+        let (id, owner) = self.claim(key, stage, || footprint.reads.clone());
+        if owner.is_some() {
+            C_CSE_SHARED.incr();
+        }
+        (id, owner)
+    }
+}
+
 /// Compile a whole update program into a [`ProgramPlan`]: per-statement
-/// lowering through [`compile`], then the improve, cse, and netting
+/// compilation through [`compile`], then the improve, cse, and netting
 /// passes. This subsumes per-statement compilation — a one-statement
 /// program is exactly the old pipeline.
 pub fn compile_program(program: &[SqlStatement], catalog: &Catalog) -> Result<ProgramPlan> {
     let _span = obs::span("sql.plan.compile");
     C_PROGRAMS.incr();
-    let mut b = GraphBuilder::new(catalog);
+    let mut slots = Slots::default();
+    // Lowered once per selector slot: set stages sharing a guard share
+    // its conjuncts.
+    let mut guards: HashMap<usize, Arc<[GuardConjunct]>> = HashMap::new();
     let mut stages: Vec<Stage> = Vec::with_capacity(program.len());
-    let mut guards: HashMap<NodeId, Arc<[GuardConjunct]>> = HashMap::new();
-    for stmt in program {
+    for (idx, stmt) in program.iter().enumerate() {
         let compiled = compile(stmt, catalog)?;
         C_STAGES.incr();
-        let mut lowered = b.lower(stmt);
+        let footprint = footprint(stmt, catalog);
+        let (table, _, guard, _) = stmt.parts();
+        let var = stmt.row_alias();
+        // Cse pass: the selector slot is the table plus the canonical
+        // guard; an unguarded statement selects every row of its table.
+        let (selector, mut shared_with) = match guard {
+            None => (
+                slots
+                    .claim(Some(format!("scan:{table}")), idx, BTreeSet::new)
+                    .0,
+                None,
+            ),
+            Some(cond) => {
+                let key = canon_condition(cond, var).map(|c| format!("sel:{table}:{c}"));
+                let claimed = slots.claim(key, idx, || guard_reads(stmt, catalog));
+                if claimed.1.is_some() {
+                    C_CSE_SHARED.incr();
+                }
+                claimed
+            }
+        };
+        let mut lowered_guard = |cond: &Condition, table: &TableInfo| -> Result<_> {
+            if let Some(conjuncts) = guards.get(&selector) {
+                return Ok(Arc::clone(conjuncts));
+            }
+            let conjuncts: Arc<[GuardConjunct]> = lower_guard(cond, catalog, table, var)?.into();
+            guards.insert(selector, Arc::clone(&conjuncts));
+            Ok(conjuncts)
+        };
         let mut proofs = Vec::new();
-
-        // Improve pass: an unguarded, key-order-independent cursor update
-        // collapses into one vectorized `par(E)` node.
-        let (kind, algebraic, improved, not_improved) = match &compiled {
-            CompiledStatement::SetDelete(_) => (StageKind::SetDelete, None, None, None),
-            CompiledStatement::SetUpdate(_) => (StageKind::SetUpdate, None, None, None),
-            CompiledStatement::CursorDelete(_) => (StageKind::CursorDelete, None, None, None),
-            CompiledStatement::CursorUpdate(cu) => {
-                // Lowered once: the improve pass takes the method and hands
-                // it back when it leaves the loop alone.
-                match cu.to_algebraic().map(improve_method) {
-                    Ok(Improvement::Improved(imp)) => {
+        let exec = match compiled {
+            CompiledStatement::SetDelete(delete) => Exec::SetDelete {
+                guard: lowered_guard(&delete.condition, delete.table())?,
+                delete,
+            },
+            CompiledStatement::SetUpdate(update) => {
+                let (values, owner) = slots.values(selector, update.select(), var, idx, &footprint);
+                shared_with = owner.or(shared_with);
+                Exec::SetUpdate(SetUpdateExec {
+                    guard: match &update.condition {
+                        Some(cond) => Some(lowered_guard(cond, update.table())?),
+                        None => None,
+                    },
+                    values,
+                    query: update.values_query(),
+                    update,
+                })
+            }
+            CompiledStatement::CursorDelete(delete) => Exec::CursorDelete(delete),
+            CompiledStatement::CursorUpdate(update) => {
+                // A cursor update claims its values slot too, so a later
+                // set update with the same subquery reports the share.
+                let (_, owner) = slots.values(selector, update.select(), var, idx, &footprint);
+                shared_with = owner.or(shared_with);
+                // Improve pass: an unguarded, key-order-independent cursor
+                // update collapses into one vectorized `par(E)` stage. The
+                // method is lowered once: the improve pass takes it and
+                // hands it back when it leaves the loop alone.
+                match update.to_algebraic().map(improve_method) {
+                    Ok(Improvement::Improved(improved)) => {
                         C_IMPROVED.incr();
                         proofs.push(Proof::default().note(
                             "improve pass: the cursor update is key-order independent \
                              (Theorem 5.12), so the loop is replaced by one par(E) \
                              evaluation with identical semantics (Theorem 6.5)",
                         ));
-                        // Rebuild the value side of the DAG: the loop's
-                        // per-row subquery becomes one AssignQuery node.
-                        let (values, _) = b.add(
-                            None,
-                            PlanNode::AssignQuery {
-                                rows: lowered.scan,
-                                query: imp.assignment_query.clone(),
-                            },
-                        );
-                        let (table, column, prop) = match b.graph.node(lowered.root) {
-                            PlanNode::Assign {
-                                table,
-                                column,
-                                prop,
-                                ..
-                            } => (table.clone(), column.clone(), *prop),
-                            _ => unreachable!("cursor updates lower to Assign roots"),
-                        };
-                        let (root, _) = b.add(
-                            None,
-                            PlanNode::Assign {
-                                values,
-                                table,
-                                column,
-                                prop,
-                            },
-                        );
-                        lowered.values = Some(values);
-                        lowered.root = root;
-                        (StageKind::ImprovedUpdate, None, Some(imp), None)
+                        Exec::Improved { update, improved }
                     }
-                    Ok(Improvement::Kept { method, reason }) => {
-                        (StageKind::CursorUpdate, Some(method), None, Some(reason))
-                    }
-                    Err(e) => (StageKind::CursorUpdate, None, None, Some(Err(e))),
+                    Ok(Improvement::Kept { method, reason }) => Exec::CursorUpdate {
+                        update,
+                        algebraic: Some(method),
+                        refusal: reason,
+                    },
+                    Err(e) => Exec::CursorUpdate {
+                        update,
+                        algebraic: None,
+                        refusal: Err(e),
+                    },
                 }
             }
         };
-
-        let (values_query, set_table) = match &compiled {
-            CompiledStatement::SetUpdate(su) => (Some(su.values_query()), Some(su.table())),
-            CompiledStatement::SetDelete(sd) => (None, Some(sd.table())),
-            _ => (None, None),
-        };
-        // Lowered once per guard node: set stages whose selectors
-        // hash-consed onto one node share its conjuncts.
-        let guard_query = match (set_table, b.graph.node(lowered.rows)) {
-            (Some(table), PlanNode::Guard { var, cond, .. }) => {
-                Some(Arc::clone(guards.entry(lowered.rows).or_insert_with(
-                    || lower_guard(cond, catalog, table, var).into(),
-                )))
-            }
-            _ => None,
-        };
-        let footprint = footprint_of(&b.graph, lowered.root, catalog);
         stages.push(Stage {
-            kind,
-            compiled,
+            exec,
             statement: stmt.clone(),
-            var: lowered.var,
-            scan: lowered.scan,
-            rows: lowered.rows,
-            values: lowered.values,
-            root: lowered.root,
             footprint,
-            guard_key: lowered.guard_key,
-            algebraic,
-            improved,
-            not_improved,
-            values_query,
-            guard_query,
-            shared_selector: lowered.shared,
-            netted: false,
+            selector,
+            shared_with,
             netted_by: None,
             proofs,
         });
     }
 
-    let graph = b.graph;
-    let node_reads = compute_node_reads(&graph, catalog);
-    let mut plan = ProgramPlan {
-        catalog: catalog.clone(),
-        graph,
-        stages,
-        node_reads,
-    };
-    net_pass(&mut plan);
-    Ok(plan)
-}
-
-fn stmt_table(stmt: &SqlStatement) -> &str {
-    match stmt {
-        SqlStatement::Delete { table, .. }
-        | SqlStatement::Update { table, .. }
-        | SqlStatement::ForEach { table, .. } => table,
-    }
-}
-
-/// Cumulative reads per node: what an executor's cached evaluation of the
-/// node depends on (beyond class membership, which only deletes change).
-fn compute_node_reads(graph: &PlanGraph, catalog: &Catalog) -> Vec<BTreeSet<PropId>> {
-    let mut reads: Vec<BTreeSet<PropId>> = Vec::with_capacity(graph.len());
-    for id in 0..graph.len() {
-        let set = match &graph.nodes[id] {
-            PlanNode::Scan { .. } => BTreeSet::new(),
-            PlanNode::Guard { input, var, cond } => {
-                let outer = scan_table_info(graph, *input, catalog);
-                let mut guard = Reads::default();
-                walk_condition(cond, row_binding(var, outer), catalog, &mut guard);
-                let mut s = reads[input.0].clone();
-                s.append(&mut guard.props);
-                s
-            }
-            PlanNode::Values { rows, var, select } => {
-                let outer = scan_table_info(graph, *rows, catalog);
-                let mut values = Reads::default();
-                walk_select(select, row_binding(var, outer), catalog, &mut values);
-                let mut s = reads[rows.0].clone();
-                s.append(&mut values.props);
-                s
-            }
-            PlanNode::AssignQuery { rows, query } => {
-                let mut s = reads[rows.0].clone();
-                for rel in query.base_relations() {
-                    if let receivers_relalg::RelName::Prop(p) = rel {
-                        s.insert(p);
-                    }
-                }
-                s
-            }
-            PlanNode::Assign { values, .. } => reads[values.0].clone(),
-            PlanNode::Delete { rows, .. } => reads[rows.0].clone(),
+    // Netting pass.
+    let program: Vec<(&SqlStatement, &Footprint)> = stages
+        .iter()
+        .map(|s| (&s.statement, &s.footprint))
+        .collect();
+    let netted = net_stores(&program, catalog);
+    for (i, (stage, netting)) in stages.iter_mut().zip(netted).enumerate() {
+        let Some(Netting { by, mut proof }) = netting else {
+            continue;
         };
-        reads.push(set);
-    }
-    reads
-}
-
-/// Walk a selector chain down to its scan and resolve the scanned table.
-fn scan_table_info<'a>(
-    graph: &PlanGraph,
-    mut id: NodeId,
-    catalog: &'a Catalog,
-) -> Option<&'a TableInfo> {
-    loop {
-        match graph.node(id) {
-            PlanNode::Scan { table, .. } => return catalog.lookup(table).ok(),
-            other => match other.inputs().first() {
-                Some(&input) => id = input,
-                None => return None,
-            },
+        if let Some(Write::Update { table, column, .. }) = &stage.footprint.write {
+            proof.notes.insert(
+                0,
+                format!(
+                    "store to {table}.{column} in statement {} is overwritten by \
+                     statement {} before any statement reads {column}",
+                    i + 1,
+                    by + 1
+                ),
+            );
         }
+        C_NETTED.incr();
+        stage.netted_by = Some(by);
+        stage.proofs.push(proof);
     }
+    Ok(ProgramPlan {
+        catalog: catalog.clone(),
+        stages,
+        slot_reads: slots.reads,
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -998,11 +599,11 @@ fn scan_table_info<'a>(
 /// The key of one memoized planner verdict in the proof cache.
 #[derive(PartialEq, Eq, Hash)]
 pub(crate) enum ProofKey {
-    /// A netting guard implication: catalog digest, target table, and
-    /// the *canonical* guard text (`canon_condition`, cursor variables
-    /// rewritten to `#r`). The per-graph `guard_key` embeds node indexes
-    /// and is useless across programs; the canonical text is stable.
-    Implication(u64, String, String),
+    /// A netting guard implication: the catalog, stored whole and
+    /// compared by full equality, the target table, and the *canonical*
+    /// premise and conclusion guards (`canon_condition`, cursor
+    /// variables rewritten to `#r`).
+    Implication(Catalog, String, String, String),
     /// The improve pass's Theorem 5.12 key-order verdict: the method's
     /// schema, signature and statements, stored whole and compared by
     /// full equality.
@@ -1014,19 +615,18 @@ pub(crate) enum ProofKey {
 pub(crate) enum CachedProof {
     /// The solver proved the netting implication; its proof notes.
     Implies(Vec<String>),
-    /// The solver could not speak (the netting argument stands on the
-    /// syntactic identity alone).
+    /// The solver could not prove it.
     Inconclusive,
     /// The key-order decision ([`crate::improve`]).
     KeyOrder(Decision),
 }
 
-/// Process-wide memo of the planner's verdicts: the netting pass's
+/// Process-wide memo of the planner's verdicts: the netting rule's
 /// [`Solver::implies`] queries and the improve pass's key-order
 /// decisions. Both are pure functions of their keys, so recompiling a
-/// program — or compiling any program sharing a guard or a cursor
+/// program — or compiling any program sharing a guard pair or a cursor
 /// update — skips the solver and the decision procedure. Entries are
-/// bounded by the distinct guards and cursor updates the process
+/// bounded by the distinct guard pairs and cursor updates the process
 /// compiles; there is no eviction.
 type ProofCache = Mutex<HashMap<ProofKey, CachedProof>>;
 
@@ -1082,174 +682,161 @@ pub fn reset_proof_cache() {
         .clear();
 }
 
-/// Digest identifying a catalog for the proof cache: same table/column
-/// layout, same digest. Hash of the `Debug` rendering — catalogs are
-/// small and compilation is rare.
-fn catalog_digest(catalog: &Catalog) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    format!("{catalog:?}").hash(&mut h);
-    h.finish()
+/// A store [`net_stores`] proved dead.
+#[derive(Debug, Clone)]
+pub struct Netting {
+    /// The (0-based) later statement whose store covers this one.
+    pub by: usize,
+    /// Why the later store covers this one.
+    pub proof: Proof,
 }
 
-/// Net successive assignments to the same `(table, property)`: stage `i`
-/// is marked [`Stage::netted`] (and skipped by every executor) when a
-/// later stage `j` provably overwrites its store before anything reads
-/// it. The conditions, checked syntactically off the DAG footprints with
-/// [`Solver::implies`] backing the guard comparison:
+/// The netting rule: which stores of a program are provably overwritten
+/// before anything reads them. `program` is each statement with its
+/// [`footprint`]; the result has one entry per statement. The planner
+/// skips each netted stage, and the lint's dead-assignment pass
+/// (`R0201`) reports it.
 ///
-/// * `j` writes the same `(table, property)` and does not read it;
-/// * no stage in `(i, j]` reads the property, and no stage in `(i, j)`
-///   deletes (a delete changes class membership, which guards observe);
-/// * `j`'s row set covers `i`'s: `j` is unguarded, or the guards are
-///   identical up to cursor-variable renaming *and* no stage in `(i, j)`
-///   writes a property the guard reads (so the guard selects the same
-///   rows at both points).
-fn net_pass(plan: &mut ProgramPlan) {
-    let solver = Solver::new(&plan.catalog);
-    let digest = catalog_digest(&plan.catalog);
-    let n = plan.stages.len();
-    for i in (0..n).rev() {
-        let Some(Write::Update {
-            table: ti,
-            prop: pi,
-            column: ci,
-        }) = plan.stages[i].footprint.write.clone()
-        else {
+/// Statement `i` is netted by the first later statement `j`, skipping
+/// those already netted (they never run), that writes the same `(table,
+/// property)` without reading it and whose rows cover `i`'s:
+///
+/// * `j` is unguarded; or
+/// * both are guarded, the guards are identical up to cursor-variable
+///   renaming or [`Solver::implies`] proves `gᵢ ⟹ gⱼ`, and no statement
+///   strictly between them writes a property `gⱼ` reads (so `gⱼ` selects
+///   at `j` every row it would at `i`).
+///
+/// The scan from `i` stops at a statement that reads the property, at
+/// any delete (it changes the class membership guards observe) and at a
+/// write that does not resolve.
+pub fn net_stores(
+    program: &[(&SqlStatement, &Footprint)],
+    catalog: &Catalog,
+) -> Vec<Option<Netting>> {
+    let solver = Solver::new(catalog);
+    let mut netted: Vec<Option<Netting>> = vec![None; program.len()];
+    for i in (0..program.len()).rev() {
+        let Some(Write::Update { table, prop, .. }) = &program[i].1.write else {
             continue;
         };
-        for j in i + 1..n {
-            if plan.stages[j].netted {
-                // A netted stage never executes: invisible to the scan.
+        for j in i + 1..program.len() {
+            if netted[j].is_some() {
                 continue;
             }
-            let candidate = match &plan.stages[j].footprint.write {
-                Some(Write::Update { table, prop, .. }) => *prop == pi && *table == ti,
-                _ => false,
-            };
-            if candidate && !plan.stages[j].footprint.reads.contains(&pi) {
-                if let Some(mut proof) = netting_cover_proof(plan, i, j, &solver, digest) {
-                    proof.notes.insert(
-                        0,
-                        format!(
-                            "store to {ti}.{ci} in statement {} is overwritten by \
-                             statement {} before any statement reads {ci}",
-                            i + 1,
-                            j + 1
-                        ),
-                    );
-                    C_NETTED.incr();
-                    plan.stages[i].netted = true;
-                    plan.stages[i].netted_by = Some(j);
-                    plan.stages[i].proofs.push(proof);
-                    break;
+            let later = program[j].1;
+            if later.reads.contains(prop) {
+                break;
+            }
+            match &later.write {
+                Some(Write::Update {
+                    table: tj,
+                    prop: pj,
+                    ..
+                }) if pj == prop && tj == table => {
+                    if let Some(proof) = cover(program, &netted, i, j, table, &solver, catalog) {
+                        netted[i] = Some(Netting { by: j, proof });
+                        break;
+                    }
                 }
-            }
-            // Blockers for scanning past stage j.
-            if plan.stages[j].footprint.reads.contains(&pi) {
-                break;
-            }
-            if matches!(
-                plan.stages[j].footprint.write,
-                Some(Write::Delete { .. }) | None
-            ) {
-                break;
+                Some(Write::Update { .. }) => {}
+                Some(Write::Delete { .. }) | None => break,
             }
         }
     }
+    netted
 }
 
-/// Does stage `j`'s row set provably cover stage `i`'s (same table,
-/// same property, no intervening read — already established)? Returns
-/// the covering argument as a proof, `None` when it cannot be made.
-fn netting_cover_proof(
-    plan: &ProgramPlan,
+/// Does statement `j`'s row set provably cover statement `i`'s (same
+/// table, same property, no read in between — already established)?
+/// Returns the covering argument, `None` when it cannot be made.
+fn cover(
+    program: &[(&SqlStatement, &Footprint)],
+    netted: &[Option<Netting>],
     i: usize,
     j: usize,
+    table: &str,
     solver: &Solver<'_>,
-    digest: u64,
+    catalog: &Catalog,
 ) -> Option<Proof> {
-    let si = &plan.stages[i];
-    let sj = &plan.stages[j];
-    match (&si.footprint.guard, &sj.footprint.guard) {
-        (_, None) => Some(Proof::default().note(
-            "the later store is unguarded: it rewrites the property on every row \
-             of the table, and no delete intervenes",
-        )),
-        (Some(gi), Some(gj)) => {
-            // The guards must select the same rows at both program
-            // points: identical up to cursor-variable renaming, and no
-            // intervening stage writes a property the guard reads.
-            let (ki, kj) = (si.guard_key.as_ref()?, sj.guard_key.as_ref()?);
-            if ki != kj {
-                return None;
-            }
-            let stable = (i + 1..j).all(|k| {
-                plan.stages[k].netted
-                    || match &plan.stages[k].footprint.write {
-                        // `sj.rows` is its guard node, over a scan
-                        // that reads nothing.
-                        Some(Write::Update { prop, .. }) => {
-                            !plan.node_reads[sj.rows.0].contains(prop)
-                        }
-                        Some(Write::Delete { .. }) => false,
-                        None => true,
-                    }
-            });
-            if !stable {
-                return None;
-            }
-            let mut proof = Proof::default().note(
-                "the stores share one hash-consed guard (identical up to cursor-variable \
-                 renaming), and no intervening statement writes a property the guard reads",
-            );
-            // Back the syntactic identity with the solver where it can
-            // speak: mutual implication of the two guards. The verdict is
-            // memoized across compilations — the guards are identical up
-            // to renaming (ki == kj above), so the canonical text of one
-            // of them, with the table and catalog, determines the query.
-            let canon = canon_condition(gi, &si.var)?;
-            let key = ProofKey::Implication(digest, stmt_table(&si.statement).to_owned(), canon);
-            let Ok(verdict) = memoized(key, &C_PROOF_HIT, &C_PROOF_MISS, || {
-                Ok::<_, std::convert::Infallible>(
-                    match solver.implies(
-                        stmt_table(&si.statement),
-                        GuardRef::in_cursor(&si.var, Some(gi)),
-                        GuardRef::in_cursor(&sj.var, Some(gj)),
-                    ) {
-                        Implication::Implies(p) => CachedProof::Implies(p.notes),
-                        _ => CachedProof::Inconclusive,
-                    },
-                )
-            });
-            if let CachedProof::Implies(notes) = verdict {
-                proof.notes.extend(notes);
-            }
-            Some(proof)
+    let ((si, fi), (sj, fj)) = (program[i], program[j]);
+    let (gi, gj) = match (&fi.guard, &fj.guard) {
+        (_, None) => {
+            return Some(Proof::default().note(
+                "the later store is unguarded: it rewrites the property on every row \
+                 of the table, and no delete intervenes",
+            ))
         }
-        (None, Some(_)) => {
-            // The earlier store hits every row; the later one only some —
-            // rows failing the later guard would keep the earlier value.
-            None
-        }
+        // The earlier store hits every row; the later one only some —
+        // rows failing the later guard would keep the earlier value.
+        (None, Some(_)) => return None,
+        (Some(gi), Some(gj)) => (gi, gj),
+    };
+    // The later guard must select at `j` the rows it would at `i`: no
+    // statement that runs in between writes a property it reads.
+    let reads = guard_reads(sj, catalog);
+    let stable = (i + 1..j).all(|k| {
+        netted[k].is_some()
+            || matches!(&program[k].1.write, Some(Write::Update { prop, .. }) if !reads.contains(prop))
+    });
+    if !stable {
+        return None;
     }
+    let (vi, vj) = (si.row_alias(), sj.row_alias());
+    let (ci, cj) = (canon_condition(gi, vi), canon_condition(gj, vj));
+    let identical = ci.is_some() && ci == cj;
+    let implies = || match solver.implies(
+        table,
+        GuardRef::in_cursor(vi, Some(gi)),
+        GuardRef::in_cursor(vj, Some(gj)),
+    ) {
+        Implication::Implies(p) => CachedProof::Implies(p.notes),
+        _ => CachedProof::Inconclusive,
+    };
+    // Memoized across compilations when both guards have a canonical
+    // text: with the table and the catalog, it determines the query.
+    let verdict = match (ci, cj) {
+        (Some(ci), Some(cj)) => {
+            let key = ProofKey::Implication(catalog.clone(), table.to_owned(), ci, cj);
+            let Ok(v) = memoized(key, &C_PROOF_HIT, &C_PROOF_MISS, || {
+                Ok::<_, std::convert::Infallible>(implies())
+            });
+            v
+        }
+        _ => implies(),
+    };
+    let mut proof = match (identical, &verdict) {
+        (true, _) => Proof::default().note(
+            "the stores share one hash-consed guard (identical up to cursor-variable \
+             renaming), and no intervening statement writes a property the guard reads",
+        ),
+        (false, CachedProof::Implies(_)) => Proof::default().note(
+            "the earlier store's guard implies the later one's, and no intervening \
+             statement writes a property the later guard reads",
+        ),
+        (false, _) => return None,
+    };
+    if let CachedProof::Implies(notes) = verdict {
+        proof.notes.extend(notes);
+    }
+    Some(proof)
 }
 
 // ---------------------------------------------------------------------
 // The vectorized executor.
 // ---------------------------------------------------------------------
 
-/// Per-execution lazy evaluation cache over the DAG: selector and values
-/// nodes evaluate once per batch and are reused by every stage sharing
-/// the node, until a write invalidates them. Soundness of reuse: a
-/// selector's result depends on class membership (only deletes change
-/// it — any delete clears the cache) and on the edges of the properties
-/// it reads ([`ProgramPlan::node_reads`]; an update of property `p`
-/// evicts exactly the entries reading `p`).
+/// Per-execution lazy evaluation cache over the cse pass's slots:
+/// selectors and values evaluate once per batch and are reused by every
+/// stage sharing the slot, until a write invalidates them. Soundness of
+/// reuse: a selector's result depends on class membership (only deletes
+/// change it — any delete clears the cache) and on the edges of the
+/// properties it reads ([`ProgramPlan::slot_reads`]; an update of
+/// property `p` evicts exactly the entries reading `p`).
 struct ExecCache<'p> {
     plan: &'p ProgramPlan,
-    rows: HashMap<NodeId, Vec<Oid>>,
-    values: HashMap<NodeId, Assignments>,
+    rows: HashMap<usize, Vec<Oid>>,
+    values: HashMap<usize, Assignments>,
     /// Local mirror of `sql.plan.selector_reuses` for this execution
     /// only — the global counter is shared across threads, so a profiler
     /// diffs these instead.
@@ -1295,43 +882,35 @@ impl<'p> ExecCache<'p> {
         }
     }
 
-    /// The rows a selector node produces against the current instance
-    /// (class-member order, as the two-phase set statements enumerate).
-    /// A guard node takes its `guard`, lowered at plan time.
+    /// The rows a set statement selects from `table` against the current
+    /// instance, in class-member order, as the two-phase set statements
+    /// enumerate them: every member, or the members passing its `guard`
+    /// (lowered at plan time), cached under its `selector` slot.
     fn rows(
         &mut self,
-        id: NodeId,
+        selector: usize,
         guard: Option<&[GuardConjunct]>,
+        table: &TableInfo,
         instance: &Instance,
         db: &Database,
     ) -> Result<Vec<Oid>> {
-        let plan = self.plan;
-        match plan.graph.node(id) {
-            PlanNode::Scan { table, class } => {
-                // Membership is never cached: it is cheap to enumerate
-                // and correct by construction.
-                let class = class.ok_or_else(|| SqlError::UnknownTable(table.clone()))?;
-                Ok(instance.class_members(class).collect())
-            }
-            PlanNode::Guard { input, var, .. } => {
-                if let Some(cached) = self.rows.get(&id) {
-                    C_SELECTOR_REUSES.incr();
-                    self.hits += 1;
-                    return Ok(cached.clone());
-                }
-                let guard = guard
-                    .ok_or_else(|| SqlError::Unsupported("guard not lowered in plan".to_owned()))?;
-                let base = self.rows(*input, None, instance, db)?;
-                C_SELECTOR_EVALS.incr();
-                self.misses += 1;
-                let info = scan_table_info(&plan.graph, *input, &plan.catalog)
-                    .ok_or_else(|| SqlError::Unsupported("unresolved scan in plan".to_owned()))?;
-                let out = self.select(guard, &base, var, info, instance, db)?;
-                self.rows.insert(id, out.clone());
-                Ok(out)
-            }
-            _ => Err(SqlError::Unsupported("not a selector node".to_owned())),
+        // Membership is never cached: it is cheap to enumerate and
+        // correct by construction.
+        let members = || instance.class_members(table.class).collect();
+        let Some(guard) = guard else {
+            return Ok(members());
+        };
+        if let Some(cached) = self.rows.get(&selector) {
+            C_SELECTOR_REUSES.incr();
+            self.hits += 1;
+            return Ok(cached.clone());
         }
+        let base: Vec<Oid> = members();
+        C_SELECTOR_EVALS.incr();
+        self.misses += 1;
+        let out = self.select(guard, &base, "t", table, instance, db)?;
+        self.rows.insert(selector, out.clone());
+        Ok(out)
     }
 
     /// The rows of `base` that pass a set statement's lowered `guard`,
@@ -1405,34 +984,31 @@ impl<'p> ExecCache<'p> {
         Ok(out)
     }
 
-    /// The assignments a values node produces, from one evaluation of
-    /// `query` against `db` when there is one (none when no row is
+    /// The assignments a set update whose rows come from the `selector`
+    /// slot produces, cached under its values slot: from one evaluation
+    /// of its query against `db` when it has one (none when no row is
     /// selected): a closed `E₀` once for every row, a `par(E)` split per
-    /// row, where a row `par(E)` pairs with nothing gets no values, as
-    /// the row-by-row subquery gives it. Without a query, the subquery is
+    /// row, where a row `par(E)` pairs with nothing gets no values, as the
+    /// row-by-row subquery gives it. Without a query, the subquery is
     /// evaluated row by row.
     fn values(
         &mut self,
-        id: NodeId,
-        query: Option<&ValuesQuery>,
-        guard: Option<&[GuardConjunct]>,
+        set: &SetUpdateExec,
+        selector: usize,
         instance: &Instance,
         db: &Database,
     ) -> Result<Assignments> {
-        if let Some(cached) = self.values.get(&id) {
+        if let Some(cached) = self.values.get(&set.values) {
             C_SELECTOR_REUSES.incr();
             self.hits += 1;
             return Ok(cached.clone());
         }
-        let PlanNode::Values { rows, var, select } = self.plan.graph.node(id) else {
-            return Err(SqlError::Unsupported("not a values node".to_owned()));
-        };
-        let base = self.rows(*rows, guard, instance, db)?;
+        let update = &set.update;
+        let info = update.table();
+        let base = self.rows(selector, set.guard.as_deref(), info, instance, db)?;
         C_SELECTOR_EVALS.incr();
         self.misses += 1;
-        let info = scan_table_info(&self.plan.graph, *rows, &self.plan.catalog)
-            .ok_or_else(|| SqlError::Unsupported("unresolved scan in plan".to_owned()))?;
-        let out = match query {
+        let out = match set.query.as_ref().ok() {
             Some(ValuesQuery::Shared(closed)) => {
                 let values = if base.is_empty() {
                     Vec::new()
@@ -1457,19 +1033,19 @@ impl<'p> ExecCache<'p> {
                 let mut out = Vec::with_capacity(base.len());
                 for &t in &base {
                     let scopes: Scopes<'_> = vec![Binding {
-                        alias: var.clone(),
+                        alias: "t".to_owned(),
                         table: info,
                         tuple: t,
                     }];
                     out.push((
                         t,
-                        eval_select(select, &scopes, &self.plan.catalog, instance)?,
+                        eval_select(update.select(), &scopes, &self.plan.catalog, instance)?,
                     ));
                 }
                 Assignments::PerRow(out)
             }
         };
-        self.values.insert(id, out.clone());
+        self.values.insert(set.values, out.clone());
         Ok(out)
     }
 
@@ -1477,9 +1053,9 @@ impl<'p> ExecCache<'p> {
     fn invalidate_after(&mut self, fp: &Footprint) {
         match &fp.write {
             Some(Write::Update { prop, .. }) => {
-                let reads = &self.plan.node_reads;
-                self.rows.retain(|id, _| !reads[id.0].contains(prop));
-                self.values.retain(|id, _| !reads[id.0].contains(prop));
+                let reads = &self.plan.slot_reads;
+                self.rows.retain(|&slot, _| !reads[slot].contains(prop));
+                self.values.retain(|&slot, _| !reads[slot].contains(prop));
             }
             // Deletes change class membership (and cascade edges):
             // everything cached is suspect.
@@ -1530,7 +1106,7 @@ pub(crate) fn stage_kind_label(kind: StageKind) -> &'static str {
 /// The profile node skeleton of one stage — statement text plus the
 /// planner verdicts; EXPLAIN and the measured profiles both start here.
 pub(crate) fn stage_node(idx: usize, stage: &Stage) -> obs::ProfileNode {
-    let mut n = obs::ProfileNode::new(format!("stage {}", idx + 1), stage_kind_label(stage.kind));
+    let mut n = obs::ProfileNode::new(format!("stage {}", idx + 1), stage_kind_label(stage.kind()));
     n.add_note(stage.statement.to_string());
     if let Some(j) = stage.netted_by {
         n.add_note(format!(
@@ -1538,10 +1114,10 @@ pub(crate) fn stage_node(idx: usize, stage: &Stage) -> obs::ProfileNode {
             j + 1
         ));
     }
-    if stage.shared_selector {
-        n.add_note("selector shared with an earlier stage (cse)");
+    if let Some(k) = stage.shared_with {
+        n.add_note(format!("selector shared with stage {} (cse)", k + 1));
     }
-    match &stage.values_query {
+    match stage.values_query() {
         Some(Ok(ValuesQuery::PerRow(_))) => n.add_note("values: one par(E) evaluation"),
         Some(Ok(ValuesQuery::Shared(_))) => n.add_note(
             "values: one evaluation shared by every row (the subquery reads no column of the row)",
@@ -1549,7 +1125,7 @@ pub(crate) fn stage_node(idx: usize, stage: &Stage) -> obs::ProfileNode {
         Some(Err(why)) => n.add_note(format!("values: row by row — {why}")),
         None => {}
     }
-    if let Some(conjuncts) = &stage.guard_query {
+    if let Some(conjuncts) = stage.guard_query() {
         let residuals = stage.guard_residuals();
         let probed = conjuncts.len() - residuals.len();
         if residuals.is_empty() {
@@ -1567,12 +1143,18 @@ pub(crate) fn stage_node(idx: usize, stage: &Stage) -> obs::ProfileNode {
             n.add_note(format!("guard: conjunct {k} row by row — {why}"));
         }
     }
-    match (&stage.not_improved, &stage.compiled) {
-        (Some(Ok(refusal)), CompiledStatement::CursorUpdate(cu)) => n.add_note(format!(
+    match &stage.exec {
+        Exec::CursorUpdate {
+            update,
+            refusal: Ok(refusal),
+            ..
+        } => n.add_note(format!(
             "improve: refused — {}",
-            refusal.describe(cu.catalog())
+            refusal.describe(update.catalog())
         )),
-        (Some(Err(why)), _) => n.add_note(format!("improve: not attempted — {why}")),
+        Exec::CursorUpdate {
+            refusal: Err(why), ..
+        } => n.add_note(format!("improve: not attempted — {why}")),
         _ => {}
     }
     n
@@ -1597,7 +1179,7 @@ fn push_stage_profile(
     node.set_metric("selector_cache_hits", cache.hits - mark.hits);
     node.set_metric("selector_cache_misses", cache.misses - mark.misses);
     node.set_metric("delta_ops", (log_len - mark.log_len) as u64);
-    if stage.guard_query.is_some() {
+    if stage.guard_query().is_some() {
         node.set_metric("guard_subqueries", cache.subqueries - mark.subqueries);
         node.set_metric(
             "guard_residual_rows",
@@ -1647,16 +1229,6 @@ fn commit_to<S: WalStorage>(
     }
 }
 
-/// The sorted receiver order a cursor stage iterates in — the same
-/// [`ReceiverSet::canonical_order`] the legacy per-statement path uses.
-fn cursor_order(stage: &Stage, instance: &Instance) -> Vec<Receiver> {
-    match &stage.compiled {
-        CompiledStatement::CursorUpdate(cu) => cu.receivers(instance).canonical_order(),
-        CompiledStatement::CursorDelete(cd) => cd.receivers(instance).canonical_order(),
-        _ => unreachable!("only cursor stages have receiver orders"),
-    }
-}
-
 /// An improved stage's vectorized result: the full receiver set and the
 /// `(receiver, value)` assignment pairs.
 type ImprovedPairs = (BTreeSet<Oid>, Vec<(Oid, Oid)>);
@@ -1679,189 +1251,168 @@ fn par_pairs(query: &Expr, class: ClassId, rows: &[Oid], db: &Database) -> Resul
     })
 }
 
-impl ProgramPlan {
-    /// The resolved target property of an update stage.
-    fn stage_prop(&self, stage: &Stage) -> Result<PropId> {
-        match self.graph.node(stage.root) {
-            PlanNode::Assign { prop: Some(p), .. } => Ok(*p),
-            _ => Err(SqlError::Unsupported(
-                "stage has no resolved target property".to_owned(),
-            )),
-        }
-    }
+/// Evaluate an improved stage's one-shot `par(E)` query: the full
+/// receiver set and every `(receiver, value)` assignment pair, in one
+/// vectorized evaluation against the flat `TupleSet` kernel.
+fn improved_pairs(
+    imp: &ImprovedUpdate,
+    instance: &Instance,
+    db: &Database,
+) -> Result<ImprovedPairs> {
+    let class = imp.method.signature_ref().receiving_class();
+    let rows: Vec<Oid> = instance.class_members(class).collect();
+    C_VECTORIZED_ROWS.add(rows.len() as u64);
+    let pairs = par_pairs(&imp.assignment_query, class, &rows, db)?;
+    Ok((rows.into_iter().collect(), pairs))
+}
 
-    /// Evaluate an improved stage's one-shot `par(E)` query: the full
-    /// receiver set and every `(receiver, value)` assignment pair, in one
-    /// vectorized evaluation against the flat `TupleSet` kernel.
-    fn improved_pairs(
-        &self,
-        cache: &mut ExecCache<'_>,
-        stage: &Stage,
-        instance: &Instance,
-        db: &Database,
-    ) -> Result<ImprovedPairs> {
-        let imp = stage.improved.as_ref().expect("improved stage");
-        let values = stage.values.expect("improved stages have a values node");
-        let PlanNode::AssignQuery { query, .. } = self.graph.node(values) else {
-            unreachable!("improved stages hold an AssignQuery node");
-        };
-        let rows = cache.rows(stage.scan, None, instance, db)?;
-        C_VECTORIZED_ROWS.add(rows.len() as u64);
-        let class = imp.method.signature_ref().receiving_class();
-        let pairs = par_pairs(query, class, &rows, db)?;
-        Ok((rows.into_iter().collect(), pairs))
-    }
-
-    /// Run a cursor delete's ordered loop: guard re-evaluated per
-    /// receiver against the mutating instance, every fired delete one
-    /// observed transaction committed into `log` — exactly the
-    /// interpreted [`crate::compile::CursorDeleteMethod`] semantics, in
-    /// place.
-    fn run_cursor_delete(
-        &self,
-        stage: &Stage,
-        instance: &mut Instance,
-        view: &mut DatabaseView,
-        log: &mut Vec<DeltaOp>,
-        meter: &mut StageMeter,
-    ) -> Result<InPlaceOutcome> {
-        let CompiledStatement::CursorDelete(cd) = &stage.compiled else {
-            unreachable!("kind-checked by the caller");
-        };
-        let order = cd.receivers(instance).canonical_order();
-        meter.rows_in += order.len() as u64;
-        for t in &order {
-            let tuple = t.receiving_object();
-            let fire = match &cd.condition {
-                Some(c) => {
-                    let scopes: Scopes<'_> = vec![Binding {
-                        alias: stage.var.clone(),
-                        table: cd.table(),
-                        tuple,
-                    }];
-                    eval_condition(c, &scopes, cd.catalog(), instance)?
-                }
-                None => true,
-            };
-            if fire {
-                meter.rows_out += 1;
-                let mut txn = InstanceTxn::begin_observed(instance, view);
-                txn.remove_object_cascade(tuple);
-                txn.commit_into(log);
+/// Run a cursor delete's ordered loop: guard re-evaluated per receiver
+/// against the mutating instance, every fired delete one observed
+/// transaction committed into `log` — exactly the interpreted
+/// [`crate::compile::CursorDeleteMethod`] semantics, in place.
+fn run_cursor_delete(
+    cd: &CursorDelete,
+    instance: &mut Instance,
+    view: &mut DatabaseView,
+    log: &mut Vec<DeltaOp>,
+    meter: &mut StageMeter,
+) -> Result<InPlaceOutcome> {
+    let order = cd.receivers(instance).canonical_order();
+    meter.rows_in += order.len() as u64;
+    for t in &order {
+        let tuple = t.receiving_object();
+        let fire = match &cd.condition {
+            Some(c) => {
+                let scopes: Scopes<'_> = vec![Binding {
+                    alias: cd.var.clone(),
+                    table: cd.table(),
+                    tuple,
+                }];
+                eval_condition(c, &scopes, cd.catalog(), instance)?
             }
-        }
-        Ok(InPlaceOutcome::Applied)
-    }
-
-    /// Run a guarded (or non-algebraic) cursor update's ordered loop, each
-    /// receiver's row replaced in one transaction committed into `log` —
-    /// exactly the interpreted [`crate::compile::CursorUpdateMethod`]
-    /// semantics, in place. A value that is not a typed object of the
-    /// instance is an `Err`, which undoes the program.
-    fn run_cursor_update_interpreted(
-        &self,
-        stage: &Stage,
-        instance: &mut Instance,
-        view: &mut DatabaseView,
-        log: &mut Vec<DeltaOp>,
-        meter: &mut StageMeter,
-    ) -> Result<InPlaceOutcome> {
-        let CompiledStatement::CursorUpdate(cu) = &stage.compiled else {
-            unreachable!("kind-checked by the caller");
+            None => true,
         };
-        let prop = cu.property;
-        let order = cu.receivers(instance).canonical_order();
-        meter.rows_in += order.len() as u64;
-        for t in &order {
-            let tuple = t.receiving_object();
-            let scopes: Scopes<'_> = vec![Binding {
-                alias: stage.var.clone(),
-                table: cu.table(),
-                tuple,
-            }];
-            if let Some(guard) = &cu.condition {
-                if !eval_condition(guard, &scopes, cu.catalog(), instance)? {
-                    continue;
-                }
-            }
-            let values = eval_select(cu.select(), &scopes, cu.catalog(), instance)?;
+        if fire {
             meter.rows_out += 1;
             let mut txn = InstanceTxn::begin_observed(instance, view);
-            txn.replace_successors(tuple, prop, &values)?;
+            txn.remove_object_cascade(tuple);
             txn.commit_into(log);
         }
-        Ok(InPlaceOutcome::Applied)
     }
+    Ok(InPlaceOutcome::Applied)
+}
 
-    /// Run one stage on the shared in-place path against `instance`, with
-    /// `view` maintained and every committed op appended to the program
-    /// `log` — the one place [`StageKind`] is matched for execution.
-    fn run_stage_viewed(
-        &self,
-        cache: &mut ExecCache<'_>,
-        stage: &Stage,
-        instance: &mut Instance,
-        view: &mut DatabaseView,
-        log: &mut Vec<DeltaOp>,
-        meter: &mut StageMeter,
-    ) -> Result<InPlaceOutcome> {
-        match stage.kind {
-            StageKind::SetDelete => {
-                let t0 = std::time::Instant::now();
-                let guard = stage.guard_query.as_deref();
-                let rows = cache.rows(stage.rows, guard, instance, view.database())?;
-                meter.selector_ns = t0.elapsed().as_nanos() as u64;
-                C_VECTORIZED_ROWS.add(rows.len() as u64);
-                meter.rows_in += rows.len() as u64;
-                meter.rows_out += rows.len() as u64;
-                apply_delete_batch_logged(instance, view, &rows, log);
-                Ok(InPlaceOutcome::Applied)
+/// Run a guarded (or non-algebraic) cursor update's ordered loop, each
+/// receiver's row replaced in one transaction committed into `log` —
+/// exactly the interpreted [`crate::compile::CursorUpdateMethod`]
+/// semantics, in place. A value that is not a typed object of the
+/// instance is an `Err`, which undoes the program.
+fn run_cursor_update_interpreted(
+    cu: &CursorUpdate,
+    instance: &mut Instance,
+    view: &mut DatabaseView,
+    log: &mut Vec<DeltaOp>,
+    meter: &mut StageMeter,
+) -> Result<InPlaceOutcome> {
+    let prop = cu.property;
+    let order = cu.receivers(instance).canonical_order();
+    meter.rows_in += order.len() as u64;
+    for t in &order {
+        let tuple = t.receiving_object();
+        let scopes: Scopes<'_> = vec![Binding {
+            alias: cu.var.clone(),
+            table: cu.table(),
+            tuple,
+        }];
+        if let Some(guard) = &cu.condition {
+            if !eval_condition(guard, &scopes, cu.catalog(), instance)? {
+                continue;
             }
-            StageKind::SetUpdate => {
-                let values = stage.values.expect("set updates have a values node");
-                let query = stage.values_query.as_ref().and_then(|q| q.as_ref().ok());
-                let t0 = std::time::Instant::now();
-                let guard = stage.guard_query.as_deref();
-                let assigns = cache.values(values, query, guard, instance, view.database())?;
-                meter.selector_ns = t0.elapsed().as_nanos() as u64;
-                C_VECTORIZED_ROWS.add(assigns.len() as u64);
-                meter.rows_in += assigns.len() as u64;
-                meter.rows_out += assigns.len() as u64;
-                let prop = self.stage_prop(stage)?;
-                match &assigns {
-                    Assignments::PerRow(rows) => {
-                        try_apply_assignment_batch(instance, view, prop, rows, log)?
-                    }
-                    Assignments::Shared { rows, values } => {
-                        let rows: Vec<(Oid, &[Oid])> =
-                            rows.iter().map(|&row| (row, &values[..])).collect();
-                        try_apply_assignment_batch(instance, view, prop, &rows, log)?
-                    }
-                }
-                Ok(InPlaceOutcome::Applied)
-            }
-            StageKind::ImprovedUpdate => {
-                let (receiving, pairs) =
-                    self.improved_pairs(cache, stage, instance, view.database())?;
-                meter.rows_in += receiving.len() as u64;
-                meter.rows_out += pairs.len() as u64;
-                let prop = self.stage_prop(stage)?;
-                try_apply_replacement_batch(instance, view, prop, &receiving, &pairs, log)?;
-                Ok(InPlaceOutcome::Applied)
-            }
-            StageKind::CursorDelete => self.run_cursor_delete(stage, instance, view, log, meter),
-            StageKind::CursorUpdate => match &stage.algebraic {
-                Some(m) => {
-                    let order = cursor_order(stage, instance);
-                    meter.rows_in += order.len() as u64;
-                    meter.rows_out += order.len() as u64;
-                    Ok(m.apply_sequence_logged(instance, view, &order, log))
-                }
-                None => self.run_cursor_update_interpreted(stage, instance, view, log, meter),
-            },
         }
+        let values = eval_select(cu.select(), &scopes, cu.catalog(), instance)?;
+        meter.rows_out += 1;
+        let mut txn = InstanceTxn::begin_observed(instance, view);
+        txn.replace_successors(tuple, prop, &values)?;
+        txn.commit_into(log);
     }
+    Ok(InPlaceOutcome::Applied)
+}
 
+/// Run one stage on the shared in-place path against `instance`, with
+/// `view` maintained and every committed op appended to the program
+/// `log` — the one place a stage's [`Exec`] is matched for execution.
+fn run_stage_viewed(
+    cache: &mut ExecCache<'_>,
+    stage: &Stage,
+    instance: &mut Instance,
+    view: &mut DatabaseView,
+    log: &mut Vec<DeltaOp>,
+    meter: &mut StageMeter,
+) -> Result<InPlaceOutcome> {
+    match &stage.exec {
+        Exec::SetDelete { delete, guard } => {
+            let t0 = std::time::Instant::now();
+            let rows = cache.rows(
+                stage.selector,
+                Some(guard),
+                delete.table(),
+                instance,
+                view.database(),
+            )?;
+            meter.selector_ns = t0.elapsed().as_nanos() as u64;
+            C_VECTORIZED_ROWS.add(rows.len() as u64);
+            meter.rows_in += rows.len() as u64;
+            meter.rows_out += rows.len() as u64;
+            apply_delete_batch_logged(instance, view, &rows, log);
+            Ok(InPlaceOutcome::Applied)
+        }
+        Exec::SetUpdate(set) => {
+            let t0 = std::time::Instant::now();
+            let assigns = cache.values(set, stage.selector, instance, view.database())?;
+            meter.selector_ns = t0.elapsed().as_nanos() as u64;
+            C_VECTORIZED_ROWS.add(assigns.len() as u64);
+            meter.rows_in += assigns.len() as u64;
+            meter.rows_out += assigns.len() as u64;
+            let prop = set.update.property;
+            match &assigns {
+                Assignments::PerRow(rows) => {
+                    try_apply_assignment_batch(instance, view, prop, rows, log)?
+                }
+                Assignments::Shared { rows, values } => {
+                    let rows: Vec<(Oid, &[Oid])> =
+                        rows.iter().map(|&row| (row, &values[..])).collect();
+                    try_apply_assignment_batch(instance, view, prop, &rows, log)?
+                }
+            }
+            Ok(InPlaceOutcome::Applied)
+        }
+        Exec::Improved { update, improved } => {
+            let (receiving, pairs) = improved_pairs(improved, instance, view.database())?;
+            meter.rows_in += receiving.len() as u64;
+            meter.rows_out += pairs.len() as u64;
+            try_apply_replacement_batch(instance, view, update.property, &receiving, &pairs, log)?;
+            Ok(InPlaceOutcome::Applied)
+        }
+        Exec::CursorDelete(delete) => run_cursor_delete(delete, instance, view, log, meter),
+        Exec::CursorUpdate {
+            algebraic: Some(m),
+            update,
+            ..
+        } => {
+            let order = update.receivers(instance).canonical_order();
+            meter.rows_in += order.len() as u64;
+            meter.rows_out += order.len() as u64;
+            Ok(m.apply_sequence_logged(instance, view, &order, log))
+        }
+        Exec::CursorUpdate {
+            algebraic: None,
+            update,
+            ..
+        } => run_cursor_update_interpreted(update, instance, view, log, meter),
+    }
+}
+
+impl ProgramPlan {
     /// The one stage loop behind every driver. It owns netted-stage
     /// skipping, spans and counters, profile marks, outcome handling,
     /// selector-cache invalidation and the program's atomicity; the
@@ -1889,7 +1440,7 @@ impl ProgramPlan {
         let mut log: Vec<DeltaOp> = Vec::new();
         let mut failed = None;
         for (idx, stage) in self.stages.iter().enumerate() {
-            if stage.netted {
+            if stage.netted() {
                 C_STAGES_SKIPPED.incr();
                 if let Some(p) = prof.as_deref_mut() {
                     p.children.push(stage_node(idx, stage));
@@ -1908,8 +1459,7 @@ impl ProgramPlan {
                 log_len: log.len(),
             });
             let mut meter = StageMeter::default();
-            let outcome =
-                self.run_stage_viewed(&mut cache, stage, instance, view, &mut log, &mut meter);
+            let outcome = run_stage_viewed(&mut cache, stage, instance, view, &mut log, &mut meter);
             if let (Some(p), Some(mark), Ok(_)) = (prof.as_deref_mut(), mark, &outcome) {
                 push_stage_profile(p, idx, stage, mark, meter, &cache, log.len());
             }
@@ -1956,7 +1506,6 @@ impl ProgramPlan {
     ) -> Result<(InPlaceOutcome, obs::ProfileNode)> {
         let mut root = obs::ProfileNode::new(format!("program ({driver})"), "program");
         root.set_metric("stages", self.stages.len() as u64);
-        root.set_metric("dag_nodes", self.graph.len() as u64);
         let start_ns = obs::now_ns();
         let t0 = std::time::Instant::now();
         let outcome = execute(Some(&mut root));
@@ -2076,7 +1625,7 @@ mod tests {
 
     use super::*;
     use crate::catalog::employee_catalog;
-    use crate::compile::SetUpdate;
+    use crate::error::SqlError;
     use crate::parser::parse;
     use crate::scenarios::{
         section7_instance, CURSOR_UPDATE_B, CURSOR_UPDATE_C, DELETE_SIMPLE, UPDATE_A, UPDATE_C_SET,
@@ -2126,7 +1675,7 @@ mod tests {
              (select E1.EmpId from Employee E1 where E1.Manager = EmpId)";
         let (es, catalog) = employee_catalog();
         let plan = compile_program(&program(&[MANAGED]), &catalog).unwrap();
-        assert!(matches!(plan.stages()[0].values_query, Some(Ok(_))));
+        assert!(matches!(plan.stages()[0].values_query(), Some(Ok(_))));
 
         let (i0, data) = section7_instance(&es);
         let e3 = data.employees[2];
@@ -2144,7 +1693,7 @@ mod tests {
     /// values query and the result.
     fn run_set_update(text: &str, catalog: &Catalog, i0: &Instance) -> (ValuesQuery, Instance) {
         let plan = compile_program(&program(&[text]), catalog).unwrap();
-        let query = match &plan.stages()[0].values_query {
+        let query = match plan.stages()[0].values_query() {
             Some(Ok(q)) => q.clone(),
             other => panic!(
                 "{text}: no values query: {:?}",
@@ -2324,10 +1873,10 @@ mod tests {
     }
 
     /// Two statements with the identical guard hash-cons onto one selector
-    /// node, and the shared pipeline still matches one-at-a-time legacy
+    /// slot, and the shared pipeline still matches one-at-a-time legacy
     /// application.
     #[test]
-    fn identical_guards_share_one_selector_node() {
+    fn identical_guards_share_one_selector_slot() {
         const FIRST: &str = "update Employee set Manager = \
              (select E1.Manager from Employee E1 where E1.EmpId = EmpId) \
              where Salary in table Fire";
@@ -2340,7 +1889,7 @@ mod tests {
             plan.stages()[1].shared_selector(),
             "the second guard must hash-cons onto the first"
         );
-        assert_eq!(plan.stages()[0].rows_node(), plan.stages()[1].rows_node());
+        assert_eq!(plan.stages()[0].selector(), plan.stages()[1].selector());
         assert!(!plan.stages()[0].netted() && !plan.stages()[1].netted());
         // Guards that differ — here only by an alias — share nothing.
         let distinct = program(&[
@@ -2390,6 +1939,82 @@ mod tests {
             .apply(&set_update(UPDATE_A, &catalog).apply(&i0).unwrap())
             .unwrap();
         assert_eq!(i, want, "skipping the netted stage is unobservable");
+    }
+
+    /// `texts` applied one statement at a time through the two-phase
+    /// `apply` of each set statement.
+    fn per_statement(texts: &[&str], catalog: &Catalog, i0: &Instance) -> Instance {
+        texts.iter().fold(i0.clone(), |i, text| {
+            match compile(&parse(text).unwrap(), catalog).unwrap() {
+                CompiledStatement::SetUpdate(su) => su.apply(&i).unwrap(),
+                CompiledStatement::SetDelete(sd) => sd.apply(&i).unwrap(),
+                _ => panic!("{text} should compile to a set statement"),
+            }
+        })
+    }
+
+    /// Run `texts` as one program on the viewed driver from `i0`, check it
+    /// against one-statement-at-a-time application, and return the plan.
+    fn run_against_per_statement(texts: &[&str], catalog: &Catalog, i0: &Instance) -> ProgramPlan {
+        let plan = compile_program(&program(texts), catalog).unwrap();
+        let mut i = i0.clone();
+        let mut view = DatabaseView::new(&i);
+        assert!(plan.execute_viewed(&mut i, &mut view).unwrap().is_applied());
+        assert!(view.matches_rebuild(&i));
+        assert_eq!(i, per_statement(texts, catalog, i0), "{texts:?}");
+        plan
+    }
+
+    /// A later guarded store whose guard the earlier one's provably
+    /// implies nets it, though the guards differ, and skipping it is
+    /// unobservable; the reverse order nets nothing.
+    #[test]
+    fn implied_guard_covers_an_earlier_store() {
+        const NARROW: &str = "update Employee set Salary = (select Old from NewSal) \
+             where Manager = EmpId and Salary in table Fire";
+        const WIDE: &str =
+            "update Employee set Salary = (select New from NewSal) where Manager = EmpId";
+        let (es, catalog) = employee_catalog();
+        let (i0, _) = section7_instance(&es);
+        let plan = run_against_per_statement(&[NARROW, WIDE], &catalog, &i0);
+        assert_eq!(plan.stages()[0].netted_by(), Some(1));
+        assert!(
+            plan.stages()[0].proofs()[0]
+                .notes
+                .iter()
+                .any(|n| n.contains("guard implies the later one's")),
+            "{:?}",
+            plan.stages()[0].proofs()
+        );
+        let reversed = run_against_per_statement(&[WIDE, NARROW], &catalog, &i0);
+        assert!(!reversed.stages().iter().any(|s| s.netted()));
+    }
+
+    /// Identical guards are no cover when a statement in between writes
+    /// what the later guard reads, or deletes: nothing nets, and the
+    /// program matches one-statement-at-a-time application.
+    #[test]
+    fn broken_covers_net_nothing() {
+        let (es, catalog) = employee_catalog();
+        let (i0, _) = section7_instance(&es);
+        for texts in [
+            [
+                "update Employee set Salary = (select Old from NewSal) where Manager = EmpId",
+                "update Employee set Manager = \
+                 (select E1.EmpId from Employee E1 where E1.Manager = E1.EmpId)",
+                "update Employee set Salary = (select New from NewSal) where Manager = EmpId",
+            ],
+            [
+                "update Employee set Salary = (select Old from NewSal) \
+                 where exists (select * from Fire)",
+                "delete from Fire where exists (select * from NewSal)",
+                "update Employee set Salary = (select New from NewSal) \
+                 where exists (select * from Fire)",
+            ],
+        ] {
+            let plan = run_against_per_statement(&texts, &catalog, &i0);
+            assert!(!plan.stages().iter().any(|s| s.netted()), "{texts:?}");
+        }
     }
 
     /// The sequential, sharded, and durable drivers agree bit for bit on a

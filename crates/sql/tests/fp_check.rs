@@ -89,9 +89,9 @@ fn qualified_guard_read_blocks_netting() {
     assert_program_matches_oracle(&program);
 }
 
-/// Stages 1 and 3 share one guard node; stage 2 rewrites the salaries that
-/// guard reads, so stage 3 must evaluate it again rather than reuse the
-/// rows cached for stage 1.
+/// Stages 1 and 3 share one selector slot; stage 2 rewrites the salaries
+/// that guard reads, so stage 3 must evaluate it again rather than reuse
+/// the rows cached for stage 1.
 #[test]
 fn qualified_guard_read_invalidates_the_selector_cache() {
     let program = [
@@ -106,6 +106,6 @@ fn qualified_guard_read_invalidates_the_selector_cache() {
     let (_, catalog) = employee_catalog();
     let stmts: Vec<SqlStatement> = program.iter().map(|t| parse(t).unwrap()).collect();
     let plan = compile_program(&stmts, &catalog).unwrap();
-    assert_eq!(plan.stages()[0].rows_node(), plan.stages()[2].rows_node());
+    assert_eq!(plan.stages()[0].selector(), plan.stages()[2].selector());
     assert_program_matches_oracle(&program);
 }

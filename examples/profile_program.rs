@@ -97,15 +97,15 @@ fn main() {
     let plan = compile_program(&stmts, &catalog).expect("program compiles");
     let (i0, _) = section7_instance(&es);
     println!(
-        "compiled {} statements into {} stages ({} netted) over a {}-node DAG",
+        "compiled {} statements into {} stages ({} netted, {} sharing a selector)",
         stmts.len(),
         plan.stages().len(),
         plan.stages().iter().filter(|s| s.netted()).count(),
-        plan.graph().len(),
+        plan.stages().iter().filter(|s| s.shared_selector()).count(),
     );
 
     // EXPLAIN: the static plan tree — planner decisions with their
-    // proofs, footprints, the nested DAG.
+    // proofs and footprints.
     if cli.explain_requested() {
         if let Err(e) = cli.export_explain(&plan.explain()) {
             eprintln!("profile_program: writing explain output: {e}");

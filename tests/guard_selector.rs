@@ -15,12 +15,15 @@
 //! * a guarded set update ends exactly where `SetUpdate::apply` (the
 //!   two-phase interpreter) does, errors alike;
 //! * each `E₀` is evaluated at most once per stage, and a guard with no
-//!   residual evaluates no row by row.
+//!   residual evaluates no row by row;
+//! * a guard naming a column, alias or table that does not resolve does
+//!   not compile: `compile_program` and `compile` both fail with the
+//!   error naming that reference.
 //!
 //! Guards come from the `tests/common` pool and from a generator over all
 //! six condition forms with nesting: column references on the row, on
-//! `EXISTS` aliases, unqualified, identity columns, and a few that do not
-//! resolve. Instances are bounded and seeded, with empty `Employee`,
+//! `EXISTS` aliases, unqualified, identity columns, and a few names that
+//! do not resolve. Instances are bounded and seeded, with empty `Employee`,
 //! `Fire` and `NewSal` tables and multi-valued salaries among the shapes.
 //!
 //! Every assertion message carries the failing seed; to replay one, run
@@ -39,7 +42,7 @@ use receivers::sql::catalog::employee_catalog;
 use receivers::sql::eval::{eval_condition, Binding};
 use receivers::sql::scenarios::DELETE_MANAGER;
 use receivers::sql::{
-    compile, compile_program, parse, Catalog, CompiledStatement, Condition, SqlStatement,
+    compile, compile_program, parse, Catalog, CompiledStatement, Condition, SqlError, SqlStatement,
 };
 
 mod common;
@@ -63,6 +66,11 @@ static PROBED: AtomicU64 = AtomicU64::new(0);
 static RESIDUAL: AtomicU64 = AtomicU64::new(0);
 static ERRORS: AtomicU64 = AtomicU64::new(0);
 static SELECTED: AtomicU64 = AtomicU64::new(0);
+static REFUSED: AtomicU64 = AtomicU64::new(0);
+
+/// The names the generator draws that resolve nowhere: a column, a
+/// `FROM` alias and an `IN TABLE` table.
+const UNKNOWN: [&str; 3] = ["Bogus", "Z9", "Payroll"];
 
 /// The shapes a trial's instance takes.
 #[derive(Debug, Clone, Copy)]
@@ -360,6 +368,43 @@ fn check_update(guard: &str, catalog: &Catalog, i: &Instance, seed: u64) {
     );
 }
 
+/// Whether `guard` names something that does not resolve. Such a guard
+/// must not compile: on a set delete and on a set update,
+/// `compile_program` fails with the error naming one of its unknown
+/// names, and `compile` with the same error. Every other guard compiles.
+fn refused(guard: &str, catalog: &Catalog, seed: u64) -> bool {
+    let unknown: Vec<&str> = UNKNOWN.into_iter().filter(|n| guard.contains(n)).collect();
+    for text in [
+        format!("delete from Employee where {guard}"),
+        format!("update Employee set Salary = (select Amount from Fire) where {guard}"),
+    ] {
+        let stmt = parse(&text).expect("parses");
+        let Err(err) = compile_program(std::slice::from_ref(&stmt), catalog) else {
+            assert!(
+                unknown.is_empty(),
+                "seed {seed}: compiles with an unknown name: {text}"
+            );
+            continue;
+        };
+        let named = match &err {
+            SqlError::UnknownColumn { column, .. } => column,
+            SqlError::UnknownAlias(alias) => alias,
+            SqlError::UnknownTable(table) => table,
+            other => panic!("seed {seed}: refused for another reason: {other}: {text}"),
+        };
+        assert!(
+            unknown.contains(&named.as_str()),
+            "seed {seed}: the error names `{named}`, not an unknown name: {text}"
+        );
+        assert_eq!(
+            compile(&stmt, catalog).err(),
+            Some(err),
+            "seed {seed}: {text}"
+        );
+    }
+    !unknown.is_empty()
+}
+
 /// One guard on one instance: delete selection and update result against
 /// the oracle.
 fn check(guard: &str, catalog: &Catalog, i: &Instance, seed: u64) -> usize {
@@ -401,6 +446,10 @@ fn run_trial(seed: u64) {
         }
         .condition(3, &[]),
     };
+    if refused(&guard, &catalog, seed) {
+        REFUSED.fetch_add(1, Ordering::Relaxed);
+        return;
+    }
     for _ in 0..3 {
         let shape = SHAPES[rng.random_range(0..SHAPES.len())];
         let i = random_instance(&es, shape, &mut rng);
@@ -429,6 +478,7 @@ fn guard_selector_matches_eval_condition() {
             ("residual guards", &RESIDUAL),
             ("guard errors", &ERRORS),
             ("selected rows", &SELECTED),
+            ("guards with an unknown name", &REFUSED),
         ] {
             assert!(tally.load(Ordering::Relaxed) > 0, "the sweep saw no {what}");
         }
@@ -472,7 +522,8 @@ fn pool_and_correlated_guards_lower_without_residual() {
 /// Each residual shape is named, and still agrees with the oracle; the
 /// near misses that do lower (an alias projection, identity columns on
 /// both sides of the link, an uncorrelated `EXISTS`, an alias data
-/// column read more than once) agree too.
+/// column read more than once) agree too. A column that resolves nowhere
+/// is no residual: the guard does not compile.
 #[test]
 fn residual_shapes_are_named_and_agree() {
     let (es, catalog) = employee_catalog();
@@ -498,7 +549,8 @@ fn residual_shapes_are_named_and_agree() {
              and E1.Salary in table Fire and E1.Salary = E1.Salary)",
             None,
         ),
-        ("Bogus = Salary", Some("unknown column")),
+        // Refused at compile time (no residual): the name does not resolve.
+        ("Bogus = Salary", None),
         ("Salary in table NewSal", Some("one-column table")),
         (
             "exists (select E1.Manager from Employee E1 where E1.EmpId = Manager)",
@@ -520,6 +572,9 @@ fn residual_shapes_are_named_and_agree() {
         ("Salary in table Fire and Salary not in table Fire", None),
     ];
     for (k, &(guard, want)) in cases.iter().enumerate() {
+        if refused(guard, &catalog, SWEEP_BASE + 0x1_0000 + k as u64) {
+            continue;
+        }
         let plan = compile_program(
             &[parse(&format!("delete from Employee where {guard}")).unwrap()],
             &catalog,
@@ -539,6 +594,10 @@ fn residual_shapes_are_named_and_agree() {
             check(guard, &catalog, &i, seed);
         }
     }
+    assert!(matches!(
+        compile_program(&[parse("delete from Employee where Bogus = Salary").unwrap()], &catalog),
+        Err(SqlError::UnknownColumn { column, .. }) if column == "Bogus"
+    ));
 }
 
 /// Each atom of an `EXISTS` picks its own value of a multi-valued

@@ -12,7 +12,9 @@
 //!
 //! The same corpus pins why the planner needs no shard lanes: every
 //! statement `Solver::certify_sharded` certifies shard-safe compiles,
-//! through `compile_program`, to an improved `par(E)` stage.
+//! through `compile_program`, to an improved `par(E)` stage. It also pins
+//! that an improved stage's footprint, read off its statement, covers
+//! every property its `par(E)` reads — the netting pass relies on it.
 //!
 //! The cache and its counters are process-wide, so the tests of this
 //! binary take one lock and run one at a time.
@@ -30,6 +32,7 @@ use receivers::core::decide_key_order_independence;
 use receivers::core::error::CoreError;
 use receivers::objectbase::PropId;
 use receivers::obs;
+use receivers::relalg::RelName;
 use receivers::sql::catalog::employee_catalog;
 use receivers::sql::improve::ImproveRefusal;
 use receivers::sql::plan::{proof_cache_len, reset_proof_cache};
@@ -324,6 +327,42 @@ fn shard_safe_statements_compile_to_improved_stages() {
     }
     // Non-vacuity: both certificates occur.
     assert!(safe > 0 && unsafe_ > 0, "safe {safe}, unsafe {unsafe_}");
+}
+
+/// An improved stage's footprint is read off its statement, not off its
+/// `par(E)`: every property `par(E)` reads must be among the footprint's
+/// reads, or the netting pass would take the stage for a blind overwrite
+/// of a property it reads (the store an earlier stage makes would be
+/// netted, though the `par(E)` stage reads it).
+#[test]
+fn improved_stage_footprints_cover_their_par_reads() {
+    let _serial = serial();
+    let mut improved = 0;
+    for Case {
+        label,
+        catalog,
+        stmt,
+        ..
+    } in corpus()
+    {
+        let plan = compile_program(std::slice::from_ref(&stmt), &catalog)
+            .unwrap_or_else(|e| panic!("{label}: does not compile: {e}"));
+        let stage = &plan.stages()[0];
+        let Some(imp) = stage.improved() else {
+            continue;
+        };
+        improved += 1;
+        for rel in imp.assignment_query.base_relations() {
+            if let RelName::Prop(p) = rel {
+                assert!(
+                    stage.footprint().reads.contains(&p),
+                    "{label}: par(E) reads {p:?}, which the footprint {:?} lacks",
+                    stage.footprint().reads
+                );
+            }
+        }
+    }
+    assert!(improved > 0, "the corpus must hold an improved stage");
 }
 
 /// Statements that lower to the same method share one entry, across

@@ -1,5 +1,5 @@
-//! Seeded differential suite for the program-level expression-DAG
-//! planner (`sql::plan`).
+//! Seeded differential suite for the program-level planner
+//! (`sql::plan`).
 //!
 //! Each trial draws one random update program (1–5 statements over the
 //! Section 7 employee catalog: guarded/unguarded set deletes, set
@@ -688,7 +688,7 @@ fn compiled_programs_match_per_statement_execution_long_run() {
 }
 
 /// CSE property: two stages guarded by the identical condition share one
-/// selector node, the executor evaluates it once and reuses the cached
+/// selector slot, the executor evaluates it once and reuses the cached
 /// rows for the second stage (the first stage writes a property the
 /// guard never reads, so the cache survives), and the shared pipeline is
 /// observationally equal to the one-at-a-time path.
@@ -705,7 +705,7 @@ fn shared_selector_is_reused_not_reevaluated() {
     let stmts = [parse(FIRST).unwrap(), parse(SECOND).unwrap()];
     let plan = compile_program(&stmts, &catalog).unwrap();
     assert!(plan.stages()[1].shared_selector());
-    assert_eq!(plan.stages()[0].rows_node(), plan.stages()[1].rows_node());
+    assert_eq!(plan.stages()[0].selector(), plan.stages()[1].selector());
 
     let (i0, _) = section7_instance(&es);
     let before = obs::metrics_snapshot();
