@@ -47,5 +47,4 @@ pub mod render;
 
 pub use diag::{codes, Diagnostic, LintCode, Note, Severity, Suggestion};
 pub use explain::{explain, Explanation};
-pub use pass::{LintContext, LintReport, MethodPass, PassManager, ProgramPass};
-pub use passes::lint_statements;
+pub use pass::{LintContext, LintReport, PassManager, ProgramPass};

@@ -1,5 +1,5 @@
-//! The pass manager: runs registered analyses over a parsed program (or
-//! an algebraic method), merges their diagnostics, refines, and sorts.
+//! The pass manager: runs registered analyses over a parsed program,
+//! merges their diagnostics, refines, and sorts.
 //!
 //! **Refinement.** The coloring pass is a sound abstraction and therefore
 //! over-warns: a cursor update whose subquery reads the updated column is
@@ -11,7 +11,6 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-use receivers_core::AlgebraicMethod;
 use receivers_obs as obs;
 use receivers_sql::catalog::Catalog;
 use receivers_sql::{parse_program, SpannedStatement};
@@ -37,14 +36,6 @@ pub trait ProgramPass {
     fn name(&self) -> &'static str;
     /// Run, appending diagnostics to `out`.
     fn run(&self, program: &[SpannedStatement], cx: &LintContext<'_>, out: &mut Vec<Diagnostic>);
-}
-
-/// An analysis over an algebraic update method.
-pub trait MethodPass {
-    /// Short pass name.
-    fn name(&self) -> &'static str;
-    /// Run, appending diagnostics to `out`.
-    fn run(&self, method: &AlgebraicMethod, out: &mut Vec<Diagnostic>);
 }
 
 /// Per-pass execution statistics, in registration order.
@@ -132,7 +123,6 @@ impl LintReport {
 #[derive(Default)]
 pub struct PassManager {
     program_passes: Vec<Box<dyn ProgramPass>>,
-    method_passes: Vec<Box<dyn MethodPass>>,
 }
 
 impl PassManager {
@@ -152,21 +142,12 @@ impl PassManager {
         pm.register_program_pass(Box::new(crate::passes::DeadAssignmentPass));
         pm.register_program_pass(Box::new(crate::passes::UnusedTablePass));
         pm.register_program_pass(Box::new(crate::passes::CatalogCoveragePass));
-        pm.register_method_pass(Box::new(crate::passes::PositivityPass));
-        pm.register_method_pass(Box::new(crate::passes::MethodColoringPass));
-        pm.register_method_pass(Box::new(crate::passes::KeyOrderPass));
         pm
     }
 
     /// Register a program pass (runs in registration order).
     pub fn register_program_pass(&mut self, pass: Box<dyn ProgramPass>) -> &mut Self {
         self.program_passes.push(pass);
-        self
-    }
-
-    /// Register a method pass (runs in registration order).
-    pub fn register_method_pass(&mut self, pass: Box<dyn MethodPass>) -> &mut Self {
-        self.method_passes.push(pass);
         self
     }
 
@@ -206,19 +187,6 @@ impl PassManager {
             });
         }
         finish(diags, stats, source.to_owned())
-    }
-
-    /// Lint an algebraic method with the registered method passes.
-    pub fn lint_method(&self, method: &AlgebraicMethod) -> LintReport {
-        let _span = obs::span("lint.method");
-        let mut diags = Vec::new();
-        let mut stats = Vec::new();
-        for pass in &self.method_passes {
-            run_guarded(pass.name(), &mut stats, &mut diags, |out| {
-                pass.run(method, out)
-            });
-        }
-        finish(diags, stats, String::new())
     }
 }
 

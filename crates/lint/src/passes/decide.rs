@@ -8,11 +8,12 @@
 //! method and runs the decision procedure. A certified update also gets
 //! the [`receivers_sql::improve_cursor_update`] rewrite attached as a
 //! suggestion whose replacement text is the equivalent set-oriented
-//! statement. The pass manager suppresses the coloring pass's `R0102`
-//! on any statement this pass certifies.
+//! statement — [`strip_cursor_var`]'s rewrite, the statement the planner
+//! runs an improved stage as. The pass manager suppresses the coloring
+//! pass's `R0102` on any statement this pass certifies.
 
-use receivers_sql::ast::{Condition, CursorBody, Projection, Select, SqlStatement};
-use receivers_sql::improve::ImproveRefusal;
+use receivers_sql::ast::{CursorBody, SqlStatement};
+use receivers_sql::improve::{strip_cursor_var, ImproveRefusal};
 use receivers_sql::{compile, improve_cursor_update, CompiledStatement, SpannedStatement};
 
 use crate::diag::{codes, Diagnostic};
@@ -108,41 +109,4 @@ impl ProgramPass for DecidePass {
             }
         }
     }
-}
-
-/// Rewrite `var.Col` to plain `Col` so the suggestion is valid outside
-/// the loop: in the set-oriented statement the target table is the
-/// implicit outer scope, and unqualified resolution prefers it exactly
-/// as cursor resolution preferred `var`.
-fn strip_cursor_var(select: &Select, var: &str) -> Select {
-    fn fix_cond(c: &Condition, var: &str) -> Condition {
-        match c {
-            Condition::Eq(a, b) => Condition::Eq(fix_ref(a, var), fix_ref(b, var)),
-            Condition::NotEq(a, b) => Condition::NotEq(fix_ref(a, var), fix_ref(b, var)),
-            Condition::InTable(c, t) => Condition::InTable(fix_ref(c, var), t.clone()),
-            Condition::NotInTable(c, t) => Condition::NotInTable(fix_ref(c, var), t.clone()),
-            Condition::Exists(s) => Condition::Exists(Box::new(fix_select(s, var))),
-            Condition::And(a, b) => {
-                Condition::And(Box::new(fix_cond(a, var)), Box::new(fix_cond(b, var)))
-            }
-        }
-    }
-    fn fix_ref(r: &receivers_sql::ColumnRef, var: &str) -> receivers_sql::ColumnRef {
-        let mut r = r.clone();
-        if r.qualifier.as_deref() == Some(var) {
-            r.qualifier = None;
-        }
-        r
-    }
-    fn fix_select(s: &Select, var: &str) -> Select {
-        Select {
-            projection: match &s.projection {
-                Projection::Star => Projection::Star,
-                Projection::Column(c) => Projection::Column(fix_ref(c, var)),
-            },
-            from: s.from.clone(),
-            where_clause: s.where_clause.as_ref().map(|c| fix_cond(c, var)),
-        }
-    }
-    fix_select(select, var)
 }

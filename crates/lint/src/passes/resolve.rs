@@ -1,8 +1,10 @@
 //! Name resolution as a lint: every table, column, and alias reference
 //! checked against the catalog, with spans pointing at the offending
-//! reference (`R0003`/`R0004`/`R0005`), and every assignment's value
-//! column checked against the class the assigned column holds (`R0002`,
-//! by [`check_assignment`], the check `compile` applies).
+//! reference (`R0003`/`R0004`/`R0005`), every assignment's value column
+//! checked against the class the assigned column holds (`R0002`, by
+//! [`check_assignment`], the check `compile` applies), and every `IN
+//! TABLE` table checked to be one column wide (`R0002`, as `compile`
+//! refuses a wider one).
 //!
 //! The compiler (`receivers_sql::compile`) stops at the first unresolved
 //! name; this pass walks the whole program with `receivers_sql::scope`'s
@@ -34,12 +36,12 @@ impl ProgramPass for NameResolutionPass {
         for stmt in program {
             let (table, var, condition, update) = stmt.stmt.parts();
             let outer = cx.catalog.lookup(table).ok().map(|info| Bound {
-                alias: var,
+                alias: Some(var),
                 table: info,
             });
             let mut r = Resolver {
                 catalog: cx.catalog,
-                unbound_var: var.filter(|_| outer.is_none()),
+                unbound_var: outer.is_none().then_some(var),
                 out,
             };
             if outer.is_none() {
@@ -79,8 +81,8 @@ impl ProgramPass for NameResolutionPass {
 /// Reports what the [`receivers_sql::scope`] walker fails to resolve.
 struct Resolver<'a> {
     catalog: &'a Catalog,
-    /// The cursor variable when the loop table did not resolve: `R0003`
-    /// already names the table, so qualifiers naming the variable are
+    /// The row's alias when the statement's table did not resolve:
+    /// `R0003` already names the table, so qualifiers naming the row are
     /// not reported again.
     unbound_var: Option<&'a str>,
     out: &'a mut Vec<Diagnostic>,
@@ -139,11 +141,16 @@ impl Visitor for Resolver<'_> {
         table: &str,
         column: Result<(&TableInfo, PropId), SqlError>,
     ) {
-        if let Err(SqlError::UnknownTable(_)) = column {
-            self.unknown_table(
+        match column {
+            Ok(_) => {}
+            Err(SqlError::UnknownTable(_)) => self.unknown_table(
                 format!("unknown table `{table}` in `IN TABLE`"),
                 colref.span,
-            );
+            ),
+            // A table wider than one column: `compile` refuses it too.
+            Err(e) => self
+                .out
+                .push(Diagnostic::new(codes::ILL_TYPED, e.to_string()).with_span(colref.span)),
         }
     }
 }
@@ -153,6 +160,20 @@ mod tests {
     use receivers_sql::catalog::employee_catalog;
 
     use crate::PassManager;
+
+    /// An `IN TABLE` table wider than one column is an `R0002` at the
+    /// reference, as `compile` refuses it.
+    #[test]
+    fn a_wide_in_table_is_ill_typed_at_the_reference() {
+        let (_es, catalog) = employee_catalog();
+        let text = "delete from Employee where Salary in table NewSal";
+        let report = PassManager::with_default_passes().lint_source(text, &catalog);
+        let ill_typed = report.with_code("R0002");
+        assert_eq!(ill_typed.len(), 1, "{:#?}", report.diagnostics);
+        assert!(ill_typed[0].message.contains("requires a one-column table"));
+        let span = ill_typed[0].span.expect("spanned");
+        assert_eq!(&text[span.start..span.end], "Salary");
+    }
 
     /// A nested `FROM` that reuses an alias shadows the outer one, as in
     /// `receivers_sql::eval`: `E.Old` is NewSal's `Old`, in the set and

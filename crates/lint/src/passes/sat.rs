@@ -40,7 +40,7 @@ impl ProgramPass for SatPass {
             let Some(cond) = guard.condition else {
                 continue; // unguarded: trivially satisfiable
             };
-            let table = target_table(&stmt.stmt);
+            let (table, ..) = stmt.stmt.parts();
             C_CONDITIONS_CHECKED.incr();
             match solver.satisfiable(table, guard) {
                 Satisfiability::Unsatisfiable(proof) => {
@@ -80,11 +80,13 @@ impl ProgramPass for SatPass {
             }
             for (k, conjunct) in conjuncts.iter().enumerate() {
                 let rest = conjoin_without(&conjuncts, k);
-                if let Implication::Implies(proof) = solver.implies(
-                    table,
-                    guard_as(guard.cursor_var, &rest),
-                    guard_as(guard.cursor_var, conjunct),
-                ) {
+                let guard_as = |c| GuardRef {
+                    condition: Some(c),
+                    ..guard
+                };
+                if let Implication::Implies(proof) =
+                    solver.implies(table, guard_as(&rest), guard_as(conjunct))
+                {
                     C_SUBSUMED.incr();
                     let mut d = Diagnostic::new(
                         codes::SUBSUMED_CONDITION,
@@ -102,24 +104,6 @@ impl ProgramPass for SatPass {
                 }
             }
         }
-    }
-}
-
-/// Rebuild a [`GuardRef`] around a synthesised condition, preserving the
-/// original statement's cursor variable so name resolution matches.
-fn guard_as<'a>(cursor_var: Option<&'a str>, c: &'a Condition) -> GuardRef<'a> {
-    match cursor_var {
-        Some(v) => GuardRef::in_cursor(v, Some(c)),
-        None => GuardRef::of(Some(c)),
-    }
-}
-
-/// The table whose rows the statement's condition restricts.
-fn target_table(stmt: &SqlStatement) -> &str {
-    match stmt {
-        SqlStatement::Delete { table, .. }
-        | SqlStatement::Update { table, .. }
-        | SqlStatement::ForEach { table, .. } => table,
     }
 }
 

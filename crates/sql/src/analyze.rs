@@ -30,7 +30,7 @@
 use receivers_coloring::{Color, ColorSet, Coloring};
 use receivers_objectbase::{PropId, SchemaItem};
 
-use crate::ast::{ColumnRef, Condition, FromItem, Select};
+use crate::ast::{ColumnRef, Condition, FromItem, Select, SET_ROW};
 use crate::catalog::{Catalog, TableInfo};
 use crate::compile::{CompiledStatement, CursorDelete};
 use crate::error::{Result, SqlError};
@@ -97,28 +97,23 @@ impl EffectAnalysis {
 }
 
 /// Analyse any compiled statement. A cursor statement's row is named by
-/// its cursor variable; a set statement's row has no name a qualifier
-/// can use.
+/// its cursor variable, a set statement's by [`SET_ROW`].
 pub fn analyze_statement(stmt: &CompiledStatement) -> Result<EffectAnalysis> {
     match stmt {
         CompiledStatement::SetDelete(sd) => {
-            let mut coloring = delete_coloring(sd.catalog(), sd.table(), None, sd.condition())?;
+            let mut coloring = delete_coloring(sd.catalog(), sd.table(), SET_ROW, sd.condition())?;
             finish(&mut coloring, EffectVerdict::TwoPhase)
         }
         CompiledStatement::CursorDelete(cd) => {
-            let mut coloring = delete_coloring(
-                cd.catalog(),
-                cd.table(),
-                Some(&cd.var),
-                cd.condition.as_ref(),
-            )?;
+            let mut coloring =
+                delete_coloring(cd.catalog(), cd.table(), &cd.var, cd.condition.as_ref())?;
             finish_per_tuple(&mut coloring)
         }
         CompiledStatement::SetUpdate(su) => {
             let mut coloring = update_coloring(
                 su.catalog(),
                 su.table(),
-                None,
+                SET_ROW,
                 su.property,
                 su.select(),
                 su.condition.as_ref(),
@@ -129,7 +124,7 @@ pub fn analyze_statement(stmt: &CompiledStatement) -> Result<EffectAnalysis> {
             let mut coloring = update_coloring(
                 cu.catalog(),
                 cu.table(),
-                Some(&cu.var),
+                &cu.var,
                 cu.property,
                 cu.select(),
                 cu.condition.as_ref(),
@@ -145,7 +140,7 @@ pub fn analyze_cursor_delete(delete: &CursorDelete) -> Result<DeleteAnalysis> {
     let mut coloring = delete_coloring(
         delete.catalog(),
         delete.table(),
-        Some(&delete.var),
+        &delete.var,
         delete.condition.as_ref(),
     )?;
     let analysis = finish_per_tuple(&mut coloring)?;
@@ -186,13 +181,16 @@ fn finish_per_tuple(coloring: &mut Coloring) -> Result<EffectAnalysis> {
 fn delete_coloring(
     catalog: &Catalog,
     table: &TableInfo,
-    var: Option<&str>,
+    var: &str,
     condition: Option<&Condition>,
 ) -> Result<Coloring> {
     let mut uses = Uses::new(catalog);
     uses.coloring.add(SchemaItem::Class(table.class), Color::D);
     if let Some(cond) = condition {
-        let row = Bound { alias: var, table };
+        let row = Bound {
+            alias: Some(var),
+            table,
+        };
         walk_condition(cond, Some(row), catalog, &mut uses);
     }
     uses.finish()
@@ -204,12 +202,15 @@ fn delete_coloring(
 fn update_coloring(
     catalog: &Catalog,
     table: &TableInfo,
-    var: Option<&str>,
+    var: &str,
     property: receivers_objectbase::PropId,
     select: &Select,
     condition: Option<&Condition>,
 ) -> Result<Coloring> {
-    let row = Bound { alias: var, table };
+    let row = Bound {
+        alias: Some(var),
+        table,
+    };
     let mut uses = Uses::new(catalog);
     uses.coloring.add(SchemaItem::Prop(property), Color::C);
     uses.coloring.add(SchemaItem::Prop(property), Color::D);

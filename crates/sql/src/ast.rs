@@ -210,44 +210,40 @@ pub enum SqlStatement {
     },
 }
 
-/// What [`SqlStatement::parts`] returns: the target table, the cursor
-/// variable (`None` for a set statement, whose row no qualifier names),
-/// the guard (a delete's `WHERE`/`IF`, an update's optional guard) and
-/// an update's column and value subquery.
+/// The alias a set statement's row binds as: a qualifier `t.` in its
+/// guard or value subquery names the row, as the cursor variable does in
+/// a cursor statement.
+pub const SET_ROW: &str = "t";
+
+/// What [`SqlStatement::parts`] returns: the target table, the alias the
+/// statement's row binds as (the cursor variable, or [`SET_ROW`] for a
+/// set statement), the guard (a delete's `WHERE`/`IF`, an update's
+/// optional guard) and an update's column and value subquery.
 pub type StatementParts<'a> = (
     &'a str,
-    Option<&'a str>,
+    &'a str,
     Option<&'a Condition>,
     Option<(&'a str, &'a Select)>,
 );
 
 impl SqlStatement {
-    /// The alias the statement's row binds as when it runs: the cursor
-    /// variable, or `t` for a set statement, as the two-phase set
-    /// statements of [`mod@crate::compile`] bind it.
-    pub(crate) fn row_alias(&self) -> &str {
-        self.parts().1.unwrap_or("t")
-    }
-
-    /// The statement's parts, as the name-resolution callers bind them.
+    /// The statement's parts, as every name-resolution caller binds them.
     pub fn parts(&self) -> StatementParts<'_> {
         match self {
-            Self::Delete { table, condition } => (table, None, Some(condition), None),
+            Self::Delete { table, condition } => (table, SET_ROW, Some(condition), None),
             Self::Update {
                 table,
                 column,
                 select,
                 condition,
-            } => (table, None, condition.as_ref(), Some((column, select))),
+            } => (table, SET_ROW, condition.as_ref(), Some((column, select))),
             Self::ForEach { var, table, body } => match body {
-                CursorBody::DeleteIf { condition, .. } => {
-                    (table, Some(var), condition.as_ref(), None)
-                }
+                CursorBody::DeleteIf { condition, .. } => (table, var, condition.as_ref(), None),
                 CursorBody::UpdateSet {
                     condition,
                     column,
                     select,
-                } => (table, Some(var), condition.as_ref(), Some((column, select))),
+                } => (table, var, condition.as_ref(), Some((column, select))),
             },
         }
     }

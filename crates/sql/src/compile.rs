@@ -30,7 +30,9 @@ use receivers_relalg::{infer_schema, Attr, Expr};
 
 use receivers_obs as obs;
 
-use crate::ast::{ColumnRef, Condition, CursorBody, FromItem, Projection, Select, SqlStatement};
+use crate::ast::{
+    ColumnRef, Condition, CursorBody, FromItem, Projection, Select, SqlStatement, SET_ROW,
+};
 use crate::catalog::{Catalog, TableInfo};
 use crate::error::{Result, SqlError};
 use crate::eval::{eval_condition, eval_select, Binding, Scopes};
@@ -57,7 +59,7 @@ pub fn compile(stmt: &SqlStatement, catalog: &Catalog) -> Result<CompiledStateme
     match stmt {
         SqlStatement::Delete { table, condition } => {
             let info = catalog.lookup(table)?.clone();
-            check_names(catalog, &info, stmt.row_alias(), Some(condition), None)?;
+            check_names(catalog, &info, SET_ROW, Some(condition), None)?;
             Ok(CompiledStatement::SetDelete(SetDelete {
                 catalog: catalog.clone(),
                 table: info,
@@ -77,14 +79,8 @@ pub fn compile(stmt: &SqlStatement, catalog: &Catalog) -> Result<CompiledStateme
                     column: column.clone(),
                     scope: table.clone(),
                 })?;
-            check_names(
-                catalog,
-                &info,
-                stmt.row_alias(),
-                condition.as_ref(),
-                Some(select),
-            )?;
-            check_assignment(catalog, table, &info, None, column, select)?;
+            check_names(catalog, &info, SET_ROW, condition.as_ref(), Some(select))?;
+            check_assignment(catalog, table, &info, SET_ROW, column, select)?;
             Ok(CompiledStatement::SetUpdate(SetUpdate {
                 catalog: catalog.clone(),
                 table: info,
@@ -125,7 +121,7 @@ pub fn compile(stmt: &SqlStatement, catalog: &Catalog) -> Result<CompiledStateme
                             scope: table.clone(),
                         })?;
                     check_names(catalog, &info, var, condition.as_ref(), Some(select))?;
-                    check_assignment(catalog, table, &info, Some(var), column, select)?;
+                    check_assignment(catalog, table, &info, var, column, select)?;
                     Ok(CompiledStatement::CursorUpdate(CursorUpdate {
                         catalog: catalog.clone(),
                         var: var.clone(),
@@ -145,7 +141,9 @@ pub fn compile(stmt: &SqlStatement, catalog: &Catalog) -> Result<CompiledStateme
 /// [`crate::scope`] rule [`mod@crate::eval`] evaluates by). Fails with the
 /// first reference that does not: [`SqlError::UnknownTable`] for a `FROM`
 /// or `IN TABLE` table, [`SqlError::UnknownAlias`] or
-/// [`SqlError::UnknownColumn`] for a column reference.
+/// [`SqlError::UnknownColumn`] for a column reference, and
+/// [`SqlError::Unsupported`] for an `IN TABLE` table that is not one
+/// column wide ([`Catalog::single_column`]).
 fn check_names(
     catalog: &Catalog,
     info: &TableInfo,
@@ -172,9 +170,7 @@ fn check_names(
             _table: &str,
             column: Result<(&TableInfo, PropId)>,
         ) {
-            // A table that resolves but is not one column wide is a
-            // shape the guard lowering refuses, not an unknown name.
-            if let Err(e @ SqlError::UnknownTable(_)) = column {
+            if let Err(e) = column {
                 self.0.get_or_insert(e);
             }
         }
@@ -195,7 +191,7 @@ fn check_names(
 
 /// Check that the value subquery of `table.column := (select …)` yields
 /// objects of the class the column holds. `row` names the statement's
-/// row: the cursor variable, or `None` for a set update. Fails with
+/// row: the cursor variable, or [`SET_ROW`] for a set update. Fails with
 /// [`SqlError::IllTypedAssignment`] when the projected column holds
 /// another class. A name that does not resolve is not checked here:
 /// [`compile`] refuses it by name resolution first, and the lint layer
@@ -204,7 +200,7 @@ pub fn check_assignment(
     catalog: &Catalog,
     table: &str,
     info: &TableInfo,
-    row: Option<&str>,
+    row: &str,
     column: &str,
     select: &Select,
 ) -> Result<()> {
@@ -215,7 +211,7 @@ pub fn check_assignment(
         return Ok(());
     };
     let mut scopes = vec![Bound {
-        alias: row,
+        alias: Some(row),
         table: info,
     }];
     for item in &select.from {
@@ -280,7 +276,7 @@ impl SetDelete {
         let mut out = Vec::new();
         for tuple in instance.class_members(self.table.class) {
             let scopes: Scopes<'_> = vec![Binding {
-                alias: "t".to_owned(),
+                alias: SET_ROW.to_owned(),
                 table: &self.table,
                 tuple,
             }];
@@ -395,9 +391,9 @@ impl UpdateMethod for CursorDeleteMethod {
 // ---------------------------------------------------------------------
 
 /// A set update's value subquery compiled to one relational algebra
-/// query ([`SetUpdate::values_query`]).
+/// query ([`crate::plan::Stage::values_query`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum ValuesQuery {
+pub enum ValuesQuery {
     /// `par(E)` over `rec`: the subquery reads a column of the row, so
     /// each row gets its own values, all from one evaluation.
     PerRow(Expr),
@@ -441,7 +437,7 @@ impl SetUpdate {
         let mut out = Vec::new();
         for tuple in instance.class_members(self.table.class) {
             let scopes: Scopes<'_> = vec![Binding {
-                alias: "t".to_owned(),
+                alias: SET_ROW.to_owned(),
                 table: &self.table,
                 tuple,
             }];
@@ -468,7 +464,7 @@ impl SetUpdate {
     /// is outside the fragment [`select_to_expr`] compiles.
     pub(crate) fn values_query(&self) -> Result<ValuesQuery> {
         let (c, projection) =
-            SelectCompiler::gather(&self.select, &self.catalog, &self.table, "t")?;
+            SelectCompiler::gather(&self.select, &self.catalog, &self.table, SET_ROW)?;
         let reads_row = c.reads_row();
         let expr = c.build(&projection.attr, !reads_row)?;
         // `par(·)` keeps a well-typed expression well-typed over `rec`.
@@ -550,7 +546,8 @@ pub(crate) enum GuardConjunct {
 /// probes `E₀`: the subquery without that equality and without the
 /// `self` seed, projected on `x`. Every other conjunct is a
 /// [`GuardConjunct::Residual`]. Fails only on a column of the row that
-/// does not resolve, which [`compile`] has already refused.
+/// does not resolve or an `IN TABLE` table that is not one column wide,
+/// which [`compile`] has already refused.
 pub(crate) fn lower_guard(
     cond: &Condition,
     catalog: &Catalog,
@@ -603,7 +600,7 @@ fn lower_conjunct(
         }),
         Condition::InTable(c, t) | Condition::NotInTable(c, t) => {
             let row = on_row(c)?;
-            in_table_probe(catalog, t).map(|e0| GuardConjunct::Probe {
+            in_table_probe(catalog, t)?.map(|e0| GuardConjunct::Probe {
                 negated: matches!(atom, Condition::NotInTable(..)),
                 row: Some(row),
                 e0,
@@ -615,14 +612,17 @@ fn lower_conjunct(
 }
 
 /// The closed query `E₀` of `IN TABLE t`: `t`'s one column, or why the
-/// table cannot be probed.
-fn in_table_probe(catalog: &Catalog, t: &str) -> std::result::Result<Expr, String> {
-    let (info, prop) = catalog.single_column(t).map_err(|e| e.to_string())?;
+/// column cannot be probed. Fails on a table that is not one column wide,
+/// which [`compile`] has already refused.
+fn in_table_probe(catalog: &Catalog, t: &str) -> Result<std::result::Result<Expr, String>> {
+    let (info, prop) = catalog.single_column(t)?;
     let schema = &catalog.schema;
     if schema.property(prop).src != info.class {
-        return Err(format!("`{t}`'s column is not a property of its class"));
+        return Ok(Err(format!(
+            "`{t}`'s column is not a property of its class"
+        )));
     }
-    Ok(Expr::prop(prop).project([schema.prop_name(prop)]))
+    Ok(Ok(Expr::prop(prop).project([schema.prop_name(prop)])))
 }
 
 /// An `EXISTS` conjunct as a [`GuardConjunct::Probe`] on its linking
@@ -755,6 +755,22 @@ impl CursorUpdate {
             }],
         )
         .map_err(SqlError::from)
+    }
+
+    /// The set statement (A) an unguarded update (B) rewrites to: the same
+    /// table and column, the value subquery with the cursor variable's
+    /// references unqualified ([`crate::improve::strip_cursor_var`]), and
+    /// no guard. For a key-order-independent update its two-phase
+    /// application is the parallel one, which Theorem 6.5 equates with the
+    /// loop; the planner runs an improved stage as this statement.
+    pub(crate) fn into_set_form(self) -> SetUpdate {
+        SetUpdate {
+            select: crate::improve::strip_cursor_var(&self.select, &self.var),
+            catalog: self.catalog,
+            table: self.table,
+            property: self.property,
+            condition: None,
+        }
     }
 
     /// The interpreted per-tuple method (reference semantics; tests

@@ -120,15 +120,22 @@ mod tests {
     /// Each set-update stage names how its values are computed: one
     /// `par(E)` evaluation, one evaluation shared by every row when the
     /// subquery reads no column of the row, or row by row with the reason
-    /// the subquery has no algebraic form. Other stages name no values
-    /// path.
+    /// the subquery has no algebraic form. An improved stage runs as its
+    /// set statement and names its path too; cursor stages name none.
     #[test]
     fn explain_names_the_values_path() {
         const NEGATIVE: &str = "update Employee set Salary = \
              (select New from NewSal where Old = Salary and Old not in table Fire)";
         const OVERWRITE: &str = "update Employee set Salary = (select Amount from Fire)";
         let (_, catalog) = employee_catalog();
-        let stmts = [UPDATE_A, NEGATIVE, OVERWRITE, CURSOR_UPDATE_B].map(|t| parse(t).unwrap());
+        let stmts = [
+            UPDATE_A,
+            NEGATIVE,
+            OVERWRITE,
+            CURSOR_UPDATE_B,
+            CURSOR_UPDATE_C,
+        ]
+        .map(|t| parse(t).unwrap());
         let tree = compile_program(&stmts, &catalog).unwrap().explain();
         let values = |k: usize| -> Vec<&String> {
             tree.children[k]
@@ -148,7 +155,8 @@ mod tests {
             values(2),
             ["values: one evaluation shared by every row (the subquery reads no column of the row)"]
         );
-        assert!(values(3).is_empty());
+        assert_eq!(values(3), ["values: one par(E) evaluation"]);
+        assert!(values(4).is_empty());
     }
 
     /// A cursor update the improve pass leaves alone says why: (C) names

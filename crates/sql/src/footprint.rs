@@ -89,9 +89,9 @@ impl Visitor for Reads {
 
 /// The statement's row as a scope binding, when its table resolves.
 fn row_of<'a>(stmt: &'a SqlStatement, catalog: &'a Catalog) -> Option<Bound<'a>> {
-    let (table, ..) = stmt.parts();
+    let (table, row, ..) = stmt.parts();
     catalog.lookup(table).ok().map(|table| Bound {
-        alias: Some(stmt.row_alias()),
+        alias: Some(row),
         table,
     })
 }

@@ -26,6 +26,7 @@ use receivers_obs as obs;
 use receivers_relalg::par::par;
 use receivers_relalg::Expr;
 
+use crate::ast::{ColumnRef, Condition, Projection, Select};
 use crate::catalog::Catalog;
 use crate::compile::CursorUpdate;
 use crate::error::{Result, SqlError};
@@ -169,6 +170,49 @@ fn key_order_verdict(method: &AlgebraicMethod) -> Result<Option<ImproveRefusal>>
     )
 }
 
+/// Rewrite `var.Col` to plain `Col` so the suggestion is valid outside
+/// the loop: in the set-oriented statement the target table is the
+/// implicit outer scope, and unqualified resolution prefers it exactly
+/// as cursor resolution preferred `var`. (An improvable update has no
+/// `FROM` alias shadowing `var`: [`CursorUpdate::to_algebraic`] refuses
+/// one.)
+///
+/// The one cursor→set rewrite: the planner runs an improved stage as the
+/// set update over this subquery (`CursorUpdate::into_set_form`), and the
+/// lint offers the same statement as its `R0301` suggestion.
+pub fn strip_cursor_var(select: &Select, var: &str) -> Select {
+    fn fix_cond(c: &Condition, var: &str) -> Condition {
+        match c {
+            Condition::Eq(a, b) => Condition::Eq(fix_ref(a, var), fix_ref(b, var)),
+            Condition::NotEq(a, b) => Condition::NotEq(fix_ref(a, var), fix_ref(b, var)),
+            Condition::InTable(c, t) => Condition::InTable(fix_ref(c, var), t.clone()),
+            Condition::NotInTable(c, t) => Condition::NotInTable(fix_ref(c, var), t.clone()),
+            Condition::Exists(s) => Condition::Exists(Box::new(fix_select(s, var))),
+            Condition::And(a, b) => {
+                Condition::And(Box::new(fix_cond(a, var)), Box::new(fix_cond(b, var)))
+            }
+        }
+    }
+    fn fix_ref(r: &ColumnRef, var: &str) -> ColumnRef {
+        let mut r = r.clone();
+        if r.qualifier.as_deref() == Some(var) {
+            r.qualifier = None;
+        }
+        r
+    }
+    fn fix_select(s: &Select, var: &str) -> Select {
+        Select {
+            projection: match &s.projection {
+                Projection::Star => Projection::Star,
+                Projection::Column(c) => Projection::Column(fix_ref(c, var)),
+            },
+            from: s.from.clone(),
+            where_clause: s.where_clause.as_ref().map(|c| fix_cond(c, var)),
+        }
+    }
+    fix_select(select, var)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,6 +257,35 @@ mod tests {
             panic!()
         };
         assert_eq!(improved_result, su.apply(&i).unwrap());
+    }
+
+    /// A `FROM` alias that shadows the cursor variable keeps the update
+    /// out of the improve pass (the relational compiler refuses the
+    /// alias), so [`strip_cursor_var`] never meets a `var.` qualifier
+    /// that names anything but the row: the stage stays a loop, and runs
+    /// as one.
+    #[test]
+    fn a_shadowed_cursor_variable_is_never_rewritten() {
+        const SAME_PAY: &str = "for each t in Employee do update t set Manager = \
+             (select t.EmpId from Employee t where t.Salary = Salary)";
+        let (es, catalog) = employee_catalog();
+        let cu = cursor_update(SAME_PAY);
+        assert!(improve_cursor_update(&cu).is_err(), "no algebraic form");
+        let plan = crate::plan::compile_program(&[parse(SAME_PAY).unwrap()], &catalog).unwrap();
+        assert!(plan.stages()[0].improved().is_none());
+        let (i0, data) = section7_instance(&es);
+        let mut i = i0.clone();
+        let mut view = receivers_relalg::view::DatabaseView::new(&i);
+        assert!(plan.execute_viewed(&mut i, &mut view).unwrap().is_applied());
+        let looped = apply_seq_unchecked(&cu.interpreted_method(), &i0, &cu.receivers(&i0))
+            .expect_done("cursor");
+        assert_eq!(i, looped);
+        let e2 = data.employees[1];
+        assert_eq!(
+            i.successors(e2, es.manager).count(),
+            2,
+            "e2 and e3 earn 200"
+        );
     }
 
     /// Update (C) is refused: the decision procedure proves it order

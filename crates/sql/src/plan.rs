@@ -24,9 +24,10 @@
 //! Three planner passes run at compile time:
 //!
 //! 1. **improve** — the Section 7 "code improvement tool"
-//!    ([`crate::improve`]): a key-order-independent cursor update's loop
-//!    collapses into one evaluation of the parallel expression `par(E)`
-//!    (Theorem 6.5) against the flat `TupleSet` kernel;
+//!    ([`crate::improve`]): a key-order-independent cursor update runs as
+//!    the set statement it rewrites to, its loop collapsed into one
+//!    evaluation of `par(E)` (Theorem 6.5) against the flat `TupleSet`
+//!    kernel;
 //! 2. **cse** — common-subexpression sharing: each stage gets a
 //!    hash-consed selector slot (its table plus its guard up to cursor
 //!    variable renaming) and, for updates, a values slot (the selector
@@ -46,8 +47,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use receivers_core::algebraic::{
-    apply_delete_batch_logged, try_apply_assignment_batch, try_apply_replacement_batch,
-    Statement as AlgStatement,
+    apply_delete_batch_logged, try_apply_assignment_batch, Statement as AlgStatement,
 };
 use receivers_core::shard::ShardConfig;
 use receivers_core::{AlgebraicMethod, Decision};
@@ -62,13 +62,13 @@ use receivers_relalg::view::DatabaseView;
 use receivers_relalg::{Expr, RelSchema, Relation};
 use receivers_wal::{DurableStore, WalResult, WalStorage};
 
-use crate::ast::{ColumnRef, Condition, Projection, Select, SqlStatement};
+use crate::ast::{ColumnRef, Condition, Projection, Select, SqlStatement, SET_ROW};
 use crate::catalog::{Catalog, TableInfo};
 use crate::compile::{
     compile, lower_guard, CompiledStatement, CursorDelete, CursorUpdate, GuardConjunct, SetDelete,
     SetUpdate, ValuesQuery,
 };
-use crate::error::Result;
+use crate::error::{Result, SqlError};
 use crate::eval::{eval_condition, eval_select, Binding, Scopes};
 use crate::footprint::{footprint, guard_reads, Footprint, Write};
 use crate::improve::{improve_method, ImproveRefusal, ImprovedUpdate, Improvement};
@@ -205,18 +205,18 @@ pub enum StageKind {
     /// Set-oriented delete: one batch filter evaluation, one batch
     /// cascade removal.
     SetDelete,
-    /// Cursor delete: ordered per-receiver loop, guard re-evaluated
-    /// against the mutating instance.
+    /// Cursor delete: the receiver loop, guard re-evaluated against the
+    /// mutating instance.
     CursorDelete,
     /// Set-oriented update: one batch values evaluation, one batch edge
     /// replacement.
     SetUpdate,
     /// Cursor update: the algebraic sequence driver when the statement
-    /// has an algebraic form, the interpreted per-receiver loop
-    /// otherwise.
+    /// has an algebraic form, the receiver loop otherwise.
     CursorUpdate,
-    /// A cursor update the improve pass rewrote: one vectorized `par(E)`
-    /// evaluation replaces the whole loop (Theorem 6.5).
+    /// A cursor update the improve pass rewrote: it runs as its set
+    /// statement, one values evaluation replacing the whole loop
+    /// (Theorem 6.5).
     ImprovedUpdate,
 }
 
@@ -231,21 +231,33 @@ enum Exec {
     },
     /// A set update and its planner data.
     SetUpdate(SetUpdateExec),
-    /// A cursor delete: its ordered loop.
-    CursorDelete(CursorDelete),
-    /// A cursor update the improve pass left alone: its algebraic form
-    /// when it has one, and the improve pass's refusal or why the update
-    /// has no algebraic form to decide (EXPLAIN's `improve:` note).
-    CursorUpdate {
+    /// A cursor update (B) the improve pass rewrote (Theorem 6.5): it runs
+    /// as the set statement (A) the rewrite produces
+    /// ([`crate::improve::strip_cursor_var`]), compiled once like any set
+    /// update.
+    Improved {
+        set: SetUpdateExec,
+        improved: ImprovedUpdate,
+    },
+    /// A cursor statement the receiver loop runs ([`run_receivers`]).
+    Receivers(Cursor),
+    /// A cursor update the improve pass left alone that has an algebraic
+    /// form, run by its sequence driver, with the improve pass's refusal
+    /// or the error its decision stopped on (EXPLAIN's `improve:` note).
+    Algebraic {
         update: CursorUpdate,
-        algebraic: Option<AlgebraicMethod>,
+        method: AlgebraicMethod,
         refusal: Result<ImproveRefusal>,
     },
-    /// A cursor update the improve pass rewrote into one `par(E)`
-    /// evaluation ([`ImprovedUpdate::assignment_query`]).
-    Improved {
-        update: CursorUpdate,
-        improved: ImprovedUpdate,
+}
+
+/// A cursor statement the receiver loop runs: a cursor delete, or a
+/// cursor update with no algebraic form and why it has none.
+enum Cursor {
+    Delete(CursorDelete),
+    Update {
+        update: Box<CursorUpdate>,
+        why: SqlError,
     },
 }
 
@@ -281,9 +293,11 @@ impl Stage {
         match &self.exec {
             Exec::SetDelete { .. } => StageKind::SetDelete,
             Exec::SetUpdate(_) => StageKind::SetUpdate,
-            Exec::CursorDelete(_) => StageKind::CursorDelete,
-            Exec::CursorUpdate { .. } => StageKind::CursorUpdate,
             Exec::Improved { .. } => StageKind::ImprovedUpdate,
+            Exec::Receivers(Cursor::Delete(_)) => StageKind::CursorDelete,
+            Exec::Receivers(Cursor::Update { .. }) | Exec::Algebraic { .. } => {
+                StageKind::CursorUpdate
+            }
         }
     }
 
@@ -327,7 +341,7 @@ impl Stage {
     /// have one.
     pub fn algebraic(&self) -> Option<&AlgebraicMethod> {
         match &self.exec {
-            Exec::CursorUpdate { algebraic, .. } => algebraic.as_ref(),
+            Exec::Algebraic { method, .. } => Some(method),
             _ => None,
         }
     }
@@ -346,21 +360,28 @@ impl Stage {
         &self.proofs
     }
 
-    /// A set statement's guard, lowered to anchored conjuncts.
-    fn guard_query(&self) -> Option<&[GuardConjunct]> {
+    /// The set update a set or improved update stage runs.
+    fn set_update(&self) -> Option<&SetUpdateExec> {
         match &self.exec {
-            Exec::SetDelete { guard, .. } => Some(guard),
-            Exec::SetUpdate(set) => set.guard.as_deref(),
+            Exec::SetUpdate(set) | Exec::Improved { set, .. } => Some(set),
             _ => None,
         }
     }
 
-    /// A set update's lowered value subquery, or why it has none.
-    fn values_query(&self) -> Option<&Result<ValuesQuery>> {
+    /// A set statement's guard, lowered to anchored conjuncts.
+    fn guard_query(&self) -> Option<&[GuardConjunct]> {
         match &self.exec {
-            Exec::SetUpdate(set) => Some(&set.query),
-            _ => None,
+            Exec::SetDelete { guard, .. } => Some(guard),
+            _ => self.set_update()?.guard.as_deref(),
         }
+    }
+
+    /// A set or improved update's value subquery lowered to one
+    /// relational query — `par(E)` over the rows, or the closed `E₀`
+    /// every row shares — or why its values are evaluated row by row.
+    /// `None` for the other stage kinds.
+    pub fn values_query(&self) -> Option<&Result<ValuesQuery>> {
+        self.set_update().map(|set| &set.query)
     }
 
     /// The conjuncts of a set statement's guard that run row by row:
@@ -469,8 +490,7 @@ pub fn compile_program(program: &[SqlStatement], catalog: &Catalog) -> Result<Pr
         let compiled = compile(stmt, catalog)?;
         C_STAGES.incr();
         let footprint = footprint(stmt, catalog);
-        let (table, _, guard, _) = stmt.parts();
-        let var = stmt.row_alias();
+        let (table, var, guard, _) = stmt.parts();
         // Cse pass: the selector slot is the table plus the canonical
         // guard; an unguarded statement selects every row of its table.
         let (selector, mut shared_with) = match guard {
@@ -516,16 +536,16 @@ pub fn compile_program(program: &[SqlStatement], catalog: &Catalog) -> Result<Pr
                     update,
                 })
             }
-            CompiledStatement::CursorDelete(delete) => Exec::CursorDelete(delete),
+            CompiledStatement::CursorDelete(delete) => Exec::Receivers(Cursor::Delete(delete)),
             CompiledStatement::CursorUpdate(update) => {
                 // A cursor update claims its values slot too, so a later
                 // set update with the same subquery reports the share.
-                let (_, owner) = slots.values(selector, update.select(), var, idx, &footprint);
+                let (values, owner) = slots.values(selector, update.select(), var, idx, &footprint);
                 shared_with = owner.or(shared_with);
                 // Improve pass: an unguarded, key-order-independent cursor
-                // update collapses into one vectorized `par(E)` stage. The
-                // method is lowered once: the improve pass takes it and
-                // hands it back when it leaves the loop alone.
+                // update (B) runs as its set statement (A). The method is
+                // lowered once: the improve pass takes it and hands it
+                // back when it leaves the loop alone.
                 match update.to_algebraic().map(improve_method) {
                     Ok(Improvement::Improved(improved)) => {
                         C_IMPROVED.incr();
@@ -534,18 +554,33 @@ pub fn compile_program(program: &[SqlStatement], catalog: &Catalog) -> Result<Pr
                              (Theorem 5.12), so the loop is replaced by one par(E) \
                              evaluation with identical semantics (Theorem 6.5)",
                         ));
-                        Exec::Improved { update, improved }
+                        let update = update.into_set_form();
+                        // The set statement binds its row as `t`, so a
+                        // `FROM` alias `t` keeps its values query from
+                        // compiling; the improve pass's `par(E)`, the same
+                        // pairs, stands in.
+                        let query = update.values_query().or_else(|_| {
+                            Ok(ValuesQuery::PerRow(improved.assignment_query.clone()))
+                        });
+                        Exec::Improved {
+                            set: SetUpdateExec {
+                                guard: None,
+                                values,
+                                query,
+                                update,
+                            },
+                            improved,
+                        }
                     }
-                    Ok(Improvement::Kept { method, reason }) => Exec::CursorUpdate {
+                    Ok(Improvement::Kept { method, reason }) => Exec::Algebraic {
                         update,
-                        algebraic: Some(method),
+                        method,
                         refusal: reason,
                     },
-                    Err(e) => Exec::CursorUpdate {
-                        update,
-                        algebraic: None,
-                        refusal: Err(e),
-                    },
+                    Err(why) => Exec::Receivers(Cursor::Update {
+                        update: Box::new(update),
+                        why,
+                    }),
                 }
             }
         };
@@ -782,7 +817,7 @@ fn cover(
     if !stable {
         return None;
     }
-    let (vi, vj) = (si.row_alias(), sj.row_alias());
+    let (vi, vj) = (si.parts().1, sj.parts().1);
     let (ci, cj) = (canon_condition(gi, vi), canon_condition(gj, vj));
     let identical = ci.is_some() && ci == cj;
     let implies = || match solver.implies(
@@ -908,7 +943,7 @@ impl<'p> ExecCache<'p> {
         let base: Vec<Oid> = members();
         C_SELECTOR_EVALS.incr();
         self.misses += 1;
-        let out = self.select(guard, &base, "t", table, instance, db)?;
+        let out = self.select(guard, &base, SET_ROW, table, instance, db)?;
         self.rows.insert(selector, out.clone());
         Ok(out)
     }
@@ -1033,7 +1068,7 @@ impl<'p> ExecCache<'p> {
                 let mut out = Vec::with_capacity(base.len());
                 for &t in &base {
                     let scopes: Scopes<'_> = vec![Binding {
-                        alias: "t".to_owned(),
+                        alias: SET_ROW.to_owned(),
                         table: info,
                         tuple: t,
                     }];
@@ -1144,7 +1179,7 @@ pub(crate) fn stage_node(idx: usize, stage: &Stage) -> obs::ProfileNode {
         }
     }
     match &stage.exec {
-        Exec::CursorUpdate {
+        Exec::Algebraic {
             update,
             refusal: Ok(refusal),
             ..
@@ -1152,9 +1187,12 @@ pub(crate) fn stage_node(idx: usize, stage: &Stage) -> obs::ProfileNode {
             "improve: refused — {}",
             refusal.describe(update.catalog())
         )),
-        Exec::CursorUpdate {
+        Exec::Algebraic {
             refusal: Err(why), ..
-        } => n.add_note(format!("improve: not attempted — {why}")),
+        }
+        | Exec::Receivers(Cursor::Update { why, .. }) => {
+            n.add_note(format!("improve: not attempted — {why}"))
+        }
         _ => {}
     }
     n
@@ -1229,10 +1267,6 @@ fn commit_to<S: WalStorage>(
     }
 }
 
-/// An improved stage's vectorized result: the full receiver set and the
-/// `(receiver, value)` assignment pairs.
-type ImprovedPairs = (BTreeSet<Oid>, Vec<(Oid, Oid)>);
-
 /// One evaluation of a `par(E)` query against `db`, with `rec` bound to
 /// `rows` (scheme `self` over `class`): every `(row, value)` assignment
 /// pair, sorted. The scheme is `(self, value)`; the degenerate `a := self`
@@ -1251,88 +1285,55 @@ fn par_pairs(query: &Expr, class: ClassId, rows: &[Oid], db: &Database) -> Resul
     })
 }
 
-/// Evaluate an improved stage's one-shot `par(E)` query: the full
-/// receiver set and every `(receiver, value)` assignment pair, in one
-/// vectorized evaluation against the flat `TupleSet` kernel.
-fn improved_pairs(
-    imp: &ImprovedUpdate,
-    instance: &Instance,
-    db: &Database,
-) -> Result<ImprovedPairs> {
-    let class = imp.method.signature_ref().receiving_class();
-    let rows: Vec<Oid> = instance.class_members(class).collect();
-    C_VECTORIZED_ROWS.add(rows.len() as u64);
-    let pairs = par_pairs(&imp.assignment_query, class, &rows, db)?;
-    Ok((rows.into_iter().collect(), pairs))
-}
-
-/// Run a cursor delete's ordered loop: guard re-evaluated per receiver
-/// against the mutating instance, every fired delete one observed
-/// transaction committed into `log` — exactly the interpreted
-/// [`crate::compile::CursorDeleteMethod`] semantics, in place.
-fn run_cursor_delete(
-    cd: &CursorDelete,
+/// The one interpreted receiver loop: the paper's `M_seq` (Def. 3.1) for
+/// a cursor statement, in place. Receivers run in canonical key order (a
+/// unary receiver set is ordered by its objects, as `class_members`
+/// yields them); each one's guard is evaluated by [`eval_condition`]
+/// against the instance the earlier receivers left, and a receiver that
+/// passes is deleted, or its row replaced by the value subquery, in one
+/// observed transaction committed into `log`. A value that is not a typed
+/// object of the instance is an `Err`, which undoes the program.
+fn run_receivers(
+    cursor: &Cursor,
     instance: &mut Instance,
     view: &mut DatabaseView,
     log: &mut Vec<DeltaOp>,
     meter: &mut StageMeter,
 ) -> Result<InPlaceOutcome> {
-    let order = cd.receivers(instance).canonical_order();
+    let (var, table, catalog, guard) = match cursor {
+        Cursor::Delete(d) => (&d.var, d.table(), d.catalog(), &d.condition),
+        Cursor::Update { update: u, .. } => (&u.var, u.table(), u.catalog(), &u.condition),
+    };
+    let order: Vec<Oid> = instance.class_members(table.class).collect();
     meter.rows_in += order.len() as u64;
-    for t in &order {
-        let tuple = t.receiving_object();
-        let fire = match &cd.condition {
-            Some(c) => {
-                let scopes: Scopes<'_> = vec![Binding {
-                    alias: cd.var.clone(),
-                    table: cd.table(),
-                    tuple,
-                }];
-                eval_condition(c, &scopes, cd.catalog(), instance)?
-            }
-            None => true,
-        };
-        if fire {
-            meter.rows_out += 1;
-            let mut txn = InstanceTxn::begin_observed(instance, view);
-            txn.remove_object_cascade(tuple);
-            txn.commit_into(log);
-        }
-    }
-    Ok(InPlaceOutcome::Applied)
-}
-
-/// Run a guarded (or non-algebraic) cursor update's ordered loop, each
-/// receiver's row replaced in one transaction committed into `log` —
-/// exactly the interpreted [`crate::compile::CursorUpdateMethod`]
-/// semantics, in place. A value that is not a typed object of the
-/// instance is an `Err`, which undoes the program.
-fn run_cursor_update_interpreted(
-    cu: &CursorUpdate,
-    instance: &mut Instance,
-    view: &mut DatabaseView,
-    log: &mut Vec<DeltaOp>,
-    meter: &mut StageMeter,
-) -> Result<InPlaceOutcome> {
-    let prop = cu.property;
-    let order = cu.receivers(instance).canonical_order();
-    meter.rows_in += order.len() as u64;
-    for t in &order {
-        let tuple = t.receiving_object();
+    for tuple in order {
         let scopes: Scopes<'_> = vec![Binding {
-            alias: cu.var.clone(),
-            table: cu.table(),
+            alias: var.clone(),
+            table,
             tuple,
         }];
-        if let Some(guard) = &cu.condition {
-            if !eval_condition(guard, &scopes, cu.catalog(), instance)? {
+        if let Some(guard) = guard {
+            if !eval_condition(guard, &scopes, catalog, instance)? {
                 continue;
             }
         }
-        let values = eval_select(cu.select(), &scopes, cu.catalog(), instance)?;
+        let write = match cursor {
+            Cursor::Delete(_) => None,
+            Cursor::Update { update, .. } => Some((
+                update.property,
+                eval_select(update.select(), &scopes, catalog, instance)?,
+            )),
+        };
         meter.rows_out += 1;
         let mut txn = InstanceTxn::begin_observed(instance, view);
-        txn.replace_successors(tuple, prop, &values)?;
+        match write {
+            None => {
+                txn.remove_object_cascade(tuple);
+            }
+            Some((prop, values)) => {
+                txn.replace_successors(tuple, prop, &values)?;
+            }
+        }
         txn.commit_into(log);
     }
     Ok(InPlaceOutcome::Applied)
@@ -1366,7 +1367,7 @@ fn run_stage_viewed(
             apply_delete_batch_logged(instance, view, &rows, log);
             Ok(InPlaceOutcome::Applied)
         }
-        Exec::SetUpdate(set) => {
+        Exec::SetUpdate(set) | Exec::Improved { set, .. } => {
             let t0 = std::time::Instant::now();
             let assigns = cache.values(set, stage.selector, instance, view.database())?;
             meter.selector_ns = t0.elapsed().as_nanos() as u64;
@@ -1386,29 +1387,13 @@ fn run_stage_viewed(
             }
             Ok(InPlaceOutcome::Applied)
         }
-        Exec::Improved { update, improved } => {
-            let (receiving, pairs) = improved_pairs(improved, instance, view.database())?;
-            meter.rows_in += receiving.len() as u64;
-            meter.rows_out += pairs.len() as u64;
-            try_apply_replacement_batch(instance, view, update.property, &receiving, &pairs, log)?;
-            Ok(InPlaceOutcome::Applied)
-        }
-        Exec::CursorDelete(delete) => run_cursor_delete(delete, instance, view, log, meter),
-        Exec::CursorUpdate {
-            algebraic: Some(m),
-            update,
-            ..
-        } => {
+        Exec::Receivers(cursor) => run_receivers(cursor, instance, view, log, meter),
+        Exec::Algebraic { update, method, .. } => {
             let order = update.receivers(instance).canonical_order();
             meter.rows_in += order.len() as u64;
             meter.rows_out += order.len() as u64;
-            Ok(m.apply_sequence_logged(instance, view, &order, log))
+            Ok(method.apply_sequence_logged(instance, view, &order, log))
         }
-        Exec::CursorUpdate {
-            algebraic: None,
-            update,
-            ..
-        } => run_cursor_update_interpreted(update, instance, view, log, meter),
     }
 }
 
@@ -1664,6 +1649,84 @@ mod tests {
         assert!(view.matches_rebuild(&i));
         let want = set_update(UPDATE_A, &catalog).apply(&i0).unwrap();
         assert_eq!(i, want, "improved (B) must have statement (A)'s effect");
+    }
+
+    /// An improved update whose subquery reads no column of the row runs
+    /// as its set statement: one evaluation shared by every row, which
+    /// EXPLAIN names, with the effect of the cursor loop and of the set
+    /// statement applied one statement at a time.
+    #[test]
+    fn improved_update_reading_no_row_column_shares_one_evaluation() {
+        const OVERWRITE_ALL: &str =
+            "for each t in Employee do update t set Salary = (select Amount from Fire)";
+        let (es, catalog) = employee_catalog();
+        let plan = compile_program(&program(&[OVERWRITE_ALL]), &catalog).unwrap();
+        let stage = &plan.stages()[0];
+        assert_eq!(stage.kind(), StageKind::ImprovedUpdate);
+        assert!(matches!(
+            stage.values_query(),
+            Some(Ok(ValuesQuery::Shared(_)))
+        ));
+        assert!(
+            plan.explain().children[0].notes.iter().any(|n| n
+                == "values: one evaluation shared by every row \
+                    (the subquery reads no column of the row)"),
+            "{:?}",
+            plan.explain().children[0].notes
+        );
+
+        let i0 = two_fires(&es);
+        let mut i = i0.clone();
+        let mut view = DatabaseView::new(&i);
+        assert!(plan.execute_viewed(&mut i, &mut view).unwrap().is_applied());
+        assert!(view.matches_rebuild(&i));
+        let CompiledStatement::CursorUpdate(cu) =
+            compile(&program(&[OVERWRITE_ALL])[0], &catalog).unwrap()
+        else {
+            panic!("a cursor update")
+        };
+        let looped = receivers_core::sequential::apply_sequence(
+            &cu.interpreted_method(),
+            &i0,
+            &cu.receivers(&i0).canonical_order(),
+        )
+        .expect_done("the cursor loop");
+        assert_eq!(i, looped, "the cursor loop");
+        assert_eq!(
+            i,
+            per_statement(
+                &["update Employee set Salary = (select Amount from Fire)"],
+                &catalog,
+                &i0
+            ),
+            "statement (A) applied alone"
+        );
+    }
+
+    /// An improved update with a `FROM` alias `t` (its loop variable
+    /// named otherwise) runs on the improve pass's `par(E)`: its set
+    /// statement's own values query would bind the row as `t` too.
+    #[test]
+    fn improved_update_with_an_alias_t_keeps_one_par_evaluation() {
+        const ALIAS_T: &str = "for each x in Employee do update x set Salary = \
+             (select New from NewSal t where t.Old = x.Salary)";
+        let (es, catalog) = employee_catalog();
+        let plan = compile_program(&program(&[ALIAS_T]), &catalog).unwrap();
+        let stage = &plan.stages()[0];
+        assert_eq!(stage.kind(), StageKind::ImprovedUpdate);
+        assert!(matches!(
+            stage.values_query(),
+            Some(Ok(ValuesQuery::PerRow(_)))
+        ));
+        let set_form =
+            "update Employee set Salary = (select New from NewSal t where t.Old = Salary)";
+        let set = compile_program(&program(&[set_form]), &catalog).unwrap();
+        assert!(matches!(set.stages()[0].values_query(), Some(Err(_))));
+        let (i0, _) = section7_instance(&es);
+        let mut i = i0.clone();
+        let mut view = DatabaseView::new(&i);
+        assert!(plan.execute_viewed(&mut i, &mut view).unwrap().is_applied());
+        assert_eq!(i, per_statement(&[UPDATE_A], &catalog, &i0));
     }
 
     /// A set update's values come from one `par(E)` evaluation; a row the
@@ -1988,6 +2051,27 @@ mod tests {
         );
         let reversed = run_against_per_statement(&[WIDE, NARROW], &catalog, &i0);
         assert!(!reversed.stages().iter().any(|s| s.netted()));
+    }
+
+    /// A store that would fail at run time is never netted away: its
+    /// `IN TABLE` probes a two-column table, so the program does not
+    /// compile, as the store alone does not; before, the later blind
+    /// overwrite netted it and the program applied.
+    #[test]
+    fn a_store_failing_at_run_time_is_not_netted_away() {
+        const WIDE: &str = "update Employee set Salary = (select Amount from Fire) \
+             where Salary in table NewSal";
+        const OVERWRITE: &str = "update Employee set Salary = (select Amount from Fire)";
+        let (_, catalog) = employee_catalog();
+        for texts in [&[WIDE][..], &[WIDE, OVERWRITE]] {
+            assert!(
+                matches!(
+                    compile_program(&program(texts), &catalog),
+                    Err(SqlError::Unsupported(msg)) if msg.contains("one-column table")
+                ),
+                "{texts:?}"
+            );
+        }
     }
 
     /// Identical guards are no cover when a statement in between writes

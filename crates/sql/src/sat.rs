@@ -155,13 +155,11 @@ impl<'a> GuardRef<'a> {
     }
 
     /// Extract the guard of any statement (its write-restricting
-    /// condition), for commutativity and dead-store reasoning.
+    /// condition), with the row named as [`SqlStatement::parts`] names
+    /// it, for commutativity and dead-store reasoning.
     pub fn of_statement(stmt: &'a SqlStatement) -> Self {
-        let (_, cursor_var, condition, _) = stmt.parts();
-        Self {
-            cursor_var,
-            condition,
-        }
+        let (_, row, condition, _) = stmt.parts();
+        Self::in_cursor(row, condition)
     }
 }
 
@@ -386,7 +384,7 @@ type Scopes<'c> = Vec<NodeScope<'c>>;
 
 impl<'a> Normalizer<'a> {
     /// The scope stack of the target row alone: node 0, named by the
-    /// cursor variable (a set statement's row has no name).
+    /// guard's row alias when it has one.
     fn row_scopes(&self) -> Scopes<'a> {
         vec![NodeScope {
             bound: Bound {
@@ -824,7 +822,7 @@ impl<'a> Solver<'a> {
         let n = Normalizer {
             catalog: self.catalog,
             outer: &info,
-            cursor_var: var,
+            cursor_var: Some(var),
         };
         let mut scopes = n.row_scopes();
         if let Some(g) = guard {

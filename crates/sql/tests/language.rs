@@ -106,20 +106,25 @@ fn unknown_names_are_reported() {
     ));
 }
 
-/// `IN TABLE` against a multi-column table is refused with a clear
-/// message.
+/// `IN TABLE` against a multi-column table is refused at compile time
+/// with a clear message, in a set or cursor guard and inside a subquery.
 #[test]
 fn in_table_requires_one_column() {
-    let (es, catalog) = employee_catalog();
-    let (i, _) = section7_instance(&es);
-    let stmt = parse("delete from Employee where Salary in table NewSal").unwrap();
-    let CompiledStatement::SetDelete(sd) = compile(&stmt, &catalog).unwrap() else {
-        panic!()
-    };
-    assert!(matches!(
-        sd.victims(&i),
-        Err(SqlError::Unsupported(msg)) if msg.contains("one-column")
-    ));
+    let (_, catalog) = employee_catalog();
+    for text in [
+        "delete from Employee where Salary in table NewSal",
+        "for each t in Employee do if Salary not in table NewSal delete t from Employee",
+        "update Employee set Salary = (select New from NewSal where Old in table Employee)",
+    ] {
+        let stmt = parse(text).unwrap();
+        assert!(
+            matches!(
+                compile(&stmt, &catalog),
+                Err(SqlError::Unsupported(msg)) if msg.contains("one-column")
+            ),
+            "{text}"
+        );
+    }
 }
 
 /// Parse errors carry expected/found context.

@@ -12,9 +12,14 @@
 //!
 //! The same corpus pins why the planner needs no shard lanes: every
 //! statement `Solver::certify_sharded` certifies shard-safe compiles,
-//! through `compile_program`, to an improved `par(E)` stage. It also pins
-//! that an improved stage's footprint, read off its statement, covers
-//! every property its `par(E)` reads — the netting pass relies on it.
+//! through `compile_program`, to an improved `par(E)` stage. It pins that
+//! an improved stage runs as its set statement: on a compiled values
+//! query, never row by row, and on seeded instances bit-identical to that
+//! set statement compiled as a set-update stage, to
+//! `ImprovedUpdate::apply` (`apply_par`) and to `apply_sequence` of the
+//! interpreted cursor method (the paper's `M_seq`). And it pins that an
+//! improved stage's footprint, read off its statement, covers every
+//! property the query it executes reads — the netting pass relies on it.
 //!
 //! The cache and its counters are process-wide, so the tests of this
 //! binary take one lock and run one at a time.
@@ -30,16 +35,21 @@ use rand::SeedableRng;
 
 use receivers::core::decide_key_order_independence;
 use receivers::core::error::CoreError;
-use receivers::objectbase::PropId;
+use receivers::core::sequential::apply_sequence;
+use receivers::objectbase::gen::{random_instance, InstanceParams};
+use receivers::objectbase::{MethodOutcome, PropId};
 use receivers::obs;
+use receivers::relalg::view::DatabaseView;
 use receivers::relalg::RelName;
 use receivers::sql::catalog::employee_catalog;
-use receivers::sql::improve::ImproveRefusal;
+use receivers::sql::compile::ValuesQuery;
+use receivers::sql::improve::{strip_cursor_var, ImproveRefusal};
 use receivers::sql::plan::{proof_cache_len, reset_proof_cache};
 use receivers::sql::scenarios::{CURSOR_UPDATE_B, CURSOR_UPDATE_C};
 use receivers::sql::{
     compile, compile_program, improve_cursor_update, parse, parse_program, Catalog,
-    CompiledStatement, CursorBody, CursorUpdate, Solver, SqlStatement, StageKind,
+    CompiledStatement, CursorBody, CursorUpdate, ProgramPlan, Solver, SqlStatement, Stage,
+    StageKind,
 };
 
 mod common;
@@ -49,6 +59,9 @@ use common::random_statement;
 const SEEDS: u64 = 64;
 const DRAWS: usize = 8;
 const SWEEP_BASE: u64 = 0x1A9E_0000;
+/// Seeded instances each improved stage runs on, from this base.
+const INSTANCES: u64 = 4;
+const INSTANCE_BASE: u64 = 0x1A9E_1000;
 
 /// Cursor updates compiled by the `lint` and `sql` tests beyond the
 /// scenarios: a qualified cursor variable, a write of `Manager`, and a
@@ -329,11 +342,110 @@ fn shard_safe_statements_compile_to_improved_stages() {
     assert!(safe > 0 && unsafe_ > 0, "safe {safe}, unsafe {unsafe_}");
 }
 
-/// An improved stage's footprint is read off its statement, not off its
-/// `par(E)`: every property `par(E)` reads must be among the footprint's
-/// reads, or the netting pass would take the stage for a blind overwrite
-/// of a property it reads (the store an earlier stage makes would be
-/// netted, though the `par(E)` stage reads it).
+/// The relational query an improved stage executes: its set statement's
+/// `par(E)`, or the closed `E₀` every row shares. Every improved stage
+/// has one: none evaluates its values row by row.
+fn executed_query<'s>(stage: &'s Stage, label: &str) -> &'s receivers::relalg::Expr {
+    match stage.values_query() {
+        Some(Ok(ValuesQuery::PerRow(e) | ValuesQuery::Shared(e))) => e,
+        Some(Err(why)) => panic!("{label}: the improved stage runs row by row: {why}"),
+        None => panic!("{label}: the improved stage has no values query"),
+    }
+}
+
+/// The set statement (A) an unguarded cursor update (B) rewrites to, as
+/// the lint's `R0301` suggestion spells it.
+fn set_statement(stmt: &SqlStatement) -> SqlStatement {
+    let SqlStatement::ForEach {
+        var,
+        table,
+        body: CursorBody::UpdateSet { column, select, .. },
+    } = stmt
+    else {
+        panic!("{stmt}: not a cursor update");
+    };
+    SqlStatement::Update {
+        table: table.clone(),
+        column: column.clone(),
+        select: strip_cursor_var(select, var),
+        condition: None,
+    }
+}
+
+/// `plan` applied to a copy of `i0` on the viewed driver, its view
+/// checked against a rebuild.
+fn run_viewed(
+    plan: &ProgramPlan,
+    i0: &receivers::objectbase::Instance,
+    what: &str,
+) -> receivers::objectbase::Instance {
+    let mut i = i0.clone();
+    let mut view = DatabaseView::new(&i);
+    let out = plan
+        .execute_viewed(&mut i, &mut view)
+        .unwrap_or_else(|e| panic!("{what}: {e}"));
+    assert!(out.is_applied(), "{what}: {out:?}");
+    assert!(view.matches_rebuild(&i), "{what}: the view drifted");
+    i
+}
+
+/// An improved stage runs as its set statement, on a compiled values
+/// query, and its viewed execution is bit-identical on seeded instances
+/// to three oracles: that set statement compiled as a set-update stage,
+/// `ImprovedUpdate::apply` (`apply_par`), and `apply_sequence` of the
+/// interpreted cursor method in canonical key order.
+#[test]
+fn improved_stages_match_their_set_statement_par_and_seq() {
+    let _serial = serial();
+    let mut improved = 0;
+    for (k, case) in corpus().into_iter().enumerate() {
+        let Case {
+            label,
+            catalog,
+            stmt,
+            ..
+        } = case;
+        let plan = compile_program(std::slice::from_ref(&stmt), &catalog)
+            .unwrap_or_else(|e| panic!("{label}: does not compile: {e}"));
+        let stage = &plan.stages()[0];
+        let Some(imp) = stage.improved() else {
+            continue;
+        };
+        improved += 1;
+        executed_query(stage, &label);
+        let set_plan = compile_program(&[set_statement(&stmt)], &catalog)
+            .unwrap_or_else(|e| panic!("{label}: the set statement does not compile: {e}"));
+        assert_eq!(set_plan.stages()[0].kind(), StageKind::SetUpdate, "{label}");
+        let cu = cursor_update(&stmt, &catalog, &label);
+        for s in 0..INSTANCES {
+            let seed = INSTANCE_BASE + k as u64 * INSTANCES + s;
+            let what = format!("{label}, instance seed {seed}");
+            let i0 = random_instance(&catalog.schema, InstanceParams::default(), seed);
+            let got = run_viewed(&plan, &i0, &what);
+            assert_eq!(
+                got,
+                run_viewed(&set_plan, &i0, &what),
+                "{what}: set statement"
+            );
+            let par = imp
+                .apply(&i0)
+                .unwrap_or_else(|e| panic!("{what}: apply_par: {e}"));
+            assert_eq!(got, par, "{what}: apply_par");
+            let order = cu.receivers(&i0).canonical_order();
+            match apply_sequence(&cu.interpreted_method(), &i0, &order) {
+                MethodOutcome::Done(seq) => assert_eq!(got, seq, "{what}: apply_sequence"),
+                other => panic!("{what}: apply_sequence: {other:?}"),
+            }
+        }
+    }
+    assert!(improved > 0, "the corpus must hold an improved stage");
+}
+
+/// An improved stage's footprint is read off its statement, not off the
+/// query it executes: every property that query reads must be among the
+/// footprint's reads, or the netting pass would take the stage for a
+/// blind overwrite of a property it reads (the store an earlier stage
+/// makes would be netted, though the improved stage reads it).
 #[test]
 fn improved_stage_footprints_cover_their_par_reads() {
     let _serial = serial();
@@ -348,15 +460,15 @@ fn improved_stage_footprints_cover_their_par_reads() {
         let plan = compile_program(std::slice::from_ref(&stmt), &catalog)
             .unwrap_or_else(|e| panic!("{label}: does not compile: {e}"));
         let stage = &plan.stages()[0];
-        let Some(imp) = stage.improved() else {
+        if stage.improved().is_none() {
             continue;
-        };
+        }
         improved += 1;
-        for rel in imp.assignment_query.base_relations() {
+        for rel in executed_query(stage, &label).base_relations() {
             if let RelName::Prop(p) = rel {
                 assert!(
                     stage.footprint().reads.contains(&p),
-                    "{label}: par(E) reads {p:?}, which the footprint {:?} lacks",
+                    "{label}: the values query reads {p:?}, which the footprint {:?} lacks",
                     stage.footprint().reads
                 );
             }

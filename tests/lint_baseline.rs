@@ -10,7 +10,7 @@
 
 use receivers::lint::PassManager;
 use receivers::sql::catalog::{employee_catalog, Catalog};
-use receivers::sql::{compile_program, parse_program, SqlStatement};
+use receivers::sql::{analyze_statement, compile, compile_program, parse_program, SqlStatement};
 
 /// The fixtures linted against the built-in Section 7 employee catalog:
 /// name, program, JSON baseline.
@@ -69,6 +69,11 @@ const FIXTURES: &[(&str, &str, &str)] = &[
         "deadcode_implied",
         include_str!("../examples/fixtures/deadcode_implied.sql"),
         include_str!("../examples/fixtures/deadcode_implied.json"),
+    ),
+    (
+        "set_row_alias",
+        include_str!("../examples/fixtures/set_row_alias.sql"),
+        include_str!("../examples/fixtures/set_row_alias.json"),
     ),
 ];
 
@@ -140,4 +145,44 @@ fn dead_assignments_are_the_netted_stages() {
         assert_eq!(dead, netted, "{name}");
     }
     assert!(compiled >= 5, "only {compiled} fixture programs compile");
+}
+
+/// A set statement's row binds as `t` wherever a statement is resolved:
+/// the `set_row_alias` fixture's `t.`-qualified statements net, color and
+/// lint exactly as their unqualified spelling.
+#[test]
+fn qualified_set_rows_net_and_color_as_unqualified() {
+    let (_es, catalog) = employee_catalog();
+    let pm = PassManager::with_default_passes();
+    let qualified = include_str!("../examples/fixtures/set_row_alias.sql");
+    let plain = qualified
+        .replace("t.Salary", "Salary")
+        .replace("t.EmpId", "EmpId");
+    assert_ne!(qualified, plain);
+    let verdicts = |sql: &str| {
+        let stmts: Vec<SqlStatement> = parse_program(sql)
+            .unwrap()
+            .into_iter()
+            .map(|s| s.stmt)
+            .collect();
+        let plan = compile_program(&stmts, &catalog).unwrap();
+        let netted: Vec<_> = plan.stages().iter().map(|s| s.netted_by()).collect();
+        let colorings: Vec<_> = stmts
+            .iter()
+            .map(|s| {
+                let a = analyze_statement(&compile(s, &catalog).unwrap()).unwrap();
+                (a.coloring, a.simple, format!("{:?}", a.verdict))
+            })
+            .collect();
+        let lints: Vec<_> = pm
+            .lint_source(sql, &catalog)
+            .diagnostics
+            .into_iter()
+            .map(|d| (d.code.code, d.message, d.notes.len()))
+            .collect();
+        (netted, colorings, lints)
+    };
+    let (netted, colorings, lints) = verdicts(qualified);
+    assert_eq!(netted, [None, Some(2), None], "the guard pair nets");
+    assert_eq!((netted, colorings, lints), verdicts(&plain));
 }
