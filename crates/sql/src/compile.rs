@@ -740,6 +740,15 @@ impl CursorUpdate {
                 "guarded cursor update has no algebraic form".to_owned(),
             ));
         }
+        // The improve pass's set form unqualifies every `var.` reference
+        // (`improve::strip_cursor_var`), which a shadowing alias would
+        // redirect, so such an update keeps the interpreted loop.
+        if crate::plan::shadows_select(&self.select, &self.var) {
+            return Err(SqlError::Unsupported(format!(
+                "a FROM alias shadows the cursor variable `{}`",
+                self.var
+            )));
+        }
         let (expr, _attr) = select_to_expr(&self.select, &self.catalog, &self.table, &self.var)?;
         let sig = Signature::new(vec![self.table.class])?;
         AlgebraicMethod::new(
@@ -874,6 +883,9 @@ struct SelectCompiler<'a> {
     /// `crate::eval` binds them: the cursor tuple, then the enclosing
     /// selects' and the current one's `FROM` tables, outermost first.
     scopes: Vec<Bound<'a>>,
+    /// The tuple attribute each of `scopes` binds: `self` for the cursor
+    /// tuple, then each `FROM` table's alias attribute ([`Self::add_alias`]).
+    scope_attrs: Vec<Attr>,
     /// Data column references to materialize as property joins, one per
     /// reference.
     used: BTreeSet<Resolved>,
@@ -896,6 +908,7 @@ impl<'a> SelectCompiler<'a> {
                 alias: Some(outer_var),
                 table: outer,
             }],
+            scope_attrs: vec!["self".to_owned()],
             used: BTreeSet::new(),
             eqs: Vec::new(),
             fresh: 0,
@@ -923,27 +936,31 @@ impl<'a> SelectCompiler<'a> {
         Ok((c, projection))
     }
 
-    fn add_alias(&mut self, name: &str, table: &'a TableInfo) -> Result<()> {
-        if name == "self" || name == self.outer_var || self.aliases.iter().any(|(a, _)| a == name) {
+    /// Register a `FROM` table (or an `IN TABLE` probe) under `name` and
+    /// return the tuple attribute it binds. A `FROM` alias named like the
+    /// row shadows the row ([`crate::scope::resolve`]), so it binds a
+    /// fresh attribute `name#k`, which no SQL name spells.
+    fn add_alias(&mut self, name: &str, table: &'a TableInfo) -> Result<Attr> {
+        if name == "self" || self.aliases.iter().any(|(a, _)| a == name) {
             return Err(SqlError::Unsupported(format!(
                 "duplicate or reserved alias `{name}`"
             )));
         }
-        self.aliases.push((name.to_owned(), table));
-        Ok(())
+        let attr = if name == self.outer_var {
+            self.fresh += 1;
+            format!("{name}#{}", self.fresh)
+        } else {
+            name.to_owned()
+        };
+        self.aliases.push((attr.clone(), table));
+        Ok(attr)
     }
 
     /// Resolve a column reference against the scopes in view
     /// ([`crate::scope::resolve`]) and give it its own attribute.
     fn resolve(&mut self, colref: &ColumnRef) -> Result<Resolved> {
         let r = resolve(colref, &self.scopes)?;
-        let scope_attr = match r.scope {
-            0 => "self".to_owned(),
-            k => self.scopes[k]
-                .alias
-                .expect("FROM bindings are named")
-                .to_owned(),
-        };
+        let scope_attr = self.scope_attrs[r.scope].clone();
         let attr = match r.column {
             Column::Id => scope_attr.clone(),
             Column::Prop(_) => {
@@ -1018,11 +1035,12 @@ impl<'a> SelectCompiler<'a> {
         let outer_scopes = self.scopes.len();
         for item in &select.from {
             let info = self.catalog.lookup(&item.table)?;
-            self.add_alias(item.name(), info)?;
+            let attr = self.add_alias(item.name(), info)?;
             self.scopes.push(Bound {
                 alias: Some(item.name()),
                 table: info,
             });
+            self.scope_attrs.push(attr);
         }
         if let Some(w) = &select.where_clause {
             self.gather_condition(w)?;
@@ -1032,6 +1050,7 @@ impl<'a> SelectCompiler<'a> {
             Projection::Column(c) => Some(self.resolve(c)?),
         };
         self.scopes.truncate(outer_scopes);
+        self.scope_attrs.truncate(outer_scopes);
         Ok(projection)
     }
 

@@ -193,6 +193,44 @@ mod tests {
         );
         assert!(improve(2).is_empty() && improve(3).is_empty());
     }
+
+    /// Every cursor stage run by its algebraic sequence driver names how
+    /// the sequence runs: (C) in waves, its reads of the written column
+    /// anchored through `Manager`; a read of the written column at a row
+    /// reached only through that column receiver at a time. Improved and
+    /// set stages carry no such note.
+    #[test]
+    fn explain_names_the_sequence_path() {
+        const THROUGH_ITSELF: &str = "for each t in Employee do update t set Manager = \
+             (select E1.Manager from Employee E1 where E1.EmpId = Manager)";
+        let (_, catalog) = employee_catalog();
+        let stmts =
+            [CURSOR_UPDATE_C, THROUGH_ITSELF, CURSOR_UPDATE_B, UPDATE_A].map(|t| parse(t).unwrap());
+        let tree = compile_program(&stmts, &catalog).unwrap().explain();
+        let sequence = |k: usize| -> Vec<&String> {
+            tree.children[k]
+                .notes
+                .iter()
+                .filter(|n| n.starts_with("sequence:"))
+                .collect()
+        };
+        assert_eq!(
+            sequence(0),
+            [
+                "sequence: in waves — reads of Employee.Salary are anchored through Manager, \
+                 which the stage does not write"
+            ]
+        );
+        assert_eq!(
+            sequence(1),
+            [
+                "sequence: receiver at a time — the read of Employee.Manager at `E1` is bound \
+                 only through Manager itself"
+            ]
+        );
+        assert!(sequence(2).is_empty() && sequence(3).is_empty());
+    }
+
     /// Each set stage with a guard names how it runs: every conjunct one
     /// probe per row after its subquery is evaluated once, or, for a
     /// residual, its position and why it stays row by row. Unguarded and

@@ -19,6 +19,8 @@
 //! decision. Theorem 5.12 stays the only oracle — a miss runs
 //! [`decide_key_order_independence`] unchanged.
 
+use std::sync::Arc;
+
 use receivers_core::parallel::apply_par;
 use receivers_core::{decide_key_order_independence, AlgebraicMethod};
 use receivers_objectbase::{Instance, PropId};
@@ -31,6 +33,7 @@ use crate::catalog::Catalog;
 use crate::compile::CursorUpdate;
 use crate::error::{Result, SqlError};
 use crate::plan::{memoized, CachedProof, ProofKey};
+use crate::waves::{WavePlan, Waves};
 
 obs::counter!(C_IMPROVE_ATTEMPTS, "sql.improve.attempts");
 obs::counter!(C_IMPROVE_REWRITES, "sql.improve.rewrites");
@@ -122,52 +125,61 @@ pub fn improve_cursor_update(
 /// once and hands the method here. The key-order verdict comes from the
 /// proof cache; a miss decides it with Theorem 5.12 and stores it.
 pub fn improve_method(method: AlgebraicMethod) -> Improvement {
-    C_IMPROVE_ATTEMPTS.incr();
-    let _span = obs::span("sql.improve");
-    let reason = match key_order_verdict(&method) {
-        Ok(None) => match par(&method.statements()[0].expr) {
-            Ok(assignment_query) => {
-                C_IMPROVE_REWRITES.incr();
-                return Improvement::Improved(ImprovedUpdate {
-                    method,
-                    assignment_query,
-                });
-            }
-            Err(e) => Err(e.into()),
-        },
-        Ok(Some(refusal)) => Ok(refusal),
-        Err(e) => Err(e),
-    };
-    Improvement::Kept { method, reason }
+    improve_planned(method).0
 }
 
-/// `None` when `method` is key-order independent, else the refusal.
-/// Positivity is checked first (it is syntactic and cheap); the
-/// Theorem 5.12 decision is memoized under the method's schema,
-/// signature and statements, stored whole — two methods share an entry
-/// only when they are equal, whatever their hashes.
-fn key_order_verdict(method: &AlgebraicMethod) -> Result<Option<ImproveRefusal>> {
+/// [`improve_method`] and, for an order-dependent method, its wave plan
+/// ([`crate::waves`]), kept in the proof cache with its verdict.
+pub(crate) fn improve_planned(method: AlgebraicMethod) -> (Improvement, Option<Arc<WavePlan>>) {
+    C_IMPROVE_ATTEMPTS.incr();
+    let _span = obs::span("sql.improve");
+    let (reason, waves) = match key_order_verdict(&method) {
+        Ok((None, _)) => match par(&method.statements()[0].expr) {
+            Ok(assignment_query) => {
+                C_IMPROVE_REWRITES.incr();
+                let improved = ImprovedUpdate {
+                    method,
+                    assignment_query,
+                };
+                return (Improvement::Improved(improved), None);
+            }
+            Err(e) => (Err(e.into()), None),
+        },
+        Ok((Some(refusal), waves)) => (Ok(refusal), waves),
+        Err(e) => (Err(e), None),
+    };
+    (Improvement::Kept { method, reason }, waves)
+}
+
+/// `None` when `method` is key-order independent, else the refusal and,
+/// for an order-dependent method, its wave plan. Positivity is checked
+/// first (it is syntactic and cheap); the Theorem 5.12 decision, with
+/// the wave plan, is memoized under the method's schema, signature and
+/// statements, stored whole — two methods share an entry only when they
+/// are equal, whatever their hashes.
+fn key_order_verdict(
+    method: &AlgebraicMethod,
+) -> Result<(Option<ImproveRefusal>, Option<Arc<WavePlan>>)> {
     if !method.is_positive() {
-        return Ok(Some(ImproveRefusal::NotPositive));
+        return Ok((Some(ImproveRefusal::NotPositive), None));
     }
     let key = ProofKey::KeyOrder(
-        std::sync::Arc::clone(method.schema()),
+        Arc::clone(method.schema()),
         method.signature_ref().clone(),
         method.statements().to_vec(),
     );
     let verdict = memoized(key, &C_CACHE_HIT, &C_CACHE_MISS, || {
-        decide_key_order_independence(method)
-            .map(CachedProof::KeyOrder)
-            .map_err(SqlError::from)
+        let decision = decide_key_order_independence(method).map_err(SqlError::from)?;
+        let waves = (!decision.independent).then(|| Arc::new(Waves::plan(method)));
+        Ok::<_, SqlError>(CachedProof::KeyOrder(decision, waves))
     })?;
-    let CachedProof::KeyOrder(decision) = verdict else {
+    let CachedProof::KeyOrder(decision, waves) = verdict else {
         unreachable!("a key-order key maps to a key-order verdict")
     };
-    Ok(
-        (!decision.independent).then_some(ImproveRefusal::OrderDependent {
-            property: decision.offending_property,
-        }),
-    )
+    let refusal = (!decision.independent).then_some(ImproveRefusal::OrderDependent {
+        property: decision.offending_property,
+    });
+    Ok((refusal, waves))
 }
 
 /// Rewrite `var.Col` to plain `Col` so the suggestion is valid outside

@@ -47,6 +47,7 @@ pub mod sat;
 pub mod scenarios;
 pub mod scope;
 pub mod span;
+mod waves;
 
 pub use analyze::{analyze_cursor_delete, analyze_statement, DeleteAnalysis, EffectAnalysis};
 pub use ast::{ColumnRef, Condition, CursorBody, Select, SpannedStatement, SqlStatement};

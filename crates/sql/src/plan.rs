@@ -71,9 +71,10 @@ use crate::compile::{
 use crate::error::{Result, SqlError};
 use crate::eval::{eval_condition, eval_select, Binding, Scopes};
 use crate::footprint::{footprint, guard_reads, Footprint, Write};
-use crate::improve::{improve_method, ImproveRefusal, ImprovedUpdate, Improvement};
+use crate::improve::{improve_planned, ImproveRefusal, ImprovedUpdate, Improvement};
 use crate::sat::{GuardRef, Implication, Proof, Solver};
 use crate::scope::Column;
+use crate::waves::{WavePlan, Waves};
 
 obs::counter!(C_PROGRAMS, "sql.plan.programs_compiled");
 obs::counter!(C_STAGES, "sql.plan.stages_compiled");
@@ -122,7 +123,9 @@ fn shadows_cond(cond: &Condition, var: &str) -> bool {
     }
 }
 
-fn shadows_select(select: &Select, var: &str) -> bool {
+/// `true` when a `FROM` alias anywhere in `select` is named `var` (or
+/// the canonical row marker `#r`).
+pub(crate) fn shadows_select(select: &Select, var: &str) -> bool {
     select
         .from
         .iter()
@@ -242,12 +245,15 @@ enum Exec {
     /// A cursor statement the receiver loop runs ([`run_receivers`]).
     Receivers(Cursor),
     /// A cursor update the improve pass left alone that has an algebraic
-    /// form, run by its sequence driver, with the improve pass's refusal
-    /// or the error its decision stopped on (EXPLAIN's `improve:` note).
+    /// form, with the improve pass's refusal or the error its decision
+    /// stopped on (EXPLAIN's `improve:` note). It runs in waves
+    /// ([`crate::waves`]) or, when waves are refused, with why, by its
+    /// sequence driver (EXPLAIN's `sequence:` note).
     Algebraic {
         update: CursorUpdate,
         method: AlgebraicMethod,
         refusal: Result<ImproveRefusal>,
+        waves: Arc<WavePlan>,
     },
 }
 
@@ -546,8 +552,8 @@ pub fn compile_program(program: &[SqlStatement], catalog: &Catalog) -> Result<Pr
                 // update (B) runs as its set statement (A). The method is
                 // lowered once: the improve pass takes it and hands it
                 // back when it leaves the loop alone.
-                match update.to_algebraic().map(improve_method) {
-                    Ok(Improvement::Improved(improved)) => {
+                match update.to_algebraic().map(improve_planned) {
+                    Ok((Improvement::Improved(improved), _)) => {
                         C_IMPROVED.incr();
                         proofs.push(Proof::default().note(
                             "improve pass: the cursor update is key-order independent \
@@ -555,24 +561,18 @@ pub fn compile_program(program: &[SqlStatement], catalog: &Catalog) -> Result<Pr
                              evaluation with identical semantics (Theorem 6.5)",
                         ));
                         let update = update.into_set_form();
-                        // The set statement binds its row as `t`, so a
-                        // `FROM` alias `t` keeps its values query from
-                        // compiling; the improve pass's `par(E)`, the same
-                        // pairs, stands in.
-                        let query = update.values_query().or_else(|_| {
-                            Ok(ValuesQuery::PerRow(improved.assignment_query.clone()))
-                        });
                         Exec::Improved {
                             set: SetUpdateExec {
                                 guard: None,
                                 values,
-                                query,
+                                query: update.values_query(),
                                 update,
                             },
                             improved,
                         }
                     }
-                    Ok(Improvement::Kept { method, reason }) => Exec::Algebraic {
+                    Ok((Improvement::Kept { method, reason }, waves)) => Exec::Algebraic {
+                        waves: waves.unwrap_or_else(|| Arc::new(Waves::plan(&method))),
                         update,
                         method,
                         refusal: reason,
@@ -652,15 +652,17 @@ pub(crate) enum CachedProof {
     Implies(Vec<String>),
     /// The solver could not prove it.
     Inconclusive,
-    /// The key-order decision ([`crate::improve`]).
-    KeyOrder(Decision),
+    /// The key-order decision ([`crate::improve`]) and, for an order
+    /// dependent method, its wave plan ([`crate::waves`]).
+    KeyOrder(Decision, Option<Arc<WavePlan>>),
 }
 
 /// Process-wide memo of the planner's verdicts: the netting rule's
 /// [`Solver::implies`] queries and the improve pass's key-order
-/// decisions. Both are pure functions of their keys, so recompiling a
-/// program — or compiling any program sharing a guard pair or a cursor
-/// update — skips the solver and the decision procedure. Entries are
+/// decisions, each order-dependent one with its wave plan. All are pure
+/// functions of their keys, so recompiling a program — or compiling any
+/// program sharing a guard pair or a cursor update — skips the solver,
+/// the decision procedure and the wave planner. Entries are
 /// bounded by the distinct guard pairs and cursor updates the process
 /// compiles; there is no eviction.
 type ProofCache = Mutex<HashMap<ProofKey, CachedProof>>;
@@ -706,7 +708,7 @@ pub fn proof_cache_len() -> usize {
         .len()
 }
 
-/// Clear the process-wide proof cache, both verdict kinds. Bench/test
+/// Clear the process-wide proof cache, every verdict kind. Bench/test
 /// support: a cold-compile measurement needs every lookup to miss, and
 /// the cache is otherwise append-only for the process lifetime.
 #[doc(hidden)]
@@ -1113,6 +1115,9 @@ struct StageMeter {
     /// Time a set stage spent selecting its rows (and their values): the
     /// rest of the stage is its batch write.
     selector_ns: u64,
+    /// Segments an algebraic cursor stage ran as one set evaluation each
+    /// (0 when it ran receiver at a time).
+    waves: u64,
 }
 
 /// Where a profiled stage started: clocks and selector-cache counters,
@@ -1195,6 +1200,15 @@ pub(crate) fn stage_node(idx: usize, stage: &Stage) -> obs::ProfileNode {
         }
         _ => {}
     }
+    if let Exec::Algebraic { update, waves, .. } = &stage.exec {
+        n.add_note(match waves.as_ref() {
+            Ok(w) => format!("sequence: in waves — {}", w.describe(update.catalog())),
+            Err(why) => format!(
+                "sequence: receiver at a time — {}",
+                why.describe(update.catalog())
+            ),
+        });
+    }
     n
 }
 
@@ -1226,6 +1240,9 @@ fn push_stage_profile(
     }
     if meter.selector_ns > 0 {
         node.set_metric("selector_ns", meter.selector_ns);
+    }
+    if stage.algebraic().is_some() {
+        node.set_metric("waves", meter.waves);
     }
     prof.children.push(node);
 }
@@ -1271,7 +1288,12 @@ fn commit_to<S: WalStorage>(
 /// `rows` (scheme `self` over `class`): every `(row, value)` assignment
 /// pair, sorted. The scheme is `(self, value)`; the degenerate `a := self`
 /// statement leaves a unary result (see `receivers_core::parallel`).
-fn par_pairs(query: &Expr, class: ClassId, rows: &[Oid], db: &Database) -> Result<Vec<(Oid, Oid)>> {
+pub(crate) fn par_pairs(
+    query: &Expr,
+    class: ClassId,
+    rows: &[Oid],
+    db: &Database,
+) -> Result<Vec<(Oid, Oid)>> {
     let rec = Relation::from_tuples(
         RelSchema::unary("self", class),
         rows.iter().map(std::slice::from_ref),
@@ -1388,11 +1410,24 @@ fn run_stage_viewed(
             Ok(InPlaceOutcome::Applied)
         }
         Exec::Receivers(cursor) => run_receivers(cursor, instance, view, log, meter),
-        Exec::Algebraic { update, method, .. } => {
+        Exec::Algebraic {
+            update,
+            method,
+            waves,
+            ..
+        } => {
             let order = update.receivers(instance).canonical_order();
             meter.rows_in += order.len() as u64;
             meter.rows_out += order.len() as u64;
-            Ok(method.apply_sequence_logged(instance, view, &order, log))
+            Ok(match waves.as_ref() {
+                Ok(waves) => {
+                    let class = update.table().class;
+                    let (outcome, n) = waves.apply(method, class, &order, instance, view, log);
+                    meter.waves = n;
+                    outcome
+                }
+                Err(_) => method.apply_sequence_logged(instance, view, &order, log),
+            })
         }
     }
 }
@@ -1703,13 +1738,21 @@ mod tests {
         );
     }
 
-    /// An improved update with a `FROM` alias `t` (its loop variable
-    /// named otherwise) runs on the improve pass's `par(E)`: its set
-    /// statement's own values query would bind the row as `t` too.
+    /// A `FROM` alias `t` shadows a set statement's row, which binds as
+    /// `t` too: the set form of an improved update with such an alias
+    /// (its loop variable named otherwise), and the set update written
+    /// directly, compile to one `par(E)` evaluation, and a guard with
+    /// such an alias lowers with no residual; values and selected rows
+    /// are the `sql::eval` interpreter's, on the Section 7 instance and
+    /// on seeded random ones.
     #[test]
     fn improved_update_with_an_alias_t_keeps_one_par_evaluation() {
         const ALIAS_T: &str = "for each x in Employee do update x set Salary = \
              (select New from NewSal t where t.Old = x.Salary)";
+        const SET_FORM: &str =
+            "update Employee set Salary = (select New from NewSal t where t.Old = Salary)";
+        const GUARDED: &str = "update Employee set Salary = (select Amount from Fire) \
+             where exists (select * from NewSal t where t.Old = Salary)";
         let (es, catalog) = employee_catalog();
         let plan = compile_program(&program(&[ALIAS_T]), &catalog).unwrap();
         let stage = &plan.stages()[0];
@@ -1718,15 +1761,21 @@ mod tests {
             stage.values_query(),
             Some(Ok(ValuesQuery::PerRow(_)))
         ));
-        let set_form =
-            "update Employee set Salary = (select New from NewSal t where t.Old = Salary)";
-        let set = compile_program(&program(&[set_form]), &catalog).unwrap();
-        assert!(matches!(set.stages()[0].values_query(), Some(Err(_))));
         let (i0, _) = section7_instance(&es);
         let mut i = i0.clone();
         let mut view = DatabaseView::new(&i);
         assert!(plan.execute_viewed(&mut i, &mut view).unwrap().is_applied());
         assert_eq!(i, per_statement(&[UPDATE_A], &catalog, &i0));
+
+        let params = receivers_objectbase::gen::InstanceParams::default();
+        for seed in 0..8 {
+            let i0 = receivers_objectbase::gen::random_instance(&es.schema, params, 0x7A11 + seed);
+            let (query, _) = run_set_update(SET_FORM, &catalog, &i0);
+            assert!(matches!(query, ValuesQuery::PerRow(_)), "{query:?}");
+            run_set_update(GUARDED, &catalog, &i0);
+        }
+        let guarded = compile_program(&program(&[GUARDED]), &catalog).unwrap();
+        assert!(guarded.stages()[0].guard_residuals().is_empty());
     }
 
     /// A set update's values come from one `par(E)` evaluation; a row the

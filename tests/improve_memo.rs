@@ -25,13 +25,10 @@
 //! binary take one lock and run one at a time.
 //!
 //! Replay one seed with
-//! `RECEIVERS_DIFF_SEED=<seed> cargo test --test improve_memo`.
+//! `RECEIVERS_DIFF_SEED=<seed> cargo test --test improve_memo`; a replay
+//! keeps drawing from that seed's stream until it holds a pool statement.
 
-use std::path::Path;
 use std::sync::{Mutex, MutexGuard};
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use receivers::core::decide_key_order_independence;
 use receivers::core::error::CoreError;
@@ -45,53 +42,20 @@ use receivers::sql::catalog::employee_catalog;
 use receivers::sql::compile::ValuesQuery;
 use receivers::sql::improve::{strip_cursor_var, ImproveRefusal};
 use receivers::sql::plan::{proof_cache_len, reset_proof_cache};
-use receivers::sql::scenarios::{CURSOR_UPDATE_B, CURSOR_UPDATE_C};
+use receivers::sql::scenarios::CURSOR_UPDATE_B;
 use receivers::sql::{
-    compile, compile_program, improve_cursor_update, parse, parse_program, Catalog,
-    CompiledStatement, CursorBody, CursorUpdate, ProgramPlan, Solver, SqlStatement, Stage,
-    StageKind,
+    compile_program, improve_cursor_update, parse, CursorBody, CursorUpdate, ProgramPlan, Solver,
+    SqlStatement, Stage, StageKind,
 };
 
 mod common;
-use common::random_statement;
+#[path = "common/corpus.rs"]
+mod corpus;
+use corpus::{corpus, cursor_update, library_catalog, Case, LIBRARY_UPDATE};
 
-/// Seeds drawn from the statement pool, each for `DRAWS` statements.
-const SEEDS: u64 = 64;
-const DRAWS: usize = 8;
-const SWEEP_BASE: u64 = 0x1A9E_0000;
 /// Seeded instances each improved stage runs on, from this base.
 const INSTANCES: u64 = 4;
 const INSTANCE_BASE: u64 = 0x1A9E_1000;
-
-/// Cursor updates compiled by the `lint` and `sql` tests beyond the
-/// scenarios: a qualified cursor variable, a write of `Manager`, and a
-/// subquery that ignores the row; then writes of `Manager` the pool
-/// lacks, reading the written column at the row itself, at the
-/// manager's row, at other rows, or not at all. (A subquery with a
-/// negative atom has no algebraic form to decide, so it never reaches
-/// the pass.)
-const EXTRA: &[&str] = &[
-    "for each t in Employee do update t set Salary = \
-     (select New from NewSal where Old = t.Salary)",
-    "for each t in Employee do update t set Manager = \
-     (select E1.EmpId from Employee E1 where E1.Manager = E1.EmpId)",
-    "for each t in Employee do update t set Salary = (select Amount from Fire)",
-    "for each t in Employee do update t set Manager = \
-     (select E1.Manager from Employee E1 where E1.EmpId = Manager)",
-    "for each t in Employee do update t set Manager = \
-     (select E1.Manager from Employee E1 where E1.EmpId = EmpId)",
-    "for each t in Employee do update t set Manager = \
-     (select E1.EmpId from Employee E1 where E1.EmpId = Manager)",
-    "for each t in Employee do update t set Manager = \
-     (select E1.EmpId from Employee E1 where E1.Manager = Manager)",
-    "for each t in Employee do update t set Manager = \
-     (select E1.EmpId from Employee E1 where E1.Salary = Salary)",
-    "for each t in Employee do update t set Manager = (select EmpId from Employee)",
-];
-
-/// A cursor update over a catalog that has nothing to do with Section 7.
-const LIBRARY_UPDATE: &str =
-    "for each b in Book do update b set Topic = (select Topic from Banned)";
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -107,115 +71,6 @@ fn lookups() -> (u64, u64) {
         snap.counter("sql.improve.cache.hit").unwrap_or(0),
         snap.counter("sql.improve.cache.miss").unwrap_or(0),
     )
-}
-
-fn is_unguarded_cursor_update(stmt: &SqlStatement) -> bool {
-    matches!(
-        stmt,
-        SqlStatement::ForEach {
-            body: CursorBody::UpdateSet {
-                condition: None,
-                ..
-            },
-            ..
-        }
-    )
-}
-
-fn cursor_update(stmt: &SqlStatement, catalog: &Catalog, label: &str) -> CursorUpdate {
-    match compile(stmt, catalog) {
-        Ok(CompiledStatement::CursorUpdate(cu)) => cu,
-        Ok(_) => panic!("{label}: not a cursor update"),
-        Err(e) => panic!("{label}: does not compile: {e}"),
-    }
-}
-
-fn library_catalog(extra: &str) -> Catalog {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/fixtures/library.cat");
-    let text = std::fs::read_to_string(path).expect("library catalog");
-    Catalog::parse(&format!("{text}\n{extra}")).expect("library catalog parses")
-}
-
-/// One unguarded cursor update of the suite.
-struct Case {
-    /// Where it comes from: `pool`, `fixture`, `scenario` or `library`.
-    source: &'static str,
-    /// The source, seed or file, and the statement, for messages.
-    label: String,
-    catalog: Catalog,
-    stmt: SqlStatement,
-}
-
-/// Every unguarded cursor update of the suite.
-fn corpus() -> Vec<Case> {
-    let (_, employees) = employee_catalog();
-    let mut out = Vec::new();
-
-    let seeds: Vec<u64> = match std::env::var("RECEIVERS_DIFF_SEED") {
-        Ok(s) => vec![s.parse().expect("RECEIVERS_DIFF_SEED is a decimal u64")],
-        Err(_) => (0..SEEDS).map(|k| SWEEP_BASE + k).collect(),
-    };
-    for seed in seeds {
-        let mut rng = StdRng::seed_from_u64(seed);
-        for _ in 0..DRAWS {
-            let text = random_statement(&mut rng);
-            let stmt = parse(&text).unwrap_or_else(|e| panic!("pool statement {text}: {e}"));
-            if is_unguarded_cursor_update(&stmt) {
-                out.push(Case {
-                    source: "pool",
-                    label: format!("pool seed {seed}: {text}"),
-                    catalog: employees.clone(),
-                    stmt,
-                });
-            }
-        }
-    }
-
-    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/fixtures");
-    let mut files: Vec<_> = std::fs::read_dir(&fixtures)
-        .expect("fixtures directory")
-        .map(|e| e.expect("fixture entry").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "sql"))
-        .collect();
-    files.sort();
-    for file in files {
-        let catalog = match std::fs::read_to_string(file.with_extension("cat")) {
-            Ok(text) => Catalog::parse(&text).expect("fixture catalog parses"),
-            Err(_) => employees.clone(),
-        };
-        let text = std::fs::read_to_string(&file).expect("fixture");
-        let Ok(program) = parse_program(&text) else {
-            continue; // the lint reports the syntax error
-        };
-        for s in program {
-            // The lint reports a statement that does not compile (the
-            // ill-typed assignments of `typing.sql`).
-            if is_unguarded_cursor_update(&s.stmt) && compile(&s.stmt, &catalog).is_ok() {
-                out.push(Case {
-                    source: "fixture",
-                    label: format!("fixture {}: {}", file.display(), s.stmt),
-                    catalog: catalog.clone(),
-                    stmt: s.stmt,
-                });
-            }
-        }
-    }
-
-    for text in [CURSOR_UPDATE_B, CURSOR_UPDATE_C].iter().chain(EXTRA) {
-        out.push(Case {
-            source: "scenario",
-            label: format!("scenario: {text}"),
-            catalog: employees.clone(),
-            stmt: parse(text).expect("scenario parses"),
-        });
-    }
-    out.push(Case {
-        source: "library",
-        label: format!("library: {LIBRARY_UPDATE}"),
-        catalog: library_catalog(""),
-        stmt: parse(LIBRARY_UPDATE).expect("library update parses"),
-    });
-    out
 }
 
 /// A verdict, from the improve pass or a fresh decision.
