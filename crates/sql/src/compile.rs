@@ -22,7 +22,8 @@ use std::sync::Arc;
 
 use receivers_core::algebraic::{AlgebraicMethod, Statement as AlgStatement};
 use receivers_objectbase::{
-    Edge, Instance, MethodOutcome, Oid, PropId, Receiver, ReceiverSet, Signature, UpdateMethod,
+    ClassId, Edge, Instance, MethodOutcome, Oid, PropId, Receiver, ReceiverSet, Signature,
+    UpdateMethod,
 };
 use receivers_relalg::par::par;
 use receivers_relalg::typecheck::update_params;
@@ -204,9 +205,6 @@ pub fn check_assignment(
     column: &str,
     select: &Select,
 ) -> Result<()> {
-    let Projection::Column(value) = &select.projection else {
-        return Ok(());
-    };
     let Some(prop) = info.column_prop(column) else {
         return Ok(());
     };
@@ -223,13 +221,21 @@ pub fn check_assignment(
             table,
         });
     }
-    let Ok(resolved) = resolve(value, &scopes) else {
-        return Ok(());
-    };
     let schema = &catalog.schema;
-    let found = match resolved.column {
-        Column::Id => scopes[resolved.scope].table.class,
-        Column::Prop(p) => schema.property(p).dst,
+    let (value, found) = match &select.projection {
+        // `SELECT *` yields the interpreter's sentinel: the identity of
+        // the innermost binding, the last `FROM` table.
+        Projection::Star => ("*".to_owned(), scopes[scopes.len() - 1].table.class),
+        Projection::Column(value) => {
+            let Ok(resolved) = resolve(value, &scopes) else {
+                return Ok(());
+            };
+            let found = match resolved.column {
+                Column::Id => scopes[resolved.scope].table.class,
+                Column::Prop(p) => schema.property(p).dst,
+            };
+            (value.to_string(), found)
+        }
     };
     let expected = schema.property(prop).dst;
     if found == expected {
@@ -238,7 +244,7 @@ pub fn check_assignment(
     Err(SqlError::IllTypedAssignment {
         column: format!("{table}.{column}"),
         expected: schema.class_name(expected).to_owned(),
-        value: value.to_string(),
+        value,
         found: schema.class_name(found).to_owned(),
     })
 }
@@ -390,8 +396,8 @@ impl UpdateMethod for CursorDeleteMethod {
 // Set-oriented update.
 // ---------------------------------------------------------------------
 
-/// A set update's value subquery compiled to one relational algebra
-/// query ([`crate::plan::Stage::values_query`]).
+/// A value subquery compiled to one relational algebra query
+/// ([`crate::plan::Stage::values_query`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ValuesQuery {
     /// `par(E)` over `rec`: the subquery reads a column of the row, so
@@ -400,6 +406,61 @@ pub enum ValuesQuery {
     /// The closed `E₀`: the subquery reads no column of the row, so one
     /// evaluation gives every row the same values.
     Shared(Expr),
+}
+
+/// A value subquery lowered once ([`lower_values`]): `E` over the row
+/// `self`, the expression a cursor update's algebraic method assigns,
+/// and, when the subquery reads no column of the row, the closed `E₀`.
+pub(crate) struct LoweredValues {
+    pub(crate) expr: Expr,
+    pub(crate) closed: Option<Expr>,
+}
+
+impl LoweredValues {
+    /// The query a set statement evaluates: the closed `E₀` every row
+    /// shares, or `par(E)` over `rec` (scheme `self`, the rows to
+    /// update). By Lemma 6.7 one evaluation of `par(E)` yields exactly
+    /// the pairs `(row, value)` with `value` in the row's subquery values.
+    pub(crate) fn query(&self) -> Result<ValuesQuery> {
+        Ok(match &self.closed {
+            Some(e0) => ValuesQuery::Shared(e0.clone()),
+            None => ValuesQuery::PerRow(par(&self.expr)?),
+        })
+    }
+}
+
+/// Lower the value subquery `select` of a statement whose row is bound
+/// as `var` over `table` to relational algebra, well typed over the row
+/// ([`well_typed`]). Every subquery [`compile`] accepts lowers: negative
+/// atoms become differences, a contradictory equality (two classes) an
+/// empty query, and `SELECT *` the interpreter's sentinel, the last
+/// `FROM` table's identity. A failure names the shape and the reason.
+pub(crate) fn lower_values(
+    select: &Select,
+    catalog: &Catalog,
+    table: &TableInfo,
+    var: &str,
+) -> Result<LoweredValues> {
+    let mut c = SelectCompiler::new(catalog, table, var);
+    let projection = c.gather_select(select)?;
+    let expr = c.build(Some(&projection.attr), false)?;
+    debug_assert!(well_typed(&expr, catalog, table), "ill-typed: {select}");
+    let closed = if c.reads_row() {
+        None
+    } else {
+        Some(c.build(Some(&projection.attr), true)?)
+    };
+    Ok(LoweredValues { expr, closed })
+}
+
+/// Whether `e` type-checks over a row of `table`. The lowering builds
+/// only well-typed queries — joins and equalities on attributes of one
+/// class (a column's property starts at its table's class, or
+/// [`SelectCompiler::resolve`] refuses it), differences of equal schemes
+/// — which debug builds check.
+fn well_typed(e: &Expr, catalog: &Catalog, table: &TableInfo) -> bool {
+    Signature::new(vec![table.class])
+        .is_ok_and(|sig| infer_schema(e, &catalog.schema, &update_params(&sig)).is_ok())
 }
 
 /// `UPDATE t SET col = (SELECT …) [WHERE cond]`, two-phase.
@@ -452,31 +513,6 @@ impl SetUpdate {
         Ok(out)
     }
 
-    /// The value subquery in relational algebra, evaluated once for all
-    /// rows — a set update is two-phase, so no order-independence decision
-    /// is needed. When the subquery reads a column of the updated row it
-    /// is `par(E)` over `rec` (scheme `self`, the rows to update): by
-    /// Lemma 6.7 its single evaluation yields exactly the pairs `(row,
-    /// value)` with `value` in the row's [`SetUpdate::assignments`]
-    /// values. When it reads none, `E(I, t)` is one set `E₀(I)` for every
-    /// row `t`, and the query is the closed `E₀`: the same join chain
-    /// without the `self` seed. Fails, with the reason, when the subquery
-    /// is outside the fragment [`select_to_expr`] compiles.
-    pub(crate) fn values_query(&self) -> Result<ValuesQuery> {
-        let (c, projection) =
-            SelectCompiler::gather(&self.select, &self.catalog, &self.table, SET_ROW)?;
-        let reads_row = c.reads_row();
-        let expr = c.build(&projection.attr, !reads_row)?;
-        // `par(·)` keeps a well-typed expression well-typed over `rec`.
-        let sig = Signature::new(vec![self.table.class])?;
-        infer_schema(&expr, &self.catalog.schema, &update_params(&sig))?;
-        Ok(if reads_row {
-            ValuesQuery::PerRow(par(&expr)?)
-        } else {
-            ValuesQuery::Shared(expr)
-        })
-    }
-
     /// Phase 1 + phase 2.
     pub fn apply(&self, instance: &Instance) -> Result<Instance> {
         let assignments = self.assignments(instance)?;
@@ -495,13 +531,12 @@ impl SetUpdate {
 }
 
 // ---------------------------------------------------------------------
-// Set-statement guards, lowered to anchored conjuncts.
+// Guards, lowered to conjuncts over relational algebra.
 // ---------------------------------------------------------------------
 
-/// One conjunct of a set statement's guard, in source order
-/// ([`lower_guard`]). The multi-valued reading of `sat.rs` holds
-/// throughout: `=` means two value sets intersect, `<>` that they are
-/// disjoint.
+/// One conjunct of a guard, in source order ([`lower_guard`]). The
+/// multi-valued reading of `sat.rs` holds throughout: `=` means two value
+/// sets intersect, `<>` that they are disjoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum GuardConjunct {
     /// `a = b` (`a <> b` when `negated`) on two of the row's own value
@@ -528,26 +563,27 @@ pub(crate) enum GuardConjunct {
         /// The closed query.
         e0: Expr,
     },
-    /// Outside the anchored shapes: evaluated by [`eval_condition`] for
-    /// each row that reaches it.
-    Residual {
-        /// The conjunct.
-        cond: Condition,
-        /// Why it stays row by row.
+    /// An `EXISTS` correlated with the row beyond one linking equality:
+    /// `π_self(par(E))`, whose one evaluation over `rec` (the rows that
+    /// reach the conjunct) is the set of rows that pass.
+    Rows {
+        /// The row-set query.
+        query: Expr,
+        /// Why the `EXISTS` is not one probe.
         why: String,
     },
 }
 
-/// Lower a set statement's guard, with the row bound as `var` over
-/// `table`, into its `AND` chain's conjuncts, in source order. `a = b`
-/// and `a <> b` on the row compare two of its value sets; `a [NOT] IN
-/// TABLE T` probes `T`'s column; an `EXISTS` linked to the row by exactly
-/// one equality `x = t.c` (or `x = t`), and reading the row nowhere else,
-/// probes `E₀`: the subquery without that equality and without the
-/// `self` seed, projected on `x`. Every other conjunct is a
-/// [`GuardConjunct::Residual`]. Fails only on a column of the row that
-/// does not resolve or an `IN TABLE` table that is not one column wide,
-/// which [`compile`] has already refused.
+/// Lower a guard, with the row bound as `var` over `table`, into its
+/// `AND` chain's conjuncts, in source order. `a = b` and `a <> b` on the
+/// row compare two of its value sets; `a [NOT] IN TABLE T` probes `T`'s
+/// column; an `EXISTS` linked to the row by exactly one equality `x =
+/// t.c` (or `x = t`), and reading the row nowhere else, probes `E₀`: the
+/// subquery without that equality and without the `self` seed, projected
+/// on `x`. Every other `EXISTS` is a [`GuardConjunct::Rows`] query. Fails
+/// on a column of the row that does not resolve or an `IN TABLE` table
+/// that is not one column wide, which [`compile`] has already refused,
+/// and on a subquery the lowering cannot express, naming it.
 pub(crate) fn lower_guard(
     cond: &Condition,
     catalog: &Catalog,
@@ -565,124 +601,117 @@ pub(crate) fn lower_guard(
     }
     let mut atoms = Vec::new();
     conjuncts(cond, &mut atoms);
-    atoms
-        .into_iter()
-        .map(|atom| {
-            Ok(
-                lower_conjunct(atom, catalog, table, var)?.unwrap_or_else(|why| {
-                    GuardConjunct::Residual {
-                        cond: atom.clone(),
-                        why,
-                    }
-                }),
-            )
-        })
-        .collect()
-}
-
-/// One conjunct of [`lower_guard`], or why it stays row by row.
-fn lower_conjunct(
-    atom: &Condition,
-    catalog: &Catalog,
-    table: &TableInfo,
-    var: &str,
-) -> Result<std::result::Result<GuardConjunct, String>> {
     let row = [Bound {
         alias: Some(var),
         table,
     }];
     let on_row = |c: &ColumnRef| resolve(c, &row).map(|r| r.column);
-    Ok(match atom {
-        Condition::Eq(a, b) | Condition::NotEq(a, b) => Ok(GuardConjunct::RowEq {
-            negated: matches!(atom, Condition::NotEq(..)),
-            a: on_row(a)?,
-            b: on_row(b)?,
-        }),
-        Condition::InTable(c, t) | Condition::NotInTable(c, t) => {
-            let row = on_row(c)?;
-            in_table_probe(catalog, t)?.map(|e0| GuardConjunct::Probe {
-                negated: matches!(atom, Condition::NotInTable(..)),
-                row: Some(row),
-                e0,
+    atoms
+        .into_iter()
+        .map(|atom| {
+            Ok(match atom {
+                Condition::Eq(a, b) | Condition::NotEq(a, b) => GuardConjunct::RowEq {
+                    negated: matches!(atom, Condition::NotEq(..)),
+                    a: on_row(a)?,
+                    b: on_row(b)?,
+                },
+                Condition::InTable(c, t) | Condition::NotInTable(c, t) => {
+                    let row = on_row(c)?;
+                    let (_, prop) = in_table_column(catalog, t)?;
+                    GuardConjunct::Probe {
+                        negated: matches!(atom, Condition::NotInTable(..)),
+                        row: Some(row),
+                        e0: Expr::prop(prop).project([catalog.schema.prop_name(prop)]),
+                    }
+                }
+                Condition::Exists(select) => lower_exists(select, catalog, table, var)?,
+                Condition::And(..) => unreachable!("conjuncts are flattened"),
             })
-        }
-        Condition::Exists(select) => lower_exists(select, catalog, table, var),
-        Condition::And(..) => unreachable!("conjuncts are flattened"),
-    })
+        })
+        .collect()
 }
 
-/// The closed query `E₀` of `IN TABLE t`: `t`'s one column, or why the
-/// column cannot be probed. Fails on a table that is not one column wide,
-/// which [`compile`] has already refused.
-fn in_table_probe(catalog: &Catalog, t: &str) -> Result<std::result::Result<Expr, String>> {
+/// The one column of the `IN TABLE` table `t`. Fails on a table that is
+/// not one column wide, which [`compile`] has already refused, and on a
+/// column that is not a property of the table's class (a hand-built
+/// [`Catalog`]; [`Catalog::parse`] refuses one).
+fn in_table_column<'c>(catalog: &'c Catalog, t: &str) -> Result<(&'c TableInfo, PropId)> {
     let (info, prop) = catalog.single_column(t)?;
-    let schema = &catalog.schema;
-    if schema.property(prop).src != info.class {
-        return Ok(Err(format!(
-            "`{t}`'s column is not a property of its class"
+    if catalog.schema.property(prop).src != info.class {
+        return Err(SqlError::Unsupported(format!(
+            "`IN TABLE {t}`: the column of `{t}` is not a property of its class"
         )));
     }
-    Ok(Ok(Expr::prop(prop).project([schema.prop_name(prop)])))
+    Ok((info, prop))
 }
 
-/// An `EXISTS` conjunct as a [`GuardConjunct::Probe`] on its linking
-/// equality, or why it stays row by row. `EXISTS` asks for one binding
-/// of the `FROM` tables satisfying the `WHERE` chain; when the row is
-/// read only in `x = t.c`, that is `t.c ∩ E₀ ≠ ∅` with `E₀` the `x`
-/// values of the bindings satisfying the rest.
-fn lower_exists<'a>(
-    select: &'a Select,
-    catalog: &'a Catalog,
-    table: &'a TableInfo,
-    var: &'a str,
-) -> std::result::Result<GuardConjunct, String> {
+/// An `EXISTS` conjunct. `EXISTS` asks for one binding of the `FROM`
+/// tables satisfying the `WHERE` chain; when the row is read only in a
+/// positive equality `x = t.c`, that is `t.c ∩ E₀ ≠ ∅` with `E₀` the `x`
+/// values of the bindings satisfying the rest — a
+/// [`GuardConjunct::Probe`]. Otherwise the row set of the correlated
+/// `par(E)`.
+fn lower_exists(
+    select: &Select,
+    catalog: &Catalog,
+    table: &TableInfo,
+    var: &str,
+) -> Result<GuardConjunct> {
+    let refuse = |e: SqlError| {
+        SqlError::Unsupported(format!(
+            "the guard's `EXISTS ({select})` does not lower to relational algebra: {e}"
+        ))
+    };
     let mut c = SelectCompiler::new(catalog, table, var);
-    c.gather_select(select)
-        .map_err(|e| format!("the EXISTS does not compile: {e}"))?;
-    match c.row_reads.len() {
-        0 | 1 => {}
-        n => {
-            let names: Vec<&str> = c.row_reads.iter().map(|r| r.name.as_str()).collect();
-            let times = if n == 2 {
-                "twice".to_owned()
-            } else {
-                format!("{n} times")
-            };
-            return Err(format!(
-                "the EXISTS reads the row {times} ({})",
-                names.join(", ")
-            ));
-        }
-    }
+    let projection = c.gather_select(select)?;
     let is_row = |a: &str| a == "self" || a.starts_with("self.");
-    let (row, projection) = match c.row_reads.pop() {
-        None => {
-            let first = c.aliases.first().map(|(a, _)| a.clone());
-            (None, first.ok_or("the EXISTS has no FROM table")?)
+    // The row's one read, when it is in a positive equality.
+    let link = match c.row_reads.as_slice() {
+        [read] => (c.eqs.iter())
+            .position(|(a, b)| is_row(a) || is_row(b))
+            .map(|k| (read.clone(), k)),
+        _ => None,
+    };
+    if c.row_reads.is_empty() || link.is_some() {
+        let (row, x) = match link {
+            Some((read, k)) => {
+                let (a, b) = c.eqs.remove(k);
+                c.used.remove(&read);
+                c.row_reads.clear();
+                (Some(read.column), if is_row(&a) { b } else { a })
+            }
+            None => (None, projection.attr.clone()),
+        };
+        let e0 = c.build(Some(&x), true).map_err(refuse)?;
+        debug_assert!(well_typed(&e0, catalog, table), "ill-typed: {select}");
+        return Ok(GuardConjunct::Probe {
+            negated: false,
+            row,
+            e0,
+        });
+    }
+    let why = match c.row_reads.as_slice() {
+        [read] if read.attr == projection.attr => {
+            format!("the EXISTS projects a column of the row ({})", read.name)
         }
-        Some(read) => {
-            let Some(k) = c.eqs.iter().position(|(a, b)| is_row(a) || is_row(b)) else {
-                return Err(format!(
-                    "the EXISTS projects a column of the row ({})",
-                    read.name
-                ));
+        [read] => format!(
+            "the EXISTS reads the row outside one linking equality ({})",
+            read.name
+        ),
+        reads => {
+            let names: Vec<&str> = reads.iter().map(|r| r.name.as_str()).collect();
+            let times = match reads.len() {
+                2 => "twice".to_owned(),
+                n => format!("{n} times"),
             };
-            let (a, b) = c.eqs.remove(k);
-            let x = if is_row(&a) { b } else { a };
-            c.used.remove(&read);
-            (Some(read.column), x)
+            format!("the EXISTS reads the row {times} ({})", names.join(", "))
         }
     };
-    let e0 = c
-        .build(&projection, true)
-        .map_err(|e| format!("the EXISTS does not compile: {e}"))?;
-    let sig = Signature::new(vec![table.class]).map_err(|e| e.to_string())?;
-    infer_schema(&e0, &catalog.schema, &update_params(&sig))
-        .map_err(|e| format!("E₀ does not typecheck: {e}"))?;
-    Ok(GuardConjunct::Probe {
-        negated: false,
-        row,
-        e0,
+    let e = c.build(None, false).map_err(refuse)?;
+    debug_assert!(well_typed(&e, catalog, table), "ill-typed: {select}");
+    Ok(GuardConjunct::Rows {
+        query: par(&e)?,
+        why,
     })
 }
 
@@ -732,24 +761,38 @@ impl CursorUpdate {
     /// statement is `col := E` with `E` built from the subquery — the
     /// modelling step of Section 7 that unlocks Theorem 5.12.
     pub fn to_algebraic(&self) -> Result<AlgebraicMethod> {
+        self.algebraic_refusal()?;
+        let lowered = lower_values(&self.select, &self.catalog, &self.table, &self.var)?;
+        self.algebraic(lowered.expr)
+    }
+
+    /// Why the update has no algebraic form, if it has none: a guard, or
+    /// a `FROM` alias shadowing the cursor variable.
+    fn algebraic_refusal(&self) -> Result<()> {
         if self.condition.is_some() {
             // A guard makes the statement conditional — `col := E` always
             // replaces, so the algebraic model does not apply. Guarded
-            // cursor updates stay interpreted-only.
+            // cursor updates run in the receiver loop.
             return Err(SqlError::Unsupported(
                 "guarded cursor update has no algebraic form".to_owned(),
             ));
         }
         // The improve pass's set form unqualifies every `var.` reference
         // (`improve::strip_cursor_var`), which a shadowing alias would
-        // redirect, so such an update keeps the interpreted loop.
+        // redirect, so such an update keeps the receiver loop.
         if crate::plan::shadows_select(&self.select, &self.var) {
             return Err(SqlError::Unsupported(format!(
                 "a FROM alias shadows the cursor variable `{}`",
                 self.var
             )));
         }
-        let (expr, _attr) = select_to_expr(&self.select, &self.catalog, &self.table, &self.var)?;
+        Ok(())
+    }
+
+    /// [`CursorUpdate::to_algebraic`] over the subquery already lowered
+    /// to `expr` ([`lower_values`]), so the planner lowers it once.
+    pub(crate) fn algebraic(&self, expr: Expr) -> Result<AlgebraicMethod> {
+        self.algebraic_refusal()?;
         let sig = Signature::new(vec![self.table.class])?;
         AlgebraicMethod::new(
             format!(
@@ -856,10 +899,11 @@ impl UpdateMethod for CursorUpdateMethod {
 // ---------------------------------------------------------------------
 
 /// A fully resolved column reference: the binding's tuple attribute, the
-/// column, and the attribute the reference is read as.
+/// column, the attribute the reference is read as, and the class of its
+/// values.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct Resolved {
-    /// Tuple attribute of the binding (`"self"` or an alias name).
+    /// Tuple attribute of the binding (`"self"` or an alias attribute).
     scope_attr: Attr,
     /// The column as written.
     name: String,
@@ -871,14 +915,37 @@ struct Resolved {
     /// reference picks its own value of a multi-valued column, as in
     /// `sql::eval`.
     attr: Attr,
+    /// The class of the values the reference reads.
+    domain: ClassId,
 }
 
+/// A negative atom (`a <> b`, `c NOT IN TABLE T`) of a flattened
+/// subquery: a binding passes unless its two value sets share a value.
+struct Negation {
+    /// The tuple attributes the atom reads: the difference is keyed on
+    /// them.
+    keys: Vec<Attr>,
+    /// The atom's data column references, each joined on its own
+    /// attribute.
+    refs: Vec<Resolved>,
+    /// `NOT IN TABLE T`: `T`'s column, read under a fresh tuple attribute.
+    member: Option<Resolved>,
+    /// The two value attributes that meet.
+    meet: (Attr, Attr),
+}
+
+/// The compiler from one (sub)query to relational algebra. It flattens
+/// the query and every `EXISTS` nested in it into one binding of their
+/// `FROM` tables (and the row, as `self`): positive atoms become joins
+/// and equality selections over those bindings, and each negative atom a
+/// difference that drops the bindings whose two value sets meet.
 struct SelectCompiler<'a> {
     catalog: &'a Catalog,
     outer: &'a TableInfo,
     outer_var: &'a str,
-    /// Collected FROM aliases (flattened across EXISTS nesting).
-    aliases: Vec<(String, &'a TableInfo)>,
+    /// Collected FROM aliases (flattened across EXISTS nesting), by the
+    /// tuple attribute each binds.
+    aliases: Vec<(Attr, &'a TableInfo)>,
     /// The bindings in scope at the reference being resolved, as
     /// `crate::eval` binds them: the cursor tuple, then the enclosing
     /// selects' and the current one's `FROM` tables, outermost first.
@@ -887,10 +954,17 @@ struct SelectCompiler<'a> {
     /// tuple, then each `FROM` table's alias attribute ([`Self::add_alias`]).
     scope_attrs: Vec<Attr>,
     /// Data column references to materialize as property joins, one per
-    /// reference.
+    /// positive reference.
     used: BTreeSet<Resolved>,
     /// Equality constraints between resolved attributes.
     eqs: Vec<(Attr, Attr)>,
+    /// The negative atoms.
+    negs: Vec<Negation>,
+    /// A positive atom compares two classes: no binding satisfies it.
+    contradiction: bool,
+    /// The data column references of the negative atoms, which `used`
+    /// leaves out.
+    negated: Vec<Resolved>,
     fresh: usize,
     /// The column references that resolved to the cursor tuple, in
     /// resolution order.
@@ -911,6 +985,9 @@ impl<'a> SelectCompiler<'a> {
             scope_attrs: vec!["self".to_owned()],
             used: BTreeSet::new(),
             eqs: Vec::new(),
+            negs: Vec::new(),
+            contradiction: false,
+            negated: Vec::new(),
             fresh: 0,
             row_reads: Vec::new(),
         }
@@ -921,59 +998,56 @@ impl<'a> SelectCompiler<'a> {
         !self.row_reads.is_empty()
     }
 
-    /// Resolve every column of `select` (over the cursor tuple `outer_var`
-    /// of `outer`); returns the compiler and the resolved projection.
-    fn gather(
-        select: &'a Select,
-        catalog: &'a Catalog,
-        outer: &'a TableInfo,
-        outer_var: &'a str,
-    ) -> Result<(Self, Resolved)> {
-        let mut c = SelectCompiler::new(catalog, outer, outer_var);
-        let projection = c
-            .gather_select(select)?
-            .ok_or_else(|| SqlError::Unsupported("SELECT * in a value subquery".to_owned()))?;
-        Ok((c, projection))
+    /// A tuple attribute `name#k` no SQL name spells.
+    fn fresh_attr(&mut self, name: &str) -> Attr {
+        self.fresh += 1;
+        format!("{name}#{}", self.fresh)
     }
 
     /// Register a `FROM` table (or an `IN TABLE` probe) under `name` and
-    /// return the tuple attribute it binds. A `FROM` alias named like the
-    /// row shadows the row ([`crate::scope::resolve`]), so it binds a
-    /// fresh attribute `name#k`, which no SQL name spells.
-    fn add_alias(&mut self, name: &str, table: &'a TableInfo) -> Result<Attr> {
-        if name == "self" || self.aliases.iter().any(|(a, _)| a == name) {
-            return Err(SqlError::Unsupported(format!(
-                "duplicate or reserved alias `{name}`"
-            )));
-        }
-        let attr = if name == self.outer_var {
-            self.fresh += 1;
-            format!("{name}#{}", self.fresh)
+    /// return the tuple attribute it binds: `name` itself, unless another
+    /// binding took it, it names the row ([`crate::scope::resolve`] lets
+    /// it shadow the row), or the lowering reserves it (`self`, `rec`, a
+    /// property's attribute) — then a fresh attribute `name#k`.
+    fn add_alias(&mut self, name: &str, table: &'a TableInfo) -> Attr {
+        let taken = name == "self"
+            || name == "rec"
+            || name == self.outer_var
+            || self.catalog.schema.prop(name).is_some()
+            || self.aliases.iter().any(|(a, _)| a == name);
+        let attr = if taken {
+            self.fresh_attr(name)
         } else {
             name.to_owned()
         };
         self.aliases.push((attr.clone(), table));
-        Ok(attr)
+        attr
     }
 
     /// Resolve a column reference against the scopes in view
-    /// ([`crate::scope::resolve`]) and give it its own attribute.
-    fn resolve(&mut self, colref: &ColumnRef) -> Result<Resolved> {
+    /// ([`crate::scope::resolve`]) and give it its own attribute; a
+    /// positive reference's data column is joined into the bindings.
+    fn resolve(&mut self, colref: &ColumnRef, positive: bool) -> Result<Resolved> {
         let r = resolve(colref, &self.scopes)?;
         let scope_attr = self.scope_attrs[r.scope].clone();
-        let attr = match r.column {
-            Column::Id => scope_attr.clone(),
-            Column::Prop(_) => {
-                let base = format!("{scope_attr}.{}", colref.column);
-                let earlier = self
-                    .used
-                    .iter()
+        let class = self.scopes[r.scope].table.class;
+        let (attr, domain) = match r.column {
+            Column::Id => (scope_attr.clone(), class),
+            Column::Prop(p) if self.catalog.schema.property(p).src != class => {
+                return Err(SqlError::Unsupported(format!(
+                    "column `{colref}`: its property does not start at its table's class"
+                )))
+            }
+            Column::Prop(p) => {
+                let earlier = (self.used.iter().chain(&self.negated))
                     .filter(|u| u.scope_attr == scope_attr && u.column == r.column)
                     .count();
-                match earlier {
+                let base = format!("{scope_attr}.{}", colref.column);
+                let attr = match earlier {
                     0 => base,
                     k => format!("{base}#{}", k + 1),
-                }
+                };
+                (attr, self.catalog.schema.property(p).dst)
             }
         };
         let resolved = Resolved {
@@ -981,61 +1055,121 @@ impl<'a> SelectCompiler<'a> {
             name: colref.column.clone(),
             column: r.column,
             attr,
+            domain,
         };
         if resolved.scope_attr == "self" {
             self.row_reads.push(resolved.clone());
         }
         if resolved.column != Column::Id {
-            self.used.insert(resolved.clone());
+            match positive {
+                true => self.used.insert(resolved.clone()),
+                false => {
+                    self.negated.push(resolved.clone());
+                    true
+                }
+            };
         }
         Ok(resolved)
+    }
+
+    /// `T`'s one column, read under a fresh tuple attribute.
+    fn member(&mut self, table: &str) -> Result<(Resolved, &'a TableInfo)> {
+        let (info, prop) = in_table_column(self.catalog, table)?;
+        let name = self.catalog.schema.prop_name(prop).to_owned();
+        let scope_attr = self.fresh_attr(table);
+        let member = Resolved {
+            attr: format!("{scope_attr}.{name}"),
+            scope_attr,
+            name,
+            column: Column::Prop(prop),
+            domain: self.catalog.schema.property(prop).dst,
+        };
+        Ok((member, info))
+    }
+
+    /// The positive atom `a = b`: a selection, or a contradiction when
+    /// the two value sets hold different classes.
+    fn equate(&mut self, a: &Resolved, b: &Resolved) {
+        if a.domain == b.domain {
+            self.eqs.push((a.attr.clone(), b.attr.clone()));
+        } else {
+            self.contradiction = true;
+        }
+    }
+
+    /// The negative atom whose value sets are read by `a` and `b`; when
+    /// they hold different classes they never meet, and it always holds.
+    /// `b` is `T`'s column when `member` (`a NOT IN TABLE T`): no binding
+    /// key.
+    fn negate(&mut self, a: Resolved, b: Resolved, member: bool) {
+        if a.domain != b.domain {
+            return;
+        }
+        let mut keys = vec![a.scope_attr.clone()];
+        if !member && b.scope_attr != a.scope_attr {
+            keys.push(b.scope_attr.clone());
+        }
+        let meet = (a.attr.clone(), b.attr.clone());
+        let (refs, member) = if member {
+            (vec![a], Some(b))
+        } else {
+            (vec![a, b], None)
+        };
+        self.negs.push(Negation {
+            keys,
+            refs: refs
+                .into_iter()
+                .filter(|r| r.column != Column::Id)
+                .collect(),
+            member,
+            meet,
+        });
     }
 
     fn gather_condition(&mut self, cond: &'a Condition) -> Result<()> {
         match cond {
             Condition::Eq(a, b) => {
-                let ra = self.resolve(a)?;
-                let rb = self.resolve(b)?;
-                self.eqs.push((ra.attr, rb.attr));
-                Ok(())
+                let ra = self.resolve(a, true)?;
+                let rb = self.resolve(b, true)?;
+                self.equate(&ra, &rb);
+            }
+            Condition::NotEq(a, b) => {
+                let ra = self.resolve(a, false)?;
+                let rb = self.resolve(b, false)?;
+                self.negate(ra, rb, false);
             }
             Condition::InTable(c, table) => {
-                let rc = self.resolve(c)?;
-                let (info, prop) = self.catalog.single_column(table)?;
-                let name = info.columns.keys().next().expect("one column").clone();
-                self.fresh += 1;
-                let alias = format!("__{table}{}", self.fresh);
-                self.add_alias(&alias, info)?;
-                let member = Resolved {
-                    attr: format!("{alias}.{name}"),
-                    scope_attr: alias,
-                    name,
-                    column: Column::Prop(prop),
-                };
+                let rc = self.resolve(c, true)?;
+                let (member, info) = self.member(table)?;
+                self.aliases.push((member.scope_attr.clone(), info));
                 self.used.insert(member.clone());
-                self.eqs.push((rc.attr, member.attr));
-                Ok(())
+                self.equate(&rc, &member);
             }
-            Condition::NotEq(..) | Condition::NotInTable(..) => Err(SqlError::Unsupported(
-                "negative atom in a compiled subquery (the positive algebra \
-                 fragment cannot express set-level negation)"
-                    .to_owned(),
-            )),
-            Condition::Exists(select) => self.gather_select(select).map(|_| ()),
+            Condition::NotInTable(c, table) => {
+                let rc = self.resolve(c, false)?;
+                let (member, _) = self.member(table)?;
+                self.negate(rc, member, true);
+            }
+            Condition::Exists(select) => {
+                self.gather_select(select)?;
+            }
             Condition::And(a, b) => {
                 self.gather_condition(a)?;
-                self.gather_condition(b)
+                self.gather_condition(b)?;
             }
         }
+        Ok(())
     }
 
-    /// Gather a (sub)select; returns the resolved projection (`None` for
-    /// `SELECT *`). Its `FROM` tables are visible only inside it.
-    fn gather_select(&mut self, select: &'a Select) -> Result<Option<Resolved>> {
+    /// Gather a (sub)select; returns the resolved projection: its column,
+    /// or for `SELECT *` the interpreter's sentinel, the identity of the
+    /// innermost binding (the last `FROM` table). Its `FROM` tables are
+    /// visible only inside it.
+    fn gather_select(&mut self, select: &'a Select) -> Result<Resolved> {
         let outer_scopes = self.scopes.len();
         for item in &select.from {
             let info = self.catalog.lookup(&item.table)?;
-            let attr = self.add_alias(item.name(), info)?;
+            let attr = self.add_alias(item.name(), info);
             self.scopes.push(Bound {
                 alias: Some(item.name()),
                 table: info,
@@ -1046,18 +1180,65 @@ impl<'a> SelectCompiler<'a> {
             self.gather_condition(w)?;
         }
         let projection = match &select.projection {
-            Projection::Star => None,
-            Projection::Column(c) => Some(self.resolve(c)?),
+            Projection::Star => {
+                let k = self.scopes.len() - 1;
+                let sentinel = Resolved {
+                    scope_attr: self.scope_attrs[k].clone(),
+                    name: "*".to_owned(),
+                    column: Column::Id,
+                    attr: self.scope_attrs[k].clone(),
+                    domain: self.scopes[k].table.class,
+                };
+                if k == 0 {
+                    self.row_reads.push(sentinel.clone());
+                }
+                sentinel
+            }
+            Projection::Column(c) => self.resolve(c, true)?,
         };
         self.scopes.truncate(outer_scopes);
         self.scope_attrs.truncate(outer_scopes);
         Ok(projection)
     }
 
+    /// The property join a data column reference `r` reads, its source
+    /// as `r`'s tuple attribute and its values as `r.attr`. The cursor
+    /// tuple's joins use a fresh tuple attribute, equated with `self` in
+    /// `eqs` (`par(·)` forbids renaming to `self`).
+    fn prop_join(&self, r: &Resolved, table: &TableInfo, eqs: &mut Vec<(Attr, Attr)>) -> Expr {
+        let Column::Prop(prop) = r.column else {
+            unreachable!("only data columns are joined")
+        };
+        let schema = &self.catalog.schema;
+        let tuple_attr = if r.scope_attr == "self" {
+            let t = format!("{}__t", r.attr);
+            eqs.push(("self".to_owned(), t.clone()));
+            t
+        } else {
+            r.scope_attr.clone()
+        };
+        Expr::prop(prop)
+            .rename(schema.class_name(table.class), tuple_attr)
+            .rename(schema.prop_name(prop), r.attr.clone())
+    }
+
+    /// The table a reference's binding scans.
+    fn table_of(&self, r: &Resolved) -> &'a TableInfo {
+        if r.scope_attr == "self" {
+            return self.outer;
+        }
+        self.aliases
+            .iter()
+            .find(|(a, _)| *a == r.scope_attr)
+            .map(|(_, t)| *t)
+            .unwrap_or(self.outer)
+    }
+
     /// Assemble the final expression: the `FROM` tables joined onto the
     /// cursor tuple `self`, or, when `closed` (no column reads the cursor
-    /// tuple), onto each other alone.
-    fn build(self, projection: &str, closed: bool) -> Result<Expr> {
+    /// tuple), onto each other alone; then each negative atom's
+    /// difference, and the projection (none: the emptiness probe).
+    fn build(&self, projection: Option<&str>, closed: bool) -> Result<Expr> {
         let schema = &self.catalog.schema;
         let mut tables = self.aliases.iter().map(|(alias, table)| {
             let class_name = schema.class_name(table.class).to_owned();
@@ -1066,7 +1247,7 @@ impl<'a> SelectCompiler<'a> {
         let mut acc = if closed {
             debug_assert!(!self.reads_row(), "a closed query reads the cursor tuple");
             tables.next().ok_or_else(|| {
-                SqlError::Unsupported("value subquery without a FROM table".to_owned())
+                SqlError::Unsupported("a subquery without a FROM table".to_owned())
             })?
         } else {
             Expr::self_rel()
@@ -1076,52 +1257,53 @@ impl<'a> SelectCompiler<'a> {
         }
         let mut eqs = self.eqs.clone();
         for r in &self.used {
-            let Column::Prop(prop) = r.column else {
-                unreachable!("used only holds data columns")
-            };
-            let (table, tuple_attr): (&TableInfo, String) = if r.scope_attr == "self" {
-                // `par(·)` forbids renaming to `self`, so the cursor
-                // tuple's property joins use a fresh tuple attribute
-                // equated with `self` by a selection instead.
-                (self.outer, format!("{}__t", r.attr))
-            } else {
-                let (a, t) = self
-                    .aliases
-                    .iter()
-                    .find(|(a, _)| *a == r.scope_attr)
-                    .expect("resolved against aliases");
-                (t, a.clone())
-            };
-            let class_name = schema.class_name(table.class).to_owned();
-            let prop_name = schema.prop_name(prop).to_owned();
-            let join = Expr::prop(prop)
-                .rename(class_name, tuple_attr.clone())
-                .rename(prop_name, r.attr.clone());
-            acc = acc.nat_join(join);
-            if r.scope_attr == "self" {
-                eqs.push(("self".to_owned(), tuple_attr));
-            }
+            acc = acc.nat_join(self.prop_join(r, self.table_of(r), &mut eqs));
         }
         for (a, b) in &eqs {
             acc = acc.select_eq(a.clone(), b.clone());
         }
-        Ok(acc.project([projection]))
+        // Each negative atom keeps the bindings of its keys whose value
+        // sets do not meet: `π_keys(B) − π_keys(σ_meet(π_keys(B) ⋈ reads))`.
+        let bindings = if self.negs.is_empty() {
+            Expr::self_rel()
+        } else {
+            acc.clone()
+        };
+        for neg in &self.negs {
+            let keyed = || bindings.clone().project(neg.keys.clone());
+            let mut meets = vec![neg.meet.clone()];
+            let mut bad = keyed();
+            for r in &neg.refs {
+                bad = bad.nat_join(self.prop_join(r, self.table_of(r), &mut meets));
+            }
+            if let Some(m) = &neg.member {
+                let Column::Prop(prop) = m.column else {
+                    unreachable!("a table's column is a property")
+                };
+                let src = schema.property(prop).src;
+                bad = bad.nat_join(
+                    Expr::prop(prop)
+                        .rename(schema.class_name(src), m.scope_attr.clone())
+                        .rename(schema.prop_name(prop), m.attr.clone()),
+                );
+            }
+            for (a, b) in meets {
+                bad = bad.select_eq(a, b);
+            }
+            acc = acc.nat_join(keyed().diff(bad.project(neg.keys.clone())));
+        }
+        if self.contradiction {
+            let any = match (closed, self.aliases.first()) {
+                (false, _) | (true, None) => "self".to_owned(),
+                (true, Some((a, _))) => a.clone(),
+            };
+            acc = acc.select_ne(any.clone(), any);
+        }
+        Ok(match projection {
+            Some(p) => acc.project([p]),
+            None => acc.probe(),
+        })
     }
-}
-
-/// Compile a cursor-update subquery into a unary relational algebra
-/// expression over `self` (the cursor tuple) and the object base's
-/// relations. Returns the expression and its result attribute.
-pub fn select_to_expr(
-    select: &Select,
-    catalog: &Catalog,
-    outer: &TableInfo,
-    outer_var: &str,
-) -> Result<(Expr, Attr)> {
-    let (c, projection) = SelectCompiler::gather(select, catalog, outer, outer_var)?;
-    let attr = projection.attr;
-    let expr = c.build(&attr, false)?;
-    Ok((expr, attr))
 }
 
 #[cfg(test)]
@@ -1242,6 +1424,19 @@ mod tests {
                 "update Employee set Manager = (select t.Salary from Employee t)",
                 ill_typed("Employee.Manager", "Employee", "t.Salary", "Amount"),
             ),
+            // `SELECT *` yields the last `FROM` table's identity.
+            (
+                "update Employee set Salary = (select * from Fire)",
+                ill_typed("Employee.Salary", "Amount", "*", "Fire"),
+            ),
+            (
+                "for each t in Employee do update t set Salary = (select * from Fire)",
+                ill_typed("Employee.Salary", "Amount", "*", "Fire"),
+            ),
+            (
+                "update Employee set Manager = (select * from Employee E1, Fire)",
+                ill_typed("Employee.Manager", "Employee", "*", "Fire"),
+            ),
         ];
         for (text, want) in &cases {
             let stmt = parse(text).unwrap();
@@ -1269,6 +1464,7 @@ mod tests {
              (select E1.Manager from Employee E1 where E1.EmpId = Manager)",
             "for each t in Employee do update t set Salary = (select Amount from Fire)",
             "for each t in Employee do update t set Manager = (select t.Manager from Fire)",
+            "update Employee set Manager = (select * from Fire, Employee E1)",
         ] {
             let stmt = parse(text).unwrap();
             assert!(compile(&stmt, &catalog).is_ok(), "{text}");
@@ -1422,7 +1618,7 @@ mod tests {
                 panic!("{text} is a set update")
             };
             assert!(
-                select_to_expr(&select, &catalog, employee, "t").is_err(),
+                lower_values(&select, &catalog, employee, "t").is_err(),
                 "{text}"
             );
         }

@@ -59,17 +59,16 @@ use receivers_obs as obs;
 use receivers_relalg::database::Database;
 use receivers_relalg::eval::{eval as eval_expr, Bindings};
 use receivers_relalg::view::DatabaseView;
-use receivers_relalg::{Expr, RelSchema, Relation};
+use receivers_relalg::{Expr, RelName, RelSchema, Relation};
 use receivers_wal::{DurableStore, WalResult, WalStorage};
 
-use crate::ast::{ColumnRef, Condition, Projection, Select, SqlStatement, SET_ROW};
+use crate::ast::{ColumnRef, Condition, Projection, Select, SqlStatement};
 use crate::catalog::{Catalog, TableInfo};
 use crate::compile::{
-    compile, lower_guard, CompiledStatement, CursorDelete, CursorUpdate, GuardConjunct, SetDelete,
-    SetUpdate, ValuesQuery,
+    compile, lower_guard, lower_values, CompiledStatement, CursorDelete, CursorUpdate,
+    GuardConjunct, LoweredValues, SetDelete, SetUpdate, ValuesQuery,
 };
 use crate::error::{Result, SqlError};
-use crate::eval::{eval_condition, eval_select, Binding, Scopes};
 use crate::footprint::{footprint, guard_reads, Footprint, Write};
 use crate::improve::{improve_planned, ImproveRefusal, ImprovedUpdate, Improvement};
 use crate::sat::{GuardRef, Implication, Proof, Solver};
@@ -257,25 +256,30 @@ enum Exec {
     },
 }
 
-/// A cursor statement the receiver loop runs: a cursor delete, or a
-/// cursor update with no algebraic form and why it has none.
+/// A cursor statement the receiver loop runs, with its guard's conjuncts
+/// when it has one: a cursor delete, or a cursor update with no algebraic
+/// form, why it has none, and its value subquery lowered once.
 enum Cursor {
-    Delete(CursorDelete),
+    Delete {
+        delete: CursorDelete,
+        guard: Option<Arc<[GuardConjunct]>>,
+    },
     Update {
         update: Box<CursorUpdate>,
         why: SqlError,
+        guard: Option<Arc<[GuardConjunct]>>,
+        values: Arc<Lowered>,
     },
 }
 
 /// A set update, its guard's conjuncts when it has one, its values slot,
 /// and its value subquery lowered once to `par(E)` or to the closed `E₀`
-/// every row shares ([`crate::compile::SetUpdate::values_query`]), or why
-/// its values stay row by row.
+/// every row shares ([`crate::compile::lower_values`]).
 struct SetUpdateExec {
     update: SetUpdate,
     guard: Option<Arc<[GuardConjunct]>>,
     values: usize,
-    query: Result<ValuesQuery>,
+    query: Arc<ValuesQuery>,
 }
 
 /// One statement of a compiled program: what it executes, its footprint,
@@ -300,7 +304,7 @@ impl Stage {
             Exec::SetDelete { .. } => StageKind::SetDelete,
             Exec::SetUpdate(_) => StageKind::SetUpdate,
             Exec::Improved { .. } => StageKind::ImprovedUpdate,
-            Exec::Receivers(Cursor::Delete(_)) => StageKind::CursorDelete,
+            Exec::Receivers(Cursor::Delete { .. }) => StageKind::CursorDelete,
             Exec::Receivers(Cursor::Update { .. }) | Exec::Algebraic { .. } => {
                 StageKind::CursorUpdate
             }
@@ -374,7 +378,7 @@ impl Stage {
         }
     }
 
-    /// A set statement's guard, lowered to anchored conjuncts.
+    /// A set statement's guard, lowered to conjuncts.
     fn guard_query(&self) -> Option<&[GuardConjunct]> {
         match &self.exec {
             Exec::SetDelete { guard, .. } => Some(guard),
@@ -382,27 +386,21 @@ impl Stage {
         }
     }
 
-    /// A set or improved update's value subquery lowered to one
-    /// relational query — `par(E)` over the rows, or the closed `E₀`
-    /// every row shares — or why its values are evaluated row by row.
-    /// `None` for the other stage kinds.
-    pub fn values_query(&self) -> Option<&Result<ValuesQuery>> {
-        self.set_update().map(|set| &set.query)
+    /// A receiver-loop stage's guard, lowered to conjuncts.
+    fn cursor_guard(&self) -> Option<&[GuardConjunct]> {
+        match &self.exec {
+            Exec::Receivers(Cursor::Delete { guard, .. } | Cursor::Update { guard, .. }) => {
+                guard.as_deref()
+            }
+            _ => None,
+        }
     }
 
-    /// The conjuncts of a set statement's guard that run row by row:
-    /// each one's 1-based position in the `AND` chain, and why. Empty when
-    /// every conjunct is one probe per row, and for stages without a set
-    /// guard.
-    pub fn guard_residuals(&self) -> Vec<(usize, &str)> {
-        let conjuncts = self.guard_query().unwrap_or_default();
-        (1..)
-            .zip(conjuncts)
-            .filter_map(|(k, c)| match c {
-                GuardConjunct::Residual { why, .. } => Some((k, why.as_str())),
-                _ => None,
-            })
-            .collect()
+    /// A set or improved update's value subquery lowered to one
+    /// relational query: `par(E)` over the rows, or the closed `E₀` every
+    /// row shares. `None` for the other stage kinds.
+    pub fn values_query(&self) -> Option<&ValuesQuery> {
+        self.set_update().map(|set| &*set.query)
     }
 }
 
@@ -460,24 +458,88 @@ impl Slots {
         (id, None)
     }
 
-    /// The values slot of an update at `stage` whose row is `var`: the
-    /// selector plus the canonical value subquery, reading everything
-    /// the statement reads.
+    /// The values slot of an update at `stage` whose value subquery has
+    /// the canonical text `select` ([`canon_select`]): the selector plus
+    /// that text, reading everything the statement reads.
     fn values(
         &mut self,
         selector: usize,
-        select: &Select,
-        var: &str,
+        select: Option<&str>,
         stage: usize,
         footprint: &Footprint,
     ) -> (usize, Option<usize>) {
-        let key = canon_select(select, var).map(|s| format!("val:{selector}:{s}"));
+        let key = select.map(|s| format!("val:{selector}:{s}"));
         let (id, owner) = self.claim(key, stage, || footprint.reads.clone());
         if owner.is_some() {
             C_CSE_SHARED.incr();
         }
         (id, owner)
     }
+}
+
+/// A value subquery lowered once ([`lower_values`]) and the query a set
+/// stage evaluates, made when a stage first needs it.
+struct Lowered {
+    values: LoweredValues,
+    query: OnceLock<Arc<ValuesQuery>>,
+}
+
+impl Lowered {
+    /// The set stages' query: the closed `E₀`, or `par(E)`.
+    fn query(&self) -> Result<Arc<ValuesQuery>> {
+        if let Some(q) = self.query.get() {
+            return Ok(Arc::clone(q));
+        }
+        let q = Arc::new(self.values.query()?);
+        Ok(Arc::clone(self.query.get_or_init(|| q)))
+    }
+}
+
+/// Process-wide memo of one kind of lowering, like the proof cache: each
+/// guard or value subquery is keyed by its row's table and its canonical
+/// text (cursor variables rewritten to `#r`), then by the catalog, stored
+/// whole and compared by equality, so every program that reads it shares
+/// one lowering. A lowering is a pure function of its key. Entries are
+/// bounded by the distinct guards and subqueries the process compiles;
+/// there is no eviction. [`reset_proof_cache`] clears it.
+type Memo<V> = Mutex<HashMap<String, Vec<(Catalog, V)>>>;
+
+fn lowered_guards() -> &'static Memo<Arc<[GuardConjunct]>> {
+    static MEMO: OnceLock<Memo<Arc<[GuardConjunct]>>> = OnceLock::new();
+    MEMO.get_or_init(Memo::default)
+}
+
+fn lowered_subqueries() -> &'static Memo<Arc<Lowered>> {
+    static MEMO: OnceLock<Memo<Arc<Lowered>>> = OnceLock::new();
+    MEMO.get_or_init(Memo::default)
+}
+
+/// The lowering under `key` and `catalog` in `memo`, or computed and
+/// stored; a `None` key (an alias shadows the row) is computed alone.
+/// Errors are returned, not stored.
+fn memoized_lowering<V: Clone>(
+    memo: &Memo<V>,
+    key: Option<String>,
+    catalog: &Catalog,
+    lower: impl FnOnce() -> Result<V>,
+) -> Result<V> {
+    let Some(key) = key else {
+        return lower();
+    };
+    let lock = || memo.lock().unwrap_or_else(|e| e.into_inner());
+    let hit = lock()
+        .get(&key)
+        .and_then(|entries| entries.iter().find(|(c, _)| c == catalog))
+        .map(|(_, v)| v.clone());
+    if let Some(v) = hit {
+        return Ok(v);
+    }
+    let v = lower()?;
+    lock()
+        .entry(key)
+        .or_default()
+        .push((catalog.clone(), v.clone()));
+    Ok(v)
 }
 
 /// Compile a whole update program into a [`ProgramPlan`]: per-statement
@@ -488,15 +550,13 @@ pub fn compile_program(program: &[SqlStatement], catalog: &Catalog) -> Result<Pr
     let _span = obs::span("sql.plan.compile");
     C_PROGRAMS.incr();
     let mut slots = Slots::default();
-    // Lowered once per selector slot: set stages sharing a guard share
-    // its conjuncts.
-    let mut guards: HashMap<usize, Arc<[GuardConjunct]>> = HashMap::new();
     let mut stages: Vec<Stage> = Vec::with_capacity(program.len());
     for (idx, stmt) in program.iter().enumerate() {
         let compiled = compile(stmt, catalog)?;
         C_STAGES.incr();
         let footprint = footprint(stmt, catalog);
         let (table, var, guard, _) = stmt.parts();
+        let canon_guard = guard.and_then(|cond| canon_condition(cond, var));
         // Cse pass: the selector slot is the table plus the canonical
         // guard; an unguarded statement selects every row of its table.
         let (selector, mut shared_with) = match guard {
@@ -506,8 +566,8 @@ pub fn compile_program(program: &[SqlStatement], catalog: &Catalog) -> Result<Pr
                     .0,
                 None,
             ),
-            Some(cond) => {
-                let key = canon_condition(cond, var).map(|c| format!("sel:{table}:{c}"));
+            Some(_) => {
+                let key = canon_guard.as_ref().map(|c| format!("sel:{table}:{c}"));
                 let claimed = slots.claim(key, idx, || guard_reads(stmt, catalog));
                 if claimed.1.is_some() {
                     C_CSE_SHARED.incr();
@@ -515,13 +575,22 @@ pub fn compile_program(program: &[SqlStatement], catalog: &Catalog) -> Result<Pr
                 claimed
             }
         };
-        let mut lowered_guard = |cond: &Condition, table: &TableInfo| -> Result<_> {
-            if let Some(conjuncts) = guards.get(&selector) {
-                return Ok(Arc::clone(conjuncts));
-            }
-            let conjuncts: Arc<[GuardConjunct]> = lower_guard(cond, catalog, table, var)?.into();
-            guards.insert(selector, Arc::clone(&conjuncts));
-            Ok(conjuncts)
+        // Each guard and value subquery is lowered once per process:
+        // stages and programs that share one share its lowering.
+        let lowered_guard = |cond: &Condition, info: &TableInfo| {
+            let key = canon_guard.as_ref().map(|c| format!("{table}:{c}"));
+            memoized_lowering(lowered_guards(), key, catalog, || {
+                Ok(lower_guard(cond, catalog, info, var)?.into())
+            })
+        };
+        let lowered_values = |select: &Select, canon: Option<&str>, info: &TableInfo| {
+            let key = canon.map(|c| format!("{table}:{c}"));
+            memoized_lowering(lowered_subqueries(), key, catalog, || {
+                Ok(Arc::new(Lowered {
+                    values: lower_values(select, catalog, info, var)?,
+                    query: OnceLock::new(),
+                }))
+            })
         };
         let mut proofs = Vec::new();
         let exec = match compiled {
@@ -530,29 +599,42 @@ pub fn compile_program(program: &[SqlStatement], catalog: &Catalog) -> Result<Pr
                 delete,
             },
             CompiledStatement::SetUpdate(update) => {
-                let (values, owner) = slots.values(selector, update.select(), var, idx, &footprint);
+                let canon = canon_select(update.select(), var);
+                let (values, owner) = slots.values(selector, canon.as_deref(), idx, &footprint);
                 shared_with = owner.or(shared_with);
+                let lowered = lowered_values(update.select(), canon.as_deref(), update.table())?;
                 Exec::SetUpdate(SetUpdateExec {
-                    guard: match &update.condition {
-                        Some(cond) => Some(lowered_guard(cond, update.table())?),
-                        None => None,
-                    },
+                    guard: (update.condition.as_ref())
+                        .map(|c| lowered_guard(c, update.table()))
+                        .transpose()?,
                     values,
-                    query: update.values_query(),
+                    query: lowered.query()?,
                     update,
                 })
             }
-            CompiledStatement::CursorDelete(delete) => Exec::Receivers(Cursor::Delete(delete)),
+            CompiledStatement::CursorDelete(delete) => Exec::Receivers(Cursor::Delete {
+                guard: (delete.condition.as_ref())
+                    .map(|c| lowered_guard(c, delete.table()))
+                    .transpose()?,
+                delete,
+            }),
             CompiledStatement::CursorUpdate(update) => {
                 // A cursor update claims its values slot too, so a later
                 // set update with the same subquery reports the share.
-                let (values, owner) = slots.values(selector, update.select(), var, idx, &footprint);
+                let canon = canon_select(update.select(), var);
+                let (values, owner) = slots.values(selector, canon.as_deref(), idx, &footprint);
                 shared_with = owner.or(shared_with);
+                let lowered = lowered_values(update.select(), canon.as_deref(), update.table())?;
                 // Improve pass: an unguarded, key-order-independent cursor
-                // update (B) runs as its set statement (A). The method is
-                // lowered once: the improve pass takes it and hands it
-                // back when it leaves the loop alone.
-                match update.to_algebraic().map(improve_planned) {
+                // update (B) runs as its set statement (A). The subquery
+                // is lowered once: the method assigns its `E`, the set
+                // statement evaluates `par(E)` (or the closed `E₀`), and
+                // the improve pass hands the method back when it leaves
+                // the loop alone.
+                match update
+                    .algebraic(lowered.values.expr.clone())
+                    .map(improve_planned)
+                {
                     Ok((Improvement::Improved(improved), _)) => {
                         C_IMPROVED.incr();
                         proofs.push(Proof::default().note(
@@ -560,13 +642,12 @@ pub fn compile_program(program: &[SqlStatement], catalog: &Catalog) -> Result<Pr
                              (Theorem 5.12), so the loop is replaced by one par(E) \
                              evaluation with identical semantics (Theorem 6.5)",
                         ));
-                        let update = update.into_set_form();
                         Exec::Improved {
                             set: SetUpdateExec {
                                 guard: None,
                                 values,
-                                query: update.values_query(),
-                                update,
+                                query: lowered.query()?,
+                                update: update.into_set_form(),
                             },
                             improved,
                         }
@@ -578,6 +659,10 @@ pub fn compile_program(program: &[SqlStatement], catalog: &Catalog) -> Result<Pr
                         refusal: reason,
                     },
                     Err(why) => Exec::Receivers(Cursor::Update {
+                        values: lowered,
+                        guard: (update.condition.as_ref())
+                            .map(|c| lowered_guard(c, update.table()))
+                            .transpose()?,
                         update: Box::new(update),
                         why,
                     }),
@@ -708,12 +793,21 @@ pub fn proof_cache_len() -> usize {
         .len()
 }
 
-/// Clear the process-wide proof cache, every verdict kind. Bench/test
-/// support: a cold-compile measurement needs every lookup to miss, and
-/// the cache is otherwise append-only for the process lifetime.
+/// Clear the process-wide proof cache, every verdict kind, and the
+/// lowering memo. Bench/test support: a cold-compile measurement needs
+/// every lookup to miss, and the caches are otherwise append-only for
+/// the process lifetime.
 #[doc(hidden)]
 pub fn reset_proof_cache() {
     proof_cache()
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .clear();
+    lowered_guards()
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .clear();
+    lowered_subqueries()
         .lock()
         .unwrap_or_else(|e| e.into_inner())
         .clear();
@@ -882,8 +976,6 @@ struct ExecCache<'p> {
     misses: u64,
     /// Closed guard subqueries `E₀` evaluated in this execution.
     subqueries: u64,
-    /// Rows a residual guard conjunct evaluated in this execution.
-    residual_rows: u64,
 }
 
 /// A set update's phase-1 answer: the selected rows and their new values.
@@ -906,6 +998,70 @@ impl Assignments {
     }
 }
 
+/// The rows of `rows` that pass the lowered `guard`, in their order. The
+/// conjuncts run in source order, each over the rows the earlier ones
+/// kept, as [`crate::eval::eval_condition`]'s `AND` stops a row at the
+/// first conjunct that fails. A row-equality tests the row's own edges;
+/// a probe tests them against its closed `E₀`, evaluated when the first
+/// row reaches it and kept in `e0s` (one slot per conjunct) for later
+/// calls until the caller clears it; a correlated `EXISTS` is one
+/// evaluation of its `par(E)` over the rows that reach it. `class` is
+/// the rows' class; `evals` counts `E₀` evaluations.
+fn select_rows(
+    guard: &[GuardConjunct],
+    mut rows: Vec<Oid>,
+    e0s: &mut [Option<Vec<Oid>>],
+    class: ClassId,
+    instance: &Instance,
+    db: &Database,
+    evals: &mut u64,
+) -> Result<Vec<Oid>> {
+    let values = |t: Oid, v: Column| {
+        let (own, prop) = match v {
+            Column::Id => (Some(t), None),
+            Column::Prop(p) => (None, Some(p)),
+        };
+        own.into_iter().chain(
+            prop.into_iter()
+                .flat_map(move |p| instance.successors(t, p)),
+        )
+    };
+    for (conjunct, set) in guard.iter().zip(e0s) {
+        if rows.is_empty() {
+            break;
+        }
+        match conjunct {
+            GuardConjunct::RowEq { negated, a, b } => rows.retain(|&t| {
+                let hit = values(t, *a).any(|x| values(t, *b).any(|y| x == y));
+                hit != *negated
+            }),
+            GuardConjunct::Probe { negated, row, e0 } => {
+                let set = match set {
+                    Some(set) => set,
+                    None => {
+                        *evals += 1;
+                        let rel = eval_expr(e0, db, &Bindings::new())?;
+                        set.insert(rel.tuples().map(|t| t[0]).collect())
+                    }
+                };
+                rows.retain(|&t| {
+                    let hit = match row {
+                        None => !set.is_empty(),
+                        Some(v) => values(t, *v).any(|x| set.binary_search(&x).is_ok()),
+                    };
+                    hit != *negated
+                });
+            }
+            GuardConjunct::Rows { query, .. } => {
+                let pass = eval_rec(query, class, &rows, db)?;
+                let pass: Vec<Oid> = pass.tuples().map(|t| t[0]).collect();
+                rows.retain(|t| pass.binary_search(t).is_ok());
+            }
+        }
+    }
+    Ok(rows)
+}
+
 impl<'p> ExecCache<'p> {
     fn new(plan: &'p ProgramPlan) -> Self {
         Self {
@@ -915,7 +1071,6 @@ impl<'p> ExecCache<'p> {
             hits: 0,
             misses: 0,
             subqueries: 0,
-            residual_rows: 0,
         }
     }
 
@@ -942,92 +1097,28 @@ impl<'p> ExecCache<'p> {
             self.hits += 1;
             return Ok(cached.clone());
         }
-        let base: Vec<Oid> = members();
         C_SELECTOR_EVALS.incr();
         self.misses += 1;
-        let out = self.select(guard, &base, SET_ROW, table, instance, db)?;
+        let mut e0s = vec![None; guard.len()];
+        let out = select_rows(
+            guard,
+            members(),
+            &mut e0s,
+            table.class,
+            instance,
+            db,
+            &mut self.subqueries,
+        )?;
         self.rows.insert(selector, out.clone());
-        Ok(out)
-    }
-
-    /// The rows of `base` that pass a set statement's lowered `guard`,
-    /// in `base`'s order. Each closed `E₀` is evaluated once, when the
-    /// first row reaches its conjunct (never, when none does); then every
-    /// row tests its own forward edges against those sorted sets, and a
-    /// residual conjunct binds the row as `var` over `info`. The
-    /// conjuncts run in source order and a row stops at the first that
-    /// fails, as [`eval_condition`]'s `AND` does, so a residual
-    /// conjunct's error is raised at the same row as evaluating the whole
-    /// guard row by row.
-    fn select(
-        &mut self,
-        guard: &[GuardConjunct],
-        base: &[Oid],
-        var: &str,
-        info: &TableInfo,
-        instance: &Instance,
-        db: &Database,
-    ) -> Result<Vec<Oid>> {
-        let values = |t: Oid, v: Column| {
-            let (own, prop) = match v {
-                Column::Id => (Some(t), None),
-                Column::Prop(p) => (None, Some(p)),
-            };
-            own.into_iter().chain(
-                prop.into_iter()
-                    .flat_map(move |p| instance.successors(t, p)),
-            )
-        };
-        let mut sets: Vec<Option<Vec<Oid>>> = vec![None; guard.len()];
-        let mut out = Vec::with_capacity(base.len());
-        'rows: for &t in base {
-            for (conjunct, set) in guard.iter().zip(&mut sets) {
-                let pass = match conjunct {
-                    GuardConjunct::RowEq { negated, a, b } => {
-                        let hit = values(t, *a).any(|x| values(t, *b).any(|y| x == y));
-                        hit != *negated
-                    }
-                    GuardConjunct::Probe { negated, row, e0 } => {
-                        let set = match set {
-                            Some(set) => set,
-                            None => {
-                                self.subqueries += 1;
-                                let rel = eval_expr(e0, db, &Bindings::new())?;
-                                set.insert(rel.tuples().map(|t| t[0]).collect())
-                            }
-                        };
-                        let hit = match row {
-                            None => !set.is_empty(),
-                            Some(v) => values(t, *v).any(|x| set.binary_search(&x).is_ok()),
-                        };
-                        hit != *negated
-                    }
-                    GuardConjunct::Residual { cond, .. } => {
-                        self.residual_rows += 1;
-                        let scopes: Scopes<'_> = vec![Binding {
-                            alias: var.to_owned(),
-                            table: info,
-                            tuple: t,
-                        }];
-                        eval_condition(cond, &scopes, &self.plan.catalog, instance)?
-                    }
-                };
-                if !pass {
-                    continue 'rows;
-                }
-            }
-            out.push(t);
-        }
         Ok(out)
     }
 
     /// The assignments a set update whose rows come from the `selector`
     /// slot produces, cached under its values slot: from one evaluation
-    /// of its query against `db` when it has one (none when no row is
-    /// selected): a closed `E₀` once for every row, a `par(E)` split per
-    /// row, where a row `par(E)` pairs with nothing gets no values, as the
-    /// row-by-row subquery gives it. Without a query, the subquery is
-    /// evaluated row by row.
+    /// of its query against `db` (none when no row is selected): a closed
+    /// `E₀` once for every row, a `par(E)` split per row, where a row
+    /// `par(E)` pairs with nothing gets no values, as the row-by-row
+    /// subquery gives it.
     fn values(
         &mut self,
         set: &SetUpdateExec,
@@ -1040,13 +1131,12 @@ impl<'p> ExecCache<'p> {
             self.hits += 1;
             return Ok(cached.clone());
         }
-        let update = &set.update;
-        let info = update.table();
+        let info = set.update.table();
         let base = self.rows(selector, set.guard.as_deref(), info, instance, db)?;
         C_SELECTOR_EVALS.incr();
         self.misses += 1;
-        let out = match set.query.as_ref().ok() {
-            Some(ValuesQuery::Shared(closed)) => {
+        let out = match &*set.query {
+            ValuesQuery::Shared(closed) => {
                 let values = if base.is_empty() {
                     Vec::new()
                 } else {
@@ -1055,29 +1145,14 @@ impl<'p> ExecCache<'p> {
                 };
                 Assignments::Shared { rows: base, values }
             }
-            Some(ValuesQuery::PerRow(_)) if base.is_empty() => Assignments::PerRow(Vec::new()),
-            Some(ValuesQuery::PerRow(query)) => {
+            ValuesQuery::PerRow(_) if base.is_empty() => Assignments::PerRow(Vec::new()),
+            ValuesQuery::PerRow(query) => {
                 let pairs = par_pairs(query, info.class, &base, db)?;
                 let mut out = Vec::with_capacity(base.len());
                 for &t in &base {
                     let from = pairs.partition_point(|&(row, _)| row < t);
                     let to = from + pairs[from..].partition_point(|&(row, _)| row == t);
                     out.push((t, pairs[from..to].iter().map(|&(_, v)| v).collect()));
-                }
-                Assignments::PerRow(out)
-            }
-            None => {
-                let mut out = Vec::with_capacity(base.len());
-                for &t in &base {
-                    let scopes: Scopes<'_> = vec![Binding {
-                        alias: SET_ROW.to_owned(),
-                        table: info,
-                        tuple: t,
-                    }];
-                    out.push((
-                        t,
-                        eval_select(update.select(), &scopes, &self.plan.catalog, instance)?,
-                    ));
                 }
                 Assignments::PerRow(out)
             }
@@ -1128,7 +1203,6 @@ struct StageMark {
     hits: u64,
     misses: u64,
     subqueries: u64,
-    residual_rows: u64,
     log_len: usize,
 }
 
@@ -1158,29 +1232,35 @@ pub(crate) fn stage_node(idx: usize, stage: &Stage) -> obs::ProfileNode {
         n.add_note(format!("selector shared with stage {} (cse)", k + 1));
     }
     match stage.values_query() {
-        Some(Ok(ValuesQuery::PerRow(_))) => n.add_note("values: one par(E) evaluation"),
-        Some(Ok(ValuesQuery::Shared(_))) => n.add_note(
+        Some(ValuesQuery::PerRow(_)) => n.add_note("values: one par(E) evaluation"),
+        Some(ValuesQuery::Shared(_)) => n.add_note(
             "values: one evaluation shared by every row (the subquery reads no column of the row)",
         ),
-        Some(Err(why)) => n.add_note(format!("values: row by row — {why}")),
         None => {}
     }
     if let Some(conjuncts) = stage.guard_query() {
-        let residuals = stage.guard_residuals();
-        let probed = conjuncts.len() - residuals.len();
-        if residuals.is_empty() {
+        let correlated: Vec<(usize, &str)> = (1..)
+            .zip(conjuncts)
+            .filter_map(|(k, c)| match c {
+                GuardConjunct::Rows { why, .. } => Some((k, why.as_str())),
+                _ => None,
+            })
+            .collect();
+        let probed = conjuncts.len() - correlated.len();
+        let s = if probed == 1 { "" } else { "s" };
+        if correlated.is_empty() {
             n.add_note(format!(
-                "guard: each subquery evaluated once, then one probe per row ({probed} conjunct{})",
-                if probed == 1 { "" } else { "s" }
+                "guard: each subquery evaluated once, then one probe per row ({probed} conjunct{s})"
             ));
         } else if probed > 0 {
             n.add_note(format!(
-                "guard: the other {probed} conjunct{} evaluated once, then probed per row",
-                if probed == 1 { "" } else { "s" }
+                "guard: the other {probed} conjunct{s} evaluated once, then probed per row"
             ));
         }
-        for (k, why) in residuals {
-            n.add_note(format!("guard: conjunct {k} row by row — {why}"));
+        for (k, why) in correlated {
+            n.add_note(format!(
+                "guard: conjunct {k} as one par(E) evaluation over the rows — {why}"
+            ));
         }
     }
     match &stage.exec {
@@ -1231,12 +1311,8 @@ fn push_stage_profile(
     node.set_metric("selector_cache_hits", cache.hits - mark.hits);
     node.set_metric("selector_cache_misses", cache.misses - mark.misses);
     node.set_metric("delta_ops", (log_len - mark.log_len) as u64);
-    if stage.guard_query().is_some() {
+    if stage.guard_query().is_some() || stage.cursor_guard().is_some() {
         node.set_metric("guard_subqueries", cache.subqueries - mark.subqueries);
-        node.set_metric(
-            "guard_residual_rows",
-            cache.residual_rows - mark.residual_rows,
-        );
     }
     if meter.selector_ns > 0 {
         node.set_metric("selector_ns", meter.selector_ns);
@@ -1284,6 +1360,18 @@ fn commit_to<S: WalStorage>(
     }
 }
 
+/// One evaluation of a `par(·)` query against `db`, with `rec` bound to
+/// `rows` (scheme `self` over `class`).
+fn eval_rec(query: &Expr, class: ClassId, rows: &[Oid], db: &Database) -> Result<Relation> {
+    let rec = Relation::from_tuples(
+        RelSchema::unary("self", class),
+        rows.iter().map(std::slice::from_ref),
+    )?;
+    let mut bindings = Bindings::new();
+    bindings.bind("rec", rec);
+    Ok(eval_expr(query, db, &bindings)?)
+}
+
 /// One evaluation of a `par(E)` query against `db`, with `rec` bound to
 /// `rows` (scheme `self` over `class`): every `(row, value)` assignment
 /// pair, sorted. The scheme is `(self, value)`; the degenerate `a := self`
@@ -1294,69 +1382,138 @@ pub(crate) fn par_pairs(
     rows: &[Oid],
     db: &Database,
 ) -> Result<Vec<(Oid, Oid)>> {
-    let rec = Relation::from_tuples(
-        RelSchema::unary("self", class),
-        rows.iter().map(std::slice::from_ref),
-    )?;
-    let mut bindings = Bindings::new();
-    bindings.bind("rec", rec);
-    let rel = eval_expr(query, db, &bindings)?;
+    let rel = eval_rec(query, class, rows, db)?;
     Ok(match rel.schema().arity() {
         1 => rel.tuples().map(|t| (t[0], t[0])).collect(),
         _ => rel.tuples().map(|t| (t[0], t[1])).collect(),
     })
 }
 
-/// The one interpreted receiver loop: the paper's `M_seq` (Def. 3.1) for
-/// a cursor statement, in place. Receivers run in canonical key order (a
-/// unary receiver set is ordered by its objects, as `class_members`
-/// yields them); each one's guard is evaluated by [`eval_condition`]
-/// against the instance the earlier receivers left, and a receiver that
-/// passes is deleted, or its row replaced by the value subquery, in one
-/// observed transaction committed into `log`. A value that is not a typed
-/// object of the instance is an `Err`, which undoes the program.
+/// What each receiver of a cursor stage writes.
+#[derive(Clone, Copy)]
+enum RowWrite {
+    /// Its row of the property.
+    Update(PropId),
+    /// Its object of the class, with every edge at it.
+    Delete(ClassId),
+}
+
+/// Whether a receiver's write can change what the closed query `e`
+/// reads: an update of a property it reads, or a delete of a class it
+/// reads or that a property it reads starts or ends at (the delete
+/// cascades its edges).
+fn written(e: &Expr, write: RowWrite, schema: &Schema) -> bool {
+    e.base_relations().into_iter().any(|r| match (r, write) {
+        (RelName::Prop(p), RowWrite::Update(q)) => p == q,
+        (RelName::Class(c), RowWrite::Delete(d)) => c == d,
+        (RelName::Prop(p), RowWrite::Delete(d)) => {
+            let p = schema.property(p);
+            p.src == d || p.dst == d
+        }
+        (RelName::Class(_), RowWrite::Update(_)) => false,
+    })
+}
+
+/// The receiver loop: the paper's `M_seq` (Def. 3.1) for a cursor
+/// statement, in place. Receivers run in canonical key order (a unary
+/// receiver set is ordered by its objects, as `class_members` yields
+/// them). Each one's guard runs through the set statements' lowered
+/// conjuncts ([`select_rows`]) with the receiver as the only row, against
+/// the view the earlier receivers left; a receiver that passes is
+/// deleted, or its row replaced by its values — `E` with `self` bound to
+/// the receiver (by Lemma 6.7, `par(E)` with `rec` bound to it), or the
+/// closed `E₀` every row shares — in one observed transaction committed
+/// into `log`. Each closed `E₀`, of a guard probe or of shared values, is
+/// evaluated once for the stage, and again only after a receiver's write
+/// that can change it ([`written`]); so every receiver sees the values
+/// the instance in front of it gives, which is exactly `M_seq`. A value
+/// that is not a typed object of the instance is an `Err`, which undoes
+/// the program.
 fn run_receivers(
     cursor: &Cursor,
     instance: &mut Instance,
     view: &mut DatabaseView,
     log: &mut Vec<DeltaOp>,
     meter: &mut StageMeter,
+    evals: &mut u64,
 ) -> Result<InPlaceOutcome> {
-    let (var, table, catalog, guard) = match cursor {
-        Cursor::Delete(d) => (&d.var, d.table(), d.catalog(), &d.condition),
-        Cursor::Update { update: u, .. } => (&u.var, u.table(), u.catalog(), &u.condition),
+    let (table, guard, row_write, values) = match cursor {
+        Cursor::Delete { delete, guard } => (
+            delete.table(),
+            guard.as_deref(),
+            RowWrite::Delete(delete.table().class),
+            None,
+        ),
+        Cursor::Update {
+            update,
+            guard,
+            values,
+            ..
+        } => (
+            update.table(),
+            guard.as_deref(),
+            RowWrite::Update(update.property),
+            Some(&**values),
+        ),
     };
-    let order: Vec<Oid> = instance.class_members(table.class).collect();
+    let guard = guard.unwrap_or_default();
+    let values = values.map(|v| &v.values);
+    let schema = instance.schema();
+    let stale: Vec<bool> = guard
+        .iter()
+        .map(|c| matches!(c, GuardConjunct::Probe { e0, .. } if written(e0, row_write, schema)))
+        .collect();
+    let shared_stale = values
+        .and_then(|v| v.closed.as_ref())
+        .is_some_and(|e0| written(e0, row_write, schema));
+    let mut e0s: Vec<Option<Vec<Oid>>> = vec![None; guard.len()];
+    let mut shared: Option<Vec<Oid>> = None;
+    let class = table.class;
+    let order: Vec<Oid> = instance.class_members(class).collect();
     meter.rows_in += order.len() as u64;
     for tuple in order {
-        let scopes: Scopes<'_> = vec![Binding {
-            alias: var.clone(),
-            table,
-            tuple,
-        }];
-        if let Some(guard) = guard {
-            if !eval_condition(guard, &scopes, catalog, instance)? {
-                continue;
-            }
+        let db = view.database();
+        if select_rows(guard, vec![tuple], &mut e0s, class, instance, db, evals)?.is_empty() {
+            continue;
         }
-        let write = match cursor {
-            Cursor::Delete(_) => None,
-            Cursor::Update { update, .. } => Some((
-                update.property,
-                eval_select(update.select(), &scopes, catalog, instance)?,
-            )),
+        let new_values: Vec<Oid> = match values {
+            None => Vec::new(),
+            Some(LoweredValues {
+                closed: Some(e0), ..
+            }) => match &shared {
+                Some(v) => v.clone(),
+                None => {
+                    let rel = eval_expr(e0, db, &Bindings::new())?;
+                    shared.insert(rel.tuples().map(|t| t[0]).collect()).clone()
+                }
+            },
+            Some(LoweredValues { expr, .. }) => {
+                let mut row = Bindings::new();
+                row.bind("self", Relation::singleton("self", tuple));
+                let rel = eval_expr(expr, db, &row)?;
+                rel.tuples().map(|t| t[0]).collect()
+            }
         };
         meter.rows_out += 1;
+        let logged = log.len();
         let mut txn = InstanceTxn::begin_observed(instance, view);
-        match write {
-            None => {
-                txn.remove_object_cascade(tuple);
+        match row_write {
+            RowWrite::Update(prop) => {
+                txn.replace_successors(tuple, prop, &new_values)?;
             }
-            Some((prop, values)) => {
-                txn.replace_successors(tuple, prop, &values)?;
+            RowWrite::Delete(_) => {
+                txn.remove_object_cascade(tuple);
             }
         }
         txn.commit_into(log);
+        if log.len() > logged {
+            for (set, _) in e0s.iter_mut().zip(&stale).filter(|(_, &s)| s) {
+                *set = None;
+            }
+            if shared_stale {
+                shared = None;
+            }
+        }
     }
     Ok(InPlaceOutcome::Applied)
 }
@@ -1409,7 +1566,9 @@ fn run_stage_viewed(
             }
             Ok(InPlaceOutcome::Applied)
         }
-        Exec::Receivers(cursor) => run_receivers(cursor, instance, view, log, meter),
+        Exec::Receivers(cursor) => {
+            run_receivers(cursor, instance, view, log, meter, &mut cache.subqueries)
+        }
         Exec::Algebraic {
             update,
             method,
@@ -1475,7 +1634,6 @@ impl ProgramPlan {
                 hits: cache.hits,
                 misses: cache.misses,
                 subqueries: cache.subqueries,
-                residual_rows: cache.residual_rows,
                 log_len: log.len(),
             });
             let mut meter = StageMeter::default();
@@ -1648,7 +1806,8 @@ mod tests {
     use crate::error::SqlError;
     use crate::parser::parse;
     use crate::scenarios::{
-        section7_instance, CURSOR_UPDATE_B, CURSOR_UPDATE_C, DELETE_SIMPLE, UPDATE_A, UPDATE_C_SET,
+        section7_instance, CURSOR_DELETE_MANAGER, CURSOR_DELETE_SIMPLE, CURSOR_UPDATE_B,
+        CURSOR_UPDATE_C, DELETE_SIMPLE, UPDATE_A, UPDATE_C_SET,
     };
 
     fn program(texts: &[&str]) -> Vec<SqlStatement> {
@@ -1698,10 +1857,7 @@ mod tests {
         let plan = compile_program(&program(&[OVERWRITE_ALL]), &catalog).unwrap();
         let stage = &plan.stages()[0];
         assert_eq!(stage.kind(), StageKind::ImprovedUpdate);
-        assert!(matches!(
-            stage.values_query(),
-            Some(Ok(ValuesQuery::Shared(_)))
-        ));
+        assert!(matches!(stage.values_query(), Some(ValuesQuery::Shared(_))));
         assert!(
             plan.explain().children[0].notes.iter().any(|n| n
                 == "values: one evaluation shared by every row \
@@ -1742,9 +1898,9 @@ mod tests {
     /// `t` too: the set form of an improved update with such an alias
     /// (its loop variable named otherwise), and the set update written
     /// directly, compile to one `par(E)` evaluation, and a guard with
-    /// such an alias lowers with no residual; values and selected rows
-    /// are the `sql::eval` interpreter's, on the Section 7 instance and
-    /// on seeded random ones.
+    /// such an alias lowers to one probe; values and selected rows are
+    /// the `sql::eval` interpreter's, on the Section 7 instance and on
+    /// seeded random ones.
     #[test]
     fn improved_update_with_an_alias_t_keeps_one_par_evaluation() {
         const ALIAS_T: &str = "for each x in Employee do update x set Salary = \
@@ -1757,10 +1913,7 @@ mod tests {
         let plan = compile_program(&program(&[ALIAS_T]), &catalog).unwrap();
         let stage = &plan.stages()[0];
         assert_eq!(stage.kind(), StageKind::ImprovedUpdate);
-        assert!(matches!(
-            stage.values_query(),
-            Some(Ok(ValuesQuery::PerRow(_)))
-        ));
+        assert!(matches!(stage.values_query(), Some(ValuesQuery::PerRow(_))));
         let (i0, _) = section7_instance(&es);
         let mut i = i0.clone();
         let mut view = DatabaseView::new(&i);
@@ -1775,7 +1928,121 @@ mod tests {
             run_set_update(GUARDED, &catalog, &i0);
         }
         let guarded = compile_program(&program(&[GUARDED]), &catalog).unwrap();
-        assert!(guarded.stages()[0].guard_residuals().is_empty());
+        assert!(
+            guarded.explain().children[0]
+                .notes
+                .iter()
+                .any(|n| n.starts_with("guard: each subquery evaluated once")),
+            "{:?}",
+            guarded.explain().children[0].notes
+        );
+    }
+
+    /// `SELECT *` assigns the interpreter's sentinel, the identity of the
+    /// last `FROM` table: the planner's set stage matches
+    /// `SetUpdate::apply`, and its guarded cursor form, run by the
+    /// receiver loop, matches `apply_sequence` of the interpreted method.
+    #[test]
+    fn star_values_are_the_last_from_tables_identity() {
+        const STAR: &str = "update Employee set Manager = \
+             (select * from Employee E1 where E1.Manager = EmpId)";
+        const CURSOR: &str = "for each t in Employee do if Salary in table Fire \
+             update t set Manager = (select * from Fire, Employee E1 where E1.Manager = EmpId)";
+        let (es, catalog) = employee_catalog();
+        let (i0, _) = section7_instance(&es);
+        let (query, _) = run_set_update(STAR, &catalog, &i0);
+        assert!(matches!(query, ValuesQuery::PerRow(_)), "{query:?}");
+
+        let plan = compile_program(&program(&[CURSOR]), &catalog).unwrap();
+        let mut i = i0.clone();
+        let mut view = DatabaseView::new(&i);
+        assert!(plan.execute_viewed(&mut i, &mut view).unwrap().is_applied());
+        assert!(view.matches_rebuild(&i));
+        let CompiledStatement::CursorUpdate(cu) =
+            compile(&parse(CURSOR).unwrap(), &catalog).unwrap()
+        else {
+            panic!("a cursor update")
+        };
+        let looped = receivers_core::sequential::apply_sequence(
+            &cu.interpreted_method(),
+            &i0,
+            &cu.receivers(&i0).canonical_order(),
+        )
+        .expect_done("the cursor loop");
+        assert_eq!(i, looped);
+        assert_ne!(i, i0, "the guard selects a row");
+    }
+
+    /// An unguarded cursor update whose subquery has a negative atom
+    /// has a method — the difference makes it not positive, so the
+    /// improve pass refuses it and its receivers run one at a time — and
+    /// matches `apply_sequence` of the interpreted method.
+    #[test]
+    fn negative_cursor_update_runs_its_non_positive_method() {
+        const UNFIRED_RAISE: &str = "for each t in Employee do update t set Salary = \
+             (select New from NewSal where Old = Salary and Old not in table Fire)";
+        let (es, catalog) = employee_catalog();
+        let plan = compile_program(&program(&[UNFIRED_RAISE]), &catalog).unwrap();
+        let stage = &plan.stages()[0];
+        assert!(stage.algebraic().is_some_and(|m| !m.is_positive()));
+        assert!(
+            plan.explain().children[0].notes.iter().any(|n| n
+                == "improve: refused — the value subquery is not positive; \
+                    Theorem 5.12 does not apply"),
+            "{:?}",
+            plan.explain().children[0].notes
+        );
+        let CompiledStatement::CursorUpdate(cu) =
+            compile(&parse(UNFIRED_RAISE).unwrap(), &catalog).unwrap()
+        else {
+            panic!("a cursor update")
+        };
+        let params = receivers_objectbase::gen::InstanceParams::default();
+        for seed in 0..8 {
+            let i0 = receivers_objectbase::gen::random_instance(&es.schema, params, 0x4E6A + seed);
+            let mut i = i0.clone();
+            let mut view = DatabaseView::new(&i);
+            assert!(plan.execute_viewed(&mut i, &mut view).unwrap().is_applied());
+            assert!(view.matches_rebuild(&i));
+            let looped = receivers_core::sequential::apply_sequence(
+                &cu.interpreted_method(),
+                &i0,
+                &cu.receivers(&i0).canonical_order(),
+            )
+            .expect_done("the cursor loop");
+            assert_eq!(i, looped, "seed {seed}");
+        }
+    }
+
+    /// The receiver loop evaluates a closed `E₀` once, and again only
+    /// after a receiver's write that can change it: deleting an employee
+    /// or updating a salary leaves `Fire`'s amounts as they were, but
+    /// deleting the fired manager `e1` changes the employees the manager
+    /// delete's `EXISTS` reads, so its `E₀` is evaluated again for `e2`
+    /// (and not for `e3`: `e2` is kept, and nothing was written).
+    #[test]
+    fn receiver_loop_reevaluates_e0_only_after_a_write_that_changes_it() {
+        const RAISE_UNFIRED: &str = "for each t in Employee do if Salary not in table Fire \
+             update t set Salary = (select New from NewSal where Old = Salary)";
+        let (es, catalog) = employee_catalog();
+        let (i0, _) = section7_instance(&es);
+        for (text, evals) in [
+            (CURSOR_DELETE_SIMPLE, 1),
+            (RAISE_UNFIRED, 1),
+            (CURSOR_DELETE_MANAGER, 2),
+        ] {
+            let plan = compile_program(&program(&[text]), &catalog).unwrap();
+            let mut i = i0.clone();
+            let mut view = DatabaseView::new(&i);
+            let (out, tree) = plan.execute_viewed_profiled(&mut i, &mut view).unwrap();
+            assert!(out.is_applied(), "{text}");
+            assert_eq!(
+                tree.children[0].metric("guard_subqueries"),
+                Some(evals),
+                "{text}"
+            );
+            assert_ne!(i, i0, "{text}: the stage writes");
+        }
     }
 
     /// A set update's values come from one `par(E)` evaluation; a row the
@@ -1787,7 +2054,7 @@ mod tests {
              (select E1.EmpId from Employee E1 where E1.Manager = EmpId)";
         let (es, catalog) = employee_catalog();
         let plan = compile_program(&program(&[MANAGED]), &catalog).unwrap();
-        assert!(matches!(plan.stages()[0].values_query(), Some(Ok(_))));
+        assert!(plan.stages()[0].values_query().is_some());
 
         let (i0, data) = section7_instance(&es);
         let e3 = data.employees[2];
@@ -1805,13 +2072,10 @@ mod tests {
     /// values query and the result.
     fn run_set_update(text: &str, catalog: &Catalog, i0: &Instance) -> (ValuesQuery, Instance) {
         let plan = compile_program(&program(&[text]), catalog).unwrap();
-        let query = match plan.stages()[0].values_query() {
-            Some(Ok(q)) => q.clone(),
-            other => panic!(
-                "{text}: no values query: {:?}",
-                other.as_ref().map(|q| q.is_ok())
-            ),
-        };
+        let query = plan.stages()[0]
+            .values_query()
+            .unwrap_or_else(|| panic!("{text}: no values query"))
+            .clone();
         let mut i = i0.clone();
         let mut view = DatabaseView::new(&i);
         assert!(plan.execute_viewed(&mut i, &mut view).unwrap().is_applied());

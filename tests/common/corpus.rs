@@ -30,8 +30,8 @@ const SWEEP_BASE: u64 = 0x1A9E_0000;
 /// subquery that ignores the row; then writes of `Manager` the pool
 /// lacks, reading the written column at the row itself, at the
 /// manager's row, at other rows, or not at all. (A subquery with a
-/// negative atom has no algebraic form to decide, so it never reaches
-/// the pass.)
+/// negative atom lowers to a difference, which the pass refuses as not
+/// positive before any decision.)
 const EXTRA: &[&str] = &[
     "for each t in Employee do update t set Salary = \
      (select New from NewSal where Old = t.Salary)",

@@ -22,9 +22,9 @@ pub const GUARDS: &[&str] = &[
 /// guarded and unguarded set updates on both properties, the improvable
 /// cursor update (B), the order-dependent cursor update (C) — whose
 /// cursor-order semantics is still deterministic, hence differentially
-/// testable — and guarded cursor deletes. Set updates take both values
-/// paths: one `par(E)` evaluation (the set form of (C) among them) and,
-/// for a subquery with a negative atom, row by row.
+/// testable — and guarded cursor deletes. Set updates evaluate their
+/// values as one `par(E)` query (the set form of (C) among them), a
+/// subquery's negative atom as a difference.
 pub fn random_statement(rng: &mut StdRng) -> String {
     let guard = GUARDS[rng.random_range(0..GUARDS.len())];
     let guarded = rng.random_bool(0.5);

@@ -13,8 +13,8 @@
 //! The same corpus pins why the planner needs no shard lanes: every
 //! statement `Solver::certify_sharded` certifies shard-safe compiles,
 //! through `compile_program`, to an improved `par(E)` stage. It pins that
-//! an improved stage runs as its set statement: on a compiled values
-//! query, never row by row, and on seeded instances bit-identical to that
+//! an improved stage runs as its set statement: on its compiled values
+//! query, and on seeded instances bit-identical to that
 //! set statement compiled as a set-update stage, to
 //! `ImprovedUpdate::apply` (`apply_par`) and to `apply_sequence` of the
 //! interpreted cursor method (the paper's `M_seq`). And it pins that an
@@ -198,12 +198,10 @@ fn shard_safe_statements_compile_to_improved_stages() {
 }
 
 /// The relational query an improved stage executes: its set statement's
-/// `par(E)`, or the closed `E₀` every row shares. Every improved stage
-/// has one: none evaluates its values row by row.
+/// `par(E)`, or the closed `E₀` every row shares.
 fn executed_query<'s>(stage: &'s Stage, label: &str) -> &'s receivers::relalg::Expr {
     match stage.values_query() {
-        Some(Ok(ValuesQuery::PerRow(e) | ValuesQuery::Shared(e))) => e,
-        Some(Err(why)) => panic!("{label}: the improved stage runs row by row: {why}"),
+        Some(ValuesQuery::PerRow(e) | ValuesQuery::Shared(e)) => e,
         None => panic!("{label}: the improved stage has no values query"),
     }
 }
