@@ -409,24 +409,11 @@ pub enum ValuesQuery {
 }
 
 /// A value subquery lowered once ([`lower_values`]): `E` over the row
-/// `self`, the expression a cursor update's algebraic method assigns,
-/// and, when the subquery reads no column of the row, the closed `E₀`.
+/// `self`, the expression a cursor update's algebraic method assigns and
+/// the receiver loop evaluates, and the query a set statement evaluates.
 pub(crate) struct LoweredValues {
     pub(crate) expr: Expr,
-    pub(crate) closed: Option<Expr>,
-}
-
-impl LoweredValues {
-    /// The query a set statement evaluates: the closed `E₀` every row
-    /// shares, or `par(E)` over `rec` (scheme `self`, the rows to
-    /// update). By Lemma 6.7 one evaluation of `par(E)` yields exactly
-    /// the pairs `(row, value)` with `value` in the row's subquery values.
-    pub(crate) fn query(&self) -> Result<ValuesQuery> {
-        Ok(match &self.closed {
-            Some(e0) => ValuesQuery::Shared(e0.clone()),
-            None => ValuesQuery::PerRow(par(&self.expr)?),
-        })
-    }
+    pub(crate) query: ValuesQuery,
 }
 
 /// Lower the value subquery `select` of a statement whose row is bound
@@ -445,12 +432,17 @@ pub(crate) fn lower_values(
     let projection = c.gather_select(select)?;
     let expr = c.build(Some(&projection.attr), false)?;
     debug_assert!(well_typed(&expr, catalog, table), "ill-typed: {select}");
-    let closed = if c.reads_row() {
-        None
+    // The set statements' query: the closed `E₀` every row shares when
+    // the subquery reads no column of the row, or else `par(E)` over
+    // `rec` (scheme `self`, the rows to update). By Lemma 6.7 one
+    // evaluation of `par(E)` yields exactly the pairs `(row, value)`
+    // with `value` in the row's subquery values.
+    let query = if c.reads_row() {
+        ValuesQuery::PerRow(par(&expr)?)
     } else {
-        Some(c.build(Some(&projection.attr), true)?)
+        ValuesQuery::Shared(c.build(Some(&projection.attr), true)?)
     };
-    Ok(LoweredValues { expr, closed })
+    Ok(LoweredValues { expr, query })
 }
 
 /// Whether `e` type-checks over a row of `table`. The lowering builds
@@ -763,7 +755,7 @@ impl CursorUpdate {
     pub fn to_algebraic(&self) -> Result<AlgebraicMethod> {
         self.algebraic_refusal()?;
         let lowered = lower_values(&self.select, &self.catalog, &self.table, &self.var)?;
-        self.algebraic(lowered.expr)
+        self.algebraic(&lowered.expr)
     }
 
     /// Why the update has no algebraic form, if it has none: a guard, or
@@ -791,7 +783,7 @@ impl CursorUpdate {
 
     /// [`CursorUpdate::to_algebraic`] over the subquery already lowered
     /// to `expr` ([`lower_values`]), so the planner lowers it once.
-    pub(crate) fn algebraic(&self, expr: Expr) -> Result<AlgebraicMethod> {
+    pub(crate) fn algebraic(&self, expr: &Expr) -> Result<AlgebraicMethod> {
         self.algebraic_refusal()?;
         let sig = Signature::new(vec![self.table.class])?;
         AlgebraicMethod::new(
@@ -803,7 +795,7 @@ impl CursorUpdate {
             sig,
             vec![AlgStatement {
                 property: self.property,
-                expr,
+                expr: expr.clone(),
             }],
         )
         .map_err(SqlError::from)

@@ -43,7 +43,9 @@
 //! Every stage is wrapped in `sql.plan.*` counters and spans; its
 //! footprint is [`crate::footprint::footprint`] of its statement.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashMap};
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use receivers_core::algebraic::{
@@ -88,6 +90,8 @@ obs::counter!(C_SELECTOR_REUSES, "sql.plan.selector_reuses");
 obs::counter!(C_VECTORIZED_ROWS, "sql.plan.vectorized_rows");
 obs::counter!(C_PROOF_HIT, "sql.plan.proof_cache.hit");
 obs::counter!(C_PROOF_MISS, "sql.plan.proof_cache.miss");
+obs::counter!(C_LOWERING_HIT, "sql.plan.lowering_cache.hit");
+obs::counter!(C_LOWERING_MISS, "sql.plan.lowering_cache.miss");
 
 // ---------------------------------------------------------------------
 // Condition/select canonicalization (the cse pass's slot keys).
@@ -268,18 +272,19 @@ enum Cursor {
         update: Box<CursorUpdate>,
         why: SqlError,
         guard: Option<Arc<[GuardConjunct]>>,
-        values: Arc<Lowered>,
+        values: Arc<LoweredValues>,
     },
 }
 
 /// A set update, its guard's conjuncts when it has one, its values slot,
-/// and its value subquery lowered once to `par(E)` or to the closed `E₀`
-/// every row shares ([`crate::compile::lower_values`]).
+/// and its value subquery lowered once: the query it evaluates is
+/// `par(E)` or the closed `E₀` every row shares
+/// ([`crate::compile::lower_values`]).
 struct SetUpdateExec {
     update: SetUpdate,
     guard: Option<Arc<[GuardConjunct]>>,
     values: usize,
-    query: Arc<ValuesQuery>,
+    lowered: Arc<LoweredValues>,
 }
 
 /// One statement of a compiled program: what it executes, its footprint,
@@ -400,14 +405,14 @@ impl Stage {
     /// relational query: `par(E)` over the rows, or the closed `E₀` every
     /// row shares. `None` for the other stage kinds.
     pub fn values_query(&self) -> Option<&ValuesQuery> {
-        self.set_update().map(|set| &*set.query)
+        self.set_update().map(|set| &set.lowered.query)
     }
 }
 
 /// A whole update program compiled into its stages — the single
 /// execution path behind the sequential, sharded, and durable drivers.
 pub struct ProgramPlan {
-    catalog: Catalog,
+    catalog: Arc<Catalog>,
     stages: Vec<Stage>,
     /// The properties each selector and values slot reads, for executor
     /// cache invalidation.
@@ -477,71 +482,6 @@ impl Slots {
     }
 }
 
-/// A value subquery lowered once ([`lower_values`]) and the query a set
-/// stage evaluates, made when a stage first needs it.
-struct Lowered {
-    values: LoweredValues,
-    query: OnceLock<Arc<ValuesQuery>>,
-}
-
-impl Lowered {
-    /// The set stages' query: the closed `E₀`, or `par(E)`.
-    fn query(&self) -> Result<Arc<ValuesQuery>> {
-        if let Some(q) = self.query.get() {
-            return Ok(Arc::clone(q));
-        }
-        let q = Arc::new(self.values.query()?);
-        Ok(Arc::clone(self.query.get_or_init(|| q)))
-    }
-}
-
-/// Process-wide memo of one kind of lowering, like the proof cache: each
-/// guard or value subquery is keyed by its row's table and its canonical
-/// text (cursor variables rewritten to `#r`), then by the catalog, stored
-/// whole and compared by equality, so every program that reads it shares
-/// one lowering. A lowering is a pure function of its key. Entries are
-/// bounded by the distinct guards and subqueries the process compiles;
-/// there is no eviction. [`reset_proof_cache`] clears it.
-type Memo<V> = Mutex<HashMap<String, Vec<(Catalog, V)>>>;
-
-fn lowered_guards() -> &'static Memo<Arc<[GuardConjunct]>> {
-    static MEMO: OnceLock<Memo<Arc<[GuardConjunct]>>> = OnceLock::new();
-    MEMO.get_or_init(Memo::default)
-}
-
-fn lowered_subqueries() -> &'static Memo<Arc<Lowered>> {
-    static MEMO: OnceLock<Memo<Arc<Lowered>>> = OnceLock::new();
-    MEMO.get_or_init(Memo::default)
-}
-
-/// The lowering under `key` and `catalog` in `memo`, or computed and
-/// stored; a `None` key (an alias shadows the row) is computed alone.
-/// Errors are returned, not stored.
-fn memoized_lowering<V: Clone>(
-    memo: &Memo<V>,
-    key: Option<String>,
-    catalog: &Catalog,
-    lower: impl FnOnce() -> Result<V>,
-) -> Result<V> {
-    let Some(key) = key else {
-        return lower();
-    };
-    let lock = || memo.lock().unwrap_or_else(|e| e.into_inner());
-    let hit = lock()
-        .get(&key)
-        .and_then(|entries| entries.iter().find(|(c, _)| c == catalog))
-        .map(|(_, v)| v.clone());
-    if let Some(v) = hit {
-        return Ok(v);
-    }
-    let v = lower()?;
-    lock()
-        .entry(key)
-        .or_default()
-        .push((catalog.clone(), v.clone()));
-    Ok(v)
-}
-
 /// Compile a whole update program into a [`ProgramPlan`]: per-statement
 /// compilation through [`compile`], then the improve, cse, and netting
 /// passes. This subsumes per-statement compilation — a one-statement
@@ -549,6 +489,7 @@ fn memoized_lowering<V: Clone>(
 pub fn compile_program(program: &[SqlStatement], catalog: &Catalog) -> Result<ProgramPlan> {
     let _span = obs::span("sql.plan.compile");
     C_PROGRAMS.incr();
+    let key = CatalogKey::new(catalog);
     let mut slots = Slots::default();
     let mut stages: Vec<Stage> = Vec::with_capacity(program.len());
     for (idx, stmt) in program.iter().enumerate() {
@@ -575,21 +516,28 @@ pub fn compile_program(program: &[SqlStatement], catalog: &Catalog) -> Result<Pr
                 claimed
             }
         };
-        // Each guard and value subquery is lowered once per process:
-        // stages and programs that share one share its lowering.
+        // Each guard and value subquery is lowered once per process, in
+        // the proof cache: stages and programs that share one share its
+        // lowering.
         let lowered_guard = |cond: &Condition, info: &TableInfo| {
-            let key = canon_guard.as_ref().map(|c| format!("{table}:{c}"));
-            memoized_lowering(lowered_guards(), key, catalog, || {
-                Ok(lower_guard(cond, catalog, info, var)?.into())
+            lowering(ProofKey::Guard, canon_guard.as_deref(), table, &key, || {
+                Ok(CachedProof::Guard(
+                    lower_guard(cond, catalog, info, var)?.into(),
+                ))
+            })
+            .map(|lowered| match lowered {
+                CachedProof::Guard(conjuncts) => conjuncts,
+                _ => unreachable!("a guard's key holds its conjuncts"),
             })
         };
         let lowered_values = |select: &Select, canon: Option<&str>, info: &TableInfo| {
-            let key = canon.map(|c| format!("{table}:{c}"));
-            memoized_lowering(lowered_subqueries(), key, catalog, || {
-                Ok(Arc::new(Lowered {
-                    values: lower_values(select, catalog, info, var)?,
-                    query: OnceLock::new(),
-                }))
+            lowering(ProofKey::Values, canon, table, &key, || {
+                let values = lower_values(select, catalog, info, var)?;
+                Ok(CachedProof::Values(Arc::new(values)))
+            })
+            .map(|lowered| match lowered {
+                CachedProof::Values(values) => values,
+                _ => unreachable!("a value subquery's key holds its lowering"),
             })
         };
         let mut proofs = Vec::new();
@@ -608,7 +556,7 @@ pub fn compile_program(program: &[SqlStatement], catalog: &Catalog) -> Result<Pr
                         .map(|c| lowered_guard(c, update.table()))
                         .transpose()?,
                     values,
-                    query: lowered.query()?,
+                    lowered,
                     update,
                 })
             }
@@ -631,10 +579,7 @@ pub fn compile_program(program: &[SqlStatement], catalog: &Catalog) -> Result<Pr
                 // statement evaluates `par(E)` (or the closed `E₀`), and
                 // the improve pass hands the method back when it leaves
                 // the loop alone.
-                match update
-                    .algebraic(lowered.values.expr.clone())
-                    .map(improve_planned)
-                {
+                match update.algebraic(&lowered.expr).map(improve_planned) {
                     Ok((Improvement::Improved(improved), _)) => {
                         C_IMPROVED.incr();
                         proofs.push(Proof::default().note(
@@ -646,7 +591,7 @@ pub fn compile_program(program: &[SqlStatement], catalog: &Catalog) -> Result<Pr
                             set: SetUpdateExec {
                                 guard: None,
                                 values,
-                                query: lowered.query()?,
+                                lowered,
                                 update: update.into_set_form(),
                             },
                             improved,
@@ -706,7 +651,7 @@ pub fn compile_program(program: &[SqlStatement], catalog: &Catalog) -> Result<Pr
         stage.proofs.push(proof);
     }
     Ok(ProgramPlan {
-        catalog: catalog.clone(),
+        catalog: key.catalog,
         stages,
         slot_reads: slots.reads,
     })
@@ -728,9 +673,41 @@ pub(crate) enum ProofKey {
     /// schema, signature and statements, stored whole and compared by
     /// full equality.
     KeyOrder(Arc<Schema>, Signature, Vec<AlgStatement>),
+    /// A guard's lowering ([`lower_guard`]): the catalog, and the row's
+    /// table with the canonical guard.
+    Guard(CatalogKey, String),
+    /// A value subquery's lowering ([`lower_values`]): the catalog, and
+    /// the row's table with the canonical subquery.
+    Values(CatalogKey, String),
 }
 
-/// One memoized planner verdict.
+/// A catalog in a proof-cache key, hashed once per compiled program:
+/// a lookup hashes one word for it instead of every table and the
+/// schema, and compares it by full equality.
+#[derive(Clone, PartialEq, Eq)]
+pub(crate) struct CatalogKey {
+    hash: u64,
+    catalog: Arc<Catalog>,
+}
+
+impl CatalogKey {
+    fn new(catalog: &Catalog) -> Self {
+        let mut h = DefaultHasher::new();
+        catalog.hash(&mut h);
+        Self {
+            hash: h.finish(),
+            catalog: Arc::new(catalog.clone()),
+        }
+    }
+}
+
+impl Hash for CatalogKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// One memoized planner verdict or lowering.
 #[derive(Clone)]
 pub(crate) enum CachedProof {
     /// The solver proved the netting implication; its proof notes.
@@ -740,16 +717,22 @@ pub(crate) enum CachedProof {
     /// The key-order decision ([`crate::improve`]) and, for an order
     /// dependent method, its wave plan ([`crate::waves`]).
     KeyOrder(Decision, Option<Arc<WavePlan>>),
+    /// A guard's conjuncts.
+    Guard(Arc<[GuardConjunct]>),
+    /// A value subquery's lowering.
+    Values(Arc<LoweredValues>),
 }
 
 /// Process-wide memo of the planner's verdicts: the netting rule's
 /// [`Solver::implies`] queries and the improve pass's key-order
-/// decisions, each order-dependent one with its wave plan. All are pure
-/// functions of their keys, so recompiling a program — or compiling any
-/// program sharing a guard pair or a cursor update — skips the solver,
-/// the decision procedure and the wave planner. Entries are
-/// bounded by the distinct guard pairs and cursor updates the process
-/// compiles; there is no eviction.
+/// decisions, each order-dependent one with its wave plan; and of the
+/// guards and value subqueries lowered to relational algebra. All are
+/// pure functions of their keys, so recompiling a program — or compiling
+/// any program sharing a guard, a subquery, a guard pair or a cursor
+/// update — skips the lowering, the solver, the decision procedure and
+/// the wave planner. Entries are bounded by the distinct guards,
+/// subqueries, guard pairs and cursor updates the process compiles;
+/// there is no eviction.
 type ProofCache = Mutex<HashMap<ProofKey, CachedProof>>;
 
 fn proof_cache() -> &'static ProofCache {
@@ -784,30 +767,47 @@ pub(crate) fn memoized<E>(
     Ok(v)
 }
 
-/// The number of verdicts in the process-wide proof cache.
+/// The lowering of a guard or value subquery under `kind`, the row's
+/// `table` and its canonical text `canon`: from the proof cache, or
+/// computed and stored. A `None` text (an alias shadows the row) is
+/// computed alone.
+fn lowering(
+    kind: fn(CatalogKey, String) -> ProofKey,
+    canon: Option<&str>,
+    table: &str,
+    catalog: &CatalogKey,
+    lower: impl FnOnce() -> Result<CachedProof>,
+) -> Result<CachedProof> {
+    match canon {
+        Some(c) => memoized(
+            kind(catalog.clone(), format!("{table}:{c}")),
+            &C_LOWERING_HIT,
+            &C_LOWERING_MISS,
+            lower,
+        ),
+        None => lower(),
+    }
+}
+
+/// The number of verdicts in the process-wide proof cache; lowerings
+/// are not counted.
 #[doc(hidden)]
 pub fn proof_cache_len() -> usize {
     proof_cache()
         .lock()
         .unwrap_or_else(|e| e.into_inner())
-        .len()
+        .keys()
+        .filter(|k| !matches!(k, ProofKey::Guard(..) | ProofKey::Values(..)))
+        .count()
 }
 
-/// Clear the process-wide proof cache, every verdict kind, and the
-/// lowering memo. Bench/test support: a cold-compile measurement needs
-/// every lookup to miss, and the caches are otherwise append-only for
-/// the process lifetime.
+/// Clear the process-wide proof cache: every verdict kind and every
+/// lowering. Bench/test support: a cold-compile measurement needs every
+/// lookup to miss, and the cache is otherwise append-only for the
+/// process lifetime.
 #[doc(hidden)]
 pub fn reset_proof_cache() {
     proof_cache()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clear();
-    lowered_guards()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clear();
-    lowered_subqueries()
         .lock()
         .unwrap_or_else(|e| e.into_inner())
         .clear();
@@ -1135,7 +1135,7 @@ impl<'p> ExecCache<'p> {
         let base = self.rows(selector, set.guard.as_deref(), info, instance, db)?;
         C_SELECTOR_EVALS.incr();
         self.misses += 1;
-        let out = match &*set.query {
+        let out = match &set.lowered.query {
             ValuesQuery::Shared(closed) => {
                 let values = if base.is_empty() {
                     Vec::new()
@@ -1457,15 +1457,14 @@ fn run_receivers(
         ),
     };
     let guard = guard.unwrap_or_default();
-    let values = values.map(|v| &v.values);
     let schema = instance.schema();
     let stale: Vec<bool> = guard
         .iter()
         .map(|c| matches!(c, GuardConjunct::Probe { e0, .. } if written(e0, row_write, schema)))
         .collect();
-    let shared_stale = values
-        .and_then(|v| v.closed.as_ref())
-        .is_some_and(|e0| written(e0, row_write, schema));
+    let shared_stale = values.is_some_and(
+        |v| matches!(&v.query, ValuesQuery::Shared(e0) if written(e0, row_write, schema)),
+    );
     let mut e0s: Vec<Option<Vec<Oid>>> = vec![None; guard.len()];
     let mut shared: Option<Vec<Oid>> = None;
     let class = table.class;
@@ -1479,7 +1478,8 @@ fn run_receivers(
         let new_values: Vec<Oid> = match values {
             None => Vec::new(),
             Some(LoweredValues {
-                closed: Some(e0), ..
+                query: ValuesQuery::Shared(e0),
+                ..
             }) => match &shared {
                 Some(v) => v.clone(),
                 None => {

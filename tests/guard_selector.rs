@@ -15,7 +15,7 @@
 //!   guard holds under [`eval_condition`], the guard evaluated one row at
 //!   a time in class-member order — the Section 7 semantics of `WHERE`;
 //! * a guarded set update ends exactly where `SetUpdate::apply` (the
-//!   two-phase interpreter) does;
+//!   two-phase interpreter) does, errors alike;
 //! * a guarded cursor delete and a guarded cursor update end exactly
 //!   where `core::sequential::apply_sequence` of the statement's
 //!   interpreted method does (the paper's `M_seq`): instance, outcome and
@@ -368,38 +368,41 @@ fn guard_conjuncts(guard: &str) -> usize {
     count(&guard_of(guard))
 }
 
-/// `text` as a one-stage program through the planner's viewed driver:
-/// the instance it applies, or its outcome or error (which must leave
-/// the instance as it was). Also returns the stage's profile node.
+/// `text` as a one-stage program through the planner's viewed driver,
+/// as a method outcome: `Done` with the instance it applies, or the
+/// outcome it reports, an error reading as `Undefined` with the error's
+/// text (as a statement's interpreted method reports one). A program
+/// not applied must leave the instance as it was. Also returns the
+/// stage's profile node.
 fn run_planned(
     text: &str,
     catalog: &Catalog,
     i: &Instance,
     seed: u64,
-) -> (
-    Result<Instance, String>,
-    Option<receivers::obs::ProfileNode>,
-) {
+) -> (MethodOutcome, Option<receivers::obs::ProfileNode>) {
     let plan = compile_program(&[parse(text).expect("parses")], catalog).expect("compiles");
     let mut w = i.clone();
     let mut v = DatabaseView::new(&w);
-    match plan.execute_viewed_profiled(&mut w, &mut v) {
+    let (outcome, node) = match plan.execute_viewed_profiled(&mut w, &mut v) {
         Ok((InPlaceOutcome::Applied, mut tree)) => {
             assert!(v.matches_rebuild(&w), "seed {seed}: {text}");
-            (Ok(w), tree.children.pop())
+            return (MethodOutcome::Done(w), tree.children.pop());
         }
-        other => {
-            assert!(
-                w == *i,
-                "seed {seed}: a program not applied must leave the instance: {text}"
-            );
-            (Err(format!("{:?}", other.map(|(o, _)| o))), None)
+        Ok((InPlaceOutcome::Diverges, mut tree)) => (MethodOutcome::Diverges, tree.children.pop()),
+        Ok((InPlaceOutcome::Undefined(why), mut tree)) => {
+            (MethodOutcome::Undefined(why), tree.children.pop())
         }
-    }
+        Err(e) => (MethodOutcome::Undefined(e.to_string()), None),
+    };
+    assert!(
+        w == *i,
+        "seed {seed}: a program not applied must leave the instance: {text}"
+    );
+    (outcome, node)
 }
 
 /// The guarded set update through the planner against the two-phase
-/// interpreter: same instance, or both fail.
+/// interpreter: same instance, or the same error.
 fn check_update(guard: &str, values: &str, catalog: &Catalog, i: &Instance, seed: u64) {
     let text = format!("update Employee set Salary = ({values}) where {guard}");
     let stmt = parse(&text).expect("parses");
@@ -407,17 +410,43 @@ fn check_update(guard: &str, values: &str, catalog: &Catalog, i: &Instance, seed
         CompiledStatement::SetUpdate(su) => su.apply(i).map_err(|e| e.to_string()),
         _ => unreachable!("a set update"),
     };
-    let (got, _) = run_planned(&text, catalog, i, seed);
+    let plan = compile_program(&[stmt], catalog).expect("compiles");
+    let mut w = i.clone();
+    let mut v = DatabaseView::new(&w);
+    let got = match plan.execute_viewed(&mut w, &mut v) {
+        Ok(outcome) => {
+            assert_eq!(outcome, InPlaceOutcome::Applied, "seed {seed}: {text}");
+            Ok(w)
+        }
+        Err(e) => {
+            assert!(
+                w == *i,
+                "seed {seed}: an error must leave the instance: {text}"
+            );
+            Err(e.to_string())
+        }
+    };
     assert!(
-        got.is_ok() == want.is_ok() && (got.is_err() || got == want),
-        "seed {seed}: set update diverges from the interpreter: {text}"
+        got == want,
+        "seed {seed}: set update diverges from the interpreter: {text}: planner {:?}, interpreter {:?}",
+        got.as_ref().err(),
+        want.as_ref().err()
     );
+}
+
+/// `outcome` for an assertion message, without the instance.
+fn brief(outcome: &MethodOutcome) -> String {
+    match outcome {
+        MethodOutcome::Done(_) => "done".to_owned(),
+        other => format!("{other:?}"),
+    }
 }
 
 /// The guarded cursor delete and the guarded cursor update through the
 /// planner against `apply_sequence` of each statement's interpreted
-/// method, in key order: the same instance, or both not applied. Counts
-/// a receiver loop that evaluated an `E₀` again after a write.
+/// method, in key order: the same instance, or the same outcome with the
+/// same error text. Counts a receiver loop that evaluated an `E₀` again
+/// after a write.
 fn check_cursor(guard: &str, values: &str, catalog: &Catalog, i: &Instance, seed: u64) {
     for text in [
         format!("for each t in Employee do if {guard} delete t from Employee"),
@@ -436,20 +465,12 @@ fn check_cursor(guard: &str, values: &str, catalog: &Catalog, i: &Instance, seed
             _ => unreachable!("a cursor statement"),
         };
         let (got, node) = run_planned(&text, catalog, i, seed);
-        match (&got, &want) {
-            (Ok(got), MethodOutcome::Done(want)) => {
-                assert!(got == want, "seed {seed}: diverges from M_seq: {text}")
-            }
-            (Err(_), MethodOutcome::Undefined(_)) => {}
-            (got, want) => panic!(
-                "seed {seed}: outcomes differ: planner {:?}, M_seq {}: {text}",
-                got.as_ref().map(|_| "applied"),
-                match want {
-                    MethodOutcome::Done(_) => "done".to_owned(),
-                    other => format!("{other:?}"),
-                }
-            ),
-        }
+        assert!(
+            got == want,
+            "seed {seed}: diverges from M_seq: {text}: planner {}, M_seq {}",
+            brief(&got),
+            brief(&want)
+        );
         let probes = guard_conjuncts(guard) as u64;
         if node.and_then(|n| n.metric("guard_subqueries")) > Some(probes) {
             REEVALUATED.fetch_add(1, Ordering::Relaxed);
