@@ -277,6 +277,11 @@ impl SetDelete {
         Some(&self.condition)
     }
 
+    /// The target table, taken out of the statement.
+    pub(crate) fn into_table(self) -> TableInfo {
+        self.table
+    }
+
     /// Phase 1: the victim set.
     pub fn victims(&self, instance: &Instance) -> Result<Vec<Oid>> {
         let mut out = Vec::new();
@@ -327,6 +332,11 @@ impl CursorDelete {
     /// The catalog.
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
+    }
+
+    /// The table iterated over, taken out of the statement.
+    pub(crate) fn into_table(self) -> TableInfo {
+        self.table
     }
 
     /// The per-tuple update method (type `[R]`).
@@ -760,7 +770,7 @@ impl CursorUpdate {
 
     /// Why the update has no algebraic form, if it has none: a guard, or
     /// a `FROM` alias shadowing the cursor variable.
-    fn algebraic_refusal(&self) -> Result<()> {
+    pub(crate) fn algebraic_refusal(&self) -> Result<()> {
         if self.condition.is_some() {
             // A guard makes the statement conditional — `col := E` always
             // replaces, so the algebraic model does not apply. Guarded
@@ -801,19 +811,24 @@ impl CursorUpdate {
         .map_err(SqlError::from)
     }
 
-    /// The set statement (A) an unguarded update (B) rewrites to: the same
-    /// table and column, the value subquery with the cursor variable's
-    /// references unqualified ([`crate::improve::strip_cursor_var`]), and
-    /// no guard. For a key-order-independent update its two-phase
-    /// application is the parallel one, which Theorem 6.5 equates with the
-    /// loop; the planner runs an improved stage as this statement.
+    /// The set statement an update rewrites to: the same table, column
+    /// and guard, the value subquery and the guard with the cursor
+    /// variable's references unqualified
+    /// ([`crate::improve::strip_cursor_var`]). For a key-order-independent
+    /// update (B), unguarded, its two-phase application is the parallel
+    /// one, which Theorem 6.5 equates with the loop: the planner runs an
+    /// improved stage as this statement (A), and so a cursor update whose
+    /// guard is stable ([`crate::sat::Solver::stable_guard`]). Either
+    /// stage evaluates the guard and values lowered from the cursor form,
+    /// which a `FROM` alias shadowing the cursor variable reads right.
     pub(crate) fn into_set_form(self) -> SetUpdate {
         SetUpdate {
             select: crate::improve::strip_cursor_var(&self.select, &self.var),
+            condition: (self.condition.as_ref())
+                .map(|c| crate::improve::strip_cursor_var_in(c, &self.var)),
             catalog: self.catalog,
             table: self.table,
             property: self.property,
-            condition: None,
         }
     }
 

@@ -24,7 +24,7 @@ impl ProgramPlan {
         let mut root = obs::ProfileNode::new("program", "explain");
         root.set_metric("stages", self.stages().len() as u64);
         for (idx, stage) in self.stages().iter().enumerate() {
-            let mut node = crate::plan::stage_node(idx, stage);
+            let mut node = crate::plan::stage_node(idx, stage, self.catalog());
             node.add_note(footprint_note(stage));
             for p in stage.proofs() {
                 for n in &p.notes {
@@ -229,8 +229,9 @@ mod tests {
     /// Each set stage with a guard names how it runs: every conjunct one
     /// probe per row after its subquery is evaluated once, or, for an
     /// `EXISTS` correlated with the row beyond one equality, its position
-    /// and why it is one `par(E)` evaluation over the rows. Unguarded and
-    /// cursor stages carry no guard note.
+    /// and why it is one `par(E)` evaluation over the rows. So does a
+    /// cursor stage whose guard is stable, after its stability verdict;
+    /// unguarded stages carry no guard note.
     #[test]
     fn explain_names_the_guard_path() {
         const TWICE: &str = "update Employee set Salary = (select Amount from Fire) \
@@ -260,6 +261,83 @@ mod tests {
                  the row twice (Manager, Salary)",
             ]
         );
-        assert!(guard(2).is_empty() && guard(3).is_empty());
+        assert!(guard(2).is_empty());
+        assert_eq!(
+            guard(3),
+            [
+                "guard: stable — reads neither Employee membership nor a column whose values \
+                 lie in Employee; runs as its set statement",
+                "guard: each subquery evaluated once, then one probe per row (1 conjunct)",
+            ]
+        );
+    }
+
+    /// Every cursor stage with a guard outside the improve pass carries
+    /// the stability check's verdict: `cursor`'s guarded delete and update
+    /// and `mixed`'s guarded update are stable and run as their set
+    /// statements; the cursor form of Section 7's delete (A) reads the
+    /// deleted class's membership and `Manager`, a delete guarded by
+    /// `Manager = EmpId` reads `Manager`, and a guarded (C) reads `Salary`
+    /// at the manager's row, so they keep the receiver loop. Set stages
+    /// and the unguarded (C) carry no verdict.
+    #[test]
+    fn explain_names_the_stability_verdict() {
+        use crate::scenarios::{CURSOR_DELETE_MANAGER, CURSOR_DELETE_SIMPLE};
+        const CURSOR_STAGE_3: &str = "for each t in Employee do if Salary not in table Fire \
+             update t set Salary = (select New from NewSal where Old = Salary)";
+        const MIXED_STAGE_6: &str = "for each t in Employee do if Manager = EmpId \
+             update t set Salary = (select New from NewSal where Old = Salary)";
+        const SELF_MANAGED: &str =
+            "for each t in Employee do if Manager = EmpId delete t from Employee";
+        const GUARDED_C: &str = "for each t in Employee do if Salary in table Fire \
+             update t set Salary = (select New from Employee E1, NewSal \
+             where E1.EmpId = Manager and Old = E1.Salary)";
+        let (_, catalog) = employee_catalog();
+        let stmts = [
+            CURSOR_DELETE_SIMPLE,
+            CURSOR_STAGE_3,
+            MIXED_STAGE_6,
+            CURSOR_DELETE_MANAGER,
+            SELF_MANAGED,
+            GUARDED_C,
+            CURSOR_UPDATE_C,
+            DELETE_MANAGER,
+        ]
+        .map(|t| parse(t).unwrap());
+        let tree = compile_program(&stmts, &catalog).unwrap().explain();
+        let verdict = |k: usize| -> Vec<&String> {
+            tree.children[k]
+                .notes
+                .iter()
+                .filter(|n| n.starts_with("guard: stable") || n.starts_with("guard: not hoisted"))
+                .collect()
+        };
+        let pinned = "guard: stable — reads of Employee.Salary are pinned to the row; \
+                      runs as its set statement";
+        assert_eq!(
+            verdict(0),
+            [
+                "guard: stable — reads neither Employee membership nor a column whose values \
+                 lie in Employee; runs as its set statement"
+            ]
+        );
+        assert_eq!(verdict(1), [pinned]);
+        assert_eq!(verdict(2), [pinned]);
+        assert_eq!(
+            verdict(3),
+            [
+                "guard: not hoisted — reads Employee membership (`FROM Employee E1`); \
+                 reads Employee.Manager, whose values lie in the deleted class"
+            ]
+        );
+        assert_eq!(
+            verdict(4),
+            ["guard: not hoisted — reads Employee.Manager, whose values lie in the deleted class"]
+        );
+        assert_eq!(
+            verdict(5),
+            ["guard: not hoisted — reads Employee.Salary through a row other than the receiver"]
+        );
+        assert!(verdict(6).is_empty() && verdict(7).is_empty());
     }
 }

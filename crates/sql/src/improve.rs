@@ -193,36 +193,37 @@ fn key_order_verdict(
 /// set update over this subquery (`CursorUpdate::into_set_form`), and the
 /// lint offers the same statement as its `R0301` suggestion.
 pub fn strip_cursor_var(select: &Select, var: &str) -> Select {
-    fn fix_cond(c: &Condition, var: &str) -> Condition {
-        match c {
-            Condition::Eq(a, b) => Condition::Eq(fix_ref(a, var), fix_ref(b, var)),
-            Condition::NotEq(a, b) => Condition::NotEq(fix_ref(a, var), fix_ref(b, var)),
-            Condition::InTable(c, t) => Condition::InTable(fix_ref(c, var), t.clone()),
-            Condition::NotInTable(c, t) => Condition::NotInTable(fix_ref(c, var), t.clone()),
-            Condition::Exists(s) => Condition::Exists(Box::new(fix_select(s, var))),
-            Condition::And(a, b) => {
-                Condition::And(Box::new(fix_cond(a, var)), Box::new(fix_cond(b, var)))
-            }
-        }
+    Select {
+        projection: match &select.projection {
+            Projection::Star => Projection::Star,
+            Projection::Column(c) => Projection::Column(strip_ref(c, var)),
+        },
+        from: select.from.clone(),
+        where_clause: (select.where_clause.as_ref()).map(|c| strip_cursor_var_in(c, var)),
     }
-    fn fix_ref(r: &ColumnRef, var: &str) -> ColumnRef {
-        let mut r = r.clone();
-        if r.qualifier.as_deref() == Some(var) {
-            r.qualifier = None;
-        }
-        r
+}
+
+/// [`strip_cursor_var`] for a guard.
+pub(crate) fn strip_cursor_var_in(cond: &Condition, var: &str) -> Condition {
+    match cond {
+        Condition::Eq(a, b) => Condition::Eq(strip_ref(a, var), strip_ref(b, var)),
+        Condition::NotEq(a, b) => Condition::NotEq(strip_ref(a, var), strip_ref(b, var)),
+        Condition::InTable(c, t) => Condition::InTable(strip_ref(c, var), t.clone()),
+        Condition::NotInTable(c, t) => Condition::NotInTable(strip_ref(c, var), t.clone()),
+        Condition::Exists(s) => Condition::Exists(Box::new(strip_cursor_var(s, var))),
+        Condition::And(a, b) => Condition::And(
+            Box::new(strip_cursor_var_in(a, var)),
+            Box::new(strip_cursor_var_in(b, var)),
+        ),
     }
-    fn fix_select(s: &Select, var: &str) -> Select {
-        Select {
-            projection: match &s.projection {
-                Projection::Star => Projection::Star,
-                Projection::Column(c) => Projection::Column(fix_ref(c, var)),
-            },
-            from: s.from.clone(),
-            where_clause: s.where_clause.as_ref().map(|c| fix_cond(c, var)),
-        }
+}
+
+fn strip_ref(r: &ColumnRef, var: &str) -> ColumnRef {
+    let mut r = r.clone();
+    if r.qualifier.as_deref() == Some(var) {
+        r.qualifier = None;
     }
-    fix_select(select, var)
+    r
 }
 
 #[cfg(test)]

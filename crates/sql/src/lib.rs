@@ -60,6 +60,6 @@ pub use parser::{parse, parse_program};
 pub use plan::{compile_program, ProgramPlan, Stage, StageKind};
 pub use sat::{
     Commutativity, Disjointness, GuardRef, Implication, Proof, Satisfiability,
-    ShardedCertification, Solver,
+    ShardedCertification, Solver, StableGuard,
 };
 pub use span::{line_col, LineCol, Span};

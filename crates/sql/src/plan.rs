@@ -27,7 +27,8 @@
 //!    ([`crate::improve`]): a key-order-independent cursor update runs as
 //!    the set statement it rewrites to, its loop collapsed into one
 //!    evaluation of `par(E)` (Theorem 6.5) against the flat `TupleSet`
-//!    kernel;
+//!    kernel; a cursor stage outside it whose guard no receiver's write
+//!    can reach ([`Solver::stable_guard`]) runs as its set statement too;
 //! 2. **cse** — common-subexpression sharing: each stage gets a
 //!    hash-consed selector slot (its table plus its guard up to cursor
 //!    variable renaming) and, for updates, a values slot (the selector
@@ -64,16 +65,16 @@ use receivers_relalg::view::DatabaseView;
 use receivers_relalg::{Expr, RelName, RelSchema, Relation};
 use receivers_wal::{DurableStore, WalResult, WalStorage};
 
-use crate::ast::{ColumnRef, Condition, Projection, Select, SqlStatement};
+use crate::ast::{ColumnRef, Condition, CursorBody, Projection, Select, SqlStatement};
 use crate::catalog::{Catalog, TableInfo};
 use crate::compile::{
     compile, lower_guard, lower_values, CompiledStatement, CursorDelete, CursorUpdate,
-    GuardConjunct, LoweredValues, SetDelete, SetUpdate, ValuesQuery,
+    GuardConjunct, LoweredValues, SetUpdate, ValuesQuery,
 };
 use crate::error::{Result, SqlError};
 use crate::footprint::{footprint, guard_reads, Footprint, Write};
 use crate::improve::{improve_planned, ImproveRefusal, ImprovedUpdate, Improvement};
-use crate::sat::{GuardRef, Implication, Proof, Solver};
+use crate::sat::{GuardRef, Implication, Proof, Solver, StableGuard};
 use crate::scope::Column;
 use crate::waves::{WavePlan, Waves};
 
@@ -212,13 +213,15 @@ pub enum StageKind {
     /// cascade removal.
     SetDelete,
     /// Cursor delete: the receiver loop, guard re-evaluated against the
-    /// mutating instance.
+    /// mutating instance; a stable guard ([`Solver::stable_guard`]) runs
+    /// as its set statement.
     CursorDelete,
     /// Set-oriented update: one batch values evaluation, one batch edge
     /// replacement.
     SetUpdate,
     /// Cursor update: the algebraic sequence driver when the statement
-    /// has an algebraic form, the receiver loop otherwise.
+    /// has an algebraic form; otherwise its set statement when its guard
+    /// is stable ([`Solver::stable_guard`]), the receiver loop when not.
     CursorUpdate,
     /// A cursor update the improve pass rewrote: it runs as its set
     /// statement, one values evaluation replacing the whole loop
@@ -229,13 +232,15 @@ pub enum StageKind {
 /// What a stage executes: its compiled statement and the per-kind data
 /// the planner passes computed for it.
 enum Exec {
-    /// A set delete and its guard, lowered once to anchored conjuncts
-    /// ([`crate::compile::lower_guard`]).
+    /// A set delete, or a cursor delete whose guard is stable, from the
+    /// rows of `table`: every row, or the rows passing its guard, lowered
+    /// once to anchored conjuncts ([`crate::compile::lower_guard`]).
     SetDelete {
-        delete: SetDelete,
-        guard: Arc<[GuardConjunct]>,
+        table: TableInfo,
+        guard: Option<Arc<[GuardConjunct]>>,
     },
-    /// A set update and its planner data.
+    /// A set update, or a cursor update with no algebraic form whose guard
+    /// is stable, run as its set statement, and its planner data.
     SetUpdate(SetUpdateExec),
     /// A cursor update (B) the improve pass rewrote (Theorem 6.5): it runs
     /// as the set statement (A) the rewrite produces
@@ -243,7 +248,7 @@ enum Exec {
     /// update.
     Improved {
         set: SetUpdateExec,
-        improved: ImprovedUpdate,
+        improved: Arc<ImprovedUpdate>,
     },
     /// A cursor statement the receiver loop runs ([`run_receivers`]).
     Receivers(Cursor),
@@ -254,7 +259,7 @@ enum Exec {
     /// sequence driver (EXPLAIN's `sequence:` note).
     Algebraic {
         update: CursorUpdate,
-        method: AlgebraicMethod,
+        method: Arc<AlgebraicMethod>,
         refusal: Result<ImproveRefusal>,
         waves: Arc<WavePlan>,
     },
@@ -262,18 +267,42 @@ enum Exec {
 
 /// A cursor statement the receiver loop runs, with its guard's conjuncts
 /// when it has one: a cursor delete, or a cursor update with no algebraic
-/// form, why it has none, and its value subquery lowered once.
+/// form and its value subquery lowered once.
 enum Cursor {
     Delete {
-        delete: CursorDelete,
+        delete: Box<CursorDelete>,
         guard: Option<Arc<[GuardConjunct]>>,
     },
     Update {
         update: Box<CursorUpdate>,
-        why: SqlError,
         guard: Option<Arc<[GuardConjunct]>>,
         values: Arc<LoweredValues>,
     },
+}
+
+/// What the improve pass made of an unguarded cursor update with an
+/// algebraic form, kept in the proof cache under the statement's
+/// canonical text so a recompile builds and clones no method.
+#[derive(Clone)]
+pub(crate) enum Improve {
+    /// The rewrite fired.
+    Improved(Arc<ImprovedUpdate>),
+    /// The pass left the loop alone: the method, the refusal or the error
+    /// the decision stopped on, and the method's wave plan.
+    Kept {
+        method: Arc<AlgebraicMethod>,
+        refusal: Result<ImproveRefusal>,
+        waves: Arc<WavePlan>,
+    },
+}
+
+/// A cursor stage outside the improve pass: the stability check's
+/// verdict ([`Solver::stable_guard`]; `Ok` when the stage runs as its set
+/// statement, with why, `Err` with why not) and, for an update, why the
+/// improve pass was not attempted.
+struct CursorCheck {
+    stable: std::result::Result<StableGuard, String>,
+    improve: Option<SqlError>,
 }
 
 /// A set update, its guard's conjuncts when it has one, its values slot,
@@ -300,19 +329,23 @@ pub struct Stage {
     shared_with: Option<usize>,
     netted_by: Option<usize>,
     proofs: Vec<Proof>,
+    /// The stability check on a cursor stage outside the improve pass.
+    cursor: Option<CursorCheck>,
 }
 
 impl Stage {
-    /// The execution discipline.
+    /// The execution discipline: the statement's form, unless the improve
+    /// pass rewrote it. A cursor stage whose guard is stable keeps its
+    /// kind though it runs as its set statement.
     pub fn kind(&self) -> StageKind {
-        match &self.exec {
-            Exec::SetDelete { .. } => StageKind::SetDelete,
-            Exec::SetUpdate(_) => StageKind::SetUpdate,
-            Exec::Improved { .. } => StageKind::ImprovedUpdate,
-            Exec::Receivers(Cursor::Delete { .. }) => StageKind::CursorDelete,
-            Exec::Receivers(Cursor::Update { .. }) | Exec::Algebraic { .. } => {
-                StageKind::CursorUpdate
-            }
+        match (&self.exec, &self.statement) {
+            (Exec::Improved { .. }, _) => StageKind::ImprovedUpdate,
+            (_, SqlStatement::Delete { .. }) => StageKind::SetDelete,
+            (_, SqlStatement::Update { .. }) => StageKind::SetUpdate,
+            (_, SqlStatement::ForEach { body, .. }) => match body {
+                CursorBody::DeleteIf { .. } => StageKind::CursorDelete,
+                CursorBody::UpdateSet { .. } => StageKind::CursorUpdate,
+            },
         }
     }
 
@@ -356,7 +389,7 @@ impl Stage {
     /// have one.
     pub fn algebraic(&self) -> Option<&AlgebraicMethod> {
         match &self.exec {
-            Exec::Algebraic { method, .. } => Some(method),
+            Exec::Algebraic { method, .. } => Some(method.as_ref()),
             _ => None,
         }
     }
@@ -364,7 +397,7 @@ impl Stage {
     /// The improve-pass rewrite, when it fired.
     pub fn improved(&self) -> Option<&ImprovedUpdate> {
         match &self.exec {
-            Exec::Improved { improved, .. } => Some(improved),
+            Exec::Improved { improved, .. } => Some(improved.as_ref()),
             _ => None,
         }
     }
@@ -386,7 +419,7 @@ impl Stage {
     /// A set statement's guard, lowered to conjuncts.
     fn guard_query(&self) -> Option<&[GuardConjunct]> {
         match &self.exec {
-            Exec::SetDelete { guard, .. } => Some(guard),
+            Exec::SetDelete { guard, .. } => guard.as_deref(),
             _ => self.set_update()?.guard.as_deref(),
         }
     }
@@ -496,7 +529,7 @@ pub fn compile_program(program: &[SqlStatement], catalog: &Catalog) -> Result<Pr
         let compiled = compile(stmt, catalog)?;
         C_STAGES.incr();
         let footprint = footprint(stmt, catalog);
-        let (table, var, guard, _) = stmt.parts();
+        let (table, var, guard, assigned) = stmt.parts();
         let canon_guard = guard.and_then(|cond| canon_condition(cond, var));
         // Cse pass: the selector slot is the table plus the canonical
         // guard; an unguarded statement selects every row of its table.
@@ -541,10 +574,22 @@ pub fn compile_program(program: &[SqlStatement], catalog: &Catalog) -> Result<Pr
             })
         };
         let mut proofs = Vec::new();
+        let mut cursor = None;
+        // The stability check, on a cursor stage outside the improve
+        // pass: a stable one runs as its set statement.
+        let mut stable = |improve: Option<SqlError>| {
+            let check = Solver::new(catalog).stable_guard(stmt);
+            let stable = check.is_ok();
+            cursor = Some(CursorCheck {
+                stable: check,
+                improve,
+            });
+            stable
+        };
         let exec = match compiled {
             CompiledStatement::SetDelete(delete) => Exec::SetDelete {
-                guard: lowered_guard(&delete.condition, delete.table())?,
-                delete,
+                guard: Some(lowered_guard(&delete.condition, delete.table())?),
+                table: delete.into_table(),
             },
             CompiledStatement::SetUpdate(update) => {
                 let canon = canon_select(update.select(), var);
@@ -560,12 +605,22 @@ pub fn compile_program(program: &[SqlStatement], catalog: &Catalog) -> Result<Pr
                     update,
                 })
             }
-            CompiledStatement::CursorDelete(delete) => Exec::Receivers(Cursor::Delete {
-                guard: (delete.condition.as_ref())
+            CompiledStatement::CursorDelete(delete) => {
+                let guard = (delete.condition.as_ref())
                     .map(|c| lowered_guard(c, delete.table()))
-                    .transpose()?,
-                delete,
-            }),
+                    .transpose()?;
+                if stable(None) {
+                    Exec::SetDelete {
+                        table: delete.into_table(),
+                        guard,
+                    }
+                } else {
+                    Exec::Receivers(Cursor::Delete {
+                        delete: Box::new(delete),
+                        guard,
+                    })
+                }
+            }
             CompiledStatement::CursorUpdate(update) => {
                 // A cursor update claims its values slot too, so a later
                 // set update with the same subquery reports the share.
@@ -579,8 +634,11 @@ pub fn compile_program(program: &[SqlStatement], catalog: &Catalog) -> Result<Pr
                 // statement evaluates `par(E)` (or the closed `E₀`), and
                 // the improve pass hands the method back when it leaves
                 // the loop alone.
-                match update.algebraic(&lowered.expr).map(improve_planned) {
-                    Ok((Improvement::Improved(improved), _)) => {
+                let improve_key = canon.as_deref().zip(assigned).map(|(c, (column, _))| {
+                    ProofKey::Improve(key.clone(), format!("{table}:{column}:{c}"))
+                });
+                match improve_stage(&update, &lowered, improve_key) {
+                    Ok(Improve::Improved(improved)) => {
                         C_IMPROVED.incr();
                         proofs.push(Proof::default().note(
                             "improve pass: the cursor update is key-order independent \
@@ -597,20 +655,35 @@ pub fn compile_program(program: &[SqlStatement], catalog: &Catalog) -> Result<Pr
                             improved,
                         }
                     }
-                    Ok((Improvement::Kept { method, reason }, waves)) => Exec::Algebraic {
-                        waves: waves.unwrap_or_else(|| Arc::new(Waves::plan(&method))),
+                    Ok(Improve::Kept {
+                        method,
+                        refusal,
+                        waves,
+                    }) => Exec::Algebraic {
                         update,
                         method,
-                        refusal: reason,
+                        refusal,
+                        waves,
                     },
-                    Err(why) => Exec::Receivers(Cursor::Update {
-                        values: lowered,
-                        guard: (update.condition.as_ref())
+                    Err(why) => {
+                        let guard = (update.condition.as_ref())
                             .map(|c| lowered_guard(c, update.table()))
-                            .transpose()?,
-                        update: Box::new(update),
-                        why,
-                    }),
+                            .transpose()?;
+                        if stable(Some(why)) {
+                            Exec::SetUpdate(SetUpdateExec {
+                                guard,
+                                values,
+                                lowered,
+                                update: update.into_set_form(),
+                            })
+                        } else {
+                            Exec::Receivers(Cursor::Update {
+                                values: lowered,
+                                guard,
+                                update: Box::new(update),
+                            })
+                        }
+                    }
                 }
             }
         };
@@ -622,6 +695,7 @@ pub fn compile_program(program: &[SqlStatement], catalog: &Catalog) -> Result<Pr
             shared_with,
             netted_by: None,
             proofs,
+            cursor,
         });
     }
 
@@ -679,6 +753,10 @@ pub(crate) enum ProofKey {
     /// A value subquery's lowering ([`lower_values`]): the catalog, and
     /// the row's table with the canonical subquery.
     Values(CatalogKey, String),
+    /// An unguarded cursor update's method with its improve-pass outcome
+    /// ([`improve_stage`]): the catalog, and the row's table with the
+    /// assigned column and the canonical subquery.
+    Improve(CatalogKey, String),
 }
 
 /// A catalog in a proof-cache key, hashed once per compiled program:
@@ -721,6 +799,9 @@ pub(crate) enum CachedProof {
     Guard(Arc<[GuardConjunct]>),
     /// A value subquery's lowering.
     Values(Arc<LoweredValues>),
+    /// An unguarded cursor update's method and what the improve pass made
+    /// of it.
+    Improve(Improve),
 }
 
 /// Process-wide memo of the planner's verdicts: the netting rule's
@@ -789,15 +870,53 @@ fn lowering(
     }
 }
 
-/// The number of verdicts in the process-wide proof cache; lowerings
-/// are not counted.
+/// The improve pass on an unguarded cursor update whose value subquery
+/// is lowered to `lowered`: its method with the Theorem 5.12 verdict and
+/// the wave plan, from the proof cache under `key` (the statement's
+/// canonical text), or built, decided and stored; with no `key` (an
+/// alias shadows the row), built alone. A hit builds, clones and hashes
+/// no method. `Err` when the update has no algebraic form.
+fn improve_stage(
+    update: &CursorUpdate,
+    lowered: &LoweredValues,
+    key: Option<ProofKey>,
+) -> Result<Improve> {
+    update.algebraic_refusal()?;
+    let build = || -> Result<CachedProof> {
+        let method = update.algebraic(&lowered.expr)?;
+        Ok(CachedProof::Improve(match improve_planned(method) {
+            (Improvement::Improved(improved), _) => Improve::Improved(Arc::new(improved)),
+            (Improvement::Kept { method, reason }, waves) => Improve::Kept {
+                waves: waves.unwrap_or_else(|| Arc::new(Waves::plan(&method))),
+                method: Arc::new(method),
+                refusal: reason,
+            },
+        }))
+    };
+    let cached = match key {
+        Some(key) => memoized(key, &C_LOWERING_HIT, &C_LOWERING_MISS, build),
+        None => build(),
+    };
+    match cached? {
+        CachedProof::Improve(improve) => Ok(improve),
+        _ => unreachable!("a cursor update's key holds its improve outcome"),
+    }
+}
+
+/// The number of verdicts in the process-wide proof cache; lowerings,
+/// cursor updates' lowered methods among them, are not counted.
 #[doc(hidden)]
 pub fn proof_cache_len() -> usize {
     proof_cache()
         .lock()
         .unwrap_or_else(|e| e.into_inner())
         .keys()
-        .filter(|k| !matches!(k, ProofKey::Guard(..) | ProofKey::Values(..)))
+        .filter(|k| {
+            !matches!(
+                k,
+                ProofKey::Guard(..) | ProofKey::Values(..) | ProofKey::Improve(..)
+            )
+        })
         .count()
 }
 
@@ -1219,7 +1338,7 @@ pub(crate) fn stage_kind_label(kind: StageKind) -> &'static str {
 
 /// The profile node skeleton of one stage — statement text plus the
 /// planner verdicts; EXPLAIN and the measured profiles both start here.
-pub(crate) fn stage_node(idx: usize, stage: &Stage) -> obs::ProfileNode {
+pub(crate) fn stage_node(idx: usize, stage: &Stage, catalog: &Catalog) -> obs::ProfileNode {
     let mut n = obs::ProfileNode::new(format!("stage {}", idx + 1), stage_kind_label(stage.kind()));
     n.add_note(stage.statement.to_string());
     if let Some(j) = stage.netted_by {
@@ -1237,6 +1356,19 @@ pub(crate) fn stage_node(idx: usize, stage: &Stage) -> obs::ProfileNode {
             "values: one evaluation shared by every row (the subquery reads no column of the row)",
         ),
         None => {}
+    }
+    if let Some(check) = stage
+        .cursor
+        .as_ref()
+        .filter(|_| stage.footprint.guard.is_some())
+    {
+        n.add_note(match &check.stable {
+            Ok(why) => format!(
+                "guard: stable — {}; runs as its set statement",
+                why.describe(catalog)
+            ),
+            Err(why) => format!("guard: not hoisted — {why}"),
+        });
     }
     if let Some(conjuncts) = stage.guard_query() {
         let correlated: Vec<(usize, &str)> = (1..)
@@ -1274,11 +1406,11 @@ pub(crate) fn stage_node(idx: usize, stage: &Stage) -> obs::ProfileNode {
         )),
         Exec::Algebraic {
             refusal: Err(why), ..
-        }
-        | Exec::Receivers(Cursor::Update { why, .. }) => {
-            n.add_note(format!("improve: not attempted — {why}"))
-        }
+        } => n.add_note(format!("improve: not attempted — {why}")),
         _ => {}
+    }
+    if let Some(why) = stage.cursor.as_ref().and_then(|c| c.improve.as_ref()) {
+        n.add_note(format!("improve: not attempted — {why}"));
     }
     if let Exec::Algebraic { update, waves, .. } = &stage.exec {
         n.add_note(match waves.as_ref() {
@@ -1303,7 +1435,7 @@ fn push_stage_profile(
     cache: &ExecCache<'_>,
     log_len: usize,
 ) {
-    let mut node = stage_node(idx, stage);
+    let mut node = stage_node(idx, stage, &cache.plan.catalog);
     node.start_ns = mark.start_ns;
     node.wall_ns = mark.t0.elapsed().as_nanos() as u64;
     node.rows_in = meter.rows_in;
@@ -1415,7 +1547,8 @@ fn written(e: &Expr, write: RowWrite, schema: &Schema) -> bool {
 }
 
 /// The receiver loop: the paper's `M_seq` (Def. 3.1) for a cursor
-/// statement, in place. Receivers run in canonical key order (a unary
+/// statement whose guard is not stable ([`Solver::stable_guard`]), in
+/// place. Receivers run in canonical key order (a unary
 /// receiver set is ordered by its objects, as `class_members` yields
 /// them). Each one's guard runs through the set statements' lowered
 /// conjuncts ([`select_rows`]) with the receiver as the only row, against
@@ -1530,12 +1663,12 @@ fn run_stage_viewed(
     meter: &mut StageMeter,
 ) -> Result<InPlaceOutcome> {
     match &stage.exec {
-        Exec::SetDelete { delete, guard } => {
+        Exec::SetDelete { table, guard } => {
             let t0 = std::time::Instant::now();
             let rows = cache.rows(
                 stage.selector,
-                Some(guard),
-                delete.table(),
+                guard.as_deref(),
+                table,
                 instance,
                 view.database(),
             )?;
@@ -1622,7 +1755,7 @@ impl ProgramPlan {
             if stage.netted() {
                 C_STAGES_SKIPPED.incr();
                 if let Some(p) = prof.as_deref_mut() {
-                    p.children.push(stage_node(idx, stage));
+                    p.children.push(stage_node(idx, stage, &self.catalog));
                 }
                 continue;
             }
@@ -2629,11 +2762,13 @@ mod tests {
     }
 
     /// Cursor stages write whole rows, so a receiver reassigned its
-    /// current value logs no op — on the algebraic path and on the
-    /// interpreted (guarded) one. Salary := the manager's salary leaves
-    /// self-managed `e1` as it is and changes `e2` and `e3`; the guarded
-    /// stage reassigns every receiver its own salary, so its program
-    /// writes no WAL record at all.
+    /// current value logs no op — on the algebraic path, on a guarded
+    /// stage run as its set statement (its guard is stable) and on one
+    /// the receiver loop runs (its guard reads `Salary` at other rows).
+    /// Salary := the manager's salary leaves self-managed `e1` as it is
+    /// and changes `e2` and `e3`; the guarded stages reassign every
+    /// receiver its own salary, so their programs write no WAL record at
+    /// all.
     #[test]
     fn cursor_stage_reassigning_an_unchanged_value_logs_nothing_for_it() {
         const MANAGER_SALARY: &str = "for each t in Employee do update t set Salary = \
@@ -2641,14 +2776,22 @@ mod tests {
         const SAME_GUARDED: &str = "for each t in Employee do \
              if exists (select * from NewSal where Old = Salary) update t set Salary = \
              (select Old from NewSal where Old = Salary)";
+        const SAME_LOOPED: &str = "for each t in Employee do \
+             if exists (select * from NewSal N, Employee E1 where N.Old = E1.Salary) \
+             update t set Salary = (select Old from NewSal where Old = Salary)";
         let (es, catalog) = employee_catalog();
         let (i0, data) = section7_instance(&es);
         let e1 = data.employees[0];
-        for (text, algebraic, ops_logged) in [(MANAGER_SALARY, true, 4), (SAME_GUARDED, false, 0)] {
+        for (text, algebraic, looped, ops_logged) in [
+            (MANAGER_SALARY, true, false, 4),
+            (SAME_GUARDED, false, false, 0),
+            (SAME_LOOPED, false, true, 0),
+        ] {
             let plan = compile_program(&program(&[text]), &catalog).unwrap();
             let stage = &plan.stages()[0];
             assert_eq!(stage.kind(), StageKind::CursorUpdate, "{text}");
             assert_eq!(stage.algebraic().is_some(), algebraic, "{text}");
+            assert_eq!(matches!(stage.exec, Exec::Receivers(_)), looped, "{text}");
             let mut store = DurableStore::create(
                 FaultStorage::new(),
                 Arc::clone(&es.schema),
@@ -2686,6 +2829,67 @@ mod tests {
             );
             let salary_of_e1: Vec<Oid> = i.successors(e1, es.salary).collect();
             assert_eq!(salary_of_e1, vec![data.amounts[0]], "{text}");
+        }
+    }
+
+    /// A cursor stage whose guard no receiver's write can reach runs as
+    /// its set statement, with the receiver loop's effect: a delete whose
+    /// guard reads only the row's `Salary`, and a guarded update reading
+    /// `Salary` only at the row. One whose guard a write can reach keeps
+    /// the loop: the cursor form of Section 7's delete (A) reads
+    /// `Employee` membership and `Manager`, and a guarded (C) reads
+    /// `Salary` at the manager's row. Every one keeps its cursor kind.
+    #[test]
+    fn stable_guards_run_as_set_statements_and_the_rest_keep_the_loop() {
+        const GUARDED_B: &str = "for each t in Employee do if Salary not in table Fire \
+             update t set Salary = (select New from NewSal where Old = Salary)";
+        const GUARDED_C: &str = "for each t in Employee do if Salary in table Fire \
+             update t set Salary = (select New from Employee E1, NewSal \
+             where E1.EmpId = Manager and Old = E1.Salary)";
+        let (es, catalog) = employee_catalog();
+        let (i0, _) = section7_instance(&es);
+        for (text, stable) in [
+            (CURSOR_DELETE_SIMPLE, true),
+            (GUARDED_B, true),
+            (CURSOR_DELETE_MANAGER, false),
+            (GUARDED_C, false),
+        ] {
+            let stmts = program(&[text]);
+            let plan = compile_program(&stmts, &catalog).unwrap();
+            let stage = &plan.stages()[0];
+            let (kind, want) = match compile(&stmts[0], &catalog).unwrap() {
+                CompiledStatement::CursorDelete(cd) => (
+                    StageKind::CursorDelete,
+                    receivers_core::sequential::apply_sequence(
+                        &cd.method(),
+                        &i0,
+                        &cd.receivers(&i0).canonical_order(),
+                    ),
+                ),
+                CompiledStatement::CursorUpdate(cu) => (
+                    StageKind::CursorUpdate,
+                    receivers_core::sequential::apply_sequence(
+                        &cu.interpreted_method(),
+                        &i0,
+                        &cu.receivers(&i0).canonical_order(),
+                    ),
+                ),
+                _ => panic!("{text}: a cursor statement"),
+            };
+            assert_eq!(stage.kind(), kind, "{text}");
+            assert!(stage.improved().is_none() && stage.algebraic().is_none());
+            assert_eq!(
+                stage.cursor.as_ref().map(|c| c.stable.is_ok()),
+                Some(stable),
+                "{text}"
+            );
+            assert_eq!(matches!(stage.exec, Exec::Receivers(_)), !stable, "{text}");
+            assert_eq!(stage.guard_query().is_some(), stable, "{text}");
+            let mut i = i0.clone();
+            let mut view = DatabaseView::new(&i);
+            assert!(plan.execute_viewed(&mut i, &mut view).unwrap().is_applied());
+            assert!(view.matches_rebuild(&i));
+            assert_eq!(i, want.expect_done("M_seq"), "{text}");
         }
     }
 

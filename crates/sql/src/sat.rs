@@ -1,5 +1,7 @@
 //! A decision procedure over the condition language: `satisfiable`,
-//! `disjoint`, `implies`, and pairwise statement commutativity.
+//! `disjoint`, `implies`, and pairwise statement commutativity; and the
+//! read checks on one statement behind sharding and stable guards
+//! (`pinned_read_proof`, `stable_guard`).
 //!
 //! # The fragment and the model theory
 //!
@@ -45,11 +47,11 @@ use receivers_relalg::deps::AtomRel;
 use receivers_relalg::expr::RelName;
 use receivers_relalg::typecheck::ParamSchemas;
 
-use crate::ast::{Condition, Projection, Select, SqlStatement};
+use crate::ast::{ColumnRef, Condition, FromItem, Projection, Select, SqlStatement};
 use crate::catalog::{Catalog, TableInfo};
 use crate::compile::{compile, CompiledStatement};
 use crate::footprint::{footprint, Write};
-use crate::scope::{resolve, Bound, Column, Scope};
+use crate::scope::{resolve, walk_condition, Bound, Column, Reference, Scope, Visitor};
 
 /// A human-readable, atom-level justification of a verdict.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -814,40 +816,113 @@ impl<'a> Solver<'a> {
     /// Returns `None` for deletes, for statements whose reads fail to
     /// normalize, and when any `prop` read is not `x₀`-pinned.
     pub fn pinned_read_proof(&self, stmt: &SqlStatement, prop: PropId) -> Option<Proof> {
-        let (table, var, guard, Some((_, select))) = stmt.parts() else {
-            return None;
-        };
-        let info = self.catalog.lookup(table).ok()?.clone();
-        let mut nf = NormalForm::new(info.class);
-        let n = Normalizer {
-            catalog: self.catalog,
-            outer: &info,
-            cursor_var: Some(var),
-        };
-        let mut scopes = n.row_scopes();
-        if let Some(g) = guard {
-            n.conjoin(&mut nf, g, &mut scopes).ok()?;
-        }
-        n.exists(&mut nf, select, &mut scopes).ok()?;
-        for e in &nf.edges {
-            if e.prop == prop && nf.find(e.src) != 0 {
-                return None;
-            }
-        }
-        for lit in &nf.negs {
-            for t in [&lit.a, &lit.b] {
-                match *t {
-                    SetTerm::Image(node, p) if p == prop && nf.find(node) != 0 => return None,
-                    SetTerm::Members(p) if p == prop => return None,
-                    _ => {}
-                }
-            }
-        }
+        self.pinned_reads(stmt, prop).ok()?;
         Some(Proof::default().note(format!(
             "every read of `{}` in this statement goes through the receiver row itself, \
              so no other receiver's write can reach it",
             self.catalog.schema.prop_name(prop)
         )))
+    }
+
+    /// Whether every read of `prop` in an update statement goes through
+    /// the receiver row ([`Solver::pinned_read_proof`]): `Ok(true)` when
+    /// it reads `prop` and every read is pinned, `Ok(false)` when it
+    /// reads no `prop` at all, and `Err` with the read that is not
+    /// pinned, or why the reads could not be normalized.
+    fn pinned_reads(&self, stmt: &SqlStatement, prop: PropId) -> Result<bool, String> {
+        let (table, var, guard, Some((_, select))) = stmt.parts() else {
+            return Err("a delete has no value subquery".to_owned());
+        };
+        let info = self.catalog.lookup(table).map_err(|e| e.to_string())?;
+        let mut nf = NormalForm::new(info.class);
+        let n = Normalizer {
+            catalog: self.catalog,
+            outer: info,
+            cursor_var: Some(var),
+        };
+        let mut scopes = n.row_scopes();
+        guard
+            .map_or(Ok(()), |g| n.conjoin(&mut nf, g, &mut scopes))
+            .and_then(|()| n.exists(&mut nf, select, &mut scopes))
+            .map_err(|e| match e {
+                NormErr::Unsat(_) => "its guard and value subquery cannot hold together".to_owned(),
+                NormErr::Unknown(why) => format!("its reads do not normalize: {why}"),
+            })?;
+        let elsewhere = || {
+            format!(
+                "reads {} through a row other than the receiver",
+                self.catalog.column_name(prop)
+            )
+        };
+        let mut reads = false;
+        for e in nf.edges.iter().filter(|e| e.prop == prop) {
+            if nf.find(e.src) != 0 {
+                return Err(elsewhere());
+            }
+            reads = true;
+        }
+        for lit in &nf.negs {
+            for t in [&lit.a, &lit.b] {
+                match *t {
+                    SetTerm::Image(node, p) if p == prop => {
+                        if nf.find(node) != 0 {
+                            return Err(elsewhere());
+                        }
+                        reads = true;
+                    }
+                    SetTerm::Members(p) if p == prop => return Err(elsewhere()),
+                    _ => {}
+                }
+            }
+        }
+        Ok(reads)
+    }
+
+    /// The stability check on a cursor statement: whether no receiver's
+    /// write can change what another receiver's guard or values read, so
+    /// each receiver sees the pre-statement instance at its turn and the
+    /// loop (`M_seq`, Def. 3.1) equals the guarded set statement.
+    ///
+    /// * An update of `P` is stable when every read of `P`, in the guard
+    ///   and in the values, goes through the receiver's own row
+    ///   ([`Solver::pinned_read_proof`]): only that receiver writes the
+    ///   row, after reading it, and the write changes nothing else.
+    /// * A delete from class `C` is stable when its guard reads neither
+    ///   `C`'s membership (a `FROM` or `IN TABLE` table over `C`) nor a
+    ///   property whose values lie in `C`, even on the receiver's own row:
+    ///   deleting another receiver removes it and every edge at it, and
+    ///   the edges left at the receiver's row point outside `C`.
+    ///
+    /// `Err` names the reads that refute stability.
+    pub fn stable_guard(&self, stmt: &SqlStatement) -> Result<StableGuard, String> {
+        let (table, var, guard, values) = stmt.parts();
+        let info = self.catalog.lookup(table).map_err(|e| e.to_string())?;
+        if let Some((column, _)) = values {
+            let prop = info
+                .column_prop(column)
+                .ok_or_else(|| format!("`{column}` is not a data column of `{table}`"))?;
+            return Ok(StableGuard::Pinned {
+                prop,
+                reads: self.pinned_reads(stmt, prop)?,
+            });
+        }
+        let mut reads = DeleteReads {
+            catalog: self.catalog,
+            class: info.class,
+            refusals: Vec::new(),
+        };
+        if let Some(g) = guard {
+            let row = Bound {
+                alias: Some(var),
+                table: info,
+            };
+            walk_condition(g, Some(row), self.catalog, &mut reads);
+        }
+        if reads.refusals.is_empty() {
+            Ok(StableGuard::Unreached { class: info.class })
+        } else {
+            Err(reads.refusals.join("; "))
+        }
     }
 
     /// Compile a cursor update and certify it for sharded execution,
@@ -896,6 +971,119 @@ pub struct ShardedCertification {
     pub certificate: receivers_core::ShardCertificate,
     /// The self-pinned-reads proof behind each discharged conflict.
     pub proofs: Vec<(PropId, Proof)>,
+}
+
+/// Why a cursor statement is stable ([`Solver::stable_guard`]): no
+/// receiver's write can reach what another receiver's guard or values
+/// read, so the statement runs as its set statement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StableGuard {
+    /// An update whose every read of the written property `prop` goes
+    /// through the receiver's own row; `reads` is `false` when it reads
+    /// no `prop` at all.
+    Pinned {
+        /// The written property.
+        prop: PropId,
+        /// Whether the statement reads `prop`.
+        reads: bool,
+    },
+    /// A delete whose guard reads neither the deleted class's membership
+    /// nor a property whose values lie in it.
+    Unreached {
+        /// The deleted class.
+        class: ClassId,
+    },
+}
+
+impl StableGuard {
+    /// One line naming why the statement is stable.
+    pub fn describe(&self, catalog: &Catalog) -> String {
+        match *self {
+            Self::Pinned { prop, reads: true } => format!(
+                "reads of {} are pinned to the row",
+                catalog.column_name(prop)
+            ),
+            Self::Pinned { prop, reads: false } => {
+                format!(
+                    "reads no {}, the column it writes",
+                    catalog.column_name(prop)
+                )
+            }
+            Self::Unreached { class } => {
+                let class = catalog.schema.class_name(class);
+                format!("reads neither {class} membership nor a column whose values lie in {class}")
+            }
+        }
+    }
+}
+
+/// The delete half of [`Solver::stable_guard`]: the reads of a guard
+/// that deleting another receiver of `class` can change, each named once.
+struct DeleteReads<'c> {
+    catalog: &'c Catalog,
+    class: ClassId,
+    refusals: Vec<String>,
+}
+
+impl DeleteReads<'_> {
+    fn refuse(&mut self, why: String) {
+        if !self.refusals.contains(&why) {
+            self.refusals.push(why);
+        }
+    }
+
+    /// Refuse a read of `prop` whose values lie in the deleted class.
+    fn value_in_class(&mut self, prop: PropId) {
+        if self.catalog.schema.property(prop).dst == self.class {
+            let name = self.catalog.column_name(prop);
+            self.refuse(format!(
+                "reads {name}, whose values lie in the deleted class"
+            ));
+        }
+    }
+
+    /// Refuse a read of the deleted class's membership through `what`.
+    fn membership(&mut self, what: String) {
+        let class = self.catalog.schema.class_name(self.class);
+        self.refuse(format!("reads {class} membership (`{what}`)"));
+    }
+}
+
+impl Visitor for DeleteReads<'_> {
+    fn scan(&mut self, item: &FromItem, table: crate::error::Result<&TableInfo>) {
+        match table {
+            Ok(t) if t.class == self.class => self.membership(match &item.alias {
+                Some(alias) => format!("FROM {} {alias}", item.table),
+                None => format!("FROM {}", item.table),
+            }),
+            Ok(_) => {}
+            Err(e) => self.refuse(e.to_string()),
+        }
+    }
+
+    fn column(&mut self, _: &ColumnRef, reference: crate::error::Result<Reference>) {
+        match reference {
+            Ok(Reference {
+                column: Column::Prop(p),
+                ..
+            }) => self.value_in_class(p),
+            Ok(_) => {}
+            Err(e) => self.refuse(e.to_string()),
+        }
+    }
+
+    fn in_table(
+        &mut self,
+        _: &ColumnRef,
+        table: &str,
+        column: crate::error::Result<(&TableInfo, PropId)>,
+    ) {
+        match column {
+            Ok((t, _)) if t.class == self.class => self.membership(format!("IN TABLE {table}")),
+            Ok((_, p)) => self.value_in_class(p),
+            Err(e) => self.refuse(e.to_string()),
+        }
+    }
 }
 
 #[cfg(test)]
