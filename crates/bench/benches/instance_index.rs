@@ -10,10 +10,13 @@
 //!   historical per-receiver cloning loop;
 //! * `edit/*` — the write path per edge: the 512×64 set-update batch of
 //!   the `e2e` `mixed` workload through [`apply_assignment_batch`] into a
-//!   maintained [`DatabaseView`], [`redo_ops`] of that batch's log (WAL
-//!   replay), [`decode_snapshot`] of the batch's result (recovery's bulk
-//!   build of a `mixed`-sized instance, ~33k edges), and two hub shapes
-//!   that exercise the adjacency lists past their small-vector bound.
+//!   maintained [`DatabaseView`], the same batch as one
+//!   [`EdgeIndex::replace_rows`] on the index alone and as 512 one-row
+//!   [`InstanceTxn::replace_successors`] calls (the receiver loop's
+//!   shape), [`redo_ops`] of that batch's log (WAL replay),
+//!   [`decode_snapshot`] of the batch's result (recovery's bulk build of
+//!   a `mixed`-sized instance, ~33k edges), and two hub shapes that
+//!   exercise the adjacency lists past their small-vector bound.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -24,8 +27,8 @@ use receivers_core::methods::add_bar;
 use receivers_core::sequential::apply_seq_unchecked;
 use receivers_objectbase::examples::{beer_schema, BeerSchema};
 use receivers_objectbase::{
-    redo_ops, Edge, EdgeIndex, Instance, MethodOutcome, NullObserver, Oid, PropId, Receiver,
-    ReceiverSet, Schema, UpdateMethod,
+    redo_ops, Edge, EdgeIndex, Instance, InstanceTxn, MethodOutcome, NullObserver, Oid, PropId,
+    Receiver, ReceiverSet, Schema, UpdateMethod,
 };
 use receivers_relalg::{Database, DatabaseView};
 use receivers_wal::snapshot::{decode_snapshot, encode_snapshot};
@@ -265,6 +268,38 @@ fn edits(c: &mut Criterion) {
             let (mut i, mut v) = (batch.base.clone(), view.clone());
             apply_assignment_batch(&mut i, &mut v, batch.salary, &batch.assignments);
             black_box((i, v))
+        })
+    });
+    // The batch on the index alone: one transposition of its reverse
+    // edits. Each iteration also clones the ~512-edge base index.
+    let index = EdgeIndex::from_edges(batch.base.edges());
+    let mut batched = index.clone();
+    batched.replace_rows(batch.salary, &batch.assignments);
+    assert!(batched.iter().eq(expect.edges()));
+    group.bench_function("replace_rows", |b| {
+        b.iter(|| {
+            let mut ix = index.clone();
+            black_box(ix.replace_rows(batch.salary, &batch.assignments));
+            black_box(ix)
+        })
+    });
+    // The same rows written one call each, as the receiver loop writes.
+    let one_row_writes = |i: &mut Instance| {
+        let mut txn = InstanceTxn::begin(i);
+        for (e, new) in &batch.assignments {
+            txn.replace_successors(*e, batch.salary, new)
+                .expect("a well-typed row");
+        }
+        txn.commit()
+    };
+    let mut written = batch.base.clone();
+    assert_eq!(one_row_writes(&mut written), log.len());
+    assert_eq!(written, expect);
+    group.bench_function("one_row_writes", |b| {
+        b.iter(|| {
+            let mut i = batch.base.clone();
+            black_box(one_row_writes(&mut i));
+            black_box(i)
         })
     });
     group.bench_function("redo_ops", |b| {

@@ -5,8 +5,19 @@
 //!
 //! Numbers are kept both as `f64` and, when they are non-negative
 //! integers, as exact `u64` (counter values can exceed 2⁵³).
+//!
+//! The reader is total: every input gives a value or an error naming the
+//! byte offset where reading stopped (`… at byte N`). Arrays and objects
+//! nest at most [`MAX_DEPTH`] deep, so a hostile input cannot overflow
+//! the stack.
 
 use std::collections::BTreeMap;
+use std::fmt::Display;
+
+/// Deepest nesting of arrays and objects [`Value::parse`] reads; a
+/// deeper document is an error at the bracket that exceeds it. The
+/// exporters' profile trees nest two levels per span.
+pub const MAX_DEPTH: usize = 256;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,17 +42,20 @@ pub enum Value {
 }
 
 impl Value {
-    /// Parse a complete JSON document (rejects trailing garbage).
+    /// Parse a complete JSON document (rejects trailing garbage). An
+    /// error names the byte offset where reading stopped.
     pub fn parse(text: &str) -> Result<Value, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
+            return Err(p.error("trailing data"));
         }
         Ok(v)
     }
@@ -96,11 +110,35 @@ impl Value {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
+    /// `what` at the current offset.
+    fn error(&self, what: impl Display) -> String {
+        format!("{what} at byte {}", self.pos)
+    }
+
+    /// Enter an array or object, refusing to nest past [`MAX_DEPTH`].
+    fn open(&mut self, b: u8) -> Result<(), String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(format_args!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.expect(b)?;
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Leave an array or object whose closing byte is at `pos`.
+    fn close(&mut self) {
+        self.pos += 1;
+        self.depth -= 1;
+    }
+
     fn skip_ws(&mut self) {
         while let Some(&b) = self.bytes.get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
@@ -120,12 +158,11 @@ impl Parser<'_> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!(
-                "expected `{}` at byte {}, found {:?}",
+            Err(self.error(format_args!(
+                "expected `{}`, found {:?}",
                 b as char,
-                self.pos,
                 self.peek().map(|c| c as char)
-            ))
+            )))
         }
     }
 
@@ -138,11 +175,7 @@ impl Parser<'_> {
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'n') => self.literal("null", Value::Null),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|c| c as char),
-                self.pos
-            )),
+            other => Err(self.error(format_args!("unexpected {:?}", other.map(|c| c as char)))),
         }
     }
 
@@ -151,16 +184,16 @@ impl Parser<'_> {
             self.pos += word.len();
             Ok(v)
         } else {
-            Err(format!("bad literal at byte {}", self.pos))
+            Err(self.error("bad literal"))
         }
     }
 
     fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
+        self.open(b'{')?;
         let mut m = BTreeMap::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
-            self.pos += 1;
+            self.close();
             return Ok(Value::Object(m));
         }
         loop {
@@ -175,26 +208,25 @@ impl Parser<'_> {
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
-                    self.pos += 1;
+                    self.close();
                     return Ok(Value::Object(m));
                 }
                 other => {
-                    return Err(format!(
-                        "expected `,` or `}}` at byte {}, found {:?}",
-                        self.pos,
+                    return Err(self.error(format_args!(
+                        "expected `,` or `}}`, found {:?}",
                         other.map(|c| c as char)
-                    ))
+                    )))
                 }
             }
         }
     }
 
     fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
+        self.open(b'[')?;
         let mut v = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
-            self.pos += 1;
+            self.close();
             return Ok(Value::Array(v));
         }
         loop {
@@ -204,15 +236,14 @@ impl Parser<'_> {
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
-                    self.pos += 1;
+                    self.close();
                     return Ok(Value::Array(v));
                 }
                 other => {
-                    return Err(format!(
-                        "expected `,` or `]` at byte {}, found {:?}",
-                        self.pos,
+                    return Err(self.error(format_args!(
+                        "expected `,` or `]`, found {:?}",
                         other.map(|c| c as char)
-                    ))
+                    )))
                 }
             }
         }
@@ -223,7 +254,7 @@ impl Parser<'_> {
         let mut out = String::new();
         loop {
             match self.peek() {
-                None => return Err("unterminated string".to_owned()),
+                None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
@@ -240,30 +271,33 @@ impl Parser<'_> {
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
-                            let hex = self
+                            let code = self
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
+                                .filter(|hex| hex.iter().all(u8::is_ascii_hexdigit))
+                                .and_then(|hex| std::str::from_utf8(hex).ok())
+                                .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                                .ok_or_else(|| self.error("bad \\u escape"))?;
                             // Surrogate pairs are not emitted by our
                             // exporters; map lone surrogates to U+FFFD.
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                             self.pos += 4;
                         }
-                        other => return Err(format!("bad escape {other:?}")),
+                        other => {
+                            return Err(self
+                                .error(format_args!("bad escape {:?}", other.map(|c| c as char))))
+                        }
                     }
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| "invalid UTF-8 in string".to_owned())?;
-                    let c = s.chars().next().expect("non-empty by peek");
+                    // Consume one UTF-8 scalar: `pos` only ever advances
+                    // past ASCII bytes and whole scalars, so it is on a
+                    // character boundary of the text.
+                    let c = self.text[self.pos..]
+                        .chars()
+                        .next()
+                        .expect("non-empty by peek");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -285,7 +319,7 @@ impl Parser<'_> {
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
         let f: f64 = text
             .parse()
-            .map_err(|e| format!("bad number `{text}`: {e}"))?;
+            .map_err(|e| format!("bad number `{text}`: {e} at byte {start}"))?;
         Ok(Value::Num {
             f,
             u: text.parse::<u64>().ok(),
@@ -322,5 +356,24 @@ mod tests {
         assert!(Value::parse("[1,]").is_err());
         assert!(Value::parse("{} trailing").is_err());
         assert!(Value::parse("nul").is_err());
+        assert_eq!(
+            Value::parse(r#""\u12g4""#),
+            Err("bad \\u escape at byte 2".to_owned())
+        );
+    }
+
+    /// Nesting up to the bound reads; one level more is an error at the
+    /// bracket past it, however deep the rest of the input goes.
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Value::parse(&nested(MAX_DEPTH)).is_ok());
+        let deeper = |at: usize| Err(format!("nesting deeper than {MAX_DEPTH} at byte {at}"));
+        assert_eq!(Value::parse(&nested(MAX_DEPTH + 1)), deeper(MAX_DEPTH));
+        assert_eq!(Value::parse(&"[".repeat(100_000)), deeper(MAX_DEPTH));
+        let members = r#"{"a":"#.repeat(100_000);
+        assert_eq!(Value::parse(&members), deeper(5 * MAX_DEPTH));
+        let siblings = format!("[{}]", vec![nested(MAX_DEPTH - 1); 3].join(","));
+        assert!(Value::parse(&siblings).is_ok());
     }
 }
